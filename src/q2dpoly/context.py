@@ -30,16 +30,11 @@ __all__ = [
     "GaussianRational",
     "TruncationPolicy",
     "QContext",
-    "CapacityError",
     "MissingSqrtError",
     "conj",
     "is_zero",
     "as_fraction",
 ]
-
-
-class CapacityError(ArithmeticError):
-    """Exact-integer blow-up beyond the configured capacity."""
 
 
 class MissingSqrtError(ValueError):
@@ -273,6 +268,9 @@ class QContext:
                     sfrac = Fraction(sqrt_q)
                     self.s = mp.mpf(sfrac.numerator) / sfrac.denominator
         self._qq_cache = [self.one()]  # (q;q)_n prefix products
+        self._qpow_cache = {}  # n (exact) or (n, mp.prec) (float) -> q**n
+        # exact family members built by polyfamilies.coeffs, shared by its callers
+        self.coeffs_memo = {}
 
     # -- basic scalars -----------------------------------------------------
     @property
@@ -316,8 +314,17 @@ class QContext:
         return GaussianRational(0, 1) if self.is_exact else mp.mpc(0, 1)
 
     def qpow(self, n: int):
-        """q**n for integer n (negative allowed)."""
-        return self.q ** n
+        """q**n for integer n (negative allowed), from a per-context table.
+
+        On the float backend the table is keyed by the working precision too,
+        so each value is the q**n computed at the caller's ``mp.prec``.
+        """
+        key = n if self.is_exact else (n, mp.prec)
+        try:
+            return self._qpow_cache[key]
+        except KeyError:
+            val = self._qpow_cache[key] = self.q ** n
+            return val
 
     def q_half_pow(self, j: int):
         """q**(j/2) for integer j; uses s for odd j and fails fast without it."""
@@ -332,13 +339,16 @@ class QContext:
     def qq(self, n: int):
         """(q;q)_n via a cached prefix product; n >= 0.  The cache is
         append-only with immutable entries, so concurrent use is safe (a
-        race at worst recomputes a prefix)."""
+        race at worst recomputes a prefix).  Float prefixes are extended at
+        the context's own working precision, whatever the caller's."""
         if n < 0:
             raise ValueError("qq(n) needs n >= 0")
         cache = self._qq_cache
-        while len(cache) <= n:
-            k = len(cache)
-            cache.append(cache[-1] * (1 - self.q ** k))
+        if len(cache) <= n:
+            with self.workprec():
+                while len(cache) <= n:
+                    k = len(cache)
+                    cache.append(cache[-1] * (1 - self.q ** k))
         return cache[n]
 
     def abs2(self, x):

@@ -39,36 +39,29 @@ class IdentityEntry:
     id: str
     anchor: str
     mode: str
-    checker: Callable          # (ctx, point, trunc) -> (residual_mag, tail, info)
+    checker: Callable          # (ctx, point, trunc) -> (residual, tail, info)
     needs_sqrt: bool = False
     grid_kind: str = "mn"      # "mn" | "m" | "jk" | "single"
     note: str = ""
     param_domain: Dict[str, str] = field(default_factory=dict)
 
 
-def _poly_checker(fn):
+def _exact_checker(fn):
+    """An exact entry's checker returns its residual object (LHS - RHS as a
+    BivarPoly or TruncatedBiSeries), never a float."""
     def run(ctx, pt, trunc):
-        resid_poly = fn(ctx, pt)
-        mags = [ctx.mag(c) for c in resid_poly.coeffs.values()]
-        return (max(mags) if mags else 0.0), 0.0, {}
-    return run
-
-
-def _series_checker(fn):
-    def run(ctx, pt, trunc):
-        d = fn(ctx, pt)
-        return ctx.mag(d), 0.0, {}
+        return fn(ctx, pt), 0.0, {}
     return run
 
 
 def _entry_poly(id_, anchor, fn, grid_kind="mn", note="", domain=None):
-    return IdentityEntry(id_, anchor, "EXACT-POLY", _poly_checker(fn),
+    return IdentityEntry(id_, anchor, "EXACT-POLY", _exact_checker(fn),
                          grid_kind=grid_kind, note=note,
                          param_domain=domain or {"m": "0..8", "n": "0..8"})
 
 
 def _entry_series(id_, anchor, fn, needs_sqrt=False, grid_kind="jk", note=""):
-    return IdentityEntry(id_, anchor, "EXACT-SERIES", _series_checker(fn),
+    return IdentityEntry(id_, anchor, "EXACT-SERIES", _exact_checker(fn),
                          needs_sqrt=needs_sqrt, grid_kind=grid_kind, note=note,
                          param_domain={"order": "<= 10", "j": "0..3", "k": "0..3"})
 
@@ -298,6 +291,32 @@ def _default_grid(entry: IdentityEntry, params: Dict) -> List[Dict]:
     return [params]
 
 
+def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict,
+               trunc: TruncationPolicy):
+    """Run one grid point: (exactly zero, residual magnitude, tail, info).
+
+    An exact residual is zero iff it stores no coefficient (both residual
+    types drop zero coefficients on construction); its float magnitude is
+    for display only, since a tiny nonzero coefficient rounds to 0.0.
+    """
+    with ctx.workprec():
+        r, tail, info = entry.checker(ctx, pt, trunc)
+        if entry.mode.startswith("EXACT"):
+            mag = max((ctx.mag(c) for c in r.coeffs.values()), default=0.0)
+            return not r.coeffs, mag, float(tail), info
+    return False, float(r), float(tail), info
+
+
+def _verdict(entry: IdentityEntry, zero: bool, worst: float, tail: float,
+             tol: float):
+    """The one pass rule: (passed, residual string).  An exact entry passes
+    iff its residual is exactly zero, and only then prints "0"; a numeric
+    entry passes iff worst <= tol + tail."""
+    if entry.mode.startswith("EXACT"):
+        return zero, ("0" if zero else repr(worst))
+    return worst <= tol + tail, repr(worst)
+
+
 def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
                    trunc: Optional[TruncationPolicy] = None,
                    tol: float = 1e-10) -> VerificationReport:
@@ -307,21 +326,20 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
     if entry.needs_sqrt and ctx.s is None:
         raise MissingSqrtError(f"{id_} needs q**(1/2); set sqrt_q on the context")
     grid = _default_grid(entry, params or {})
+    zero = True
     worst = 0.0
     tails = 0.0
     info_all: Dict = {}
     for pt in grid:
-        with ctx.workprec():
-            r, tail, info = entry.checker(ctx, pt, trunc)
-        worst = max(worst, float(r))
-        tails = max(tails, float(tail))
+        z, r, tail, info = _run_point(ctx, entry, pt, trunc)
+        zero = zero and z
+        worst = max(worst, r)
+        tails = max(tails, tail)
         info_all.update(info)
-    exact = entry.mode.startswith("EXACT")
-    passed = (worst == 0.0) if exact else (worst <= tol + tails)
+    passed, residual = _verdict(entry, zero, worst, tails, tol)
     gridrep = dict(params or {})
     gridrep["points"] = len(grid)
     gridrep["q"] = scalar_str(ctx.q_fraction)
-    residual = "0" if (exact and worst == 0.0) else repr(worst)
     return VerificationReport(
         id=id_, mode=entry.mode, grid=gridrep, residual=residual,
         tail_bound=tails, passed=passed, note=entry.note, extra=info_all)
@@ -343,22 +361,18 @@ def sweep(ctx: QContext, ids: Sequence[str], grid: Optional[Dict] = None,
                                           0.0, False, note=f"grid error: {exc}"))
             continue
         for pt in pts:
+            gridrep = dict(sorted(pt.items()))
             try:
                 if entry.needs_sqrt and ctx.s is None:
                     raise MissingSqrtError("needs sqrt_q")
-                with ctx.workprec():
-                    r, tail, info = entry.checker(ctx, pt, trunc)
-                exact = entry.mode.startswith("EXACT")
-                passed = (float(r) == 0.0) if exact else (float(r) <= tol + float(tail))
-                residual = "0" if (exact and float(r) == 0.0) else repr(float(r))
+                zero, r, tail, info = _run_point(ctx, entry, pt, trunc)
+                passed, residual = _verdict(entry, zero, r, tail, tol)
                 out.append(VerificationReport(
-                    id_, entry.mode,
-                    {k: v for k, v in sorted(pt.items())},
-                    residual, float(tail), passed, note=entry.note, extra=info))
+                    id_, entry.mode, gridrep, residual, tail, passed,
+                    note=entry.note, extra=info))
             except Exception as exc:
                 out.append(VerificationReport(
-                    id_, entry.mode, {k: v for k, v in sorted(pt.items())},
-                    "nan", 0.0, False, note=f"error: {exc!r}"))
+                    id_, entry.mode, gridrep, "nan", 0.0, False, note=f"error: {exc!r}"))
     return out
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "wall_poly",
     "q_laguerre",
     "little_q_jacobi",
-    "qop_poly",
     "wall_coeff_list",
     "q_laguerre_coeff_list",
     "little_q_jacobi_coeff_list",
@@ -182,22 +181,32 @@ class BivarPoly:
 # family construction from the explicit sums
 # ---------------------------------------------------------------------------
 
-def _check_disk_params(ctx, family, b, nu):
-    if family == "pq":
-        if b is None:
-            raise ValueError("pq needs the disk parameter b")
-        if ctx.mag(b) * ctx.mag(ctx.q) >= 1 and ctx.mag(ctx.q) < 1:
-            # orthogonality requires b < 1/q; construction tolerates equality
-            pass
-    if family == "C_disk" and nu is None:
-        raise ValueError("C_disk needs the parameter nu")
-
-
 def coeffs(ctx: QContext, family: str, m: int, n: int, b=None, nu=None) -> BivarPoly:
-    """Exact coefficient map of the (m, n) member of a family."""
+    """Exact coefficient map of the (m, n) member of a family.
+
+    On the exact backend each member is built once per context and the same
+    :class:`BivarPoly` is returned to every later caller, so the result is
+    shared and must be treated as immutable.  Float-backend members are
+    rebuilt on every call, since their values depend on ``mp.prec``.
+    """
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    _check_disk_params(ctx, family, b, nu)
+    if family == "pq" and b is None:
+        raise ValueError("pq needs the disk parameter b")
+    if family == "C_disk" and nu is None:
+        raise ValueError("C_disk needs the parameter nu")
+    if not ctx.is_exact:
+        return _build(ctx, family, m, n, b, nu)
+    # the types are part of the key: Fraction(1, 4), GaussianRational(1/4)
+    # and 0.25 hash alike but give different scalar types and meta
+    key = (family, m, n, type(b), b, type(nu), nu)
+    P = ctx.coeffs_memo.get(key)
+    if P is None:
+        P = ctx.coeffs_memo[key] = _build(ctx, family, m, n, b, nu)
+    return P
+
+
+def _build(ctx: QContext, family: str, m: int, n: int, b, nu) -> BivarPoly:
     out: Dict[Key, object] = {}
     if family == "Hq":
         for k in range(min(m, n) + 1):
@@ -210,11 +219,13 @@ def coeffs(ctx: QContext, family: str, m: int, n: int, b=None, nu=None) -> Bivar
                  * (-1) ** j * ctx.qq(j))
             out[(m - j, n - j)] = c
     elif family == "pq":
-        bb = ctx.scalar(b)
+        a = ctx.scalar(b) * ctx.q
+        bq = [ctx.one()]  # (bq;q)_j for j = 0..m+n, as one running product
+        for j in range(m + n):
+            bq.append(bq[-1] * (1 - a * ctx.qpow(j)))
         for k in range(min(m, n) + 1):
             c = (qbinom(ctx, m, k) * qbinom(ctx, n, k) * (-1) ** k
-                 * ctx.qpow(k * (k - 1) // 2) * ctx.qq(k)
-                 * qpoch(ctx, bb * ctx.q, m + n - k))
+                 * ctx.qpow(k * (k - 1) // 2) * ctx.qq(k) * bq[m + n - k])
             out[(m - k, n - k)] = c
     elif family == "H_classical":
         for k in range(min(m, n) + 1):
@@ -241,18 +252,6 @@ def _rising(a, n: int, ctx: QContext):
     for k in range(n):
         out = out * (a + k)
     return out
-
-
-def qop_poly(P: BivarPoly, var: int, mode: str = "Dq") -> BivarPoly:
-    """Exact q-operator on coefficient data (no function evaluation):
-    mode "Dq", "DqInverse" or "Dilate" in variable var (1 or 2)."""
-    if mode == "Dq":
-        return P.dq(var)
-    if mode == "DqInverse":
-        return P.dq_inv(var)
-    if mode == "Dilate":
-        return P.dilate_q(1, 0) if var == 1 else P.dilate_q(0, 1)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def eval_poly(P: BivarPoly, z1, z2):
@@ -287,7 +286,7 @@ def eval_recurrence(ctx: QContext, family: str, m: int, n: int, z1, z2):
     if m == 0:
         return prev_row[n]
     for r in range(m):
-        cur = [z1 ** (r + 1) if family == "Hq" else z1 ** (r + 1)]
+        cur = [z1 ** (r + 1)]
         for j in range(1, n + 1):
             if family == "Hq":
                 val = z1 * prev_row[j] - ctx.qpow(r) * (1 - ctx.qpow(j)) * prev_row[j - 1]

@@ -67,9 +67,6 @@ class TruncatedBiSeries:
         return cls(ctx, order, out)
 
     # -- ring operations ----------------------------------------------------
-    def copy(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries(self.ctx, self.order, dict(self.coeffs))
-
     def __add__(self, other):
         if isinstance(other, TruncatedBiSeries):
             out = dict(self.coeffs)
@@ -173,22 +170,6 @@ class TruncatedBiSeries:
     # -- queries -------------------------------------------------------------
     def coeff(self, i: int, j: int):
         return self.coeffs.get((i, j), self.ctx.zero())
-
-    def max_abs_diff(self, other: "TruncatedBiSeries"):
-        """Max coefficient deviation over the common truncation triangle."""
-        N = min(self.order, other.order)
-        keys = set(self.coeffs) | set(other.coeffs)
-        worst = self.ctx.zero() if self.ctx.is_exact else 0.0
-        worst_mag = -1.0
-        for k in keys:
-            if k[0] + k[1] > N:
-                continue
-            d = self.coeff(*k) - other.coeff(*k)
-            m = self.ctx.mag(d)
-            if m > worst_mag:
-                worst_mag = m
-                worst = d
-        return worst
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedBiSeries):

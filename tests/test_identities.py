@@ -7,6 +7,8 @@ from q2dpoly.context import MissingSqrtError, QContext, TruncationPolicy
 from q2dpoly.identities import (REGISTRY, check_identity, exact_ids,
                                 exact_series_ids, get_entry, list_identities,
                                 numeric_ids, sweep)
+from q2dpoly.polyfamilies import BivarPoly
+from q2dpoly.series import TruncatedBiSeries as TBS
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,22 @@ def test_fault_injection_isolated(ctx, monkeypatch):
     assert bad and all(r.id == "H-TTR-a" for r in bad)
     good = [r for r in reps if r.id == "H-TTR-b"]
     assert all(r.passed for r in good)
+
+
+@pytest.mark.parametrize("id_, resid", [
+    ("H-TTR-a", lambda c: BivarPoly(c, {(0, 0): F(1, 10**400)})),
+    ("H-GF", lambda c: TBS(c, 3, {(1, 0): F(1, 10**400)})),
+])
+def test_tiny_exact_residual_fails(ctx, monkeypatch, id_, resid):
+    # 1/10**400 is 0.0 as a float; an exact check must still fail on it
+    import q2dpoly.identities as ident
+
+    monkeypatch.setattr(ident.get_entry(id_), "checker",
+                        lambda c, pt, tr: (resid(c), 0.0, {}))
+    rep = check_identity(ctx, id_, {"max_m": 1, "max_n": 1})
+    assert not rep.passed and rep.residual != "0"
+    reps = sweep(ctx, [id_], {"max_m": 1, "max_n": 1})
+    assert reps and not any(r.passed or r.residual == "0" for r in reps)
 
 
 def test_sweep_empty_id_list(ctx):

@@ -11,7 +11,7 @@ from q2dpoly.polyfamilies import (coeffs, eval_poly, eval_recurrence,
                                   little_q_jacobi, poly_from_json,
                                   poly_to_json, q_laguerre, radial_reduce,
                                   wall_poly)
-from q2dpoly.qkernel import qpoch
+from q2dpoly.qkernel import qbinom, qpoch
 
 Z1 = GR(F(3, 2), F(1, 2))
 Z2 = GR(F(3, 2), F(-1, 2))
@@ -43,6 +43,18 @@ def test_disk_family_small(ctx):
     p = coeffs(ctx, "pq", 1, 1, b=B)
     assert p.coeff(1, 1) == (1 - B * q) * (1 - B * q**2)
     assert p.coeff(0, 0) == -(1 - q) * (1 - B * q)
+
+
+def test_disk_family_matches_per_term_qpoch():
+    # the running (bq;q)_j prefix gives the values of one qpoch per term,
+    # bit for bit on the float backend too
+    for c in (QContext(F(2, 5)), QContext(F(2, 5), backend="float", precision_bits=160)):
+        bb = c.scalar(B)
+        for m, n in ((0, 0), (3, 0), (2, 5), (6, 6)):
+            ref = {(m - k, n - k): qbinom(c, m, k) * qbinom(c, n, k) * (-1) ** k
+                   * c.qpow(k * (k - 1) // 2) * c.qq(k) * qpoch(c, bb * c.q, m + n - k)
+                   for k in range(min(m, n) + 1)}
+            assert coeffs(c, "pq", m, n, b=B).coeffs == ref
 
 
 def test_disk_at_b_zero_is_first_family(ctx):
@@ -166,3 +178,48 @@ def test_json_roundtrip(ctx):
     # complex coefficients survive
     P = coeffs(ctx, "Hq", 2, 2).dilate(GR(0, 1), 1)
     assert poly_from_json(ctx, poly_to_json(P)) == P
+
+
+MEMO_CASES = [("Hq", {}), ("hq", {}), ("H_classical", {}),
+              ("pq", {"b": 1}), ("pq", {"b": F(1, 3)}), ("pq", {"b": GR(F(1, 3), F(1, 2))}),
+              ("C_disk", {"nu": F(3, 2)})]
+
+
+def _types(d):
+    return [(k, type(v)) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("family, kw", MEMO_CASES)
+def test_coeffs_memo_hit_equals_fresh_build(family, kw):
+    ctx = QContext(F(2, 5))
+    first = coeffs(ctx, family, 4, 3, **kw)
+    hit = coeffs(ctx, family, 4, 3, **kw)
+    fresh = coeffs(QContext(F(2, 5)), family, 4, 3, **kw)
+    assert hit is first
+    assert hit.coeffs == fresh.coeffs and _types(hit.coeffs) == _types(fresh.coeffs)
+    assert hit.meta == fresh.meta and _types(hit.meta) == _types(fresh.meta)
+
+
+def test_coeffs_memo_keys_on_parameter_type():
+    # 1, F(1) and GR(1) hash alike; each must get its own member
+    ctx = QContext(F(2, 5))
+    for b in (1, F(1), GR(1), 1, F(1), GR(1)):
+        P = coeffs(ctx, "pq", 2, 2, b=b)
+        assert type(P.meta["b"]) is type(b)
+        assert all(isinstance(c, GR) == isinstance(b, GR) for c in P.coeffs.values())
+    assert len(ctx.coeffs_memo) == 3
+
+
+def test_coeffs_memo_is_per_context():
+    c1, c2 = QContext(F(2, 5)), QContext(F(1, 3))
+    P1, P2 = coeffs(c1, "Hq", 3, 3), coeffs(c2, "Hq", 3, 3)
+    assert P1.coeffs != P2.coeffs
+    assert all(P.ctx is c1 for P in c1.coeffs_memo.values())
+    assert all(P.ctx is c2 for P in c2.coeffs_memo.values())
+
+
+def test_float_coeffs_not_memoized():
+    fctx = QContext(F(2, 5), backend="float", precision_bits=160)
+    P = coeffs(fctx, "pq", 3, 2, b=B)
+    assert coeffs(fctx, "pq", 3, 2, b=B) is not P
+    assert not fctx.coeffs_memo

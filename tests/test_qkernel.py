@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.qkernel import (INF, aq_function, bessel_i2_series, phi_series,
-                             qbinom, qintegral, qop, qpoch, qpoch_inf,
-                             schur_a, schur_b, theta4)
+from q2dpoly.qkernel import (INF, DivergenceError, PoleError, aq_function,
+                             bessel_i2_series, phi_series, qbinom, qintegral,
+                             qop, qpoch, qpoch_inf, schur_a, schur_b, theta4)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,32 @@ def test_qpoch_inf_tail_reported(fctx):
         direct = mpmath.qp(mpmath.mpf(1) / 3, mpmath.mpf(1) / 2)
         assert abs(val - direct) < 1e-30
     assert tail >= 0
+
+
+def test_qpoch_inf_budget_exhausted_raises():
+    with pytest.raises(DivergenceError):
+        qpoch_inf(QContext(F(1, 2)), 1, TruncationPolicy(max_terms=1))
+
+
+def test_float_qpow_matches_pow_at_each_precision():
+    c = QContext(F(1, 3), backend="float", precision_bits=160)
+    seen = {}
+    for bits in (53, 200, 53, 200):
+        with mpmath.workprec(bits):
+            for n in (-3, 0, 7, 40):
+                assert c.qpow(n) == c.q ** n
+            seen[bits] = c.qpow(40)
+    assert seen[53] != seen[200]
+
+
+def test_float_qq_cache_filled_at_context_precision():
+    # the first call runs at 53 bits; the prefix must still be the one a
+    # fresh context builds inside its own working precision
+    c = QContext(F(1, 3), backend="float", precision_bits=160)
+    c.qq(30)
+    fresh = QContext(F(1, 3), backend="float", precision_bits=160)
+    with c.workprec():
+        assert c.qq(30) == fresh.qq(30)
 
 
 def test_qbinom_conventions(ctx):
@@ -157,6 +183,11 @@ def test_phi_series_q_gauss(fctx):
         rhs = (qpoch_inf(fctx, c / a, tr)[0] * qpoch_inf(fctx, c / b, tr)[0]
                / (qpoch_inf(fctx, c, tr)[0] * qpoch_inf(fctx, c / (a * b), tr)[0]))
         assert abs(lhs - rhs) < 1e-30
+
+
+def test_phi_series_pole_raises(ctx):
+    with pytest.raises(PoleError):
+        phi_series(ctx, [F(1, 3)], [ctx.qpow(-2)], F(1, 5))
 
 
 def test_aq_trivial(fctx):
