@@ -293,27 +293,27 @@ def _default_grid(entry: IdentityEntry, params: Dict) -> List[Dict]:
 
 def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict,
                trunc: TruncationPolicy):
-    """Run one grid point: (exactly zero, residual magnitude, tail, info).
+    """Run one grid point: (residual, tail, info).
 
-    An exact residual is zero iff it stores no coefficient (both residual
-    types drop zero coefficients on construction); its float magnitude is
-    for display only, since a tiny nonzero coefficient rounds to 0.0.
+    An exact residual is returned as its largest coefficient, compared
+    exactly by ctx.abs2, or None when it is exactly zero, i.e. stores no
+    coefficient (both residual types drop zero coefficients on
+    construction).  A numeric residual is a float magnitude.
     """
     with ctx.workprec():
         r, tail, info = entry.checker(ctx, pt, trunc)
         if entry.mode.startswith("EXACT"):
-            mag = max((ctx.mag(c) for c in r.coeffs.values()), default=0.0)
-            return not r.coeffs, mag, float(tail), info
-    return False, float(r), float(tail), info
+            worst = max(r.coeffs.values(), key=ctx.abs2) if r.coeffs else None
+            return worst, float(tail), info
+    return float(r), float(tail), info
 
 
-def _verdict(entry: IdentityEntry, zero: bool, worst: float, tail: float,
-             tol: float):
+def _verdict(entry: IdentityEntry, worst, tail: float, tol: float):
     """The one pass rule: (passed, residual string).  An exact entry passes
-    iff its residual is exactly zero, and only then prints "0"; a numeric
-    entry passes iff worst <= tol + tail."""
+    iff its residual is exactly zero and then prints "0", else it prints its
+    worst coefficient exactly; a numeric entry passes iff worst <= tol + tail."""
     if entry.mode.startswith("EXACT"):
-        return zero, ("0" if zero else repr(worst))
+        return worst is None, ("0" if worst is None else scalar_str(worst))
     return worst <= tol + tail, repr(worst)
 
 
@@ -326,17 +326,19 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
     if entry.needs_sqrt and ctx.s is None:
         raise MissingSqrtError(f"{id_} needs q**(1/2); set sqrt_q on the context")
     grid = _default_grid(entry, params or {})
-    zero = True
-    worst = 0.0
+    exact = entry.mode.startswith("EXACT")
+    worst = None if exact else 0.0
     tails = 0.0
     info_all: Dict = {}
     for pt in grid:
-        z, r, tail, info = _run_point(ctx, entry, pt, trunc)
-        zero = zero and z
-        worst = max(worst, r)
+        r, tail, info = _run_point(ctx, entry, pt, trunc)
+        if not exact:
+            worst = max(worst, r)
+        elif r is not None and (worst is None or ctx.abs2(r) > ctx.abs2(worst)):
+            worst = r
         tails = max(tails, tail)
         info_all.update(info)
-    passed, residual = _verdict(entry, zero, worst, tails, tol)
+    passed, residual = _verdict(entry, worst, tails, tol)
     gridrep = dict(params or {})
     gridrep["points"] = len(grid)
     gridrep["q"] = scalar_str(ctx.q_fraction)
@@ -365,8 +367,8 @@ def sweep(ctx: QContext, ids: Sequence[str], grid: Optional[Dict] = None,
             try:
                 if entry.needs_sqrt and ctx.s is None:
                     raise MissingSqrtError("needs sqrt_q")
-                zero, r, tail, info = _run_point(ctx, entry, pt, trunc)
-                passed, residual = _verdict(entry, zero, r, tail, tol)
+                r, tail, info = _run_point(ctx, entry, pt, trunc)
+                passed, residual = _verdict(entry, r, tail, tol)
                 out.append(VerificationReport(
                     id_, entry.mode, gridrep, residual, tail, passed,
                     note=entry.note, extra=info))

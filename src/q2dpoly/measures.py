@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -71,23 +71,21 @@ def _discrete_radial_moment(ctx, measure: RadialMeasure, half_power: int,
                             normalized: bool):
     """sum_k w_k (q^{k/2})^{2 half_power} (+ tail bound); the exponent is kept
     integral, so no square root of q is ever taken."""
-    wp = ctx.workprec()
-    wp.__enter__()
-    total = ctx.zero()
-    for k in range(measure.K + 1):
-        total = total + measure.weight(ctx, k) * ctx.qpow(k * half_power)
-    qf = float(ctx.q_fraction)
-    qqinf = 1.0
-    for k in range(80):
-        qqinf *= 1 - qf ** (k + 1)
-    # |w_k| <= q^k / (q;q)_inf (p weights carry an extra bounded (bq;q)_k)
-    r = qf ** (half_power + 1)
-    tail = (r ** (measure.K + 1)) / (qqinf * (1 - r)) * 2.0
-    if normalized:
-        inf_val, t2 = qpoch_inf(ctx, ctx.q, ctx.default_trunc)
-        total = total * inf_val
-        tail = tail * ctx.mag(inf_val) + t2
-    wp.__exit__(None, None, None)
+    with ctx.workprec():
+        total = ctx.zero()
+        for k in range(measure.K + 1):
+            total = total + measure.weight(ctx, k) * ctx.qpow(k * half_power)
+        qf = float(ctx.q_fraction)
+        qqinf = 1.0
+        for k in range(80):
+            qqinf *= 1 - qf ** (k + 1)
+        # |w_k| <= q^k / (q;q)_inf (p weights carry an extra bounded (bq;q)_k)
+        r = qf ** (half_power + 1)
+        tail = (r ** (measure.K + 1)) / (qqinf * (1 - r)) * 2.0
+        if normalized:
+            inf_val, t2 = qpoch_inf(ctx, ctx.q, ctx.default_trunc)
+            total = total * inf_val
+            tail = tail * ctx.mag(inf_val) + t2
     return total, tail
 
 
@@ -97,69 +95,78 @@ _H_MOMENT_CACHE: Dict = {}
 
 def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
                            halfwidth: int = 56) -> List[Tuple[object, float]]:
-    """int_0^inf x^j/(-x;q)_inf dx for j = 0..nmax in one pass over the
-    geometric grid (the weight evaluations dominate the cost and are shared).
-    Cached per (q, precision, step, halfwidth)."""
-    key = (str(ctx.q_fraction), ctx.precision_bits, str(step), halfwidth, nmax)
+    """(value, error) of int_0^inf x^j/(-x;q)_inf dx for j = 0..nmax.
+
+    Trapezoid in u with x = e^u on the nodes x_i = q^{-i step/2}, |i| <= n,
+    n = int(2 halfwidth/step); the even nodes give the step-h rule.  Nodes d
+    apart (step/2 = r/d) differ by q^{-r}, so only the d smallest weights
+    take a truncated product (-x;q)_inf; every later one follows from
+    (-x;q)_inf = (1+x)...(1+x q^{r-1}) (-x q^r;q)_inf.  The discarded tail
+    prod_{k>=K}(1 + x q^k) of a chain's base node is the tail of every node
+    on the chain, so each weight has the base's relative truncation error.
+
+    The error is the sum of
+      - |v_h - v_{h/2}|, the step-doubling estimate of the quadrature error
+        (an estimate, not a bound: the rule converges like exp(-2 pi^2/h_u));
+      - x_min^{j+1}/(j+1), which bounds the part below the grid, as
+        0 < 1/(-x;q)_inf <= 1;
+      - X^{j+1-L} q^{-L(L-1)/2}/(L-j-1), L = floor(log_{1/q} X), which bounds
+        the part above the top node X, as (-x;q)_inf >= x^L q^{L(L-1)/2}
+        (inf when L <= j+1);
+      - 2 eps |value|, eps the largest relative tail of the base products.
+    Cached per (q, precision, step, halfwidth, truncation policy).
+    """
+    key = (str(ctx.q_fraction), ctx.precision_bits, str(step), halfwidth,
+           ctx.default_trunc, nmax)
     for (k, v) in list(_H_MOMENT_CACHE.items()):
-        if k[:4] == key[:4] and k[4] >= nmax:
+        if k[:5] == key[:5] and k[5] >= nmax:
             return v[: nmax + 1]
+    half = step / 2
+    r, d = half.numerator, half.denominator
+    n = int(halfwidth / half)
     with ctx.workprec(40):
-        lnq = -mpmath.log(ctx.q)
-
-        def run(st: Fraction):
-            n = int(halfwidth / st)
-            hu = lnq * mp.mpf(st.numerator) / st.denominator
-            sums = [mp.mpf(0)] * (nmax + 1)
-            for i in range(-n, n + 1):
-                xv = mpmath.exp(i * hu)
-                w = xv / qpoch_inf(ctx, -xv, ctx.default_trunc)[0]
-                for j in range(nmax + 1):
-                    sums[j] += w
-                    w = w * xv
-            return [s * hu for s in sums]
-
-        v1 = run(step)
-        v2 = run(step / 2)
-        out = [(v2[j], float(abs(v2[j] - v1[j]))) for j in range(nmax + 1)]
+        # hu is exactly half the step-h spacing, so the even nodes are bitwise
+        # the nodes of the step-h rule
+        hu = -mpmath.log(ctx.q) * mp.mpf(r) / d
+        xs = [mpmath.exp(i * hu) for i in range(-n, n + 1)]
+        qk = [ctx.qpow(k) for k in range(r)]
+        pinf = []
+        eps = 0.0
+        for i, xv in enumerate(xs):
+            if i < d:
+                val, tail = qpoch_inf(ctx, -xv, ctx.default_trunc)
+                eps = max(eps, tail / ctx.mag(val))
+            else:
+                val = pinf[i - d]
+                for qv in qk:
+                    val = val * (1 + xv * qv)
+            pinf.append(val)
+        even = [mp.mpf(0)] * (nmax + 1)
+        odd = [mp.mpf(0)] * (nmax + 1)
+        for i, (xv, pv) in enumerate(zip(xs, pinf)):
+            sums = odd if (i + n) % 2 else even
+            w = xv / pv
+            for j in range(nmax + 1):
+                sums[j] += w
+                w = w * xv
+        x_min, x_top = xs[0], xs[-1]
+        L = int(n * half)
+        out = []
+        for j in range(nmax + 1):
+            v1 = even[j] * (2 * hu)
+            v2 = (even[j] + odd[j]) * hu
+            upper = (x_top ** (j + 1 - L) * ctx.qpow(-L * (L - 1) // 2) / (L - j - 1)
+                     if L > j + 1 else mpmath.inf)
+            err = abs(v2 - v1) + x_min ** (j + 1) / (j + 1) + upper + 2 * eps * abs(v2)
+            out.append((v2, float(err)))
     _H_MOMENT_CACHE[key] = out
     return out
 
 
-def h_radial_moment(ctx, power, step: Fraction = F(1, 8), halfwidth: int = 56,
-                    extra_weight: Optional[Callable] = None):
-    """int_0^inf x^power / (-x;q)_inf dx by geometric-grid quadrature.
-
-    Trapezoid in u with x = e^u and step h = step*ln(1/q): the integrand is
-    analytic in a strip of width pi (poles of 1/(-x;q)_inf sit on the negative
-    axis), so the error decays like exp(-2 pi^2 / h_u).  Returns (value,
-    error_estimate) where the estimate is the difference against the
-    half-step refinement.
-    """
-    if extra_weight is None:
-        return h_radial_moments_batch(ctx, int(power), step, halfwidth)[int(power)]
-    with ctx.workprec(40):
-        lnq = -mpmath.log(ctx.q)
-
-        def integrand(u):
-            xv = mpmath.exp(u)
-            val = xv ** (power + 1) / qpoch_inf(ctx, -xv, ctx.default_trunc)[0]
-            if extra_weight is not None:
-                val = val * extra_weight(xv)
-            return val
-
-        def trap(st: Fraction):
-            # nodes x = q^{-i st} covering [q^{halfwidth}, q^{-halfwidth}]
-            n = int(halfwidth / st)
-            hu = lnq * mp.mpf(st.numerator) / st.denominator
-            tot = mp.mpf(0)
-            for i in range(-n, n + 1):
-                tot += integrand(i * hu)
-            return tot * hu
-
-        v1 = trap(step)
-        v2 = trap(step / 2)
-        return v2, float(abs(v2 - v1))
+def h_radial_moment(ctx, power, step: Fraction = F(1, 8), halfwidth: int = 56):
+    """int_0^inf x^power / (-x;q)_inf dx as (value, error); see
+    h_radial_moments_batch for the rule and for what the error covers."""
+    return h_radial_moments_batch(ctx, int(power), step, halfwidth)[int(power)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,42 +237,40 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     trunc = trunc or ctx.default_trunc
     m, n = mn
     s, t = st
-    ctx_prec = ctx.workprec()
-    ctx_prec.__enter__()
-    P = coeffs(ctx, family, m, n, b=b)
-    Q = coeffs(ctx, family, s, t, b=b)
-    pairs = _angular_pairs(P, Q.conj_coeffs())
-    if family in ("Hq", "pq"):
-        meas = RadialMeasure("H_discrete" if family == "Hq" else "p_discrete",
-                             b=b, K=K)
-        # raw measure (not normalized): matches the closed-form norms
-        value = ctx.zero()
-        tail = 0.0
-        mom_cache: Dict[int, Tuple[object, float]] = {}
-        for hp, cp, cq in pairs:
-            if hp not in mom_cache:
-                mom_cache[hp] = _discrete_radial_moment(ctx, meas, hp, normalized=False)
-            mv, mt = mom_cache[hp]
-            value = value + cp * cq * mv
-            tail += ctx.mag(cp * cq) * mt
-    elif family == "hq":
-        value = ctx.zero()
-        tail = 0.0
-        nmax = max((hp for hp, _, _ in pairs), default=0)
-        moms = h_radial_moments_batch(ctx, nmax)
-        for hp, cp, cq in pairs:
-            mv, mt = moms[hp]
-            value = value + cp * cq * mv
-            tail += ctx.mag(cp * cq) * mt
-        value = value * mp.pi
-        tail = tail * float(mp.pi)
-    else:
-        raise ValueError(f"no orthogonality measure for family {family!r}")
-    diagonal = (m == s and n == t)
-    closed = _closed_norm(ctx, family, m, n, b, trunc) if diagonal else ctx.zero()
-    denom = max(1.0, ctx.mag(closed))
-    rel = ctx.mag(value - closed) / denom
-    ctx_prec.__exit__(None, None, None)
+    with ctx.workprec():
+        P = coeffs(ctx, family, m, n, b=b)
+        Q = coeffs(ctx, family, s, t, b=b)
+        pairs = _angular_pairs(P, Q.conj_coeffs())
+        if family in ("Hq", "pq"):
+            meas = RadialMeasure("H_discrete" if family == "Hq" else "p_discrete",
+                                 b=b, K=K)
+            # raw measure (not normalized): matches the closed-form norms
+            value = ctx.zero()
+            tail = 0.0
+            mom_cache: Dict[int, Tuple[object, float]] = {}
+            for hp, cp, cq in pairs:
+                if hp not in mom_cache:
+                    mom_cache[hp] = _discrete_radial_moment(ctx, meas, hp, normalized=False)
+                mv, mt = mom_cache[hp]
+                value = value + cp * cq * mv
+                tail += ctx.mag(cp * cq) * mt
+        elif family == "hq":
+            value = ctx.zero()
+            tail = 0.0
+            nmax = max((hp for hp, _, _ in pairs), default=0)
+            moms = h_radial_moments_batch(ctx, nmax)
+            for hp, cp, cq in pairs:
+                mv, mt = moms[hp]
+                value = value + cp * cq * mv
+                tail += ctx.mag(cp * cq) * mt
+            value = value * mp.pi
+            tail = tail * float(mp.pi)
+        else:
+            raise ValueError(f"no orthogonality measure for family {family!r}")
+        diagonal = (m == s and n == t)
+        closed = _closed_norm(ctx, family, m, n, b, trunc) if diagonal else ctx.zero()
+        denom = max(1.0, ctx.mag(closed))
+        rel = ctx.mag(value - closed) / denom
     return InnerProductResult(value=value, tail_bound=tail, closed_form=closed,
                               rel_error=float(rel))
 

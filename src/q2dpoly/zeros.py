@@ -174,11 +174,14 @@ def aq_zeros(ctx: QContext, count: int,
         qq = [mp.mpf(1)]
         for k in range(1, N + 1):
             qq.append(qq[-1] * (1 - q**k))
+        # A_q(x) = sum_n c_n (-x)^n, evaluated by Horner from the top term
+        desc = [q ** (nn * nn) / qq[nn] for nn in range(N, -1, -1)]
 
         def f(x):
-            tot = mp.mpf(0)
-            for nn in range(N + 1):
-                tot += q ** (nn * nn) * (-x) ** nn / qq[nn]
+            y = -x
+            tot = desc[0]
+            for c in desc[1:]:
+                tot = tot * y + c
             return tot
 
         def tail(x):
@@ -251,7 +254,6 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
                 zs = radial_zeros(ctx, "pq", M, M, b=b if b is not None else F(1, 4),
                                   precision=prec_M, refine_top=j)
             with mp.workprec(_poly_prec_bits(ctx, M, prec_M)):
-                target_r = mp.mpf(ctx.q_fraction.numerator) ** 0
                 target_r = (mp.mpf(ctx.q_fraction.numerator)
                             / ctx.q_fraction.denominator) ** (mp.mpf(j - 1) / 2)
                 err = float(abs(zs.radii[j - 1] - target_r))

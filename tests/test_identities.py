@@ -114,9 +114,20 @@ def test_tiny_exact_residual_fails(ctx, monkeypatch, id_, resid):
     monkeypatch.setattr(ident.get_entry(id_), "checker",
                         lambda c, pt, tr: (resid(c), 0.0, {}))
     rep = check_identity(ctx, id_, {"max_m": 1, "max_n": 1})
-    assert not rep.passed and rep.residual != "0"
+    assert not rep.passed and rep.residual == str(F(1, 10**400))
     reps = sweep(ctx, [id_], {"max_m": 1, "max_n": 1})
-    assert reps and not any(r.passed or r.residual == "0" for r in reps)
+    assert reps and not any(r.passed or r.residual != str(F(1, 10**400)) for r in reps)
+
+
+def test_failing_exact_residual_prints_worst_coefficient(ctx, monkeypatch):
+    # the worst coefficient is chosen by exact modulus: |1+i|^2 = 2 > 1
+    import q2dpoly.identities as ident
+
+    monkeypatch.setattr(ident.get_entry("H-TTR-a"), "checker",
+                        lambda c, pt, tr: (BivarPoly(c, {(0, 0): F(-1), (1, 0): GR(1, 1)}),
+                                           0.0, {}))
+    rep = check_identity(ctx, "H-TTR-a", {"max_m": 1, "max_n": 1})
+    assert not rep.passed and rep.residual == "1+1i"
 
 
 def test_sweep_empty_id_list(ctx):

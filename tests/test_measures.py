@@ -3,12 +3,16 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath import mp
 
+from q2dpoly import measures
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly.measures import (RadialMeasure, angular_quadrature_check,
-                              gram_positivity, h_radial_moment, inner_product,
-                              moment, orthonormal_seq_check, qbeta_check)
+                              gram_positivity, h_radial_moment,
+                              h_radial_moments_batch, inner_product, moment,
+                              orthonormal_seq_check, qbeta_check)
+from q2dpoly.qkernel import qpoch_inf
 
 TR = TruncationPolicy(max_terms=400, tail_tol=1e-36)
 
@@ -46,6 +50,71 @@ def test_h_moments_match_closed_form(fctx2):
     v0, _ = moment(fctx2, RadialMeasure("h_continuous"), 0, 0)
     with fctx2.workprec():
         assert abs(v0 - mpmath.log(2)) < 1e-12
+
+
+def _per_node_moments(ctx, nmax, step, halfwidth):
+    """Reference: the step/2 trapezoid sums with (-x;q)_inf taken afresh at
+    every node."""
+    half = step / 2
+    n = int(halfwidth / half)
+    with ctx.workprec(40):
+        hu = -mpmath.log(ctx.q) * mp.mpf(half.numerator) / half.denominator
+        sums = [mp.mpf(0)] * (nmax + 1)
+        for i in range(-n, n + 1):
+            xv = mpmath.exp(i * hu)
+            w = xv / qpoch_inf(ctx, -xv, ctx.default_trunc)[0]
+            for j in range(nmax + 1):
+                sums[j] += w
+                w = w * xv
+        return [s * hu for s in sums]
+
+
+@pytest.mark.parametrize("q, step", [
+    (F(1, 2), F(1, 8)), (F(1, 4), F(1, 8)), (F(2, 3), F(1, 8)), (F(1, 10), F(1, 8)),
+    (F(1, 2), F(3, 4)),  # step/2 = 3/8: three factors per link, non-integral top
+])
+def test_h_moment_chain_matches_per_node_products(q, step):
+    ctx = QContext(q, backend="float", precision_bits=160, default_trunc=TR)
+    got = h_radial_moments_batch(ctx, 6, step=step)
+    ref = _per_node_moments(ctx, 6, step, 56)
+    with ctx.workprec(40):
+        for j in range(7):
+            assert abs(got[j][0] - ref[j]) <= 4 * TR.tail_tol * ref[j], j
+
+
+@pytest.mark.parametrize("q, js", [
+    (F(1, 2), list(range(7)) + [40, 42, 44]),  # the top cut dominates at j >= 40
+    (F(1, 4), list(range(7))),
+])
+def test_h_moment_error_bounds_true_error(q, js):
+    ctx = QContext(q, backend="float", precision_bits=160, default_trunc=TR)
+    moms = h_radial_moments_batch(ctx, max(js))
+    with ctx.workprec(40):
+        for j in js:
+            closed = ctx.qq(j) * mpmath.log(1 / ctx.q) / ctx.qpow(j * (j + 1) // 2)
+            val, err = moms[j]
+            assert abs(val - closed) <= err, j
+
+
+def test_h_moment_cache_keyed_by_truncation_policy(monkeypatch):
+    monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
+    loose = QContext(F(1, 2), backend="float", precision_bits=160,
+                     default_trunc=TruncationPolicy(400, 1e-8))
+    tight = QContext(F(1, 2), backend="float", precision_bits=160, default_trunc=TR)
+    h_radial_moment(loose, 0)
+    got = h_radial_moment(tight, 0)
+    measures._H_MOMENT_CACHE.clear()
+    assert got == h_radial_moment(tight, 0)
+    with tight.workprec():
+        assert abs(got[0] - mpmath.log(2)) <= got[1]
+
+
+def test_inner_product_restores_precision_on_error(fctx):
+    prec = mp.prec
+    with pytest.raises(ValueError) as kept:
+        inner_product(fctx, "Hx", (0, 0), (0, 0))
+    # kept holds the traceback, so a suspended workprec frame would still be alive
+    assert mp.prec == prec, kept.value
 
 
 def test_H_inner_products(fctx):

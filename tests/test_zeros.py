@@ -70,6 +70,18 @@ def test_aq_zeros_certified(ctx):
         assert ctx.mag(val) < 1e-15 * float(z) + 10 * tail
 
 
+@pytest.mark.parametrize("q, expected", [
+    (F(5, 38), "6.7041641294472423, 432.16887145600552, 25303.519727344509"),
+    (F(1, 2), "1.2482191639119089, 6.5120409474191493, 29.029830377830667"),
+    (F(20, 31), "2.6223942154094901, 7.2484653334332023, 18.867023897948642"),
+])
+def test_aq_zeros_pinned(q, expected):
+    # strings of the term-by-term evaluation of A_q; the Horner form must
+    # bracket and bisect to the same digits
+    zs = aq_zeros(QContext(q, backend="float"), 3)
+    assert ", ".join(mpmath.nstr(z, 17) for z in zs) == expected
+
+
 def test_aq_sign_alternation(ctx):
     zs = aq_zeros(ctx, 3, precision=12)
     probes = [float(zs[0]) / 2,
