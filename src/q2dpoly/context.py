@@ -201,13 +201,11 @@ class TruncationPolicy:
     """Controls every truncated infinite sum/product in the library.
 
     max_terms bounds the number of retained terms, tail_tol the admissible
-    bound on the discarded tail; report_tail keeps the tail estimates in the
-    results.
+    bound on the discarded tail.
     """
 
     max_terms: int = 200
     tail_tol: float = 1e-30
-    report_tail: bool = True
 
     def __post_init__(self):
         if self.max_terms < 1:

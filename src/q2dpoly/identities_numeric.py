@@ -11,7 +11,6 @@ capped index boxes, which reproduces the capped constrained sum exactly.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Tuple
 
@@ -19,9 +18,9 @@ import mpmath
 from mpmath import mp
 
 from .context import QContext
-from .polyfamilies import coeffs, eval_poly, radial_reduce
-from .qkernel import (aq_function, bessel_i2_series, phi_series, qpoch,
-                      qpoch_inf, qpoch_many, schur_a, schur_b)
+from .polyfamilies import FamilyTable, coeffs, eval_poly, radial_reduce, wall_poly
+from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
+                      qbinom, qpoch, qpoch_inf, schur_a, schur_b)
 
 F = Fraction
 
@@ -95,72 +94,74 @@ def paired_diagonal_sum(ctx, term: Callable[[int, int], object], dmax: int,
     return total, 4.0 * tail
 
 
+def laurent_block(terms):
+    """Laurent coefficients {d: c_d} of a block S(z) = sum_k c_k z^{d_k},
+    given by its (d_k, c_k) terms: each c_d = sum_{d_k = d} c_k is summed
+    once, so a (J+1)^2-term double sum in z^{m-n} becomes 2J+1 coefficients."""
+    out = {}
+    for d, c in terms:
+        out[d] = out[d] + c if d in out else c
+    return out
+
+
 def unity_filter_sum(ctx, blocks, weight=None, caps_range: int = 0):
     """(1/M) sum_r w(omega^r) prod_i S_i(omega^r) with M large enough that the
     filter is exact for the capped index boxes (plus theta-weight aliasing
-    error, which is returned as part of the tail)."""
+    error, which is returned as part of the tail).  Each block S_i is given
+    by its Laurent coefficients (:func:`laurent_block`) and evaluated at
+    each root by Horner."""
     M = 2 * caps_range + 1
+    horner = []  # (lowest power, coefficients from the highest power down)
+    for blk in blocks:
+        lo, hi = min(blk), max(blk)
+        horner.append((lo, [blk.get(d, 0) for d in range(hi, lo - 1, -1)]))
     total = mp.mpc(0)
     for r in range(M):
         zr = mpmath.exp(2j * mpmath.pi * r / M)
         prod = mp.mpc(1) if weight is None else weight(zr)
-        for S in blocks:
-            prod = prod * S(zr)
+        for lo, cs in horner:
+            acc = cs[0]
+            for c in cs[1:]:
+                acc = acc * zr + c
+            prod = prod * (acc * zr**lo)
         total += prod
     return total / M
+
+
+def _box_block(ctx, J, coef):
+    """laurent_block of sum_{0 <= m, n <= J} coef(m, n) z^{m-n} / ((q;q)_m (q;q)_n)."""
+    return laurent_block((m_ - n_, coef(m_, n_) / (ctx.qq(m_) * ctx.qq(n_)))
+                         for m_ in range(J + 1) for n_ in range(J + 1))
 
 
 # ---------------------------------------------------------------------------
 # value tables for the polynomial families
 # ---------------------------------------------------------------------------
 
-def _fam_table(ctx, family, cap, z1, z2, b=None):
-    """Value table built through the three-term recurrences (O(1) per entry);
-    agreement with the explicit-sum route is covered by the oracle tests."""
-    K = cap + 2
-    tab = {}
-    if family == "Hq":
-        for n_ in range(K):
-            tab[(0, n_)] = z2**n_
-        for m_ in range(1, K):
-            for n_ in range(K):
-                low = tab[(m_ - 1, n_ - 1)] if n_ else ctx.zero()
-                tab[(m_, n_)] = z1 * tab[(m_ - 1, n_)] - ctx.qpow(m_ - 1) * (1 - ctx.qpow(n_)) * low
-    elif family == "hq":
-        for n_ in range(K):
-            tab[(0, n_)] = z2**n_
-        for m_ in range(1, K):
-            for n_ in range(K):
-                low = tab[(m_ - 1, n_ - 1)] if n_ else ctx.zero()
-                tab[(m_, n_)] = ctx.qpow(n_) * z1 * tab[(m_ - 1, n_)] - (1 - ctx.qpow(n_)) * low
-    elif family == "pq":
-        bb = ctx.scalar(b)
-        for n_ in range(K):
-            tab[(0, n_)] = qpoch(ctx, bb * ctx.q, n_) * z2**n_
-        for m_ in range(1, K):
-            for n_ in range(K):
-                low = tab[(m_ - 1, n_ - 1)] if n_ else ctx.zero()
-                tab[(m_, n_)] = (z1 * (1 - bb * ctx.qpow(m_ + n_)) * tab[(m_ - 1, n_)]
-                                 - ctx.qpow(m_ - 1) * (1 - ctx.qpow(n_)) * (1 - bb * ctx.qpow(n_)) * low)
-    else:
-        for m_ in range(K):
-            for n_ in range(K):
-                tab[(m_, n_)] = eval_poly(coeffs(ctx, family, m_, n_, b=b), z1, z2)
-    return tab
+class _RadialTable(dict):
+    """Family values through the radial reductions (the eq:circle2 /
+    eq:askeyroy2 / q-Laguerre routes), read as tab[m, n], built on first read."""
+
+    def __init__(self, ctx, family, z1, z2):
+        super().__init__()
+        self.args = (ctx, family, z1, z2)
+
+    def __missing__(self, key):
+        ctx, family, z1, z2 = self.args
+        rf = radial_reduce(ctx, family, *key)
+        a = abs(rf.angular_index)
+        mono = z1**a if not rf.swapped else z2**a
+        val = self[key] = rf.prefactor * mono * rf.radial_value(z1 * z2)
+        return val
 
 
-def _H_radial_value(ctx, m_, n_, z1, z2):
-    rf = radial_reduce(ctx, "Hq", m_, n_)
-    a = abs(rf.angular_index)
-    mono = z1**a if not rf.swapped else z2**a
-    return rf.prefactor * mono * rf.radial_value(z1 * z2)
-
-
-def _h_radial_value(ctx, m_, n_, z1, z2):
-    rf = radial_reduce(ctx, "hq", m_, n_)
-    a = abs(rf.angular_index)
-    mono = z1**a if not rf.swapped else z2**a
-    return rf.prefactor * mono * rf.radial_value(z1 * z2)
+def _family_values(ctx, family, z1, z2, radial=False):
+    """Values of the (m, n) members at (z1, z2), read as tab[m, n] and
+    filled on read: by the three-term recurrences, or through the radial
+    reductions when radial is set."""
+    if radial:
+        return _RadialTable(ctx, family, z1, z2)
+    return FamilyTable(ctx, family, z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def num_gf_H_ab(ctx, pt, trunc):
     a, b = ctx.scalar(pt.get("a", F(1, 5))), ctx.scalar(pt.get("b", F(1, 6)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
     cap = 40
-    Ht = _fam_table(ctx, "Hq", cap, z1, z2)
+    Ht = FamilyTable(ctx, "Hq", z1, z2)
 
     def upoch(x, c, k):  # x^k (c/x;q)_k = prod (x - c q^i)
         out = ctx.one()
@@ -183,7 +184,7 @@ def num_gf_H_ab(ctx, pt, trunc):
             out = out * (x - c * ctx.qpow(i))
         return out
 
-    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[(m_, n_)] * upoch(u, a, m_) * upoch(v, b, n_)
+    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
     den1, t1 = qpoch_inf(ctx, u * z1, trunc)
     den2, t2 = qpoch_inf(ctx, v * z2, trunc)
@@ -211,8 +212,8 @@ def num_gf_p(ctx, pt, trunc):
     b = ctx.scalar(pt.get("b", F(1, 4)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
     cap = 48
-    Pt = _fam_table(ctx, "pq", cap, z1, z2, b=b)
-    lhs, tail = sum2d(ctx, lambda m_, n_: Pt[(m_, n_)] * u**m_ * v**n_
+    Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
+    lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
     num1, t1 = qpoch_inf(ctx, b * ctx.q, trunc)
     num2, t2 = qpoch_inf(ctx, u * v, trunc)
@@ -250,23 +251,18 @@ def num_gf_shift_p(ctx, pt, trunc):
     b = ctx.scalar(pt.get("b", F(1, 4)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
     cap = 44
-    tabs = {}
-    for m_ in range(cap + 2):
-        for n_ in range(cap + 2):
-            tabs[(m_, n_)] = eval_poly(coeffs(ctx, "pq", m_ + j, n_ + k, b=b), z1, z2)
-    lhs, tail = sum2d(ctx, lambda m_, n_: tabs[(m_, n_)] * u**m_ * v**n_
+    Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
+    lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
 
     pref1, t1 = qpoch_inf(ctx, b * ctx.q, trunc)
     pref2, t2 = qpoch_inf(ctx, u * v * ctx.qpow(j + k), trunc)
     den1, t3 = qpoch_inf(ctx, u * z1, trunc)
     den2, t4 = qpoch_inf(ctx, v * z2, trunc)
-    from .qkernel import qbinom
-
+    uz1, vz2, uv = (QPochPrefix(ctx, a) for a in (u * z1, v * z2, u * v * ctx.qpow(j + k)))
     total = ctx.zero()
     for l in range(200):
-        w = ((b * ctx.qpow(1 + j + k)) ** l * qpoch(ctx, u * z1, l) * qpoch(ctx, v * z2, l)
-             / (ctx.qq(l) * qpoch(ctx, u * v * ctx.qpow(j + k), l)))
+        w = ((b * ctx.qpow(1 + j + k)) ** l * uz1(l) * vz2(l) / (ctx.qq(l) * uv(l)))
         inner = ctx.zero()
         for i in range(min(j, k) + 1):
             c = (qbinom(ctx, j, i) * qbinom(ctx, k, i) * (-ctx.qpow(-l)) ** i
@@ -286,10 +282,10 @@ def num_gf_shift_p(ctx, pt, trunc):
 def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
     """sum over m,n of extra_exp(m,n) h_{m,n}(z1,z2) cm^m cn^n /
     ((q;q)_m denm(m) (q;q)_n denn(n))."""
-    ht = _fam_table(ctx, "hq", cap, z1, z2)
+    ht = FamilyTable(ctx, "hq", z1, z2)
 
     def term(m_, n_):
-        return (extra_exp(m_, n_) * ht[(m_, n_)] * cm**m_ * cn**n_
+        return (extra_exp(m_, n_) * ht[m_, n_] * cm**m_ * cn**n_
                 / (ctx.qq(m_) * denm(m_) * ctx.qq(n_) * denn(n_)))
 
     return sum2d(ctx, term, cap=cap, tol=tol)
@@ -303,11 +299,11 @@ def num_cor19_2phi1(ctx, pt, trunc):
     a, b = ctx.scalar(pt.get("a", F(1, 3))), ctx.scalar(pt.get("b", F(1, 4)))
     c, d = ctx.scalar(pt.get("c", F(1, 8))), ctx.scalar(pt.get("d", F(1, 9)))
     z1, z2 = ctx.scalar(pt.get("z1", 2)), ctx.scalar(pt.get("z2", 3))
+    pa, pb = QPochPrefix(ctx, a), QPochPrefix(ctx, b)
     lhs, tail = _h_weighted_sum(
         ctx, z1, z2, -c / (s * a * z1), -d / (s * b * z2),
-        lambda m_: qpoch(ctx, c, m_),
-        lambda n_: qpoch(ctx, d, n_),
-        lambda m_, n_: qpoch(ctx, a, m_) * qpoch(ctx, b, n_) * s ** ((m_ - n_) ** 2),
+        QPochPrefix(ctx, c), QPochPrefix(ctx, d),
+        lambda m_, n_: pa(m_) * pb(n_) * s ** ((m_ - n_) ** 2),
         cap=44)
     pr = (qpoch_inf(ctx, c / a, trunc)[0] * qpoch_inf(ctx, d / b, trunc)[0]
           / (qpoch_inf(ctx, c, trunc)[0] * qpoch_inf(ctx, d, trunc)[0]))
@@ -331,7 +327,7 @@ def num_cor19_aq(ctx, pt, trunc):
     z1, z2 = ctx.scalar(pt.get("z1", 2)), ctx.scalar(pt.get("z2", 3))
     lhs, tail = _h_weighted_sum(
         ctx, z1, z2, c / z1, d / z2,
-        lambda m_: qpoch(ctx, c * q, m_), lambda n_: qpoch(ctx, d * q, n_),
+        QPochPrefix(ctx, c * q), QPochPrefix(ctx, d * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
     aqv, t1 = aq_function(ctx, c * d / (z1 * z2), trunc)
     rhs = aqv / (qpoch_inf(ctx, c * q, trunc)[0] * qpoch_inf(ctx, d * q, trunc)[0])
@@ -344,7 +340,7 @@ def num_cor19_aq2(ctx, pt, trunc):
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     lhs, tail = _h_weighted_sum(
         ctx, z1, z2, c, d,
-        lambda m_: qpoch(ctx, c * z1 * q, m_), lambda n_: qpoch(ctx, d * z2 * q, n_),
+        QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
     aqv, t1 = aq_function(ctx, c * d, trunc)
     rhs = aqv / (qpoch_inf(ctx, c * z1 * q, trunc)[0] * qpoch_inf(ctx, d * z2 * q, trunc)[0])
@@ -361,7 +357,7 @@ def num_gis_pgf(ctx, pt, trunc):
     z1, z2 = ctx.scalar(pt.get("z1", F(1, 2))), ctx.scalar(pt.get("z2", F(1, 3)))
     lhs, tail = _h_weighted_sum(
         ctx, z1, z2, c, d,
-        lambda m_: qpoch(ctx, c * z1 * q, m_), lambda n_: qpoch(ctx, d * z2 * q, n_),
+        QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=44)
 
     def poch5(e):
@@ -386,10 +382,11 @@ def num_cor20_i2(ctx, pt, trunc):
     b = ctx.scalar(pt.get("b", F(1, 3)))
     c, d = ctx.scalar(pt.get("c", F(1, 8))), ctx.scalar(pt.get("d", F(1, 10)))
     z1, z2 = ctx.scalar(pt.get("z1", 1)), ctx.scalar(pt.get("z2", 1))
+    pb = QPochPrefix(ctx, b)
     lhs, tail = _h_weighted_sum(
         ctx, z1, z2, c / s, -d / (s * b),
-        lambda m_: qpoch(ctx, c * z1, m_), lambda n_: qpoch(ctx, d * z2, n_),
-        lambda m_, n_: ctx.qpow(m_ * (m_ - 1) // 2) * qpoch(ctx, b, n_) * s ** ((m_ - n_) ** 2),
+        QPochPrefix(ctx, c * z1), QPochPrefix(ctx, d * z2),
+        lambda m_, n_: ctx.qpow(m_ * (m_ - 1) // 2) * pb(n_) * s ** ((m_ - n_) ** 2),
         cap=48)
     # printed q^nu = c d q^{-2}/b; the a -> infinity limit of the corrected
     # 1phi1 form yields q^nu = -c d q^{-2}/b (ledger)
@@ -416,8 +413,8 @@ def num_ram_gen_H(ctx, pt, trunc):
            * qpoch_inf(ctx, -a * q * x, trunc)[0] * qpoch_inf(ctx, -b * q / x, trunc)[0]
            / qpoch_inf(ctx, a * b * q, trunc)[0])
     cap = 64
-    Ht = _fam_table(ctx, "Hq", cap, a, b)
-    rhs, tail = sum2d(ctx, lambda s_, t_: Ht[(s_, t_)] * s ** ((s_ - t_) ** 2)
+    Ht = FamilyTable(ctx, "Hq", a, b)
+    rhs, tail = sum2d(ctx, lambda s_, t_: Ht[s_, t_] * s ** ((s_ - t_) ** 2)
                       * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
                       cap=cap, tol=1e-30)
     return ctx.mag(lhs - rhs), tail + 1e-28, {}
@@ -431,14 +428,8 @@ def _ram_genh_rhs(ctx, pt, trunc, radial=False):
     a, b = ctx.scalar(pt.get("a", F(1, 4))), ctx.scalar(pt.get("b", F(1, 5)))
     x = mpmath.exp(mm * kpar)
     cap = 60 if radial else 170
-    if radial:
-        tab = {}
-        for m_ in range(cap + 2):
-            for n_ in range(cap + 2):
-                tab[(m_, n_)] = _h_radial_value(ctx, m_, n_, a, b)
-    else:
-        tab = _fam_table(ctx, "hq", cap, a, b)
-    val, tail = sum2d(ctx, lambda s_, t_: tab[(s_, t_)] * (s * x) ** s_ * (s / x) ** t_
+    tab = _family_values(ctx, "hq", a, b, radial)
+    val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * (s * x) ** s_ * (s / x) ** t_
                       / (ctx.qq(s_) * ctx.qq(t_)), cap=cap, tol=1e-30)
     return val, tail, a, b, x, kpar
 
@@ -485,19 +476,10 @@ def num_ram_gen_h_alt(ctx, pt, trunc):
 def _ram_genC_rhs(ctx, apar, bpar, cpar, radial=False):
     qa, qb = ctx.q ** apar, ctx.q ** bpar
     cap = 140
-    if radial:
-        def hv(m_, n_):
-            return _h_radial_value(ctx, m_, n_, qa, qb)
-    else:
-        P = {}
-
-        def hv(m_, n_):
-            if (m_, n_) not in P:
-                P[(m_, n_)] = eval_poly(coeffs(ctx, "hq", m_, n_), qa, qb)
-            return P[(m_, n_)]
+    hv = _family_values(ctx, "hq", qa, qb, radial)
 
     def term(m_, n_):
-        return hv(m_, n_) * ctx.q ** (cpar * (m_ - n_)) / (ctx.qq(m_) * ctx.qq(n_))
+        return hv[m_, n_] * ctx.q ** (cpar * (m_ - n_)) / (ctx.qq(m_) * ctx.qq(n_))
 
     return paired_diagonal_sum(ctx, term, dmax=90, nmax=cap, tol=1e-27)
 
@@ -555,11 +537,8 @@ def num_ram_gen_lag(ctx, pt, trunc):
             * qpoch_inf(ctx, -a * q * x, trunc)[0] * qpoch_inf(ctx, -b * q / x, trunc)[0]
             / qpoch_inf(ctx, a * b * q, trunc)[0])
     cap = 64
-    tab = {}
-    for m_ in range(cap + 2):
-        for n_ in range(cap + 2):
-            tab[(m_, n_)] = _H_radial_value(ctx, m_, n_, a, b)
-    rhs1, tail1 = sum2d(ctx, lambda s_, t_: tab[(s_, t_)] * s ** ((s_ - t_) ** 2)
+    tab = _family_values(ctx, "Hq", a, b, radial=True)
+    rhs1, tail1 = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
                         * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
                         cap=cap, tol=1e-30)
     r1 = ctx.mag(lhs1 - rhs1)
@@ -600,8 +579,6 @@ def num_bes_wall(ctx, pt, trunc):
     product against the Wall k-sum); the printed form's residual is reported
     in the note.
     """
-    from .polyfamilies import wall_poly
-
     q = ctx.q
     nidx = int(pt.get("n", 1))
     x = ctx.scalar(pt.get("x", F(1, 5)))
@@ -639,10 +616,8 @@ def num_bes_wall(ctx, pt, trunc):
         prev = ctx.mag(t_pr)
     pref_printed = (qpoch_inf(ctx, qalpha * q, trunc)[0] * qpoch_inf(ctx, -x2, trunc)[0]
                     / (qpoch_inf(ctx, q, trunc)[0] * qpoch_inf(ctx, x2, trunc)[0]))
-    # J-ratio for the printed comparison
-    from .qkernel import bessel_j2_ratio
-
-    jr, _ = bessel_j2_ratio(ctx, qalpha, x2, trunc)
+    # J^(2)_alpha(2x;q)/x^alpha for the printed comparison
+    jr, _ = bessel_i2_series(ctx, qalpha, -x2, trunc)
     r_printed = ctx.mag(jr - pref_printed * tot_printed)
 
     resid = ctx.mag(lhs - rhs)
@@ -656,51 +631,82 @@ def num_bes_wall(ctx, pt, trunc):
 # NUMERIC-QSUM entries (Ramanujan q-beta integrals)
 # ---------------------------------------------------------------------------
 
+def qshift_ladder(ctx, c, K: int, trunc):
+    """[(-c q^k;q)_inf for k = 0..K-1] and their relative truncation tail.
+
+    Only the smallest argument k = K-1 calls :func:`qpoch_inf`; the rest
+    walk down by (-c q^k;q)_inf = (1 + c q^k)(-c q^{k+1};q)_inf (Gasper--Rahman
+    ch. 1), so every entry carries the base's relative tail, which is
+    returned (c > 0, so no factor vanishes).
+    """
+    base, tail = qpoch_inf(ctx, -c * ctx.qpow(K - 1), trunc)
+    out = [base]
+    for k in range(K - 2, -1, -1):
+        out.append((1 + c * ctx.qpow(k)) * out[-1])
+    out.reverse()
+    return out, tail / ctx.mag(base)
+
+
 def num_rambeta(ctx, pt, trunc, with_ab: bool):
     """eq:rambeta1 (with_ab) / eq:rambeta3: the bilateral q-sum against the
-    closed product form."""
+    closed product form.
+
+    The nodes t = q^n, n = -120..159, read their products (-t, -q/t;q)inf
+    (and (-t q^b, -q^{a+1}/t;q)inf) off q-shift ladders.  The tail adds to
+    the edge terms each side's truncated products: their relative tails
+    times |lhs| (the terms are positive) and times |rhs|.
+    """
     apar = ctx.scalar(pt.get("apar", F(1, 3)))
     bpar = ctx.scalar(pt.get("bpar", 1))
     cpar = ctx.scalar(pt.get("cpar", F(1, 2)))
     q = ctx.q
+    n0, K = -120, 280
+
+    # node k sits at t = q^(n0 + k): A = (-t;q)inf and C = (-t q^b;q)inf are
+    # read at k, B = (-q/t;q)inf and D = (-q^{a+1}/t;q)inf at K-1-k
+    A, lad_rel = qshift_ladder(ctx, ctx.qpow(n0), K, trunc)
+    B, rel = qshift_ladder(ctx, ctx.qpow(2 - n0 - K), K, trunc)
+    lad_rel += rel
+    if with_ab:
+        C, rel = qshift_ladder(ctx, ctx.qpow(n0) * q ** bpar, K, trunc)
+        lad_rel += rel
+        D, rel = qshift_ladder(ctx, q ** (apar + 1) * ctx.qpow(1 - n0 - K), K, trunc)
+        lad_rel += rel
 
     total = ctx.zero()
     edge = 0.0
-    for n in range(-120, 160):
-        t = ctx.qpow(n)
-        f = t ** cpar / (qpoch_inf(ctx, -t, trunc)[0] * qpoch_inf(ctx, -q / t, trunc)[0])
+    for k in range(K):
+        t = ctx.qpow(n0 + k)
+        f = t ** cpar / (A[k] * B[K - 1 - k])
         if with_ab:
-            f = f * qpoch_inf(ctx, -t * q ** bpar, trunc)[0] * qpoch_inf(ctx, -(q ** (apar + 1)) / t, trunc)[0]
+            f = f * C[k] * D[K - 1 - k]
         total = total + f
-        if n in (-120, 159):
+        if k in (0, K - 1):
             edge += ctx.mag(f)
     lhs = total
+
+    def product(args):
+        val, rel = ctx.one(), 0.0
+        for a in args:
+            v, t = qpoch_inf(ctx, a, trunc)
+            val, rel = val * v, rel + t / ctx.mag(v)
+        return val, rel
+
+    num_args = [q, -(q ** cpar), -(q ** (1 - cpar))]
+    den_args = [ctx.scalar(-1), -q]
     if with_ab:
-        rhs = (qpoch_inf(ctx, q, trunc)[0] * qpoch_inf(ctx, -(q ** cpar), trunc)[0]
-               * qpoch_inf(ctx, -(q ** (1 - cpar)), trunc)[0]
-               * qpoch_inf(ctx, q ** (apar + bpar), trunc)[0]
-               / (qpoch_inf(ctx, ctx.scalar(-1), trunc)[0] * qpoch_inf(ctx, -q, trunc)[0]
-                  * qpoch_inf(ctx, q ** (apar + cpar), trunc)[0]
-                  * qpoch_inf(ctx, q ** (bpar - cpar), trunc)[0]))
-    else:
-        rhs = (qpoch_inf(ctx, q, trunc)[0] * qpoch_inf(ctx, -(q ** cpar), trunc)[0]
-               * qpoch_inf(ctx, -(q ** (1 - cpar)), trunc)[0]
-               / (qpoch_inf(ctx, ctx.scalar(-1), trunc)[0] * qpoch_inf(ctx, -q, trunc)[0]))
-    # both tails decay geometrically; bound them by the edge terms
-    tail = 8.0 * edge
+        num_args.append(q ** (apar + bpar))
+        den_args += [q ** (apar + cpar), q ** (bpar - cpar)]
+    (num, rel_n), (den, rel_d) = product(num_args), product(den_args)
+    rhs = num / den
+    # both sums' tails decay geometrically; bound them by the edge terms
+    tail = 8.0 * edge + lad_rel * ctx.mag(lhs) + (rel_n + rel_d) * ctx.mag(rhs)
     return ctx.mag(lhs - rhs), tail, {}
 
 
 # ---------------------------------------------------------------------------
 # constrained multisums
 # ---------------------------------------------------------------------------
-
-def _theta_weight(ctx, z, trunc):
-    """(q, q^{1/2} z, q^{1/2}/z; q)_inf."""
-    s = ctx.q_half_pow(1)
-    return (qpoch_inf(ctx, ctx.q, trunc)[0] * qpoch_inf(ctx, s * z, trunc)[0]
-            * qpoch_inf(ctx, s / z, trunc)[0])
-
 
 def num_circle(ctx, pt, trunc, radial=False):
     """eq:circle / eq:circle2 in the theta-weighted unconstrained reading:
@@ -717,48 +723,24 @@ def num_circle(ctx, pt, trunc, radial=False):
     s = ctx.q_half_pow(1)
     q = ctx.q
 
-    if radial:
-        hval = lambda m_, n_: _h_radial_value(ctx, m_, n_, t[0] * t[2], t[1] * t[3])
-        Hval1 = lambda m_, n_: _H_radial_value(ctx, m_, n_, t[0], t[1])
-        Hval2 = lambda m_, n_: _H_radial_value(ctx, m_, n_, t[2], t[3])
-    else:
-        ht = _fam_table(ctx, "hq", J, t[0] * t[2], t[1] * t[3])
-        H1 = _fam_table(ctx, "Hq", J, t[0], t[1])
-        H2 = _fam_table(ctx, "Hq", J, t[2], t[3])
-        hval = lambda m_, n_: ht[(m_, n_)]
-        Hval1 = lambda m_, n_: H1[(m_, n_)]
-        Hval2 = lambda m_, n_: H2[(m_, n_)]
-
-    def S1(z):
-        tot = mp.mpc(0)
-        for m_ in range(J + 1):
-            for n_ in range(J + 1):
-                tot += (hval(m_, n_) * s ** ((m_ - n_) ** 2) * (-1) ** (m_ + n_)
-                        * (x[0] * x[2]) ** m_ * (x[1] * x[3]) ** n_
-                        / (ctx.qq(m_) * ctx.qq(n_)) * z ** (m_ - n_))
-        return tot
-
-    def S2(z):
-        tot = mp.mpc(0)
-        for m_ in range(J + 1):
-            for n_ in range(J + 1):
-                tot += (Hval1(m_, n_) * x[0] ** m_ * x[1] ** n_
-                        / (ctx.qq(m_) * ctx.qq(n_)) * z ** (m_ - n_))
-        return tot
-
-    def S3(z):
-        tot = mp.mpc(0)
-        for m_ in range(J + 1):
-            for n_ in range(J + 1):
-                tot += (Hval2(m_, n_) * x[2] ** m_ * x[3] ** n_
-                        / (ctx.qq(m_) * ctx.qq(n_)) * z ** (m_ - n_))
-        return tot
-
+    ht = _family_values(ctx, "hq", t[0] * t[2], t[1] * t[3], radial)
+    H1 = _family_values(ctx, "Hq", t[0], t[1], radial)
+    H2 = _family_values(ctx, "Hq", t[2], t[3], radial)
+    x02, x13 = x[0] * x[2], x[1] * x[3]
+    S1 = _box_block(ctx, J, lambda m_, n_: ht[m_, n_] * s ** ((m_ - n_) ** 2)
+                    * (-1) ** (m_ + n_) * x02**m_ * x13**n_)
+    S2 = _box_block(ctx, J, lambda m_, n_: H1[m_, n_] * x[0] ** m_ * x[1] ** n_)
+    S3 = _box_block(ctx, J, lambda m_, n_: H2[m_, n_] * x[2] ** m_ * x[3] ** n_)
+    # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
+    qinf = qpoch_inf(ctx, q, trunc)[0]
     rhs = unity_filter_sum(ctx, [S1, S2, S3],
-                           weight=lambda z: _theta_weight(ctx, z, trunc),
+                           weight=lambda z: (qinf * qpoch_inf(ctx, s * z, trunc)[0]
+                                             * qpoch_inf(ctx, s / z, trunc)[0]),
                            caps_range=3 * J + 24)
 
-    num = qpoch_many(ctx, [t[i] * x[i] * s for i in range(4)], math.inf, trunc)
+    num = ctx.one()
+    for i in range(4):
+        num = num * qpoch_inf(ctx, t[i] * x[i] * s, trunc)[0]
     num = num * qpoch_inf(ctx, x[0] * x[1], trunc)[0] * qpoch_inf(ctx, x[2] * x[3], trunc)[0]
     num = num * qpoch_inf(ctx, t[0] * t[1] * t[2] * t[3] * x[0] * x[1] * x[2] * x[3] * q * q, trunc)[0]
     den = (qpoch_inf(ctx, t[0] * t[1] * x[0] * x[1], trunc)[0]
@@ -805,34 +787,16 @@ def num_askey_roy_exp(ctx, pt, trunc, radial=False):
     z21 = -q / (c * al * s * lam)
     z22 = -q * be / (c * s * lam)
 
-    h1 = _fam_table(ctx, "hq", J, z11, z12)
-    h2 = _fam_table(ctx, "hq", J, z21, z22)
-    if radial:
-        h1 = {k: _h_radial_value(ctx, k[0], k[1], z11, z12) for k in h1}
-        h2 = {k: _h_radial_value(ctx, k[0], k[1], z21, z22) for k in h2}
-    H11 = _fam_table(ctx, "Hq", J, ctx.one(), ctx.one())
-    if radial:
-        H11 = {k: _H_radial_value(ctx, k[0], k[1], ctx.one(), ctx.one()) for k in H11}
+    h1 = _family_values(ctx, "hq", z11, z12, radial)
+    h2 = _family_values(ctx, "hq", z21, z22, radial)
+    H11 = _family_values(ctx, "Hq", ctx.one(), ctx.one(), radial)
 
     def hblock(tab):
-        def S(z):
-            tot = mp.mpc(0)
-            for m_ in range(J + 1):
-                for n_ in range(J + 1):
-                    tot += (tab[(m_, n_)] * s ** ((m_ - n_) ** 2) * lam ** (m_ + n_)
-                            / (ctx.qq(m_) * ctx.qq(n_)) * z ** (m_ - n_))
-            return tot
-        return S
+        return _box_block(ctx, J, lambda m_, n_: tab[m_, n_] * s ** ((m_ - n_) ** 2)
+                          * lam ** (m_ + n_))
 
     def Hblock(p1, p2):
-        def S(z):
-            tot = mp.mpc(0)
-            for m_ in range(J + 1):
-                for n_ in range(J + 1):
-                    tot += (H11[(m_, n_)] * p1**m_ * p2**n_
-                            / (ctx.qq(m_) * ctx.qq(n_)) * z ** (m_ - n_))
-            return tot
-        return S
+        return _box_block(ctx, J, lambda m_, n_: H11[m_, n_] * p1**m_ * p2**n_)
 
     rhs = unity_filter_sum(ctx, [hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
                            caps_range=4 * J)
@@ -884,19 +848,16 @@ def num_qks1(ctx, pt, trunc):
     Hm3 = [cont_qH(n_, cosphi, q) for n_ in range(J + 1)]
     Hm4 = [cont_qH(n_, cospsi, q) for n_ in range(J + 1)]
 
-    def S1(z):
-        return sum(Hm1[m_] * mpmath.power(q, mp.mpf(m_ * m_) / 2)
-                   * (-1) ** m_ / (ctx.qq(m_) * v**m_) * z**m_ for m_ in range(J + 1))
+    def block(sign, vals, coef):
+        return laurent_block((sign * m_, vals[m_] * coef(m_) / ctx.qq(m_)) for m_ in range(J + 1))
 
-    def S2(z):
-        return sum(Hm1[m_] * mpmath.power(q, mp.mpf(m_ * m_) / 2)
-                   / (ctx.qq(m_) * v**m_) * z ** (-m_) for m_ in range(J + 1))
+    def gauss(m_):
+        return mpmath.power(q, mp.mpf(m_ * m_) / 2) / v**m_
 
-    def S3(z):
-        return sum(Hm3[m_] * u**m_ / ctx.qq(m_) * z**m_ for m_ in range(J + 1))
-
-    def S4(z):
-        return sum(Hm4[m_] * v**m_ / ctx.qq(m_) * z ** (-m_) for m_ in range(J + 1))
+    S1 = block(1, Hm1, lambda m_: gauss(m_) * (-1) ** m_)
+    S2 = block(-1, Hm1, gauss)
+    S3 = block(1, Hm3, lambda m_: u**m_)
+    S4 = block(-1, Hm4, lambda m_: v**m_)
 
     rhs = unity_filter_sum(ctx, [S1, S2, S3, S4], caps_range=4 * J)
     epi = mpmath.exp(mpmath.pi)

@@ -12,9 +12,10 @@ Five families share one container (:class:`BivarPoly`):
 * ``H_classical`` -- the Ito 2D Hermite polynomials (q = 1 comparator)
 * ``C_disk``      -- classical disk (Zernike) polynomials with parameter nu.
 
-Coefficients are built from the explicit finite sums; the three-term
-recurrences are kept as an independent evaluation oracle
-(:func:`eval_recurrence`).
+Coefficients are built from the explicit finite sums; values at a fixed
+point are also available from the three-term recurrences
+(:class:`FamilyTable`, filled on read), which is what the numeric checkers
+read and what :func:`eval_recurrence` checks against the explicit sums.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .context import GaussianRational, QContext, conj, is_zero
-from .qkernel import qbinom, qpoch
+from .qkernel import QPochPrefix, qbinom, qpoch
 
 __all__ = [
     "BivarPoly",
     "coeffs",
     "eval_poly",
     "eval_recurrence",
+    "FamilyTable",
     "radial_reduce",
     "RadialForm",
     "wall_poly",
@@ -219,13 +221,10 @@ def _build(ctx: QContext, family: str, m: int, n: int, b, nu) -> BivarPoly:
                  * (-1) ** j * ctx.qq(j))
             out[(m - j, n - j)] = c
     elif family == "pq":
-        a = ctx.scalar(b) * ctx.q
-        bq = [ctx.one()]  # (bq;q)_j for j = 0..m+n, as one running product
-        for j in range(m + n):
-            bq.append(bq[-1] * (1 - a * ctx.qpow(j)))
+        bq = QPochPrefix(ctx, ctx.scalar(b) * ctx.q)
         for k in range(min(m, n) + 1):
             c = (qbinom(ctx, m, k) * qbinom(ctx, n, k) * (-1) ** k
-                 * ctx.qpow(k * (k - 1) // 2) * ctx.qq(k) * bq[m + n - k])
+                 * ctx.qpow(k * (k - 1) // 2) * ctx.qq(k) * bq(m + n - k))
             out[(m - k, n - k)] = c
     elif family == "H_classical":
         for k in range(min(m, n) + 1):
@@ -270,31 +269,78 @@ def eval_poly(P: BivarPoly, z1, z2):
     return total
 
 
-def eval_recurrence(ctx: QContext, family: str, m: int, n: int, z1, z2):
-    """Independent oracle: evaluate Hq/hq through the three-term recurrences.
+class FamilyTable:
+    """Values of the (m, n) members of Hq, hq or pq at a fixed point (z1, z2),
+    filled on read through the three-term recurrences (O(1) per entry):
 
-    Hq:  H_{m+1,n} = z1 H_{m,n} - q^m (1-q^n) H_{m,n-1}, seeded by
-         H_{0,n} = z2^n, H_{m,0} = z1^m; hq analogously from
-         h_{m+1,n} = q^n z1 h_{m,n} - (1-q^n) h_{m,n-1}.
+      H_{m,n} = z1 H_{m-1,n} - q^{m-1} (1-q^n) H_{m-1,n-1},
+      h_{m,n} = q^n z1 h_{m-1,n} - (1-q^n) h_{m-1,n-1},
+      p_{m,n} = z1 (1-b q^{m+n}) p_{m-1,n}
+                - q^{m-1} (1-q^n) (1-b q^n) p_{m-1,n-1},
+
+    seeded by the row m = 0 (z2^n, times (bq;q)_n for pq).  Reading
+    ``tab[m, n]`` fills rows 0..m up to column n, row by row, so a deep read
+    never recurses.  Entries are computed at the ``mp.prec`` of the read
+    that fills them.
     """
+
+    def __init__(self, ctx: QContext, family: str, z1, z2, b=None):
+        if family not in ("Hq", "hq", "pq"):
+            raise ValueError(f"no recurrence table for family {family!r}")
+        if family == "pq" and b is None:
+            raise ValueError("pq needs the disk parameter b")
+        self.ctx = ctx
+        self.family = family
+        self.z1 = ctx.scalar(z1)
+        self.z2 = ctx.scalar(z2)
+        if family == "pq":
+            self.b = ctx.scalar(b)
+            self.bq = QPochPrefix(ctx, self.b * ctx.q)  # (bq;q)_n of the seed row
+        # rows[m][n]; a row reaching column n implies every row above it
+        # does too, so row lengths never increase with m
+        self.rows: List[List[object]] = []
+
+    def __getitem__(self, key: Key):
+        m, n = key
+        if m < 0 or n < 0:
+            raise KeyError(key)
+        try:
+            return self.rows[m][n]
+        except IndexError:
+            pass
+        rows = self.rows
+        while len(rows) <= m:
+            rows.append([])
+        r0 = m
+        while r0 > 0 and len(rows[r0 - 1]) <= n:
+            r0 -= 1
+        for r in range(r0, m + 1):
+            row = rows[r]
+            for j in range(len(row), n + 1):
+                row.append(self._entry(r, j))
+        return rows[m][n]
+
+    def _entry(self, r: int, j: int):
+        ctx, z1, z2 = self.ctx, self.z1, self.z2
+        if r == 0:
+            return z2**j if self.family != "pq" else self.bq(j) * z2**j
+        up = self.rows[r - 1]
+        low = up[j - 1] if j else ctx.zero()
+        if self.family == "Hq":
+            return z1 * up[j] - ctx.qpow(r - 1) * (1 - ctx.qpow(j)) * low
+        if self.family == "hq":
+            return ctx.qpow(j) * z1 * up[j] - (1 - ctx.qpow(j)) * low
+        bb = self.b
+        return (z1 * (1 - bb * ctx.qpow(r + j)) * up[j]
+                - ctx.qpow(r - 1) * (1 - ctx.qpow(j)) * (1 - bb * ctx.qpow(j)) * low)
+
+
+def eval_recurrence(ctx: QContext, family: str, m: int, n: int, z1, z2):
+    """Independent oracle: evaluate Hq/hq through the three-term recurrences
+    (a read of :class:`FamilyTable`)."""
     if family not in ("Hq", "hq"):
         raise ValueError("recurrence oracle covers Hq and hq")
-    z1 = ctx.scalar(z1)
-    z2 = ctx.scalar(z2)
-    # row r = values h_{r, 0..n} built by raising the first index
-    prev_row = [z2**j for j in range(n + 1)]  # m = 0
-    if m == 0:
-        return prev_row[n]
-    for r in range(m):
-        cur = [z1 ** (r + 1)]
-        for j in range(1, n + 1):
-            if family == "Hq":
-                val = z1 * prev_row[j] - ctx.qpow(r) * (1 - ctx.qpow(j)) * prev_row[j - 1]
-            else:
-                val = ctx.qpow(j) * z1 * prev_row[j] - (1 - ctx.qpow(j)) * prev_row[j - 1]
-            cur.append(val)
-        prev_row = cur
-    return prev_row[n]
+    return FamilyTable(ctx, family, z1, z2)[m, n]
 
 
 # ---------------------------------------------------------------------------
@@ -342,44 +388,32 @@ def little_q_jacobi(ctx: QContext, a, b, n: int, x):
     return total
 
 
-def _terminating_coeff_list(ctx, n, term_coeff) -> List[object]:
-    """Coefficients [c_0..c_n] in x of a terminating sum c_r(x) given per-order."""
-    return [term_coeff(r) for r in range(n + 1)]
-
-
 def wall_coeff_list(ctx: QContext, a, n: int) -> List[object]:
     a = ctx.scalar(a)
-
-    def c(r):
-        num = qpoch(ctx, ctx.qpow(-n), r) * ctx.qpow(r)
-        den = ctx.qq(r) * qpoch(ctx, a * ctx.q, r)
-        return num / den
-
-    return _terminating_coeff_list(ctx, n, c)
+    num = QPochPrefix(ctx, ctx.qpow(-n))
+    den = QPochPrefix(ctx, a * ctx.q)
+    return [num(r) * ctx.qpow(r) / (ctx.qq(r) * den(r)) for r in range(n + 1)]
 
 
 def q_laguerre_coeff_list(ctx: QContext, alpha: int, n: int) -> List[object]:
-    pref = qpoch(ctx, ctx.qpow(alpha + 1), n) / ctx.qq(n)
-
-    def c(r):
-        num = qpoch(ctx, ctx.qpow(-n), r) * (-1) ** r * ctx.qpow(r * (r - 1) // 2)
+    top = QPochPrefix(ctx, ctx.qpow(-n))
+    bot = QPochPrefix(ctx, ctx.qpow(alpha + 1))
+    pref = bot(n) / ctx.qq(n)
+    out = []
+    for r in range(n + 1):
+        num = top(r) * (-1) ** r * ctx.qpow(r * (r - 1) // 2)
         num = num * (-ctx.qpow(n + alpha + 1)) ** r
-        den = ctx.qq(r) * qpoch(ctx, ctx.qpow(alpha + 1), r)
-        return pref * num / den
-
-    return _terminating_coeff_list(ctx, n, c)
+        out.append(pref * num / (ctx.qq(r) * bot(r)))
+    return out
 
 
 def little_q_jacobi_coeff_list(ctx: QContext, a, b, n: int) -> List[object]:
     a = ctx.scalar(a)
     b = ctx.scalar(b)
-
-    def c(r):
-        num = qpoch(ctx, ctx.qpow(-n), r) * qpoch(ctx, a * b * ctx.qpow(n + 1), r) * ctx.qpow(r)
-        den = ctx.qq(r) * qpoch(ctx, a * ctx.q, r)
-        return num / den
-
-    return _terminating_coeff_list(ctx, n, c)
+    top1 = QPochPrefix(ctx, ctx.qpow(-n))
+    top2 = QPochPrefix(ctx, a * b * ctx.qpow(n + 1))
+    den = QPochPrefix(ctx, a * ctx.q)
+    return [top1(r) * top2(r) * ctx.qpow(r) / (ctx.qq(r) * den(r)) for r in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import mpmath
 
@@ -25,7 +25,7 @@ __all__ = [
     "PoleError",
     "qpoch",
     "qpoch_inf",
-    "qpoch_many",
+    "QPochPrefix",
     "qbinom",
     "qbinom_base",
     "qop",
@@ -33,7 +33,6 @@ __all__ = [
     "phi_series",
     "aq_function",
     "theta4",
-    "bessel_j2_ratio",
     "bessel_i2_series",
     "schur_a",
     "schur_b",
@@ -109,12 +108,25 @@ def qpoch_inf(ctx: QContext, a, trunc: Optional[TruncationPolicy] = None):
         return out, tail
 
 
-def qpoch_many(ctx: QContext, bases: Iterable, n, trunc=None):
-    """Product of (a;q)_n over the listed bases — the (a1,...,ak;q)_n shorthand."""
-    out = ctx.one()
-    for a in bases:
-        out = out * qpoch(ctx, a, n, trunc)
-    return out
+class QPochPrefix:
+    """n -> (a; q)_n read off one running product that is extended on read.
+
+    The factors are :func:`qpoch`'s, multiplied in its order, so entry n is
+    bitwise ``qpoch(ctx, a, n)``; a sum over n costs one factor per term
+    instead of n.  Entries are computed at the ``mp.prec`` of the read that
+    extends the product.
+    """
+
+    def __init__(self, ctx: QContext, a):
+        self.ctx = ctx
+        self.a = ctx.scalar(a)
+        self.vals = [ctx.one()]
+
+    def __call__(self, n: int):
+        vals = self.vals
+        while len(vals) <= n:
+            vals.append(vals[-1] * (1 - self.a * self.ctx.qpow(len(vals) - 1)))
+        return vals[n]
 
 
 def qbinom(ctx: QContext, m: int, k: int):
@@ -405,16 +417,6 @@ def bessel_i2_series(ctx: QContext, qnu, y, trunc: Optional[TruncationPolicy] = 
         value = pref_num * total / pref_den
         bound = tail + t1 + t2  # crude: absolute tails of the two products
         return value, bound
-
-
-def bessel_j2_ratio(ctx: QContext, qalpha, x2, trunc: Optional[TruncationPolicy] = None):
-    """J^(2)_alpha(2x; q) / x^alpha with q^alpha := qalpha and x2 := x^2.
-
-    Equals ((qalpha*q;q)_inf/(q;q)_inf) sum_n (-1)^n q^{n^2} qalpha^n x2^n
-    / ((q;q)_n (qalpha*q;q)_n).
-    """
-    val, bound = bessel_i2_series(ctx, qalpha, -ctx.scalar(x2), trunc)
-    return val, bound
 
 
 def schur_a(ctx: QContext, m: int):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from mpmath import mp
+
 from .context import QContext, is_zero
 
 __all__ = ["TruncatedBiSeries"]
@@ -138,7 +140,7 @@ class TruncatedBiSeries:
             power = power * t
             if not power.coeffs:
                 break
-            out = out + power * (Fraction((-1) ** (k + 1), k) if self.ctx.is_exact else ((-1) ** (k + 1) / mp_one(k)))
+            out = out + power * (Fraction((-1) ** (k + 1), k) if self.ctx.is_exact else ((-1) ** (k + 1) / mp.mpf(k)))
         return out
 
     def exp_part(self) -> "TruncatedBiSeries":
@@ -153,7 +155,7 @@ class TruncatedBiSeries:
             if not power.coeffs:
                 break
             fact *= k
-            out = out + power * (Fraction(1, fact) if self.ctx.is_exact else 1 / mp_one(fact))
+            out = out + power * (Fraction(1, fact) if self.ctx.is_exact else 1 / mp.mpf(fact))
         return out
 
     def pow_fraction(self, e: Fraction) -> "TruncatedBiSeries":
@@ -190,8 +192,3 @@ class TruncatedBiSeries:
         inner = ", ".join(f"u^{i} v^{j}: {self.coeffs[(i,j)]}" for i, j in terms)
         return f"TruncatedBiSeries(order={self.order}, {{{inner}{', ...' if len(self.coeffs) > 6 else ''}}})"
 
-
-def mp_one(x):
-    from mpmath import mp
-
-    return mp.mpf(x)

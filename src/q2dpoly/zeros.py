@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mp
 
 from .context import QContext, TruncationPolicy
-from .polyfamilies import radial_reduce
+from .polyfamilies import FamilyTable, radial_reduce
 from .qkernel import aq_function, qpoch_inf, theta4
 
 F = Fraction
@@ -276,10 +276,7 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
 
 def _fam_value(ctx, family, m, n, z1, z2, b=None):
     """Recurrence evaluation (handles large degrees without coefficient maps)."""
-    from .identities_numeric import _fam_table
-
-    tab = _fam_table(ctx, family, max(m, n), z1, z2, b=b)
-    return tab[(m, n)]
+    return FamilyTable(ctx, family, z1, z2, b=b)[m, n]
 
 
 def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],

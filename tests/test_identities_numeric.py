@@ -1,0 +1,83 @@
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+from mpmath import mp
+
+import q2dpoly.identities_numeric as nm
+from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly.identities import check_identity
+from q2dpoly.qkernel import qpoch_inf
+
+
+def _fctx(q):
+    tail_tol, terms = (1e-34, 400) if q == F(1, 2) else (1e-36, 500)
+    return QContext(q, sqrt_q="auto", backend="float", precision_bits=160,
+                    default_trunc=TruncationPolicy(max_terms=terms, tail_tol=tail_tol))
+
+
+@pytest.mark.parametrize("checker, q", [
+    pytest.param(lambda c, tr: nm.num_circle(c, {"J": 8}, tr), F(1, 5), id="CIRCLE"),
+    pytest.param(lambda c, tr: nm.num_askey_roy_exp(c, {"J": 8}, tr), F(1, 5), id="AR-EXP"),
+    pytest.param(lambda c, tr: nm.num_askey_roy_exp(c, {"J": 4}, tr, radial=True), F(1, 5),
+                 id="AR-EXP2"),
+    pytest.param(lambda c, tr: nm.num_qks1(c, {}, tr), F(1, 2), id="QKS1"),
+])
+def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
+    # the checker's own block terms, summed directly at every root as the
+    # (J+1)^2-term loops did, against the Laurent-coefficient/Horner filter
+    blocks, calls = [], []
+    laurent_block, unity_filter_sum = nm.laurent_block, nm.unity_filter_sum
+
+    def keep_terms(terms):
+        terms = list(terms)
+        blocks.append(terms)
+        return laurent_block(terms)
+
+    def keep_call(ctx, blks, weight=None, caps_range=0):
+        val = unity_filter_sum(ctx, blks, weight=weight, caps_range=caps_range)
+        calls.append((len(blks), weight, caps_range, val))
+        return val
+
+    monkeypatch.setattr(nm, "laurent_block", keep_terms)
+    monkeypatch.setattr(nm, "unity_filter_sum", keep_call)
+    c = _fctx(q)
+    with c.workprec():
+        checker(c, c.default_trunc)
+        [(nblk, weight, caps_range, val)] = calls
+        assert len(blocks) == nblk
+        M = 2 * caps_range + 1
+        total = mp.mpc(0)
+        for r in range(M):
+            zr = mpmath.exp(2j * mpmath.pi * r / M)
+            prod = mp.mpc(1) if weight is None else weight(zr)
+            for terms in blocks:
+                S = mp.mpc(0)
+                for d, coef in terms:
+                    S += coef * zr**d
+                prod = prod * S
+            total += prod
+        direct = total / M
+        assert c.mag(val - direct) <= 1e-40 * c.mag(direct)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 5)])
+def test_qshift_ladder_matches_per_node_products(q):
+    # the four RAMBETA ladders (a = 1/3, b = 1) against one qpoch_inf per node
+    c = _fctx(q)
+    tr = c.default_trunc
+    with c.workprec():
+        K = 280
+        for base in (c.qpow(-120), c.qpow(-158), c.qpow(-120) * c.q, c.q ** F(4, 3) * c.qpow(-159)):
+            vals, rel = nm.qshift_ladder(c, base, K, tr)
+            assert 0 < rel <= 2 * tr.tail_tol
+            for k in range(K):
+                ref = qpoch_inf(c, -base * c.qpow(k), tr)[0]
+                assert c.mag(vals[k] - ref) <= 4 * tr.tail_tol * c.mag(ref), (k, base)
+
+
+@pytest.mark.parametrize("id_", ["RAMBETA-Q1", "RAMBETA-Q3"])
+def test_rambeta_tail_bounds_residual(id_):
+    rep = check_identity(_fctx(F(1, 2)), id_, {}, tol=1e-9)
+    assert rep.passed
+    assert float(rep.residual) <= rep.tail_bound

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
-from q2dpoly.polyfamilies import (coeffs, eval_poly, eval_recurrence,
-                                  little_q_jacobi, poly_from_json,
-                                  poly_to_json, q_laguerre, radial_reduce,
-                                  wall_poly)
+from q2dpoly.polyfamilies import (FamilyTable, coeffs, eval_poly,
+                                  eval_recurrence, little_q_jacobi,
+                                  little_q_jacobi_coeff_list, poly_from_json,
+                                  poly_to_json, q_laguerre,
+                                  q_laguerre_coeff_list, radial_reduce,
+                                  wall_coeff_list, wall_poly)
 from q2dpoly.qkernel import qbinom, qpoch
 
 Z1 = GR(F(3, 2), F(1, 2))
@@ -223,3 +226,109 @@ def test_float_coeffs_not_memoized():
     P = coeffs(fctx, "pq", 3, 2, b=B)
     assert coeffs(fctx, "pq", 3, 2, b=B) is not P
     assert not fctx.coeffs_memo
+
+
+# ---------------------------------------------------------------------------
+# the lazily filled recurrence table against the eager reference
+# ---------------------------------------------------------------------------
+
+def _eager_table(ctx, family, cap, z1, z2, b=None):
+    """The whole (cap+2) x (cap+2) recurrence table, built row by row up front
+    (the reference for FamilyTable)."""
+    K = cap + 2
+    tab = {}
+    bb = None if b is None else ctx.scalar(b)
+    for n_ in range(K):
+        tab[(0, n_)] = z2**n_ if family != "pq" else qpoch(ctx, bb * ctx.q, n_) * z2**n_
+    for m_ in range(1, K):
+        for n_ in range(K):
+            low = tab[(m_ - 1, n_ - 1)] if n_ else ctx.zero()
+            if family == "Hq":
+                tab[(m_, n_)] = z1 * tab[(m_ - 1, n_)] - ctx.qpow(m_ - 1) * (1 - ctx.qpow(n_)) * low
+            elif family == "hq":
+                tab[(m_, n_)] = ctx.qpow(n_) * z1 * tab[(m_ - 1, n_)] - (1 - ctx.qpow(n_)) * low
+            else:
+                tab[(m_, n_)] = (z1 * (1 - bb * ctx.qpow(m_ + n_)) * tab[(m_ - 1, n_)]
+                                 - ctx.qpow(m_ - 1) * (1 - ctx.qpow(n_)) * (1 - bb * ctx.qpow(n_)) * low)
+    return tab
+
+
+def _table_contexts():
+    exact = QContext(F(2, 5))
+    flt = QContext(F(2, 5), backend="float", precision_bits=160)
+    return [(exact, Z1, Z2), (flt, flt.scalar(complex(1.5, 0.5)), flt.scalar(complex(1.5, -0.5)))]
+
+
+@pytest.mark.parametrize("family", ["Hq", "hq", "pq"])
+def test_family_table_equals_eager_table(family):
+    # every entry bitwise equal to the eager table's, whatever the read order
+    for c, z1, z2 in _table_contexts():
+        with c.workprec():
+            ref = _eager_table(c, family, 14, z1, z2, b=B)
+            keys = sorted(ref)
+            random.Random(7).shuffle(keys)
+            tab = FamilyTable(c, family, z1, z2, b=B)
+            for key in keys:
+                assert tab[key] == ref[key], (c.backend, family, key)
+
+
+@pytest.mark.parametrize("family", ["Hq", "hq", "pq"])
+def test_family_table_single_deep_read(family):
+    # one read at (64, 64) fills 65 rows without recursing
+    for c, z1, z2 in _table_contexts():
+        if c.is_exact:
+            z1, z2 = F(3, 2), F(1, 3)
+        with c.workprec():
+            ref = _eager_table(c, family, 63, z1, z2, b=B)
+            assert FamilyTable(c, family, z1, z2, b=B)[64, 64] == ref[(64, 64)]
+
+
+def test_family_table_rejects_other_families_and_negative_keys(ctx):
+    with pytest.raises(ValueError):
+        FamilyTable(ctx, "C_disk", Z1, Z2)
+    with pytest.raises(ValueError):
+        eval_recurrence(ctx, "pq", 1, 1, Z1, Z2)
+    with pytest.raises(KeyError):
+        FamilyTable(ctx, "Hq", Z1, Z2)[-1, 0]
+
+
+def test_hq_table_matches_explicit_sum():
+    # the RAM-GEN-C point q^0.7, q^0.9 at q = 1/5: recurrence vs explicit sum
+    c = QContext(F(1, 5), backend="float", precision_bits=160)
+    with c.workprec():
+        qa, qb = c.q ** 0.7, c.q ** 0.9
+        tab = FamilyTable(c, "hq", qa, qb)
+        worst = 0.0
+        for m in range(97):
+            for n in range(97 - m):
+                ev = eval_poly(coeffs(c, "hq", m, n), qa, qb)
+                worst = max(worst, c.mag(tab[m, n] - ev) / c.mag(ev))
+    assert worst <= 1e-45
+
+
+def _per_coefficient_lists(c, n, alpha, a, b):
+    """The radial coefficient lists with one qpoch per coefficient."""
+    a, b = c.scalar(a), c.scalar(b)
+    wall = [qpoch(c, c.qpow(-n), r) * c.qpow(r) / (c.qq(r) * qpoch(c, a * c.q, r))
+            for r in range(n + 1)]
+    pref = qpoch(c, c.qpow(alpha + 1), n) / c.qq(n)
+    lag = []
+    for r in range(n + 1):
+        num = qpoch(c, c.qpow(-n), r) * (-1) ** r * c.qpow(r * (r - 1) // 2)
+        num = num * (-c.qpow(n + alpha + 1)) ** r
+        lag.append(pref * num / (c.qq(r) * qpoch(c, c.qpow(alpha + 1), r)))
+    jac = [qpoch(c, c.qpow(-n), r) * qpoch(c, a * b * c.qpow(n + 1), r) * c.qpow(r)
+           / (c.qq(r) * qpoch(c, a * c.q, r)) for r in range(n + 1)]
+    return wall, lag, jac
+
+
+def test_radial_lists_equal_per_coefficient_formula():
+    for c in (QContext(F(2, 5)), QContext(F(2, 5), backend="float", precision_bits=160)):
+        with c.workprec():
+            for n in (0, 1, 5, 12):
+                for alpha in (0, 3):
+                    a = c.qpow(alpha)
+                    wall, lag, jac = _per_coefficient_lists(c, n, alpha, a, B)
+                    assert wall_coeff_list(c, a, n) == wall
+                    assert q_laguerre_coeff_list(c, alpha, n) == lag
+                    assert little_q_jacobi_coeff_list(c, a, B, n) == jac
