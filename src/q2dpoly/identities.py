@@ -93,18 +93,20 @@ def _build_registry() -> Dict[str, IdentityEntry]:
     # --- first family -----------------------------------------------------
     E += [
         _entry_series("H-GF", "eqGFHq: 'satisfy the relations'", se.gf_H, grid_kind="single"),
-        _entry_poly("H-SHIFT-1", "eq:Hp18", ex.h_shift_1),
-        _entry_poly("H-SHIFT-2", "eq:Hp19", ex.h_shift_2),
-        _entry_poly("H-SHIFT-3", "eq:Hp20", ex.h_shift_3),
-        _entry_poly("H-SHIFT-4", "eq:Hp21", ex.h_shift_4),
+        _entry_poly("H-SHIFT-1", "eq:Hp18", lambda c, p: ex.h_shift(c, p, 1)),
+        _entry_poly("H-SHIFT-2", "eq:Hp19", lambda c, p: ex.h_shift(c, p, 2)),
+        _entry_poly("H-SHIFT-3", "eq:Hp20", lambda c, p: ex.h_shift_diag(c, p, 1)),
+        _entry_poly("H-SHIFT-4", "eq:Hp21", lambda c, p: ex.h_shift_diag(c, p, 2)),
         _entry_poly("H-SYM-Q", "eqSym: 'imply the symmetry relation'", ex.h_sym_q),
-        _entry_poly("H-TTR-a", "eqHmn3trr (z1)", ex.h_ttr_a),
-        _entry_poly("H-TTR-b", "eqHmn3trr (z2)", ex.h_ttr_b),
-        _entry_poly("H-LOWER-1", "'the lowering operator relations' (z1)", ex.h_lower_1),
-        _entry_poly("H-LOWER-2", "'the lowering operator relations' (z2)", ex.h_lower_2),
+        _entry_poly("H-TTR-a", "eqHmn3trr (z1)", lambda c, p: ex.h_ttr(c, p, 1)),
+        _entry_poly("H-TTR-b", "eqHmn3trr (z2)", lambda c, p: ex.h_ttr(c, p, 2)),
+        _entry_poly("H-LOWER-1", "'the lowering operator relations' (z1)",
+                    lambda c, p: ex.h_lower(c, p, 1)),
+        _entry_poly("H-LOWER-2", "'the lowering operator relations' (z2)",
+                    lambda c, p: ex.h_lower(c, p, 2)),
         _entry_poly("H-ROD", "eqRodHmnq: 'satisfy the Rodrigues type formula'", ex.h_rod),
-        _entry_poly("H-RAISE-1", "eqraisHm", ex.h_raise_1),
-        _entry_poly("H-RAISE-2", "eqraisHn", ex.h_raise_2),
+        _entry_poly("H-RAISE-1", "eqraisHm", lambda c, p: ex.h_raise(c, p, 1)),
+        _entry_poly("H-RAISE-2", "eqraisHn", lambda c, p: ex.h_raise(c, p, 2)),
         _entry_poly("H-MULT", "eqMF1: 'have the multiplication formula'", ex.h_mult, note=_T_MULT),
         _entry_poly("H-OPREP", "eqoprepH: 'the operational representation'", ex.h_oprep),
         _entry_num("H-GF-AB", "eqHmnu+v: 'have the generating function'", nm.num_gf_H_ab,
@@ -114,22 +116,23 @@ def _build_registry() -> Dict[str, IdentityEntry]:
     # --- second family ----------------------------------------------------
     E += [
         _entry_series("h-GF", "eq:hp3 (thm9)", se.gf_h, needs_sqrt=True, grid_kind="single"),
-        _entry_poly("h-SHIFT-1", "eq:hp4", ex.hh_shift_1, note=_T_SHIFT),
-        _entry_poly("h-SHIFT-2", "eq:hp5", ex.hh_shift_2, note=_T_SHIFT),
-        _entry_poly("h-SHIFT-3", "eq:hp6", ex.hh_shift_3, note=_T_SHIFT),
-        _entry_poly("h-SHIFT-4", "eq:hp7", ex.hh_shift_4, note=_T_SHIFT),
-        _entry_poly("h-TTR-a", "eq:hp22", ex.hh_ttr_a),
-        _entry_poly("h-TTR-b", "eq:hp23", ex.hh_ttr_b),
+        _entry_poly("h-SHIFT-1", "eq:hp4", lambda c, p: ex.hh_shift(c, p, 1), note=_T_SHIFT),
+        _entry_poly("h-SHIFT-2", "eq:hp5", lambda c, p: ex.hh_shift(c, p, 2), note=_T_SHIFT),
+        _entry_poly("h-SHIFT-3", "eq:hp6", lambda c, p: ex.hh_shift_diag(c, p, 1), note=_T_SHIFT),
+        _entry_poly("h-SHIFT-4", "eq:hp7", lambda c, p: ex.hh_shift_diag(c, p, 2), note=_T_SHIFT),
+        _entry_poly("h-TTR-a", "eq:hp22", lambda c, p: ex.hh_ttr(c, p, 1)),
+        _entry_poly("h-TTR-b", "eq:hp23", lambda c, p: ex.hh_ttr(c, p, 2)),
         _entry_poly("h-ROD", "eqRodhmn: 'the Rodrigues type formula'", ex.hh_rod),
         _entry_poly("h-OPREP", "eqhmnqop: 'the operational formula'", ex.hh_oprep),
-        _entry_poly("h-LOWER-1", "eqlowerm", ex.hh_lower_1, note=_T_SHIFT),
-        _entry_poly("h-LOWER-2", "eqlowern", ex.hh_lower_2, note=_T_SHIFT),
-        _entry_poly("h-RAISE-1", "eqraisem", ex.hh_raise_1, note=_T_RAISE),
-        _entry_poly("h-RAISE-2", "eqraisen", ex.hh_raise_2, note=_T_RAISE),
+        _entry_poly("h-LOWER-1", "eqlowerm", lambda c, p: ex.hh_lower(c, p, 1), note=_T_SHIFT),
+        _entry_poly("h-LOWER-2", "eqlowern", lambda c, p: ex.hh_lower(c, p, 2), note=_T_SHIFT),
+        _entry_poly("h-RAISE-1", "eqraisem", lambda c, p: ex.hh_raise(c, p, 1), note=_T_RAISE),
+        _entry_poly("h-RAISE-2", "eqraisen", lambda c, p: ex.hh_raise(c, p, 2), note=_T_RAISE),
         _entry_poly("h-MULT", "eqMF2: 'multiplication formulas for the polynomials'",
                     ex.hh_mult, note=_T_MULT2),
-        _entry_poly("h-SL-1", "eqqSLz1: 'q-Sturm-Liouville problems'", ex.hh_sl_1, note=_T_SL),
-        _entry_poly("h-SL-2", "eqqSLz2", ex.hh_sl_2, note=_T_SL),
+        _entry_poly("h-SL-1", "eqqSLz1: 'q-Sturm-Liouville problems'",
+                    lambda c, p: ex.hh_sl(c, p, 1), note=_T_SL),
+        _entry_poly("h-SL-2", "eqqSLz2", lambda c, p: ex.hh_sl(c, p, 2), note=_T_SL),
         _entry_poly("h-QINV", "eqhvsH: 'transform to each other'", ex.hh_qinv),
         _entry_poly("h-LAG", "eq:h2l: 'We note the relation'", ex.hh_lag),
     ]
@@ -150,16 +153,20 @@ def _build_registry() -> Dict[str, IdentityEntry]:
         _entry_poly("p-CONN-H", "eq:jp p2H", ex.p_conn_H,
                     note="per-coefficient resummation; no square root needed (ledger)"),
         _entry_num("p-CONN-H-INV", "eqcinnhtop: 'the inverse relation'", nm.num_p_conn_H_inv),
-        _entry_poly("p-FWD-1", "eq:jp forward 1", ex.p_fwd_1),
-        _entry_poly("p-FWD-2", "eq:jp forward 2", ex.p_fwd_2),
-        _entry_poly("p-BWD-1", "eq:jp backward 1", ex.p_bwd_1, note=_T_BWD),
-        _entry_poly("p-BWD-2", "eq:jp backward 2", ex.p_bwd_2, note=_T_BWD),
-        _entry_poly("p-PROP-17a", "eq:jp properties 17 a", ex.p_prop_17a),
-        _entry_poly("p-PROP-17b", "eq:jp properties 17 b", ex.p_prop_17b, note=_T_17B),
-        _entry_poly("p-PROP-17c", "eq:jp properties 17 c", ex.p_prop_17c),
-        _entry_poly("p-PROP-17d", "eq:jp properties 17 d", ex.p_prop_17d, note=_T_17D),
-        _entry_poly("p-PROP-18a", "eq:jp properties 18 a", ex.p_prop_18a),
-        _entry_poly("p-PROP-18b", "eq:jp properties 18 b", ex.p_prop_18b),
+        _entry_poly("p-FWD-1", "eq:jp forward 1", lambda c, p: ex.p_fwd(c, p, 1)),
+        _entry_poly("p-FWD-2", "eq:jp forward 2", lambda c, p: ex.p_fwd(c, p, 2)),
+        _entry_poly("p-BWD-1", "eq:jp backward 1", lambda c, p: ex.p_bwd(c, p, 1), note=_T_BWD),
+        _entry_poly("p-BWD-2", "eq:jp backward 2", lambda c, p: ex.p_bwd(c, p, 2), note=_T_BWD),
+        _entry_poly("p-PROP-17a", "eq:jp properties 17 a",
+                    lambda c, p: ex.p_prop_17(c, p, 1, True)),
+        _entry_poly("p-PROP-17b", "eq:jp properties 17 b",
+                    lambda c, p: ex.p_prop_17(c, p, 1, False), note=_T_17B),
+        _entry_poly("p-PROP-17c", "eq:jp properties 17 c",
+                    lambda c, p: ex.p_prop_17(c, p, 2, False)),
+        _entry_poly("p-PROP-17d", "eq:jp properties 17 d",
+                    lambda c, p: ex.p_prop_17(c, p, 2, True), note=_T_17D),
+        _entry_poly("p-PROP-18a", "eq:jp properties 18 a", lambda c, p: ex.p_prop_18(c, p, 1)),
+        _entry_poly("p-PROP-18b", "eq:jp properties 18 b", lambda c, p: ex.p_prop_18(c, p, 2)),
         _entry_poly("p-PROP-19", "eq:jp properties 19", ex.p_prop_19, note=_T_19),
         _entry_poly("p-PROP-20a", "eq:jp properties 20 a", ex.p_prop_20a),
         _entry_poly("p-PROP-20b", "eq:jp properties 20 b", ex.p_prop_20b, note=_T_20B),

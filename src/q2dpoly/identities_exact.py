@@ -10,6 +10,10 @@ Identities stated through the weights (q z1 z2; q)_inf, 1/(-z1 z2; q)_inf or
 infinite factor with the telescoping (x z;q)_inf = (1-x z)(x q z;q)_inf, which
 turns them into polynomial identities.
 
+A relation stated once in z1 and once in z2 has one checker whose ``var``
+argument (1 or 2) picks the variable; the registry binds each form as
+``lambda c, p: checker(c, p, var)``.
+
 Several printed sources carry typos; the corrected forms used here were
 re-derived from the generating functions and are flagged with ``note`` fields
 in the registry.
@@ -29,46 +33,53 @@ def _mono(ctx, i, j, c=1) -> BivarPoly:
     return BivarPoly(ctx, {(i, j): ctx.scalar(c)})
 
 
-def _zero_if_neg(ctx, P_builder, m, n):
+def _member(ctx, family, m, n, b=None) -> BivarPoly:
     """Family member with the usual convention P_{m,n} = 0 for m < 0 or n < 0."""
     if m < 0 or n < 0:
         return BivarPoly(ctx, {})
-    return P_builder(m, n)
+    return coeffs(ctx, family, m, n, b=b)
+
+
+_UNIT = {1: (1, 0), 2: (0, 1)}  # unit step of z1 and of z2
+
+
+def _unit(pt, var: int):
+    """(m, n, own, other, i, j) for a relation stated in z_var: the grid
+    point's indices, the index that belongs to z_var and the other one, and
+    the unit step (i, j) of z_var, which supplies the index shift, the
+    dilation exponents and the monomial."""
+    m, n = pt["m"], pt["n"]
+    own, other = (m, n) if var == 1 else (n, m)
+    return (m, n, own, other) + _UNIT[var]
+
+
+def _rodrigues(ctx, step, m: int, n: int) -> BivarPoly:
+    """``step`` applied to 1 n times in z1, then m times in z2."""
+    P = _mono(ctx, 0, 0)
+    for _ in range(n):
+        P = step(ctx, P, 1)
+    for _ in range(m):
+        P = step(ctx, P, 2)
+    return P
 
 
 # ---------------------------------------------------------------------------
 # first family H
 # ---------------------------------------------------------------------------
 
-def h_shift_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = H(m, n).dilate_q(1, 0)
-    rhs = H(m, n) - _mono(ctx, 1, 0) * (1 - ctx.qpow(m)) * H(m - 1, n)
+def h_shift(ctx, pt, var):
+    m, n, own, _, i, j = _unit(pt, var)
+    lhs = _member(ctx, "Hq", m, n).dilate_q(i, j)
+    rhs = (_member(ctx, "Hq", m, n)
+           - _mono(ctx, i, j) * (1 - ctx.qpow(own)) * _member(ctx, "Hq", m - i, n - j))
     return lhs - rhs
 
 
-def h_shift_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = H(m, n).dilate_q(0, 1)
-    rhs = H(m, n) - _mono(ctx, 0, 1) * (1 - ctx.qpow(n)) * H(m, n - 1)
-    return lhs - rhs
-
-
-def h_shift_3(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = H(m, n).dilate_q(1, 0) * ctx.qpow(-m)
-    rhs = H(m, n) - ctx.qpow(-1) * (1 - ctx.qpow(m)) * (1 - ctx.qpow(n)) * H(m - 1, n - 1)
-    return lhs - rhs
-
-
-def h_shift_4(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = H(m, n).dilate_q(0, 1) * ctx.qpow(-n)
-    rhs = H(m, n) - ctx.qpow(-1) * (1 - ctx.qpow(m)) * (1 - ctx.qpow(n)) * H(m - 1, n - 1)
+def h_shift_diag(ctx, pt, var):
+    m, n, own, _, i, j = _unit(pt, var)
+    lhs = _member(ctx, "Hq", m, n).dilate_q(i, j) * ctx.qpow(-own)
+    rhs = (_member(ctx, "Hq", m, n) - ctx.qpow(-1) * (1 - ctx.qpow(m)) * (1 - ctx.qpow(n))
+           * _member(ctx, "Hq", m - 1, n - 1))
     return lhs - rhs
 
 
@@ -78,32 +89,18 @@ def h_sym_q(ctx, pt):
     return H.dilate_q(1, 0) * ctx.qpow(-m) - H.dilate_q(0, 1) * ctx.qpow(-n)
 
 
-def h_ttr_a(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = _mono(ctx, 1, 0) * H(m, n)
-    rhs = ctx.qpow(m) * (1 - ctx.qpow(n)) * H(m, n - 1) + H(m + 1, n)
+def h_ttr(ctx, pt, var):
+    m, n, own, other, i, j = _unit(pt, var)
+    lhs = _mono(ctx, i, j) * _member(ctx, "Hq", m, n)
+    rhs = (ctx.qpow(own) * (1 - ctx.qpow(other)) * _member(ctx, "Hq", m - j, n - i)
+           + _member(ctx, "Hq", m + i, n + j))
     return lhs - rhs
 
 
-def h_ttr_b(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    lhs = _mono(ctx, 0, 1) * H(m, n)
-    rhs = ctx.qpow(n) * (1 - ctx.qpow(m)) * H(m - 1, n) + H(m, n + 1)
-    return lhs - rhs
-
-
-def h_lower_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    return coeffs(ctx, "Hq", m, n).dq(1) - (1 - ctx.qpow(m)) / (1 - ctx.q) * H(m - 1, n)
-
-
-def h_lower_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "Hq", x, y), a, b)
-    return coeffs(ctx, "Hq", m, n).dq(2) - (1 - ctx.qpow(n)) / (1 - ctx.q) * H(m, n - 1)
+def h_lower(ctx, pt, var):
+    m, n, own, _, i, j = _unit(pt, var)
+    return (_member(ctx, "Hq", m, n).dq(var)
+            - (1 - ctx.qpow(own)) / (1 - ctx.q) * _member(ctx, "Hq", m - i, n - j))
 
 
 def _rod_step_H(ctx, P: BivarPoly, var: int) -> BivarPoly:
@@ -112,36 +109,25 @@ def _rod_step_H(ctx, P: BivarPoly, var: int) -> BivarPoly:
     Uses (z1 z2;q)_inf = (1 - z1 z2)(q z1 z2;q)_inf, so the result is the
     polynomial [P - (1 - z1 z2) P(z/q)] / (z (1 - 1/q)).
     """
+    i, j = _UNIT[var]
     one_minus = 1 - _mono(ctx, 1, 1)
-    shifted = P.dilate_q(-1, 0) if var == 1 else P.dilate_q(0, -1)
-    num = P - one_minus * shifted
-    num = num.div_monomial(1, 0) if var == 1 else num.div_monomial(0, 1)
-    return num * (1 / (1 - 1 / ctx.q))
+    num = P - one_minus * P.dilate_q(-i, -j)
+    return num.div_monomial(i, j) * (1 / (1 - 1 / ctx.q))
 
 
 def h_rod(ctx, pt):
     m, n = pt["m"], pt["n"]
-    P = _mono(ctx, 0, 0)
-    for _ in range(n):
-        P = _rod_step_H(ctx, P, 1)
-    for _ in range(m):
-        P = _rod_step_H(ctx, P, 2)
+    P = _rodrigues(ctx, _rod_step_H, m, n)
     rhs = ctx.qpow(m * n) * (1 - 1 / ctx.q) ** (m + n) * P
     return coeffs(ctx, "Hq", m, n) - rhs
 
 
-def h_raise_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
+def h_raise(ctx, pt, var):
+    # the z_var index is raised by the 1/q-derivative in the other variable
+    m, n, _, other, i, j = _unit(pt, var)
     H = coeffs(ctx, "Hq", m, n)
-    rhs = ctx.qpow(n) * (1 - 1 / ctx.q) * _rod_step_H(ctx, H, 2)
-    return coeffs(ctx, "Hq", m + 1, n) - rhs
-
-
-def h_raise_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    H = coeffs(ctx, "Hq", m, n)
-    rhs = ctx.qpow(m) * (1 - 1 / ctx.q) * _rod_step_H(ctx, H, 1)
-    return coeffs(ctx, "Hq", m, n + 1) - rhs
+    rhs = ctx.qpow(other) * (1 - 1 / ctx.q) * _rod_step_H(ctx, H, 3 - var)
+    return coeffs(ctx, "Hq", m + i, n + j) - rhs
 
 
 def h_mult(ctx, pt):
@@ -180,73 +166,45 @@ def h_wall(ctx, pt):
 # second family h
 # ---------------------------------------------------------------------------
 
-def hh_shift_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = h(m, n).dilate_q(-1, 0)
-    # printed factor q^{-m} corrected to q^{n-m} (from the generating function)
-    rhs = h(m, n) + _mono(ctx, 1, 0) * (1 - ctx.qpow(m)) * ctx.qpow(n - m) * h(m - 1, n)
+def hh_shift(ctx, pt, var):
+    m, n, own, other, i, j = _unit(pt, var)
+    lhs = _member(ctx, "hq", m, n).dilate_q(-i, -j)
+    # printed factor q^{-m} corrected to q^{n-m} in z1, mirrored in z2 (from
+    # the generating function)
+    rhs = (_member(ctx, "hq", m, n) + _mono(ctx, i, j) * (1 - ctx.qpow(own))
+           * ctx.qpow(other - own) * _member(ctx, "hq", m - i, n - j))
     return lhs - rhs
 
 
-def hh_shift_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = h(m, n).dilate_q(0, -1)
-    rhs = h(m, n) + _mono(ctx, 0, 1) * (1 - ctx.qpow(n)) * ctx.qpow(m - n) * h(m, n - 1)
-    return lhs - rhs
-
-
-def hh_shift_3(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = ctx.qpow(m) * h(m, n).dilate_q(-1, 0)
+def hh_shift_diag(ctx, pt, var):
+    m, n, own, _, i, j = _unit(pt, var)
+    lhs = ctx.qpow(own) * _member(ctx, "hq", m, n).dilate_q(-i, -j)
     # printed factor q^{1-m-n} is absent in the GF-derived relation
-    rhs = h(m, n) + (1 - ctx.qpow(m)) * (1 - ctx.qpow(n)) * h(m - 1, n - 1)
+    rhs = (_member(ctx, "hq", m, n)
+           + (1 - ctx.qpow(m)) * (1 - ctx.qpow(n)) * _member(ctx, "hq", m - 1, n - 1))
     return lhs - rhs
 
 
-def hh_shift_4(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = ctx.qpow(n) * h(m, n).dilate_q(0, -1)
-    rhs = h(m, n) + (1 - ctx.qpow(m)) * (1 - ctx.qpow(n)) * h(m - 1, n - 1)
-    return lhs - rhs
-
-
-def hh_ttr_a(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = ctx.qpow(n) * _mono(ctx, 1, 0) * h(m, n)
-    rhs = h(m + 1, n) + (1 - ctx.qpow(n)) * h(m, n - 1)
-    return lhs - rhs
-
-
-def hh_ttr_b(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    lhs = ctx.qpow(m) * _mono(ctx, 0, 1) * h(m, n)
-    rhs = h(m, n + 1) + (1 - ctx.qpow(m)) * h(m - 1, n)
+def hh_ttr(ctx, pt, var):
+    m, n, _, other, i, j = _unit(pt, var)
+    lhs = ctx.qpow(other) * _mono(ctx, i, j) * _member(ctx, "hq", m, n)
+    rhs = (_member(ctx, "hq", m + i, n + j)
+           + (1 - ctx.qpow(other)) * _member(ctx, "hq", m - j, n - i))
     return lhs - rhs
 
 
 def _rod_step_h(ctx, P: BivarPoly, var: int) -> BivarPoly:
     """D_{q,z} on P / (-z1 z2;q)_inf with the weight divided out:
     [P - (1 + z1 z2) P(qz)] / ((1 - q) z)."""
+    i, j = _UNIT[var]
     one_plus = 1 + _mono(ctx, 1, 1)
-    shifted = P.dilate_q(1, 0) if var == 1 else P.dilate_q(0, 1)
-    num = P - one_plus * shifted
-    num = num.div_monomial(1, 0) if var == 1 else num.div_monomial(0, 1)
-    return num * (1 / (1 - ctx.q))
+    num = P - one_plus * P.dilate_q(i, j)
+    return num.div_monomial(i, j) * (1 / (1 - ctx.q))
 
 
 def hh_rod(ctx, pt):
     m, n = pt["m"], pt["n"]
-    P = _mono(ctx, 0, 0)
-    for _ in range(n):
-        P = _rod_step_h(ctx, P, 1)
-    for _ in range(m):
-        P = _rod_step_h(ctx, P, 2)
+    P = _rodrigues(ctx, _rod_step_h, m, n)
     rhs = (ctx.q - 1) ** (m + n) * P
     return coeffs(ctx, "hq", m, n) - rhs
 
@@ -262,36 +220,23 @@ def hh_oprep(ctx, pt):
     return coeffs(ctx, "hq", m, n) - ctx.qpow(m * n) * total
 
 
-def hh_lower_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    # printed eigencoefficient corrected: lowering in z1 carries q^{n-m+1}
-    fac = (1 - ctx.qpow(m)) / (1 - ctx.q) * ctx.qpow(n - m + 1)
-    return coeffs(ctx, "hq", m, n).dq_inv(1) - fac * h(m - 1, n)
+def hh_lower(ctx, pt, var):
+    m, n, own, other, i, j = _unit(pt, var)
+    # printed eigencoefficient corrected: lowering in z1 carries q^{n-m+1},
+    # lowering in z2 q^{m-n+1}
+    fac = (1 - ctx.qpow(own)) / (1 - ctx.q) * ctx.qpow(other - own + 1)
+    return _member(ctx, "hq", m, n).dq_inv(var) - fac * _member(ctx, "hq", m - i, n - j)
 
 
-def hh_lower_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = lambda a, b: _zero_if_neg(ctx, lambda x, y: coeffs(ctx, "hq", x, y), a, b)
-    fac = (1 - ctx.qpow(n)) / (1 - ctx.q) * ctx.qpow(m - n + 1)
-    return coeffs(ctx, "hq", m, n).dq_inv(2) - fac * h(m, n - 1)
-
-
-def hh_raise_1(ctx, pt):
+def hh_raise(ctx, pt, var):
     # h_{m+1,n} = (q-1)(-z1z2;q)inf D_{q,z2}( h_{m,n} / (-z1z2;q)inf ); the
     # printed statement pairs D_{q,z1} with m+1, but the z2-derivative is the
-    # one that raises m (consistent with the Rodrigues formula).
-    m, n = pt["m"], pt["n"]
+    # one that raises m (consistent with the Rodrigues formula), and the
+    # z1-derivative raises n.
+    m, n, _, _, i, j = _unit(pt, var)
     h = coeffs(ctx, "hq", m, n)
-    rhs = (ctx.q - 1) * _rod_step_h(ctx, h, 2)
-    return coeffs(ctx, "hq", m + 1, n) - rhs
-
-
-def hh_raise_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = coeffs(ctx, "hq", m, n)
-    rhs = (ctx.q - 1) * _rod_step_h(ctx, h, 1)
-    return coeffs(ctx, "hq", m, n + 1) - rhs
+    rhs = (ctx.q - 1) * _rod_step_h(ctx, h, 3 - var)
+    return coeffs(ctx, "hq", m + i, n + j) - rhs
 
 
 def hh_mult(ctx, pt):
@@ -309,26 +254,18 @@ def hh_mult(ctx, pt):
     return lhs - rhs
 
 
-def hh_sl_1(ctx, pt):
-    """q-Sturm-Liouville eigen-equation, mixed-variable form:
+def hh_sl(ctx, pt, var):
+    """q-Sturm-Liouville eigen-equation, mixed-variable form (z1 form; the
+    z2 form swaps (m, z1) and (n, z2)):
 
     -(1/w) D_{q,z2}( w D_{1/q,z1} h_{m,n} ) = (1-q^m)/(1-q)^2 q^{n-m+1} h_{m,n},
     w(x) = 1/(-x;q)_inf.  The printed same-variable form with eigenvalue
     q^{1-m}(1-q^m)/(1-q)^2 maps h_{m,n} to h_{m-1,n+1} instead (ledger)."""
-    m, n = pt["m"], pt["n"]
+    m, n, own, other, _, _ = _unit(pt, var)
     h = coeffs(ctx, "hq", m, n)
-    g = h.dq_inv(1)
-    lhs = -1 * _rod_step_h(ctx, g, 2)
-    rhs = (1 - ctx.qpow(m)) / (1 - ctx.q) ** 2 * ctx.qpow(n - m + 1) * h
-    return lhs - rhs
-
-
-def hh_sl_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    h = coeffs(ctx, "hq", m, n)
-    g = h.dq_inv(2)
-    lhs = -1 * _rod_step_h(ctx, g, 1)
-    rhs = (1 - ctx.qpow(n)) / (1 - ctx.q) ** 2 * ctx.qpow(m - n + 1) * h
+    g = h.dq_inv(var)
+    lhs = -1 * _rod_step_h(ctx, g, 3 - var)
+    rhs = (1 - ctx.qpow(own)) / (1 - ctx.q) ** 2 * ctx.qpow(other - own + 1) * h
     return lhs - rhs
 
 
@@ -410,10 +347,7 @@ def conn_hH(ctx, pt):
 # ---------------------------------------------------------------------------
 
 def _p(ctx, pt, m, n, b=None):
-    b = pt.get("b", F(1, 3)) if b is None else b
-    if m < 0 or n < 0:
-        return BivarPoly(ctx, {})
-    return coeffs(ctx, "pq", m, n, b=b)
+    return _member(ctx, "pq", m, n, pt.get("b", F(1, 3)) if b is None else b)
 
 
 def p_conn_bc(ctx, pt):
@@ -446,25 +380,16 @@ def p_conn_H(ctx, pt):
     return out
 
 
-def p_fwd_1(ctx, pt):
-    m, n = pt["m"], pt["n"]
+def p_fwd(ctx, pt, var):
+    m, n, own, _, i, j = _unit(pt, var)
     b = pt.get("b", F(1, 3))
-    lhs = _p(ctx, pt, m, n).dq(1)
-    rhs = ((1 - ctx.scalar(b) * ctx.q) / (1 - ctx.q) * (1 - ctx.qpow(m))
-           * _p(ctx, pt, m - 1, n, b=Fraction(b) * ctx.q_fraction))
+    lhs = _p(ctx, pt, m, n).dq(var)
+    rhs = ((1 - ctx.scalar(b) * ctx.q) / (1 - ctx.q) * (1 - ctx.qpow(own))
+           * _p(ctx, pt, m - i, n - j, b=Fraction(b) * ctx.q_fraction))
     return lhs - rhs
 
 
-def p_fwd_2(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    b = pt.get("b", F(1, 3))
-    lhs = _p(ctx, pt, m, n).dq(2)
-    rhs = ((1 - ctx.scalar(b) * ctx.q) / (1 - ctx.q) * (1 - ctx.qpow(n))
-           * _p(ctx, pt, m, n - 1, b=Fraction(b) * ctx.q_fraction))
-    return lhs - rhs
-
-
-def _p_bwd(ctx, pt, var: int):
+def p_bwd(ctx, pt, var: int):
     """Backward shift, cleared of the weight ratio (q z1 z2;q)inf/(b q z1 z2;q)inf:
 
     [(1 - b z1 z2) p_{m,n}(.;b) - (1 - z1 z2) p_{m,n}(z/q ;b)] / (z (1 - 1/q))
@@ -474,93 +399,45 @@ def _p_bwd(ctx, pt, var: int):
     absent in the printed statement; it was identified by exact coefficient
     comparison and verified for all m, n <= 8 (ledger).
     """
-    m, n = pt["m"], pt["n"]
+    m, n, own, _, i, j = _unit(pt, var)
     b = Fraction(pt.get("b", F(1, 3)))
+    bs = ctx.scalar(b)
     P = _p(ctx, pt, m, n)
     zz = _mono(ctx, 1, 1)
-    shifted = P.dilate_q(-1, 0) if var == 1 else P.dilate_q(0, -1)
-    num = (1 - ctx.scalar(b) * zz) * P - (1 - zz) * shifted
-    num = num.div_monomial(1, 0) if var == 1 else num.div_monomial(0, 1)
-    lhs = num * (1 / (1 - 1 / ctx.q))
-    bs = ctx.scalar(b)
-    if var == 1:
-        fac = (1 - bs * ctx.qpow(m)) / ((1 - bs) * ctx.qpow(m - 1) * (ctx.q - 1))
-        rhs = _p(ctx, pt, m, n + 1, b=b / ctx.q_fraction) * fac
-    else:
-        fac = (1 - bs * ctx.qpow(n)) / ((1 - bs) * ctx.qpow(n - 1) * (ctx.q - 1))
-        rhs = _p(ctx, pt, m + 1, n, b=b / ctx.q_fraction) * fac
+    num = (1 - bs * zz) * P - (1 - zz) * P.dilate_q(-i, -j)
+    lhs = num.div_monomial(i, j) * (1 / (1 - 1 / ctx.q))
+    fac = (1 - bs * ctx.qpow(own)) / ((1 - bs) * ctx.qpow(own - 1) * (ctx.q - 1))
+    rhs = _p(ctx, pt, m + j, n + i, b=b / ctx.q_fraction) * fac
     return lhs - rhs
 
 
-def p_bwd_1(ctx, pt):
-    return _p_bwd(ctx, pt, 1)
-
-
-def p_bwd_2(ctx, pt):
-    return _p_bwd(ctx, pt, 2)
-
-
-def p_prop_17a(ctx, pt):
-    m, n = pt["m"], pt["n"]
+def p_prop_17(ctx, pt, var, same):
+    """p_{m,n}(q z_var) against p_{m-1,n-1} dilated in z_var (same) or in
+    the other variable; the factor b q^e carries e = m+n-1 for the same
+    variable and e = 2 own - 1 otherwise."""
+    # printed RHS of 17b misses the q^m on p_{m,n}, corrected from the
+    # phi-contiguous relation; printed factor b q^{m+n} of 17d corrected to
+    # b q^{m+n-1} (mirror of 17a)
+    m, n, own, _, i, j = _unit(pt, var)
     b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
     fac = (1 - ctx.qpow(m)) * (1 - ctx.qpow(n))
-    lhs = p(m, n).dilate_q(1, 0) - b * ctx.qpow(m + n - 1) * fac * p(m - 1, n - 1).dilate_q(1, 0)
-    rhs = ctx.qpow(m) * p(m, n) - ctx.qpow(m - 1) * fac * p(m - 1, n - 1)
+    e, low = (m + n - 1, (i, j)) if same else (2 * own - 1, (j, i))
+    lhs = (_p(ctx, pt, m, n).dilate_q(i, j)
+           - b * ctx.qpow(e) * fac * _p(ctx, pt, m - 1, n - 1).dilate_q(*low))
+    rhs = ctx.qpow(own) * _p(ctx, pt, m, n) - ctx.qpow(own - 1) * fac * _p(ctx, pt, m - 1, n - 1)
     return lhs - rhs
 
 
-def p_prop_17b(ctx, pt):
-    # printed RHS misses the q^m on p_{m,n}; corrected from the phi-contiguous relation
+def p_prop_18(ctx, pt, var):
+    """p_{m,n}(q z1) against p_{m-1,n} dilated in z_var."""
     m, n = pt["m"], pt["n"]
     b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
-    fac = (1 - ctx.qpow(m)) * (1 - ctx.qpow(n))
-    lhs = p(m, n).dilate_q(1, 0) - b * ctx.qpow(2 * m - 1) * fac * p(m - 1, n - 1).dilate_q(0, 1)
-    rhs = ctx.qpow(m) * p(m, n) - ctx.qpow(m - 1) * fac * p(m - 1, n - 1)
-    return lhs - rhs
-
-
-def p_prop_17c(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
-    fac = (1 - ctx.qpow(m)) * (1 - ctx.qpow(n))
-    lhs = p(m, n).dilate_q(0, 1) - b * ctx.qpow(2 * n - 1) * fac * p(m - 1, n - 1).dilate_q(1, 0)
-    rhs = ctx.qpow(n) * p(m, n) - ctx.qpow(n - 1) * fac * p(m - 1, n - 1)
-    return lhs - rhs
-
-
-def p_prop_17d(ctx, pt):
-    # printed factor b q^{m+n} corrected to b q^{m+n-1} (mirror of 17a)
-    m, n = pt["m"], pt["n"]
-    b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
-    fac = (1 - ctx.qpow(m)) * (1 - ctx.qpow(n))
-    lhs = p(m, n).dilate_q(0, 1) - b * ctx.qpow(m + n - 1) * fac * p(m - 1, n - 1).dilate_q(0, 1)
-    rhs = ctx.qpow(n) * p(m, n) - ctx.qpow(n - 1) * fac * p(m - 1, n - 1)
-    return lhs - rhs
-
-
-def p_prop_18a(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
     z1 = _mono(ctx, 1, 0)
     fac = 1 - ctx.qpow(m)
-    lhs = p(m, n).dilate_q(1, 0) - b * ctx.qpow(n + 1) * z1 * fac * p(m - 1, n).dilate_q(1, 0)
-    rhs = p(m, n) - z1 * fac * p(m - 1, n)
-    return lhs - rhs
-
-
-def p_prop_18b(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    b = ctx.scalar(pt.get("b", F(1, 3)))
-    p = lambda a, c: _p(ctx, pt, a, c)
-    z1 = _mono(ctx, 1, 0)
-    fac = 1 - ctx.qpow(m)
-    lhs = p(m, n).dilate_q(1, 0) - b * ctx.qpow(m) * z1 * fac * p(m - 1, n).dilate_q(0, 1)
-    rhs = p(m, n) - z1 * fac * p(m - 1, n)
+    e = n + 1 if var == 1 else m
+    lhs = (_p(ctx, pt, m, n).dilate_q(1, 0)
+           - b * ctx.qpow(e) * z1 * fac * _p(ctx, pt, m - 1, n).dilate_q(*_UNIT[var]))
+    rhs = _p(ctx, pt, m, n) - z1 * fac * _p(ctx, pt, m - 1, n)
     return lhs - rhs
 
 

@@ -399,8 +399,10 @@ def num_cor20_i2(ctx, pt, trunc):
 
 # --- Ramanujan-type generating functions -----------------------------------
 
-def num_ram_gen_H(ctx, pt, trunc):
-    """eq:ramHgen1 with q = exp(-2k^2)."""
+def _ram_H(ctx, pt, trunc, radial=False):
+    """eq:ramHgen1 with q = exp(-2k^2): (residual, tail) of the closed form
+    against the H-series, whose values come from the recurrences or, when
+    radial is set, from the Wall reductions."""
     q = ctx.q
     s = ctx.q_half_pow(1)
     kpar = mpmath.sqrt(-mpmath.log(q) / 2)
@@ -412,15 +414,21 @@ def num_ram_gen_H(ctx, pt, trunc):
     lhs = (qpoch_inf(ctx, ctx.q, trunc)[0]
            * qpoch_inf(ctx, -a * q * x, trunc)[0] * qpoch_inf(ctx, -b * q / x, trunc)[0]
            / qpoch_inf(ctx, a * b * q, trunc)[0])
-    cap = 64
-    Ht = FamilyTable(ctx, "Hq", a, b)
-    rhs, tail = sum2d(ctx, lambda s_, t_: Ht[s_, t_] * s ** ((s_ - t_) ** 2)
+    tab = _family_values(ctx, "Hq", a, b, radial)
+    rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
                       * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
-                      cap=cap, tol=1e-30)
-    return ctx.mag(lhs - rhs), tail + 1e-28, {}
+                      cap=64, tol=1e-30)
+    return ctx.mag(lhs - rhs), tail
+
+
+def num_ram_gen_H(ctx, pt, trunc):
+    """eq:ramHgen1 with q = exp(-2k^2)."""
+    r, tail = _ram_H(ctx, pt, trunc)
+    return r, tail + 1e-28, {}
 
 
 def _ram_genh_rhs(ctx, pt, trunc, radial=False):
+    """The h-series of eq:ramhgen1 and its parameters: (value, tail, a, b, x)."""
     q = ctx.q
     s = ctx.q_half_pow(1)
     kpar = mpmath.sqrt(-mpmath.log(q) / 2)
@@ -431,26 +439,31 @@ def _ram_genh_rhs(ctx, pt, trunc, radial=False):
     tab = _family_values(ctx, "hq", a, b, radial)
     val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * (s * x) ** s_ * (s / x) ** t_
                       / (ctx.qq(s_) * ctx.qq(t_)), cap=cap, tol=1e-30)
-    return val, tail, a, b, x, kpar
+    return val, tail, a, b, x
+
+
+def _ram_genh_derived(ctx, a, b, x, trunc):
+    """The derived closed form of eq:ramhgen1,
+    (q a b;q)inf / ((-q, a q^{1/2} x, b q^{1/2}/x;q)inf)."""
+    q = ctx.q
+    s = ctx.q_half_pow(1)
+    return (qpoch_inf(ctx, q * a * b, trunc)[0]
+            / (qpoch_inf(ctx, -q, trunc)[0]
+               * qpoch_inf(ctx, a * s * x, trunc)[0]
+               * qpoch_inf(ctx, b * s / x, trunc)[0]))
 
 
 def num_ram_gen_h(ctx, pt, trunc):
     """eq:ramhgen1: the printed left side (comma reading) is checked literally
     and the re-derived left side is reported alongside (see note)."""
-    q = ctx.q
-    s = ctx.q_half_pow(1)
-    rhs, tail, a, b, x, kpar = _ram_genh_rhs(ctx, pt, trunc)
+    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt, trunc)
     x2 = x * x
     lhs_printed = (qpoch_inf(ctx, a * b, trunc)[0]
                    / (qpoch_inf(ctx, -a * b, trunc)[0]
                       * qpoch_inf(ctx, a * x2, trunc)[0]
                       * qpoch_inf(ctx, b / x2, trunc)[0]))
-    lhs_derived = (qpoch_inf(ctx, q * a * b, trunc)[0]
-                   / (qpoch_inf(ctx, -q, trunc)[0]
-                      * qpoch_inf(ctx, a * s * x, trunc)[0]
-                      * qpoch_inf(ctx, b * s / x, trunc)[0]))
     r_printed = ctx.mag(lhs_printed - rhs)
-    r_derived = ctx.mag(lhs_derived - rhs)
+    r_derived = ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs)
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-10 + tail)}
     return r_printed, tail + 1e-26, info
@@ -463,17 +476,17 @@ def num_ram_gen_h_alt(ctx, pt, trunc):
       sum h_{s,t}(a,b) u^s v^t / ((q;q)_s (q;q)_t)
         = (q a b;q)inf / ((-q, a q^{1/2} e^{mk}, b q^{1/2} e^{-mk};q)inf).
     """
-    q = ctx.q
-    s = ctx.q_half_pow(1)
-    rhs, tail, a, b, x, kpar = _ram_genh_rhs(ctx, pt, trunc)
-    lhs = (qpoch_inf(ctx, q * a * b, trunc)[0]
-           / (qpoch_inf(ctx, -q, trunc)[0]
-              * qpoch_inf(ctx, a * s * x, trunc)[0]
-              * qpoch_inf(ctx, b * s / x, trunc)[0]))
-    return ctx.mag(lhs - rhs), tail + 1e-26, {}
+    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt, trunc)
+    return ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs), tail + 1e-26, {}
 
 
-def _ram_genC_rhs(ctx, apar, bpar, cpar, radial=False):
+def _ram_genC_params(pt):
+    return pt.get("apar", 0.7), pt.get("bpar", 0.9), pt.get("cpar", 0.45)
+
+
+def _ram_genC_rhs(ctx, pt, radial=False):
+    """The h-series of eq:ramhgen2, summed along paired diagonals (Abel-type)."""
+    apar, bpar, cpar = _ram_genC_params(pt)
     qa, qb = ctx.q ** apar, ctx.q ** bpar
     cap = 140
     hv = _family_values(ctx, "hq", qa, qb, radial)
@@ -484,41 +497,32 @@ def _ram_genC_rhs(ctx, apar, bpar, cpar, radial=False):
     return paired_diagonal_sum(ctx, term, dmax=90, nmax=cap, tol=1e-27)
 
 
+def _ram_genC_closed(ctx, pt, trunc, printed=False):
+    """The closed form of eq:ramhgen2: the printed one carries
+    (-q^{a+b};q)inf, the derived one (-1;q)inf in its place."""
+    apar, bpar, cpar = _ram_genC_params(pt)
+    qab = ctx.q ** (apar + bpar)
+    return (qpoch_inf(ctx, qab, trunc)[0]
+            / (qpoch_inf(ctx, -qab if printed else ctx.scalar(-1), trunc)[0]
+               * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
+               * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
+
+
 def num_ram_gen_C(ctx, pt, trunc):
     """eq:ramhgen2: printed closed form checked literally; the re-derived form
     replaces (-q^{a+b};q)inf by (-1;q)inf (see note).  The double series is
-    Abel-type (diagonal pairing)."""
-    apar = pt.get("apar", 0.7)
-    bpar = pt.get("bpar", 0.9)
-    cpar = pt.get("cpar", 0.45)
-    rhs, tail = _ram_genC_rhs(ctx, apar, bpar, cpar)
-    qab = ctx.q ** (apar + bpar)
-    lhs_printed = (qpoch_inf(ctx, qab, trunc)[0]
-                   / (qpoch_inf(ctx, -qab, trunc)[0]
-                      * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
-                      * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
-    lhs_derived = (qpoch_inf(ctx, qab, trunc)[0]
-                   / (qpoch_inf(ctx, ctx.scalar(-1), trunc)[0]
-                      * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
-                      * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
-    r_printed = ctx.mag(lhs_printed - rhs)
-    r_derived = ctx.mag(lhs_derived - rhs)
+    Abel-type (diagonal pairing) and is summed once for both forms."""
+    rhs, tail = _ram_genC_rhs(ctx, pt)
+    r_printed = ctx.mag(_ram_genC_closed(ctx, pt, trunc, printed=True) - rhs)
+    r_derived = ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs)
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-8 + tail)}
     return r_printed, tail + 1e-24, info
 
 
 def num_ram_gen_C_alt(ctx, pt, trunc):
-    apar = pt.get("apar", 0.7)
-    bpar = pt.get("bpar", 0.9)
-    cpar = pt.get("cpar", 0.45)
-    rhs, tail = _ram_genC_rhs(ctx, apar, bpar, cpar)
-    qab = ctx.q ** (apar + bpar)
-    lhs = (qpoch_inf(ctx, qab, trunc)[0]
-           / (qpoch_inf(ctx, ctx.scalar(-1), trunc)[0]
-              * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
-              * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
-    return ctx.mag(lhs - rhs), tail + 1e-24, {}
+    rhs, tail = _ram_genC_rhs(ctx, pt)
+    return ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs), tail + 1e-24, {}
 
 
 def num_ram_gen_lag(ctx, pt, trunc):
@@ -527,37 +531,13 @@ def num_ram_gen_lag(ctx, pt, trunc):
     compared against the same closed forms (derived variants where the
     printed ones fail)."""
     # (1) first-family version of eq:ramHgen2 via Wall reduction
-    q = ctx.q
-    s = ctx.q_half_pow(1)
-    kpar = mpmath.sqrt(-mpmath.log(q) / 2)
-    mm = ctx.scalar(pt.get("mpar", F(1, 3)))
-    a, b = ctx.scalar(pt.get("a", F(1, 4))), ctx.scalar(pt.get("b", F(1, 5)))
-    x = mpmath.exp(2j * mm * kpar)
-    lhs1 = (qpoch_inf(ctx, ctx.q, trunc)[0]
-            * qpoch_inf(ctx, -a * q * x, trunc)[0] * qpoch_inf(ctx, -b * q / x, trunc)[0]
-            / qpoch_inf(ctx, a * b * q, trunc)[0])
-    cap = 64
-    tab = _family_values(ctx, "Hq", a, b, radial=True)
-    rhs1, tail1 = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
-                        * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
-                        cap=cap, tol=1e-30)
-    r1 = ctx.mag(lhs1 - rhs1)
+    r1, tail1 = _ram_H(ctx, pt, trunc, radial=True)
     # (2) q-Laguerre version of the derived eq:ramhgen1
-    rhs2, tail2, a2, b2, x2_, _ = _ram_genh_rhs(ctx, pt, trunc, radial=True)
-    lhs2 = (qpoch_inf(ctx, q * a2 * b2, trunc)[0]
-            / (qpoch_inf(ctx, -q, trunc)[0]
-               * qpoch_inf(ctx, a2 * s * x2_, trunc)[0]
-               * qpoch_inf(ctx, b2 * s / x2_, trunc)[0]))
-    r2 = ctx.mag(lhs2 - rhs2)
+    rhs2, tail2, a, b, x = _ram_genh_rhs(ctx, pt, trunc, radial=True)
+    r2 = ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs2)
     # (3) q-Laguerre version of the derived eq:ramhgen2
-    apar, bpar, cpar = pt.get("apar", 0.7), pt.get("bpar", 0.9), pt.get("cpar", 0.45)
-    rhs3, tail3 = _ram_genC_rhs(ctx, apar, bpar, cpar, radial=True)
-    qab = ctx.q ** (apar + bpar)
-    lhs3 = (qpoch_inf(ctx, qab, trunc)[0]
-            / (qpoch_inf(ctx, ctx.scalar(-1), trunc)[0]
-               * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
-               * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
-    r3 = ctx.mag(lhs3 - rhs3)
+    rhs3, tail3 = _ram_genC_rhs(ctx, pt, radial=True)
+    r3 = ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs3)
     return max(r1, r2, r3), tail1 + tail2 + tail3 + 1e-24, {
         "wall_residual": float(r1), "laguerre_residual": float(r2),
         "laguerre_c_residual": float(r3)}

@@ -279,6 +279,27 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
 # q-beta integral checks
 # ---------------------------------------------------------------------------
 
+def _euler_4fold(ctx, cap, weight, moment, u1, v1, v2, u2):
+    """sum w(u1,a) w(v1,b) w(v2,c) w(u2,d) M_{(a+b+c+d)/2} over a, b, c,
+    d < cap: the 4-fold Euler expansion of a q-beta integrand with the
+    angular delta a + c = b + d resolved.  ``weight(x, r)`` is the Euler
+    weight, ``moment(N)`` the radial moment as (value, error).  Returns
+    (total, tail), the tail summing each moment's error times its weight."""
+    total = ctx.zero()
+    tail = 0.0
+    for a_ in range(cap):
+        for c_ in range(cap):
+            for b_ in range(cap):
+                d_ = a_ + c_ - b_
+                if d_ < 0 or d_ >= cap:
+                    continue
+                mv, mt = moment((a_ + b_ + c_ + d_) // 2)
+                w = weight(u1, a_) * weight(v1, b_) * weight(v2, c_) * weight(u2, d_)
+                total = total + w * mv
+                tail += ctx.mag(w) * mt
+    return total, tail
+
+
 def qbeta_check(ctx: QContext, kind: str, params: Dict,
                 trunc: Optional[TruncationPolicy] = None) -> VerificationReport:
     """H_beta: int dmu / ((u1 z, v1 zbar, v2 z, u2 zbar;q)inf) against its
@@ -306,53 +327,21 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict,
         def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
             return x**r / ctx.qq(r)
 
-        total = ctx.zero()
-        tail = 0.0
-        for a_ in range(cap):
-            for c_ in range(cap):
-                for b_ in range(cap):
-                    d_ = a_ + c_ - b_
-                    if d_ < 0 or d_ >= cap:
-                        continue
-                    N = (a_ + b_ + c_ + d_) // 2
-                    mv, mt = radial(N)
-                    term = (coefw(u1, a_) * coefw(v1, b_) * coefw(v2, c_)
-                            * coefw(u2, d_) * mv)
-                    total = total + term
-                    tail += ctx.mag(term) * 0 + mt * ctx.mag(
-                        coefw(u1, a_) * coefw(v1, b_) * coefw(v2, c_) * coefw(u2, d_))
-        lhs = total
+        lhs, tail = _euler_4fold(ctx, cap, coefw, radial, u1, v1, v2, u2)
         rhs = (qpoch_inf(ctx, u1 * u2 * v1 * v2, trunc)[0]
                / (qpoch_inf(ctx, ctx.q, trunc)[0]
                   * qpoch_inf(ctx, u1 * u2, trunc)[0]
                   * qpoch_inf(ctx, v1 * v2, trunc)[0]
                   * qpoch_inf(ctx, u1 * v1, trunc)[0]
                   * qpoch_inf(ctx, u2 * v2, trunc)[0]))
-        rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
-        tail += 20.0 * float(rho) ** cap / (1 - float(rho))
     elif kind == "h_beta":
         s = ctx.q_half_pow(1)
         moms = h_radial_moments_batch(ctx, 2 * cap)
 
-        def radialh(N):
-            return moms[N]
-
         def coefw2(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
             return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
 
-        total = ctx.zero()
-        tail = 0.0
-        for a_ in range(cap):
-            for c_ in range(cap):
-                for b_ in range(cap):
-                    d_ = a_ + c_ - b_
-                    if d_ < 0 or d_ >= cap:
-                        continue
-                    N = (a_ + b_ + c_ + d_) // 2
-                    mv, mt = radialh(N)
-                    w = coefw2(u1, a_) * coefw2(v1, b_) * coefw2(v2, c_) * coefw2(u2, d_)
-                    total = total + w * mv
-                    tail += ctx.mag(w) * mt
+        total, tail = _euler_4fold(ctx, cap, coefw2, lambda N: moms[N], u1, v1, v2, u2)
         lhs = total * mp.pi
         tail *= float(mp.pi)
         # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
@@ -361,10 +350,10 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict,
                * qpoch_inf(ctx, -u1 * v1, trunc)[0] * qpoch_inf(ctx, -u2 * v2, trunc)[0]
                * qpoch_inf(ctx, -u1 * u2, trunc)[0] * qpoch_inf(ctx, -v1 * v2, trunc)[0]
                / qpoch_inf(ctx, u1 * u2 * v1 * v2 / ctx.q, trunc)[0])
-        rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
-        tail += 20.0 * float(rho) ** cap / (1 - float(rho))
     else:
         raise ValueError(kind)
+    rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
+    tail += 20.0 * float(rho) ** cap / (1 - float(rho))
     resid = ctx.mag(lhs - rhs)
     passed = resid <= tol + tail
     return VerificationReport(
@@ -637,13 +626,13 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z,
         closed = (ctx.qpow(j * (j - 1) // 2) * ctx.qq(j) / az2**j) if j == k else ctx.zero()
     else:
         closed = (ctx.qq(j) / az2**j) if j == k else ctx.zero()
-    resid = ctx.mag(total - closed)
+    diff = total - closed
     # the printed closed forms, for the report (float value)
     qf = float(ctx.q_fraction)
     if j != k:
         printed = 0.0
     elif kind == "do7":
-        printed = (math.log(1 / qf) * float(ctx.qq(j) * 1.0 if not ctx.is_exact else float(ctx.qq(j)))
+        printed = (math.log(1 / qf) * float(ctx.qq(j))
                    / (qf ** ((j + 1) * j // 2) * float(az2) ** j))
     else:
         qq_inf_j = 1.0
@@ -652,11 +641,17 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z,
         printed = 1 / (qq_inf_j * float(az2) ** j)
     resid_printed = abs(complex(float(mpmath.re(total)) if not ctx.is_exact else float(total.re if hasattr(total, "re") else total),
                                 0) - printed)
-    passed = (resid == 0.0) if ctx.is_exact else (resid <= 1e-8)
+    if ctx.is_exact:
+        # decided exactly: a residual below a double's range must still fail
+        passed = is_zero(diff)
+        residual = "0" if passed else scalar_str(diff)
+    else:
+        resid = ctx.mag(diff)
+        passed = resid <= 1e-8
+        residual = repr(float(resid))
     return VerificationReport(
         id=f"ORTHOSEQ-{kind}", mode="EXACT-POLY" if ctx.is_exact else "NUMERIC-SERIES",
         grid={"j": j, "k": k, "z": scalar_str(z)},
-        residual=("0" if (ctx.is_exact and resid == 0.0) else repr(float(resid))),
-        tail_bound=0.0, passed=bool(passed),
+        residual=residual, tail_bound=0.0, passed=bool(passed),
         note="consistent closed form (printed forms mix normalizations; ledger)",
         extra={"printed_form_residual": float(resid_printed)})

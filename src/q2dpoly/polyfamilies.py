@@ -60,7 +60,7 @@ class BivarPoly:
         self.coeffs: Dict[Key, object] = {}
         if coeffs:
             for k, c in coeffs.items():
-                if not (is_zero(c) if ctx.is_exact else c == 0):
+                if not is_zero(c):
                     self.coeffs[k] = c
         self.meta = meta or {}
 
@@ -127,11 +127,6 @@ class BivarPoly:
         """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents)."""
         return self.dilate(self.ctx.qpow(e1), self.ctx.qpow(e2))
 
-    def mul_monomial(self, i0: int, j0: int, c=1) -> "BivarPoly":
-        return BivarPoly(
-            self.ctx, {(i + i0, j + j0): c * cc for (i, j), cc in self.coeffs.items()}
-        )
-
     def div_monomial(self, i0: int, j0: int) -> "BivarPoly":
         """Exact division by z1^i0 z2^j0; raises if not divisible."""
         out = {}
@@ -143,26 +138,20 @@ class BivarPoly:
 
     def dq(self, var: int) -> "BivarPoly":
         """Forward q-derivative D_q in variable var (1 or 2), exact on coefficients."""
-        q = self.ctx.q
+        return self._dq_base(var, self.ctx.q)
+
+    def dq_inv(self, var: int) -> "BivarPoly":
+        """Inverse-base q-derivative D_{1/q}."""
+        return self._dq_base(var, 1 / self.ctx.q)
+
+    def _dq_base(self, var: int, q) -> "BivarPoly":
+        """D_q in variable var in the base q."""
         out: Dict[Key, object] = {}
         for (i, j), c in self.coeffs.items():
             d = i if var == 1 else j
             if d == 0:
                 continue
             fac = (1 - q**d) / (1 - q)
-            k = (i - 1, j) if var == 1 else (i, j - 1)
-            out[k] = out.get(k, self.ctx.zero()) + c * fac
-        return BivarPoly(self.ctx, out)
-
-    def dq_inv(self, var: int) -> "BivarPoly":
-        """Inverse-base q-derivative D_{1/q}."""
-        qi = 1 / self.ctx.q
-        out: Dict[Key, object] = {}
-        for (i, j), c in self.coeffs.items():
-            d = i if var == 1 else j
-            if d == 0:
-                continue
-            fac = (1 - qi**d) / (1 - qi)
             k = (i - 1, j) if var == 1 else (i, j - 1)
             out[k] = out.get(k, self.ctx.zero()) + c * fac
         return BivarPoly(self.ctx, out)
@@ -454,10 +443,6 @@ class RadialForm:
             key = (r + a, r) if not self.swapped else (r, r + a)
             out[key] = self.prefactor * c
         return BivarPoly(self.ctx, out)
-
-    def radial_poly_coeffs(self) -> List[object]:
-        """Coefficients (in x = r^2) of the full radial factor incl. prefactor."""
-        return [self.prefactor * c for c in self.radial_coeffs]
 
 
 def radial_reduce(ctx: QContext, family: str, m: int, n: int, b=None) -> RadialForm:

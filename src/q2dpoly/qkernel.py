@@ -72,7 +72,7 @@ def qpoch(ctx: QContext, a, n, trunc: Optional[TruncationPolicy] = None):
         return out
     m = -n
     inv = qpoch(ctx, ctx.q / a, m)
-    if is_zero(inv) if ctx.is_exact else inv == 0:
+    if is_zero(inv):
         raise ZeroDivisionError(f"(a;q)_{{{n}}} undefined: (q/a;q)_{m} vanishes")
     return (-ctx.q / a) ** m * ctx.qpow(m * (m - 1) // 2) / inv
 
@@ -170,7 +170,7 @@ def qop(ctx: QContext, f: Callable, z, mode: str = "Dq", order: int = 1):
         return out
     if mode not in ("Dq", "DqInverse"):
         raise ValueError(f"unknown qop mode {mode!r}")
-    if is_zero(z) if ctx.is_exact else z == 0:
+    if is_zero(z):
         raise ZeroDivisionError("Dq/DqInverse need z != 0")
     base = ctx.q if mode == "Dq" else 1 / ctx.q
     n = order
@@ -238,9 +238,9 @@ def qintegral(ctx: QContext, f: Callable, trunc: Optional[TruncationPolicy] = No
         return (1 - ctx.q) * total, tail
 
 
-    # ---------------------------------------------------------------------------
-    # basic hypergeometric series
-    # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# basic hypergeometric series
+# ---------------------------------------------------------------------------
 
 def _is_q_negative_power(ctx: QContext, a, limit: int = 4096) -> Optional[int]:
     """If a == q**-N exactly for some 0 <= N <= limit, return N."""
@@ -309,7 +309,7 @@ def phi_series(
             den_fac = 1 - ctx.qpow(n + 1)
             for b in dens:
                 f = 1 - b * ctx.qpow(n)
-                if (is_zero(f) if ctx.is_exact else f == 0):
+                if is_zero(f):
                     raise PoleError(f"denominator parameter {b!r} hits q**-{n}")
                 den_fac = den_fac * f
             ratio = num_fac * z / den_fac
@@ -328,9 +328,9 @@ def phi_series(
         return total
 
 
-    # ---------------------------------------------------------------------------
-    # special functions
-    # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
 
 def aq_function(ctx: QContext, z, trunc: Optional[TruncationPolicy] = None):
     """Ramanujan's entire function A_q(z) = sum q^{n^2} (-z)^n / (q;q)_n.

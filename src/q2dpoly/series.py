@@ -31,11 +31,8 @@ class TruncatedBiSeries:
         self.coeffs: Dict[Key, object] = {}
         if coeffs:
             for (i, j), c in coeffs.items():
-                if i + j <= order and not self._zero(c):
+                if i + j <= order and not is_zero(c):
                     self.coeffs[(i, j)] = c
-
-    def _zero(self, c) -> bool:
-        return is_zero(c) if self.ctx.is_exact else c == 0
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -110,7 +107,7 @@ class TruncatedBiSeries:
     def reciprocal(self) -> "TruncatedBiSeries":
         """1 / self for a unit series (nonzero constant term)."""
         c0 = self.coeffs.get((0, 0), self.ctx.zero())
-        if self._zero(c0):
+        if is_zero(c0):
             raise ZeroDivisionError("reciprocal of a non-unit series")
         inv0 = 1 / c0
         rest = TruncatedBiSeries(
@@ -183,7 +180,7 @@ class TruncatedBiSeries:
         for k in set(self.coeffs) | set(other.coeffs):
             if k[0] + k[1] > N:
                 continue
-            if not self._zero(self.coeff(*k) - other.coeff(*k)):
+            if not is_zero(self.coeff(*k) - other.coeff(*k)):
                 return False
         return True
 

@@ -23,7 +23,7 @@ from mpmath import mp
 
 from .context import QContext, TruncationPolicy
 from .polyfamilies import FamilyTable, radial_reduce
-from .qkernel import aq_function, qpoch_inf, theta4
+from .qkernel import aq_function, qpoch, qpoch_inf, theta4
 
 F = Fraction
 
@@ -304,15 +304,11 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
         elif target == "Hm_inf":
             n = int(pt.get("n", 0))
             val = _fam_value(ctx, "Hq", M, n, z1, z2)
-            from .qkernel import qpoch
-
             lim = z2**n * qpoch(ctx, 1 / (z1 * z2), n)
             ratio = val / z1**M / lim
         elif target == "Hn_inf":
             m = int(pt.get("m", 0))
             val = _fam_value(ctx, "Hq", m, M, z1, z2)
-            from .qkernel import qpoch
-
             lim = z1**m * qpoch(ctx, 1 / (z1 * z2), m)
             ratio = val / z2**M / lim
         elif target == "p_inf":

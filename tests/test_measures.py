@@ -208,3 +208,13 @@ def test_orthonormal_seq_exact_and_numeric(fctx2):
             assert rep.passed, (kind, j, k, rep.residual)
     rep = orthonormal_seq_check(fctx2, "do8", 2, 2, 1.5)
     assert rep.passed
+
+
+def test_orthonormal_seq_tiny_exact_residual_fails(monkeypatch):
+    # 1/10**400 is 0.0 as a float; the exact check must still fail on it
+    e_seq = measures._e_seq
+    monkeypatch.setattr(measures, "_e_seq",
+                        lambda ctx, j, l: e_seq(ctx, j, l) + F(1, 10**400))
+    rep = orthonormal_seq_check(QContext(F(1, 2)), "do7", 2, 2, F(3, 2))
+    assert not rep.passed
+    assert rep.residual != "0" and F(rep.residual) != 0
