@@ -171,7 +171,6 @@ def _family_values(ctx, family, z1, z2, radial=False):
 def num_gf_H_ab(ctx, pt, trunc):
     """eqHmnu+v with the statement's (a/u;q)_n index typo corrected to m:
     both sides evaluated at scalars."""
-    q = ctx.q
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     a, b = ctx.scalar(pt.get("a", F(1, 5))), ctx.scalar(pt.get("b", F(1, 6)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
@@ -188,14 +187,17 @@ def num_gf_H_ab(ctx, pt, trunc):
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
     den1, t1 = qpoch_inf(ctx, u * z1, trunc)
     den2, t2 = qpoch_inf(ctx, v * z2, trunc)
-    total = ctx.zero()
+    total, prod_tail = ctx.zero(), 0.0
     k = 0
     while True:
         az, ta = qpoch_inf(ctx, a * z1 * ctx.qpow(k), trunc)
         bz, tb = qpoch_inf(ctx, b * z2 * ctx.qpow(k), trunc)
-        term = ((-1) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
-                * upoch(u, a, k) * upoch(v, b, k) * az * bz)
+        coef = ((-1) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
+                * upoch(u, a, k) * upoch(v, b, k))
+        term = coef * az * bz
         total = total + term
+        # the truncated factors' error in az * bz: ta |bz| + tb |az| + ta tb
+        prod_tail += ctx.mag(coef) * (ta * ctx.mag(bz) + tb * ctx.mag(az) + ta * tb)
         if ctx.mag(term) < 1e-32 and k > 4:
             break
         k += 1
@@ -203,7 +205,7 @@ def num_gf_H_ab(ctx, pt, trunc):
             break
     rhs = total / (den1 * den2)
     resid = ctx.mag(lhs - rhs)
-    return resid, tail1 + t1 + t2 + 1e-28, {}
+    return resid, tail1 + t1 + t2 + prod_tail / ctx.mag(den1 * den2) + 1e-28, {}
 
 
 def num_gf_p(ctx, pt, trunc):

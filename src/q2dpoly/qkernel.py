@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-import mpmath
-
 from .context import QContext, TruncationPolicy, is_zero
 
 __all__ = [

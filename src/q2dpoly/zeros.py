@@ -2,13 +2,21 @@
 reports for all three families.
 
 All polynomials here factor as (angular monomial) x (radial polynomial in
-x = |z|^2), so the zero set in z consists of circles; the radial roots are
-isolated by a sign-change scan on a geometric grid (the roots of these
-q-polynomials spread over many octaves) and certified by bisection to a
-relative bracket width of 10^-precision.  Root finding deliberately avoids
-companion-matrix eigenvalues: the coefficients carry q^{k^2}-type scales and
-bisection with high-precision evaluation is robust where eigensolvers lose
-digits.
+x = |z|^2), so the zero set in z consists of circles.  The radial factor is a
+Wall, q-Laguerre or little q-Jacobi polynomial with exact rational
+coefficients, and its roots are real, positive and simple.  They are isolated
+on exact signs: the denominators are cleared once, and one integer Horner
+pass gives the exact sign of the polynomial at a dyadic point num/2^k.  A
+geometric grid of short dyadic points between power-of-two root bounds (the
+roots of these q-polynomials spread over many octaves) brackets every root,
+bisection on exact dyadics narrows each bracket to a relative width of at
+most 10^-precision, and a point where the sign is 0 is an exact root.
+`certified_width` is the relative width of the final exact brackets; mpf is
+used only to convert their midpoints and take square roots.  Root finding
+deliberately avoids companion-matrix eigenvalues: the coefficients carry
+q^{k^2}-type scales on which eigensolvers lose digits, while an exact sign
+cannot be wrong (Collins & Akritas, SYMSAC 1976).  The zeros of A_q are
+isolated the same way on its truncation, whose tail is bounded exactly.
 """
 
 from __future__ import annotations
@@ -27,19 +35,26 @@ from .qkernel import aq_function, qpoch, qpoch_inf, theta4
 
 F = Fraction
 
+_MANTISSA_BITS = 30  # of the scan points
+
 __all__ = ["ZeroSet", "LimitReport", "radial_zeros", "aq_zeros",
            "zero_limit_report", "asymptotic_report"]
 
 
 @dataclass
 class ZeroSet:
+    """Circle radii of one member, largest first.  Each r^2 lies in an exact
+    dyadic bracket whose endpoints have opposite exact signs of the radial
+    factor; certified_width is the largest relative width (b - a)/b of those
+    brackets, 0.0 when every root was hit exactly."""
+
     family: str
     m: int
     n: int
     params: Dict
     radii: List[mpmath.mpf]
     certified_width: float
-    method: str = "scan+bisect"
+    method: str = "exact-sign scan+bisect"
 
     def to_dict(self):
         return {
@@ -65,161 +80,198 @@ class LimitReport:
         return "\n".join(lines) + "\n"
 
 
-def _horner(coeffs_desc, x):
-    acc = coeffs_desc[0]
-    for c in coeffs_desc[1:]:
-        acc = acc * x + c
+def _integer_poly(coeffs):
+    """(desc, den): the rational polynomial (low-to-high `Fraction`
+    coefficients) times the common denominator den, as integers high-to-low."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in reversed(coeffs)], den
+
+
+def _horner(desc, num, k):
+    """2^{k deg} P(num / 2^k) for the integer polynomial P (high-to-low
+    coefficients): an exact integer with the sign of P at that dyadic point."""
+    acc = desc[0]
+    for i in range(1, len(desc)):
+        acc = acc * num + (desc[i] << (k * i))
     return acc
 
 
-def _poly_prec_bits(ctx, degree: int, precision: int) -> int:
-    # coefficient dynamic range ~ q^{deg^2}; leave generous headroom
-    return int(64 + 3.5 * precision + 1.3 * degree * degree * abs(math.log2(float(ctx.q_fraction))))
+def _sign(desc, x):
+    v = _horner(desc, *x)
+    return (v > 0) - (v < 0)
 
 
-def _find_roots(ctx, coeffs_low_to_high, count: int, precision: int,
-                bits: int, refine_top: Optional[int] = None) -> Tuple[List[mpmath.mpf], float]:
-    """All positive roots of the real polynomial (low-to-high coefficients),
-    expected `count` of them, by geometric sign-change scan plus bisection.
-    When refine_top = j, only the j largest roots are bisected to the full
-    relative width 10^-precision (the rest to 10^-8)."""
-    with mp.workprec(bits):
-        cs = [mpmath.mpf(c) if not hasattr(c, "to_mpc") else c.to_mpc().real
-              for c in coeffs_low_to_high]
-        top = cs[-1]
-        low = cs[0]
-        if top == 0 or low == 0:
-            raise ArithmeticError("radial polynomial degenerate (zero end coefficient)")
-        x_max = 1 + max(abs(c / top) for c in cs[:-1])
-        x_min = 1 / (1 + max(abs(c / low) for c in cs[1:]))
-        desc = list(reversed(cs))
+def _dyadic(t: float):
+    """A short dyadic (num, k), k >= 0, within 2^-30 (relative) of 2^t."""
+    e = math.floor(t)
+    num = round(2.0 ** (t - e + _MANTISSA_BITS))
+    k = _MANTISSA_BITS - e
+    if k < 0:
+        return num << -k, 0
+    shift = min((num & -num).bit_length() - 1, k)
+    return num >> shift, k - shift
 
-        def f(x):
-            return _horner(desc, x)
 
-        subdiv = 8
-        while True:
-            lo = mpmath.log(x_min) - 1
-            hi = mpmath.log(x_max) + 1
-            npts = int(subdiv * float(hi - lo) / abs(math.log(float(ctx.q_fraction)))) + 2
-            grid = [mpmath.exp(hi - (hi - lo) * i / npts) for i in range(npts + 1)]
-            signs = [mpmath.sign(f(x)) for x in grid]
-            brackets = [(grid[i + 1], grid[i]) for i in range(npts)
-                        if signs[i] != signs[i + 1] and signs[i] != 0 and signs[i + 1] != 0]
-            if len(brackets) >= count:
-                break
-            subdiv *= 2
-            if subdiv > 512:
-                raise ArithmeticError(
-                    f"found {len(brackets)} sign changes, expected {count}")
-        if len(brackets) != count:
+def _scan(desc, lo: float, hi: float, npts: int):
+    """Ascending (a, b, sign P(a)) brackets of the sign changes of P on the
+    dyadic points near 2^t, t = lo .. hi in npts steps; a point where P is
+    exactly 0 is a root and comes back as (x, x, 0)."""
+    pts = [_dyadic(lo + (hi - lo) * i / npts) for i in range(npts + 1)]
+    signs = [_sign(desc, x) for x in pts]
+    out = []
+    for i, (x, s) in enumerate(zip(pts, signs)):
+        if s == 0:
+            out.append((x, x, 0))
+        elif i < npts and s * signs[i + 1] < 0:
+            out.append((x, pts[i + 1], s))
+    return out
+
+
+def _bisect(desc, a, b, sa: int, digits: int):
+    """Bisect the bracket a < b of dyadics, P(a) of sign sa, on exact signs
+    until (b - a) 10^digits <= b.  Returns (A, B, K) with a = A/2^K and
+    b = B/2^K; A == B when a bisection point is an exact root."""
+    (A, ka), (B, kb) = a, b
+    K = max(ka, kb)
+    A, B = A << (K - ka), B << (K - kb)
+    if sa == 0:
+        return A, A, K
+    scale = 10 ** digits
+    while (B - A) * scale > B:
+        M, A, B, K = A + B, A << 1, B << 1, K + 1
+        s = _sign(desc, (M, K))
+        if s == 0:
+            return M, M, K
+        if s == sa:
+            A = M
+        else:
+            B = M
+    return A, B, K
+
+
+def _to_mpf(A, B, K):
+    """The bracket midpoint (A + B) / 2^{K+1} in the working precision."""
+    return mpmath.ldexp(mpmath.mpf(A + B), -(K + 1))
+
+
+def _root_log2(desc) -> int:
+    """e with |x| <= 2^e at every root x of the polynomial (high-to-low):
+    Fujiwara's bound 2 max_i |c_i / c_0|^{1/i}, its last term halved, taken
+    on bit lengths.  Unlike Cauchy's 1 + max_i |c_i / c_0| it follows the
+    q^{k^2} scales of these coefficients (Hq(40, 40) at q = 1/4: roots in
+    [2^-79, 1], Cauchy's range [2^-1563, 4], this one [2^-81, 4])."""
+    d, lead = len(desc) - 1, abs(desc[0]).bit_length()
+    return 1 + max(math.ceil((abs(c).bit_length() - lead + 1 - (i == d)) / i)
+                   for i, c in enumerate(desc[1:], 1))
+
+
+def _poly_prec_bits(precision: int) -> int:
+    # only the final midpoints and their square roots are taken in mpf
+    return int(64 + 3.5 * precision)
+
+
+def _find_roots(desc, count: int, precision: int, log2_q: float,
+                refine_top: Optional[int] = None) -> Tuple[List[Tuple[int, int, int]], float]:
+    """Exact brackets (A, B, K) of all positive roots of the integer
+    polynomial (high-to-low), expected `count` of them, largest first, and
+    the largest relative width of the deep brackets.  Each scan point's sign
+    is exact, so `count` sign changes on `count` = deg simple roots isolate
+    them all.  When refine_top = j, only the j largest roots are bisected to
+    the full relative width 10^-precision (the rest to 10^-8)."""
+    if desc[0] == 0 or desc[-1] == 0:
+        raise ArithmeticError("radial polynomial degenerate (zero end coefficient)")
+    hi, lo = _root_log2(desc), -_root_log2(desc[::-1])
+    subdiv = 8
+    while True:
+        npts = int(subdiv * (hi - lo) / log2_q) + 2
+        brackets = _scan(desc, lo, hi, npts)
+        if len(brackets) >= count:
+            break
+        subdiv *= 2
+        if subdiv > 512:
             raise ArithmeticError(
-                f"root count mismatch: {len(brackets)} brackets for {count} roots")
-        brackets.sort(key=lambda ab: -float(mpmath.log(ab[0])))
-        roots = []
-        width = 0.0
-        for idx, (a, b) in enumerate(brackets):
-            deep = refine_top is None or idx < refine_top
-            tol10 = mpmath.mpf(10) ** (-(precision if deep else min(precision, 8)))
-            fa = f(a)
-            while (b - a) > tol10 * b:
-                mid = (a + b) / 2
-                fm = f(mid)
-                if fm == 0:
-                    a = b = mid
-                    break
-                if mpmath.sign(fm) == mpmath.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append((a + b) / 2)
-            if deep:
-                width = max(width, float((b - a) / b) if b else 0.0)
-        roots.sort(reverse=True)
-        return roots, width
+                f"found {len(brackets)} sign changes, expected {count}")
+    if len(brackets) != count:
+        raise ArithmeticError(
+            f"root count mismatch: {len(brackets)} brackets for {count} roots")
+    roots = []
+    width = 0.0
+    for idx, (a, b, sa) in enumerate(reversed(brackets)):
+        deep = refine_top is None or idx < refine_top
+        A, B, K = _bisect(desc, a, b, sa, precision if deep else min(precision, 8))
+        roots.append((A, B, K))
+        if deep:
+            width = max(width, (B - A) / B)
+    return roots, width
 
 
 def radial_zeros(ctx: QContext, family: str, m: int, n: int, b=None,
                  precision: int = 20, refine_top: Optional[int] = None) -> ZeroSet:
     """The min(m, n) circle radii of the (m, n) member: roots r = sqrt(x) of
-    the radial factor in x = |z|^2, sorted decreasing, bisection-certified."""
+    the radial factor in x = |z|^2, sorted decreasing, isolated on exact
+    signs; certified_width is the largest relative width of the exact
+    brackets of x."""
     if min(m, n) < 1:
         return ZeroSet(family, m, n, {"b": b}, [], 0.0)
     rf = radial_reduce(ctx.with_backend("exact") if not ctx.is_exact else ctx,
                        family, m, n, b=b)
-    deg = min(m, n)
-    bits = _poly_prec_bits(ctx, deg, precision)
     coeffs = [Fraction(c) if not hasattr(c, "re") else Fraction(c.re)
               for c in rf.radial_coeffs]
-    with mp.workprec(bits):
-        cs = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
-        roots_x, width = _find_roots(ctx, cs, deg, precision, bits, refine_top)
-        radii = [mpmath.sqrt(x) for x in roots_x]
+    desc, _ = _integer_poly(coeffs)
+    roots_x, width = _find_roots(desc, min(m, n), precision,
+                                 abs(math.log2(ctx.q_fraction)), refine_top)
+    with mp.workprec(_poly_prec_bits(precision)):
+        radii = [mpmath.sqrt(_to_mpf(*r)) for r in roots_x]
     return ZeroSet(family, m, n, {"b": b}, radii, width)
 
 
 def aq_zeros(ctx: QContext, count: int,
              trunc: Optional[TruncationPolicy] = None,
              precision: int = 20) -> List[mpmath.mpf]:
-    """First `count` zeros 0 < i_1(q) < i_2(q) < ... of A_q, certified so the
-    truncation tail cannot flip the bracketing signs."""
-    qf = float(ctx.q_fraction)
+    """First `count` zeros 0 < i_1(q) < i_2(q) < ... of A_q, isolated on the
+    exact signs of the truncation A_N(x) = sum_{n <= N} c_n (-x)^n,
+    c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip
+    the bracketing signs."""
+    q = ctx.q_fraction
+    qf = float(q)
     x_hi = qf ** (-(2 * count + 2))
     N = 2 * count + 12
     while qf ** (N * N) * x_hi**N > 1e-60:
         N += 4
-    bits = int(64 + 3.5 * precision + 1.3 * abs(math.log2(qf)) * (N + 2 * count) ** 1.5)
-    with mp.workprec(bits):
-        q = mp.mpf(ctx.q_fraction.numerator) / ctx.q_fraction.denominator
-        qq = [mp.mpf(1)]
-        for k in range(1, N + 1):
-            qq.append(qq[-1] * (1 - q**k))
-        # A_q(x) = sum_n c_n (-x)^n, evaluated by Horner from the top term
-        desc = [q ** (nn * nn) / qq[nn] for nn in range(N, -1, -1)]
+    cs, qq = [], Fraction(1)
+    for n in range(N + 1):
+        if n:
+            qq *= 1 - q**n
+        cs.append((-1) ** n * q ** (n * n) / qq)
+    desc, den = _integer_poly(cs)
+    # for x <= x_hi the terms past N shrink by a ratio r << 1/2, so
+    # |A_q - A_N| <= t_{N+1} / (1 - r), t_{N+1} = q^{(N+1)^2} x^{N+1} /
+    # ((q;q)_N (1 - q^{N+1})), and (1 - r)(1 - q^{N+1}) >= 1/2
+    tail_c = 2 * q ** ((N + 1) ** 2) / qq
 
-        def f(x):
-            y = -x
-            tot = desc[0]
-            for c in desc[1:]:
-                tot = tot * y + c
-            return tot
+    def clears_tail(x):
+        num, k = x
+        return (Fraction(abs(_horner(desc, num, k)), den << (k * N))
+                > tail_c * Fraction(num, 1 << k) ** (N + 1))
 
-        def tail(x):
-            t = q ** ((N + 1) ** 2) * abs(x) ** (N + 1) / qq[-1]
-            return 2 * t
-
-        subdiv = 16
-        while True:
-            npts = int(subdiv * (2 * count + 3))
-            grid = [x_hi ** (mp.mpf(i) / npts) for i in range(npts + 1)]
-            vals = [f(x) for x in grid]
-            brackets = []
-            for i in range(npts):
-                if mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1]):
-                    brackets.append((grid[i], grid[i + 1]) if grid[i] < grid[i + 1]
-                                    else (grid[i + 1], grid[i]))
-            if len(brackets) >= count:
-                break
-            subdiv *= 2
-            if subdiv > 1024:
-                raise ArithmeticError("A_q bracketing failed")
-        brackets.sort(key=lambda ab: ab[0])
-        brackets = brackets[:count]
-        zeros = []
-        tol10 = mpmath.mpf(10) ** (-precision)
-        for a, b in brackets:
-            if not (abs(f(a)) > tail(a) and abs(f(b)) > tail(b)):
+    hi = math.log2(x_hi)
+    subdiv = 16
+    while True:
+        brackets = _scan(desc, 0.0, hi, int(subdiv * (2 * count + 3)))
+        if len(brackets) >= count:
+            break
+        subdiv *= 2
+        if subdiv > 1024:
+            raise ArithmeticError("A_q bracketing failed")
+    zeros = []
+    with mp.workprec(_poly_prec_bits(precision)):
+        for a, b, sa in brackets[:count]:
+            if not (clears_tail(a) and clears_tail(b)):
                 raise ArithmeticError("truncation tail could flip a bracket sign")
-            fa = f(a)
-            while (b - a) > tol10 * b:
-                mid = (a + b) / 2
-                fm = f(mid)
-                if mpmath.sign(fm) == mpmath.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            zeros.append((a + b) / 2)
-        return zeros
+            zeros.append(_to_mpf(*_bisect(desc, a, b, sa, precision)))
+    return zeros
 
 
 def zero_limit_report(ctx: QContext, target: str, j: int,
@@ -253,7 +305,7 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
             else:
                 zs = radial_zeros(ctx, "pq", M, M, b=b if b is not None else F(1, 4),
                                   precision=prec_M, refine_top=j)
-            with mp.workprec(_poly_prec_bits(ctx, M, prec_M)):
+            with mp.workprec(_poly_prec_bits(prec_M)):
                 target_r = (mp.mpf(ctx.q_fraction.numerator)
                             / ctx.q_fraction.denominator) ** (mp.mpf(j - 1) / 2)
                 err = float(abs(zs.radii[j - 1] - target_r))
@@ -331,7 +383,6 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
             if M % 4 != 1:
                 raise ValueError("theta4_scaled sizes must be 1 mod 4")
             tau = (M - 1) // 2
-            chi_half = 1  # chi = 1/2
             s = ctx.q_half_pow(1)
             scale = ctx.qpow((M - 1) // 4)
             val = _fam_value(ctx, "Hq", M, M, z1 * scale, z2 * scale)

@@ -1,13 +1,16 @@
+import importlib.util
 import math
+import os
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly.polyfamilies import radial_reduce
 from q2dpoly.qkernel import aq_function
-from q2dpoly.zeros import (aq_zeros, asymptotic_report, radial_zeros,
-                           zero_limit_report)
+from q2dpoly.zeros import (_poly_prec_bits, aq_zeros, asymptotic_report,
+                           radial_zeros, zero_limit_report)
 
 TR = TruncationPolicy(max_terms=500, tail_tol=1e-36)
 
@@ -32,6 +35,76 @@ def test_first_radius_closed_forms(ctx):
     assert abs(float(zs.radii[0]) - math.sqrt((1 - q) / q)) < 1e-12
     zs = radial_zeros(ctx, "pq", 1, 1, b=F(1, 4))
     assert abs(float(zs.radii[0]) - math.sqrt((1 - q) / (1 - q * q / 4))) < 1e-12
+
+
+def test_dyadic_roots_come_back_exactly():
+    # x = 1 - q = 1/2 for Hq(1,1) and x = (1 - q)/q = 1 for hq(1,1) at q = 1/2
+    # are scan points, where the exact sign is 0: the root is exact
+    c = QContext(F(1, 2), backend="float")
+    for fam, x in (("Hq", F(1, 2)), ("hq", F(1))):
+        zs = radial_zeros(c, fam, 1, 1)
+        assert zs.certified_width == 0.0
+        with mpmath.workprec(_poly_prec_bits(20)):
+            assert zs.radii[0] == mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator)
+
+
+def _mpf_fraction(x):
+    man, exp = x.man_exp
+    return F(man) * F(2) ** exp
+
+
+def _exact_sign(coeffs_low_to_high, x):
+    acc = F(0)
+    for c in reversed(coeffs_low_to_high):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(1, 2)])
+def test_radial_brackets_hold_exact_sign_changes(q):
+    # the exact rational radial factor changes sign across x (1 -+ 2w) at
+    # every returned root x = r^2, w = certified_width
+    c = QContext(q, backend="float")
+    for fam, b in (("Hq", None), ("hq", None), ("pq", F(1, 4)), ("pq", 0)):
+        for m, n in ((8, 5), (25, 25)):
+            zs = radial_zeros(c, fam, m, n, b=b)
+            w = F(zs.certified_width)
+            assert 0 < w <= F(1, 10**20)
+            rc = radial_reduce(c.with_backend("exact"), fam, m, n, b=b).radial_coeffs
+            coeffs = [F(getattr(cf, "re", cf)) for cf in rc]
+            for r in zs.radii:
+                with mpmath.workprec(400):
+                    x = _mpf_fraction(r * r)
+                lo, hi = (_exact_sign(coeffs, x * (1 - 2 * w)),
+                          _exact_sign(coeffs, x * (1 + 2 * w)))
+                assert lo * hi == -1, (fam, m, n, float(x))
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(20, 31)])
+def test_aq_zeros_bracket_exact_truncation(q):
+    # A_N(x) = sum_{n <= N} q^{n^2}/(q;q)_n (-x)^n changes sign across
+    # x (1 -+ 2e-22) at every returned zero, and |A_N| there clears the
+    # tail 2 q^{(N+1)^2} x^{N+1} / (q;q)_N, so A_q changes sign too
+    N = 40
+    cs, qq = [], F(1)
+    for n in range(N + 1):
+        if n:
+            qq *= 1 - q**n
+        cs.append((-1) ** n * q ** (n * n) / qq)
+
+    def a_n(x):
+        acc = F(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    zs = aq_zeros(QContext(q, backend="float"), 3, precision=22)
+    eps = F(2, 10**22)
+    for z in zs:
+        x = _mpf_fraction(z)
+        for xe in (x * (1 - eps), x * (1 + eps)):
+            assert abs(a_n(xe)) > 2 * q ** ((N + 1) ** 2) * xe ** (N + 1) / qq
+        assert a_n(x * (1 - eps)) * a_n(x * (1 + eps)) < 0
 
 
 def test_zero_counts_and_ordering(ctx, ctx2):
@@ -128,3 +201,19 @@ def test_asymptotics_boundary_exact(ctx2):
 def test_theta4_scaled_rejects_bad_sizes(ctx2):
     with pytest.raises(ValueError):
         asymptotic_report(ctx2, "theta4_scaled", [6], {})
+
+
+def test_zero_limit_study_script_runs(tmp_path, monkeypatch, capsys):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "zero_limit_study.py")
+    spec = importlib.util.spec_from_file_location("zero_limit_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    monkeypatch.chdir(tmp_path)
+    assert study.main() == 0
+    out = capsys.readouterr().out
+    for target in ("limH", "limp", "limh", "Hmn_inf", "p_inf", "PR_h", "theta4_scaled"):
+        assert f"{target}: final" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"zerolimit_{t}.csv" for t in ("limH", "limp", "limh")]
+        + [f"asym_{t}.csv" for t in ("Hmn_inf", "p_inf", "PR_h", "theta4_scaled")])
