@@ -53,11 +53,11 @@ def _mpf_fraction(x):
     return F(man) * F(2) ** exp
 
 
-def _exact_sign(coeffs_low_to_high, x):
+def _exact_value(coeffs_low_to_high, x):
     acc = F(0)
     for c in reversed(coeffs_low_to_high):
         acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 @pytest.mark.parametrize("q", [F(1, 4), F(1, 2)])
@@ -75,9 +75,8 @@ def test_radial_brackets_hold_exact_sign_changes(q):
             for r in zs.radii:
                 with mpmath.workprec(400):
                     x = _mpf_fraction(r * r)
-                lo, hi = (_exact_sign(coeffs, x * (1 - 2 * w)),
-                          _exact_sign(coeffs, x * (1 + 2 * w)))
-                assert lo * hi == -1, (fam, m, n, float(x))
+                assert (_exact_value(coeffs, x * (1 - 2 * w))
+                        * _exact_value(coeffs, x * (1 + 2 * w)) < 0), (fam, m, n, float(x))
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(20, 31)])
@@ -91,20 +90,14 @@ def test_aq_zeros_bracket_exact_truncation(q):
         if n:
             qq *= 1 - q**n
         cs.append((-1) ** n * q ** (n * n) / qq)
-
-    def a_n(x):
-        acc = F(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     zs = aq_zeros(QContext(q, backend="float"), 3, precision=22)
     eps = F(2, 10**22)
     for z in zs:
         x = _mpf_fraction(z)
-        for xe in (x * (1 - eps), x * (1 + eps)):
-            assert abs(a_n(xe)) > 2 * q ** ((N + 1) ** 2) * xe ** (N + 1) / qq
-        assert a_n(x * (1 - eps)) * a_n(x * (1 + eps)) < 0
+        lo, hi = (_exact_value(cs, x * (1 - eps)), _exact_value(cs, x * (1 + eps)))
+        assert lo * hi < 0
+        for v, xe in ((lo, x * (1 - eps)), (hi, x * (1 + eps))):
+            assert abs(v) > 2 * q ** ((N + 1) ** 2) * xe ** (N + 1) / qq
 
 
 def test_zero_counts_and_ordering(ctx, ctx2):
