@@ -6,12 +6,12 @@
 Both arguments are checkouts with their own perfbench/.  For each of the four
 workloads it runs `perfbench/run.py --seconds 25` in ten alternating
 parent/change pairs (the parent first in even pairs), one seed per pair from
---first-seed on (default 41; pick seeds the change was not developed on),
-and keeps every run.  Per side and metric it reports the median and
-quartiles over the pairs, and the pairs the change won.  It also times the
-tier-1 suite once per side and acceptance criterion 8 three times per side,
-and records the host.  Standard library only; perfbench/ is only run, never
-read or changed.
+the fixed SEEDS (apart from the seeds used in development, and the same from
+one trajectory point to the next), and keeps every run.  Per side and metric
+it reports the median and quartiles over the pairs, and the pairs the change
+won.  It also times the tier-1 suite once per side and acceptance criterion 8
+three times per side, and records the host.  Standard library only;
+perfbench/ is only run, never read or changed.
 """
 
 import argparse
@@ -26,6 +26,7 @@ import time
 WORKLOADS = ("exact-sweep", "numeric-sweep", "audit", "cli-cold")
 SECONDS = 25
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
+SEEDS = range(41, 41 + PAIRS)
 ACCEPTANCE_8_REPEATS = 3
 
 
@@ -99,10 +100,9 @@ def main():
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--first-seed", type=int, default=41)
     args = ap.parse_args()
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    seeds = list(SEEDS)
 
     doc = {"host": host(), "revisions": {s: revision(d) for s, d in sides.items()},
            "settings": {"seconds": SECONDS, "pairs": PAIRS, "seeds": seeds,

@@ -9,8 +9,9 @@ import pytest
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly.polyfamilies import radial_reduce
 from q2dpoly.qkernel import aq_function
-from q2dpoly.zeros import (_poly_prec_bits, aq_zeros, asymptotic_report,
-                           radial_zeros, zero_limit_report)
+from q2dpoly.zeros import (_bisect, _dyadic, _integer_poly, _poly_prec_bits, _root_log2,
+                           _scan, aq_zeros, asymptotic_report, radial_zeros,
+                           zero_limit_report)
 
 TR = TruncationPolicy(max_terms=500, tail_tol=1e-36)
 
@@ -37,11 +38,30 @@ def test_first_radius_closed_forms(ctx):
     assert abs(float(zs.radii[0]) - math.sqrt((1 - q) / (1 - q * q / 4))) < 1e-12
 
 
+def test_scan_and_bisect_return_exact_roots():
+    # P(x) = 2x - 1 on the grid 2^-3 .. 2^1: x = 1/2 is a scan point, P = 0
+    assert _scan([2, -1], -3, 1, 4) == [((1, 1), (1, 1), 0)]
+    assert _bisect([2, -1], (1, 1), (1, 1), 0, 20) == (1, 1, 1)
+    # P(x) = 4x - 3 bracketed by 1/2 and 1: the first midpoint 3/4 is the root
+    assert _scan([4, -3], -1, 0, 1) == [((1, 1), (1, 0), -1)]
+    assert _bisect([4, -3], (1, 1), (1, 0), -1, 20) == (3, 3, 2)
+
+
+def _first_scan_grid(ctx, family):
+    # the scan points radial_zeros tries first, as in zeros._find_roots
+    coeffs = [F(c) for c in radial_reduce(ctx.with_backend("exact"), family, 1, 1).radial_coeffs]
+    desc, _ = _integer_poly(coeffs)
+    hi, lo = _root_log2(desc), -_root_log2(desc[::-1])
+    npts = int(8 * (hi - lo) / abs(math.log2(ctx.q_fraction))) + 2
+    return {_dyadic(lo + (hi - lo) * i / npts) for i in range(npts + 1)}
+
+
 def test_dyadic_roots_come_back_exactly():
     # x = 1 - q = 1/2 for Hq(1,1) and x = (1 - q)/q = 1 for hq(1,1) at q = 1/2
     # are scan points, where the exact sign is 0: the root is exact
     c = QContext(F(1, 2), backend="float")
-    for fam, x in (("Hq", F(1, 2)), ("hq", F(1))):
+    for fam, x, dyadic in (("Hq", F(1, 2), (1, 1)), ("hq", F(1), (1, 0))):
+        assert dyadic in _first_scan_grid(c, fam), f"{fam}(1,1): x = {x} is not a scan point"
         zs = radial_zeros(c, fam, 1, 1)
         assert zs.certified_width == 0.0
         with mpmath.workprec(_poly_prec_bits(20)):
