@@ -9,15 +9,17 @@ parent/change pairs (the parent first in even pairs), one seed per pair from
 the fixed SEEDS (apart from the seeds used in development, and the same from
 one trajectory point to the next), and keeps every run.  Per side and metric
 it reports the median and quartiles over the pairs, and the pairs the change
-won.  It also times the tier-1 suite once per side and acceptance criterion 8
-three times per side, and records the host.  Standard library only;
-perfbench/ is only run, never read or changed.
+won.  It also times the tier-1 suite once per side and tests/test_acceptance.py
+three times per side, keeping each criterion's time (setup + call + teardown,
+from pytest --durations=0) and its median, and records the host.  Standard
+library only; perfbench/ is only run, never read or changed.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -27,7 +29,8 @@ WORKLOADS = ("exact-sweep", "numeric-sweep", "audit", "cli-cold")
 SECONDS = 25
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
 SEEDS = range(41, 41 + PAIRS)
-ACCEPTANCE_8_REPEATS = 3
+ACCEPTANCE_REPEATS = 3
+DURATION = re.compile(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$")
 
 
 def _env(checkout):
@@ -53,7 +56,11 @@ def timed_pytest(checkout, args):
                           + args, cwd=checkout, env=_env(checkout),
                           capture_output=True, text=True)
     wall = time.perf_counter() - t
-    return {"wall_s": round(wall, 2), "exit": proc.returncode,
+    tests = {}
+    for m in map(DURATION.match, proc.stdout.splitlines()):
+        if m:
+            tests[m[2]] = tests.get(m[2], 0.0) + float(m[1])
+    return {"wall_s": round(wall, 2), "exit": proc.returncode, "tests": tests,
             "summary": proc.stdout.strip().splitlines()[-1]}
 
 
@@ -128,15 +135,15 @@ def main():
 
     doc["tier1"] = {s: timed_pytest(d, ["--continue-on-collection-errors"])
                     for s, d in sides.items()}
-    acc8 = {s: [] for s in sides}
-    for i in range(ACCEPTANCE_8_REPEATS):
+    acc = {s: [] for s in sides}
+    for i in range(ACCEPTANCE_REPEATS):
         for s in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            acc8[s].append(timed_pytest(sides[s], ["tests/test_acceptance.py",
-                                                    "-k", "criterion_8"]))
-    doc["acceptance_8"] = {s: {"wall_s": [r["wall_s"] for r in runs],
-                               "median_s": statistics.median(r["wall_s"] for r in runs),
-                               "summary": runs[-1]["summary"]}
-                           for s, runs in acc8.items()}
+            acc[s].append(timed_pytest(sides[s], ["tests/test_acceptance.py", "--durations=0"]))
+    doc["acceptance"] = {s: {"wall_s": [r["wall_s"] for r in runs], "summary": runs[-1]["summary"],
+                             "tests_s": [r["tests"] for r in runs],
+                             "median_s": {t: statistics.median(r["tests"].get(t, 0.0) for r in runs)
+                                          for t in sorted(runs[0]["tests"])}}
+                         for s, runs in acc.items()}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -11,33 +11,16 @@ closed_im,rel_error) and prints the worst deviations:
 
 from fractions import Fraction as F
 
-import mpmath
-
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.measures import inner_product
+from q2dpoly.measures import ortho_csv, ortho_table
 
 TR = TruncationPolicy(max_terms=500, tail_tol=1e-36)
 
 
 def audit(ctx, family, N, b, path):
-    rows = ["m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"]
-    worst_d = worst_o = 0.0
-    for m in range(N + 1):
-        for n in range(N + 1):
-            for s in range(N + 1):
-                for t in range(N + 1):
-                    r = inner_product(ctx, family, (m, n), (s, t), b=b)
-                    rows.append(
-                        f"{m},{n},{s},{t},{mpmath.nstr(mpmath.re(r.value), 12)},"
-                        f"{mpmath.nstr(mpmath.im(r.value), 12)},"
-                        f"{mpmath.nstr(mpmath.re(r.closed_form), 12)},"
-                        f"{mpmath.nstr(mpmath.im(r.closed_form), 12)},{r.rel_error!r}")
-                    if (m, n) == (s, t):
-                        worst_d = max(worst_d, r.rel_error)
-                    else:
-                        worst_o = max(worst_o, ctx.mag(r.value))
+    table, worst_d, worst_o = ortho_table(ctx, family, N, b=b)
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(ortho_csv(table) + "\n")
     print(f"{family}: worst diagonal rel {worst_d:.3e}, worst off-diagonal {worst_o:.3e} -> {path}")
     return worst_d, worst_o
 
@@ -48,12 +31,11 @@ def main():
     ctx12 = QContext(F(1, 2), sqrt_q="auto", backend="float",
                      precision_bits=160, default_trunc=TR)
     bad = 0
-    d, o = audit(ctx14, "Hq", 5, None, "ortho_H.csv")
-    bad += d > 1e-10 or o > 1e-10
-    d, o = audit(ctx14, "pq", 5, F(1, 4), "ortho_p.csv")
-    bad += d > 1e-10 or o > 1e-10
-    d, o = audit(ctx12, "hq", 4, None, "ortho_h.csv")
-    bad += d > 1e-8 or o > 1e-8
+    for ctx, family, N, b, path, tol in ((ctx14, "Hq", 5, None, "ortho_H.csv", 1e-10),
+                                         (ctx14, "pq", 5, F(1, 4), "ortho_p.csv", 1e-10),
+                                         (ctx12, "hq", 4, None, "ortho_h.csv", 1e-8)):
+        d, o = audit(ctx, family, N, b, path)
+        bad += d > tol or o > tol
     return 1 if bad else 0
 
 

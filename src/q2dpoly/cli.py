@@ -188,37 +188,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ortho(args) -> int:
-    from .measures import inner_product
+    from .measures import ortho_csv, ortho_table
 
     ctx = _ctx_from(args, backend_default="float")
     if ctx.s is None and ctx.backend == "float":
         ctx = QContext(ctx.q_fraction, sqrt_q="auto", backend="float",
                        precision_bits=ctx.precision_bits, default_trunc=ctx.default_trunc)
-    fam = FAMILY_MAP[args.family]
-    b = _parse_rational(args.b) if args.b else None
-    N = args.max_index
-    rows = ["m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"]
-    worst_diag = 0.0
-    worst_off = 0.0
-    import mpmath
-
-    for m in range(N + 1):
-        for n in range(N + 1):
-            for s in range(N + 1):
-                for t in range(N + 1):
-                    r = inner_product(ctx, fam, (m, n), (s, t), b=b, K=args.K)
-                    v = r.value
-                    vre = mpmath.re(v) if not isinstance(v, (int, Fraction)) else v
-                    vim = mpmath.im(v) if not isinstance(v, (int, Fraction)) else 0
-                    cre = mpmath.re(r.closed_form)
-                    cim = mpmath.im(r.closed_form)
-                    rows.append(f"{m},{n},{s},{t},{mpmath.nstr(vre, 12)},{mpmath.nstr(vim, 12)},"
-                                f"{mpmath.nstr(cre, 12)},{mpmath.nstr(cim, 12)},{r.rel_error!r}")
-                    if (m, n) == (s, t):
-                        worst_diag = max(worst_diag, r.rel_error)
-                    else:
-                        worst_off = max(worst_off, float(ctx.mag(v)))
-    _emit(args, "\n".join(rows))
+    table, worst_diag, worst_off = ortho_table(
+        ctx, FAMILY_MAP[args.family], args.max_index,
+        b=_parse_rational(args.b) if args.b else None, K=args.K)
+    _emit(args, ortho_csv(table))
     ok = worst_diag <= args.tolerance and worst_off <= args.tolerance
     print(f"# worst diagonal rel_error {worst_diag!r}; worst off-diagonal |value| {worst_off!r}; "
           f"{'PASS' if ok else 'FAIL'}", file=sys.stderr)

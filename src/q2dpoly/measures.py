@@ -15,6 +15,7 @@ ends, so the quadrature converges spectrally in the step refinement).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,13 +26,14 @@ from mpmath import mp
 
 from .context import QContext, TruncationPolicy, conj, is_zero
 from .polyfamilies import BivarPoly, coeffs, eval_poly
-from .qkernel import qbinom, qpoch, qpoch_inf
+from .qkernel import QPochPrefix, qbinom, qpoch, qpoch_inf
 from .reports import VerificationReport, scalar_str
 
 F = Fraction
 
 __all__ = [
     "RadialMeasure", "InnerProductResult", "moment", "inner_product",
+    "ortho_table", "ortho_csv",
     "qbeta_check", "angular_quadrature_check", "gram_positivity",
     "orthonormal_seq_check", "h_radial_moment", "gram_matrix",
 ]
@@ -44,14 +46,6 @@ class RadialMeasure:
     kind: str
     b: Optional[Fraction] = None
     K: int = 80
-
-    def weight(self, ctx, k: int):
-        if self.kind == "H_discrete":
-            return ctx.qpow(k) / ctx.qq(k)
-        if self.kind == "p_discrete":
-            bb = ctx.scalar(self.b)
-            return qpoch(ctx, bb * ctx.q, k) * ctx.qpow(k) / ctx.qq(k)
-        raise ValueError(f"no discrete weights for {self.kind}")
 
 
 @dataclass
@@ -67,30 +61,56 @@ class InnerProductResult:
 # radial moments
 # ---------------------------------------------------------------------------
 
-def _discrete_radial_moment(ctx, measure: RadialMeasure, half_power: int,
-                            normalized: bool):
-    """sum_k w_k (q^{k/2})^{2 half_power} (+ tail bound); the exponent is kept
-    integral, so no square root of q is ever taken."""
-    with ctx.workprec():
-        total = ctx.zero()
-        for k in range(measure.K + 1):
-            total = total + measure.weight(ctx, k) * ctx.qpow(k * half_power)
-        qf = float(ctx.q_fraction)
-        qqinf = 1.0
-        for k in range(80):
-            qqinf *= 1 - qf ** (k + 1)
-        # |w_k| <= q^k / (q;q)_inf (p weights carry an extra bounded (bq;q)_k)
-        r = qf ** (half_power + 1)
-        tail = (r ** (measure.K + 1)) / (qqinf * (1 - r)) * 2.0
-        if normalized:
-            inf_val, t2 = qpoch_inf(ctx, ctx.q, ctx.default_trunc)
-            total = total * inf_val
-            tail = tail * ctx.mag(inf_val) + t2
-    return total, tail
-
-
-# append-only cache of immutable tuples: safe under concurrent readers
+# every radial moment table, keyed by measure and context settings; a key's
+# table is only ever replaced by a longer one, so concurrent readers are safe
 _H_MOMENT_CACHE: Dict = {}
+
+
+def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object, float]]:
+    """(value, tail) of the raw radial moments for the powers h = 0..nmax.
+
+    h_continuous: int_0^inf x^h/(-x;q)_inf dx (h_radial_moments_batch).
+    H_discrete / p_discrete: sum_{k <= K} w_k (q^{k/2})^{2h}, w_k =
+    q^k/(q;q)_k times (bq;q)_k for p, summed in k order; the exponent is kept
+    integral, so no square root of q is ever taken.  Tail: |w_k| <= S
+    q^k/(q;q)_inf with S = sup_k |(bq;q)_k|, so the terms past K sum to at
+    most S r^{K+1}/((q;q)_inf (1 - r)), r = q^{h+1}, reported doubled.
+    S = 1 for H and when |1 - bq| <= 1 (0 <= b <= 2/q for real b), as every
+    |1 - b q^{j+1}| is then <= 1; otherwise S <= (-|b|q;q)_inf.  (q;q)_inf
+    enters as its value less its tail."""
+    if measure.kind == "h_continuous":
+        return h_radial_moments_batch(ctx, nmax)
+    p = measure.kind == "p_discrete"
+    key = (measure.kind, ctx.backend, ctx.q_fraction, ctx.precision_bits,
+           ctx.default_trunc, measure.b if p else None, measure.K)
+    table = _H_MOMENT_CACHE.get(key)
+    if table is not None and len(table) > nmax:
+        return table[: nmax + 1]
+    if not p and measure.kind != "H_discrete":
+        raise ValueError(f"unknown measure kind {measure.kind!r}")
+    K, trunc = measure.K, ctx.default_trunc
+    with ctx.workprec():
+        sup = 1.0
+        if p:
+            bq = ctx.scalar(measure.b) * ctx.q
+            pre = QPochPrefix(ctx, bq)
+            if ctx.mag(1 - bq) > 1:
+                val, tail = qpoch_inf(ctx, -abs(bq), trunc)
+                sup = ctx.mag(val) + tail
+        weights = [(pre(k) * ctx.qpow(k) if p else ctx.qpow(k)) / ctx.qq(k)
+                   for k in range(K + 1)]
+        val, tail = qpoch_inf(ctx, ctx.q, trunc)
+        qqinf = ctx.mag(val) - tail
+        qf = float(ctx.q_fraction)
+        out = []
+        for h in range(nmax + 1):
+            total = ctx.zero()
+            for k, w in enumerate(weights):
+                total = total + w * ctx.qpow(k * h)
+            r = qf ** (h + 1)
+            out.append((total, (r ** (K + 1)) / (qqinf * (1 - r)) * 2.0 * sup))
+    _H_MOMENT_CACHE[key] = out
+    return out
 
 
 def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
@@ -116,11 +136,11 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
       - 2 eps |value|, eps the largest relative tail of the base products.
     Cached per (q, precision, step, halfwidth, truncation policy).
     """
-    key = (str(ctx.q_fraction), ctx.precision_bits, str(step), halfwidth,
-           ctx.default_trunc, nmax)
-    for (k, v) in list(_H_MOMENT_CACHE.items()):
-        if k[:5] == key[:5] and k[5] >= nmax:
-            return v[: nmax + 1]
+    key = ("h_continuous", ctx.backend, ctx.q_fraction, ctx.precision_bits,
+           ctx.default_trunc, step, halfwidth)
+    table = _H_MOMENT_CACHE.get(key)
+    if table is not None and len(table) > nmax:
+        return table[: nmax + 1]
     half = step / 2
     r, d = half.numerator, half.denominator
     n = int(halfwidth / half)
@@ -181,19 +201,22 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int,
     (Cor.-19 convention).  h_continuous: the dx dy/(pi (-z zbar;q)_inf)
     convention, so the (j, j) moment is (q;q)_j log(1/q) q^{-C(j+1,2)}.
     """
-    if m != n and measure.kind != "custom":
+    if m != n:
         return ctx.zero(), 0.0
-    if measure.kind in ("H_discrete", "p_discrete"):
-        return _discrete_radial_moment(ctx, measure, n, normalized=True)
+    val, tail = _radial_moments(ctx, measure, n)[n]
     if measure.kind == "h_continuous":
-        val, err = h_radial_moment(ctx, n)
-        return val, err
-    raise ValueError(f"unknown measure kind {measure.kind!r}")
+        return val, tail
+    with ctx.workprec():
+        inf_val, t2 = qpoch_inf(ctx, ctx.q, ctx.default_trunc)
+        return val * inf_val, tail * ctx.mag(inf_val) + t2
 
 
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
+
+_FAMILY_MEASURE = {"Hq": "H_discrete", "pq": "p_discrete", "hq": "h_continuous"}
+
 
 def _angular_pairs(P: BivarPoly, Q: BivarPoly):
     """Pairs of coefficients surviving the angular Kronecker delta
@@ -214,26 +237,24 @@ def _closed_norm(ctx, family, m, n, b, trunc):
         bb = ctx.scalar(b)
         num = qpoch_inf(ctx, bb * ctx.q, trunc)[0]
         den = qpoch_inf(ctx, ctx.q, trunc)[0]
-        val = (num / den * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
-               * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
-               / (1 - bb * ctx.qpow(m + n + 1)))
-        return val
-    if family == "hq":
-        # pi log(1/q) (q;q)_m (q;q)_n / q^{(m-n)^2/2 + (m+n)/2}
-        e = Fraction((m - n) ** 2 + (m + n), 2)
-        if e.denominator == 1:
-            fac = ctx.qpow(-int(e))
-        else:
-            fac = ctx.q_half_pow(-((m - n) ** 2 + (m + n)))
-        return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * fac
-    raise ValueError(family)
+        return (num / den * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
+                * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
+                / (1 - bb * ctx.qpow(m + n + 1)))
+    # hq: pi log(1/q) (q;q)_m (q;q)_n / q^{((m-n)^2 + m + n)/2}, an integer power
+    fac = ctx.qpow(-(((m - n) ** 2 + m + n) // 2))
+    return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * fac
 
 
 def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
                   st: Tuple[int, int], b=None, K: int = 80,
                   trunc: Optional[TruncationPolicy] = None) -> InnerProductResult:
     """<P_{m,n}, P_{s,t}> for the family's orthogonality measure, with the
-    known closed-form norm on the diagonal (0 off it)."""
+    known closed-form norm on the diagonal (0 off it).  The discrete
+    measures are raw (not normalized), which matches the closed-form norms;
+    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments."""
+    if family == "hq" and ctx.is_exact:
+        raise ValueError("hq inner products need the float backend "
+                         "(its radial moments are quadratures)")
     trunc = trunc or ctx.default_trunc
     m, n = mn
     s, t = st
@@ -241,32 +262,17 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
         P = coeffs(ctx, family, m, n, b=b)
         Q = coeffs(ctx, family, s, t, b=b)
         pairs = _angular_pairs(P, Q.conj_coeffs())
-        if family in ("Hq", "pq"):
-            meas = RadialMeasure("H_discrete" if family == "Hq" else "p_discrete",
-                                 b=b, K=K)
-            # raw measure (not normalized): matches the closed-form norms
-            value = ctx.zero()
-            tail = 0.0
-            mom_cache: Dict[int, Tuple[object, float]] = {}
-            for hp, cp, cq in pairs:
-                if hp not in mom_cache:
-                    mom_cache[hp] = _discrete_radial_moment(ctx, meas, hp, normalized=False)
-                mv, mt = mom_cache[hp]
-                value = value + cp * cq * mv
-                tail += ctx.mag(cp * cq) * mt
-        elif family == "hq":
-            value = ctx.zero()
-            tail = 0.0
-            nmax = max((hp for hp, _, _ in pairs), default=0)
-            moms = h_radial_moments_batch(ctx, nmax)
-            for hp, cp, cq in pairs:
-                mv, mt = moms[hp]
-                value = value + cp * cq * mv
-                tail += ctx.mag(cp * cq) * mt
+        moms = _radial_moments(ctx, RadialMeasure(_FAMILY_MEASURE[family], b=b, K=K),
+                               max((hp for hp, _, _ in pairs), default=0))
+        value = ctx.zero()
+        tail = 0.0
+        for hp, cp, cq in pairs:
+            mv, mt = moms[hp]
+            value = value + cp * cq * mv
+            tail += ctx.mag(cp * cq) * mt
+        if family == "hq":
             value = value * mp.pi
             tail = tail * float(mp.pi)
-        else:
-            raise ValueError(f"no orthogonality measure for family {family!r}")
         diagonal = (m == s and n == t)
         closed = _closed_norm(ctx, family, m, n, b, trunc) if diagonal else ctx.zero()
         denom = max(1.0, ctx.mag(closed))
@@ -275,15 +281,44 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
                               rel_error=float(rel))
 
 
+def ortho_table(ctx: QContext, family: str, N: int, b=None, K: int = 80):
+    """Every <P_{m,n}, P_{s,t}> with m, n, s, t <= N, as (table, worst
+    diagonal rel_error, worst off-diagonal |value|); the table maps
+    (m, n, s, t) to its InnerProductResult, in lexicographic order."""
+    table = {}
+    worst_diag = worst_off = 0.0
+    for m, n, s, t in itertools.product(range(N + 1), repeat=4):
+        r = table[m, n, s, t] = inner_product(ctx, family, (m, n), (s, t), b=b, K=K)
+        if (m, n) == (s, t):
+            worst_diag = max(worst_diag, r.rel_error)
+        else:
+            worst_off = max(worst_off, ctx.mag(r.value))
+    return table, worst_diag, worst_off
+
+
+def ortho_csv(table) -> str:
+    """An ortho_table table as CSV: values and closed forms to 12 digits,
+    rel_error as its repr; no trailing newline."""
+    rows = ["m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"]
+    for (m, n, s, t), r in table.items():
+        v = r.value
+        exact = isinstance(v, (int, Fraction))
+        parts = (v if exact else mpmath.re(v), 0 if exact else mpmath.im(v),
+                 mpmath.re(r.closed_form), mpmath.im(r.closed_form))
+        rows.append(f"{m},{n},{s},{t},{','.join(mpmath.nstr(x, 12) for x in parts)},"
+                    f"{r.rel_error!r}")
+    return "\n".join(rows)
+
+
 # ---------------------------------------------------------------------------
 # q-beta integral checks
 # ---------------------------------------------------------------------------
 
-def _euler_4fold(ctx, cap, weight, moment, u1, v1, v2, u2):
+def _euler_4fold(ctx, cap, weight, moms, u1, v1, v2, u2):
     """sum w(u1,a) w(v1,b) w(v2,c) w(u2,d) M_{(a+b+c+d)/2} over a, b, c,
     d < cap: the 4-fold Euler expansion of a q-beta integrand with the
     angular delta a + c = b + d resolved.  ``weight(x, r)`` is the Euler
-    weight, ``moment(N)`` the radial moment as (value, error).  Returns
+    weight, ``moms[N]`` the radial moment as (value, error).  Returns
     (total, tail), the tail summing each moment's error times its weight."""
     total = ctx.zero()
     tail = 0.0
@@ -293,7 +328,7 @@ def _euler_4fold(ctx, cap, weight, moment, u1, v1, v2, u2):
                 d_ = a_ + c_ - b_
                 if d_ < 0 or d_ >= cap:
                     continue
-                mv, mt = moment((a_ + b_ + c_ + d_) // 2)
+                mv, mt = moms[(a_ + b_ + c_ + d_) // 2]
                 w = weight(u1, a_) * weight(v1, b_) * weight(v2, c_) * weight(u2, d_)
                 total = total + w * mv
                 tail += ctx.mag(w) * mt
@@ -317,17 +352,10 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict,
 
     if kind == "H_beta":
         meas = RadialMeasure("H_discrete", K=K)
-        mom = {}
-
-        def radial(N):
-            if N not in mom:
-                mom[N] = _discrete_radial_moment(ctx, meas, N, normalized=False)
-            return mom[N]
 
         def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
             return x**r / ctx.qq(r)
 
-        lhs, tail = _euler_4fold(ctx, cap, coefw, radial, u1, v1, v2, u2)
         rhs = (qpoch_inf(ctx, u1 * u2 * v1 * v2, trunc)[0]
                / (qpoch_inf(ctx, ctx.q, trunc)[0]
                   * qpoch_inf(ctx, u1 * u2, trunc)[0]
@@ -335,15 +363,12 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict,
                   * qpoch_inf(ctx, u1 * v1, trunc)[0]
                   * qpoch_inf(ctx, u2 * v2, trunc)[0]))
     elif kind == "h_beta":
+        meas = RadialMeasure("h_continuous")
         s = ctx.q_half_pow(1)
-        moms = h_radial_moments_batch(ctx, 2 * cap)
 
-        def coefw2(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
+        def coefw(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
             return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
 
-        total, tail = _euler_4fold(ctx, cap, coefw2, lambda N: moms[N], u1, v1, v2, u2)
-        lhs = total * mp.pi
-        tail *= float(mp.pi)
         # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
         # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
         rhs = (mp.pi * mpmath.log(1 / ctx.q)
@@ -352,6 +377,11 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict,
                / qpoch_inf(ctx, u1 * u2 * v1 * v2 / ctx.q, trunc)[0])
     else:
         raise ValueError(kind)
+    lhs, tail = _euler_4fold(ctx, cap, coefw, _radial_moments(ctx, meas, 2 * cap),
+                             u1, v1, v2, u2)
+    if kind == "h_beta":
+        lhs = lhs * mp.pi
+        tail *= float(mp.pi)
     rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
     tail += 20.0 * float(rho) ** cap / (1 - float(rho))
     resid = ctx.mag(lhs - rhs)

@@ -227,9 +227,7 @@ def radial_zeros(ctx: QContext, family: str, m: int, n: int, b=None,
     return ZeroSet(family, m, n, {"b": b}, radii, width)
 
 
-def aq_zeros(ctx: QContext, count: int,
-             trunc: Optional[TruncationPolicy] = None,
-             precision: int = 20) -> List[mpmath.mpf]:
+def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]:
     """First `count` zeros 0 < i_1(q) < i_2(q) < ... of A_q, isolated on the
     exact signs of the truncation A_N(x) = sum_{n <= N} c_n (-x)^n,
     c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip

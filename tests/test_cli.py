@@ -140,3 +140,85 @@ def test_verify_cli_matches_library_sweep(capsys):
                     "--max-m", "2", "--max-n", "2", "--format", "json")
     lib = sweep(QContext(F(2, 5)), ["H-ROD"], {"max_m": 2, "max_n": 2})
     assert json.loads(out) == [r.to_dict() for r in lib]
+
+
+# pinned stdout and stderr of `ortho ... --max-index 1`: a change to how the
+# inner products or their moments are computed must leave these bytes as they are
+ORTHO_GOLDEN = [
+    (('--family', 'H', '--max-index', '1', '--q', '1/4'),
+     'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
+     '0,0,0,0,1.45235364245,0.0,1.45235364245,0.0,4.108650548026102e-33\n'
+     '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,1,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
+     '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,0,1,1.08926523184,0.0,1.08926523184,0.0,4.108650548026103e-33\n'
+     '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,1,0,1.08926523184,0.0,1.08926523184,0.0,4.108650548026103e-33\n'
+     '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,0,0,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
+     '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,1,0.204237230969,0.0,0.204237230969,0.0,8.391394109500654e-34\n',
+     '# worst diagonal rel_error 4.108650548026103e-33; worst off-diagonal |value| 2.4837918926989584e-49; PASS\n'),
+    (('--family', 'p', '--max-index', '1', '--q', '1/4', '--b', '1/4'),
+     'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
+     '0,0,0,0,1.42222222222,0.0,1.42222222222,0.0,2.136221550211017e-49\n'
+     '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,1,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
+     '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,0,1,0.952380952381,0.0,0.952380952381,0.0,1.1484535863677403e-52\n'
+     '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,1,0,0.952380952381,0.0,0.952380952381,0.0,1.1484535863677403e-52\n'
+     '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,0,0,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
+     '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,1,0.165441176471,0.0,0.165441176471,0.0,1.5031952384660121e-49\n',
+     '# worst diagonal rel_error 2.136221550211017e-49; worst off-diagonal |value| 2.1375853388448287e-49; PASS\n'),
+    (('--family', 'h', '--max-index', '1', '--q', '1/2'),
+     'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
+     '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,1.9590865980570532e-17\n'
+     '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,0,1,1,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
+     '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,0,1,2.1775860903,0.0,2.1775860903,0.0,7.182881489924932e-33\n'
+     '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,0,1,0,2.1775860903,0.0,2.1775860903,0.0,7.182881489924932e-33\n'
+     '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,0,0,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
+     '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
+     '1,1,1,1,1.08879304515,0.0,1.08879304515,0.0,9.795432990285261e-18\n',
+     '# worst diagonal rel_error 1.9590865980570532e-17; worst off-diagonal |value| 2.1330398628146223e-17; PASS\n'),
+]
+
+
+@pytest.mark.parametrize("argv, out, err", ORTHO_GOLDEN, ids=["H", "p", "h"])
+def test_ortho_output_pinned(capsys, argv, out, err):
+    code = main(["ortho", *argv])
+    got = capsys.readouterr()
+    assert code == 0
+    assert got.out == out
+    assert got.err == err
+
+
+def test_ortho_h_exact_backend_is_config_error(capsys):
+    # the hq moments are quadratures, so the exact backend has none
+    code = main(["ortho", "--family", "h", "--max-index", "1", "--q", "1/2",
+                 "--backend", "exact"])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.out == ""
+    assert got.err.startswith("config error:")

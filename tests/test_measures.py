@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 from fractions import Fraction as F
 
 import mpmath
@@ -218,3 +220,62 @@ def test_orthonormal_seq_tiny_exact_residual_fails(monkeypatch):
     rep = orthonormal_seq_check(QContext(F(1, 2)), "do7", 2, 2, F(3, 2))
     assert not rep.passed
     assert rep.residual != "0" and F(rep.residual) != 0
+
+
+def test_discrete_moment_tables_match_closed_forms():
+    # sum_k w_k q^{kh} against the q-binomial theorem, h <= 8 at q = 1/4:
+    # H: (q;q)_h/(q;q)_inf; p: (q;q)_h/(bq;q)_{h+1} (bq;q)_inf/(q;q)_inf
+    ctx = QContext(F(1, 4), backend="float", precision_bits=160,
+                   default_trunc=TruncationPolicy(400, 1e-40))
+    cases = [("H_discrete", None)] + [("p_discrete", b) for b in (F(1, 4), 0, F(-1, 2))]
+    for kind, b in cases:
+        table = measures._radial_moments(ctx, RadialMeasure(kind, b=b, K=120), 8)
+        with ctx.workprec():
+            q = ctx.q
+            bq = 0 if b is None else ctx.scalar(b) * q
+            for h, (val, tail) in enumerate(table):
+                closed = (mpmath.qp(q, q, h) / mpmath.qp(bq, q, h + 1)
+                          * mpmath.qp(bq, q) / mpmath.qp(q, q))
+                assert abs(val - closed) <= 1e-40 * abs(closed), (kind, b, h)
+                assert tail < 1e-40, (kind, b, h)
+
+
+@pytest.mark.parametrize("b", [-3, -10])
+def test_p_moment_tail_bounds_truncation_error_for_negative_b(fctx, b):
+    # outside 0 <= b <= 2/q the factors |1 - b q^{j+1}| exceed 1, so the
+    # tail must carry sup_k |(bq;q)_k|, not 1
+    for h in range(3):
+        val, tail = moment(fctx, RadialMeasure("p_discrete", b=F(b), K=10), h, h)
+        ref, _ = moment(fctx, RadialMeasure("p_discrete", b=F(b), K=400), h, h)
+        with fctx.workprec():
+            assert tail >= abs(val - ref), (b, h)
+
+
+def test_moment_tables_shared_across_callers(monkeypatch, fctx):
+    # one memo for every table: a longer table serves a shorter request
+    monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
+    meas = RadialMeasure("H_discrete", K=80)
+    long = measures._radial_moments(fctx, meas, 6)
+    assert len(measures._H_MOMENT_CACHE) == 1
+    assert measures._radial_moments(fctx, meas, 3) == long[:4]
+    inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
+    assert len(measures._H_MOMENT_CACHE) == 1
+
+
+def test_ortho_audit_script_runs(tmp_path, monkeypatch, capsys):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "ortho_audit.py")
+    spec = importlib.util.spec_from_file_location("ortho_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    monkeypatch.chdir(tmp_path)
+    assert audit.main() == 0
+    out = capsys.readouterr().out
+    for fam in ("Hq", "pq", "hq"):
+        assert f"{fam}: worst diagonal rel" in out
+    sizes = {"ortho_H.csv": 6**4, "ortho_p.csv": 6**4, "ortho_h.csv": 5**4}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(sizes)
+    for name, rows in sizes.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"
+        assert len(lines) == rows + 1
