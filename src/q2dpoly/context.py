@@ -201,7 +201,8 @@ class TruncationPolicy:
     """Controls every truncated infinite sum/product in the library.
 
     max_terms bounds the number of retained terms, tail_tol the admissible
-    bound on the discarded tail.
+    bound on the discarded tail.  A context's ``default_trunc`` is the one
+    policy every function reads; none takes a policy of its own.
     """
 
     max_terms: int = 200

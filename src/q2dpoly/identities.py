@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import identities_exact as ex
 from . import identities_numeric as nm
 from . import identities_series as se
-from .context import MissingSqrtError, QContext, TruncationPolicy
+from .context import MissingSqrtError, QContext
 from .reports import VerificationReport, scalar_str
 
 F = Fraction
@@ -39,29 +39,21 @@ class IdentityEntry:
     id: str
     anchor: str
     mode: str
-    checker: Callable          # (ctx, point, trunc) -> (residual, tail, info)
+    checker: Callable          # (ctx, point) -> residual (exact) or (residual, tail, info)
     needs_sqrt: bool = False
     grid_kind: str = "mn"      # "mn" | "m" | "jk" | "single"
     note: str = ""
     param_domain: Dict[str, str] = field(default_factory=dict)
 
 
-def _exact_checker(fn):
-    """An exact entry's checker returns its residual object (LHS - RHS as a
-    BivarPoly or TruncatedBiSeries), never a float."""
-    def run(ctx, pt, trunc):
-        return fn(ctx, pt), 0.0, {}
-    return run
-
-
 def _entry_poly(id_, anchor, fn, grid_kind="mn", note="", domain=None):
-    return IdentityEntry(id_, anchor, "EXACT-POLY", _exact_checker(fn),
+    return IdentityEntry(id_, anchor, "EXACT-POLY", fn,
                          grid_kind=grid_kind, note=note,
                          param_domain=domain or {"m": "0..8", "n": "0..8"})
 
 
 def _entry_series(id_, anchor, fn, needs_sqrt=False, grid_kind="jk", note=""):
-    return IdentityEntry(id_, anchor, "EXACT-SERIES", _exact_checker(fn),
+    return IdentityEntry(id_, anchor, "EXACT-SERIES", fn,
                          needs_sqrt=needs_sqrt, grid_kind=grid_kind, note=note,
                          param_domain={"order": "<= 10", "j": "0..3", "k": "0..3"})
 
@@ -220,28 +212,28 @@ def _build_registry() -> Dict[str, IdentityEntry]:
     ]
     # --- multisums and q-beta sums -------------------------------------------
     E += [
-        _entry_num("CIRCLE", "eq:circle", lambda c, p, t: nm.num_circle(c, p, t, radial=False),
+        _entry_num("CIRCLE", "eq:circle", lambda c, p: nm.num_circle(c, p, radial=False),
                    mode="NUMERIC-MULTISUM",
                    note="theta-weighted unconstrained reading; printed q^{(m1+n1)/2} "
                         "refuted at 1e-8 (ledger)"),
-        _entry_num("CIRCLE2", "eq:circle2", lambda c, p, t: nm.num_circle(c, p, t, radial=True),
+        _entry_num("CIRCLE2", "eq:circle2", lambda c, p: nm.num_circle(c, p, radial=True),
                    mode="NUMERIC-MULTISUM",
                    note="same sum with every family value routed through its radial reduction"),
-        _entry_num("AR-EXP", "eq:askeyroy", lambda c, p, t: nm.num_askey_roy_exp(c, p, t, radial=False),
+        _entry_num("AR-EXP", "eq:askeyroy", lambda c, p: nm.num_askey_roy_exp(c, p, radial=False),
                    mode="NUMERIC-MULTISUM",
                    note="convergent block split with |uv| = lam^2 < 1; the printed split "
                         "pairs two h-blocks with reciprocal divergent ratios (ledger)"),
-        _entry_num("AR-EXP2", "eq:askeyroy2", lambda c, p, t: nm.num_askey_roy_exp(c, p, t, radial=True),
+        _entry_num("AR-EXP2", "eq:askeyroy2", lambda c, p: nm.num_askey_roy_exp(c, p, radial=True),
                    mode="NUMERIC-MULTISUM",
                    note="radial-reduction route of AR-EXP"),
         _entry_num("QKS1", "eq:qks1", nm.num_qks1, mode="NUMERIC-MULTISUM",
                    note="checked as literally printed (u^{m3} restored); the e^{pi+2i psi} "
                         "factors are suspected typos and the check fails"),
         _entry_num("RAMBETA-Q1", "eq:rambeta1: 'extended the beta integral'",
-                   lambda c, p, t: nm.num_rambeta(c, p, t, True),
+                   lambda c, p: nm.num_rambeta(c, p, True),
                    mode="NUMERIC-QSUM", needs_sqrt=False),
         _entry_num("RAMBETA-Q3", "eq:rambeta3",
-                   lambda c, p, t: nm.num_rambeta(c, p, t, False),
+                   lambda c, p: nm.num_rambeta(c, p, False),
                    mode="NUMERIC-QSUM", needs_sqrt=False),
     ]
     # --- classical disk, basis expansions, binomial form ----------------------
@@ -298,20 +290,21 @@ def _default_grid(entry: IdentityEntry, params: Dict) -> List[Dict]:
     return [params]
 
 
-def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict,
-               trunc: TruncationPolicy):
+def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict):
     """Run one grid point: (residual, tail, info).
 
-    An exact residual is returned as its largest coefficient, compared
-    exactly by ctx.abs2, or None when it is exactly zero, i.e. stores no
-    coefficient (both residual types drop zero coefficients on
-    construction).  A numeric residual is a float magnitude.
+    An exact checker returns its residual object (LHS - RHS as a BivarPoly
+    or TruncatedBiSeries), never a float; it is reported as its largest
+    coefficient, compared exactly by ctx.abs2, or None when it is exactly
+    zero, i.e. stores no coefficient (both residual types drop zero
+    coefficients on construction), with tail 0.0.  A numeric residual is a
+    float magnitude.
     """
     with ctx.workprec():
-        r, tail, info = entry.checker(ctx, pt, trunc)
         if entry.mode.startswith("EXACT"):
-            worst = max(r.coeffs.values(), key=ctx.abs2) if r.coeffs else None
-            return worst, float(tail), info
+            r = entry.checker(ctx, pt)
+            return (max(r.coeffs.values(), key=ctx.abs2) if r.coeffs else None), 0.0, {}
+        r, tail, info = entry.checker(ctx, pt)
     return float(r), float(tail), info
 
 
@@ -325,11 +318,9 @@ def _verdict(entry: IdentityEntry, worst, tail: float, tol: float):
 
 
 def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
-                   trunc: Optional[TruncationPolicy] = None,
                    tol: float = 1e-10) -> VerificationReport:
     """Run one registry entry over its grid and aggregate a single report."""
     entry = get_entry(id_)
-    trunc = trunc or ctx.default_trunc
     if entry.needs_sqrt and ctx.s is None:
         raise MissingSqrtError(f"{id_} needs q**(1/2); set sqrt_q on the context")
     grid = _default_grid(entry, params or {})
@@ -338,7 +329,7 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
     tails = 0.0
     info_all: Dict = {}
     for pt in grid:
-        r, tail, info = _run_point(ctx, entry, pt, trunc)
+        r, tail, info = _run_point(ctx, entry, pt)
         if not exact:
             worst = max(worst, r)
         elif r is not None and (worst is None or ctx.abs2(r) > ctx.abs2(worst)):
@@ -355,11 +346,9 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
 
 
 def sweep(ctx: QContext, ids: Sequence[str], grid: Optional[Dict] = None,
-          trunc: Optional[TruncationPolicy] = None,
           tol: float = 1e-10) -> List[VerificationReport]:
     """One report per (id, grid point); failures are isolated per entry and
     never abort the sweep.  Reports are ordered by (id, grid point)."""
-    trunc = trunc or ctx.default_trunc
     out: List[VerificationReport] = []
     for id_ in sorted(ids):
         entry = get_entry(id_)
@@ -374,7 +363,7 @@ def sweep(ctx: QContext, ids: Sequence[str], grid: Optional[Dict] = None,
             try:
                 if entry.needs_sqrt and ctx.s is None:
                     raise MissingSqrtError("needs sqrt_q")
-                r, tail, info = _run_point(ctx, entry, pt, trunc)
+                r, tail, info = _run_point(ctx, entry, pt)
                 passed, residual = _verdict(entry, r, tail, tol)
                 out.append(VerificationReport(
                     id_, entry.mode, gridrep, residual, tail, passed,

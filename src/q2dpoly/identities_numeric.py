@@ -104,7 +104,7 @@ def laurent_block(terms):
     return out
 
 
-def unity_filter_sum(ctx, blocks, weight=None, caps_range: int = 0):
+def unity_filter_sum(blocks, weight=None, caps_range: int = 0):
     """(1/M) sum_r w(omega^r) prod_i S_i(omega^r) with M large enough that the
     filter is exact for the capped index boxes (plus theta-weight aliasing
     error, which is returned as part of the tail).  Each block S_i is given
@@ -168,7 +168,7 @@ def _family_values(ctx, family, z1, z2, radial=False):
 # NUMERIC-SERIES entries
 # ---------------------------------------------------------------------------
 
-def num_gf_H_ab(ctx, pt, trunc):
+def num_gf_H_ab(ctx, pt):
     """eqHmnu+v with the statement's (a/u;q)_n index typo corrected to m:
     both sides evaluated at scalars."""
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
@@ -185,13 +185,13 @@ def num_gf_H_ab(ctx, pt, trunc):
 
     lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
-    den1, t1 = qpoch_inf(ctx, u * z1, trunc)
-    den2, t2 = qpoch_inf(ctx, v * z2, trunc)
+    den1, t1 = qpoch_inf(ctx, u * z1)
+    den2, t2 = qpoch_inf(ctx, v * z2)
     total, prod_tail = ctx.zero(), 0.0
     k = 0
     while True:
-        az, ta = qpoch_inf(ctx, a * z1 * ctx.qpow(k), trunc)
-        bz, tb = qpoch_inf(ctx, b * z2 * ctx.qpow(k), trunc)
+        az, ta = qpoch_inf(ctx, a * z1 * ctx.qpow(k))
+        bz, tb = qpoch_inf(ctx, b * z2 * ctx.qpow(k))
         coef = ((-1) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
                 * upoch(u, a, k) * upoch(v, b, k))
         term = coef * az * bz
@@ -208,7 +208,7 @@ def num_gf_H_ab(ctx, pt, trunc):
     return resid, tail1 + t1 + t2 + prod_tail / ctx.mag(den1 * den2) + 1e-28, {}
 
 
-def num_gf_p(ctx, pt, trunc):
+def num_gf_p(ctx, pt):
     """eq:jp generating function at scalars (2phi1 form)."""
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     b = ctx.scalar(pt.get("b", F(1, 4)))
@@ -217,23 +217,23 @@ def num_gf_p(ctx, pt, trunc):
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
-    num1, t1 = qpoch_inf(ctx, b * ctx.q, trunc)
-    num2, t2 = qpoch_inf(ctx, u * v, trunc)
-    den1, t3 = qpoch_inf(ctx, u * z1, trunc)
-    den2, t4 = qpoch_inf(ctx, v * z2, trunc)
-    phi = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q, trunc)
+    num1, t1 = qpoch_inf(ctx, b * ctx.q)
+    num2, t2 = qpoch_inf(ctx, u * v)
+    den1, t3 = qpoch_inf(ctx, u * z1)
+    den2, t4 = qpoch_inf(ctx, v * z2)
+    phi = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
     rhs = num1 * num2 / (den1 * den2) * phi
     return ctx.mag(lhs - rhs), tail + t1 + t2 + t3 + t4, {}
 
 
-def num_p_conn_H_inv(ctx, pt, trunc):
+def num_p_conn_H_inv(ctx, pt):
     """eqcinnhtop: H_{m,n} as a q^{k/2}-dilated sum of the disk family."""
     m_, n_ = pt.get("m", 3), pt.get("n", 2)
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     b = ctx.scalar(pt.get("b", F(1, 4)))
     s = ctx.q_half_pow(1)
     lhs = eval_poly(coeffs(ctx, "Hq", m_, n_), z1, z2)
-    bqinf, t0 = qpoch_inf(ctx, b * ctx.q, trunc)
+    bqinf, t0 = qpoch_inf(ctx, b * ctx.q)
     P = coeffs(ctx, "pq", m_, n_, b=b)
     total = ctx.zero()
     for k in range(160):
@@ -246,7 +246,7 @@ def num_p_conn_H_inv(ctx, pt, trunc):
     return ctx.mag(lhs - rhs), t0 + 1e-30, {}
 
 
-def num_gf_shift_p(ctx, pt, trunc):
+def num_gf_shift_p(ctx, pt):
     """eq:eqGFpplus (first printed variant) at scalars."""
     j, k = pt.get("j", 1), pt.get("k", 1)
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
@@ -257,10 +257,10 @@ def num_gf_shift_p(ctx, pt, trunc):
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
 
-    pref1, t1 = qpoch_inf(ctx, b * ctx.q, trunc)
-    pref2, t2 = qpoch_inf(ctx, u * v * ctx.qpow(j + k), trunc)
-    den1, t3 = qpoch_inf(ctx, u * z1, trunc)
-    den2, t4 = qpoch_inf(ctx, v * z2, trunc)
+    pref1, t1 = qpoch_inf(ctx, b * ctx.q)
+    pref2, t2 = qpoch_inf(ctx, u * v * ctx.qpow(j + k))
+    den1, t3 = qpoch_inf(ctx, u * z1)
+    den2, t4 = qpoch_inf(ctx, v * z2)
     uz1, vz2, uv = (QPochPrefix(ctx, a) for a in (u * z1, v * z2, u * v * ctx.qpow(j + k)))
     total = ctx.zero()
     for l in range(200):
@@ -293,7 +293,7 @@ def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
     return sum2d(ctx, term, cap=cap, tol=tol)
 
 
-def num_cor19_2phi1(ctx, pt, trunc):
+def num_cor19_2phi1(ctx, pt):
     """eq2phi1gf: both closed forms, inside the common convergence region; the
     analytic-continuation claim for the 1phi1 form is recorded untested."""
     q = ctx.q
@@ -307,23 +307,21 @@ def num_cor19_2phi1(ctx, pt, trunc):
         QPochPrefix(ctx, c), QPochPrefix(ctx, d),
         lambda m_, n_: pa(m_) * pb(n_) * s ** ((m_ - n_) ** 2),
         cap=44)
-    pr = (qpoch_inf(ctx, c / a, trunc)[0] * qpoch_inf(ctx, d / b, trunc)[0]
-          / (qpoch_inf(ctx, c, trunc)[0] * qpoch_inf(ctx, d, trunc)[0]))
+    pr = (qpoch_inf(ctx, c / a)[0] * qpoch_inf(ctx, d / b)[0]
+          / (qpoch_inf(ctx, c)[0] * qpoch_inf(ctx, d)[0]))
     arg = -c * d / (q * a * b * z1 * z2)
-    rhs1 = pr * phi_series(ctx, [a, b], [ctx.zero()], arg, trunc)
+    rhs1 = pr * phi_series(ctx, [a, b], [ctx.zero()], arg)
     # 1phi1 form; the printed version drops two minus signs (ledger):
     # the correct bottom parameter and argument are -cd/(q b z1 z2), -cd/(q a z1 z2)
     beta = -c * d / (q * b * z1 * z2)
-    pr2 = (qpoch_inf(ctx, c / a, trunc)[0] * qpoch_inf(ctx, d / b, trunc)[0]
-           * qpoch_inf(ctx, beta, trunc)[0]
-           / (qpoch_inf(ctx, c, trunc)[0] * qpoch_inf(ctx, d, trunc)[0]
-              * qpoch_inf(ctx, arg, trunc)[0]))
-    rhs2 = pr2 * phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2), trunc)
+    pr2 = (qpoch_inf(ctx, c / a)[0] * qpoch_inf(ctx, d / b)[0] * qpoch_inf(ctx, beta)[0]
+           / (qpoch_inf(ctx, c)[0] * qpoch_inf(ctx, d)[0] * qpoch_inf(ctx, arg)[0]))
+    rhs2 = pr2 * phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
     r = max(ctx.mag(lhs - rhs1), ctx.mag(lhs - rhs2))
     return r, tail + 1e-25, {"extension_claim": "untested outside |cdq/(ab z1 z2)|<1"}
 
 
-def num_cor19_aq(ctx, pt, trunc):
+def num_cor19_aq(ctx, pt):
     q = ctx.q
     c, d = ctx.scalar(pt.get("c", F(1, 7))), ctx.scalar(pt.get("d", F(1, 6)))
     z1, z2 = ctx.scalar(pt.get("z1", 2)), ctx.scalar(pt.get("z2", 3))
@@ -331,12 +329,12 @@ def num_cor19_aq(ctx, pt, trunc):
         ctx, z1, z2, c / z1, d / z2,
         QPochPrefix(ctx, c * q), QPochPrefix(ctx, d * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
-    aqv, t1 = aq_function(ctx, c * d / (z1 * z2), trunc)
-    rhs = aqv / (qpoch_inf(ctx, c * q, trunc)[0] * qpoch_inf(ctx, d * q, trunc)[0])
+    aqv, t1 = aq_function(ctx, c * d / (z1 * z2))
+    rhs = aqv / (qpoch_inf(ctx, c * q)[0] * qpoch_inf(ctx, d * q)[0])
     return ctx.mag(lhs - rhs), tail + t1, {}
 
 
-def num_cor19_aq2(ctx, pt, trunc):
+def num_cor19_aq2(ctx, pt):
     q = ctx.q
     c, d = ctx.scalar(pt.get("c", F(1, 8))), ctx.scalar(pt.get("d", F(1, 9)))
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
@@ -344,12 +342,12 @@ def num_cor19_aq2(ctx, pt, trunc):
         ctx, z1, z2, c, d,
         QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
-    aqv, t1 = aq_function(ctx, c * d, trunc)
-    rhs = aqv / (qpoch_inf(ctx, c * z1 * q, trunc)[0] * qpoch_inf(ctx, d * z2 * q, trunc)[0])
+    aqv, t1 = aq_function(ctx, c * d)
+    rhs = aqv / (qpoch_inf(ctx, c * z1 * q)[0] * qpoch_inf(ctx, d * z2 * q)[0])
     return ctx.mag(lhs - rhs), tail + t1, {}
 
 
-def num_gis_pgf(ctx, pt, trunc):
+def num_gis_pgf(ctx, pt):
     """eqhasPGF at cd = -q^s: the A_q value collapses to the Schur-polynomial
     combination of the generalized Rogers--Ramanujan identity."""
     q = ctx.q
@@ -374,11 +372,11 @@ def num_gis_pgf(ctx, pt, trunc):
     bm = ctx.scalar(schur_b(QContext(ctx.q_fraction), sidx))
     gis = ((-1) ** sidx * ctx.qpow(-(sidx * (sidx - 1) // 2))
            * (am / (poch5(1) * poch5(4)) - bm / (poch5(2) * poch5(3))))
-    rhs = gis / (qpoch_inf(ctx, c * z1 * q, trunc)[0] * qpoch_inf(ctx, d * z2 * q, trunc)[0])
+    rhs = gis / (qpoch_inf(ctx, c * z1 * q)[0] * qpoch_inf(ctx, d * z2 * q)[0])
     return ctx.mag(lhs - rhs), tail + 1e-28, {"schur_convention": "a0=1 pinned by RR1"}
 
 
-def num_cor20_i2(ctx, pt, trunc):
+def num_cor20_i2(ctx, pt):
     q = ctx.q
     s = ctx.q_half_pow(1)
     b = ctx.scalar(pt.get("b", F(1, 3)))
@@ -393,15 +391,15 @@ def num_cor20_i2(ctx, pt, trunc):
     # printed q^nu = c d q^{-2}/b; the a -> infinity limit of the corrected
     # 1phi1 form yields q^nu = -c d q^{-2}/b (ledger)
     qnu = -c * d / (q * q * b)
-    bes, t1 = bessel_i2_series(ctx, qnu, b, trunc)
-    rhs = (qpoch_inf(ctx, d * z2 / b, trunc)[0] * qpoch_inf(ctx, q, trunc)[0]
-           / (qpoch_inf(ctx, c * z1, trunc)[0] * qpoch_inf(ctx, d * z2, trunc)[0])) * bes
+    bes, t1 = bessel_i2_series(ctx, qnu, b)
+    rhs = (qpoch_inf(ctx, d * z2 / b)[0] * qpoch_inf(ctx, q)[0]
+           / (qpoch_inf(ctx, c * z1)[0] * qpoch_inf(ctx, d * z2)[0])) * bes
     return ctx.mag(lhs - rhs), tail + t1, {}
 
 
 # --- Ramanujan-type generating functions -----------------------------------
 
-def _ram_H(ctx, pt, trunc, radial=False):
+def _ram_H(ctx, pt, radial=False):
     """eq:ramHgen1 with q = exp(-2k^2): (residual, tail) of the closed form
     against the H-series, whose values come from the recurrences or, when
     radial is set, from the Wall reductions."""
@@ -413,9 +411,8 @@ def _ram_H(ctx, pt, trunc, radial=False):
     x = mpmath.exp(2j * mm * kpar)
     # the printed statement omits the (q;q)_inf/(abq;q)_inf normalization
     # that the Gaussian-integral derivation produces (ledger)
-    lhs = (qpoch_inf(ctx, ctx.q, trunc)[0]
-           * qpoch_inf(ctx, -a * q * x, trunc)[0] * qpoch_inf(ctx, -b * q / x, trunc)[0]
-           / qpoch_inf(ctx, a * b * q, trunc)[0])
+    lhs = (qpoch_inf(ctx, ctx.q)[0] * qpoch_inf(ctx, -a * q * x)[0]
+           * qpoch_inf(ctx, -b * q / x)[0] / qpoch_inf(ctx, a * b * q)[0])
     tab = _family_values(ctx, "Hq", a, b, radial)
     rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
                       * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
@@ -423,13 +420,13 @@ def _ram_H(ctx, pt, trunc, radial=False):
     return ctx.mag(lhs - rhs), tail
 
 
-def num_ram_gen_H(ctx, pt, trunc):
+def num_ram_gen_H(ctx, pt):
     """eq:ramHgen1 with q = exp(-2k^2)."""
-    r, tail = _ram_H(ctx, pt, trunc)
+    r, tail = _ram_H(ctx, pt)
     return r, tail + 1e-28, {}
 
 
-def _ram_genh_rhs(ctx, pt, trunc, radial=False):
+def _ram_genh_rhs(ctx, pt, radial=False):
     """The h-series of eq:ramhgen1 and its parameters: (value, tail, a, b, x)."""
     q = ctx.q
     s = ctx.q_half_pow(1)
@@ -444,42 +441,40 @@ def _ram_genh_rhs(ctx, pt, trunc, radial=False):
     return val, tail, a, b, x
 
 
-def _ram_genh_derived(ctx, a, b, x, trunc):
+def _ram_genh_derived(ctx, a, b, x):
     """The derived closed form of eq:ramhgen1,
     (q a b;q)inf / ((-q, a q^{1/2} x, b q^{1/2}/x;q)inf)."""
     q = ctx.q
     s = ctx.q_half_pow(1)
-    return (qpoch_inf(ctx, q * a * b, trunc)[0]
-            / (qpoch_inf(ctx, -q, trunc)[0]
-               * qpoch_inf(ctx, a * s * x, trunc)[0]
-               * qpoch_inf(ctx, b * s / x, trunc)[0]))
+    return (qpoch_inf(ctx, q * a * b)[0]
+            / (qpoch_inf(ctx, -q)[0] * qpoch_inf(ctx, a * s * x)[0]
+               * qpoch_inf(ctx, b * s / x)[0]))
 
 
-def num_ram_gen_h(ctx, pt, trunc):
+def num_ram_gen_h(ctx, pt):
     """eq:ramhgen1: the printed left side (comma reading) is checked literally
     and the re-derived left side is reported alongside (see note)."""
-    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt, trunc)
+    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt)
     x2 = x * x
-    lhs_printed = (qpoch_inf(ctx, a * b, trunc)[0]
-                   / (qpoch_inf(ctx, -a * b, trunc)[0]
-                      * qpoch_inf(ctx, a * x2, trunc)[0]
-                      * qpoch_inf(ctx, b / x2, trunc)[0]))
+    lhs_printed = (qpoch_inf(ctx, a * b)[0]
+                   / (qpoch_inf(ctx, -a * b)[0] * qpoch_inf(ctx, a * x2)[0]
+                      * qpoch_inf(ctx, b / x2)[0]))
     r_printed = ctx.mag(lhs_printed - rhs)
-    r_derived = ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs)
+    r_derived = ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs)
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-10 + tail)}
     return r_printed, tail + 1e-26, info
 
 
-def num_ram_gen_h_alt(ctx, pt, trunc):
+def num_ram_gen_h_alt(ctx, pt):
     """Derived variant of eq:ramhgen1 (ledger): with u = q^{1/2} e^{mk},
     v = q^{1/2} e^{-mk},
 
       sum h_{s,t}(a,b) u^s v^t / ((q;q)_s (q;q)_t)
         = (q a b;q)inf / ((-q, a q^{1/2} e^{mk}, b q^{1/2} e^{-mk};q)inf).
     """
-    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt, trunc)
-    return ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs), tail + 1e-26, {}
+    rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt)
+    return ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs), tail + 1e-26, {}
 
 
 def _ram_genC_params(pt):
@@ -499,53 +494,53 @@ def _ram_genC_rhs(ctx, pt, radial=False):
     return paired_diagonal_sum(ctx, term, dmax=90, nmax=cap, tol=1e-27)
 
 
-def _ram_genC_closed(ctx, pt, trunc, printed=False):
+def _ram_genC_closed(ctx, pt, printed=False):
     """The closed form of eq:ramhgen2: the printed one carries
     (-q^{a+b};q)inf, the derived one (-1;q)inf in its place."""
     apar, bpar, cpar = _ram_genC_params(pt)
     qab = ctx.q ** (apar + bpar)
-    return (qpoch_inf(ctx, qab, trunc)[0]
-            / (qpoch_inf(ctx, -qab if printed else ctx.scalar(-1), trunc)[0]
-               * qpoch_inf(ctx, ctx.q ** (apar + cpar), trunc)[0]
-               * qpoch_inf(ctx, ctx.q ** (bpar - cpar), trunc)[0]))
+    return (qpoch_inf(ctx, qab)[0]
+            / (qpoch_inf(ctx, -qab if printed else ctx.scalar(-1))[0]
+               * qpoch_inf(ctx, ctx.q ** (apar + cpar))[0]
+               * qpoch_inf(ctx, ctx.q ** (bpar - cpar))[0]))
 
 
-def num_ram_gen_C(ctx, pt, trunc):
+def num_ram_gen_C(ctx, pt):
     """eq:ramhgen2: printed closed form checked literally; the re-derived form
     replaces (-q^{a+b};q)inf by (-1;q)inf (see note).  The double series is
     Abel-type (diagonal pairing) and is summed once for both forms."""
     rhs, tail = _ram_genC_rhs(ctx, pt)
-    r_printed = ctx.mag(_ram_genC_closed(ctx, pt, trunc, printed=True) - rhs)
-    r_derived = ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs)
+    r_printed = ctx.mag(_ram_genC_closed(ctx, pt, printed=True) - rhs)
+    r_derived = ctx.mag(_ram_genC_closed(ctx, pt) - rhs)
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-8 + tail)}
     return r_printed, tail + 1e-24, info
 
 
-def num_ram_gen_C_alt(ctx, pt, trunc):
+def num_ram_gen_C_alt(ctx, pt):
     rhs, tail = _ram_genC_rhs(ctx, pt)
-    return ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs), tail + 1e-24, {}
+    return ctx.mag(_ram_genC_closed(ctx, pt) - rhs), tail + 1e-24, {}
 
 
-def num_ram_gen_lag(ctx, pt, trunc):
+def num_ram_gen_lag(ctx, pt):
     """The q-Laguerre / Wall reductions of the Ramanujan-type expansions:
     the three series are re-evaluated through the radial reductions and
     compared against the same closed forms (derived variants where the
     printed ones fail)."""
     # (1) first-family version of eq:ramHgen2 via Wall reduction
-    r1, tail1 = _ram_H(ctx, pt, trunc, radial=True)
+    r1, tail1 = _ram_H(ctx, pt, radial=True)
     # (2) q-Laguerre version of the derived eq:ramhgen1
-    rhs2, tail2, a, b, x = _ram_genh_rhs(ctx, pt, trunc, radial=True)
-    r2 = ctx.mag(_ram_genh_derived(ctx, a, b, x, trunc) - rhs2)
+    rhs2, tail2, a, b, x = _ram_genh_rhs(ctx, pt, radial=True)
+    r2 = ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs2)
     # (3) q-Laguerre version of the derived eq:ramhgen2
     rhs3, tail3 = _ram_genC_rhs(ctx, pt, radial=True)
-    r3 = ctx.mag(_ram_genC_closed(ctx, pt, trunc) - rhs3)
+    r3 = ctx.mag(_ram_genC_closed(ctx, pt) - rhs3)
     return max(r1, r2, r3), tail1 + tail2 + tail3 + 1e-24, {
         "wall_residual": float(r1), "laguerre_residual": float(r2),
         "laguerre_c_residual": float(r3)}
 
 
-def num_bes_wall(ctx, pt, trunc):
+def num_bes_wall(ctx, pt):
     """The Wall expansion behind eq:bessel2wall.
 
     The printed identity rests on the bilateral generating function
@@ -570,10 +565,10 @@ def num_bes_wall(ctx, pt, trunc):
     # LHS: [t^n] of the closed product, by roots-of-unity extraction
     M = 96
     acc = mp.mpc(0)
-    num = qpoch_inf(ctx, x2, trunc)[0]
+    num = qpoch_inf(ctx, x2)[0]
     for r in range(M):
         zr = mpmath.exp(2j * mpmath.pi * r / M)
-        val = num / (qpoch_inf(ctx, x * zr, trunc)[0] * qpoch_inf(ctx, x / zr, trunc)[0])
+        val = num / (qpoch_inf(ctx, x * zr)[0] * qpoch_inf(ctx, x / zr)[0])
         acc += val * zr ** (-nidx)
     lhs = acc / M
 
@@ -596,10 +591,10 @@ def num_bes_wall(ctx, pt, trunc):
             break
         tot_printed = tot_printed + t_pr
         prev = ctx.mag(t_pr)
-    pref_printed = (qpoch_inf(ctx, qalpha * q, trunc)[0] * qpoch_inf(ctx, -x2, trunc)[0]
-                    / (qpoch_inf(ctx, q, trunc)[0] * qpoch_inf(ctx, x2, trunc)[0]))
+    pref_printed = (qpoch_inf(ctx, qalpha * q)[0] * qpoch_inf(ctx, -x2)[0]
+                    / (qpoch_inf(ctx, q)[0] * qpoch_inf(ctx, x2)[0]))
     # J^(2)_alpha(2x;q)/x^alpha for the printed comparison
-    jr, _ = bessel_i2_series(ctx, qalpha, -x2, trunc)
+    jr, _ = bessel_i2_series(ctx, qalpha, -x2)
     r_printed = ctx.mag(jr - pref_printed * tot_printed)
 
     resid = ctx.mag(lhs - rhs)
@@ -613,7 +608,7 @@ def num_bes_wall(ctx, pt, trunc):
 # NUMERIC-QSUM entries (Ramanujan q-beta integrals)
 # ---------------------------------------------------------------------------
 
-def qshift_ladder(ctx, c, K: int, trunc):
+def qshift_ladder(ctx, c, K: int):
     """[(-c q^k;q)_inf for k = 0..K-1] and their relative truncation tail.
 
     Only the smallest argument k = K-1 calls :func:`qpoch_inf`; the rest
@@ -621,7 +616,7 @@ def qshift_ladder(ctx, c, K: int, trunc):
     ch. 1), so every entry carries the base's relative tail, which is
     returned (c > 0, so no factor vanishes).
     """
-    base, tail = qpoch_inf(ctx, -c * ctx.qpow(K - 1), trunc)
+    base, tail = qpoch_inf(ctx, -c * ctx.qpow(K - 1))
     out = [base]
     for k in range(K - 2, -1, -1):
         out.append((1 + c * ctx.qpow(k)) * out[-1])
@@ -629,7 +624,7 @@ def qshift_ladder(ctx, c, K: int, trunc):
     return out, tail / ctx.mag(base)
 
 
-def num_rambeta(ctx, pt, trunc, with_ab: bool):
+def num_rambeta(ctx, pt, with_ab: bool):
     """eq:rambeta1 (with_ab) / eq:rambeta3: the bilateral q-sum against the
     closed product form.
 
@@ -646,13 +641,13 @@ def num_rambeta(ctx, pt, trunc, with_ab: bool):
 
     # node k sits at t = q^(n0 + k): A = (-t;q)inf and C = (-t q^b;q)inf are
     # read at k, B = (-q/t;q)inf and D = (-q^{a+1}/t;q)inf at K-1-k
-    A, lad_rel = qshift_ladder(ctx, ctx.qpow(n0), K, trunc)
-    B, rel = qshift_ladder(ctx, ctx.qpow(2 - n0 - K), K, trunc)
+    A, lad_rel = qshift_ladder(ctx, ctx.qpow(n0), K)
+    B, rel = qshift_ladder(ctx, ctx.qpow(2 - n0 - K), K)
     lad_rel += rel
     if with_ab:
-        C, rel = qshift_ladder(ctx, ctx.qpow(n0) * q ** bpar, K, trunc)
+        C, rel = qshift_ladder(ctx, ctx.qpow(n0) * q ** bpar, K)
         lad_rel += rel
-        D, rel = qshift_ladder(ctx, q ** (apar + 1) * ctx.qpow(1 - n0 - K), K, trunc)
+        D, rel = qshift_ladder(ctx, q ** (apar + 1) * ctx.qpow(1 - n0 - K), K)
         lad_rel += rel
 
     total = ctx.zero()
@@ -670,7 +665,7 @@ def num_rambeta(ctx, pt, trunc, with_ab: bool):
     def product(args):
         val, rel = ctx.one(), 0.0
         for a in args:
-            v, t = qpoch_inf(ctx, a, trunc)
+            v, t = qpoch_inf(ctx, a)
             val, rel = val * v, rel + t / ctx.mag(v)
         return val, rel
 
@@ -690,7 +685,7 @@ def num_rambeta(ctx, pt, trunc, with_ab: bool):
 # constrained multisums
 # ---------------------------------------------------------------------------
 
-def num_circle(ctx, pt, trunc, radial=False):
+def num_circle(ctx, pt, radial=False):
     """eq:circle / eq:circle2 in the theta-weighted unconstrained reading:
     the (sum m - sum n)^2 exponent together with its sign is the Fourier
     weight of the Jacobi triple product (q, q^{1/2} z, q^{1/2}/z;q)inf, so the
@@ -714,22 +709,21 @@ def num_circle(ctx, pt, trunc, radial=False):
     S2 = _box_block(ctx, J, lambda m_, n_: H1[m_, n_] * x[0] ** m_ * x[1] ** n_)
     S3 = _box_block(ctx, J, lambda m_, n_: H2[m_, n_] * x[2] ** m_ * x[3] ** n_)
     # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
-    qinf = qpoch_inf(ctx, q, trunc)[0]
-    rhs = unity_filter_sum(ctx, [S1, S2, S3],
-                           weight=lambda z: (qinf * qpoch_inf(ctx, s * z, trunc)[0]
-                                             * qpoch_inf(ctx, s / z, trunc)[0]),
-                           caps_range=3 * J + 24)
+    qinf = qpoch_inf(ctx, q)[0]
+    rhs = unity_filter_sum(
+        [S1, S2, S3], weight=lambda z: qinf * qpoch_inf(ctx, s * z)[0] * qpoch_inf(ctx, s / z)[0],
+        caps_range=3 * J + 24)
 
     num = ctx.one()
     for i in range(4):
-        num = num * qpoch_inf(ctx, t[i] * x[i] * s, trunc)[0]
-    num = num * qpoch_inf(ctx, x[0] * x[1], trunc)[0] * qpoch_inf(ctx, x[2] * x[3], trunc)[0]
-    num = num * qpoch_inf(ctx, t[0] * t[1] * t[2] * t[3] * x[0] * x[1] * x[2] * x[3] * q * q, trunc)[0]
-    den = (qpoch_inf(ctx, t[0] * t[1] * x[0] * x[1], trunc)[0]
-           * qpoch_inf(ctx, t[0] * t[3] * x[0] * x[3], trunc)[0]
-           * qpoch_inf(ctx, t[1] * t[2] * x[1] * x[2], trunc)[0]
-           * qpoch_inf(ctx, t[2] * t[3] * x[2] * x[3], trunc)[0]
-           * qpoch_inf(ctx, -x[0] * x[1] * x[2] * x[3], trunc)[0])
+        num = num * qpoch_inf(ctx, t[i] * x[i] * s)[0]
+    num = num * qpoch_inf(ctx, x[0] * x[1])[0] * qpoch_inf(ctx, x[2] * x[3])[0]
+    num = num * qpoch_inf(ctx, t[0] * t[1] * t[2] * t[3] * x[0] * x[1] * x[2] * x[3] * q * q)[0]
+    den = (qpoch_inf(ctx, t[0] * t[1] * x[0] * x[1])[0]
+           * qpoch_inf(ctx, t[0] * t[3] * x[0] * x[3])[0]
+           * qpoch_inf(ctx, t[1] * t[2] * x[1] * x[2])[0]
+           * qpoch_inf(ctx, t[2] * t[3] * x[2] * x[3])[0]
+           * qpoch_inf(ctx, -x[0] * x[1] * x[2] * x[3])[0])
     lhs = num / den
     # crude geometric tail majorant from the largest parameter magnitude
     rho = max(ctx.mag(v) for v in (x[0] * x[2], x[1] * x[3], x[0], x[1], x[2], x[3]))
@@ -737,7 +731,7 @@ def num_circle(ctx, pt, trunc, radial=False):
     return ctx.mag(lhs - rhs), tail, {}
 
 
-def num_askey_roy_exp(ctx, pt, trunc, radial=False):
+def num_askey_roy_exp(ctx, pt, radial=False):
     """eq:askeyroy / eq:askeyroy2 in the convergent split (ledger): the printed
     split carries a divergent h-block pair (their diagonal ratios are exact
     reciprocals), so the blocks are expanded with |uv| = lam^2 < 1:
@@ -780,20 +774,20 @@ def num_askey_roy_exp(ctx, pt, trunc, radial=False):
     def Hblock(p1, p2):
         return _box_block(ctx, J, lambda m_, n_: H11[m_, n_] * p1**m_ * p2**n_)
 
-    rhs = unity_filter_sum(ctx, [hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
+    rhs = unity_filter_sum([hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
                            caps_range=4 * J)
-    lam2inf = qpoch_inf(ctx, -lam * lam, trunc)[0]
-    lhs = (qpoch_inf(ctx, a * b * al * be, trunc)[0] * qpoch_inf(ctx, c, trunc)[0]
-           * qpoch_inf(ctx, q / c, trunc)[0] * qpoch_inf(ctx, c * al / be, trunc)[0]
-           * qpoch_inf(ctx, q * be / (c * al), trunc)[0]
-           / (qpoch_inf(ctx, a * be, trunc)[0] * qpoch_inf(ctx, b * al, trunc)[0]
-              * qpoch_inf(ctx, q, trunc)[0] * lam2inf * lam2inf))
+    lam2inf = qpoch_inf(ctx, -lam * lam)[0]
+    lhs = (qpoch_inf(ctx, a * b * al * be)[0] * qpoch_inf(ctx, c)[0]
+           * qpoch_inf(ctx, q / c)[0] * qpoch_inf(ctx, c * al / be)[0]
+           * qpoch_inf(ctx, q * be / (c * al))[0]
+           / (qpoch_inf(ctx, a * be)[0] * qpoch_inf(ctx, b * al)[0]
+              * qpoch_inf(ctx, q)[0] * lam2inf * lam2inf))
     rho = max(float(ctx.mag(v)) for v in (lam * lam, a, b, al, be))
     tail = 60.0 * rho ** (J + 1) / (1 - rho)
     return ctx.mag(lhs - rhs), tail, {}
 
 
-def num_qks1(ctx, pt, trunc):
+def num_qks1(ctx, pt):
     """eq:qks1 checked as literally printed (with the evidently missing
     u^{m3} power restored); the exponentials e^{pi +- 2 i psi} etc. are taken
     at face value, and the suspected typo is flagged in the note."""
@@ -841,18 +835,18 @@ def num_qks1(ctx, pt, trunc):
     S3 = block(1, Hm3, lambda m_: u**m_)
     S4 = block(-1, Hm4, lambda m_: v**m_)
 
-    rhs = unity_filter_sum(ctx, [S1, S2, S3, S4], caps_range=4 * J)
+    rhs = unity_filter_sum([S1, S2, S3, S4], caps_range=4 * J)
     epi = mpmath.exp(mpmath.pi)
     e2ip = mpmath.exp(2j * psi)
     ehalf = mpmath.exp(mpmath.pi / 2)
-    lhs = (qpoch_inf(ctx, u * u * v * v, trunc)[0] * qpoch_inf(ctx, s, trunc)[0] ** 2
-           * qpoch_inf(ctx, s * epi * e2ip, trunc)[0]
-           * qpoch_inf(ctx, s / (epi * e2ip), trunc)[0])
-    den = (qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi + psi)) * ehalf, trunc)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi - psi)) / ehalf, trunc)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi - psi)) * ehalf, trunc)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi + psi)) / ehalf, trunc)[0]
-           * qpoch_inf(ctx, q, trunc)[0])
+    lhs = (qpoch_inf(ctx, u * u * v * v)[0] * qpoch_inf(ctx, s)[0] ** 2
+           * qpoch_inf(ctx, s * epi * e2ip)[0]
+           * qpoch_inf(ctx, s / (epi * e2ip))[0])
+    den = (qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi + psi)) * ehalf)[0]
+           * qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi - psi)) / ehalf)[0]
+           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi - psi)) * ehalf)[0]
+           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi + psi)) / ehalf)[0]
+           * qpoch_inf(ctx, q)[0])
     lhs = lhs / den
     rho = max(float(ctx.mag(u)), float(ctx.mag(v)))
     tail = 40.0 * rho ** (J + 1) / (1 - rho)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import mpmath
 from mpmath import mp
 
-from .context import QContext, TruncationPolicy, conj, is_zero
+from .context import QContext, conj, is_zero
 from .polyfamilies import BivarPoly, coeffs, eval_poly
 from .qkernel import QPochPrefix, qbinom, qpoch, qpoch_inf
 from .reports import VerificationReport, scalar_str
@@ -88,18 +88,18 @@ def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object
         return table[: nmax + 1]
     if not p and measure.kind != "H_discrete":
         raise ValueError(f"unknown measure kind {measure.kind!r}")
-    K, trunc = measure.K, ctx.default_trunc
+    K = measure.K
     with ctx.workprec():
         sup = 1.0
         if p:
             bq = ctx.scalar(measure.b) * ctx.q
             pre = QPochPrefix(ctx, bq)
             if ctx.mag(1 - bq) > 1:
-                val, tail = qpoch_inf(ctx, -abs(bq), trunc)
+                val, tail = qpoch_inf(ctx, -abs(bq))
                 sup = ctx.mag(val) + tail
         weights = [(pre(k) * ctx.qpow(k) if p else ctx.qpow(k)) / ctx.qq(k)
                    for k in range(K + 1)]
-        val, tail = qpoch_inf(ctx, ctx.q, trunc)
+        val, tail = qpoch_inf(ctx, ctx.q)
         qqinf = ctx.mag(val) - tail
         qf = float(ctx.q_fraction)
         out = []
@@ -154,7 +154,7 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
         eps = 0.0
         for i, xv in enumerate(xs):
             if i < d:
-                val, tail = qpoch_inf(ctx, -xv, ctx.default_trunc)
+                val, tail = qpoch_inf(ctx, -xv)
                 eps = max(eps, tail / ctx.mag(val))
             else:
                 val = pinf[i - d]
@@ -193,8 +193,7 @@ def h_radial_moment(ctx, power, step: Fraction = F(1, 8), halfwidth: int = 56):
 # moments of the (suitably normalized) measures
 # ---------------------------------------------------------------------------
 
-def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int,
-           trunc: Optional[TruncationPolicy] = None) -> Tuple[object, float]:
+def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[object, float]:
     """int zeta^m conj(zeta)^n dmu.
 
     H_discrete / p_discrete: normalized so H gives (q;q)_n delta_{mn}
@@ -207,7 +206,7 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int,
     if measure.kind == "h_continuous":
         return val, tail
     with ctx.workprec():
-        inf_val, t2 = qpoch_inf(ctx, ctx.q, ctx.default_trunc)
+        inf_val, t2 = qpoch_inf(ctx, ctx.q)
         return val * inf_val, tail * ctx.mag(inf_val) + t2
 
 
@@ -229,14 +228,14 @@ def _angular_pairs(P: BivarPoly, Q: BivarPoly):
     return out
 
 
-def _closed_norm(ctx, family, m, n, b, trunc):
+def _closed_norm(ctx, family, m, n, b):
     if family == "Hq":
-        inf_val = qpoch_inf(ctx, ctx.q, trunc)[0]
+        inf_val = qpoch_inf(ctx, ctx.q)[0]
         return ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n) / inf_val
     if family == "pq":
         bb = ctx.scalar(b)
-        num = qpoch_inf(ctx, bb * ctx.q, trunc)[0]
-        den = qpoch_inf(ctx, ctx.q, trunc)[0]
+        num = qpoch_inf(ctx, bb * ctx.q)[0]
+        den = qpoch_inf(ctx, ctx.q)[0]
         return (num / den * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
                 * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
                 / (1 - bb * ctx.qpow(m + n + 1)))
@@ -246,8 +245,7 @@ def _closed_norm(ctx, family, m, n, b, trunc):
 
 
 def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
-                  st: Tuple[int, int], b=None, K: int = 80,
-                  trunc: Optional[TruncationPolicy] = None) -> InnerProductResult:
+                  st: Tuple[int, int], b=None, K: int = 80) -> InnerProductResult:
     """<P_{m,n}, P_{s,t}> for the family's orthogonality measure, with the
     known closed-form norm on the diagonal (0 off it).  The discrete
     measures are raw (not normalized), which matches the closed-form norms;
@@ -255,7 +253,6 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")
-    trunc = trunc or ctx.default_trunc
     m, n = mn
     s, t = st
     with ctx.workprec():
@@ -274,7 +271,7 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
             value = value * mp.pi
             tail = tail * float(mp.pi)
         diagonal = (m == s and n == t)
-        closed = _closed_norm(ctx, family, m, n, b, trunc) if diagonal else ctx.zero()
+        closed = _closed_norm(ctx, family, m, n, b) if diagonal else ctx.zero()
         denom = max(1.0, ctx.mag(closed))
         rel = ctx.mag(value - closed) / denom
     return InnerProductResult(value=value, tail_bound=tail, closed_form=closed,
@@ -335,57 +332,54 @@ def _euler_4fold(ctx, cap, weight, moms, u1, v1, v2, u2):
     return total, tail
 
 
-def qbeta_check(ctx: QContext, kind: str, params: Dict,
-                trunc: Optional[TruncationPolicy] = None) -> VerificationReport:
+def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
     """H_beta: int dmu / ((u1 z, v1 zbar, v2 z, u2 zbar;q)inf) against its
     closed product form; h_beta: the second family's q-beta integral
     (eqqbqta-type).  Both sides via 4-fold Euler expansions with the angular
-    delta resolved symbolically."""
-    trunc = trunc or ctx.default_trunc
-    u1 = ctx.scalar(params.get("u1", F(1, 8)))
-    u2 = ctx.scalar(params.get("u2", F(1, 8)))
-    v1 = ctx.scalar(params.get("v1", F(1, 8)))
-    v2 = ctx.scalar(params.get("v2", F(1, 8)))
-    K = int(params.get("K", 80))
-    cap = int(params.get("cap", 26))
-    tol = float(params.get("tol", 1e-12))
+    delta resolved symbolically, at the context's precision."""
+    with ctx.workprec():
+        u1 = ctx.scalar(params.get("u1", F(1, 8)))
+        u2 = ctx.scalar(params.get("u2", F(1, 8)))
+        v1 = ctx.scalar(params.get("v1", F(1, 8)))
+        v2 = ctx.scalar(params.get("v2", F(1, 8)))
+        K = int(params.get("K", 80))
+        cap = int(params.get("cap", 26))
+        tol = float(params.get("tol", 1e-12))
 
-    if kind == "H_beta":
-        meas = RadialMeasure("H_discrete", K=K)
+        if kind == "H_beta":
+            meas = RadialMeasure("H_discrete", K=K)
 
-        def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
-            return x**r / ctx.qq(r)
+            def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
+                return x**r / ctx.qq(r)
 
-        rhs = (qpoch_inf(ctx, u1 * u2 * v1 * v2, trunc)[0]
-               / (qpoch_inf(ctx, ctx.q, trunc)[0]
-                  * qpoch_inf(ctx, u1 * u2, trunc)[0]
-                  * qpoch_inf(ctx, v1 * v2, trunc)[0]
-                  * qpoch_inf(ctx, u1 * v1, trunc)[0]
-                  * qpoch_inf(ctx, u2 * v2, trunc)[0]))
-    elif kind == "h_beta":
-        meas = RadialMeasure("h_continuous")
-        s = ctx.q_half_pow(1)
+            rhs = (qpoch_inf(ctx, u1 * u2 * v1 * v2)[0]
+                   / (qpoch_inf(ctx, ctx.q)[0] * qpoch_inf(ctx, u1 * u2)[0]
+                      * qpoch_inf(ctx, v1 * v2)[0] * qpoch_inf(ctx, u1 * v1)[0]
+                      * qpoch_inf(ctx, u2 * v2)[0]))
+        elif kind == "h_beta":
+            meas = RadialMeasure("h_continuous")
+            s = ctx.q_half_pow(1)
 
-        def coefw(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
-            return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
+            def coefw(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
+                return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
 
-        # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
-        # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
-        rhs = (mp.pi * mpmath.log(1 / ctx.q)
-               * qpoch_inf(ctx, -u1 * v1, trunc)[0] * qpoch_inf(ctx, -u2 * v2, trunc)[0]
-               * qpoch_inf(ctx, -u1 * u2, trunc)[0] * qpoch_inf(ctx, -v1 * v2, trunc)[0]
-               / qpoch_inf(ctx, u1 * u2 * v1 * v2 / ctx.q, trunc)[0])
-    else:
-        raise ValueError(kind)
-    lhs, tail = _euler_4fold(ctx, cap, coefw, _radial_moments(ctx, meas, 2 * cap),
-                             u1, v1, v2, u2)
-    if kind == "h_beta":
-        lhs = lhs * mp.pi
-        tail *= float(mp.pi)
-    rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
-    tail += 20.0 * float(rho) ** cap / (1 - float(rho))
-    resid = ctx.mag(lhs - rhs)
-    passed = resid <= tol + tail
+            # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
+            # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
+            rhs = (mp.pi * mpmath.log(1 / ctx.q)
+                   * qpoch_inf(ctx, -u1 * v1)[0] * qpoch_inf(ctx, -u2 * v2)[0]
+                   * qpoch_inf(ctx, -u1 * u2)[0] * qpoch_inf(ctx, -v1 * v2)[0]
+                   / qpoch_inf(ctx, u1 * u2 * v1 * v2 / ctx.q)[0])
+        else:
+            raise ValueError(kind)
+        lhs, tail = _euler_4fold(ctx, cap, coefw, _radial_moments(ctx, meas, 2 * cap),
+                                 u1, v1, v2, u2)
+        if kind == "h_beta":
+            lhs = lhs * mp.pi
+            tail *= float(mp.pi)
+        rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
+        tail += 20.0 * float(rho) ** cap / (1 - float(rho))
+        resid = ctx.mag(lhs - rhs)
+        passed = resid <= tol + tail
     return VerificationReport(
         id=f"QBETA-{kind}", mode="NUMERIC-QSUM",
         grid={"u1": u1, "u2": u2, "v1": v1, "v2": v2, "K": K, "cap": cap},
@@ -404,13 +398,11 @@ def _trapezoid_theta(f, M: int):
 
 
 def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
-                             M: int = 64,
-                             trunc: Optional[TruncationPolicy] = None) -> VerificationReport:
+                             M: int = 64) -> VerificationReport:
     """AskeyRoy: trapezoidal check of the Askey-Roy integral.
     AskeyWilsonOrtho: the additional first-family orthogonality with the
     (q, e^{2i th}, e^{-2i th};q)_inf weight.  Convergence is certified by
     doubling M."""
-    trunc = trunc or ctx.default_trunc
     tol = float(params.get("tol", 1e-12))
     if kind == "AskeyRoy":
         a = ctx.scalar(params.get("a", F(1, 4)))
@@ -424,23 +416,23 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
 
         def integrand(th):
             e = mpmath.exp(1j * th)
-            num = (qpoch_inf(ctx, c * e / be, trunc)[0]
-                   * qpoch_inf(ctx, ctx.q * e / (c * al), trunc)[0]
-                   * qpoch_inf(ctx, c * al / e, trunc)[0]
-                   * qpoch_inf(ctx, ctx.q * be / (c * e), trunc)[0])
-            den = (qpoch_inf(ctx, a * e, trunc)[0] * qpoch_inf(ctx, b * e, trunc)[0]
-                   * qpoch_inf(ctx, al / e, trunc)[0] * qpoch_inf(ctx, be / e, trunc)[0])
+            num = (qpoch_inf(ctx, c * e / be)[0]
+                   * qpoch_inf(ctx, ctx.q * e / (c * al))[0]
+                   * qpoch_inf(ctx, c * al / e)[0]
+                   * qpoch_inf(ctx, ctx.q * be / (c * e))[0])
+            den = (qpoch_inf(ctx, a * e)[0] * qpoch_inf(ctx, b * e)[0]
+                   * qpoch_inf(ctx, al / e)[0] * qpoch_inf(ctx, be / e)[0])
             return num / den
 
         lhs1 = _trapezoid_theta(integrand, M)
         lhs2 = _trapezoid_theta(integrand, 2 * M)
-        rhs = (qpoch_inf(ctx, a * b * al * be, trunc)[0] * qpoch_inf(ctx, c, trunc)[0]
-               * qpoch_inf(ctx, ctx.q / c, trunc)[0]
-               * qpoch_inf(ctx, c * al / be, trunc)[0]
-               * qpoch_inf(ctx, ctx.q * be / (c * al), trunc)[0]
-               / (qpoch_inf(ctx, a * al, trunc)[0] * qpoch_inf(ctx, a * be, trunc)[0]
-                  * qpoch_inf(ctx, b * al, trunc)[0] * qpoch_inf(ctx, b * be, trunc)[0]
-                  * qpoch_inf(ctx, ctx.q, trunc)[0]))
+        rhs = (qpoch_inf(ctx, a * b * al * be)[0] * qpoch_inf(ctx, c)[0]
+               * qpoch_inf(ctx, ctx.q / c)[0]
+               * qpoch_inf(ctx, c * al / be)[0]
+               * qpoch_inf(ctx, ctx.q * be / (c * al))[0]
+               / (qpoch_inf(ctx, a * al)[0] * qpoch_inf(ctx, a * be)[0]
+                  * qpoch_inf(ctx, b * al)[0] * qpoch_inf(ctx, b * be)[0]
+                  * qpoch_inf(ctx, ctx.q)[0]))
         resid = ctx.mag(lhs2 - rhs)
         conv = ctx.mag(lhs2 - lhs1)
         passed = resid <= tol + conv * 2
@@ -463,9 +455,9 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
 
         def integrand(th):
             e = mpmath.exp(1j * th)
-            w = (qpoch_inf(ctx, ctx.q, trunc)[0]
-                 * qpoch_inf(ctx, e * e, trunc)[0]
-                 * qpoch_inf(ctx, 1 / (e * e), trunc)[0])
+            w = (qpoch_inf(ctx, ctx.q)[0]
+                 * qpoch_inf(ctx, e * e)[0]
+                 * qpoch_inf(ctx, 1 / (e * e))[0])
             tot = mp.mpc(0)
             for j in range(p_ + 1):
                 for k in range(s_ + 1):
@@ -620,9 +612,7 @@ def _f_seq(ctx, j, l):
     return tot
 
 
-def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z,
-                          trunc: Optional[TruncationPolicy] = None,
-                          lmax: int = 200) -> VerificationReport:
+def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> VerificationReport:
     """The orthonormal-sequence sums of the positivity section.
 
     do7:  sum_l q^C(l,2) (q;q)_l |z|^{-2l} e_j(l) e_k(l)
@@ -636,7 +626,6 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z,
     imply (ledger).  Both the consistent and printed closed forms are
     reported.
     """
-    trunc = trunc or ctx.default_trunc
     z = ctx.scalar(z)
     az2 = ctx.abs2(z)
     if az2 == 0:

@@ -5,20 +5,19 @@ q-Bessel functions, and the Schur polynomials of the generalized
 Rogers--Ramanujan identity).
 
 Truncated infinite objects carry an explicit tail bound: the sum/product is
-cut once the next term times a geometric majorant drops below the requested
-tolerance, and the majorant value is returned alongside the value.
+cut once the next term times a geometric majorant drops below the tolerance
+of the context's one truncation policy, ``ctx.default_trunc``, and the
+majorant value is returned alongside the value.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .context import QContext, TruncationPolicy, is_zero
+from .context import QContext, is_zero
 
 __all__ = [
-    "INF",
     "DivergenceError",
     "PoleError",
     "qpoch",
@@ -36,8 +35,6 @@ __all__ = [
     "schur_b",
 ]
 
-INF = math.inf
-
 
 class DivergenceError(ArithmeticError):
     """A truncated sum failed to decay within the term budget."""
@@ -51,16 +48,13 @@ class PoleError(ArithmeticError):
 # q-shifted factorials
 # ---------------------------------------------------------------------------
 
-def qpoch(ctx: QContext, a, n, trunc: Optional[TruncationPolicy] = None):
+def qpoch(ctx: QContext, a, n):
     """(a; q)_n.
 
-    n may be a nonnegative integer (finite product), a negative integer
-    (via (a;q)_{-n} = (-q/a)^n q^C(n,2) / (q/a;q)_n), or INF, in which case
-    the truncated infinite product is returned (see :func:`qpoch_inf` for
-    the tail bound).
+    n may be a nonnegative integer (finite product) or a negative integer
+    (via (a;q)_{-n} = (-q/a)^n q^C(n,2) / (q/a;q)_n); the infinite product
+    is :func:`qpoch_inf`.
     """
-    if n is INF:
-        return qpoch_inf(ctx, a, trunc)[0]
     n = int(n)
     a = ctx.scalar(a)
     if n >= 0:
@@ -75,17 +69,17 @@ def qpoch(ctx: QContext, a, n, trunc: Optional[TruncationPolicy] = None):
     return (-ctx.q / a) ** m * ctx.qpow(m * (m - 1) // 2) / inv
 
 
-def qpoch_inf(ctx: QContext, a, trunc: Optional[TruncationPolicy] = None):
+def qpoch_inf(ctx: QContext, a):
     """(a; q)_infty as (value, tail_bound).
 
     The product is cut at K with |a| q^K / (1-q) <= min(1/2, tail_tol); the
     remaining factors multiply the partial product by exp(+-eps) with
     eps = |a| q^K / (1-q), so |true - partial| <= 2 eps |partial| once
     eps <= 1/2.  On the exact backend the value is the truncated product and
-    the bound is reported the same way.
+    the bound is reported the same way.  The cut follows ctx.default_trunc.
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         a = ctx.scalar(a)
         qf = float(ctx.q_fraction)
         amag = ctx.mag(a)
@@ -184,7 +178,7 @@ def qop(ctx: QContext, f: Callable, z, mode: str = "Dq", order: int = 1):
 # Jackson's bilateral q-integral
 # ---------------------------------------------------------------------------
 
-def qintegral(ctx: QContext, f: Callable, trunc: Optional[TruncationPolicy] = None):
+def qintegral(ctx: QContext, f: Callable):
     """int_0^infty f(t) d_q t = (1-q) sum_{n in Z} q^n f(q^n), truncated.
 
     Returns (value, tail_bound).  Each tail is cut once the last few terms
@@ -192,7 +186,7 @@ def qintegral(ctx: QContext, f: Callable, trunc: Optional[TruncationPolicy] = No
     non-decay within max_terms raises DivergenceError.
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         total = ctx.zero()
         tail = 0.0
 
@@ -263,35 +257,24 @@ def _is_q_negative_power(ctx: QContext, a, limit: int = 4096) -> Optional[int]:
     return None
 
 
-def phi_series(
-    ctx: QContext,
-    numerators: Sequence,
-    denominators: Sequence,
-    z,
-    trunc: Optional[TruncationPolicy] = None,
-    terminating_order: Optional[int] = None,
-):
+def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
     """The basic hypergeometric series r_phi_s(numerators; denominators; q, z).
 
     Term n carries the usual ((-1)^n q^C(n,2))^(1+s-r) factor.  A terminating
-    series (a numerator q**-N on the exact backend, or terminating_order given)
-    is summed exactly; otherwise terms must decay within the truncation budget
-    and the value is returned with the geometric tail folded into it (bound is
-    discarded here; callers needing the bound use the registry machinery).
+    series (a numerator q**-N on the exact backend) is summed exactly;
+    otherwise terms must decay within the truncation budget and the value is
+    returned with the geometric tail folded into it (bound is discarded here;
+    callers needing the bound use the registry machinery).
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         nums = [ctx.scalar(a) for a in numerators]
         dens = [ctx.scalar(b) for b in denominators]
         z = ctx.scalar(z)
         extra = 1 + len(dens) - len(nums)
 
-        nmax = terminating_order
-        if nmax is None and ctx.is_exact:
-            cands = [_is_q_negative_power(ctx, a) for a in nums]
-            cands = [c for c in cands if c is not None]
-            if cands:
-                nmax = min(cands)
+        ns = [_is_q_negative_power(ctx, a) for a in nums]
+        nmax = min((N for N in ns if N is not None), default=None)
 
         term = ctx.one()
         total = ctx.one()
@@ -330,14 +313,14 @@ def phi_series(
 # special functions
 # ---------------------------------------------------------------------------
 
-def aq_function(ctx: QContext, z, trunc: Optional[TruncationPolicy] = None):
+def aq_function(ctx: QContext, z):
     """Ramanujan's entire function A_q(z) = sum q^{n^2} (-z)^n / (q;q)_n.
 
     Returns (value, tail_bound); the q^{n^2} factor makes the tail bound a
     crude geometric majorant on the first omitted term.
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         z = ctx.scalar(z)
         total = ctx.zero()
         qf = float(ctx.q_fraction)
@@ -356,7 +339,7 @@ def aq_function(ctx: QContext, z, trunc: Optional[TruncationPolicy] = None):
         raise DivergenceError("A_q series truncation budget exhausted")
 
 
-def theta4(ctx: QContext, w, p, trunc: Optional[TruncationPolicy] = None):
+def theta4(ctx: QContext, w, p):
     """theta_4(w; p) = sum_{n in Z} (-1)^n p^{n^2} w^n, |p| < 1, w != 0.
 
     Returns (value, tail_bound).  The convention (plain w^n, no half-integer
@@ -364,7 +347,7 @@ def theta4(ctx: QContext, w, p, trunc: Optional[TruncationPolicy] = None):
     behaviour of the first 2D family; see the asymptotics module.
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         w = ctx.scalar(w)
         p = ctx.scalar(p)
         pmag = ctx.mag(p)
@@ -383,7 +366,7 @@ def theta4(ctx: QContext, w, p, trunc: Optional[TruncationPolicy] = None):
         raise DivergenceError("theta4 truncation budget exhausted")
 
 
-def bessel_i2_series(ctx: QContext, qnu, y, trunc: Optional[TruncationPolicy] = None):
+def bessel_i2_series(ctx: QContext, qnu, y):
     """The modified Jackson q-Bessel sum in its fractional-power-free form.
 
     With q^nu := qnu, returns
@@ -392,11 +375,11 @@ def bessel_i2_series(ctx: QContext, qnu, y, trunc: Optional[TruncationPolicy] = 
     scalar sidesteps z^{nu} branch choices entirely.
     """
     with ctx.workprec():
-        tr = trunc or ctx.default_trunc
+        tr = ctx.default_trunc
         qnu = ctx.scalar(qnu)
         y = ctx.scalar(y)
-        pref_num, t1 = qpoch_inf(ctx, qnu * ctx.q, tr)
-        pref_den, t2 = qpoch_inf(ctx, ctx.q, tr)
+        pref_num, t1 = qpoch_inf(ctx, qnu * ctx.q)
+        pref_den, t2 = qpoch_inf(ctx, ctx.q)
         total = ctx.zero()
         term = ctx.one()
         tail = 0.0

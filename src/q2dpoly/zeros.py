@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .context import QContext, TruncationPolicy
+from .context import QContext
 from .polyfamilies import FamilyTable, radial_reduce
 from .qkernel import aq_function, qpoch, qpoch_inf, theta4
 
@@ -231,7 +231,7 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     """First `count` zeros 0 < i_1(q) < i_2(q) < ... of A_q, isolated on the
     exact signs of the truncation A_N(x) = sum_{n <= N} c_n (-x)^n,
     c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip
-    the bracketing signs."""
+    the signs at the ends of the scan brackets or of the final brackets."""
     q = ctx.q_fraction
     qf = float(q)
     x_hi = qf ** (-(2 * count + 2))
@@ -248,11 +248,13 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     # |A_q - A_N| <= t_{N+1} / (1 - r), t_{N+1} = q^{(N+1)^2} x^{N+1} /
     # ((q;q)_N (1 - q^{N+1})), and (1 - r)(1 - q^{N+1}) >= 1/2
     tail_c = 2 * q ** ((N + 1) ** 2) / qq
+    tail_n, tail_d = tail_c.numerator * den, tail_c.denominator
 
     def clears_tail(x):
+        # |A_N(x)| = |horner| / (den 2^{kN}) > tail_c x^{N+1}, x = num/2^k,
+        # compared on integers
         num, k = x
-        return (Fraction(abs(_horner(desc, num, k)), den << (k * N))
-                > tail_c * Fraction(num, 1 << k) ** (N + 1))
+        return abs(_horner(desc, num, k)) * tail_d << k > tail_n * num ** (N + 1)
 
     hi = math.log2(x_hi)
     subdiv = 16
@@ -266,9 +268,10 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     zeros = []
     with mp.workprec(_poly_prec_bits(precision)):
         for a, b, sa in brackets[:count]:
-            if not (clears_tail(a) and clears_tail(b)):
+            A, B, K = _bisect(desc, a, b, sa, precision)
+            if not all(map(clears_tail, (a, b, (A, K), (B, K)))):
                 raise ArithmeticError("truncation tail could flip a bracket sign")
-            zeros.append(_to_mpf(*_bisect(desc, a, b, sa, precision)))
+            zeros.append(_to_mpf(A, B, K))
     return zeros
 
 
@@ -286,10 +289,12 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
     at (40,40) are 1, q^{1/2}, q, ... to ten digits; ledger).
     """
     errors = []
-    qf = float(ctx.q_fraction)
+    q = ctx.q_fraction
     if target == "limh":
-        ivals = aq_zeros(ctx, j, precision=max(precision, 25))
-        tgt = 1 / mpmath.sqrt(ivals[j - 1])
+        aq_prec = max(precision, 25)
+        ivals = aq_zeros(ctx, j, precision=aq_prec)
+        with mp.workprec(_poly_prec_bits(aq_prec)):
+            tgt = 1 / mpmath.sqrt(ivals[j - 1])
     for M in sizes:
         if j > M:
             raise ValueError("j exceeds the zero count at this size")
@@ -304,14 +309,14 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
                 zs = radial_zeros(ctx, "pq", M, M, b=b if b is not None else F(1, 4),
                                   precision=prec_M, refine_top=j)
             with mp.workprec(_poly_prec_bits(prec_M)):
-                target_r = (mp.mpf(ctx.q_fraction.numerator)
-                            / ctx.q_fraction.denominator) ** (mp.mpf(j - 1) / 2)
+                target_r = (mp.mpf(q.numerator) / q.denominator) ** (mp.mpf(j - 1) / 2)
                 err = float(abs(zs.radii[j - 1] - target_r))
             err = max(err, zs.certified_width * float(zs.radii[j - 1]))
         elif target == "limh":
             zs = radial_zeros(ctx, "hq", M, M, precision=precision)
             with mp.workprec(200):
-                err = float(abs(mp.mpf(qf) ** M * zs.radii[j - 1] - tgt))
+                err = float(abs(mp.mpf(q.numerator ** M) / q.denominator ** M
+                                * zs.radii[j - 1] - tgt))
         else:
             raise ValueError(target)
         errors.append(err)
@@ -330,8 +335,7 @@ def _fam_value(ctx, family, m, n, z1, z2, b=None):
 
 
 def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
-                      point: Optional[Dict] = None,
-                      trunc: Optional[TruncationPolicy] = None) -> LimitReport:
+                      point: Optional[Dict] = None) -> LimitReport:
     """|LHS/limit - 1| per size for the large-degree limits.
 
     Targets: Hm_inf (m -> inf, n fixed), Hn_inf, Hmn_inf, p_inf, PR_h
@@ -340,7 +344,6 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     tau = (M-1)/2 and chi = 1/2 (the stated constraint 0 < tau < min(m,n)
     then holds, unlike the boundary choice tau = m).
     """
-    trunc = trunc or ctx.default_trunc
     pt = dict(point or {})
     z1 = ctx.scalar(pt.get("z1", 2))
     z2 = ctx.scalar(pt.get("z2", 2))
@@ -349,7 +352,7 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     for M in sizes:
         if target == "Hmn_inf":
             val = _fam_value(ctx, "Hq", M, M, z1, z2)
-            lim = qpoch_inf(ctx, 1 / (z1 * z2), trunc)[0]
+            lim = qpoch_inf(ctx, 1 / (z1 * z2))[0]
             ratio = val / (z1**M * z2**M) / lim
         elif target == "Hm_inf":
             n = int(pt.get("n", 0))
@@ -364,8 +367,8 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
         elif target == "p_inf":
             b = pt.get("b", F(1, 4))
             val = _fam_value(ctx, "pq", M, M, z1, z2, b=b)
-            lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q, trunc)[0]
-                   * qpoch_inf(ctx, 1 / (z1 * z2), trunc)[0])
+            lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q)[0]
+                   * qpoch_inf(ctx, 1 / (z1 * z2))[0])
             ratio = val / (z1**M * z2**M) / lim
         elif target == "PR_h":
             # Plancherel-Rotach scaling a = b = 1/2; the printed (q;q)_inf^2
@@ -375,7 +378,7 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
             w2 = ctx.scalar(pt.get("w2", 1))
             sc = ctx.qpow(-M)
             val = _fam_value(ctx, "hq", M, M, w1 * sc, w2 * sc)
-            aqv, _ = aq_function(ctx, 1 / (w1 * w2), trunc)
+            aqv, _ = aq_function(ctx, 1 / (w1 * w2))
             ratio = val / (w1**M * w2**M * ctx.qpow(-M * M)) / aqv
         elif target == "theta4_scaled":
             if M % 4 != 1:
@@ -384,10 +387,10 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
             s = ctx.q_half_pow(1)
             scale = ctx.qpow((M - 1) // 4)
             val = _fam_value(ctx, "Hq", M, M, z1 * scale, z2 * scale)
-            qqinf = qpoch_inf(ctx, ctx.q, trunc)[0]
+            qqinf = qpoch_inf(ctx, ctx.q)[0]
             # exponent M^2/2 - M/2 - tau^2/2 - tau*chi, all integral here
             E = (M * M - M) // 2 - (tau * tau + tau) // 2
-            th, _ = theta4(ctx, z1 * z2 * s, s, trunc)
+            th, _ = theta4(ctx, z1 * z2 * s, s)
             ratio = (qqinf * val * (-z1 * z2) ** tau
                      / (z1**M * z2**M * ctx.qpow(E)) / th)
         else:

@@ -1,0 +1,63 @@
+"""Every parameter of every function and lambda in the package is read.
+
+A parameter that nothing reads is an option a caller can set and the code
+silently ignores (a truncation policy passed to a function that always uses
+the context's, say).  This guard parses each module of ``src/q2dpoly`` and
+fails on any such parameter, ``self`` and ``cls`` aside.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "q2dpoly")
+
+
+def _params(node):
+    a = node.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return [n for n in names if n not in ("self", "cls")]
+
+
+def _reads(node):
+    body = node.body if isinstance(node.body, list) else [node.body]
+    return {n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread(tree, module):
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                inner = scope + [name]
+                reads = _reads(child)
+                out.extend(".".join(inner + [p]) for p in _params(child) if p not in reads)
+                visit(child, inner)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
+
+    visit(tree, [module])
+    return out
+
+
+def test_unread_finder_flags_an_ignored_parameter():
+    tree = ast.parse("def f(ctx, trunc=None):\n    return ctx\n"
+                     "g = lambda c, t: c\n"
+                     "class K:\n    def m(self, x):\n        return lambda y: x\n")
+    assert _unread(tree, "m") == ["m.f.trunc", "m.<lambda>.t", "m.K.m.<lambda>.y"]
+
+
+def test_no_unread_parameters():
+    unread = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                tree = ast.parse(fh.read(), filename=fname)
+            unread += _unread(tree, fname[:-3])
+    assert unread == []

@@ -91,9 +91,8 @@ def test_fault_injection_isolated(ctx, monkeypatch):
     entry = ident.get_entry("H-TTR-a")
     orig = entry.checker
 
-    def broken(c, pt, tr):
-        r, t, i = orig(c, pt, tr)
-        return r + 1.0, t, i
+    def broken(c, pt):
+        return orig(c, pt) + 1.0
 
     monkeypatch.setattr(entry, "checker", broken)
     reps = sweep(ctx, ["H-TTR-a", "H-TTR-b"], {"max_m": 2, "max_n": 2})
@@ -112,7 +111,7 @@ def test_tiny_exact_residual_fails(ctx, monkeypatch, id_, resid):
     import q2dpoly.identities as ident
 
     monkeypatch.setattr(ident.get_entry(id_), "checker",
-                        lambda c, pt, tr: (resid(c), 0.0, {}))
+                        lambda c, pt: resid(c))
     rep = check_identity(ctx, id_, {"max_m": 1, "max_n": 1})
     assert not rep.passed and rep.residual == str(F(1, 10**400))
     reps = sweep(ctx, [id_], {"max_m": 1, "max_n": 1})
@@ -124,8 +123,7 @@ def test_failing_exact_residual_prints_worst_coefficient(ctx, monkeypatch):
     import q2dpoly.identities as ident
 
     monkeypatch.setattr(ident.get_entry("H-TTR-a"), "checker",
-                        lambda c, pt, tr: (BivarPoly(c, {(0, 0): F(-1), (1, 0): GR(1, 1)}),
-                                           0.0, {}))
+                        lambda c, pt: BivarPoly(c, {(0, 0): F(-1), (1, 0): GR(1, 1)}))
     rep = check_identity(ctx, "H-TTR-a", {"max_m": 1, "max_n": 1})
     assert not rep.passed and rep.residual == "1+1i"
 

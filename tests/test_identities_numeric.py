@@ -17,11 +17,11 @@ def _fctx(q):
 
 
 @pytest.mark.parametrize("checker, q", [
-    pytest.param(lambda c, tr: nm.num_circle(c, {"J": 8}, tr), F(1, 5), id="CIRCLE"),
-    pytest.param(lambda c, tr: nm.num_askey_roy_exp(c, {"J": 8}, tr), F(1, 5), id="AR-EXP"),
-    pytest.param(lambda c, tr: nm.num_askey_roy_exp(c, {"J": 4}, tr, radial=True), F(1, 5),
+    pytest.param(lambda c: nm.num_circle(c, {"J": 8}), F(1, 5), id="CIRCLE"),
+    pytest.param(lambda c: nm.num_askey_roy_exp(c, {"J": 8}), F(1, 5), id="AR-EXP"),
+    pytest.param(lambda c: nm.num_askey_roy_exp(c, {"J": 4}, radial=True), F(1, 5),
                  id="AR-EXP2"),
-    pytest.param(lambda c, tr: nm.num_qks1(c, {}, tr), F(1, 2), id="QKS1"),
+    pytest.param(lambda c: nm.num_qks1(c, {}), F(1, 2), id="QKS1"),
 ])
 def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
     # the checker's own block terms, summed directly at every root as the
@@ -34,8 +34,8 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
         blocks.append(terms)
         return laurent_block(terms)
 
-    def keep_call(ctx, blks, weight=None, caps_range=0):
-        val = unity_filter_sum(ctx, blks, weight=weight, caps_range=caps_range)
+    def keep_call(blks, weight=None, caps_range=0):
+        val = unity_filter_sum(blks, weight=weight, caps_range=caps_range)
         calls.append((len(blks), weight, caps_range, val))
         return val
 
@@ -43,7 +43,7 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
     monkeypatch.setattr(nm, "unity_filter_sum", keep_call)
     c = _fctx(q)
     with c.workprec():
-        checker(c, c.default_trunc)
+        checker(c)
         [(nblk, weight, caps_range, val)] = calls
         assert len(blocks) == nblk
         M = 2 * caps_range + 1
@@ -69,10 +69,10 @@ def test_qshift_ladder_matches_per_node_products(q):
     with c.workprec():
         K = 280
         for base in (c.qpow(-120), c.qpow(-158), c.qpow(-120) * c.q, c.q ** F(4, 3) * c.qpow(-159)):
-            vals, rel = nm.qshift_ladder(c, base, K, tr)
+            vals, rel = nm.qshift_ladder(c, base, K)
             assert 0 < rel <= 2 * tr.tail_tol
             for k in range(K):
-                ref = qpoch_inf(c, -base * c.qpow(k), tr)[0]
+                ref = qpoch_inf(c, -base * c.qpow(k))[0]
                 assert c.mag(vals[k] - ref) <= 4 * tr.tail_tol * c.mag(ref), (k, base)
 
 

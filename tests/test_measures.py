@@ -64,7 +64,7 @@ def _per_node_moments(ctx, nmax, step, halfwidth):
         sums = [mp.mpf(0)] * (nmax + 1)
         for i in range(-n, n + 1):
             xv = mpmath.exp(i * hu)
-            w = xv / qpoch_inf(ctx, -xv, ctx.default_trunc)[0]
+            w = xv / qpoch_inf(ctx, -xv)[0]
             for j in range(nmax + 1):
                 sums[j] += w
                 w = w * xv
@@ -152,6 +152,13 @@ def test_qbeta_trivial_and_generic(fctx2):
     assert rep.passed, rep.residual
     rep = qbeta_check(fctx2, "h_beta", {"cap": 16, "tol": 1e-10})
     assert rep.passed, rep.residual
+
+
+def test_qbeta_H_beta_summed_at_context_precision(fctx2):
+    # the Euler sum and the closed form at 160 bits, not at the process's
+    # 53: the residual sits far below double rounding
+    rep = qbeta_check(fctx2, "H_beta", {"cap": 16})
+    assert rep.passed and float(rep.residual) <= 1e-20, rep.residual
 
 
 def test_truncation_doubling_decreases_residual(fctx2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.qkernel import (INF, DivergenceError, PoleError, aq_function,
+from q2dpoly.qkernel import (DivergenceError, PoleError, aq_function,
                              bessel_i2_series, phi_series, qbinom, qintegral,
                              qop, qpoch, qpoch_inf, schur_a, schur_b, theta4)
 
@@ -62,7 +62,7 @@ def test_qpoch_inf_tail_reported(fctx):
 
 def test_qpoch_inf_budget_exhausted_raises():
     with pytest.raises(DivergenceError):
-        qpoch_inf(QContext(F(1, 2)), 1, TruncationPolicy(max_terms=1))
+        qpoch_inf(QContext(F(1, 2), default_trunc=TruncationPolicy(max_terms=1)), 1)
 
 
 def test_float_qpow_matches_pow_at_each_precision():
@@ -155,14 +155,13 @@ def test_qintegral_zero(fctx):
 def test_qintegral_rambeta3(fctx):
     # integrand of the c = 1 Ramanujan q-beta sum: closed form (q;q)_inf
     q = fctx.q
-    tr = fctx.default_trunc
 
     def f(t):
-        return 1 / (qpoch_inf(fctx, -t, tr)[0] * qpoch_inf(fctx, -q / t, tr)[0])
+        return 1 / (qpoch_inf(fctx, -t)[0] * qpoch_inf(fctx, -q / t)[0])
 
     val, tail = qintegral(fctx, f)
     with fctx.workprec():
-        target = (1 - q) * qpoch_inf(fctx, q, tr)[0]
+        target = (1 - q) * qpoch_inf(fctx, q)[0]
         # d_q t / (1 - q) convention: the bilateral sum itself carries (1-q)
         assert abs(val - target) < 1e-25 + tail
 
@@ -178,10 +177,9 @@ def test_phi_series_q_gauss(fctx):
     # 2phi1(a, b; c; q, c/(ab)) == (c/a, c/b;q)inf / (c, c/ab;q)inf
     with fctx.workprec():
         a, b, c = fctx.scalar(F(1, 3)), fctx.scalar(F(1, 4)), fctx.scalar(F(1, 16))
-        tr = fctx.default_trunc
-        lhs = phi_series(fctx, [a, b], [c], c / (a * b), tr)
-        rhs = (qpoch_inf(fctx, c / a, tr)[0] * qpoch_inf(fctx, c / b, tr)[0]
-               / (qpoch_inf(fctx, c, tr)[0] * qpoch_inf(fctx, c / (a * b), tr)[0]))
+        lhs = phi_series(fctx, [a, b], [c], c / (a * b))
+        rhs = (qpoch_inf(fctx, c / a)[0] * qpoch_inf(fctx, c / b)[0]
+               / (qpoch_inf(fctx, c)[0] * qpoch_inf(fctx, c / (a * b))[0]))
         assert abs(lhs - rhs) < 1e-30
 
 
@@ -252,15 +250,14 @@ def test_schur_gis_calibration(fctx):
 def test_bessel_i2_value(fctx):
     # q^nu = q (nu = 1): compare against the defining series of I_1^(2)
     q = fctx.q
-    tr = fctx.default_trunc
     y = fctx.scalar(F(1, 5))
-    val, tail = bessel_i2_series(fctx, q, y, tr)
+    val, tail = bessel_i2_series(fctx, q, y)
     with fctx.workprec():
         direct = fctx.zero()
         for n in range(60):
             direct += (fctx.qpow(n * (n + 1)) * y**n
                        / (fctx.qq(n) * qpoch(fctx, q * q, n)))
-        direct *= qpoch_inf(fctx, q * q, tr)[0] / qpoch_inf(fctx, q, tr)[0]
+        direct *= qpoch_inf(fctx, q * q)[0] / qpoch_inf(fctx, q)[0]
         assert abs(val - direct) < 1e-30
 
 
@@ -268,12 +265,11 @@ def test_euler_identities_truncated(fctx):
     # sum z^n/(q;q)_n == 1/(z;q)inf and sum (-z)^n q^C(n,2)/(q;q)_n == (z;q)inf
     with fctx.workprec():
         z = fctx.scalar(F(2, 7))
-        tr = fctx.default_trunc
         s1 = fctx.zero()
         s2 = fctx.zero()
         for n in range(200):
             s1 += z**n / fctx.qq(n)
             s2 += (-z) ** n * fctx.qpow(n * (n - 1) // 2) / fctx.qq(n)
-        v, tail = qpoch_inf(fctx, z, tr)
+        v, tail = qpoch_inf(fctx, z)
         assert abs(s1 - 1 / v) <= 1e-38 + tail
         assert abs(s2 - v) <= 1e-38 + tail

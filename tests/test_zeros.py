@@ -120,6 +120,14 @@ def test_aq_zeros_bracket_exact_truncation(q):
             assert abs(v) > 2 * q ** ((N + 1) ** 2) * xe ** (N + 1) / qq
 
 
+def test_aq_zeros_final_bracket_must_clear_tail():
+    # at q = 5/7 every scan bracket end clears the truncation tail, but at
+    # 80 digits the lower end of the third zero's final bracket does not, so
+    # the truncation cannot certify those digits
+    with pytest.raises(ArithmeticError, match="tail"):
+        aq_zeros(QContext(F(5, 7)), 3, precision=80)
+
+
 def test_zero_counts_and_ordering(ctx, ctx2):
     for cc in (ctx, ctx2):
         for fam, b in (("Hq", None), ("hq", None), ("pq", F(1, 4)), ("pq", 0)):
@@ -152,7 +160,7 @@ def test_aq_zeros_certified(ctx):
     assert all(zs[i] < zs[i + 1] for i in range(2)) and zs[0] > 0
     # |A_q| at each certified zero is below the certified bracket scale
     for z in zs:
-        val, tail = aq_function(ctx, z, TR)
+        val, tail = aq_function(ctx, z)
         assert ctx.mag(val) < 1e-15 * float(z) + 10 * tail
 
 
@@ -175,7 +183,7 @@ def test_aq_sign_alternation(ctx):
               (float(zs[1]) + float(zs[2])) / 2,
               float(zs[2]) * 2]
     with ctx.workprec():
-        signs = [mpmath.sign(aq_function(ctx, x, TR)[0]) for x in probes]
+        signs = [mpmath.sign(aq_function(ctx, x)[0]) for x in probes]
     assert signs == [1, -1, 1, -1]
 
 
@@ -186,6 +194,33 @@ def test_zero_limit_reports_small(ctx):
     assert rep.monotone
     rep = zero_limit_report(ctx, "limh", 1, [4, 8, 16], precision=12)
     assert rep.monotone and rep.final_error < 1e-6
+
+
+def test_limh_errors_match_200_bit_reference():
+    # |q^M r_1(M, M) - 1/sqrt(i_1)| with i_1 refined at 200 bits on the
+    # A_q series and q^M from the exact q, against the report's errors
+    q = F(1, 3)
+    c = QContext(q, sqrt_q="auto", backend="float", precision_bits=160, default_trunc=TR)
+    sizes = [5, 10, 20]
+    rep = zero_limit_report(c, "limh", 1, sizes, precision=14)
+    with mpmath.workprec(200):
+        qm = mpmath.mpf(q.numerator) / q.denominator
+
+        def aq(x):
+            total, qq = mpmath.mpf(0), mpmath.mpf(1)
+            for n in range(80):
+                if n:
+                    qq *= 1 - qm**n
+                total += qm ** (n * n) * (-x) ** n / qq
+            return total
+
+        i1 = mpmath.findroot(aq, mpmath.mpf(float(aq_zeros(c, 1)[0])))
+        tgt = 1 / mpmath.sqrt(i1)
+        for M, err in zip(sizes, rep.errors):
+            r = radial_zeros(c, "hq", M, M, precision=14).radii[0]
+            ref = abs(qm**M * r - tgt)
+            assert abs(err - ref) <= 1e-8 * ref, (M, err, ref)
+    assert rep.monotone
 
 
 def test_limit_report_csv(ctx):
