@@ -20,7 +20,8 @@ from mpmath import mp
 from .context import QContext
 from .polyfamilies import FamilyTable, coeffs, eval_poly, radial_reduce, wall_poly
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
-                      qbinom, qpoch, qpoch_inf, schur_a, schur_b)
+                      qbinom, qbinom_base, qpoch, qpoch_inf, qpoch_inf_ratio,
+                      schur_a, schur_b)
 
 F = Fraction
 
@@ -105,27 +106,32 @@ def laurent_block(terms):
 
 
 def unity_filter_sum(blocks, weight=None, caps_range: int = 0):
-    """(1/M) sum_r w(omega^r) prod_i S_i(omega^r) with M large enough that the
-    filter is exact for the capped index boxes (plus theta-weight aliasing
-    error, which is returned as part of the tail).  Each block S_i is given
-    by its Laurent coefficients (:func:`laurent_block`) and evaluated at
-    each root by Horner."""
+    """(1/M) sum_r w(omega^r) prod_i S_i(omega^r) as (value, tail), with M
+    large enough that the filter is exact for the capped index boxes (the
+    theta weight's aliasing error is left to the caller).  Each block S_i is
+    given by its Laurent coefficients (:func:`laurent_block`) and evaluated
+    at each root by Horner.  ``weight(z)`` returns (value, tail); the tail
+    is the node mean of each weight tail times its node's block product,
+    i.e. of |node term| times the weight's relative tail."""
     M = 2 * caps_range + 1
     horner = []  # (lowest power, coefficients from the highest power down)
     for blk in blocks:
         lo, hi = min(blk), max(blk)
         horner.append((lo, [blk.get(d, 0) for d in range(hi, lo - 1, -1)]))
     total = mp.mpc(0)
+    tail = 0.0
     for r in range(M):
         zr = mpmath.exp(2j * mpmath.pi * r / M)
-        prod = mp.mpc(1) if weight is None else weight(zr)
+        w, w_tail = (mp.mpc(1), 0.0) if weight is None else weight(zr)
+        prod = mp.mpc(1)
         for lo, cs in horner:
             acc = cs[0]
             for c in cs[1:]:
                 acc = acc * zr + c
             prod = prod * (acc * zr**lo)
-        total += prod
-    return total / M
+        total += w * prod
+        tail += w_tail * float(abs(prod))
+    return total / M, tail / M
 
 
 def _box_block(ctx, J, coef):
@@ -185,27 +191,23 @@ def num_gf_H_ab(ctx, pt):
 
     lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
-    den1, t1 = qpoch_inf(ctx, u * z1)
-    den2, t2 = qpoch_inf(ctx, v * z2)
+    pref, pref_tail = qpoch_inf_ratio(ctx, (), [u * z1, v * z2])
     total, prod_tail = ctx.zero(), 0.0
     k = 0
     while True:
-        az, ta = qpoch_inf(ctx, a * z1 * ctx.qpow(k))
-        bz, tb = qpoch_inf(ctx, b * z2 * ctx.qpow(k))
+        ab, ab_tail = qpoch_inf_ratio(ctx, [a * z1 * ctx.qpow(k), b * z2 * ctx.qpow(k)])
         coef = ((-1) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
                 * upoch(u, a, k) * upoch(v, b, k))
-        term = coef * az * bz
+        term = coef * ab
         total = total + term
-        # the truncated factors' error in az * bz: ta |bz| + tb |az| + ta tb
-        prod_tail += ctx.mag(coef) * (ta * ctx.mag(bz) + tb * ctx.mag(az) + ta * tb)
+        prod_tail += ctx.mag(coef) * ab_tail
         if ctx.mag(term) < 1e-32 and k > 4:
             break
         k += 1
         if k > 200:
             break
-    rhs = total / (den1 * den2)
-    resid = ctx.mag(lhs - rhs)
-    return resid, tail1 + t1 + t2 + prod_tail / ctx.mag(den1 * den2) + 1e-28, {}
+    tail = tail1 + ctx.mag(pref) * prod_tail + pref_tail * ctx.mag(total)
+    return ctx.mag(lhs - pref * total), tail + 1e-28, {}
 
 
 def num_gf_p(ctx, pt):
@@ -217,13 +219,9 @@ def num_gf_p(ctx, pt):
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
-    num1, t1 = qpoch_inf(ctx, b * ctx.q)
-    num2, t2 = qpoch_inf(ctx, u * v)
-    den1, t3 = qpoch_inf(ctx, u * z1)
-    den2, t4 = qpoch_inf(ctx, v * z2)
+    pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v], [u * z1, v * z2])
     phi = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
-    rhs = num1 * num2 / (den1 * den2) * phi
-    return ctx.mag(lhs - rhs), tail + t1 + t2 + t3 + t4, {}
+    return ctx.mag(lhs - pref * phi), tail + pref_tail * ctx.mag(phi), {}
 
 
 def num_p_conn_H_inv(ctx, pt):
@@ -233,7 +231,7 @@ def num_p_conn_H_inv(ctx, pt):
     b = ctx.scalar(pt.get("b", F(1, 4)))
     s = ctx.q_half_pow(1)
     lhs = eval_poly(coeffs(ctx, "Hq", m_, n_), z1, z2)
-    bqinf, t0 = qpoch_inf(ctx, b * ctx.q)
+    inv, inv_tail = qpoch_inf_ratio(ctx, (), [b * ctx.q])
     P = coeffs(ctx, "pq", m_, n_, b=b)
     total = ctx.zero()
     for k in range(160):
@@ -242,8 +240,7 @@ def num_p_conn_H_inv(ctx, pt):
         total = total + term
         if ctx.mag(term) < 1e-35 and k > 6:
             break
-    rhs = total / bqinf
-    return ctx.mag(lhs - rhs), t0 + 1e-30, {}
+    return ctx.mag(lhs - inv * total), inv_tail * ctx.mag(total) + 1e-30, {}
 
 
 def num_gf_shift_p(ctx, pt):
@@ -257,10 +254,8 @@ def num_gf_shift_p(ctx, pt):
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
 
-    pref1, t1 = qpoch_inf(ctx, b * ctx.q)
-    pref2, t2 = qpoch_inf(ctx, u * v * ctx.qpow(j + k))
-    den1, t3 = qpoch_inf(ctx, u * z1)
-    den2, t4 = qpoch_inf(ctx, v * z2)
+    pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v * ctx.qpow(j + k)],
+                                      [u * z1, v * z2])
     uz1, vz2, uv = (QPochPrefix(ctx, a) for a in (u * z1, v * z2, u * v * ctx.qpow(j + k)))
     total = ctx.zero()
     for l in range(200):
@@ -277,8 +272,7 @@ def num_gf_shift_p(ctx, pt):
         total = total + term
         if ctx.mag(term) < 1e-32 and l > 4:
             break
-    rhs = pref1 * pref2 / (den1 * den2) * total
-    return ctx.mag(lhs - rhs), tail + t1 + t2 + t3 + t4, {}
+    return ctx.mag(lhs - pref * total), tail + pref_tail * ctx.mag(total), {}
 
 
 def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
@@ -307,18 +301,18 @@ def num_cor19_2phi1(ctx, pt):
         QPochPrefix(ctx, c), QPochPrefix(ctx, d),
         lambda m_, n_: pa(m_) * pb(n_) * s ** ((m_ - n_) ** 2),
         cap=44)
-    pr = (qpoch_inf(ctx, c / a)[0] * qpoch_inf(ctx, d / b)[0]
-          / (qpoch_inf(ctx, c)[0] * qpoch_inf(ctx, d)[0]))
+    pr, pr_tail = qpoch_inf_ratio(ctx, [c / a, d / b], [c, d])
     arg = -c * d / (q * a * b * z1 * z2)
-    rhs1 = pr * phi_series(ctx, [a, b], [ctx.zero()], arg)
+    phi = phi_series(ctx, [a, b], [ctx.zero()], arg)
     # 1phi1 form; the printed version drops two minus signs (ledger):
     # the correct bottom parameter and argument are -cd/(q b z1 z2), -cd/(q a z1 z2)
     beta = -c * d / (q * b * z1 * z2)
-    pr2 = (qpoch_inf(ctx, c / a)[0] * qpoch_inf(ctx, d / b)[0] * qpoch_inf(ctx, beta)[0]
-           / (qpoch_inf(ctx, c)[0] * qpoch_inf(ctx, d)[0] * qpoch_inf(ctx, arg)[0]))
-    rhs2 = pr2 * phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
-    r = max(ctx.mag(lhs - rhs1), ctx.mag(lhs - rhs2))
-    return r, tail + 1e-25, {"extension_claim": "untested outside |cdq/(ab z1 z2)|<1"}
+    pr2, pr2_tail = qpoch_inf_ratio(ctx, [c / a, d / b, beta], [c, d, arg])
+    phi2 = phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
+    r = max(ctx.mag(lhs - pr * phi), ctx.mag(lhs - pr2 * phi2))
+    closed_tail = max(pr_tail * ctx.mag(phi), pr2_tail * ctx.mag(phi2))
+    return r, tail + closed_tail + 1e-25, {
+        "extension_claim": "untested outside |cdq/(ab z1 z2)|<1"}
 
 
 def num_cor19_aq(ctx, pt):
@@ -330,8 +324,8 @@ def num_cor19_aq(ctx, pt):
         QPochPrefix(ctx, c * q), QPochPrefix(ctx, d * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
     aqv, t1 = aq_function(ctx, c * d / (z1 * z2))
-    rhs = aqv / (qpoch_inf(ctx, c * q)[0] * qpoch_inf(ctx, d * q)[0])
-    return ctx.mag(lhs - rhs), tail + t1, {}
+    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * q, d * q])
+    return ctx.mag(lhs - aqv * inv), tail + ctx.mag(inv) * t1 + inv_tail * ctx.mag(aqv), {}
 
 
 def num_cor19_aq2(ctx, pt):
@@ -343,8 +337,8 @@ def num_cor19_aq2(ctx, pt):
         QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
     aqv, t1 = aq_function(ctx, c * d)
-    rhs = aqv / (qpoch_inf(ctx, c * z1 * q)[0] * qpoch_inf(ctx, d * z2 * q)[0])
-    return ctx.mag(lhs - rhs), tail + t1, {}
+    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q])
+    return ctx.mag(lhs - aqv * inv), tail + ctx.mag(inv) * t1 + inv_tail * ctx.mag(aqv), {}
 
 
 def num_gis_pgf(ctx, pt):
@@ -372,8 +366,9 @@ def num_gis_pgf(ctx, pt):
     bm = ctx.scalar(schur_b(QContext(ctx.q_fraction), sidx))
     gis = ((-1) ** sidx * ctx.qpow(-(sidx * (sidx - 1) // 2))
            * (am / (poch5(1) * poch5(4)) - bm / (poch5(2) * poch5(3))))
-    rhs = gis / (qpoch_inf(ctx, c * z1 * q)[0] * qpoch_inf(ctx, d * z2 * q)[0])
-    return ctx.mag(lhs - rhs), tail + 1e-28, {"schur_convention": "a0=1 pinned by RR1"}
+    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q])
+    return ctx.mag(lhs - gis * inv), tail + inv_tail * ctx.mag(gis) + 1e-28, {
+        "schur_convention": "a0=1 pinned by RR1"}
 
 
 def num_cor20_i2(ctx, pt):
@@ -392,9 +387,9 @@ def num_cor20_i2(ctx, pt):
     # 1phi1 form yields q^nu = -c d q^{-2}/b (ledger)
     qnu = -c * d / (q * q * b)
     bes, t1 = bessel_i2_series(ctx, qnu, b)
-    rhs = (qpoch_inf(ctx, d * z2 / b)[0] * qpoch_inf(ctx, q)[0]
-           / (qpoch_inf(ctx, c * z1)[0] * qpoch_inf(ctx, d * z2)[0])) * bes
-    return ctx.mag(lhs - rhs), tail + t1, {}
+    pref, pref_tail = qpoch_inf_ratio(ctx, [d * z2 / b, q], [c * z1, d * z2])
+    return (ctx.mag(lhs - pref * bes),
+            tail + ctx.mag(pref) * t1 + pref_tail * ctx.mag(bes), {})
 
 
 # --- Ramanujan-type generating functions -----------------------------------
@@ -411,13 +406,12 @@ def _ram_H(ctx, pt, radial=False):
     x = mpmath.exp(2j * mm * kpar)
     # the printed statement omits the (q;q)_inf/(abq;q)_inf normalization
     # that the Gaussian-integral derivation produces (ledger)
-    lhs = (qpoch_inf(ctx, ctx.q)[0] * qpoch_inf(ctx, -a * q * x)[0]
-           * qpoch_inf(ctx, -b * q / x)[0] / qpoch_inf(ctx, a * b * q)[0])
+    lhs, lhs_tail = qpoch_inf_ratio(ctx, [q, -a * q * x, -b * q / x], [a * b * q])
     tab = _family_values(ctx, "Hq", a, b, radial)
     rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
                       * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
                       cap=64, tol=1e-30)
-    return ctx.mag(lhs - rhs), tail
+    return ctx.mag(lhs - rhs), tail + lhs_tail
 
 
 def num_ram_gen_H(ctx, pt):
@@ -443,12 +437,10 @@ def _ram_genh_rhs(ctx, pt, radial=False):
 
 def _ram_genh_derived(ctx, a, b, x):
     """The derived closed form of eq:ramhgen1,
-    (q a b;q)inf / ((-q, a q^{1/2} x, b q^{1/2}/x;q)inf)."""
+    (q a b;q)inf / ((-q, a q^{1/2} x, b q^{1/2}/x;q)inf), as (value, tail)."""
     q = ctx.q
     s = ctx.q_half_pow(1)
-    return (qpoch_inf(ctx, q * a * b)[0]
-            / (qpoch_inf(ctx, -q)[0] * qpoch_inf(ctx, a * s * x)[0]
-               * qpoch_inf(ctx, b * s / x)[0]))
+    return qpoch_inf_ratio(ctx, [q * a * b], [-q, a * s * x, b * s / x])
 
 
 def num_ram_gen_h(ctx, pt):
@@ -456,11 +448,11 @@ def num_ram_gen_h(ctx, pt):
     and the re-derived left side is reported alongside (see note)."""
     rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt)
     x2 = x * x
-    lhs_printed = (qpoch_inf(ctx, a * b)[0]
-                   / (qpoch_inf(ctx, -a * b)[0] * qpoch_inf(ctx, a * x2)[0]
-                      * qpoch_inf(ctx, b / x2)[0]))
+    lhs_printed, printed_tail = qpoch_inf_ratio(ctx, [a * b], [-a * b, a * x2, b / x2])
+    derived, _ = _ram_genh_derived(ctx, a, b, x)
     r_printed = ctx.mag(lhs_printed - rhs)
-    r_derived = ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs)
+    r_derived = ctx.mag(derived - rhs)
+    tail += printed_tail
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-10 + tail)}
     return r_printed, tail + 1e-26, info
@@ -474,7 +466,8 @@ def num_ram_gen_h_alt(ctx, pt):
         = (q a b;q)inf / ((-q, a q^{1/2} e^{mk}, b q^{1/2} e^{-mk};q)inf).
     """
     rhs, tail, a, b, x = _ram_genh_rhs(ctx, pt)
-    return ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs), tail + 1e-26, {}
+    lhs, lhs_tail = _ram_genh_derived(ctx, a, b, x)
+    return ctx.mag(lhs - rhs), tail + lhs_tail + 1e-26, {}
 
 
 def _ram_genC_params(pt):
@@ -495,14 +488,12 @@ def _ram_genC_rhs(ctx, pt, radial=False):
 
 
 def _ram_genC_closed(ctx, pt, printed=False):
-    """The closed form of eq:ramhgen2: the printed one carries
-    (-q^{a+b};q)inf, the derived one (-1;q)inf in its place."""
+    """The closed form of eq:ramhgen2 as (value, tail): the printed one
+    carries (-q^{a+b};q)inf, the derived one (-1;q)inf in its place."""
     apar, bpar, cpar = _ram_genC_params(pt)
     qab = ctx.q ** (apar + bpar)
-    return (qpoch_inf(ctx, qab)[0]
-            / (qpoch_inf(ctx, -qab if printed else ctx.scalar(-1))[0]
-               * qpoch_inf(ctx, ctx.q ** (apar + cpar))[0]
-               * qpoch_inf(ctx, ctx.q ** (bpar - cpar))[0]))
+    return qpoch_inf_ratio(ctx, [qab], [-qab if printed else ctx.scalar(-1),
+                                        ctx.q ** (apar + cpar), ctx.q ** (bpar - cpar)])
 
 
 def num_ram_gen_C(ctx, pt):
@@ -510,8 +501,11 @@ def num_ram_gen_C(ctx, pt):
     replaces (-q^{a+b};q)inf by (-1;q)inf (see note).  The double series is
     Abel-type (diagonal pairing) and is summed once for both forms."""
     rhs, tail = _ram_genC_rhs(ctx, pt)
-    r_printed = ctx.mag(_ram_genC_closed(ctx, pt, printed=True) - rhs)
-    r_derived = ctx.mag(_ram_genC_closed(ctx, pt) - rhs)
+    printed, printed_tail = _ram_genC_closed(ctx, pt, printed=True)
+    derived, _ = _ram_genC_closed(ctx, pt)
+    r_printed = ctx.mag(printed - rhs)
+    r_derived = ctx.mag(derived - rhs)
+    tail += printed_tail
     info = {"printed_residual": float(r_printed), "derived_residual": float(r_derived),
             "printed_form_matches": bool(r_printed <= 1e-8 + tail)}
     return r_printed, tail + 1e-24, info
@@ -519,7 +513,8 @@ def num_ram_gen_C(ctx, pt):
 
 def num_ram_gen_C_alt(ctx, pt):
     rhs, tail = _ram_genC_rhs(ctx, pt)
-    return ctx.mag(_ram_genC_closed(ctx, pt) - rhs), tail + 1e-24, {}
+    lhs, lhs_tail = _ram_genC_closed(ctx, pt)
+    return ctx.mag(lhs - rhs), tail + lhs_tail + 1e-24, {}
 
 
 def num_ram_gen_lag(ctx, pt):
@@ -531,11 +526,13 @@ def num_ram_gen_lag(ctx, pt):
     r1, tail1 = _ram_H(ctx, pt, radial=True)
     # (2) q-Laguerre version of the derived eq:ramhgen1
     rhs2, tail2, a, b, x = _ram_genh_rhs(ctx, pt, radial=True)
-    r2 = ctx.mag(_ram_genh_derived(ctx, a, b, x) - rhs2)
+    lhs2, lhs2_tail = _ram_genh_derived(ctx, a, b, x)
+    r2 = ctx.mag(lhs2 - rhs2)
     # (3) q-Laguerre version of the derived eq:ramhgen2
     rhs3, tail3 = _ram_genC_rhs(ctx, pt, radial=True)
-    r3 = ctx.mag(_ram_genC_closed(ctx, pt) - rhs3)
-    return max(r1, r2, r3), tail1 + tail2 + tail3 + 1e-24, {
+    lhs3, lhs3_tail = _ram_genC_closed(ctx, pt)
+    r3 = ctx.mag(lhs3 - rhs3)
+    return max(r1, r2, r3), tail1 + tail2 + tail3 + lhs2_tail + lhs3_tail + 1e-24, {
         "wall_residual": float(r1), "laguerre_residual": float(r2),
         "laguerre_c_residual": float(r3)}
 
@@ -565,11 +562,13 @@ def num_bes_wall(ctx, pt):
     # LHS: [t^n] of the closed product, by roots-of-unity extraction
     M = 96
     acc = mp.mpc(0)
-    num = qpoch_inf(ctx, x2)[0]
+    num, num_tail = qpoch_inf(ctx, x2)
+    node_tail = 0.0
     for r in range(M):
         zr = mpmath.exp(2j * mpmath.pi * r / M)
-        val = num / (qpoch_inf(ctx, x * zr)[0] * qpoch_inf(ctx, x / zr)[0])
-        acc += val * zr ** (-nidx)
+        inv, inv_tail = qpoch_inf_ratio(ctx, (), [x * zr, x / zr])
+        acc += num * inv * zr ** (-nidx)
+        node_tail += ctx.mag(num) * inv_tail + num_tail * ctx.mag(inv)
     lhs = acc / M
 
     tot_corr = ctx.zero()
@@ -591,8 +590,7 @@ def num_bes_wall(ctx, pt):
             break
         tot_printed = tot_printed + t_pr
         prev = ctx.mag(t_pr)
-    pref_printed = (qpoch_inf(ctx, qalpha * q)[0] * qpoch_inf(ctx, -x2)[0]
-                    / (qpoch_inf(ctx, q)[0] * qpoch_inf(ctx, x2)[0]))
+    pref_printed, _ = qpoch_inf_ratio(ctx, [qalpha * q, -x2], [q, x2])
     # J^(2)_alpha(2x;q)/x^alpha for the printed comparison
     jr, _ = bessel_i2_series(ctx, qalpha, -x2)
     r_printed = ctx.mag(jr - pref_printed * tot_printed)
@@ -601,7 +599,7 @@ def num_bes_wall(ctx, pt):
     info = {"printed_residual": float(r_printed), "printed_form_matches": False,
             "note": "printed bilateral GF premise refuted; certified Wall-sum "
                     "coefficient identity instead"}
-    return resid, 1e-24 + float((ctx.mag(x)) ** (M - 3 * nidx - 2)), info
+    return resid, 1e-24 + node_tail / M + float((ctx.mag(x)) ** (M - 3 * nidx - 2)), info
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +628,9 @@ def num_rambeta(ctx, pt, with_ab: bool):
 
     The nodes t = q^n, n = -120..159, read their products (-t, -q/t;q)inf
     (and (-t q^b, -q^{a+1}/t;q)inf) off q-shift ladders.  The tail adds to
-    the edge terms each side's truncated products: their relative tails
-    times |lhs| (the terms are positive) and times |rhs|.
+    the edge terms each side's truncated products: the ladders' relative
+    tails times |lhs| (the terms are positive) and the closed form's
+    :func:`qpoch_inf_ratio` tail.
     """
     apar = ctx.scalar(pt.get("apar", F(1, 3)))
     bpar = ctx.scalar(pt.get("bpar", 1))
@@ -661,23 +660,14 @@ def num_rambeta(ctx, pt, with_ab: bool):
         if k in (0, K - 1):
             edge += ctx.mag(f)
     lhs = total
-
-    def product(args):
-        val, rel = ctx.one(), 0.0
-        for a in args:
-            v, t = qpoch_inf(ctx, a)
-            val, rel = val * v, rel + t / ctx.mag(v)
-        return val, rel
-
     num_args = [q, -(q ** cpar), -(q ** (1 - cpar))]
     den_args = [ctx.scalar(-1), -q]
     if with_ab:
         num_args.append(q ** (apar + bpar))
         den_args += [q ** (apar + cpar), q ** (bpar - cpar)]
-    (num, rel_n), (den, rel_d) = product(num_args), product(den_args)
-    rhs = num / den
+    rhs, rhs_tail = qpoch_inf_ratio(ctx, num_args, den_args)
     # both sums' tails decay geometrically; bound them by the edge terms
-    tail = 8.0 * edge + lad_rel * ctx.mag(lhs) + (rel_n + rel_d) * ctx.mag(rhs)
+    tail = 8.0 * edge + lad_rel * ctx.mag(lhs) + rhs_tail
     return ctx.mag(lhs - rhs), tail, {}
 
 
@@ -708,27 +698,22 @@ def num_circle(ctx, pt, radial=False):
                     * (-1) ** (m_ + n_) * x02**m_ * x13**n_)
     S2 = _box_block(ctx, J, lambda m_, n_: H1[m_, n_] * x[0] ** m_ * x[1] ** n_)
     S3 = _box_block(ctx, J, lambda m_, n_: H2[m_, n_] * x[2] ** m_ * x[3] ** n_)
-    # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
-    qinf = qpoch_inf(ctx, q)[0]
-    rhs = unity_filter_sum(
-        [S1, S2, S3], weight=lambda z: qinf * qpoch_inf(ctx, s * z)[0] * qpoch_inf(ctx, s / z)[0],
-        caps_range=3 * J + 24)
+    qinf, qinf_tail = qpoch_inf(ctx, q)
 
-    num = ctx.one()
-    for i in range(4):
-        num = num * qpoch_inf(ctx, t[i] * x[i] * s)[0]
-    num = num * qpoch_inf(ctx, x[0] * x[1])[0] * qpoch_inf(ctx, x[2] * x[3])[0]
-    num = num * qpoch_inf(ctx, t[0] * t[1] * t[2] * t[3] * x[0] * x[1] * x[2] * x[3] * q * q)[0]
-    den = (qpoch_inf(ctx, t[0] * t[1] * x[0] * x[1])[0]
-           * qpoch_inf(ctx, t[0] * t[3] * x[0] * x[3])[0]
-           * qpoch_inf(ctx, t[1] * t[2] * x[1] * x[2])[0]
-           * qpoch_inf(ctx, t[2] * t[3] * x[2] * x[3])[0]
-           * qpoch_inf(ctx, -x[0] * x[1] * x[2] * x[3])[0])
-    lhs = num / den
+    def weight(z):  # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
+        w, w_tail = qpoch_inf_ratio(ctx, [s * z, s / z])
+        return qinf * w, ctx.mag(qinf) * w_tail + qinf_tail * ctx.mag(w)
+
+    rhs, rhs_tail = unity_filter_sum([S1, S2, S3], weight=weight, caps_range=3 * J + 24)
+    lhs, lhs_tail = qpoch_inf_ratio(
+        ctx, [t[i] * x[i] * s for i in range(4)]
+        + [x[0] * x[1], x[2] * x[3], t[0] * t[1] * t[2] * t[3] * x[0] * x[1] * x[2] * x[3] * q * q],
+        [t[0] * t[1] * x[0] * x[1], t[0] * t[3] * x[0] * x[3], t[1] * t[2] * x[1] * x[2],
+         t[2] * t[3] * x[2] * x[3], -x[0] * x[1] * x[2] * x[3]])
     # crude geometric tail majorant from the largest parameter magnitude
     rho = max(ctx.mag(v) for v in (x[0] * x[2], x[1] * x[3], x[0], x[1], x[2], x[3]))
     tail = 40.0 * float(rho) ** (J + 1) / (1 - float(rho))
-    return ctx.mag(lhs - rhs), tail, {}
+    return ctx.mag(lhs - rhs), tail + rhs_tail + lhs_tail, {}
 
 
 def num_askey_roy_exp(ctx, pt, radial=False):
@@ -774,17 +759,15 @@ def num_askey_roy_exp(ctx, pt, radial=False):
     def Hblock(p1, p2):
         return _box_block(ctx, J, lambda m_, n_: H11[m_, n_] * p1**m_ * p2**n_)
 
-    rhs = unity_filter_sum([hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
-                           caps_range=4 * J)
-    lam2inf = qpoch_inf(ctx, -lam * lam)[0]
-    lhs = (qpoch_inf(ctx, a * b * al * be)[0] * qpoch_inf(ctx, c)[0]
-           * qpoch_inf(ctx, q / c)[0] * qpoch_inf(ctx, c * al / be)[0]
-           * qpoch_inf(ctx, q * be / (c * al))[0]
-           / (qpoch_inf(ctx, a * be)[0] * qpoch_inf(ctx, b * al)[0]
-              * qpoch_inf(ctx, q)[0] * lam2inf * lam2inf))
+    rhs, _ = unity_filter_sum([hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
+                              caps_range=4 * J)
+    lam2 = -lam * lam
+    lhs, lhs_tail = qpoch_inf_ratio(
+        ctx, [a * b * al * be, c, q / c, c * al / be, q * be / (c * al)],
+        [a * be, b * al, q, lam2, lam2])
     rho = max(float(ctx.mag(v)) for v in (lam * lam, a, b, al, be))
     tail = 60.0 * rho ** (J + 1) / (1 - rho)
-    return ctx.mag(lhs - rhs), tail, {}
+    return ctx.mag(lhs - rhs), tail + lhs_tail, {}
 
 
 def num_qks1(ctx, pt):
@@ -803,19 +786,8 @@ def num_qks1(ctx, pt):
     def cont_qH(nn, xarg, base):
         # continuous q-Hermite H_n(cos theta | base) with cos theta = xarg
         th = mpmath.acos(xarg)
-        tot = mp.mpc(0)
-        for k in range(nn + 1):
-            num = ctx.one()
-            den1 = ctx.one()
-            den2 = ctx.one()
-            for i in range(nn):
-                num = num * (1 - base ** (i + 1))
-            for i in range(k):
-                den1 = den1 * (1 - base ** (i + 1))
-            for i in range(nn - k):
-                den2 = den2 * (1 - base ** (i + 1))
-            tot += num / (den1 * den2) * mpmath.exp(1j * (nn - 2 * k) * th)
-        return tot
+        return sum((qbinom_base(ctx, base, nn, k) * mpmath.exp(1j * (nn - 2 * k) * th)
+                    for k in range(nn + 1)), mp.mpc(0))
 
     sinpsi = mpmath.sin(psi)
     cosphi = mpmath.cos(phi)
@@ -835,21 +807,18 @@ def num_qks1(ctx, pt):
     S3 = block(1, Hm3, lambda m_: u**m_)
     S4 = block(-1, Hm4, lambda m_: v**m_)
 
-    rhs = unity_filter_sum([S1, S2, S3, S4], caps_range=4 * J)
+    rhs, _ = unity_filter_sum([S1, S2, S3, S4], caps_range=4 * J)
     epi = mpmath.exp(mpmath.pi)
     e2ip = mpmath.exp(2j * psi)
     ehalf = mpmath.exp(mpmath.pi / 2)
-    lhs = (qpoch_inf(ctx, u * u * v * v)[0] * qpoch_inf(ctx, s)[0] ** 2
-           * qpoch_inf(ctx, s * epi * e2ip)[0]
-           * qpoch_inf(ctx, s / (epi * e2ip))[0])
-    den = (qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi + psi)) * ehalf)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(1j * (phi - psi)) / ehalf)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi - psi)) * ehalf)[0]
-           * qpoch_inf(ctx, u * v * mpmath.exp(-1j * (phi + psi)) / ehalf)[0]
-           * qpoch_inf(ctx, q)[0])
-    lhs = lhs / den
+    lhs, lhs_tail = qpoch_inf_ratio(
+        ctx, [u * u * v * v, s, s, s * epi * e2ip, s / (epi * e2ip)],
+        [u * v * mpmath.exp(1j * (phi + psi)) * ehalf,
+         u * v * mpmath.exp(1j * (phi - psi)) / ehalf,
+         u * v * mpmath.exp(-1j * (phi - psi)) * ehalf,
+         u * v * mpmath.exp(-1j * (phi + psi)) / ehalf, q])
     rho = max(float(ctx.mag(u)), float(ctx.mag(v)))
-    tail = 40.0 * rho ** (J + 1) / (1 - rho)
+    tail = 40.0 * rho ** (J + 1) / (1 - rho) + lhs_tail
     return ctx.mag(lhs - rhs), tail, {
         "suspected_typo": "e^{pi+2i psi} appears to be a real exponential; "
                           "checked as printed"}

@@ -26,7 +26,7 @@ from mpmath import mp
 
 from .context import QContext, conj, is_zero
 from .polyfamilies import BivarPoly, coeffs, eval_poly
-from .qkernel import QPochPrefix, qbinom, qpoch, qpoch_inf
+from .qkernel import QPochPrefix, qbinom, qpoch, qpoch_inf, qpoch_inf_ratio
 from .reports import VerificationReport, scalar_str
 
 F = Fraction
@@ -352,10 +352,8 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
             def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
                 return x**r / ctx.qq(r)
 
-            rhs = (qpoch_inf(ctx, u1 * u2 * v1 * v2)[0]
-                   / (qpoch_inf(ctx, ctx.q)[0] * qpoch_inf(ctx, u1 * u2)[0]
-                      * qpoch_inf(ctx, v1 * v2)[0] * qpoch_inf(ctx, u1 * v1)[0]
-                      * qpoch_inf(ctx, u2 * v2)[0]))
+            rhs, rhs_tail = qpoch_inf_ratio(
+                ctx, [u1 * u2 * v1 * v2], [ctx.q, u1 * u2, v1 * v2, u1 * v1, u2 * v2])
         elif kind == "h_beta":
             meas = RadialMeasure("h_continuous")
             s = ctx.q_half_pow(1)
@@ -365,10 +363,10 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
 
             # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
             # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
-            rhs = (mp.pi * mpmath.log(1 / ctx.q)
-                   * qpoch_inf(ctx, -u1 * v1)[0] * qpoch_inf(ctx, -u2 * v2)[0]
-                   * qpoch_inf(ctx, -u1 * u2)[0] * qpoch_inf(ctx, -v1 * v2)[0]
-                   / qpoch_inf(ctx, u1 * u2 * v1 * v2 / ctx.q)[0])
+            pr, pr_tail = qpoch_inf_ratio(ctx, [-u1 * v1, -u2 * v2, -u1 * u2, -v1 * v2],
+                                          [u1 * u2 * v1 * v2 / ctx.q])
+            scale = mp.pi * mpmath.log(1 / ctx.q)
+            rhs, rhs_tail = scale * pr, float(scale) * pr_tail
         else:
             raise ValueError(kind)
         lhs, tail = _euler_4fold(ctx, cap, coefw, _radial_moments(ctx, meas, 2 * cap),
@@ -377,7 +375,7 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
             lhs = lhs * mp.pi
             tail *= float(mp.pi)
         rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
-        tail += 20.0 * float(rho) ** cap / (1 - float(rho))
+        tail += 20.0 * float(rho) ** cap / (1 - float(rho)) + rhs_tail
         resid = ctx.mag(lhs - rhs)
         passed = resid <= tol + tail
     return VerificationReport(
@@ -391,10 +389,14 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _trapezoid_theta(f, M: int):
-    tot = mp.mpc(0)
+    """Mean of f over M equispaced angles, f returning (value, tail): the
+    mean value and the mean node tail."""
+    tot, tail = mp.mpc(0), 0.0
     for r in range(M):
-        tot += f(2 * mp.pi * r / M)
-    return tot / M
+        v, t = f(2 * mp.pi * r / M)
+        tot += v
+        tail += t
+    return tot / M, tail / M
 
 
 def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
@@ -402,102 +404,86 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
     """AskeyRoy: trapezoidal check of the Askey-Roy integral.
     AskeyWilsonOrtho: the additional first-family orthogonality with the
     (q, e^{2i th}, e^{-2i th};q)_inf weight.  Convergence is certified by
-    doubling M."""
+    doubling M; the tail is twice the doubling change plus the truncation
+    tails of the node products and of the closed form, all at the
+    context's precision."""
     tol = float(params.get("tol", 1e-12))
-    if kind == "AskeyRoy":
-        a = ctx.scalar(params.get("a", F(1, 4)))
-        b = ctx.scalar(params.get("b", F(1, 5)))
-        al = ctx.scalar(params.get("alpha", F(1, 6)))
-        be = ctx.scalar(params.get("beta", F(1, 7)))
-        c = ctx.scalar(params.get("c", F(2, 5)))
-        for x in (a, b, al, be):
-            if ctx.mag(x) >= 1:
-                raise ValueError("parameters must lie inside the unit circle")
+    with ctx.workprec():
+        if kind == "AskeyRoy":
+            a = ctx.scalar(params.get("a", F(1, 4)))
+            b = ctx.scalar(params.get("b", F(1, 5)))
+            al = ctx.scalar(params.get("alpha", F(1, 6)))
+            be = ctx.scalar(params.get("beta", F(1, 7)))
+            c = ctx.scalar(params.get("c", F(2, 5)))
+            for x in (a, b, al, be):
+                if ctx.mag(x) >= 1:
+                    raise ValueError("parameters must lie inside the unit circle")
 
-        def integrand(th):
-            e = mpmath.exp(1j * th)
-            num = (qpoch_inf(ctx, c * e / be)[0]
-                   * qpoch_inf(ctx, ctx.q * e / (c * al))[0]
-                   * qpoch_inf(ctx, c * al / e)[0]
-                   * qpoch_inf(ctx, ctx.q * be / (c * e))[0])
-            den = (qpoch_inf(ctx, a * e)[0] * qpoch_inf(ctx, b * e)[0]
-                   * qpoch_inf(ctx, al / e)[0] * qpoch_inf(ctx, be / e)[0])
-            return num / den
+            def integrand(th):
+                e = mpmath.exp(1j * th)
+                return qpoch_inf_ratio(
+                    ctx, [c * e / be, ctx.q * e / (c * al), c * al / e, ctx.q * be / (c * e)],
+                    [a * e, b * e, al / e, be / e])
 
-        lhs1 = _trapezoid_theta(integrand, M)
-        lhs2 = _trapezoid_theta(integrand, 2 * M)
-        rhs = (qpoch_inf(ctx, a * b * al * be)[0] * qpoch_inf(ctx, c)[0]
-               * qpoch_inf(ctx, ctx.q / c)[0]
-               * qpoch_inf(ctx, c * al / be)[0]
-               * qpoch_inf(ctx, ctx.q * be / (c * al))[0]
-               / (qpoch_inf(ctx, a * al)[0] * qpoch_inf(ctx, a * be)[0]
-                  * qpoch_inf(ctx, b * al)[0] * qpoch_inf(ctx, b * be)[0]
-                  * qpoch_inf(ctx, ctx.q)[0]))
-        resid = ctx.mag(lhs2 - rhs)
-        conv = ctx.mag(lhs2 - lhs1)
-        passed = resid <= tol + conv * 2
-        return VerificationReport(
-            id="ANGULAR-AskeyRoy", mode="NUMERIC-SERIES",
-            grid={"M": 2 * M, "a": a, "b": b, "alpha": al, "beta": be, "c": c},
-            residual=repr(float(resid)), tail_bound=float(conv), passed=bool(passed),
-            extra={"doubling_decrease": float(conv)})
-    if kind == "AskeyWilsonOrtho":
-        p_ = int(params.get("p", 2))
-        s_ = int(params.get("s", 2))
-        rpar = ctx.scalar(params.get("r", F(1, 2)))
-        Hcache = {}
+            rhs, rhs_tail = qpoch_inf_ratio(
+                ctx, [a * b * al * be, c, ctx.q / c, c * al / be, ctx.q * be / (c * al)],
+                [a * al, a * be, b * al, b * be, ctx.q])
+            rid, grid, note = ("ANGULAR-AskeyRoy",
+                               {"M": 2 * M, "a": a, "b": b, "alpha": al, "beta": be, "c": c}, "")
+        elif kind == "AskeyWilsonOrtho":
+            p_ = int(params.get("p", 2))
+            s_ = int(params.get("s", 2))
+            rpar = ctx.scalar(params.get("r", F(1, 2)))
+            Hcache = {}
 
-        def Hval(mm, nn, z1, z2):
-            key = (mm, nn)
-            if key not in Hcache:
-                Hcache[key] = coeffs(ctx, "Hq", mm, nn)
-            return eval_poly(Hcache[key], z1, z2)
+            def Hval(mm, nn, z1, z2):
+                key = (mm, nn)
+                if key not in Hcache:
+                    Hcache[key] = coeffs(ctx, "Hq", mm, nn)
+                return eval_poly(Hcache[key], z1, z2)
 
-        def integrand(th):
-            e = mpmath.exp(1j * th)
-            w = (qpoch_inf(ctx, ctx.q)[0]
-                 * qpoch_inf(ctx, e * e)[0]
-                 * qpoch_inf(ctx, 1 / (e * e))[0])
-            tot = mp.mpc(0)
-            for j in range(p_ + 1):
-                for k in range(s_ + 1):
-                    tot += (Hval(j, k, rpar * e, rpar / e)
-                            * Hval(s_ - k, p_ - j, rpar * e, rpar / e)
-                            / (ctx.qq(j) * ctx.qq(k) * ctx.qq(s_ - k) * ctx.qq(p_ - j)))
-            return w * tot
+            def integrand(th):
+                e = mpmath.exp(1j * th)
+                w, w_tail = qpoch_inf_ratio(ctx, [ctx.q, e * e, 1 / (e * e)])
+                tot = mp.mpc(0)
+                for j in range(p_ + 1):
+                    for k in range(s_ + 1):
+                        tot += (Hval(j, k, rpar * e, rpar / e)
+                                * Hval(s_ - k, p_ - j, rpar * e, rpar / e)
+                                / (ctx.qq(j) * ctx.qq(k) * ctx.qq(s_ - k) * ctx.qq(p_ - j)))
+                return w * tot, w_tail * ctx.mag(tot)
 
-        # the integrand is even, so the [0, pi] mean equals the full-circle mean
-        lhs1 = _trapezoid_theta(integrand, M)
-        lhs2 = _trapezoid_theta(integrand, 2 * M)
-        if s_ != p_:
-            rhs = mp.mpc(0)
+            rhs, rhs_tail = mp.mpc(0), 0.0
+            if s_ == p_:
+                r2 = rpar * rpar
+                pref = r2**p_ * qpoch(ctx, 1 / r2, p_) / ctx.qq(p_)
+                tot = ctx.zero()
+                term = ctx.one()
+                for i in range(0, 200):
+                    tot = tot + term
+                    den = (1 - ctx.qpow(i + 1)) * (1 - ctx.qpow(1 - p_ + i) * r2)
+                    if den == 0:
+                        raise ZeroDivisionError("pole in the 1phi1 closed form")
+                    term = term * (1 - ctx.qpow(i - s_)) * (-1) * ctx.qpow(i) * ctx.q / den
+                    if i > s_ and ctx.mag(term) < 1e-40:
+                        break
+                # the special Askey-Wilson integral evaluates to 2 pi/((q,ab;q)inf),
+                # not pi as printed, which doubles the closed form (ledger)
+                rhs = 2 * pref * tot
+            rid, grid = "ANGULAR-AskeyWilsonOrtho", {"M": 2 * M, "p": p_, "s": s_, "r": rpar}
+            note = ("closed form doubled: the two-parameter Askey-Wilson integral "
+                    "constant is 2 pi, not pi (ledger)")
         else:
-            r2 = rpar * rpar
-            pref = r2**p_ * qpoch(ctx, 1 / r2, p_) / ctx.qq(p_)
-            tot = ctx.zero()
-            term = ctx.one()
-            for i in range(0, 200):
-                tot = tot + term
-                den = (1 - ctx.qpow(i + 1)) * (1 - ctx.qpow(1 - p_ + i) * r2)
-                if den == 0:
-                    raise ZeroDivisionError("pole in the 1phi1 closed form")
-                term = term * (1 - ctx.qpow(i - s_)) * (-1) * ctx.qpow(i) * ctx.q / den
-                if i > s_ and ctx.mag(term) < 1e-40:
-                    break
-            # the special Askey-Wilson integral evaluates to 2 pi/((q,ab;q)inf),
-            # not pi as printed, which doubles the closed form (ledger)
-            rhs = 2 * pref * tot
+            raise ValueError(kind)
+        lhs1, _ = _trapezoid_theta(integrand, M)
+        lhs2, lhs_tail = _trapezoid_theta(integrand, 2 * M)
         resid = ctx.mag(lhs2 - rhs)
         conv = ctx.mag(lhs2 - lhs1)
-        passed = resid <= tol + 2 * conv + 1e-10
-        return VerificationReport(
-            id="ANGULAR-AskeyWilsonOrtho", mode="NUMERIC-SERIES",
-            grid={"M": 2 * M, "p": p_, "s": s_, "r": rpar},
-            residual=repr(float(resid)), tail_bound=float(conv), passed=bool(passed),
-            note="closed form doubled: the two-parameter Askey-Wilson integral "
-                 "constant is 2 pi, not pi (ledger)",
-            extra={"doubling_decrease": float(conv)})
-    raise ValueError(kind)
+        tail = 2 * conv + lhs_tail + rhs_tail
+    return VerificationReport(
+        id=rid, mode="NUMERIC-SERIES", grid=grid, residual=repr(float(resid)),
+        tail_bound=tail, passed=bool(resid <= tol + tail), note=note,
+        extra={"doubling_decrease": float(conv)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ majorant value is returned alongside the value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
@@ -22,6 +23,7 @@ __all__ = [
     "PoleError",
     "qpoch",
     "qpoch_inf",
+    "qpoch_inf_ratio",
     "QPochPrefix",
     "qbinom",
     "qbinom_base",
@@ -98,6 +100,39 @@ def qpoch_inf(ctx: QContext, a):
             )
         tail = 2 * eps * (ctx.mag(out) + 1e-300)
         return out, tail
+
+
+def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
+    """prod_a (a;q)_inf / prod_b (b;q)_inf over a in nums, b in dens, as
+    (value, tail_bound), with one :func:`qpoch_inf` call per distinct factor
+    (a squared factor is listed twice and computed once).
+
+    Each factor is its truncated value v times (1 + d), |d| <= e = tail/|v|,
+    so the quotient is off by at most
+    |value| (prod (1 + e_a) / prod (1 - e_b) - 1), summed in logs: the naive
+    form cancels to 0 in doubles once e is near 1e-34.  A numerator factor
+    that is zero makes the value zero; a denominator factor not bounded away
+    from zero (e_b >= 1) raises PoleError.
+    """
+    with ctx.workprec():
+        facs = {}
+        for a in (*nums, *dens):
+            if a not in facs:
+                facs[a] = qpoch_inf(ctx, a)
+        num, den, log_err = ctx.one(), ctx.one(), 0.0
+        for a in nums:
+            v, t = facs[a]
+            num = num * v
+            if ctx.mag(v):
+                log_err += math.log1p(t / ctx.mag(v))
+        for b in dens:
+            v, t = facs[b]
+            if t >= ctx.mag(v):
+                raise PoleError(f"({b!r};q)_inf in a denominator is not bounded away from 0")
+            den = den * v
+            log_err -= math.log1p(-t / ctx.mag(v))
+        value = num / den
+        return value, ctx.mag(value) * math.expm1(log_err)
 
 
 class QPochPrefix:
@@ -262,9 +297,9 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
 
     Term n carries the usual ((-1)^n q^C(n,2))^(1+s-r) factor.  A terminating
     series (a numerator q**-N on the exact backend) is summed exactly;
-    otherwise terms must decay within the truncation budget and the value is
-    returned with the geometric tail folded into it (bound is discarded here;
-    callers needing the bound use the registry machinery).
+    otherwise terms must decay within the truncation budget.  Returns the
+    partial sum alone: no tail is folded into it and no bound is reported,
+    so callers cover the cut with a tail floor of their own.
     """
     with ctx.workprec():
         tr = ctx.default_trunc
@@ -372,14 +407,15 @@ def bessel_i2_series(ctx: QContext, qnu, y):
     With q^nu := qnu, returns
         ((qnu*q;q)_inf / (q;q)_inf) * sum_n q^{n^2} qnu^n y^n / ((q;q)_n (qnu*q;q)_n),
     which equals b^{-nu/2} I^{(2)}_nu(2 sqrt(b); q) at y = b.  Keeping qnu as a
-    scalar sidesteps z^{nu} branch choices entirely.
+    scalar sidesteps z^{nu} branch choices entirely.  Returns (value,
+    tail_bound): the sum's geometric tail times the prefactor plus the
+    prefactor's :func:`qpoch_inf_ratio` tail times the sum.
     """
     with ctx.workprec():
         tr = ctx.default_trunc
         qnu = ctx.scalar(qnu)
         y = ctx.scalar(y)
-        pref_num, t1 = qpoch_inf(ctx, qnu * ctx.q)
-        pref_den, t2 = qpoch_inf(ctx, ctx.q)
+        pref, pref_tail = qpoch_inf_ratio(ctx, [qnu * ctx.q], [ctx.q])
         total = ctx.zero()
         term = ctx.one()
         tail = 0.0
@@ -395,9 +431,7 @@ def bessel_i2_series(ctx: QContext, qnu, y):
                 break
         else:
             raise DivergenceError("q-Bessel series truncation budget exhausted")
-        value = pref_num * total / pref_den
-        bound = tail + t1 + t2  # crude: absolute tails of the two products
-        return value, bound
+        return pref * total, ctx.mag(pref) * tail + pref_tail * ctx.mag(total)
 
 
 def schur_a(ctx: QContext, m: int):

@@ -231,12 +231,13 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     """First `count` zeros 0 < i_1(q) < i_2(q) < ... of A_q, isolated on the
     exact signs of the truncation A_N(x) = sum_{n <= N} c_n (-x)^n,
     c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip
-    the signs at the ends of the scan brackets or of the final brackets."""
+    the signs at the ends of the scan brackets or of the final brackets.
+    N grows with `precision`, so the tail stays 40 digits below it."""
     q = ctx.q_fraction
     qf = float(q)
     x_hi = qf ** (-(2 * count + 2))
     N = 2 * count + 12
-    while qf ** (N * N) * x_hi**N > 1e-60:
+    while qf ** (N * N) * x_hi**N > 10.0 ** -(precision + 40):
         N += 4
     cs, qq = [], Fraction(1)
     for n in range(N + 1):

@@ -1,9 +1,14 @@
-"""Every parameter of every function and lambda in the package is read.
+"""Guards over the package source, parsed with ``ast``.
 
-A parameter that nothing reads is an option a caller can set and the code
+Every parameter of every function and lambda in the package is read.  A
+parameter that nothing reads is an option a caller can set and the code
 silently ignores (a truncation policy passed to a function that always uses
 the context's, say).  This guard parses each module of ``src/q2dpoly`` and
 fails on any such parameter, ``self`` and ``cls`` aside.
+
+No closed form drops the truncation tail of an (a;q)_inf factor: a
+``qpoch_inf(...)[0]`` in the identity checkers or the kernel fails, since
+``qpoch_inf_ratio`` carries the tails of a quotient of such products.
 """
 
 import ast
@@ -61,3 +66,23 @@ def test_no_unread_parameters():
                 tree = ast.parse(fh.read(), filename=fname)
             unread += _unread(tree, fname[:-3])
     assert unread == []
+
+
+def _dropped_qpoch_tails(tree):
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Call)
+            and getattr(n.value.func, "id", None) == "qpoch_inf"
+            and isinstance(n.slice, ast.Constant) and n.slice.value == 0]
+
+
+def test_dropped_tail_finder_flags_an_index():
+    tree = ast.parse("x = qpoch_inf(ctx, a)[0] * f(ctx)[0]\ny, t = qpoch_inf(ctx, b)\n")
+    assert _dropped_qpoch_tails(tree) == [1]
+
+
+def test_no_dropped_qpoch_inf_tails():
+    dropped = []
+    for fname in ("identities_numeric.py", "qkernel.py"):
+        with open(os.path.join(SRC, fname)) as fh:
+            dropped += [f"{fname}:{ln}" for ln in _dropped_qpoch_tails(ast.parse(fh.read()))]
+    assert dropped == []

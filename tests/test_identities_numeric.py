@@ -35,9 +35,9 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
         return laurent_block(terms)
 
     def keep_call(blks, weight=None, caps_range=0):
-        val = unity_filter_sum(blks, weight=weight, caps_range=caps_range)
+        val, tail = unity_filter_sum(blks, weight=weight, caps_range=caps_range)
         calls.append((len(blks), weight, caps_range, val))
-        return val
+        return val, tail
 
     monkeypatch.setattr(nm, "laurent_block", keep_terms)
     monkeypatch.setattr(nm, "unity_filter_sum", keep_call)
@@ -50,7 +50,7 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
         total = mp.mpc(0)
         for r in range(M):
             zr = mpmath.exp(2j * mpmath.pi * r / M)
-            prod = mp.mpc(1) if weight is None else weight(zr)
+            prod = mp.mpc(1) if weight is None else weight(zr)[0]
             for terms in blocks:
                 S = mp.mpc(0)
                 for d, coef in terms:
@@ -81,3 +81,15 @@ def test_rambeta_tail_bounds_residual(id_):
     rep = check_identity(_fctx(F(1, 2)), id_, {}, tol=1e-9)
     assert rep.passed
     assert float(rep.residual) <= rep.tail_bound
+
+
+@pytest.mark.parametrize("tail_tol", [1e-34, 1e-32])
+@pytest.mark.parametrize("id_", ["COR19-AQ", "COR19-AQ2", "COR20-I2", "p-GF", "H-GF-AB"])
+def test_closed_form_tail_bounds_residual(id_, tail_tol):
+    # the closed forms' (a;q)_inf products are cut at tail_tol, and their
+    # tails enter the reported bound: the residual stays below it at the
+    # numeric sweep's policy and at the CLI's default
+    c = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
+    rep = check_identity(c, id_, {}, tol=1e-9)
+    assert float(rep.residual) <= rep.tail_bound, (rep.residual, rep.tail_bound)

@@ -189,6 +189,14 @@ def test_angular_askey_wilson(fctx2):
     assert rep.passed and float(rep.residual) < 1e-10
 
 
+def test_angular_checks_at_context_precision(fctx2):
+    # the trapezoid sums and closed forms at 160 bits, not at the process's
+    # 53: both residuals sit far below double rounding
+    for kind, params in (("AskeyRoy", {}), ("AskeyWilsonOrtho", {"p": 2, "s": 2})):
+        rep = angular_quadrature_check(fctx2, kind, params)
+        assert rep.passed and float(rep.residual) <= 1e-30, (kind, rep.residual)
+
+
 def test_angular_rejects_unit_circle(fctx2):
     with pytest.raises(ValueError):
         angular_quadrature_check(fctx2, "AskeyRoy", {"a": 1}, M=8)

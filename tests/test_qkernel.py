@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly import qkernel
 from q2dpoly.qkernel import (DivergenceError, PoleError, aq_function,
                              bessel_i2_series, phi_series, qbinom, qintegral,
-                             qop, qpoch, qpoch_inf, schur_a, schur_b, theta4)
+                             qop, qpoch, qpoch_inf, qpoch_inf_ratio, schur_a,
+                             schur_b, theta4)
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +261,28 @@ def test_bessel_i2_value(fctx):
                        / (fctx.qq(n) * qpoch(fctx, q * q, n)))
         direct *= qpoch_inf(fctx, q * q)[0] / qpoch_inf(fctx, q)[0]
         assert abs(val - direct) < 1e-30
+
+
+def test_qpoch_inf_ratio_carries_factor_tails(fctx, monkeypatch):
+    a, b, c = (fctx.scalar(F(1, k)) for k in (3, 5, 7))
+    with fctx.workprec():
+        (va, ta), (vb, tb), (vc, tc) = (qpoch_inf(fctx, x) for x in (a, b, c))
+        calls = []
+        monkeypatch.setattr(qkernel, "qpoch_inf",
+                            lambda ctx, x: calls.append(x) or qpoch_inf(ctx, x))
+        val, tail = qpoch_inf_ratio(fctx, [a, a], [b, c])
+        assert calls == [a, b, c]  # the squared factor is computed once
+        assert val == va * va / (vb * vc)
+        # relative tails near 1e-40 survive: prod(1+e)/prod(1-e) - 1 in
+        # doubles would round to 0
+        rel = 2 * ta / fctx.mag(va) + tb / fctx.mag(vb) + tc / fctx.mag(vc)
+        assert 0 < rel < 1e-38
+        assert tail >= fctx.mag(val) * rel
+        assert tail <= fctx.mag(val) * rel * (1 + 1e-12)
+        # a vanishing numerator factor is exact; a vanishing denominator raises
+        assert qpoch_inf_ratio(fctx, [fctx.one(), b], [c]) == (0, 0.0)
+        with pytest.raises(PoleError):
+            qpoch_inf_ratio(fctx, [b], [fctx.one()])
 
 
 def test_euler_identities_truncated(fctx):

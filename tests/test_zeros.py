@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from q2dpoly import zeros
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly.polyfamilies import radial_reduce
 from q2dpoly.qkernel import aq_function
@@ -120,12 +121,24 @@ def test_aq_zeros_bracket_exact_truncation(q):
             assert abs(v) > 2 * q ** ((N + 1) ** 2) * xe ** (N + 1) / qq
 
 
-def test_aq_zeros_final_bracket_must_clear_tail():
-    # at q = 5/7 every scan bracket end clears the truncation tail, but at
-    # 80 digits the lower end of the third zero's final bracket does not, so
-    # the truncation cannot certify those digits
+def test_aq_zeros_final_bracket_must_clear_tail(monkeypatch):
+    # final brackets refined 100 digits past what N was chosen for put their
+    # ends where the truncation tail could flip the sign, and the scan
+    # bracket ends alone would not catch it
+    bisect = zeros._bisect
+    monkeypatch.setattr(zeros, "_bisect",
+                        lambda desc, a, b, sa, digits: bisect(desc, a, b, sa, digits + 100))
     with pytest.raises(ArithmeticError, match="tail"):
-        aq_zeros(QContext(F(5, 7)), 3, precision=80)
+        aq_zeros(QContext(F(5, 7)), 3, precision=20)
+
+
+def test_aq_zeros_truncation_follows_precision():
+    # N is chosen for a tail 40 digits below the requested precision, so
+    # q = 5/7 certifies 80 digits (a tail fixed near 1e-60 could not)
+    zs = aq_zeros(QContext(F(5, 7)), 3, precision=80)
+    assert len(zs) == 3 and zs[0] < zs[1] < zs[2]
+    for z80, z20 in zip(zs, aq_zeros(QContext(F(5, 7)), 3, precision=20)):
+        assert abs(z80 - z20) <= 1e-19 * z20
 
 
 def test_zero_counts_and_ordering(ctx, ctx2):
