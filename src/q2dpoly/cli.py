@@ -65,12 +65,15 @@ def _load_config(args: argparse.Namespace):
 
 
 def _ctx_from(args, backend_default="exact") -> QContext:
+    """The run's context; a float context without --sqrt-q takes s = sqrt(q)."""
     q = _parse_rational(str(args.q))
     backend = args.backend or backend_default
     trunc = TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
     sq = args.sqrt_q
     if sq not in (None, "auto"):
         sq = Fraction(sq)
+    elif backend == "float":
+        sq = "auto"
     return QContext(q, sqrt_q=sq, backend=backend,
                     precision_bits=args.precision_bits, default_trunc=trunc)
 
@@ -162,9 +165,6 @@ def cmd_verify(args) -> int:
                   f"(pass --sqrt-q or a square q): {', '.join(skipped)}",
                   file=sys.stderr)
             ids = [i for i in ids if not REGISTRY[i].needs_sqrt]
-    if ctx.backend == "float" and ctx.s is None:
-        ctx = QContext(ctx.q_fraction, sqrt_q="auto", backend="float",
-                       precision_bits=ctx.precision_bits, default_trunc=ctx.default_trunc)
     grid = {}
     if args.max_m is not None:
         grid["max_m"] = args.max_m
@@ -191,9 +191,6 @@ def cmd_ortho(args) -> int:
     from .measures import ortho_csv, ortho_table
 
     ctx = _ctx_from(args, backend_default="float")
-    if ctx.s is None and ctx.backend == "float":
-        ctx = QContext(ctx.q_fraction, sqrt_q="auto", backend="float",
-                       precision_bits=ctx.precision_bits, default_trunc=ctx.default_trunc)
     table, worst_diag, worst_off = ortho_table(
         ctx, FAMILY_MAP[args.family], args.max_index,
         b=_parse_rational(args.b) if args.b else None, K=args.K)
@@ -234,10 +231,8 @@ def cmd_aqzeros(args) -> int:
 def cmd_asym(args) -> int:
     from .zeros import asymptotic_report, zero_limit_report
 
-    ctx = _ctx_from(args, backend_default="float")
-    if ctx.s is None:
-        ctx = QContext(ctx.q_fraction, sqrt_q="auto", backend="float",
-                       precision_bits=ctx.precision_bits, default_trunc=ctx.default_trunc)
+    args.backend = "float"  # the limits and theta_4 are float computations
+    ctx = _ctx_from(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     if args.target in ("limH", "limh", "limp"):
         rep = zero_limit_report(ctx, args.target, args.j, sizes,

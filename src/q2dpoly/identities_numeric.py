@@ -191,23 +191,11 @@ def num_gf_H_ab(ctx, pt):
 
     lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
-    pref, pref_tail = qpoch_inf_ratio(ctx, (), [u * z1, v * z2])
-    total, prod_tail = ctx.zero(), 0.0
-    k = 0
-    while True:
-        ab, ab_tail = qpoch_inf_ratio(ctx, [a * z1 * ctx.qpow(k), b * z2 * ctx.qpow(k)])
-        coef = ((-1) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
-                * upoch(u, a, k) * upoch(v, b, k))
-        term = coef * ab
-        total = total + term
-        prod_tail += ctx.mag(coef) * ab_tail
-        if ctx.mag(term) < 1e-32 and k > 4:
-            break
-        k += 1
-        if k > 200:
-            break
-    tail = tail1 + ctx.mag(pref) * prod_tail + pref_tail * ctx.mag(total)
-    return ctx.mag(lhs - pref * total), tail + 1e-28, {}
+    # the closed form's k-sum is (a z1, b z2;q)inf 2phi2(a/u, b/v; a z1, b z2; q, uv)
+    pref, pref_tail = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
+    phi, phi_tail = phi_series(ctx, [a / u, b / v], [a * z1, b * z2], u * v)
+    tail = tail1 + ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(phi)
+    return ctx.mag(lhs - pref * phi), tail, {}
 
 
 def num_gf_p(ctx, pt):
@@ -220,8 +208,9 @@ def num_gf_p(ctx, pt):
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
     pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v], [u * z1, v * z2])
-    phi = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
-    return ctx.mag(lhs - pref * phi), tail + pref_tail * ctx.mag(phi), {}
+    phi, phi_tail = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
+    tail += ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(phi)
+    return ctx.mag(lhs - pref * phi), tail, {}
 
 
 def num_p_conn_H_inv(ctx, pt):
@@ -256,23 +245,21 @@ def num_gf_shift_p(ctx, pt):
 
     pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v * ctx.qpow(j + k)],
                                       [u * z1, v * z2])
-    uz1, vz2, uv = (QPochPrefix(ctx, a) for a in (u * z1, v * z2, u * v * ctx.qpow(j + k)))
-    total = ctx.zero()
-    for l in range(200):
-        w = ((b * ctx.qpow(1 + j + k)) ** l * uz1(l) * vz2(l) / (ctx.qq(l) * uv(l)))
-        inner = ctx.zero()
-        for i in range(min(j, k) + 1):
-            c = (qbinom(ctx, j, i) * qbinom(ctx, k, i) * (-ctx.qpow(-l)) ** i
-                 * z1 ** (j - i) * z2 ** (k - i) * ctx.qpow(i * (i - 1) // 2) * ctx.qq(i)
-                 * qpoch(ctx, v / z1 * ctx.qpow(i), j - i)
-                 * qpoch(ctx, u / z2 * ctx.qpow(j), k - i)
-                 * qpoch(ctx, z2 * v * ctx.qpow(l), i))
-            inner = inner + c
-        term = w * inner
-        total = total + term
-        if ctx.mag(term) < 1e-32 and l > 4:
-            break
-    return ctx.mag(lhs - pref * total), tail + pref_tail * ctx.mag(total), {}
+    # the l-sum of the closed form, with (v z2;q)_l (v z2 q^l;q)_i = (v z2;q)_i (v z2 q^i;q)_l,
+    # is sum_i c_i (v z2;q)_i 2phi1(u z1, v z2 q^i; uv q^{j+k}; q, b q^{1+j+k-i})
+    total, phi_tail = ctx.zero(), 0.0
+    for i in range(min(j, k) + 1):
+        c = (qbinom(ctx, j, i) * qbinom(ctx, k, i) * (-1) ** i
+             * z1 ** (j - i) * z2 ** (k - i) * ctx.qpow(i * (i - 1) // 2) * ctx.qq(i)
+             * qpoch(ctx, v / z1 * ctx.qpow(i), j - i)
+             * qpoch(ctx, u / z2 * ctx.qpow(j), k - i)
+             * qpoch(ctx, z2 * v, i))
+        phi, t = phi_series(ctx, [u * z1, v * z2 * ctx.qpow(i)], [u * v * ctx.qpow(j + k)],
+                            b * ctx.qpow(1 + j + k - i))
+        total = total + c * phi
+        phi_tail += ctx.mag(c) * t
+    tail += ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(total)
+    return ctx.mag(lhs - pref * total), tail, {}
 
 
 def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
@@ -303,15 +290,16 @@ def num_cor19_2phi1(ctx, pt):
         cap=44)
     pr, pr_tail = qpoch_inf_ratio(ctx, [c / a, d / b], [c, d])
     arg = -c * d / (q * a * b * z1 * z2)
-    phi = phi_series(ctx, [a, b], [ctx.zero()], arg)
+    phi, phi_tail = phi_series(ctx, [a, b], [ctx.zero()], arg)
     # 1phi1 form; the printed version drops two minus signs (ledger):
     # the correct bottom parameter and argument are -cd/(q b z1 z2), -cd/(q a z1 z2)
     beta = -c * d / (q * b * z1 * z2)
     pr2, pr2_tail = qpoch_inf_ratio(ctx, [c / a, d / b, beta], [c, d, arg])
-    phi2 = phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
+    phi2, phi2_tail = phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
     r = max(ctx.mag(lhs - pr * phi), ctx.mag(lhs - pr2 * phi2))
-    closed_tail = max(pr_tail * ctx.mag(phi), pr2_tail * ctx.mag(phi2))
-    return r, tail + closed_tail + 1e-25, {
+    closed_tail = max(ctx.mag(pr) * phi_tail + pr_tail * ctx.mag(phi),
+                      ctx.mag(pr2) * phi2_tail + pr2_tail * ctx.mag(phi2))
+    return r, tail + closed_tail, {
         "extension_claim": "untested outside |cdq/(ab z1 z2)|<1"}
 
 

@@ -26,7 +26,8 @@ from mpmath import mp
 
 from .context import QContext, conj, is_zero
 from .polyfamilies import BivarPoly, coeffs, eval_poly
-from .qkernel import QPochPrefix, qbinom, qpoch, qpoch_inf, qpoch_inf_ratio
+from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
+                      qpoch_inf_ratio)
 from .reports import VerificationReport, scalar_str
 
 F = Fraction
@@ -389,14 +390,17 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _trapezoid_theta(f, M: int):
-    """Mean of f over M equispaced angles, f returning (value, tail): the
-    mean value and the mean node tail."""
-    tot, tail = mp.mpc(0), 0.0
-    for r in range(M):
-        v, t = f(2 * mp.pi * r / M)
+    """Means of f over 2M and over M equispaced angles, f returning (value,
+    tail): (mean over 2M, mean over M, mean node tail over 2M).  The M
+    angles are the even ones of the 2M, bitwise, so f is called 2M times."""
+    tot, half, tail = mp.mpc(0), mp.mpc(0), 0.0
+    for r in range(2 * M):
+        v, t = f(2 * mp.pi * r / (2 * M))
         tot += v
         tail += t
-    return tot / M, tail / M
+        if r % 2 == 0:
+            half += v
+    return tot / (2 * M), half / M, tail / (2 * M)
 
 
 def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
@@ -442,9 +446,13 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
                     Hcache[key] = coeffs(ctx, "Hq", mm, nn)
                 return eval_poly(Hcache[key], z1, z2)
 
+            qinf, qinf_tail = qpoch_inf(ctx, ctx.q)
+
             def integrand(th):
                 e = mpmath.exp(1j * th)
-                w, w_tail = qpoch_inf_ratio(ctx, [ctx.q, e * e, 1 / (e * e)])
+                w, w_tail = qpoch_inf_ratio(ctx, [e * e, 1 / (e * e)])
+                w_tail = ctx.mag(qinf) * w_tail + qinf_tail * ctx.mag(w)
+                w = qinf * w
                 tot = mp.mpc(0)
                 for j in range(p_ + 1):
                     for k in range(s_ + 1):
@@ -457,26 +465,17 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
             if s_ == p_:
                 r2 = rpar * rpar
                 pref = r2**p_ * qpoch(ctx, 1 / r2, p_) / ctx.qq(p_)
-                tot = ctx.zero()
-                term = ctx.one()
-                for i in range(0, 200):
-                    tot = tot + term
-                    den = (1 - ctx.qpow(i + 1)) * (1 - ctx.qpow(1 - p_ + i) * r2)
-                    if den == 0:
-                        raise ZeroDivisionError("pole in the 1phi1 closed form")
-                    term = term * (1 - ctx.qpow(i - s_)) * (-1) * ctx.qpow(i) * ctx.q / den
-                    if i > s_ and ctx.mag(term) < 1e-40:
-                        break
+                tot, tot_tail = phi_series(ctx, [ctx.qpow(-s_)], [ctx.qpow(1 - p_) * r2],
+                                           ctx.q)
                 # the special Askey-Wilson integral evaluates to 2 pi/((q,ab;q)inf),
                 # not pi as printed, which doubles the closed form (ledger)
-                rhs = 2 * pref * tot
+                rhs, rhs_tail = 2 * pref * tot, 2 * ctx.mag(pref) * tot_tail
             rid, grid = "ANGULAR-AskeyWilsonOrtho", {"M": 2 * M, "p": p_, "s": s_, "r": rpar}
             note = ("closed form doubled: the two-parameter Askey-Wilson integral "
                     "constant is 2 pi, not pi (ledger)")
         else:
             raise ValueError(kind)
-        lhs1, _ = _trapezoid_theta(integrand, M)
-        lhs2, lhs_tail = _trapezoid_theta(integrand, 2 * M)
+        lhs2, lhs1, lhs_tail = _trapezoid_theta(integrand, M)
         resid = ctx.mag(lhs2 - rhs)
         conv = ctx.mag(lhs2 - lhs1)
         tail = 2 * conv + lhs_tail + rhs_tail

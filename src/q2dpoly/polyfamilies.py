@@ -37,8 +37,6 @@ __all__ = [
     "radial_reduce",
     "RadialForm",
     "wall_poly",
-    "q_laguerre",
-    "little_q_jacobi",
     "wall_coeff_list",
     "q_laguerre_coeff_list",
     "little_q_jacobi_coeff_list",
@@ -345,34 +343,6 @@ def wall_poly(ctx: QContext, a, n: int, x):
     for r in range(n):
         den = (1 - ctx.qpow(r + 1)) * (1 - a * ctx.qpow(r + 1))
         term = term * (1 - ctx.qpow(r - n)) * ctx.q * x / den
-        total = total + term
-    return total
-
-
-def q_laguerre(ctx: QContext, alpha: int, n: int, x):
-    """q-Laguerre L_n^(alpha)(x; q) for integer alpha >= 0 (terminating 1phi1 form)."""
-    x = ctx.scalar(x)
-    pref = qpoch(ctx, ctx.qpow(alpha + 1), n) / ctx.qq(n)
-    total = ctx.one()
-    term = ctx.one()
-    for r in range(n):
-        den = (1 - ctx.qpow(r + 1)) * (1 - ctx.qpow(alpha + 1 + r))
-        # 1phi1 term ratio carries the extra (-1) q^r factor
-        term = term * (1 - ctx.qpow(r - n)) * (-1) * ctx.qpow(r) * (-ctx.qpow(n + alpha + 1) * x) / den
-        total = total + term
-    return pref * total
-
-
-def little_q_jacobi(ctx: QContext, a, b, n: int, x):
-    """Little q-Jacobi p_n(x; a, b | q) = 2phi1(q^-n, a b q^{n+1}; aq; q, qx)."""
-    a = ctx.scalar(a)
-    b = ctx.scalar(b)
-    x = ctx.scalar(x)
-    total = ctx.one()
-    term = ctx.one()
-    for r in range(n):
-        den = (1 - ctx.qpow(r + 1)) * (1 - a * ctx.qpow(r + 1))
-        term = term * (1 - ctx.qpow(r - n)) * (1 - a * b * ctx.qpow(n + 1 + r)) * ctx.q * x / den
         total = total + term
     return total
 

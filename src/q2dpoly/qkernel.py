@@ -293,13 +293,21 @@ def _is_q_negative_power(ctx: QContext, a, limit: int = 4096) -> Optional[int]:
 
 
 def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
-    """The basic hypergeometric series r_phi_s(numerators; denominators; q, z).
+    """The basic hypergeometric series r_phi_s(numerators; denominators; q, z)
+    as (value, tail_bound).
 
-    Term n carries the usual ((-1)^n q^C(n,2))^(1+s-r) factor.  A terminating
-    series (a numerator q**-N on the exact backend) is summed exactly;
-    otherwise terms must decay within the truncation budget.  Returns the
-    partial sum alone: no tail is folded into it and no bound is reported,
-    so callers cover the cut with a tail floor of their own.
+    Term n carries the usual ((-1)^n q^C(n,2))^e factor, e = 1+s-r.  A
+    terminating series (a numerator q**-N on the exact backend, or a term
+    that vanishes) is summed in full with tail 0.  Otherwise, for e >= 0,
+    every term ratio after term t_n is at most
+
+        R_n = |z| q^{ne} prod_a (1 + |a| q^n) / ((1 - q^{n+1}) prod_b (1 - |b| q^n))
+
+    once every |b| q^n < 1, so the terms after t_n sum to at most
+    |t_n| R_n / (1 - R_n) when R_n < 1 (R_n is evaluated in doubles and
+    rounded up).  The sum stops at the first n where that bound is at most
+    tail_tol * max(1, |sum|) and reports it; no such n within max_terms
+    raises DivergenceError.
     """
     with ctx.workprec():
         tr = ctx.default_trunc
@@ -310,14 +318,30 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
 
         ns = [_is_q_negative_power(ctx, a) for a in nums]
         nmax = min((N for N in ns if N is not None), default=None)
+        qf = float(ctx.q_fraction)
+        zmag = ctx.mag(z)
+        amags = [ctx.mag(a) for a in nums]
+        bmags = [ctx.mag(b) for b in dens]
 
         term = ctx.one()
         total = ctx.one()
-        prev = ctx.mag(term)
         n = 0
-        while True:
-            if nmax is not None and n >= nmax:
-                break
+        while n != nmax and not is_zero(term):
+            if nmax is None and extra >= 0:
+                qn = qf**n
+                den_bound = 1 - qn * qf
+                for bm in bmags:
+                    den_bound *= 1 - bm * qn
+                if den_bound > 0:
+                    ratio_bound = (1 + 1e-12) * zmag * qn**extra / den_bound
+                    for am in amags:
+                        ratio_bound *= 1 + am * qn
+                    if ratio_bound < 1:
+                        tail = ctx.mag(term) * ratio_bound / (1 - ratio_bound)
+                        if tail <= tr.tail_tol * max(1.0, ctx.mag(total)):
+                            return total, tail
+            if nmax is None and n >= tr.max_terms:
+                raise DivergenceError("phi series did not converge in budget")
             # ratio from term n to n+1
             num_fac = ctx.one()
             for a in nums:
@@ -333,15 +357,8 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
                 ratio = ratio * ((-1) * ctx.qpow(n)) ** extra
             term = term * ratio
             total = total + term
-            m = ctx.mag(term)
-            if nmax is None:
-                if m <= tr.tail_tol * max(1.0, ctx.mag(total)) and m <= prev:
-                    break
-                if n >= tr.max_terms:
-                    raise DivergenceError("phi series did not converge in budget")
-            prev = m
             n += 1
-        return total
+        return total, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +366,11 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
 # ---------------------------------------------------------------------------
 
 def aq_function(ctx: QContext, z):
-    """Ramanujan's entire function A_q(z) = sum q^{n^2} (-z)^n / (q;q)_n.
-
-    Returns (value, tail_bound); the q^{n^2} factor makes the tail bound a
-    crude geometric majorant on the first omitted term.
-    """
+    """Ramanujan's entire function A_q(z) = sum q^{n^2} (-z)^n / (q;q)_n,
+    which is 0phi1(-; 0; q, -qz), as :func:`phi_series`'s (value,
+    tail_bound)."""
     with ctx.workprec():
-        tr = ctx.default_trunc
-        z = ctx.scalar(z)
-        total = ctx.zero()
-        qf = float(ctx.q_fraction)
-        zmag = ctx.mag(z)
-        for n in range(tr.max_terms):
-            term = ctx.qpow(n * n) * (-z) ** n / ctx.qq(n)
-            total = total + term
-            nxt = qf ** ((n + 1) ** 2) * zmag ** (n + 1)
-            ratio = qf ** (2 * n + 3) * zmag
-            if nxt > 0 and ratio < 0.5:
-                tail = 2 * nxt / (1 - qf)
-                if tail <= tr.tail_tol:
-                    return total, tail
-            if nxt == 0:
-                return total, 0.0
-        raise DivergenceError("A_q series truncation budget exhausted")
+        return phi_series(ctx, [], [0], -ctx.q * ctx.scalar(z))
 
 
 def theta4(ctx: QContext, w, p):
@@ -406,31 +405,16 @@ def bessel_i2_series(ctx: QContext, qnu, y):
 
     With q^nu := qnu, returns
         ((qnu*q;q)_inf / (q;q)_inf) * sum_n q^{n^2} qnu^n y^n / ((q;q)_n (qnu*q;q)_n),
-    which equals b^{-nu/2} I^{(2)}_nu(2 sqrt(b); q) at y = b.  Keeping qnu as a
-    scalar sidesteps z^{nu} branch choices entirely.  Returns (value,
-    tail_bound): the sum's geometric tail times the prefactor plus the
-    prefactor's :func:`qpoch_inf_ratio` tail times the sum.
+    which equals b^{-nu/2} I^{(2)}_nu(2 sqrt(b); q) at y = b.  The sum is
+    0phi1(-; qnu q; q, q qnu y).  Keeping qnu as a scalar sidesteps z^{nu}
+    branch choices entirely.  Returns (value, tail_bound): the
+    :func:`phi_series` tail times the prefactor plus the prefactor's
+    :func:`qpoch_inf_ratio` tail times the sum.
     """
     with ctx.workprec():
-        tr = ctx.default_trunc
         qnu = ctx.scalar(qnu)
-        y = ctx.scalar(y)
         pref, pref_tail = qpoch_inf_ratio(ctx, [qnu * ctx.q], [ctx.q])
-        total = ctx.zero()
-        term = ctx.one()
-        tail = 0.0
-        for n in range(tr.max_terms):
-            total = total + term
-            den = (1 - ctx.qpow(n + 1)) * (1 - qnu * ctx.qpow(n + 1))
-            if den == 0:
-                raise PoleError("q-Bessel denominator parameter on a pole")
-            ratio = ctx.qpow(2 * n + 1) * qnu * y / den
-            term = term * ratio
-            if ctx.mag(term) <= tr.tail_tol and ctx.mag(ratio) < 0.5:
-                tail = 2 * ctx.mag(term)
-                break
-        else:
-            raise DivergenceError("q-Bessel series truncation budget exhausted")
+        total, tail = phi_series(ctx, [], [qnu * ctx.q], ctx.q * qnu * ctx.scalar(y))
         return pref * total, ctx.mag(pref) * tail + pref_tail * ctx.mag(total)
 
 

@@ -8,7 +8,10 @@ fails on any such parameter, ``self`` and ``cls`` aside.
 
 No closed form drops the truncation tail of an (a;q)_inf factor: a
 ``qpoch_inf(...)[0]`` in the identity checkers or the kernel fails, since
-``qpoch_inf_ratio`` carries the tails of a quotient of such products.
+``qpoch_inf_ratio`` carries the tails of a quotient of such products.  Nor
+does one drop the tail of a basic hypergeometric series: a
+``phi_series(...)[0]``, ``aq_function(...)[0]`` or
+``bessel_i2_series(...)[0]`` in those modules or in ``measures.py`` fails.
 """
 
 import ast
@@ -68,21 +71,28 @@ def test_no_unread_parameters():
     assert unread == []
 
 
-def _dropped_qpoch_tails(tree):
+SERIES = ("phi_series", "aq_function", "bessel_i2_series")
+
+
+def _dropped_tails(tree, names=("qpoch_inf",)):
     return [n.lineno for n in ast.walk(tree)
             if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Call)
-            and getattr(n.value.func, "id", None) == "qpoch_inf"
+            and getattr(n.value.func, "id", None) in names
             and isinstance(n.slice, ast.Constant) and n.slice.value == 0]
 
 
 def test_dropped_tail_finder_flags_an_index():
-    tree = ast.parse("x = qpoch_inf(ctx, a)[0] * f(ctx)[0]\ny, t = qpoch_inf(ctx, b)\n")
-    assert _dropped_qpoch_tails(tree) == [1]
+    tree = ast.parse("x = qpoch_inf(ctx, a)[0] * f(ctx)[0]\ny, t = qpoch_inf(ctx, b)\n"
+                     "w = phi_series(ctx, [a], [b], z)[0] + aq_function(ctx, z)[0]\n"
+                     "v = bessel_i2_series(ctx, a, y)[0]\nu, s = phi_series(ctx, [], [b], z)\n")
+    assert _dropped_tails(tree) == [1]
+    assert sorted(_dropped_tails(tree, SERIES)) == [3, 3, 4]
 
 
 def test_no_dropped_qpoch_inf_tails():
     dropped = []
-    for fname in ("identities_numeric.py", "qkernel.py"):
+    for fname, names in (("identities_numeric.py", ("qpoch_inf",) + SERIES),
+                         ("qkernel.py", ("qpoch_inf",) + SERIES), ("measures.py", SERIES)):
         with open(os.path.join(SRC, fname)) as fh:
-            dropped += [f"{fname}:{ln}" for ln in _dropped_qpoch_tails(ast.parse(fh.read()))]
+            dropped += [f"{fname}:{ln}" for ln in _dropped_tails(ast.parse(fh.read()), names)]
     assert dropped == []

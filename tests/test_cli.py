@@ -95,6 +95,18 @@ def test_asym_csv(capsys):
     assert code == 0 and out.startswith("size,error")
 
 
+@pytest.mark.parametrize("target, extra", [
+    ("Hmn_inf", ["--sizes", "8,16,32", "--z1", "2", "--z2", "2"]),
+    ("PR_h", ["--sizes", "8,16,32"]),
+    ("p_inf", ["--sizes", "8,16,32", "--z1", "2", "--z2", "2", "--b", "1/4"]),
+    ("theta4_scaled", ["--sizes", "5,9,17", "--z1", "11/10", "--z2", "9/10"]),
+])
+def test_asym_ignores_exact_backend(capsys, target, extra):
+    # asym always computes in floats, also at a q with a rational square root
+    argv = ["asym", "--q", "1/4", "--target", target, *extra]
+    assert run(capsys, *argv, "--backend", "exact") == run(capsys, *argv)
+
+
 def test_bad_q_is_config_error(capsys):
     code = main(["eval", "--family", "H", "--m", "0", "--n", "0",
                  "--z1", "1", "--z2", "1", "--q", "3/2"])

@@ -14,7 +14,7 @@ from q2dpoly.measures import (RadialMeasure, angular_quadrature_check,
                               gram_positivity, h_radial_moment,
                               h_radial_moments_batch, inner_product, moment,
                               orthonormal_seq_check, qbeta_check)
-from q2dpoly.qkernel import qpoch_inf
+from q2dpoly.qkernel import qpoch_inf, qpoch_inf_ratio
 
 TR = TruncationPolicy(max_terms=400, tail_tol=1e-36)
 
@@ -187,6 +187,20 @@ def test_angular_askey_wilson(fctx2):
     assert rep.passed, rep.residual
     rep = angular_quadrature_check(fctx2, "AskeyWilsonOrtho", {"p": 3, "s": 2}, M=48)
     assert rep.passed and float(rep.residual) < 1e-10
+
+
+def test_angular_nodes_evaluated_once(fctx2, monkeypatch):
+    # the M-point trapezoid reads the even nodes of the 2M-point one: at
+    # M = 16 AskeyRoy takes 32 node products and one closed form
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return qpoch_inf_ratio(*args, **kw)
+
+    monkeypatch.setattr(measures, "qpoch_inf_ratio", counting)
+    assert angular_quadrature_check(fctx2, "AskeyRoy", {}, M=16).passed
+    assert len(calls) == 33
 
 
 def test_angular_checks_at_context_precision(fctx2):

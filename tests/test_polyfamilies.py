@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
 from q2dpoly.polyfamilies import (FamilyTable, coeffs, eval_poly,
-                                  eval_recurrence, little_q_jacobi,
-                                  little_q_jacobi_coeff_list, poly_from_json,
-                                  poly_to_json, q_laguerre,
+                                  eval_recurrence, little_q_jacobi_coeff_list,
+                                  poly_from_json, poly_to_json,
                                   q_laguerre_coeff_list, radial_reduce,
                                   wall_coeff_list, wall_poly)
 from q2dpoly.qkernel import qbinom, qpoch
@@ -121,9 +120,6 @@ def test_radial_prefactors_match_reductions(ctx):
 def test_univariate_values(ctx):
     x = F(3, 7)
     assert wall_poly(ctx, ctx.qpow(2), 0, x) == 1
-    assert q_laguerre(ctx, 3, 0, x) == 1
-    # Wall == little q-Jacobi at b = 0
-    assert wall_poly(ctx, ctx.qpow(1), 5, x) == little_q_jacobi(ctx, ctx.qpow(1), 0, 5, x)
 
 
 def test_wall_consistency_with_first_family(ctx):

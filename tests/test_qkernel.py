@@ -169,17 +169,19 @@ def test_qintegral_rambeta3(fctx):
 
 
 def test_phi_series_trivial(fctx):
-    assert phi_series(fctx, [fctx.scalar(F(1, 3))], [fctx.scalar(F(1, 5))], fctx.zero()) == 1
+    val, tail = phi_series(fctx, [fctx.scalar(F(1, 3))], [fctx.scalar(F(1, 5))], fctx.zero())
+    assert val == 1 and tail == 0
     # terminating at order 0: numerator q^0 = 1
     ctx = QContext(F(1, 2))
-    assert phi_series(ctx, [1, F(1, 3)], [F(1, 5)], F(1, 7)) == 1
+    val, tail = phi_series(ctx, [1, F(1, 3)], [F(1, 5)], F(1, 7))
+    assert val == 1 and tail == 0
 
 
 def test_phi_series_q_gauss(fctx):
     # 2phi1(a, b; c; q, c/(ab)) == (c/a, c/b;q)inf / (c, c/ab;q)inf
     with fctx.workprec():
         a, b, c = fctx.scalar(F(1, 3)), fctx.scalar(F(1, 4)), fctx.scalar(F(1, 16))
-        lhs = phi_series(fctx, [a, b], [c], c / (a * b))
+        lhs, _ = phi_series(fctx, [a, b], [c], c / (a * b))
         rhs = (qpoch_inf(fctx, c / a)[0] * qpoch_inf(fctx, c / b)[0]
                / (qpoch_inf(fctx, c)[0] * qpoch_inf(fctx, c / (a * b))[0]))
         assert abs(lhs - rhs) < 1e-30
@@ -187,7 +189,66 @@ def test_phi_series_q_gauss(fctx):
 
 def test_phi_series_pole_raises(ctx):
     with pytest.raises(PoleError):
-        phi_series(ctx, [F(1, 3)], [ctx.qpow(-2)], F(1, 5))
+        val, tail = phi_series(ctx, [F(1, 3)], [ctx.qpow(-2)], F(1, 5))
+
+
+def _series_ctx(bits, tail_tol, max_terms):
+    return QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=bits,
+                    default_trunc=TruncationPolicy(max_terms=max_terms, tail_tol=tail_tol))
+
+
+def _q_gauss(c):  # 2phi1(a, b; c; q, c/(ab)) at a, b, c = 1/3, 1/4, 1/16
+    a, b, cc = (c.scalar(F(1, k)) for k in (3, 4, 16))
+    return phi_series(c, [a, b], [cc], cc / (a * b))
+
+
+def _q_gauss_closed(c):  # (c/a, c/b;q)inf / (c, c/(ab);q)inf
+    a, b, cc = (c.scalar(F(1, k)) for k in (3, 4, 16))
+    return qpoch_inf_ratio(c, [cc / a, cc / b], [cc, cc / (a * b)])
+
+
+def _bessel_0phi1(c):  # COR20-I2's sum: 0phi1(-; qnu q; q, q qnu b), qnu = -cd/(q^2 b)
+    b, cc, d = (c.scalar(F(1, k)) for k in (3, 8, 10))
+    qnu = -cc * d / (c.q * c.q * b)
+    return phi_series(c, [], [qnu * c.q], c.q * qnu * b)
+
+
+def _h_gf_ab_2phi2(c):  # H-GF-AB's sum: 2phi2(a/u, b/v; a z1, b z2; q, uv)
+    a, b, u, v = (c.scalar(F(1, k)) for k in (5, 6, 7, 8))
+    z1, z2 = c.scalar(complex(1.5, 0.5)), c.scalar(complex(1.5, -0.5))
+    return phi_series(c, [a / u, b / v], [a * z1, b * z2], u * v)
+
+
+SERIES_CASES = {
+    "q-Gauss": (_q_gauss, _q_gauss_closed),
+    "A_q real": (lambda c: aq_function(c, 3),) * 2,
+    "A_q complex": (lambda c: aq_function(c, complex(1.5, 0.5)),) * 2,
+    "Bessel 0phi1": (_bessel_0phi1,) * 2,
+    "H-GF-AB 2phi2": (_h_gf_ab_2phi2,) * 2,
+}
+
+
+@pytest.mark.parametrize("tail_tol", [1e-34, 1e-20])
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_phi_series_tail_bounds_error(case, tail_tol):
+    # the reported tail bounds the distance to a closed form, or else to the
+    # same series at twice the precision and tail_tol 1e-60
+    series, reference = SERIES_CASES[case]
+    c = _series_ctx(160, tail_tol, 400)
+    ref_ctx = _series_ctx(320, 1e-60, 2000)
+    with c.workprec():
+        val, tail = series(c)
+    with ref_ctx.workprec():
+        ref, _ = reference(ref_ctx)
+        err = abs(val - ref)
+    assert 0 < tail <= 10 * tail_tol
+    assert err <= tail, (err, tail)
+
+
+def test_phi_series_outside_disc_raises(fctx):
+    # a non-terminating 2phi1 converges only for |z| < 1
+    with pytest.raises(DivergenceError):
+        phi_series(fctx, [F(1, 3), F(1, 4)], [F(1, 5)], 2)
 
 
 def test_aq_trivial(fctx):
