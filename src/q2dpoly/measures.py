@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Tuple
 import mpmath
 from mpmath import mp
 
-from .context import QContext, conj, is_zero
-from .polyfamilies import BivarPoly, coeffs, eval_poly
+from .context import GaussianRational, QContext, conj, is_zero
+from .polyfamilies import BivarPoly, FamilyTable, coeffs, eval_poly
 from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
                       qpoch_inf_ratio)
 from .reports import VerificationReport, scalar_str
@@ -36,7 +36,7 @@ __all__ = [
     "RadialMeasure", "InnerProductResult", "moment", "inner_product",
     "ortho_table", "ortho_csv",
     "qbeta_check", "angular_quadrature_check", "gram_positivity",
-    "orthonormal_seq_check", "h_radial_moment", "gram_matrix",
+    "orthonormal_seq_check", "gram_matrix",
 ]
 
 
@@ -182,12 +182,6 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
             out.append((v2, float(err)))
     _H_MOMENT_CACHE[key] = out
     return out
-
-
-def h_radial_moment(ctx, power, step: Fraction = F(1, 8), halfwidth: int = 56):
-    """int_0^inf x^power / (-x;q)_inf dx as (value, error); see
-    h_radial_moments_batch for the rule and for what the error covers."""
-    return h_radial_moments_batch(ctx, int(power), step, halfwidth)[int(power)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,66 +489,87 @@ def gram_matrix(ctx: QContext, kind: str, N: int, z) -> List[List[object]]:
     doH: G_{mn} = H_{m,n}(iz, i zbar | q) / i^{m+n} = q^{mn} h_{m,n}(z, zbar|1/q);
     doh: G_{mn} = q^{-mn} h_{m,n}(iz, i zbar|q)/i^{m+n} = H_{m,n}(z, zbar | 1/q),
     the diagonal-congruent sqrt-free version of the printed q^{(m-n)^2/2} form.
+    The values H_{m,n}(iz, i zbar) and h_{m,n}(iz, i zbar) are read from one
+    recurrence table (:class:`FamilyTable`) at (iz, i zbar), and i^{-(m+n)}
+    from the four powers i^0, i^-1, i^-2, i^-3.
     """
+    if kind not in ("doH", "doh"):
+        raise ValueError(kind)
     z = ctx.scalar(z)
-    zb = conj(z)
+    i = ctx.i_unit()
+    tab = FamilyTable(ctx, "Hq" if kind == "doH" else "hq", i * z, i * conj(z))
+    i_inv = [i ** -k for k in range(4)]
     G = []
     for m in range(N + 1):
         row = []
         for n in range(N + 1):
-            if kind == "doH":
-                P = coeffs(ctx, "Hq", m, n)
-                i = ctx.i_unit()
-                val = eval_poly(P.dilate(i, i), z, zb) * i ** (-(m + n))
-            elif kind == "doh":
-                P = coeffs(ctx, "hq", m, n)
-                i = ctx.i_unit()
-                val = eval_poly(P.dilate(i, i), z, zb) * i ** (-(m + n)) * ctx.qpow(-m * n)
-            else:
-                raise ValueError(kind)
+            val = tab[m, n] * i_inv[(m + n) % 4]
+            if kind == "doh":
+                val = val * ctx.qpow(-m * n)
             row.append(val)
         G.append(row)
     return G
 
 
-def _leading_minors_exact(G):
-    """Leading principal minors of a Hermitian Gaussian-rational matrix by
-    fraction-free-ish Gaussian elimination (exact arithmetic)."""
-    from .context import GaussianRational
+def _real_minor(det) -> Fraction:
+    """A leading minor of a Hermitian matrix as a Fraction; it is real."""
+    if isinstance(det, GaussianRational):
+        if det.im != 0:
+            raise ArithmeticError("Hermitian minor with nonzero imaginary part")
+        det = det.re
+    return Fraction(det)
 
-    N = len(G)
-    minors = []
-    for r in range(1, N + 1):
-        A = [[G[i][j] for j in range(r)] for i in range(r)]
-        det = Fraction(1)
-        sign = 1
-        ok = True
-        for col in range(r):
-            piv = None
-            for row in range(col, r):
-                if not is_zero(A[row][col]):
-                    piv = row
-                    break
-            if piv is None:
-                det = Fraction(0)
-                ok = False
+
+def _minor_pivoted(G, r: int) -> Fraction:
+    """The r x r leading minor of G by Gaussian elimination over Q(i) with
+    row swaps on that block alone."""
+    A = [[G[i][j] for j in range(r)] for i in range(r)]
+    det = Fraction(1)
+    sign = 1
+    for col in range(r):
+        piv = None
+        for row in range(col, r):
+            if not is_zero(A[row][col]):
+                piv = row
                 break
-            if piv != col:
-                A[col], A[piv] = A[piv], A[col]
-                sign = -sign
-            p = A[col][col]
-            det = det * p
-            for row in range(col + 1, r):
-                f = A[row][col] / p
-                for cc in range(col, r):
-                    A[row][cc] = A[row][cc] - f * A[col][cc]
-        if ok:
-            det = sign * det
-        if isinstance(det, GaussianRational):
-            if det.im != 0:
-                raise ArithmeticError("Hermitian minor with nonzero imaginary part")
-            det = det.re
-        minors.append(Fraction(det))
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            sign = -sign
+        p = A[col][col]
+        det = det * p
+        for row in range(col + 1, r):
+            f = A[row][col] / p
+            for cc in range(col, r):
+                A[row][cc] = A[row][cc] - f * A[col][cc]
+    return _real_minor(sign * det)
+
+
+def _leading_minors_exact(G) -> List[Fraction]:
+    """Leading principal minors of a Hermitian matrix over Q(i), exactly.
+
+    One Gaussian elimination over Q(i) without pivoting: the k-th leading
+    minor is the product of the first k pivots.  A zero pivot at column k
+    makes minor k+1 exactly 0; every larger minor is then taken on its own
+    by :func:`_minor_pivoted`.
+    """
+    N = len(G)
+    A = [list(row) for row in G]
+    minors: List[Fraction] = []
+    det = Fraction(1)
+    for col in range(N):
+        p = A[col][col]
+        if is_zero(p):
+            minors.append(Fraction(0))
+            minors.extend(_minor_pivoted(G, r) for r in range(col + 2, N + 1))
+            break
+        det = det * p
+        minors.append(_real_minor(det))
+        for row in range(col + 1, N):
+            f = A[row][col] / p
+            for cc in range(col + 1, N):
+                A[row][cc] = A[row][cc] - f * A[col][cc]
     return minors
 
 

@@ -15,7 +15,8 @@ Five families share one container (:class:`BivarPoly`):
 Coefficients are built from the explicit finite sums; values at a fixed
 point are also available from the three-term recurrences
 (:class:`FamilyTable`, filled on read), which is what the numeric checkers
-read and what :func:`eval_recurrence` checks against the explicit sums.
+and :func:`q2dpoly.measures.gram_matrix` read and what
+:func:`eval_recurrence` checks against the explicit sums.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "q_laguerre_coeff_list",
     "little_q_jacobi_coeff_list",
     "poly_to_json",
-    "poly_from_json",
 ]
 
 Key = Tuple[int, int]
@@ -268,7 +268,9 @@ class FamilyTable:
     seeded by the row m = 0 (z2^n, times (bq;q)_n for pq).  Reading
     ``tab[m, n]`` fills rows 0..m up to column n, row by row, so a deep read
     never recurses.  Entries are computed at the ``mp.prec`` of the read
-    that fills them.
+    that fills them.  Read by the numeric checkers of
+    :mod:`q2dpoly.identities_numeric`, by :func:`eval_recurrence` and, at
+    (iz, i zbar) on the exact backend, by :func:`q2dpoly.measures.gram_matrix`.
     """
 
     def __init__(self, ctx: QContext, family: str, z1, z2, b=None):
@@ -477,14 +479,3 @@ def poly_to_json(P: BivarPoly) -> str:
         "coeffs": entries,
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def poly_from_json(ctx: QContext, text: str) -> BivarPoly:
-    doc = json.loads(text)
-    out = {}
-    for i, j, re, im in doc["coeffs"]:
-        ref, imf = Fraction(re), Fraction(im)
-        out[(i, j)] = GaussianRational(ref, imf) if imf else ctx.scalar(ref)
-    meta = {"family": doc.get("family"), "m": doc.get("m"), "n": doc.get("n")}
-    meta.update(doc.get("params", {}))
-    return BivarPoly(ctx, out, meta)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,16 @@ def test_gram_cli(capsys):
     code, out = run(capsys, "gram", "--kind", "doh", "--N", "3", "--z", "1,1",
                     "--q", "2/5", "--format", "json")
     assert code == 0
+    # the README command and its doh variant, byte for byte; the JSON
+    # reports (which carry every leading minor) by digest
+    for kind, json_sha in (
+            ("doH", "728afac4eacf85e30d5f9a7ca54be3f19a457fc170493f7cd9538e822b31105b"),
+            ("doh", "b0fb46255445d77c3a83a382f5067bb2ac272b74ab809305f21a9e174cef6178")):
+        argv = ("gram", "--kind", kind, "--N", "8", "--z", "1,1", "--q", "2/5")
+        assert run(capsys, *argv) == (
+            0, f"PASS GRAM-{kind}           mode=EXACT-POLY       residual=0 tail=0.00e+00\n")
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == json_sha
 
 
 def test_asym_csv(capsys):

@@ -10,10 +10,12 @@ from mpmath import mp
 from q2dpoly import measures
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.measures import (RadialMeasure, angular_quadrature_check,
-                              gram_positivity, h_radial_moment,
+from q2dpoly.measures import (RadialMeasure, _leading_minors_exact,
+                              _minor_pivoted, angular_quadrature_check,
+                              gram_matrix, gram_positivity,
                               h_radial_moments_batch, inner_product, moment,
                               orthonormal_seq_check, qbeta_check)
+from q2dpoly.polyfamilies import BivarPoly, coeffs, eval_poly
 from q2dpoly.qkernel import qpoch_inf, qpoch_inf_ratio
 
 TR = TruncationPolicy(max_terms=400, tail_tol=1e-36)
@@ -46,7 +48,7 @@ def test_h_moments_match_closed_form(fctx2):
     # int x^j/(-x;q)inf dx == (q;q)_j log(1/q) q^{-j(j+1)/2}
     with fctx2.workprec():
         for j in range(7):
-            val, err = h_radial_moment(fctx2, j)
+            val, err = h_radial_moments_batch(fctx2, j)[j]
             closed = fctx2.qq(j) * mpmath.log(2) / fctx2.qpow(j * (j + 1) // 2)
             assert abs(val - closed) / abs(closed) < 1e-10, j
     v0, _ = moment(fctx2, RadialMeasure("h_continuous"), 0, 0)
@@ -103,10 +105,10 @@ def test_h_moment_cache_keyed_by_truncation_policy(monkeypatch):
     loose = QContext(F(1, 2), backend="float", precision_bits=160,
                      default_trunc=TruncationPolicy(400, 1e-8))
     tight = QContext(F(1, 2), backend="float", precision_bits=160, default_trunc=TR)
-    h_radial_moment(loose, 0)
-    got = h_radial_moment(tight, 0)
+    h_radial_moments_batch(loose, 0)[0]
+    got = h_radial_moments_batch(tight, 0)[0]
     measures._H_MOMENT_CACHE.clear()
-    assert got == h_radial_moment(tight, 0)
+    assert got == h_radial_moments_batch(tight, 0)[0]
     with tight.workprec():
         assert abs(got[0] - mpmath.log(2)) <= got[1]
 
@@ -223,6 +225,65 @@ def test_gram_positivity_trivial_and_small():
     for kind in ("doH", "doh"):
         rep = gram_positivity(ctx, kind, 2, 1)
         assert rep.passed
+
+
+def _gram_from_explicit_sums(ctx, kind, N, z):
+    """The Gram matrix from the explicit sums: coeffs, dilated by i in both
+    variables, evaluated at (z, zbar), times i^{-(m+n)} (and q^{-mn} for doh)."""
+    z = ctx.scalar(z)
+    zb = z.conjugate() if isinstance(z, GR) else z
+    i = ctx.i_unit()
+    fam = "Hq" if kind == "doH" else "hq"
+    G = []
+    for m in range(N + 1):
+        row = []
+        for n in range(N + 1):
+            val = eval_poly(coeffs(ctx, fam, m, n).dilate(i, i), z, zb) * i ** (-(m + n))
+            if kind == "doh":
+                val = val * ctx.qpow(-m * n)
+            row.append(val)
+        G.append(row)
+    return G
+
+
+def test_gram_matrix_matches_explicit_sums():
+    for q in (F(2, 5), F(1, 2), F(5, 7)):
+        ctx = QContext(q)
+        for z in (1, GR(1, 1), 2, F(3, 2), GR(F(1, 2), 1)):
+            for kind in ("doH", "doh"):
+                got = gram_matrix(ctx, kind, 8, z)
+                ref = _gram_from_explicit_sums(ctx, kind, 8, z)
+                for m in range(9):
+                    for n in range(9):
+                        a, b = got[m][n], ref[m][n]
+                        assert type(a) is type(b) and a == b, (q, z, kind, m, n)
+
+
+def test_gram_matrix_reads_the_recurrence_table(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("gram_matrix must not expand the explicit sums")
+
+    monkeypatch.setattr(measures, "coeffs", banned)
+    monkeypatch.setattr(measures, "eval_poly", banned)
+    monkeypatch.setattr(BivarPoly, "dilate", banned)
+    ctx = QContext(F(1, 2))
+    for kind in ("doH", "doh"):
+        assert len(gram_matrix(ctx, kind, 4, GR(1, 1))) == 5
+
+
+@pytest.mark.parametrize("G, minors", [
+    # the 2x2 block is singular, the 3x3 one is not
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], [1, 0, -1]),
+    # complex Hermitian: zero pivot at column 1, then two more sizes
+    ([[1, GR(0, 1), 0, 2], [GR(0, -1), 1, 1, 0], [0, 1, 3, GR(1, 1)],
+      [2, 0, GR(1, -1), 5]], [1, 0, -1, -9]),
+])
+def test_minors_after_zero_pivot_match_pivoted(G, minors):
+    G = [[GR(x) if not isinstance(x, GR) else x for x in row] for row in G]
+    pivoted = [_minor_pivoted(G, r) for r in range(1, len(G) + 1)]
+    got = _leading_minors_exact(G)
+    assert got == pivoted == minors
+    assert all(type(x) is F for x in got)
 
 
 def test_gram_rejects_zero_point():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
 from q2dpoly.polyfamilies import (FamilyTable, coeffs, eval_poly,
                                   eval_recurrence, little_q_jacobi_coeff_list,
-                                  poly_from_json, poly_to_json,
+                                  poly_to_json,
                                   q_laguerre_coeff_list, radial_reduce,
                                   wall_coeff_list, wall_poly)
 from q2dpoly.qkernel import qbinom, qpoch
@@ -170,13 +171,16 @@ def test_scaled_classical_limit():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_json_roundtrip(ctx):
-    for fam, b in (("Hq", None), ("pq", B)):
-        P = coeffs(ctx, fam, 3, 2, b=b)
-        assert poly_from_json(ctx, poly_to_json(P)) == P
-    # complex coefficients survive
+def test_poly_to_json_writes_exact_parts(ctx):
+    P = coeffs(ctx, "pq", 3, 2, b=B)
+    doc = json.loads(poly_to_json(P))
+    assert (doc["family"], doc["m"], doc["n"], doc["params"]) == ("pq", 3, 2, {"b": "1/3"})
+    assert doc["coeffs"] == [[i, j, str(P.coeff(i, j)), "0"] for i, j in sorted(P.coeffs)]
+    # complex coefficients keep both parts
     P = coeffs(ctx, "Hq", 2, 2).dilate(GR(0, 1), 1)
-    assert poly_from_json(ctx, poly_to_json(P)) == P
+    doc = json.loads(poly_to_json(P))
+    assert doc["coeffs"] == [[i, j, str(P.coeff(i, j).re), str(P.coeff(i, j).im)]
+                             for i, j in sorted(P.coeffs)]
 
 
 MEMO_CASES = [("Hq", {}), ("hq", {}), ("H_classical", {}),
