@@ -18,7 +18,7 @@ order.  Entries whose printed source is corrected or refuted carry a ``note``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -26,7 +26,7 @@ from . import identities_exact as ex
 from . import identities_numeric as nm
 from . import identities_series as se
 from .context import MissingSqrtError, QContext
-from .reports import VerificationReport, scalar_str
+from .reports import VerificationReport, numeric_verdict, scalar_str
 
 F = Fraction
 
@@ -43,19 +43,15 @@ class IdentityEntry:
     needs_sqrt: bool = False
     grid_kind: str = "mn"      # "mn" | "m" | "jk" | "single"
     note: str = ""
-    param_domain: Dict[str, str] = field(default_factory=dict)
 
 
-def _entry_poly(id_, anchor, fn, grid_kind="mn", note="", domain=None):
-    return IdentityEntry(id_, anchor, "EXACT-POLY", fn,
-                         grid_kind=grid_kind, note=note,
-                         param_domain=domain or {"m": "0..8", "n": "0..8"})
+def _entry_poly(id_, anchor, fn, grid_kind="mn", note=""):
+    return IdentityEntry(id_, anchor, "EXACT-POLY", fn, grid_kind=grid_kind, note=note)
 
 
 def _entry_series(id_, anchor, fn, needs_sqrt=False, grid_kind="jk", note=""):
     return IdentityEntry(id_, anchor, "EXACT-SERIES", fn,
-                         needs_sqrt=needs_sqrt, grid_kind=grid_kind, note=note,
-                         param_domain={"order": "<= 10", "j": "0..3", "k": "0..3"})
+                         needs_sqrt=needs_sqrt, grid_kind=grid_kind, note=note)
 
 
 def _entry_num(id_, anchor, fn, mode="NUMERIC-SERIES", needs_sqrt=True,
@@ -309,12 +305,12 @@ def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict):
 
 
 def _verdict(entry: IdentityEntry, worst, tail: float, tol: float):
-    """The one pass rule: (passed, residual string).  An exact entry passes
-    iff its residual is exactly zero and then prints "0", else it prints its
-    worst coefficient exactly; a numeric entry passes iff worst <= tol + tail."""
+    """The pass rule: (passed, residual string).  An exact entry passes iff
+    its residual is exactly zero and then prints "0", else it prints its
+    worst coefficient exactly; a numeric entry takes :func:`numeric_verdict`."""
     if entry.mode.startswith("EXACT"):
         return worst is None, ("0" if worst is None else scalar_str(worst))
-    return worst <= tol + tail, repr(worst)
+    return numeric_verdict(worst, tol, tail)
 
 
 def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,

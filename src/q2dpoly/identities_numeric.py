@@ -33,8 +33,11 @@ DEFAULT_Z2 = complex(1.5, -0.5)
 # summation helpers
 # ---------------------------------------------------------------------------
 
-def sum2d(ctx, term: Callable[[int, int], object], cap: int = 60,
-          tol: float = 1e-25) -> Tuple[object, float]:
+# a shell of sum2d is negligible below SHELL_TOL * max(1, |partial sum|)
+SHELL_TOL = 1e-30
+
+
+def sum2d(ctx, term: Callable[[int, int], object], cap: int) -> Tuple[object, float]:
     """Sum term(m, n) over the capped quadrant, shell by shell (m+n = const),
     stopping when three consecutive shells are negligible; the tail bound is a
     geometric extrapolation of the last shell."""
@@ -47,7 +50,7 @@ def sum2d(ctx, term: Callable[[int, int], object], cap: int = 60,
         total = total + shell
         shell_mags.append(ctx.mag(shell))
         scale = max(1.0, ctx.mag(total))
-        if len(shell_mags) >= 4 and all(x <= tol * scale for x in shell_mags[-3:]):
+        if len(shell_mags) >= 4 and all(x <= SHELL_TOL * scale for x in shell_mags[-3:]):
             hist = [x for x in shell_mags[-6:] if x > 0]
             ratio = 0.5
             if len(hist) >= 2:
@@ -190,7 +193,7 @@ def num_gf_H_ab(ctx, pt):
         return out
 
     lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
-                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
+                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
     # the closed form's k-sum is (a z1, b z2;q)inf 2phi2(a/u, b/v; a z1, b z2; q, uv)
     pref, pref_tail = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
     phi, phi_tail = phi_series(ctx, [a / u, b / v], [a * z1, b * z2], u * v)
@@ -206,7 +209,7 @@ def num_gf_p(ctx, pt):
     cap = 48
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
-                      / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
+                      / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
     pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v], [u * z1, v * z2])
     phi, phi_tail = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
     tail += ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(phi)
@@ -241,7 +244,7 @@ def num_gf_shift_p(ctx, pt):
     cap = 44
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
-                      / (ctx.qq(m_) * ctx.qq(n_)), cap=cap, tol=1e-30)
+                      / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
 
     pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v * ctx.qpow(j + k)],
                                       [u * z1, v * z2])
@@ -262,7 +265,7 @@ def num_gf_shift_p(ctx, pt):
     return ctx.mag(lhs - pref * total), tail, {}
 
 
-def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
+def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap):
     """sum over m,n of extra_exp(m,n) h_{m,n}(z1,z2) cm^m cn^n /
     ((q;q)_m denm(m) (q;q)_n denn(n))."""
     ht = FamilyTable(ctx, "hq", z1, z2)
@@ -271,7 +274,7 @@ def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap, tol=1e-30):
         return (extra_exp(m_, n_) * ht[m_, n_] * cm**m_ * cn**n_
                 / (ctx.qq(m_) * denm(m_) * ctx.qq(n_) * denn(n_)))
 
-    return sum2d(ctx, term, cap=cap, tol=tol)
+    return sum2d(ctx, term, cap=cap)
 
 
 def num_cor19_2phi1(ctx, pt):
@@ -331,7 +334,9 @@ def num_cor19_aq2(ctx, pt):
 
 def num_gis_pgf(ctx, pt):
     """eqhasPGF at cd = -q^s: the A_q value collapses to the Schur-polynomial
-    combination of the generalized Rogers--Ramanujan identity."""
+    combination of the generalized Rogers--Ramanujan identity.  Its products
+    1/(q, q^4;q^5)inf and 1/(q^2, q^3;q^5)inf are taken in base q^5, at the
+    context's precision and truncation policy, with their tails."""
     q = ctx.q
     sidx = pt.get("s", 0)
     c = ctx.scalar(pt.get("c", F(1, 3)))
@@ -342,21 +347,19 @@ def num_gis_pgf(ctx, pt):
         QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=44)
 
-    def poch5(e):
-        out = ctx.one()
-        kk = 0
-        while ctx.mag(ctx.qpow(e + 5 * kk)) > 1e-40:
-            out = out * (1 - ctx.qpow(e + 5 * kk))
-            kk += 1
-        return out
-
-    am = ctx.scalar(schur_a(QContext(ctx.q_fraction), sidx))
-    bm = ctx.scalar(schur_b(QContext(ctx.q_fraction), sidx))
-    gis = ((-1) ** sidx * ctx.qpow(-(sidx * (sidx - 1) // 2))
-           * (am / (poch5(1) * poch5(4)) - bm / (poch5(2) * poch5(3))))
+    qf = ctx.q_fraction
+    c5 = QContext(qf**5, backend="float", precision_bits=ctx.precision_bits,
+                  default_trunc=ctx.default_trunc)
+    r14, t14 = qpoch_inf_ratio(c5, (), [qf, qf**4])
+    r23, t23 = qpoch_inf_ratio(c5, (), [qf**2, qf**3])
+    am = ctx.scalar(schur_a(QContext(qf), sidx))
+    bm = ctx.scalar(schur_b(QContext(qf), sidx))
+    sign = (-1) ** sidx * ctx.qpow(-(sidx * (sidx - 1) // 2))
+    gis = sign * (am * r14 - bm * r23)
+    gis_tail = ctx.mag(sign) * (ctx.mag(am) * t14 + ctx.mag(bm) * t23)
     inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q])
-    return ctx.mag(lhs - gis * inv), tail + inv_tail * ctx.mag(gis) + 1e-28, {
-        "schur_convention": "a0=1 pinned by RR1"}
+    tail += inv_tail * ctx.mag(gis) + ctx.mag(inv) * gis_tail
+    return ctx.mag(lhs - gis * inv), tail, {"schur_convention": "a0=1 pinned by RR1"}
 
 
 def num_cor20_i2(ctx, pt):
@@ -398,7 +401,7 @@ def _ram_H(ctx, pt, radial=False):
     tab = _family_values(ctx, "Hq", a, b, radial)
     rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
                       * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
-                      cap=64, tol=1e-30)
+                      cap=64)
     return ctx.mag(lhs - rhs), tail + lhs_tail
 
 
@@ -419,7 +422,7 @@ def _ram_genh_rhs(ctx, pt, radial=False):
     cap = 60 if radial else 170
     tab = _family_values(ctx, "hq", a, b, radial)
     val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * (s * x) ** s_ * (s / x) ** t_
-                      / (ctx.qq(s_) * ctx.qq(t_)), cap=cap, tol=1e-30)
+                      / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
     return val, tail, a, b, x
 
 

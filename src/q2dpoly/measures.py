@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +28,7 @@ from .context import GaussianRational, QContext, conj, is_zero
 from .polyfamilies import BivarPoly, FamilyTable, coeffs, eval_poly
 from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
                       qpoch_inf_ratio)
-from .reports import VerificationReport, scalar_str
+from .reports import VerificationReport, numeric_verdict, scalar_str
 
 F = Fraction
 
@@ -55,7 +55,6 @@ class InnerProductResult:
     tail_bound: float
     closed_form: object
     rel_error: float
-    extra: Dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +370,11 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
             tail *= float(mp.pi)
         rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
         tail += 20.0 * float(rho) ** cap / (1 - float(rho)) + rhs_tail
-        resid = ctx.mag(lhs - rhs)
-        passed = resid <= tol + tail
+        passed, residual = numeric_verdict(ctx.mag(lhs - rhs), tol, tail)
     return VerificationReport(
         id=f"QBETA-{kind}", mode="NUMERIC-QSUM",
         grid={"u1": u1, "u2": u2, "v1": v1, "v2": v2, "K": K, "cap": cap},
-        residual=repr(float(resid)), tail_bound=tail, passed=bool(passed))
+        residual=residual, tail_bound=tail, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +468,12 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
         else:
             raise ValueError(kind)
         lhs2, lhs1, lhs_tail = _trapezoid_theta(integrand, M)
-        resid = ctx.mag(lhs2 - rhs)
         conv = ctx.mag(lhs2 - lhs1)
         tail = 2 * conv + lhs_tail + rhs_tail
+        passed, residual = numeric_verdict(ctx.mag(lhs2 - rhs), tol, tail)
     return VerificationReport(
-        id=rid, mode="NUMERIC-SERIES", grid=grid, residual=repr(float(resid)),
-        tail_bound=tail, passed=bool(resid <= tol + tail), note=note,
+        id=rid, mode="NUMERIC-SERIES", grid=grid, residual=residual,
+        tail_bound=tail, passed=passed, note=note,
         extra={"doubling_decrease": float(conv)})
 
 
@@ -665,9 +663,7 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
         passed = is_zero(diff)
         residual = "0" if passed else scalar_str(diff)
     else:
-        resid = ctx.mag(diff)
-        passed = resid <= 1e-8
-        residual = repr(float(resid))
+        passed, residual = numeric_verdict(ctx.mag(diff), 1e-8, 0.0)
     return VerificationReport(
         id=f"ORTHOSEQ-{kind}", mode="EXACT-POLY" if ctx.is_exact else "NUMERIC-SERIES",
         grid={"j": j, "k": k, "z": scalar_str(z)},

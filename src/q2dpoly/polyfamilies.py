@@ -14,9 +14,8 @@ Five families share one container (:class:`BivarPoly`):
 
 Coefficients are built from the explicit finite sums; values at a fixed
 point are also available from the three-term recurrences
-(:class:`FamilyTable`, filled on read), which is what the numeric checkers
-and :func:`q2dpoly.measures.gram_matrix` read and what
-:func:`eval_recurrence` checks against the explicit sums.
+(:class:`FamilyTable`, filled on read), which is what the numeric checkers,
+the asymptotic reports and :func:`q2dpoly.measures.gram_matrix` read.
 """
 
 from __future__ import annotations
@@ -33,12 +32,10 @@ __all__ = [
     "BivarPoly",
     "coeffs",
     "eval_poly",
-    "eval_recurrence",
     "FamilyTable",
     "radial_reduce",
     "RadialForm",
     "wall_poly",
-    "wall_coeff_list",
     "q_laguerre_coeff_list",
     "little_q_jacobi_coeff_list",
     "poly_to_json",
@@ -109,11 +106,6 @@ class BivarPoly:
     def coeff(self, i: int, j: int):
         return self.coeffs.get((i, j), self.ctx.zero())
 
-    def degrees(self) -> Tuple[int, int]:
-        if not self.coeffs:
-            return (-1, -1)
-        return (max(i for i, _ in self.coeffs), max(j for _, j in self.coeffs))
-
     # -- substitutions ------------------------------------------------------
     def dilate(self, c1=1, c2=1) -> "BivarPoly":
         """Substitute z1 -> c1 z1, z2 -> c2 z2."""
@@ -153,9 +145,6 @@ class BivarPoly:
             k = (i - 1, j) if var == 1 else (i, j - 1)
             out[k] = out.get(k, self.ctx.zero()) + c * fac
         return BivarPoly(self.ctx, out)
-
-    def swap_vars(self) -> "BivarPoly":
-        return BivarPoly(self.ctx, {(j, i): c for (i, j), c in self.coeffs.items()})
 
     def conj_coeffs(self) -> "BivarPoly":
         return BivarPoly(self.ctx, {k: conj(c) for k, c in self.coeffs.items()})
@@ -269,8 +258,9 @@ class FamilyTable:
     ``tab[m, n]`` fills rows 0..m up to column n, row by row, so a deep read
     never recurses.  Entries are computed at the ``mp.prec`` of the read
     that fills them.  Read by the numeric checkers of
-    :mod:`q2dpoly.identities_numeric`, by :func:`eval_recurrence` and, at
-    (iz, i zbar) on the exact backend, by :func:`q2dpoly.measures.gram_matrix`.
+    :mod:`q2dpoly.identities_numeric`, by the asymptotic reports of
+    :mod:`q2dpoly.zeros` and, at (iz, i zbar) on the exact backend, by
+    :func:`q2dpoly.measures.gram_matrix`.
     """
 
     def __init__(self, ctx: QContext, family: str, z1, z2, b=None):
@@ -324,14 +314,6 @@ class FamilyTable:
                 - ctx.qpow(r - 1) * (1 - ctx.qpow(j)) * (1 - bb * ctx.qpow(j)) * low)
 
 
-def eval_recurrence(ctx: QContext, family: str, m: int, n: int, z1, z2):
-    """Independent oracle: evaluate Hq/hq through the three-term recurrences
-    (a read of :class:`FamilyTable`)."""
-    if family not in ("Hq", "hq"):
-        raise ValueError("recurrence oracle covers Hq and hq")
-    return FamilyTable(ctx, family, z1, z2)[m, n]
-
-
 # ---------------------------------------------------------------------------
 # terminating univariate families (radial factors)
 # ---------------------------------------------------------------------------
@@ -347,13 +329,6 @@ def wall_poly(ctx: QContext, a, n: int, x):
         term = term * (1 - ctx.qpow(r - n)) * ctx.q * x / den
         total = total + term
     return total
-
-
-def wall_coeff_list(ctx: QContext, a, n: int) -> List[object]:
-    a = ctx.scalar(a)
-    num = QPochPrefix(ctx, ctx.qpow(-n))
-    den = QPochPrefix(ctx, a * ctx.q)
-    return [num(r) * ctx.qpow(r) / (ctx.qq(r) * den(r)) for r in range(n + 1)]
 
 
 def q_laguerre_coeff_list(ctx: QContext, alpha: int, n: int) -> List[object]:
@@ -421,7 +396,8 @@ def radial_reduce(ctx: QContext, family: str, m: int, n: int, b=None) -> RadialF
     """Split the (m, n) member into angular monomial times a radial polynomial.
 
     Hq -> Wall p_nu(x; q^{m-n} | q), hq -> q-Laguerre L_nu^{(m-n)}(x; q),
-    pq -> little q-Jacobi p_nu(x; q^{m-n}, b | q), where nu = min(m, n).
+    pq -> little q-Jacobi p_nu(x; q^{m-n}, b | q), where nu = min(m, n); the
+    Wall polynomial is little q-Jacobi at b = 0.
     Inputs with m < n are routed through the index symmetry.
     """
     swapped = m < n
@@ -429,7 +405,7 @@ def radial_reduce(ctx: QContext, family: str, m: int, n: int, b=None) -> RadialF
     alpha = mm - nn
     if family == "Hq":
         pref = ((-1) ** nn * ctx.qq(mm) * ctx.qpow(nn * (nn - 1) // 2) / ctx.qq(mm - nn))
-        rc = wall_coeff_list(ctx, ctx.qpow(alpha), nn)
+        rc = little_q_jacobi_coeff_list(ctx, ctx.qpow(alpha), 0, nn)
         kind, params = "Wall", {"a": f"q^{alpha}"}
     elif family == "hq":
         pref = (-1) ** nn * ctx.qq(nn)

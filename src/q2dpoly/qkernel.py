@@ -1,8 +1,7 @@
-"""q-calculus primitives: shifted factorials, q-operators, the bilateral
-q-integral, basic hypergeometric series and the special functions used by the
-polynomial families (Ramanujan's entire function, theta_4, the second Jackson
-q-Bessel functions, and the Schur polynomials of the generalized
-Rogers--Ramanujan identity).
+"""q-calculus primitives: shifted factorials, basic hypergeometric series
+and the special functions used by the polynomial families (Ramanujan's
+entire function, theta_4, the second Jackson q-Bessel functions, and the
+Schur polynomials of the generalized Rogers--Ramanujan identity).
 
 Truncated infinite objects carry an explicit tail bound: the sum/product is
 cut once the next term times a geometric majorant drops below the tolerance
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .context import QContext, is_zero
 
@@ -27,8 +26,6 @@ __all__ = [
     "QPochPrefix",
     "qbinom",
     "qbinom_base",
-    "qop",
-    "qintegral",
     "phi_series",
     "aq_function",
     "theta4",
@@ -176,96 +173,6 @@ def qbinom_base(ctx: QContext, base, m: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# q-difference / dilation operators on callables
-# ---------------------------------------------------------------------------
-
-def qop(ctx: QContext, f: Callable, z, mode: str = "Dq", order: int = 1):
-    """Apply a q-operator to a scalar-valued callable at the point z.
-
-    Modes: "Dq" (forward difference (f(z)-f(qz))/(z-qz)), "DqInverse" (base
-    1/q), "Dilate" (f(qz)), and iterated powers via order > 1.  The iterated
-    forward power uses
-
-        D_q^n f(z) = ((1-q) z)^{-n} q^{-C(n,2)}
-                     * sum_k [n k]_q (-1)^k q^{C(n-k,2)} f(q^k z),
-
-    and the inverse-base power is the same formula with q -> 1/q.
-    """
-    z = ctx.scalar(z)
-    if mode == "Dilate":
-        out = f(ctx.qpow(order) * z)
-        return out
-    if mode not in ("Dq", "DqInverse"):
-        raise ValueError(f"unknown qop mode {mode!r}")
-    if is_zero(z):
-        raise ZeroDivisionError("Dq/DqInverse need z != 0")
-    base = ctx.q if mode == "Dq" else 1 / ctx.q
-    n = order
-    acc = ctx.zero()
-    for k in range(n + 1):
-        # binomials in the operator's own base, so DqInverse powers are exact
-        c = qbinom_base(ctx, base, n, k) * (-1) ** k * base ** ((n - k) * (n - k - 1) // 2)
-        acc = acc + c * f(base**k * z)
-    return acc * base ** (-(n * (n - 1) // 2)) / ((1 - base) * z) ** n
-
-
-# ---------------------------------------------------------------------------
-# Jackson's bilateral q-integral
-# ---------------------------------------------------------------------------
-
-def qintegral(ctx: QContext, f: Callable):
-    """int_0^infty f(t) d_q t = (1-q) sum_{n in Z} q^n f(q^n), truncated.
-
-    Returns (value, tail_bound).  Each tail is cut once the last few terms
-    decay geometrically and the geometric majorant falls below tail_tol;
-    non-decay within max_terms raises DivergenceError.
-    """
-    with ctx.workprec():
-        tr = ctx.default_trunc
-        total = ctx.zero()
-        tail = 0.0
-
-        for direction in (+1, -1):
-            start = 0 if direction > 0 else -1
-            prev_mag = None
-            ratio_hist: List[float] = []
-            zeros_run = 0
-            n = start
-            steps = 0
-            while True:
-                term = ctx.qpow(n) * f(ctx.qpow(n))
-                total = total + term
-                m = ctx.mag(term)
-                if m == 0:
-                    zeros_run += 1
-                    if zeros_run >= 4:
-                        break
-                else:
-                    zeros_run = 0
-                if prev_mag is not None and prev_mag > 0:
-                    ratio_hist.append(m / prev_mag)
-                    ratio_hist = ratio_hist[-4:]
-                prev_mag = m
-                if len(ratio_hist) == 4 and max(ratio_hist) < 0.9:
-                    r = max(ratio_hist)
-                    est = m * r / (1 - r)
-                    if est <= tr.tail_tol:
-                        tail += est
-                        break
-                steps += 1
-                if steps >= tr.max_terms:
-                    if len(ratio_hist) >= 2 and min(ratio_hist) >= 1.0:
-                        raise DivergenceError("q-integral terms do not decay")
-                    if len(ratio_hist) == 4 and max(ratio_hist) < 1.0:
-                        r = max(ratio_hist)
-                        tail += m * r / (1 - r)
-                        break
-                    raise DivergenceError("q-integral truncation budget exhausted")
-                n += direction
-        return (1 - ctx.q) * total, tail
-
-
-# ---------------------------------------------------------------------------
 # basic hypergeometric series
 # ---------------------------------------------------------------------------
 
@@ -307,7 +214,9 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
     |t_n| R_n / (1 - R_n) when R_n < 1 (R_n is evaluated in doubles and
     rounded up).  The sum stops at the first n where that bound is at most
     tail_tol * max(1, |sum|) and reports it; no such n within max_terms
-    raises DivergenceError.
+    raises DivergenceError.  Where a magnitude overflows a double, both
+    sides of that test would be inf, so it is made on mpf magnitudes, and
+    the bound is reported as an mpf.
     """
     with ctx.workprec():
         tr = ctx.default_trunc
@@ -338,7 +247,11 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
                         ratio_bound *= 1 + am * qn
                     if ratio_bound < 1:
                         tail = ctx.mag(term) * ratio_bound / (1 - ratio_bound)
-                        if tail <= tr.tail_tol * max(1.0, ctx.mag(total)):
+                        scale = max(1.0, ctx.mag(total))
+                        if not (math.isfinite(tail) and math.isfinite(scale)):
+                            tail = abs(term) * ratio_bound / (1 - ratio_bound)
+                            scale = max(1, abs(total))
+                        if tail <= tr.tail_tol * scale:
                             return total, tail
             if nmax is None and n >= tr.max_terms:
                 raise DivergenceError("phi series did not converge in budget")

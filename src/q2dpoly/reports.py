@@ -9,6 +9,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List
@@ -17,7 +18,7 @@ import mpmath
 
 from .context import GaussianRational
 
-__all__ = ["VerificationReport", "reports_to_json", "reports_all_pass"]
+__all__ = ["VerificationReport", "numeric_verdict", "reports_to_json", "reports_all_pass"]
 
 
 def scalar_str(x) -> str:
@@ -30,6 +31,14 @@ def scalar_str(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return mpmath.nstr(x, 12)
+
+
+def numeric_verdict(residual, tol: float, tail: float):
+    """The one numeric pass rule: (passed, residual string).  A residual
+    passes iff it is at most tol + tail and the tail is finite: an inf or nan
+    tail bounds nothing, so it fails whatever the residual."""
+    r = float(residual)
+    return math.isfinite(tail) and r <= tol + tail, repr(r)
 
 
 @dataclass
@@ -59,9 +68,6 @@ class VerificationReport:
             d["extra"] = {k: scalar_str(v) if not isinstance(v, (int, str, bool)) else v
                           for k, v in sorted(self.extra.items())}
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def reports_to_json(reports: List[VerificationReport]) -> str:

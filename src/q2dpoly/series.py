@@ -104,25 +104,6 @@ class TruncatedBiSeries:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "TruncatedBiSeries":
-        """1 / self for a unit series (nonzero constant term)."""
-        c0 = self.coeffs.get((0, 0), self.ctx.zero())
-        if is_zero(c0):
-            raise ZeroDivisionError("reciprocal of a non-unit series")
-        inv0 = 1 / c0
-        rest = TruncatedBiSeries(
-            self.ctx, self.order, {k: c for k, c in self.coeffs.items() if k != (0, 0)}
-        )
-        t = rest * inv0  # self = c0 (1 + t)
-        out = TruncatedBiSeries.one(self.ctx, self.order)
-        power = TruncatedBiSeries.one(self.ctx, self.order)
-        for k in range(1, self.order + 1):
-            power = power * t
-            if not power.coeffs:
-                break
-            out = out + (-1) ** k * power
-        return out * inv0
-
     def log1p_part(self) -> "TruncatedBiSeries":
         """log(self) for a series with constant term exactly 1."""
         c0 = self.coeffs.get((0, 0), self.ctx.zero())
@@ -158,13 +139,6 @@ class TruncatedBiSeries:
     def pow_fraction(self, e: Fraction) -> "TruncatedBiSeries":
         """self**e for rational e, constant term 1 (via exp(e log self))."""
         return (self.log1p_part() * (e if self.ctx.is_exact else float(e))).exp_part()
-
-    def scale_vars(self, cu, cv) -> "TruncatedBiSeries":
-        """Substitute u -> cu*u, v -> cv*v."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[(i, j)] = c * cu**i * cv**j
-        return TruncatedBiSeries(self.ctx, self.order, out)
 
     # -- queries -------------------------------------------------------------
     def coeff(self, i: int, j: int):

@@ -22,7 +22,7 @@ isolated the same way on its truncation, whose tail is bounded exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +54,6 @@ class ZeroSet:
     params: Dict
     radii: List[mpmath.mpf]
     certified_width: float
-    method: str = "exact-sign scan+bisect"
 
     def to_dict(self):
         return {
@@ -71,7 +70,6 @@ class LimitReport:
     errors: List[float]
     monotone: bool
     final_error: float
-    extra: Dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["size,error"]
@@ -330,11 +328,6 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
 # large-degree asymptotics
 # ---------------------------------------------------------------------------
 
-def _fam_value(ctx, family, m, n, z1, z2, b=None):
-    """Recurrence evaluation (handles large degrees without coefficient maps)."""
-    return FamilyTable(ctx, family, z1, z2, b=b)[m, n]
-
-
 def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
                       point: Optional[Dict] = None) -> LimitReport:
     """|LHS/limit - 1| per size for the large-degree limits.
@@ -349,25 +342,24 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     z1 = ctx.scalar(pt.get("z1", 2))
     z2 = ctx.scalar(pt.get("z2", 2))
     errors = []
-    extra: Dict = {}
     for M in sizes:
         if target == "Hmn_inf":
-            val = _fam_value(ctx, "Hq", M, M, z1, z2)
+            val = FamilyTable(ctx, "Hq", z1, z2)[M, M]
             lim = qpoch_inf(ctx, 1 / (z1 * z2))[0]
             ratio = val / (z1**M * z2**M) / lim
         elif target == "Hm_inf":
             n = int(pt.get("n", 0))
-            val = _fam_value(ctx, "Hq", M, n, z1, z2)
+            val = FamilyTable(ctx, "Hq", z1, z2)[M, n]
             lim = z2**n * qpoch(ctx, 1 / (z1 * z2), n)
             ratio = val / z1**M / lim
         elif target == "Hn_inf":
             m = int(pt.get("m", 0))
-            val = _fam_value(ctx, "Hq", m, M, z1, z2)
+            val = FamilyTable(ctx, "Hq", z1, z2)[m, M]
             lim = z1**m * qpoch(ctx, 1 / (z1 * z2), m)
             ratio = val / z2**M / lim
         elif target == "p_inf":
             b = pt.get("b", F(1, 4))
-            val = _fam_value(ctx, "pq", M, M, z1, z2, b=b)
+            val = FamilyTable(ctx, "pq", z1, z2, b=b)[M, M]
             lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q)[0]
                    * qpoch_inf(ctx, 1 / (z1 * z2))[0])
             ratio = val / (z1**M * z2**M) / lim
@@ -378,7 +370,7 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
             w1 = ctx.scalar(pt.get("w1", 1))
             w2 = ctx.scalar(pt.get("w2", 1))
             sc = ctx.qpow(-M)
-            val = _fam_value(ctx, "hq", M, M, w1 * sc, w2 * sc)
+            val = FamilyTable(ctx, "hq", w1 * sc, w2 * sc)[M, M]
             aqv, _ = aq_function(ctx, 1 / (w1 * w2))
             ratio = val / (w1**M * w2**M * ctx.qpow(-M * M)) / aqv
         elif target == "theta4_scaled":
@@ -387,7 +379,7 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
             tau = (M - 1) // 2
             s = ctx.q_half_pow(1)
             scale = ctx.qpow((M - 1) // 4)
-            val = _fam_value(ctx, "Hq", M, M, z1 * scale, z2 * scale)
+            val = FamilyTable(ctx, "Hq", z1 * scale, z2 * scale)[M, M]
             qqinf = qpoch_inf(ctx, ctx.q)[0]
             # exponent M^2/2 - M/2 - tau^2/2 - tau*chi, all integral here
             E = (M * M - M) // 2 - (tau * tau + tau) // 2
@@ -399,4 +391,4 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
         errors.append(float(abs(ratio - 1)))
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     return LimitReport(target=target, sizes=list(sizes), errors=errors,
-                       monotone=monotone, final_error=errors[-1], extra=extra)
+                       monotone=monotone, final_error=errors[-1])

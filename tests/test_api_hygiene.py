@@ -96,3 +96,100 @@ def test_no_dropped_qpoch_inf_tails():
         with open(os.path.join(SRC, fname)) as fh:
             dropped += [f"{fname}:{ln}" for ln in _dropped_tails(ast.parse(fh.read()), names)]
     assert dropped == []
+
+
+# Every public name has a caller.  A name in a module's ``__all__``, or a
+# public method of a class exported there, must be read somewhere other than
+# its own definition and its unit tests: elsewhere in the package, in the
+# scripts, in the benchmark (whose tracer names the functions it wraps as
+# dotted strings) or in the acceptance tests.  The paper's moment and
+# q-beta/Askey-integral checks are reached by unit tests only, since routing
+# them through the identity registry would change the benchmark's workloads;
+# they are listed by name, and the list must match exactly, so that it
+# cannot go stale.
+ROOT = os.path.dirname(os.path.dirname(SRC))
+CALLER_DIRS = ("src", "scripts", "perfbench")
+CALLER_FILES = (os.path.join("tests", "test_acceptance.py"),)
+NO_CALLER_YET = ["measures.angular_quadrature_check", "measures.moment",
+                 "measures.qbeta_check"]
+
+
+def _public_api(module, tree):
+    """{dotted name: defining node} of module's ``__all__`` names defined in
+    it and of the public methods of the classes among them."""
+    exported = set()
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    defs[t.id] = node
+                    if t.id == "__all__":
+                        exported |= {e.value for e in node.value.elts}
+    out = {}
+    for name in sorted(exported & set(defs)):
+        node = out[f"{module}.{name}"] = defs[name]
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out[f"{module}.{name}.{item.name}"] = item
+    return out
+
+
+def _references(tree, dotted_strings=False):
+    """(name, line) of every name tree loads or reads as an attribute, and,
+    with dotted_strings, of each part of every string constant."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.append((n.id, n.lineno))
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.append((n.attr, n.lineno))
+        elif dotted_strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out += [(part, n.lineno) for part in n.value.split(".")]
+    return out
+
+
+def _uncalled(api, refs):
+    """The names of api ({dotted name: (path, node)}) that no reference in
+    refs ({path: [(name, line)]}) reads outside their own definition."""
+    def called(dotted, path, node):
+        name = dotted.rsplit(".", 1)[1]
+        return any(r == name and not (p == path and node.lineno <= ln <= node.end_lineno)
+                   for p, found in refs.items() for r, ln in found)
+
+    return sorted(d for d, (path, node) in api.items() if not called(d, path, node))
+
+
+def test_uncalled_finder_flags_a_name_read_only_by_itself():
+    mod = ast.parse("__all__ = ['f', 'g', 'K']\n"
+                    "def f(x):\n    return f(x - 1)\n"
+                    "def g():\n    return 1\n"
+                    "class K:\n    def used(self):\n        return self.spare()\n"
+                    "    def spare(self):\n        return K\n")
+    api = {d: ("m.py", node) for d, node in _public_api("m", mod).items()}
+    other = ast.parse("import m\nm.g()\nk = m.K()\nk.used()\n")
+    refs = {"m.py": _references(mod), "use.py": _references(other)}
+    assert _uncalled(api, refs) == ["m.f"]
+    refs["bench.py"] = _references(ast.parse("WRAP = ['m.f']\n"), dotted_strings=True)
+    assert _uncalled(api, refs) == []
+
+
+def test_public_names_have_callers():
+    api, refs = {}, {}
+    paths = [os.path.join(ROOT, f) for f in CALLER_FILES]
+    for d in CALLER_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, d)):
+            paths += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
+    for path in sorted(paths):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        refs[path] = _references(tree, dotted_strings=path.startswith(
+            os.path.join(ROOT, "perfbench")))
+        if os.path.dirname(path) == SRC:
+            module = os.path.basename(path)[:-3]
+            api.update({d: (path, node) for d, node in _public_api(module, tree).items()})
+    assert _uncalled(api, refs) == NO_CALLER_YET

@@ -4,10 +4,12 @@ with a KeyError.  This guard installs and uninstalls the tracer."""
 
 import os
 import sys
+from fractions import Fraction as F
 
 import pytest
 
-from q2dpoly import identities_exact, polyfamilies, zeros
+from q2dpoly import identities_exact, identities_numeric, polyfamilies, zeros
+from q2dpoly.context import QContext
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -33,3 +35,20 @@ def test_tracer_installs_and_restores(tracer_module):
     assert polyfamilies.coeffs is coeffs
     assert identities_exact.coeffs is coeffs
     assert zeros._horner is horner
+
+
+def test_tracer_counts_sum2d_terms_and_budget_hits(tracer_module):
+    # the tracer binds sum2d's `term` and `cap` by name: a term that never
+    # decays evaluates the whole capped quadrant, (cap+1)(cap+2)/2 terms,
+    # which counts as one budget hit; a quickly decaying one is no hit
+    ctx = QContext(F(1, 2), backend="float", precision_bits=64)
+    tr = tracer_module.Tracer().install()
+    try:
+        identities_numeric.sum2d(ctx, lambda m, n: ctx.one(), cap=4)
+        identities_numeric.sum2d(ctx, lambda m, n: ctx.zero(), cap=20)
+        metrics = tr.metrics()
+    finally:
+        tr.uninstall()
+    assert metrics["identities.sum2d.calls"] == 2
+    assert metrics["identities.sum2d.terms"] == 15 + 10
+    assert metrics["identities.sum2d.budget_hits"] == 1

@@ -128,6 +128,21 @@ def test_failing_exact_residual_prints_worst_coefficient(ctx, monkeypatch):
     assert not rep.passed and rep.residual == "1+1i"
 
 
+@pytest.mark.parametrize("tail", [float("inf"), float("nan")])
+def test_non_finite_numeric_tail_fails(monkeypatch, tail):
+    # tol + inf would pass any residual; a tail that bounds nothing fails
+    import q2dpoly.identities as ident
+
+    fctx = QContext(F(1, 2), backend="float", precision_bits=64)
+    monkeypatch.setattr(ident.get_entry("COR19-AQ"), "checker", lambda c, pt: (0.5, tail, {}))
+    rep = check_identity(fctx, "COR19-AQ", {}, tol=1e-9)
+    assert not rep.passed and rep.residual == "0.5"
+    reps = sweep(fctx, ["COR19-AQ"])
+    assert len(reps) == 1 and not reps[0].passed
+    monkeypatch.setattr(ident.get_entry("COR19-AQ"), "checker", lambda c, pt: (0.5, 1.0, {}))
+    assert check_identity(fctx, "COR19-AQ", {}, tol=1e-9).passed
+
+
 def test_sweep_empty_id_list(ctx):
     assert sweep(ctx, []) == []
 

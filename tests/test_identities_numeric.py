@@ -93,3 +93,15 @@ def test_closed_form_tail_bounds_residual(id_, tail_tol):
                  default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
     rep = check_identity(c, id_, {}, tol=1e-9)
     assert float(rep.residual) <= rep.tail_bound, (rep.residual, rep.tail_bound)
+
+
+@pytest.mark.parametrize("tail_tol", [1e-34, 1e-32])
+def test_gis_pgf_tail_bounds_residual(tail_tol):
+    # the base-q^5 products carry their own tails, so the bound tracks the
+    # policy instead of sitting on a constant 1e-28 floor
+    c = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
+    for s in range(5):
+        rep = check_identity(c, "GIS-PGF", {"s": s}, tol=1e-9)
+        assert rep.passed
+        assert float(rep.residual) <= rep.tail_bound < 1e-28, (s, rep.residual, rep.tail_bound)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly import qkernel
+from q2dpoly.polyfamilies import BivarPoly
 from q2dpoly.qkernel import (DivergenceError, PoleError, aq_function,
-                             bessel_i2_series, phi_series, qbinom, qintegral,
-                             qop, qpoch, qpoch_inf, qpoch_inf_ratio, schur_a,
-                             schur_b, theta4)
+                             bessel_i2_series, phi_series, qbinom, qpoch,
+                             qpoch_inf, qpoch_inf_ratio, schur_a, schur_b,
+                             theta4)
 
 
 @pytest.fixture(scope="module")
@@ -112,60 +113,39 @@ def test_terminating_qbt(ctx):
         assert s == qpoch(ctx, z, n)
 
 
-def test_qop_constant_and_monomial(ctx):
-    assert qop(ctx, lambda t: F(7), F(1, 3), "Dq") == 0
-    n = 6
-    z = F(2, 3)
-    assert qop(ctx, lambda t: t**n, z, "Dq") == (1 - ctx.qpow(n)) / (1 - ctx.q) * z ** (n - 1)
-    assert qop(ctx, lambda t: t * t, z, "Dilate") == ctx.qpow(2) * z * z
-
-
-def test_qop_power_reproduces_qfactorial(ctx):
-    # D_q^n z^n == (q;q)_n / (1-q)^n
-    for n in range(1, 6):
-        val = qop(ctx, lambda t, n=n: t**n, F(5, 7), "Dq", order=n)
-        assert val == ctx.qq(n) / (1 - ctx.q) ** n
+def _dq_power(P, n):
+    for _ in range(n):
+        P = P.dq(1)
+    return P
 
 
 def test_leibniz_rule(ctx):
-    # D_q^n (f g) == sum_k [n k] D^k f * eta^k D^{n-k} g for monomials
+    # D_q^n (f g)(x) == sum_k [n k] D_q^k f(x) D_q^{n-k} g(q^k x) for monomials
     x = F(2, 3)
     for a in range(6):
         for b in range(6):
+            f = BivarPoly(ctx, {(a, 0): F(1)})
+            g = BivarPoly(ctx, {(b, 0): F(1)})
             for n in range(1, 6):
-                lhs = qop(ctx, lambda t: t ** (a + b), x, "Dq", order=n)
-                rhs = F(0)
-                for k in range(n + 1):
-                    dkf = qop(ctx, lambda t: t**a, x, "Dq", order=k) if k else x**a
-                    arg = ctx.qpow(k) * x
-                    dng = (qop(ctx, lambda t: t**b, arg, "Dq", order=n - k)
-                           if n - k else arg**b)
-                    rhs += qbinom(ctx, n, k) * dkf * dng
+                lhs = _dq_power(f * g, n).dilate(x)
+                rhs = sum((qbinom(ctx, n, k) * _dq_power(f, k).dilate(x)
+                           * _dq_power(g, n - k).dilate(ctx.qpow(k) * x)
+                           for k in range(n + 1)), start=BivarPoly(ctx))
                 assert lhs == rhs, (a, b, n)
 
 
-def test_qop_rejects_zero(ctx):
-    with pytest.raises(ZeroDivisionError):
-        qop(ctx, lambda t: t, 0, "Dq")
-
-
-def test_qintegral_zero(fctx):
-    val, tail = qintegral(fctx, lambda t: fctx.zero())
-    assert val == 0
-
-
-def test_qintegral_rambeta3(fctx):
-    # integrand of the c = 1 Ramanujan q-beta sum: closed form (q;q)_inf
-    q = fctx.q
-
-    def f(t):
-        return 1 / (qpoch_inf(fctx, -t)[0] * qpoch_inf(fctx, -q / t)[0])
-
-    val, tail = qintegral(fctx, f)
-    with fctx.workprec():
-        target = (1 - q) * qpoch_inf(fctx, q)[0]
-        # d_q t / (1 - q) convention: the bilateral sum itself carries (1-q)
-        assert abs(val - target) < 1e-25 + tail
+@pytest.mark.parametrize("q", [F(1, 10), F(1, 2)])
+def test_phi_series_past_double_range(q):
+    # Euler's series for (-x;q)_inf at x = q^-56 has terms beyond 1.8e308;
+    # the stop must not take inf <= tol * inf for convergence
+    c = QContext(q, backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=1e-36))
+    with c.workprec():
+        x = c.qpow(-56)
+        val, tail = phi_series(c, [], [], -x)
+        ref, _ = qpoch_inf(c, -x)
+        assert abs(val - ref) <= 1e-35 * abs(ref)
+        assert tail <= 1e-36 * abs(val)
 
 
 def test_phi_series_trivial(fctx):
