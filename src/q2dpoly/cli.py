@@ -20,13 +20,12 @@ from .context import GaussianRational, MissingSqrtError, QContext, TruncationPol
 from .polyfamilies import coeffs, eval_poly, poly_to_json
 from .reports import VerificationReport, reports_all_pass, reports_to_json, scalar_str
 
-F = Fraction
-
 FAMILY_MAP = {"H": "Hq", "h": "hq", "p": "pq", "Hc": "H_classical", "C": "C_disk"}
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+def _rational(text) -> Optional[Fraction]:
+    """An optional rational flag: None when absent."""
+    return Fraction(text) if text else None
 
 
 def _parse_point(text: str):
@@ -37,44 +36,45 @@ def _parse_point(text: str):
     return Fraction(text)
 
 
-def _add_common(p: argparse.ArgumentParser):
+# the options a subcommand may declare besides --q, --format, --output and
+# --config; each declares only the ones its handler reads
+_OPTIONS = {
+    "sqrt-q": dict(default=None,
+                   help="square root of q (rational, or 'auto' on the float backend)"),
+    "backend": dict(choices=("exact", "float"), default=None),
+    "precision-bits": dict(type=int, default=160),
+    "max-terms": dict(type=int, default=400),
+    "tail-tol": dict(type=float, default=1e-32),
+    "tolerance": dict(type=float, default=1e-10),
+    "seed": dict(type=int, default=None, help="seed for random Gaussian-rational sample points"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str, formats=()):
+    """--q, the named _OPTIONS, --format over `formats` (the first is the
+    default), --output and --config."""
     p.add_argument("--q", default="1/2", help="base q as a rational 'num/den' or decimal")
-    p.add_argument("--sqrt-q", default=None,
-                   help="square root of q (rational, or 'auto' on the float backend)")
-    p.add_argument("--backend", choices=("exact", "float"), default=None)
-    p.add_argument("--precision-bits", type=int, default=160)
-    p.add_argument("--max-terms", type=int, default=400)
-    p.add_argument("--tail-tol", type=float, default=1e-32)
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    for name in names:
+        p.add_argument("--" + name, **_OPTIONS[name])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write the report to this path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for random Gaussian-rational sample points")
     p.add_argument("--config", default=None,
-                   help="JSON file with flag defaults (explicit flags win)")
+                   help="JSON file of flag defaults (explicit flags win)")
 
 
-def _load_config(args: argparse.Namespace):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        for key, val in doc.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and (attr not in args._explicit):
-                setattr(args, attr, val)
+def _trunc(args) -> TruncationPolicy:
+    return TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
 
 
-def _ctx_from(args, backend_default="exact") -> QContext:
-    """The run's context; a float context without --sqrt-q takes s = sqrt(q)."""
-    q = _parse_rational(str(args.q))
-    backend = args.backend or backend_default
-    trunc = TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
-    sq = args.sqrt_q
-    if sq not in (None, "auto"):
-        sq = Fraction(sq)
+def _ctx_from(args, backend: str, sqrt_q=None, trunc=None) -> QContext:
+    """The run's context at --q and --precision-bits; a float context
+    without a rational sqrt_q takes s = sqrt(q)."""
+    if sqrt_q not in (None, "auto"):
+        sqrt_q = Fraction(sqrt_q)
     elif backend == "float":
-        sq = "auto"
-    return QContext(q, sqrt_q=sq, backend=backend,
+        sqrt_q = "auto"
+    return QContext(str(args.q), sqrt_q=sqrt_q, backend=backend,
                     precision_bits=args.precision_bits, default_trunc=trunc)
 
 
@@ -109,31 +109,25 @@ def _emit_reports(args, reports: List[VerificationReport]) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _member(args):
+    ctx = _ctx_from(args, args.backend or "exact")
+    return coeffs(ctx, FAMILY_MAP[args.family], args.m, args.n,
+                  b=_rational(args.b), nu=_rational(args.nu))
+
+
 def cmd_eval(args) -> int:
-    ctx = _ctx_from(args)
-    fam = FAMILY_MAP[args.family]
-    P = coeffs(ctx, fam, args.m, args.n,
-               b=_parse_rational(args.b) if args.b else None,
-               nu=_parse_rational(args.nu) if args.nu else None)
-    val = eval_poly(P, _parse_point(args.z1), _parse_point(args.z2))
-    _emit(args, scalar_str(val))
+    _emit(args, scalar_str(eval_poly(_member(args), _parse_point(args.z1),
+                                     _parse_point(args.z2))))
     return 0
 
 
 def cmd_coeffs(args) -> int:
-    ctx = _ctx_from(args)
-    fam = FAMILY_MAP[args.family]
-    P = coeffs(ctx, fam, args.m, args.n,
-               b=_parse_rational(args.b) if args.b else None,
-               nu=_parse_rational(args.nu) if args.nu else None)
+    P = _member(args)
     if args.format == "csv":
         lines = ["i,j,re,im"]
-        for (i, j) in sorted(P.coeffs):
-            c = P.coeffs[(i, j)]
-            if isinstance(c, GaussianRational):
-                lines.append(f"{i},{j},{c.re},{c.im}")
-            else:
-                lines.append(f"{i},{j},{c},0")
+        for (i, j), c in sorted(P.coeffs.items()):
+            re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+            lines.append(f"{i},{j},{re},{im}")
         _emit(args, "\n".join(lines))
     else:
         _emit(args, poly_to_json(P))
@@ -157,7 +151,7 @@ def cmd_verify(args) -> int:
     else:
         print("verify: need --id, --all-exact or --all-numeric", file=sys.stderr)
         return 2
-    ctx = _ctx_from(args, backend_default=backend)
+    ctx = _ctx_from(args, args.backend or backend, args.sqrt_q, _trunc(args))
     if args.all_exact and ctx.s is None:
         skipped = [i for i in ids if REGISTRY[i].needs_sqrt]
         if skipped:
@@ -171,9 +165,9 @@ def cmd_verify(args) -> int:
     if args.max_n is not None:
         grid["max_n"] = args.max_n
     if args.b:
-        grid["b"] = _parse_rational(args.b)
+        grid["b"] = Fraction(args.b)
     if args.c:
-        grid["c"] = _parse_rational(args.c)
+        grid["c"] = Fraction(args.c)
     if args.seed is not None:
         rng = random.Random(args.seed)
         grid["mult_a"] = Fraction(rng.randint(1, 9), rng.randint(10, 19))
@@ -190,10 +184,9 @@ def cmd_verify(args) -> int:
 def cmd_ortho(args) -> int:
     from .measures import ortho_csv, ortho_table
 
-    ctx = _ctx_from(args, backend_default="float")
+    ctx = _ctx_from(args, args.backend or "float", trunc=_trunc(args))
     table, worst_diag, worst_off = ortho_table(
-        ctx, FAMILY_MAP[args.family], args.max_index,
-        b=_parse_rational(args.b) if args.b else None, K=args.K)
+        ctx, FAMILY_MAP[args.family], args.max_index, b=_rational(args.b), K=args.K)
     _emit(args, ortho_csv(table))
     ok = worst_diag <= args.tolerance and worst_off <= args.tolerance
     print(f"# worst diagonal rel_error {worst_diag!r}; worst off-diagonal |value| {worst_off!r}; "
@@ -204,11 +197,8 @@ def cmd_ortho(args) -> int:
 def cmd_zeros(args) -> int:
     from .zeros import radial_zeros
 
-    ctx = _ctx_from(args, backend_default="float")
-    fam = FAMILY_MAP[args.family]
-    zs = radial_zeros(ctx, fam, args.m, args.n,
-                      b=_parse_rational(args.b) if args.b else None,
-                      precision=args.root_precision)
+    zs = radial_zeros(QContext(str(args.q)), FAMILY_MAP[args.family], args.m, args.n,
+                      b=_rational(args.b), precision=args.root_precision)
     doc = zs.to_dict()
     if args.count:
         doc["radii"] = doc["radii"][: args.count]
@@ -217,12 +207,12 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_aqzeros(args) -> int:
-    from .zeros import aq_zeros
-
-    ctx = _ctx_from(args, backend_default="float")
-    zs = aq_zeros(ctx, args.count, precision=args.root_precision)
     import mpmath
 
+    from .zeros import aq_zeros
+
+    ctx = QContext(str(args.q))
+    zs = aq_zeros(ctx, args.count, precision=args.root_precision)
     _emit(args, json.dumps({"q": str(ctx.q_fraction),
                             "zeros": [mpmath.nstr(z, 17) for z in zs]}, sort_keys=True))
     return 0
@@ -231,12 +221,11 @@ def cmd_aqzeros(args) -> int:
 def cmd_asym(args) -> int:
     from .zeros import asymptotic_report, zero_limit_report
 
-    args.backend = "float"  # the limits and theta_4 are float computations
-    ctx = _ctx_from(args)
+    # the limits and theta_4 are float computations, whatever q is
+    ctx = _ctx_from(args, "float", args.sqrt_q, _trunc(args))
     sizes = [int(s) for s in args.sizes.split(",")]
     if args.target in ("limH", "limh", "limp"):
-        rep = zero_limit_report(ctx, args.target, args.j, sizes,
-                                b=_parse_rational(args.b) if args.b else None)
+        rep = zero_limit_report(ctx, args.target, args.j, sizes, b=_rational(args.b))
     else:
         pt = {}
         if args.z1:
@@ -244,7 +233,7 @@ def cmd_asym(args) -> int:
         if args.z2:
             pt["z2"] = _parse_point(args.z2)
         if args.b:
-            pt["b"] = _parse_rational(args.b)
+            pt["b"] = Fraction(args.b)
         rep = asymptotic_report(ctx, args.target, sizes, pt)
     if args.format == "csv":
         _emit(args, rep.to_csv())
@@ -259,48 +248,30 @@ def cmd_asym(args) -> int:
 def cmd_gram(args) -> int:
     from .measures import gram_positivity
 
-    ctx = _ctx_from(args, backend_default="exact")
-    rep = gram_positivity(ctx, args.kind, args.N, _parse_point(args.z))
+    rep = gram_positivity(QContext(str(args.q)), args.kind, args.N, _parse_point(args.z))
     return _emit_reports(args, [rep])
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were explicitly given (for --config)."""
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else argv
-        for a in argv:
-            if a.startswith("--"):
-                explicit.add(a.lstrip("-").split("=")[0].replace("-", "_"))
-        ns._explicit = explicit
-        return ns
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = _TrackingParser(prog="q2dpoly",
-                         description="2D q-orthogonal polynomials: evaluation and verification")
+    ap = argparse.ArgumentParser(prog="q2dpoly",
+                                 description="2D q-orthogonal polynomials: evaluation and verification")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a family member at a point")
-    p.add_argument("--family", choices=FAMILY_MAP, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", default=None)
-    p.add_argument("--nu", default=None)
+    member = argparse.ArgumentParser(add_help=False)  # the flags of _member
+    member.add_argument("--family", choices=FAMILY_MAP, required=True)
+    member.add_argument("--m", type=int, required=True)
+    member.add_argument("--n", type=int, required=True)
+    member.add_argument("--b", default=None)
+    member.add_argument("--nu", default=None)
+
+    p = sub.add_parser("eval", parents=[member], help="evaluate a family member at a point")
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
-    _add_common(p)
+    _add_options(p, "backend", "precision-bits")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("coeffs", help="print the exact coefficient map")
-    p.add_argument("--family", choices=FAMILY_MAP, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", default=None)
-    p.add_argument("--nu", default=None)
-    _add_common(p)
+    p = sub.add_parser("coeffs", parents=[member], help="print the exact coefficient map")
+    _add_options(p, "backend", "precision-bits", formats=("json", "csv"))
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run identity checks")
@@ -311,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--c", default=None)
-    _add_common(p)
+    _add_options(p, *_OPTIONS, formats=("pretty", "json", "csv"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("ortho", help="orthogonality audit (CSV table)")
@@ -319,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=3)
     p.add_argument("--b", default=None)
     p.add_argument("--K", type=int, default=80)
-    _add_common(p)
+    _add_options(p, "backend", "precision-bits", "max-terms", "tail-tol", "tolerance")
     p.set_defaults(fn=cmd_ortho)
 
     p = sub.add_parser("zeros", help="certified radial zeros")
@@ -329,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--root-precision", type=int, default=20)
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("aqzeros", help="certified zeros of the Ramanujan function")
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--root-precision", type=int, default=20)
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(fn=cmd_aqzeros)
 
     p = sub.add_parser("asym", help="limit / asymptotic convergence reports")
@@ -347,27 +318,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default=None)
     p.add_argument("--z1", default=None)
     p.add_argument("--z2", default=None)
-    _add_common(p)
+    _add_options(p, "sqrt-q", "precision-bits", "max-terms", "tail-tol",
+                 formats=("json", "csv"))
     p.set_defaults(fn=cmd_asym)
 
     p = sub.add_parser("gram", help="exact positivity of the section-9 Gram matrices")
     p.add_argument("--kind", choices=("doH", "doh"), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--z", required=True)
-    _add_common(p)
+    _add_options(p, formats=("pretty", "json", "csv"))
     p.set_defaults(fn=cmd_gram)
     return ap
+
+
+def _with_config(ap: argparse.ArgumentParser, argv, args: argparse.Namespace):
+    """args, or with --config argv parsed again with the file's values as
+    the defaults of the subcommand's own options, so explicit flags win
+    (abbreviated ones too; an appending flag, verify --id, extends the
+    file's list)."""
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        doc = {key.replace("-", "_"): val for key, val in json.load(fh).items()}
+    p = next(a for a in ap._actions if a.dest == "cmd").choices[args.cmd]
+    p.set_defaults(**{a.dest: doc[a.dest] for a in p._actions if a.dest in doc})
+    return ap.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _with_config(ap, argv, ap.parse_args(argv))
+        return args.fn(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _load_config(args)
-        return args.fn(args)
     except (ValueError, KeyError, MissingSqrtError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -366,7 +366,7 @@ class QContext:
             return abs(float(x))
         return float(mpmath.fabs(x))
 
-    def with_backend(self, backend: str, precision_bits: Optional[int] = None) -> "QContext":
+    def with_backend(self, backend: str) -> "QContext":
         s_arg = None
         if self.s is not None:
             if self.is_exact:
@@ -379,7 +379,7 @@ class QContext:
             self.q_fraction,
             sqrt_q=s_arg,
             backend=backend,
-            precision_bits=precision_bits or self.precision_bits,
+            precision_bits=self.precision_bits,
             default_trunc=self.default_trunc,
         )
 

@@ -54,8 +54,7 @@ def sum2d(ctx, term: Callable[[int, int], object], cap: int) -> Tuple[object, fl
             hist = [x for x in shell_mags[-6:] if x > 0]
             ratio = 0.5
             if len(hist) >= 2:
-                ratio = min(0.9, max(hist[i + 1] / hist[i] for i in range(len(hist) - 1))
-                            if all(h > 0 for h in hist) else 0.5)
+                ratio = min(0.9, max(hist[i + 1] / hist[i] for i in range(len(hist) - 1)))
             tail = shell_mags[-1] * ratio / (1 - ratio)
             return total, tail
     # budget exhausted without three quiet shells: report the last shell as tail

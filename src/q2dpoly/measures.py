@@ -113,15 +113,18 @@ def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object
     return out
 
 
-def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
-                           halfwidth: int = 56) -> List[Tuple[object, float]]:
+_H_NODES_PER_POWER = 16  # h_continuous nodes x = q^{-i/16}: h = log(1/q)/8 in u = log x
+_H_HALFWIDTH = 56  # and q^56 <= x <= q^-56
+
+
+def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
     """(value, error) of int_0^inf x^j/(-x;q)_inf dx for j = 0..nmax.
 
-    Trapezoid in u with x = e^u on the nodes x_i = q^{-i step/2}, |i| <= n,
-    n = int(2 halfwidth/step); the even nodes give the step-h rule.  Nodes d
-    apart (step/2 = r/d) differ by q^{-r}, so only the d smallest weights
-    take a truncated product (-x;q)_inf; every later one follows from
-    (-x;q)_inf = (1+x)...(1+x q^{r-1}) (-x q^r;q)_inf.  The discarded tail
+    Trapezoid in u with x = e^u on the nodes x_i = q^{-i/d}, |i| <= n,
+    d = _H_NODES_PER_POWER, n = d _H_HALFWIDTH; the even nodes give the
+    step-h rule.  Nodes d apart differ by a factor 1/q, so only the d
+    smallest weights take a truncated product (-x;q)_inf; every later one
+    follows from (-x/q;q)_inf = (1 + x/q) (-x;q)_inf.  The discarded tail
     prod_{k>=K}(1 + x q^k) of a chain's base node is the tail of every node
     on the chain, so each weight has the base's relative truncation error.
 
@@ -130,26 +133,24 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
         (an estimate, not a bound: the rule converges like exp(-2 pi^2/h_u));
       - x_min^{j+1}/(j+1), which bounds the part below the grid, as
         0 < 1/(-x;q)_inf <= 1;
-      - X^{j+1-L} q^{-L(L-1)/2}/(L-j-1), L = floor(log_{1/q} X), which bounds
-        the part above the top node X, as (-x;q)_inf >= x^L q^{L(L-1)/2}
+      - X^{j+1-L} q^{-L(L-1)/2}/(L-j-1), L = _H_HALFWIDTH, which bounds the
+        part above the top node X = q^{-L}, as (-x;q)_inf >= x^L q^{L(L-1)/2}
         (inf when L <= j+1);
       - 2 eps |value|, eps the largest relative tail of the base products.
-    Cached per (q, precision, step, halfwidth, truncation policy).
+    Cached per (q, precision, truncation policy).
     """
     key = ("h_continuous", ctx.backend, ctx.q_fraction, ctx.precision_bits,
-           ctx.default_trunc, step, halfwidth)
+           ctx.default_trunc)
     table = _H_MOMENT_CACHE.get(key)
     if table is not None and len(table) > nmax:
         return table[: nmax + 1]
-    half = step / 2
-    r, d = half.numerator, half.denominator
-    n = int(halfwidth / half)
+    d = _H_NODES_PER_POWER
+    n = d * _H_HALFWIDTH
     with ctx.workprec(40):
         # hu is exactly half the step-h spacing, so the even nodes are bitwise
         # the nodes of the step-h rule
-        hu = -mpmath.log(ctx.q) * mp.mpf(r) / d
+        hu = -mpmath.log(ctx.q) / d
         xs = [mpmath.exp(i * hu) for i in range(-n, n + 1)]
-        qk = [ctx.qpow(k) for k in range(r)]
         pinf = []
         eps = 0.0
         for i, xv in enumerate(xs):
@@ -157,9 +158,7 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
                 val, tail = qpoch_inf(ctx, -xv)
                 eps = max(eps, tail / ctx.mag(val))
             else:
-                val = pinf[i - d]
-                for qv in qk:
-                    val = val * (1 + xv * qv)
+                val = pinf[i - d] * (1 + xv)
             pinf.append(val)
         even = [mp.mpf(0)] * (nmax + 1)
         odd = [mp.mpf(0)] * (nmax + 1)
@@ -170,7 +169,7 @@ def h_radial_moments_batch(ctx, nmax: int, step: Fraction = F(1, 8),
                 sums[j] += w
                 w = w * xv
         x_min, x_top = xs[0], xs[-1]
-        L = int(n * half)
+        L = _H_HALFWIDTH
         out = []
         for j in range(nmax + 1):
             v1 = even[j] * (2 * hu)

@@ -96,7 +96,17 @@ def qpoch_inf(ctx: QContext, a):
                 f"(a;q)_inf truncation budget exhausted at {tr.max_terms} factors"
             )
         tail = 2 * eps * (ctx.mag(out) + 1e-300)
+        if math.isinf(tail):  # |out| overflows a double
+            tail = 2 * eps * abs(out)
         return out, tail
+
+
+def _rel_tail(ctx: QContext, v, t) -> float:
+    """t / |v|, taken on mpf where |v| overflows a double; inf at v = 0."""
+    m = ctx.mag(v)
+    if math.isinf(m):
+        return float(t / abs(v))
+    return t / m if m else math.inf
 
 
 def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
@@ -109,7 +119,8 @@ def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
     |value| (prod (1 + e_a) / prod (1 - e_b) - 1), summed in logs: the naive
     form cancels to 0 in doubles once e is near 1e-34.  A numerator factor
     that is zero makes the value zero; a denominator factor not bounded away
-    from zero (e_b >= 1) raises PoleError.
+    from zero (e_b >= 1) raises PoleError.  Where a factor or the value
+    overflows a double, e and the bound are taken on mpf magnitudes.
     """
     with ctx.workprec():
         facs = {}
@@ -121,15 +132,17 @@ def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
             v, t = facs[a]
             num = num * v
             if ctx.mag(v):
-                log_err += math.log1p(t / ctx.mag(v))
+                log_err += math.log1p(_rel_tail(ctx, v, t))
         for b in dens:
             v, t = facs[b]
-            if t >= ctx.mag(v):
+            e = _rel_tail(ctx, v, t)
+            if e >= 1:
                 raise PoleError(f"({b!r};q)_inf in a denominator is not bounded away from 0")
             den = den * v
-            log_err -= math.log1p(-t / ctx.mag(v))
+            log_err -= math.log1p(-e)
         value = num / den
-        return value, ctx.mag(value) * math.expm1(log_err)
+        tail = ctx.mag(value) * math.expm1(log_err)
+        return value, tail if math.isfinite(tail) else abs(value) * math.expm1(log_err)
 
 
 class QPochPrefix:
@@ -176,8 +189,8 @@ def qbinom_base(ctx: QContext, base, m: int, k: int):
 # basic hypergeometric series
 # ---------------------------------------------------------------------------
 
-def _is_q_negative_power(ctx: QContext, a, limit: int = 4096) -> Optional[int]:
-    """If a == q**-N exactly for some 0 <= N <= limit, return N."""
+def _is_q_negative_power(ctx: QContext, a) -> Optional[int]:
+    """If a == q**-N exactly for some 0 <= N <= 4096, return N."""
     if not ctx.is_exact:
         return None
     try:
@@ -190,7 +203,7 @@ def _is_q_negative_power(ctx: QContext, a, limit: int = 4096) -> Optional[int]:
         return None
     qf = ctx.q_fraction
     x = Fraction(1)
-    for n in range(limit + 1):
+    for n in range(4097):
         if x == av:
             return n
         x = x / qf

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .context import QContext
+from .context import QContext, as_fraction
 from .polyfamilies import FamilyTable, radial_reduce
 from .qkernel import aq_function, qpoch, qpoch_inf, theta4
 
@@ -210,14 +210,13 @@ def radial_zeros(ctx: QContext, family: str, m: int, n: int, b=None,
     """The min(m, n) circle radii of the (m, n) member: roots r = sqrt(x) of
     the radial factor in x = |z|^2, sorted decreasing, isolated on exact
     signs; certified_width is the largest relative width of the exact
-    brackets of x."""
+    brackets of x.  A radial factor with a non-real coefficient (a complex
+    b, say) raises ValueError."""
     if min(m, n) < 1:
         return ZeroSet(family, m, n, {"b": b}, [], 0.0)
     rf = radial_reduce(ctx.with_backend("exact") if not ctx.is_exact else ctx,
                        family, m, n, b=b)
-    coeffs = [Fraction(c) if not hasattr(c, "re") else Fraction(c.re)
-              for c in rf.radial_coeffs]
-    desc, _ = _integer_poly(coeffs)
+    desc, _ = _integer_poly([as_fraction(c) for c in rf.radial_coeffs])
     roots_x, width = _find_roots(desc, min(m, n), precision,
                                  abs(math.log2(ctx.q_fraction)), refine_top)
     with mp.workprec(_poly_prec_bits(precision)):

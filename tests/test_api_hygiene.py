@@ -178,13 +178,17 @@ def test_uncalled_finder_flags_a_name_read_only_by_itself():
     assert _uncalled(api, refs) == []
 
 
-def test_public_names_have_callers():
-    api, refs = {}, {}
+def _caller_paths():
     paths = [os.path.join(ROOT, f) for f in CALLER_FILES]
     for d in CALLER_DIRS:
         for dirpath, _, files in os.walk(os.path.join(ROOT, d)):
             paths += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
-    for path in sorted(paths):
+    return sorted(paths)
+
+
+def test_public_names_have_callers():
+    api, refs = {}, {}
+    for path in _caller_paths():
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         refs[path] = _references(tree, dotted_strings=path.startswith(
@@ -193,3 +197,94 @@ def test_public_names_have_callers():
             module = os.path.basename(path)[:-3]
             api.update({d: (path, node) for d, node in _public_api(module, tree).items()})
     assert _uncalled(api, refs) == NO_CALLER_YET
+
+
+# Every defaulted parameter is passed somewhere.  A parameter with a default
+# that no call among the callers above passes, by keyword or by position, is
+# a constant dressed as an option: make it one.  Calls are matched by the
+# function's name alone, and a call with *args or **kwargs passes
+# everything; calls on an attribute (obj.f(...)) or of a class (for its
+# __init__) skip the bound first parameter of a method.  The parameters of
+# the NO_CALLER_YET functions, which only unit tests reach, are exempt.
+
+def _defaulted(module, tree):
+    """[(dotted name, def name, is method, [(position or None, parameter)])]
+    of the functions in tree with defaulted parameters."""
+    out = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                params = [(i, p.arg) for i, p in enumerate(pos)
+                          if i >= len(pos) - len(a.defaults)]
+                params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None]
+                dotted = ".".join(scope + [child.name])
+                if params:
+                    out.append((dotted, child.name, in_class, params))
+                visit(child, scope + [child.name], False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, [module], False)
+    return out
+
+
+def _calls(tree):
+    """{called name: [(positional count, keywords, bound)]} of tree's calls;
+    a count or keyword set of None stands for *args or **kwargs."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            npos = (None if any(isinstance(x, ast.Starred) for x in n.args)
+                    else len(n.args))
+            kws = {k.arg for k in n.keywords}
+            call = (npos, None if None in kws else kws, isinstance(f, ast.Attribute))
+            out.setdefault(name, []).append(call)
+            if name and name[:1].isupper():  # a class call runs its __init__
+                out.setdefault("__init__", []).append(call[:2] + (True,))
+    return out
+
+
+def _passes(call, pos, param, method):
+    """Whether call passes the parameter param at position pos (None for
+    keyword-only) of a function, a method if method."""
+    npos, kws, bound = call
+    if npos is None or kws is None or param in kws:
+        return True
+    return pos is not None and npos > pos - (1 if method and bound else 0)
+
+
+def _never_passed(defs, calls):
+    """The dotted parameter names of defs that no call passes."""
+    return [f"{dotted}.{param}" for dotted, name, method, params in defs
+            for pos, param in params
+            if not any(_passes(c, pos, param, method) for c in calls.get(name, ()))]
+
+
+def test_never_passed_finder_flags_a_constant_parameter():
+    mod = ast.parse("def f(x, y=1, *, z=2):\n    return x + y + z\n"
+                    "def g(x, y=1):\n    return x + y\n"
+                    "class K:\n    def __init__(self, a=0):\n        self.a = a\n"
+                    "    def m(self, b=0):\n        return b\n")
+    use = ast.parse("f(1, z=3)\ng(*xs)\nK(5)\nk.m()\n")
+    assert _never_passed(_defaulted("m", mod), _calls(use)) == ["m.f.y", "m.K.m.b"]
+
+
+def test_defaulted_parameters_are_passed():
+    defs, calls = [], {}
+    for path in _caller_paths():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for name, found in _calls(tree).items():
+            calls.setdefault(name, []).extend(found)
+        if os.path.dirname(path) == SRC:
+            defs += _defaulted(os.path.basename(path)[:-3], tree)
+    exempt = tuple(name + "." for name in NO_CALLER_YET)
+    assert [p for p in _never_passed(defs, calls) if not p.startswith(exempt)] == []

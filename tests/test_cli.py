@@ -1,9 +1,14 @@
+import argparse
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from q2dpoly.cli import main
+from q2dpoly import cli
+from q2dpoly.cli import build_parser, main
+from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly.zeros import asymptotic_report
 
 
 def run(capsys, *argv):
@@ -113,9 +118,20 @@ def test_asym_csv(capsys):
     ("theta4_scaled", ["--sizes", "5,9,17", "--z1", "11/10", "--z2", "9/10"]),
 ])
 def test_asym_ignores_exact_backend(capsys, target, extra):
-    # asym always computes in floats, also at a q with a rational square root
+    # asym always computes in floats, also at a q with a rational square
+    # root: it takes no --backend and prints the float library report
     argv = ["asym", "--q", "1/4", "--target", target, *extra]
-    assert run(capsys, *argv, "--backend", "exact") == run(capsys, *argv)
+    assert main([*argv, "--backend", "exact"]) == 2
+    code, out = run(capsys, *argv)
+    opts = dict(zip(extra[::2], extra[1::2]))
+    sizes = [int(s) for s in opts.pop("--sizes").split(",")]
+    ctx = QContext(F(1, 4), sqrt_q="auto", backend="float", precision_bits=160,
+                   default_trunc=TruncationPolicy(max_terms=400, tail_tol=1e-32))
+    rep = asymptotic_report(ctx, target, sizes, {k[2:]: F(v) for k, v in opts.items()})
+    assert code == (0 if rep.monotone else 1)
+    assert json.loads(out) == {"target": target, "sizes": sizes,
+                               "errors": [repr(e) for e in rep.errors],
+                               "monotone": rep.monotone, "final_error": repr(rep.final_error)}
 
 
 def test_bad_q_is_config_error(capsys):
@@ -134,6 +150,17 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out = run(capsys, "eval", "--family", "H", "--m", "1", "--n", "1",
                     "--z1", "1", "--z2", "1", "--q", "1/4", "--config", str(cfg))
     assert code == 0 and out.strip() == "1/4"
+
+
+def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
+    # --precision abbreviates --precision-bits: the explicit 300 wins over the
+    # file's 60 as the full flag would
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision_bits": 60}))
+    argv = ("ortho", "--family", "H", "--max-index", "1", "--q", "1/4")
+    at_300 = run(capsys, *argv, "--precision-bits", "300")
+    assert run(capsys, *argv, "--precision", "300", "--config", str(cfg)) == at_300
+    assert run(capsys, *argv, "--config", str(cfg)) != at_300
 
 
 def test_output_file(tmp_path, capsys):
@@ -245,3 +272,50 @@ def test_ortho_h_exact_backend_is_config_error(capsys):
     assert code == 2
     assert got.out == ""
     assert got.err.startswith("config error:")
+
+
+# Every option a subcommand declares is read.  Each command below is parsed
+# into a namespace that records the attributes read from it; after parsing,
+# the config step and the handler must between them read every option the
+# subcommand declares, or the option is one a user can set and the command
+# silently ignores.  Both branches of asym are run.
+GUARD_COMMANDS = {
+    "eval": [["--family", "H", "--m", "1", "--n", "1", "--z1", "1", "--z2", "1"]],
+    "coeffs": [["--family", "p", "--m", "1", "--n", "0", "--b", "1/3"]],
+    "verify": [["--id", "H-TTR-a", "--max-m", "1", "--max-n", "1"]],
+    "ortho": [["--family", "H", "--max-index", "0", "--q", "1/4"]],
+    "zeros": [["--family", "H", "--m", "2", "--n", "2", "--q", "1/4"]],
+    "aqzeros": [["--count", "1", "--q", "1/4"]],
+    "asym": [["--target", "limH", "--sizes", "4,8", "--q", "1/4"],
+             ["--target", "Hmn_inf", "--sizes", "4,8", "--z1", "2", "--z2", "2"]],
+    "gram": [["--kind", "doh", "--N", "2", "--z", "1"]],
+}
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    reads = set()
+
+    def __getattribute__(self, name):
+        _ReadLog.reads.add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_declared_option_is_read(capsys):
+    ap = build_parser()
+    commands = next(a for a in ap._actions if a.dest == "cmd").choices
+    assert sorted(commands) == sorted(GUARD_COMMANDS)
+    unread = []
+    for cmd, argvs in GUARD_COMMANDS.items():
+        reads = set()
+        for argv in argvs:
+            argv = [cmd, *argv]
+            args = ap.parse_args(argv, _ReadLog())
+            _ReadLog.reads.clear()
+            args = cli._with_config(ap, argv, args)
+            assert args.fn(args) == 0, argv
+            reads |= _ReadLog.reads
+        unread += [f"{cmd}.{a.dest}" for a in commands[cmd]._actions
+                   if a.dest != "help" and a.dest not in reads]
+    assert unread == []

@@ -159,7 +159,6 @@ def test_report_json_schema(ctx):
         assert key in doc
 
 
-@pytest.mark.slow
 def test_numeric_suite_runs():
     trunc = TruncationPolicy(max_terms=400, tail_tol=1e-34)
     ctx = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=160,

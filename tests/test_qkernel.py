@@ -148,6 +148,23 @@ def test_phi_series_past_double_range(q):
         assert tail <= 1e-36 * abs(val)
 
 
+@pytest.mark.parametrize("q", [F(1, 10), F(1, 2)])
+def test_qpoch_inf_tails_past_double_range(q):
+    # (-x;q)_inf at x = q^-56 overflows a double (2.5e1596 at q = 1/10), yet
+    # its tail and the tail of (-x;q)_inf / (-xq;q)_inf = 1 + x stay finite
+    c = QContext(q, backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=1e-36))
+    with c.workprec():
+        x = c.qpow(-56)
+        val, tail = qpoch_inf(c, -x)
+        euler, euler_tail = phi_series(c, [], [], -x)
+        assert mpmath.isfinite(tail) and 0 < tail <= 1e-35 * abs(val)
+        assert abs(val - euler) <= tail + euler_tail
+        ratio, ratio_tail = qpoch_inf_ratio(c, [-x], [-x * c.q])
+        assert mpmath.isfinite(ratio_tail) and ratio_tail > 0
+        assert abs(ratio - (1 + x)) <= ratio_tail
+
+
 def test_phi_series_trivial(fctx):
     val, tail = phi_series(fctx, [fctx.scalar(F(1, 3))], [fctx.scalar(F(1, 5))], fctx.zero())
     assert val == 1 and tail == 0

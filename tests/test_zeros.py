@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from q2dpoly import zeros
+from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly.polyfamilies import radial_reduce
 from q2dpoly.qkernel import aq_function
@@ -37,6 +38,13 @@ def test_first_radius_closed_forms(ctx):
     assert abs(float(zs.radii[0]) - math.sqrt((1 - q) / q)) < 1e-12
     zs = radial_zeros(ctx, "pq", 1, 1, b=F(1, 4))
     assert abs(float(zs.radii[0]) - math.sqrt((1 - q) / (1 - q * q / 4))) < 1e-12
+
+
+def test_complex_radial_factor_refused(ctx):
+    # a complex b gives the pq radial factor complex coefficients, whose real
+    # parts alone have no claim to the member's zeros
+    with pytest.raises(ValueError):
+        radial_zeros(ctx, "pq", 3, 2, b=GR(F(1, 4), F(1, 3)))
 
 
 def test_scan_and_bisect_return_exact_roots():
