@@ -40,7 +40,8 @@ def _parse_point(text: str):
 # --config; each declares only the ones its handler reads
 _OPTIONS = {
     "sqrt-q": dict(default=None,
-                   help="square root of q (rational, or 'auto' on the float backend)"),
+                   help="square root of q: rational, or 'auto' (sqrt(q) on the float "
+                        "backend, the root of a square q on the exact one)"),
     "backend": dict(choices=("exact", "float"), default=None),
     "precision-bits": dict(type=int, default=160),
     "max-terms": dict(type=int, default=400),
@@ -135,30 +136,32 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .identities import (REGISTRY, exact_ids, exact_series_ids,
-                             list_identities, numeric_ids, sweep)
+    """Each entry runs on the backend of its mode: EXACT entries on the exact
+    context, NUMERIC ones on the float context (s = sqrt(q) unless --sqrt-q
+    is given); the reports come in (id, grid point) order."""
+    from .identities import exact_ids, exact_series_ids, get_entry, numeric_ids, sweep
 
     if args.all_exact:
         ids = exact_ids() + exact_series_ids()
-        backend = "exact"
     elif args.all_numeric:
         ids = numeric_ids()
-        backend = "float"
     elif args.id:
         ids = args.id
-        modes = {e.id: e.mode for e in list_identities()}
-        backend = "exact" if all(modes.get(i, "").startswith("EXACT") for i in ids) else "float"
     else:
         print("verify: need --id, --all-exact or --all-numeric", file=sys.stderr)
         return 2
-    ctx = _ctx_from(args, args.backend or backend, args.sqrt_q, _trunc(args))
-    if args.all_exact and ctx.s is None:
-        skipped = [i for i in ids if REGISTRY[i].needs_sqrt]
+    groups = {}  # backend -> ids
+    for i in ids:
+        groups.setdefault("exact" if get_entry(i).mode.startswith("EXACT") else "float",
+                          []).append(i)
+    ctxs = {backend: _ctx_from(args, backend, args.sqrt_q, _trunc(args)) for backend in groups}
+    if args.all_exact and ctxs["exact"].s is None:
+        skipped = [i for i in ids if get_entry(i).needs_sqrt]
         if skipped:
-            print(f"note: skipping entries needing q**(1/2) at q={ctx.q_fraction} "
+            print(f"note: skipping entries needing q**(1/2) at q={ctxs['exact'].q_fraction} "
                   f"(pass --sqrt-q or a square q): {', '.join(skipped)}",
                   file=sys.stderr)
-            ids = [i for i in ids if not REGISTRY[i].needs_sqrt]
+            groups["exact"] = [i for i in ids if i not in skipped]
     grid = {}
     if args.max_m is not None:
         grid["max_m"] = args.max_m
@@ -174,7 +177,9 @@ def cmd_verify(args) -> int:
         grid["mult_b"] = Fraction(rng.randint(1, 9), rng.randint(10, 19))
         grid["z1"] = GaussianRational(Fraction(rng.randint(1, 12), 8), Fraction(rng.randint(1, 8), 8))
         grid["z2"] = GaussianRational(Fraction(rng.randint(1, 12), 8), Fraction(-rng.randint(1, 8), 8))
-    reports = sweep(ctx, ids, grid, tol=args.tolerance)
+    reports = sorted((r for backend, group in groups.items()
+                      for r in sweep(ctxs[backend], group, grid, tol=args.tolerance)),
+                     key=lambda r: r.id)
     if args.seed is not None:
         for r in reports:
             r.extra["seed"] = args.seed
@@ -282,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--c", default=None)
-    _add_options(p, *_OPTIONS, formats=("pretty", "json", "csv"))
+    _add_options(p, "sqrt-q", "precision-bits", "max-terms", "tail-tol", "tolerance", "seed",
+                 formats=("pretty", "json", "csv"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("ortho", help="orthogonality audit (CSV table)")

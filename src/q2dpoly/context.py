@@ -222,8 +222,9 @@ class QContext:
     """Base q, optional square root s (s*s == q), backend and precision.
 
     On the exact backend ``q`` must be a fraction in (0, 1); ``sqrt_q`` is
-    either given (and validated) or derived when ``q`` is a perfect square of
-    rationals.  On the float backend ``sqrt_q="auto"`` computes s = sqrt(q).
+    either given (and validated) or, when None or "auto", derived when ``q``
+    is a perfect square of rationals.  On the float backend ``sqrt_q="auto"``
+    computes s = sqrt(q).
     """
 
     def __init__(
@@ -249,7 +250,7 @@ class QContext:
 
         if backend == "exact":
             self.q = qfrac
-            if sqrt_q is None:
+            if sqrt_q in (None, "auto"):
                 self.s = _exact_sqrt(qfrac)  # may be None
             else:
                 sfrac = Fraction(sqrt_q)
@@ -365,23 +366,6 @@ class QContext:
         if isinstance(x, (int, Fraction)):
             return abs(float(x))
         return float(mpmath.fabs(x))
-
-    def with_backend(self, backend: str) -> "QContext":
-        s_arg = None
-        if self.s is not None:
-            if self.is_exact:
-                s_arg = self.s
-            elif backend == "float":
-                s_arg = "auto"
-            else:
-                s_arg = _exact_sqrt(self.q_fraction)  # None when irrational
-        return QContext(
-            self.q_fraction,
-            sqrt_q=s_arg,
-            backend=backend,
-            precision_bits=self.precision_bits,
-            default_trunc=self.default_trunc,
-        )
 
     def __repr__(self):
         s = "None" if self.s is None else str(self.s)

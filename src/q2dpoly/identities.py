@@ -289,11 +289,11 @@ def _default_grid(entry: IdentityEntry, params: Dict) -> List[Dict]:
 def _run_point(ctx: QContext, entry: IdentityEntry, pt: Dict):
     """Run one grid point: (residual, tail, info).
 
-    An exact checker returns its residual object (LHS - RHS as a BivarPoly
-    or TruncatedBiSeries), never a float; it is reported as its largest
-    coefficient, compared exactly by ctx.abs2, or None when it is exactly
-    zero, i.e. stores no coefficient (both residual types drop zero
-    coefficients on construction), with tail 0.0.  A numeric residual is a
+    An exact checker returns its residual object (LHS - RHS as a BivarPoly,
+    a TruncatedBiSeries for the series entries), never a float; it is
+    reported as its largest coefficient, compared exactly by ctx.abs2, or
+    None when it is exactly zero, i.e. stores no coefficient (a BivarPoly
+    drops zero coefficients on construction), with tail 0.0.  A numeric residual is a
     float magnitude.
     """
     with ctx.workprec():

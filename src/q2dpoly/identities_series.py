@@ -141,6 +141,14 @@ def gf_disk(ctx, pt):
             cs[(m, n)] = (eval_poly(coeffs(ctx, "C_disk", m, n, nu=nu), z1, z2)
                           / (math.factorial(m) * math.factorial(n)))
     lhs = TBS(ctx, N, cs)
-    base = (TBS.one(ctx, N) - TBS.monomial(ctx, N, z1, 1, 0)
-            - TBS.monomial(ctx, N, z2, 0, 1) + TBS.monomial(ctx, N, 1, 1, 1))
-    return lhs - base.pow_fraction(-nu)
+    # the binomial series (1 - w)^-nu = sum_k (nu)_k w^k / k! in
+    # w = u z1 + v z2 - uv, which has no constant term, so w^k starts at order k
+    w = (TBS.monomial(ctx, N, z1, 1, 0) + TBS.monomial(ctx, N, z2, 0, 1)
+         - TBS.monomial(ctx, N, 1, 1, 1))
+    rhs = power = TBS.one(ctx, N)
+    c = F(1)
+    for k in range(1, N + 1):
+        power = power * w
+        c = c * (nu + k - 1) / k
+        rhs = rhs + power * c
+    return lhs - rhs

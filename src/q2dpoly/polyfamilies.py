@@ -60,20 +60,29 @@ class BivarPoly:
         self.meta = meta or {}
 
     # -- ring operations ----------------------------------------------------
+    def _like(self, coeffs: Dict[Key, object], other) -> "BivarPoly":
+        """The result of a ring operation of self with other (a scalar, or
+        self for a negation), built from its coefficients.  The ring
+        operations build through this hook, so a subclass keeps its kind and
+        fields (a truncated series keeps the lower order); a polynomial with
+        a series gives a series."""
+        if isinstance(other, BivarPoly) and not isinstance(self, type(other)):
+            return other._like(coeffs, self)
+        return BivarPoly(self.ctx, coeffs)
+
     def __add__(self, other):
+        out = dict(self.coeffs)
         if isinstance(other, BivarPoly):
-            out = dict(self.coeffs)
             for k, c in other.coeffs.items():
                 out[k] = out.get(k, self.ctx.zero()) + c
-            return BivarPoly(self.ctx, out)
-        out = dict(self.coeffs)
-        out[(0, 0)] = out.get((0, 0), self.ctx.zero()) + other
-        return BivarPoly(self.ctx, out)
+        else:
+            out[(0, 0)] = out.get((0, 0), self.ctx.zero()) + other
+        return self._like(out, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly(self.ctx, {k: -c for k, c in self.coeffs.items()})
+        return self._like({k: -c for k, c in self.coeffs.items()}, self)
 
     def __sub__(self, other):
         if isinstance(other, BivarPoly):
@@ -85,13 +94,13 @@ class BivarPoly:
 
     def __mul__(self, other):
         if not isinstance(other, BivarPoly):
-            return BivarPoly(self.ctx, {k: c * other for k, c in self.coeffs.items()})
+            return self._like({k: c * other for k, c in self.coeffs.items()}, other)
         out: Dict[Key, object] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, self.ctx.zero()) + c1 * c2
-        return BivarPoly(self.ctx, out)
+        return self._like(out, other)
 
     __rmul__ = __mul__
 
@@ -152,7 +161,8 @@ class BivarPoly:
     def __repr__(self):
         items = sorted(self.coeffs)[:8]
         inner = ", ".join(f"z1^{i} z2^{j}: {self.coeffs[(i,j)]}" for i, j in items)
-        return f"BivarPoly({{{inner}{', ...' if len(self.coeffs) > 8 else ''}}})"
+        more = ", ..." if len(self.coeffs) > 8 else ""
+        return f"{type(self).__name__}({{{inner}{more}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +373,12 @@ class RadialForm:
     the index symmetry and the monomial sits on z2 (``swapped`` is set).
     """
 
-    def __init__(self, ctx, family, m, n, prefactor, radial_kind, radial_params,
-                 radial_coeffs, swapped: bool):
+    def __init__(self, ctx, angular_index: int, prefactor, radial_coeffs):
         self.ctx = ctx
-        self.family = family
-        self.m = m
-        self.n = n
         self.prefactor = prefactor
-        self.radial_kind = radial_kind
-        self.radial_params = radial_params
         self.radial_coeffs = radial_coeffs  # coefficients in x = z1 z2
-        self.angular_index = m - n
-        self.swapped = swapped
+        self.angular_index = angular_index
+        self.swapped = angular_index < 0
 
     def radial_value(self, x):
         x = self.ctx.scalar(x)
@@ -400,17 +404,14 @@ def radial_reduce(ctx: QContext, family: str, m: int, n: int, b=None) -> RadialF
     Wall polynomial is little q-Jacobi at b = 0.
     Inputs with m < n are routed through the index symmetry.
     """
-    swapped = m < n
-    mm, nn = (n, m) if swapped else (m, n)
+    mm, nn = (n, m) if m < n else (m, n)
     alpha = mm - nn
     if family == "Hq":
         pref = ((-1) ** nn * ctx.qq(mm) * ctx.qpow(nn * (nn - 1) // 2) / ctx.qq(mm - nn))
         rc = little_q_jacobi_coeff_list(ctx, ctx.qpow(alpha), 0, nn)
-        kind, params = "Wall", {"a": f"q^{alpha}"}
     elif family == "hq":
         pref = (-1) ** nn * ctx.qq(nn)
         rc = q_laguerre_coeff_list(ctx, alpha, nn)
-        kind, params = "qLaguerre", {"alpha": alpha}
     elif family == "pq":
         if b is None:
             raise ValueError("pq needs b")
@@ -418,10 +419,9 @@ def radial_reduce(ctx: QContext, family: str, m: int, n: int, b=None) -> RadialF
         pref = ((-1) ** nn * ctx.qpow(nn * (nn - 1) // 2) * qpoch(ctx, bb * ctx.q, mm)
                 * qpoch(ctx, ctx.qpow(alpha + 1), nn))
         rc = little_q_jacobi_coeff_list(ctx, ctx.qpow(alpha), bb, nn)
-        kind, params = "littleQJacobi", {"a": f"q^{alpha}", "b": b}
     else:
         raise ValueError(f"no radial reduction for family {family!r}")
-    return RadialForm(ctx, family, m, n, pref, kind, params, rc, swapped)
+    return RadialForm(ctx, m - n, pref, rc)
 
 
 # ---------------------------------------------------------------------------

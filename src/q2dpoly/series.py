@@ -1,38 +1,36 @@
 """Truncated bivariate formal power series in (u, v).
 
-The carrier for both sides of every generating-function identity: arithmetic
-is exact modulo total degree, so two series agree up to order N iff their
-coefficient maps are identical.  Exact-backend coefficients are (Gaussian)
-rationals; float-backend coefficients are mpmath numbers.
+The carrier for both sides of every generating-function identity: a
+:class:`~q2dpoly.polyfamilies.BivarPoly` in (u, v) known exactly for total
+degree i + j <= order, so two series agree up to order N iff their
+coefficient maps are identical.  The ring operations are the polynomial
+ones; a result keeps the lower order of its operands, and the product drops
+the terms above it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from mpmath import mp
-
-from .context import QContext, is_zero
+from .context import QContext
+from .polyfamilies import BivarPoly, Key
 
 __all__ = ["TruncatedBiSeries"]
 
-Key = Tuple[int, int]
 
-
-class TruncatedBiSeries:
+class TruncatedBiSeries(BivarPoly):
     """A power series sum c[i,j] u^i v^j known exactly for i + j <= order."""
 
-    __slots__ = ("ctx", "order", "coeffs")
+    __slots__ = ("order",)
 
     def __init__(self, ctx: QContext, order: int, coeffs: Optional[Dict[Key, object]] = None):
-        self.ctx = ctx
         self.order = order
-        self.coeffs: Dict[Key, object] = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i + j <= order and not is_zero(c):
-                    self.coeffs[(i, j)] = c
+        super().__init__(ctx, coeffs and {k: c for k, c in coeffs.items()
+                                          if k[0] + k[1] <= order})
+
+    def _like(self, coeffs, other) -> "TruncatedBiSeries":
+        return TruncatedBiSeries(self.ctx, min(self.order, getattr(other, "order", self.order)),
+                                 coeffs)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -65,34 +63,11 @@ class TruncatedBiSeries:
             r += 1
         return cls(ctx, order, out)
 
-    # -- ring operations ----------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, TruncatedBiSeries):
-            out = dict(self.coeffs)
-            for k, c in other.coeffs.items():
-                out[k] = out.get(k, self.ctx.zero()) + c
-            return TruncatedBiSeries(self.ctx, min(self.order, other.order), out)
-        out = dict(self.coeffs)
-        out[(0, 0)] = out.get((0, 0), self.ctx.zero()) + other
-        return TruncatedBiSeries(self.ctx, self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedBiSeries(self.ctx, self.order, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedBiSeries) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
+    # -- the truncating product ----------------------------------------------
     def __mul__(self, other):
-        if not isinstance(other, TruncatedBiSeries):
-            return TruncatedBiSeries(
-                self.ctx, self.order, {k: c * other for k, c in self.coeffs.items()}
-            )
-        N = min(self.order, other.order)
+        if not isinstance(other, BivarPoly):
+            return self._like({k: c * other for k, c in self.coeffs.items()}, other)
+        N = min(self.order, getattr(other, "order", self.order))
         out: Dict[Key, object] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
@@ -103,63 +78,3 @@ class TruncatedBiSeries:
         return TruncatedBiSeries(self.ctx, N, out)
 
     __rmul__ = __mul__
-
-    def log1p_part(self) -> "TruncatedBiSeries":
-        """log(self) for a series with constant term exactly 1."""
-        c0 = self.coeffs.get((0, 0), self.ctx.zero())
-        if c0 != 1:
-            raise ValueError("log needs constant term 1")
-        t = TruncatedBiSeries(
-            self.ctx, self.order, {k: c for k, c in self.coeffs.items() if k != (0, 0)}
-        )
-        out = TruncatedBiSeries(self.ctx, self.order)
-        power = TruncatedBiSeries.one(self.ctx, self.order)
-        for k in range(1, self.order + 1):
-            power = power * t
-            if not power.coeffs:
-                break
-            out = out + power * (Fraction((-1) ** (k + 1), k) if self.ctx.is_exact else ((-1) ** (k + 1) / mp.mpf(k)))
-        return out
-
-    def exp_part(self) -> "TruncatedBiSeries":
-        """exp(self) for a series with zero constant term."""
-        if (0, 0) in self.coeffs:
-            raise ValueError("exp needs zero constant term")
-        out = TruncatedBiSeries.one(self.ctx, self.order)
-        power = TruncatedBiSeries.one(self.ctx, self.order)
-        fact = 1
-        for k in range(1, self.order + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            fact *= k
-            out = out + power * (Fraction(1, fact) if self.ctx.is_exact else 1 / mp.mpf(fact))
-        return out
-
-    def pow_fraction(self, e: Fraction) -> "TruncatedBiSeries":
-        """self**e for rational e, constant term 1 (via exp(e log self))."""
-        return (self.log1p_part() * (e if self.ctx.is_exact else float(e))).exp_part()
-
-    # -- queries -------------------------------------------------------------
-    def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), self.ctx.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        return self._zero_diff(other)
-
-    def _zero_diff(self, other) -> bool:
-        N = min(self.order, other.order)
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k[0] + k[1] > N:
-                continue
-            if not is_zero(self.coeff(*k) - other.coeff(*k)):
-                return False
-        return True
-
-    def __repr__(self):
-        terms = sorted(self.coeffs)[:6]
-        inner = ", ".join(f"u^{i} v^{j}: {self.coeffs[(i,j)]}" for i, j in terms)
-        return f"TruncatedBiSeries(order={self.order}, {{{inner}{', ...' if len(self.coeffs) > 6 else ''}}})"
-

@@ -214,8 +214,7 @@ def radial_zeros(ctx: QContext, family: str, m: int, n: int, b=None,
     b, say) raises ValueError."""
     if min(m, n) < 1:
         return ZeroSet(family, m, n, {"b": b}, [], 0.0)
-    rf = radial_reduce(ctx.with_backend("exact") if not ctx.is_exact else ctx,
-                       family, m, n, b=b)
+    rf = radial_reduce(ctx if ctx.is_exact else QContext(ctx.q_fraction), family, m, n, b=b)
     desc, _ = _integer_poly([as_fraction(c) for c in rf.radial_coeffs])
     roots_x, width = _find_roots(desc, min(m, n), precision,
                                  abs(math.log2(ctx.q_fraction)), refine_top)

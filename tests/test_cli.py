@@ -68,6 +68,24 @@ def test_verify_needs_sqrt_config_error(capsys):
     assert code == 1
 
 
+def test_verify_runs_each_entry_on_the_backend_of_its_mode(capsys):
+    # an EXACT entry listed beside a NUMERIC one still runs exactly
+    code, out = run(capsys, "verify", "--id", "H-TTR-a", "--id", "COR19-AQ", "--q", "1/3",
+                    "--max-m", "1", "--max-n", "1", "--format", "json")
+    docs = json.loads(out)
+    assert code == 0 and [d["id"] for d in docs] == ["COR19-AQ"] + ["H-TTR-a"] * 4
+    _, alone = run(capsys, "verify", "--id", "H-TTR-a", "--q", "1/3",
+                   "--max-m", "1", "--max-n", "1", "--format", "json")
+    assert docs[1:] == json.loads(alone)
+    assert all(d["residual"] == "0" for d in docs[1:])
+    # --sqrt-q auto gives the exact entries the rational root of a square q
+    code, out = run(capsys, "verify", "--id", "h-GF", "--id", "COR19-AQ", "--q", "9/25",
+                    "--sqrt-q", "auto", "--format", "json")
+    docs = json.loads(out)
+    assert code == 0 and docs[1]["id"] == "h-GF" and docs[1]["residual"] == "0"
+    assert main(["verify", "--id", "H-TTR-a", "--backend", "exact"]) == 2
+
+
 def test_verify_without_selector_is_config_error(capsys):
     code = main(["verify", "--q", "1/2"])
     assert code == 2

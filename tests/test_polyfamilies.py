@@ -110,7 +110,6 @@ def test_radial_prefactors_match_reductions(ctx):
     # h_{n,n}: prefactor (-1)^n (q;q)_n with an order-0 q-Laguerre factor
     rf = radial_reduce(ctx, "hq", 3, 3)
     assert rf.prefactor == -ctx.qq(3) * -1 * -1  # (-1)^3 (q;q)_3
-    assert rf.radial_kind == "qLaguerre" and rf.radial_params["alpha"] == 0
     # p_{m,m}: prefactor (-1)^m q^C(m,2) (bq;q)_m (q;q)_m
     rf = radial_reduce(ctx, "pq", 2, 2, b=B)
     assert rf.prefactor == ctx.qpow(1) * qpoch(ctx, B * q, 2) * ctx.qq(2)

@@ -4,7 +4,8 @@ import pytest
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
-from q2dpoly.polyfamilies import coeffs, eval_poly
+from q2dpoly.identities import check_identity
+from q2dpoly.polyfamilies import BivarPoly, coeffs, eval_poly
 from q2dpoly.series import TruncatedBiSeries as TBS
 
 
@@ -25,15 +26,28 @@ def test_mul_and_reciprocal_roundtrip(ctx):
         assert s * TBS.poch_factor(ctx, 8, F(2, 3), i, j, inverse=True) == TBS.one(ctx, 8)
 
 
-def test_exp_log_roundtrip(ctx):
-    s = TBS(ctx, 7, {(0, 0): F(1), (1, 0): F(1, 3), (0, 2): F(2, 7)})
-    assert s.log1p_part().exp_part() == s
+def test_ring_results_keep_the_series_kind_and_lower_order(ctx):
+    # the polynomial ring operations build series that keep the lower order
+    a = TBS(ctx, 3, {(0, 0): F(1), (1, 2): F(2), (2, 1): F(5)})
+    b = TBS(ctx, 5, {(0, 0): F(1), (3, 2): F(7), (1, 1): F(1, 3)})
+    for r in (a + b, b + a, a - b, b - a, 2 - b, b + 1, -b, a * b, b * F(1, 2), 3 * b):
+        assert type(r) is TBS
+    assert (a + b).order == (b - a).order == (a * b).order == 3
+    assert (a + b).coeffs == {(0, 0): F(2), (1, 2): F(2), (2, 1): F(5), (1, 1): F(1, 3)}
+    assert (b - b).coeffs == {} and (b * F(1, 2)).order == 5
+    # a polynomial meets a series as a series of the series' order
+    P = BivarPoly(ctx, {(0, 0): F(1), (4, 0): F(1)})
+    for r in (P + a, a + P, a - P, P * a, a * P):
+        assert type(r) is TBS and r.order == 3 and (4, 0) not in r.coeffs
+    assert (P * a).coeffs == (a * P).coeffs == a.coeffs
 
 
-def test_pow_fraction_squares(ctx):
-    s = TBS(ctx, 6, {(0, 0): F(1), (1, 0): F(1, 4), (0, 1): F(1, 5)})
-    assert s.pow_fraction(F(2)) == s * s
-    assert s.pow_fraction(F(1, 2)) * s.pow_fraction(F(1, 2)) == s
+@pytest.mark.parametrize("nu", [F(3, 2), F(1, 2), F(5, 3)])
+def test_disk_gf_binomial_series(ctx, nu):
+    # (1 - w)^-nu = sum_k (nu)_k w^k / k! against the C_disk coefficients
+    for order in (8, 10):
+        rep = check_identity(ctx, "DISK-GF", {"nu": nu, "order": order})
+        assert rep.passed and rep.residual == "0"
 
 
 def test_poch_factor_inverse_pair(ctx):

@@ -58,7 +58,7 @@ def test_scan_and_bisect_return_exact_roots():
 
 def _first_scan_grid(ctx, family):
     # the scan points radial_zeros tries first, as in zeros._find_roots
-    coeffs = [F(c) for c in radial_reduce(ctx.with_backend("exact"), family, 1, 1).radial_coeffs]
+    coeffs = [F(c) for c in radial_reduce(QContext(ctx.q_fraction), family, 1, 1).radial_coeffs]
     desc, _ = _integer_poly(coeffs)
     hi, lo = _root_log2(desc), -_root_log2(desc[::-1])
     npts = int(8 * (hi - lo) / abs(math.log2(ctx.q_fraction))) + 2
@@ -99,7 +99,7 @@ def test_radial_brackets_hold_exact_sign_changes(q):
             zs = radial_zeros(c, fam, m, n, b=b)
             w = F(zs.certified_width)
             assert 0 < w <= F(1, 10**20)
-            rc = radial_reduce(c.with_backend("exact"), fam, m, n, b=b).radial_coeffs
+            rc = radial_reduce(QContext(q), fam, m, n, b=b).radial_coeffs
             coeffs = [F(getattr(cf, "re", cf)) for cf in rc]
             for r in zs.radii:
                 with mpmath.workprec(400):
