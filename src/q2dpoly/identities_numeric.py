@@ -11,6 +11,7 @@ capped index boxes, which reproduces the capped constrained sum exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Tuple
 
@@ -224,14 +225,24 @@ def num_p_conn_H_inv(ctx, pt):
     lhs = eval_poly(coeffs(ctx, "Hq", m_, n_), z1, z2)
     inv, inv_tail = qpoch_inf_ratio(ctx, (), [b * ctx.q])
     P = coeffs(ctx, "pq", m_, n_, b=b)
+    beta = b * s ** (m_ + n_ + 2)
+    # |p(s^k z)| <= A for every k, since s^k <= 1
+    A = sum(ctx.mag(c) * ctx.mag(z1) ** i * ctx.mag(z2) ** j for (i, j), c in P.coeffs.items())
+    bmag, qf = ctx.mag(beta), float(ctx.q_fraction)
+    tr = ctx.default_trunc
     total = ctx.zero()
-    for k in range(160):
-        term = ((-b * s ** (m_ + n_ + 2)) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
-                * eval_poly(P.dilate(s**k, s**k), z1, z2))
-        total = total + term
-        if ctx.mag(term) < 1e-35 and k > 6:
+    for k in range(tr.max_terms):
+        coef = (-beta) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
+        total = total + coef * eval_poly(P.dilate(s**k, s**k), z1, z2)
+        # the terms after k: |coef_{k+1}| = t_next, every later coefficient
+        # ratio |beta| q^k' / (1 - q^{k'+1}) is at most rho, and each
+        # |p(s^k' z)| <= A, so they sum to at most A t_next / (1 - rho)
+        t_next = ctx.mag(coef) * bmag * qf**k / (1 - qf ** (k + 1))
+        rho = bmag * qf ** (k + 1) / (1 - qf)
+        cut = A * t_next / (1 - rho) if rho < 1 else math.inf
+        if cut <= tr.tail_tol:
             break
-    return ctx.mag(lhs - inv * total), inv_tail * ctx.mag(total) + 1e-30, {}
+    return ctx.mag(lhs - inv * total), inv_tail * ctx.mag(total) + ctx.mag(inv) * cut, {}
 
 
 def num_gf_shift_p(ctx, pt):

@@ -84,12 +84,17 @@ def gf_shift_H(ctx, pt):
     pref = (TBS.poch_factor(ctx, N, ctx.qpow(j + k), 1, 1)
             * TBS.poch_factor(ctx, N, z1, 1, 0, inverse=True)
             * TBS.poch_factor(ctx, N, z2, 0, 1, inverse=True))
+    # z1^{j-l} (q^l v / z1;q)_{j-l} = prod_{i<j-l} (z1 - q^{l+i} v), and so for
+    # z2^{k-l} (q^j u / z2;q)_{k-l}: the sum needs no powers of z1, z2
     total = TBS(ctx, N)
     for l in range(min(j, k) + 1):
         c = (qbinom(ctx, j, l) * qbinom(ctx, k, l) * ctx.qpow(l * (l - 1) // 2)
-             * (-1) ** l * ctx.qq(l) * z1 ** (j - l) * z2 ** (k - l))
-        t = finite_poch_series(ctx, N, ctx.qpow(l) / z1, 0, 1, j - l)
-        t = t * finite_poch_series(ctx, N, ctx.qpow(j) / z2, 1, 0, k - l)
+             * (-1) ** l * ctx.qq(l))
+        t = TBS.one(ctx, N)
+        for i in range(j - l):
+            t = t * (TBS.monomial(ctx, N, z1, 0, 0) - TBS.monomial(ctx, N, ctx.qpow(l + i), 0, 1))
+        for i in range(k - l):
+            t = t * (TBS.monomial(ctx, N, z2, 0, 0) - TBS.monomial(ctx, N, ctx.qpow(j + i), 1, 0))
         t = t * finite_poch_series(ctx, N, z2, 0, 1, l)
         total = total + c * t
     return lhs - pref * total

@@ -117,14 +117,28 @@ class BivarPoly:
 
     # -- substitutions ------------------------------------------------------
     def dilate(self, c1=1, c2=1) -> "BivarPoly":
-        """Substitute z1 -> c1 z1, z2 -> c2 z2."""
+        """Substitute z1 -> c1 z1, z2 -> c2 z2.
+
+        The powers of c1 and c2 come from one table per variable (see
+        :func:`_power_table`), so each coefficient is the per-term
+        ``c * c1**i * c2**j`` in value and type, bit for bit on the float
+        backend.
+        """
+        p1 = _power_table(self.ctx, c1, (i for i, _ in self.coeffs))
+        p2 = _power_table(self.ctx, c2, (j for _, j in self.coeffs))
         return BivarPoly(
-            self.ctx, {(i, j): c * c1**i * c2**j for (i, j), c in self.coeffs.items()}
+            self.ctx, {(i, j): c * p1[i] * p2[j] for (i, j), c in self.coeffs.items()}
         )
 
     def dilate_q(self, e1: int = 0, e2: int = 0) -> "BivarPoly":
-        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents)."""
-        return self.dilate(self.ctx.qpow(e1), self.ctx.qpow(e2))
+        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents); the
+        factors q^(e1 i) and q^(e2 j) are read from the context's q-power
+        table."""
+        qpow = self.ctx.qpow
+        return BivarPoly(
+            self.ctx,
+            {(i, j): c * qpow(e1 * i) * qpow(e2 * j) for (i, j), c in self.coeffs.items()},
+        )
 
     def div_monomial(self, i0: int, j0: int) -> "BivarPoly":
         """Exact division by z1^i0 z2^j0; raises if not divisible."""
@@ -239,12 +253,38 @@ def _rising(a, n: int, ctx: QContext):
     return out
 
 
+def _power_table(ctx: QContext, z, exps):
+    """The powers z**e for the exponents e >= 0 in exps, indexed by e.
+
+    Exact backend: the list z**0, z**0 * z, ... up to the largest exponent,
+    by successive products.  Starting from z**0 keeps z's type (a
+    GaussianRational stays one even at a real value), and exact products
+    give the values of the powers.  Float backend: z**e for each distinct
+    exponent only, so every entry has the bits of the per-term power.
+    """
+    if not ctx.is_exact:
+        return {e: z**e for e in set(exps)}
+    table = [z**0]
+    for _ in range(max(exps, default=0)):
+        table.append(table[-1] * z)
+    return table
+
+
 def eval_poly(P: BivarPoly, z1, z2):
-    """Evaluate at scalars; float backend sums terms largest magnitude first."""
+    """Evaluate at scalars; float backend sums terms largest magnitude first.
+
+    Each term is ``c * z1**i * z2**j`` with the powers read from one table
+    per variable (see :func:`_power_table`): on the exact backend every term
+    has the value and type of the per-term powers, and on the float backend
+    the same bits, summed in the same order.
+    """
     ctx = P.ctx
     z1 = ctx.scalar(z1)
     z2 = ctx.scalar(z2)
-    terms = [c * z1**i * z2**j for (i, j), c in sorted(P.coeffs.items())]
+    items = sorted(P.coeffs.items())
+    p1 = _power_table(ctx, z1, (i for (i, _), _ in items))
+    p2 = _power_table(ctx, z2, (j for (_, j), _ in items))
+    terms = [c * p1[i] * p2[j] for (i, j), c in items]
     if not terms:
         return ctx.zero()
     if not ctx.is_exact:

@@ -48,18 +48,23 @@ class TruncatedBiSeries(BivarPoly):
 
         The monomial degree must be positive so the expansion terminates at the
         truncation order:  (x;q)_inf = sum (-x)^r q^C(r,2) / (q;q)_r  and
-        1/(x;q)_inf = sum x^r / (q;q)_r with x = c u^i v^j.
+        1/(x;q)_inf = sum x^r / (q;q)_r with x = c u^i v^j.  The powers of c
+        (or -c) are successive products from its zeroth power, so each has
+        the type and value of the per-term power.
         """
         if i + j <= 0:
             raise ValueError("poch_factor needs a positive-degree monomial")
         out: Dict[Key, object] = {}
+        base = c if inverse else -c
+        power = base**0
         r = 0
         while r * (i + j) <= order:
             if inverse:
-                coef = c**r / ctx.qq(r)
+                coef = power / ctx.qq(r)
             else:
-                coef = (-c) ** r * ctx.qpow(r * (r - 1) // 2) / ctx.qq(r)
+                coef = power * ctx.qpow(r * (r - 1) // 2) / ctx.qq(r)
             out[(r * i, r * j)] = coef
+            power = power * base
             r += 1
         return cls(ctx, order, out)
 

@@ -95,6 +95,19 @@ def test_closed_form_tail_bounds_residual(id_, tail_tol):
     assert float(rep.residual) <= rep.tail_bound, (rep.residual, rep.tail_bound)
 
 
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 5)])
+@pytest.mark.parametrize("tail_tol", [1e-34, 1e-32])
+@pytest.mark.parametrize("pt", [{}, {"m": 5, "n": 5, "b": F(3, 4)}])
+def test_p_conn_h_inv_tail_bounds_residual(q, tail_tol, pt):
+    # the k-loop stops on the policy and reports a bound on the terms it
+    # cuts, so the tail tracks tail_tol instead of a constant 1e-30 floor
+    c = QContext(q, sqrt_q="auto", backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
+    rep = check_identity(c, "p-CONN-H-INV", pt, tol=1e-9)
+    assert rep.passed
+    assert float(rep.residual) <= rep.tail_bound <= 100 * tail_tol, (rep.residual, rep.tail_bound)
+
+
 @pytest.mark.parametrize("tail_tol", [1e-34, 1e-32])
 def test_gis_pgf_tail_bounds_residual(tail_tol):
     # the base-q^5 products carry their own tails, so the bound tracks the

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
+from q2dpoly.identities import check_identity
 from q2dpoly.polyfamilies import (BivarPoly, FamilyTable, coeffs, eval_poly,
                                   little_q_jacobi_coeff_list, poly_to_json,
                                   q_laguerre_coeff_list, radial_reduce, wall_poly)
@@ -329,3 +331,103 @@ def test_radial_lists_equal_per_coefficient_formula():
                     assert little_q_jacobi_coeff_list(c, a, 0, n) == wall
                     assert q_laguerre_coeff_list(c, alpha, n) == lag
                     assert little_q_jacobi_coeff_list(c, a, B, n) == jac
+
+
+# ---------------------------------------------------------------------------
+# power tables against per-term powers, and the exact products they take
+# ---------------------------------------------------------------------------
+
+POWER_POINTS = [1, F(1, 2), GR(0, 1), GR(F(3, 2), F(1, 2))]
+POWER_CASES = [("Hq", {}), ("hq", {}), ("pq", {"b": B}), ("pq", {"b": GR(F(1, 4), F(1, 3))}),
+               ("H_classical", {}), ("C_disk", {"nu": F(3, 2)})]
+Q_SHIFTS = [(0, 0), (1, 0), (0, 1), (-1, -1), (2, -3)]
+
+
+def _per_term_eval(P, z1, z2):
+    """eval_poly with one power per term (the reference for its power tables)."""
+    ctx = P.ctx
+    z1, z2 = ctx.scalar(z1), ctx.scalar(z2)
+    terms = [c * z1**i * z2**j for (i, j), c in sorted(P.coeffs.items())]
+    if not terms:
+        return ctx.zero()
+    if not ctx.is_exact:
+        terms.sort(key=ctx.mag, reverse=True)
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _same(a, b):
+    # on the float backend == compares the exact binary values, so the bits
+    return type(a) is type(b) and a == b
+
+
+def _same_coeffs(P, ref):
+    ref = BivarPoly(P.ctx, ref).coeffs
+    return P.coeffs.keys() == ref.keys() and all(_same(P.coeffs[k], ref[k]) for k in ref)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_power_tables_equal_per_term_powers(backend):
+    c = QContext(F(2, 5), backend=backend, precision_bits=160)
+    pts = [c.scalar(z) for z in POWER_POINTS]
+    with c.workprec():
+        polys = [BivarPoly(c)] + [coeffs(c, fam, m, n, **kw) for fam, kw in POWER_CASES
+                                  for m in range(7) for n in range(7)]
+        # each point beside itself and beside the next one, so every pair of
+        # scalar types meets
+        pairs = list(zip(pts, pts)) + list(zip(pts, pts[1:] + pts[:1]))
+        for P in polys:
+            for z1, z2 in pairs:
+                assert _same(eval_poly(P, z1, z2), _per_term_eval(P, z1, z2))
+                assert _same_coeffs(P.dilate(z1, z2), {
+                    (i, j): a * z1**i * z2**j for (i, j), a in P.coeffs.items()})
+            for e1, e2 in Q_SHIFTS:
+                # q^(e1 i) itself, as ctx.qpow gives it; on the exact backend
+                # the same value and type as qpow(e1)**i
+                assert _same_coeffs(P.dilate_q(e1, e2), {
+                    (i, j): a * c.q ** (e1 * i) * c.q ** (e2 * j)
+                    for (i, j), a in P.coeffs.items()})
+
+
+def test_exact_paths_take_no_gaussian_powers(monkeypatch):
+    real_pow = GR.__pow__
+
+    def zeroth_only(self, n):
+        if n != 0:
+            raise AssertionError("a per-term power of a GaussianRational")
+        return real_pow(self, n)
+
+    ctx = QContext(F(2, 5))
+    q = ctx.q
+    bc = GR(F(1, 4), F(1, 3))
+    value = FamilyTable(ctx, "pq", Z1, Z2, b=bc)[4, 3]
+    monkeypatch.setattr(GR, "__pow__", zeroth_only)
+    P = coeffs(ctx, "pq", 4, 3, b=bc)
+    assert eval_poly(P, Z1, Z2) == value
+    assert eval_poly(P.dilate(Z1, Z2), 1, 1) == value
+    assert eval_poly(P.dilate_q(1, -2), Z1, Z2) == eval_poly(P, q * Z1, Z2 / q**2)
+    rep = check_identity(QContext(F(9, 25), sqrt_q=F(3, 5)), "GF-SHIFT-H",
+                         {"order": 6, "j": 2, "k": 1})
+    assert rep.passed and rep.residual == "0"
+
+
+A = GR(F(3, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("x, y", [
+    (A, 3), (A, 0), (A, F(-2, 7)), (A, GR(F(5, 3))), (GR(F(5, 3)), A),
+    (GR(F(5, 3)), GR(F(-1, 4))), (GR(0), GR(0, 1)), (A, GR(F(-2, 3), F(7, 5))),
+    (GR(0, 1), GR(0, 1)),
+])
+def test_gaussian_products_equal_four_product_formula(x, y):
+    u, v = (w if isinstance(w, GR) else GR(w) for w in (x, y))
+    ref = GR(u.re * v.re - u.im * v.im, u.re * v.im + u.im * v.re)
+    for got in (x * y, y * x):
+        assert type(got) is GR and got == ref
+        assert type(got.re) is F and type(got.im) is F
+
+
+def test_gaussian_product_with_a_float_is_not_implemented():
+    assert GR(1, 1).__mul__(mpf(2)) is NotImplemented
