@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .context import GaussianRational, MissingSqrtError, QContext, TruncationPolicy
 from .polyfamilies import coeffs, eval_poly, poly_to_json
-from .reports import VerificationReport, reports_all_pass, reports_to_json, scalar_str
+from .reports import VerificationReport, reports_to_json, scalar_str
 
 FAMILY_MAP = {"H": "Hq", "h": "hq", "p": "pq", "Hc": "H_classical", "C": "C_disk"}
 
@@ -103,7 +103,7 @@ def _emit_reports(args, reports: List[VerificationReport]) -> int:
             lines.append(f"{mark} {r.id:18s} mode={r.mode:16s} residual={r.residual}"
                          f" tail={float(r.tail_bound):.2e}{note}")
         _emit(args, "\n".join(lines))
-    return 0 if reports_all_pass(reports) else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +341,20 @@ def _with_config(ap: argparse.ArgumentParser, argv, args: argparse.Namespace):
     """args, or with --config argv parsed again with the file's values as
     the defaults of the subcommand's own options, so explicit flags win
     (abbreviated ones too; an appending flag, verify --id, extends the
-    file's list)."""
+    file's list).  A file that is not a JSON object, or that names an option
+    the subcommand does not declare, is a configuration error."""
     if not args.config:
         return args
     with open(args.config) as fh:
-        doc = {key.replace("-", "_"): val for key, val in json.load(fh).items()}
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.config}: expected a JSON object of option defaults")
+    doc = {key.replace("-", "_"): val for key, val in doc.items()}
     p = next(a for a in ap._actions if a.dest == "cmd").choices[args.cmd]
-    p.set_defaults(**{a.dest: doc[a.dest] for a in p._actions if a.dest in doc})
+    unknown = sorted(set(doc) - {a.dest for a in p._actions if a.dest != "help"})
+    if unknown:
+        raise ValueError(f"{args.config}: {args.cmd} has no option {', '.join(unknown)}")
+    p.set_defaults(**doc)
     return ap.parse_args(argv)
 
 

@@ -192,6 +192,9 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[objec
     H_discrete / p_discrete: normalized so H gives (q;q)_n delta_{mn}
     (Cor.-19 convention).  h_continuous: the dx dy/(pi (-z zbar;q)_inf)
     convention, so the (j, j) moment is (q;q)_j log(1/q) q^{-C(j+1,2)}.
+    Returns (value, tail).  The discrete tail bounds the error of the
+    product: the raw moment's tail times |(q;q)_inf| plus the tail of
+    (q;q)_inf times |raw moment|.
     """
     if m != n:
         return ctx.zero(), 0.0
@@ -200,7 +203,7 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[objec
         return val, tail
     with ctx.workprec():
         inf_val, t2 = qpoch_inf(ctx, ctx.q)
-        return val * inf_val, tail * ctx.mag(inf_val) + t2
+        return val * inf_val, tail * ctx.mag(inf_val) + t2 * ctx.mag(val)
 
 
 # ---------------------------------------------------------------------------

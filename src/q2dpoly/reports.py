@@ -18,7 +18,7 @@ import mpmath
 
 from .context import GaussianRational
 
-__all__ = ["VerificationReport", "numeric_verdict", "reports_to_json", "reports_all_pass"]
+__all__ = ["VerificationReport", "numeric_verdict", "reports_to_json"]
 
 
 def scalar_str(x) -> str:
@@ -72,7 +72,3 @@ class VerificationReport:
 
 def reports_to_json(reports: List[VerificationReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=1)
-
-
-def reports_all_pass(reports: List[VerificationReport]) -> bool:
-    return all(r.passed for r in reports)

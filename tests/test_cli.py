@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import os
+import shlex
 from fractions import Fraction as F
 
 import pytest
@@ -181,6 +183,22 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     assert run(capsys, *argv, "--config", str(cfg)) != at_300
 
 
+@pytest.mark.parametrize("cmd, doc", [
+    ("asym", [{"precision_bits": 200}]),     # not an object
+    ("asym", {"precison_bits": 200}),        # misspelt option
+    ("zeros", {"precision_bits": 200}),      # option zeros does not declare
+])
+def test_config_file_bad_input_is_config_error(tmp_path, capsys, cmd, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = {"asym": ["--target", "limH", "--sizes", "4,8", "--q", "1/4"],
+            "zeros": ["--family", "H", "--m", "2", "--n", "2", "--q", "1/4"]}[cmd]
+    code = main([cmd, *argv, "--config", str(cfg)])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run(capsys, "coeffs", "--family", "H", "--m", "1", "--n", "0",
@@ -337,3 +355,35 @@ def test_every_declared_option_is_read(capsys):
         unread += [f"{cmd}.{a.dest}" for a in commands[cmd]._actions
                    if a.dest != "help" and a.dest not in reads]
     assert unread == []
+
+
+# The README's "Studies" block is the front end of the paper-scale studies:
+# every q2dpoly line in it is run here, so the documented commands cannot go
+# stale.
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
+    with open(README) as fh:
+        block = fh.read().split("## Studies", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("q2dpoly ")]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv) == 0, argv
+    outputs = {argv[argv.index("--output") + 1]: argv[0] for argv in lines if "--output" in argv}
+    assert len(lines) == 13
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+    # the one line without --output, aqzeros, prints its JSON
+    assert len(json.loads(capsys.readouterr().out)["zeros"]) == 3
+    header = "m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"
+    for name, rows in (("ortho_H.csv", 6**4), ("ortho_p.csv", 6**4), ("ortho_h.csv", 5**4)):
+        text = (tmp_path / name).read_text().splitlines()
+        assert text[0] == header and len(text) == rows + 1, name
+    asym = [name for name, cmd in outputs.items() if cmd == "asym"]
+    assert len(asym) == 7
+    for name in asym:
+        assert (tmp_path / name).read_text().startswith("size,error"), name
+    for name in ("exact_sweep.json", "exact_series.json"):
+        docs = json.loads((tmp_path / name).read_text())
+        assert docs and all(d["pass"] for d in docs), name

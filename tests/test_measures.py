@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import os
 from fractions import Fraction as F
 
 import mpmath
@@ -337,6 +335,19 @@ def test_p_moment_tail_bounds_truncation_error_for_negative_b(fctx, b):
             assert tail >= abs(val - ref), (b, h)
 
 
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 4), F(3, 4), F(9, 10)])
+def test_h_discrete_moment_tail_bounds_error(q):
+    # the normalized (n, n) moment is (q;q)_n; its tail must cover the tail
+    # of (q;q)_inf times the raw moment, which exceeds 1 and grows as q -> 1
+    for tail_tol in (1e-12, 1e-20, 1e-34):
+        ctx = QContext(q, backend="float", precision_bits=160,
+                       default_trunc=TruncationPolicy(500, tail_tol))
+        for n in range(8):
+            val, tail = moment(ctx, RadialMeasure("H_discrete", K=400), n, n)
+            with ctx.workprec():
+                assert abs(val - ctx.qq(n)) <= tail, (tail_tol, n)
+
+
 def test_moment_tables_shared_across_callers(monkeypatch, fctx):
     # one memo for every table: a longer table serves a shorter request
     monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
@@ -346,22 +357,3 @@ def test_moment_tables_shared_across_callers(monkeypatch, fctx):
     assert measures._radial_moments(fctx, meas, 3) == long[:4]
     inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
     assert len(measures._H_MOMENT_CACHE) == 1
-
-
-def test_ortho_audit_script_runs(tmp_path, monkeypatch, capsys):
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", "ortho_audit.py")
-    spec = importlib.util.spec_from_file_location("ortho_audit", path)
-    audit = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(audit)
-    monkeypatch.chdir(tmp_path)
-    assert audit.main() == 0
-    out = capsys.readouterr().out
-    for fam in ("Hq", "pq", "hq"):
-        assert f"{fam}: worst diagonal rel" in out
-    sizes = {"ortho_H.csv": 6**4, "ortho_p.csv": 6**4, "ortho_h.csv": 5**4}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(sizes)
-    for name, rows in sizes.items():
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == "m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"
-        assert len(lines) == rows + 1

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import os
 from fractions import Fraction as F
 
 import mpmath
@@ -270,19 +268,3 @@ def test_asymptotics_boundary_exact(ctx2):
 def test_theta4_scaled_rejects_bad_sizes(ctx2):
     with pytest.raises(ValueError):
         asymptotic_report(ctx2, "theta4_scaled", [6], {})
-
-
-def test_zero_limit_study_script_runs(tmp_path, monkeypatch, capsys):
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", "zero_limit_study.py")
-    spec = importlib.util.spec_from_file_location("zero_limit_study", path)
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
-    monkeypatch.chdir(tmp_path)
-    assert study.main() == 0
-    out = capsys.readouterr().out
-    for target in ("limH", "limp", "limh", "Hmn_inf", "p_inf", "PR_h", "theta4_scaled"):
-        assert f"{target}: final" in out
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [f"zerolimit_{t}.csv" for t in ("limH", "limp", "limh")]
-        + [f"asym_{t}.csv" for t in ("Hmn_inf", "p_inf", "PR_h", "theta4_scaled")])
