@@ -337,12 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value_ok(action: argparse.Action, val) -> bool:
+    """A config value is a string (converted as the flag's text would be)
+    or of the option's type: a bool for a switch, a list of strings for an
+    appending flag, an int for type=int, an int or float for type=float; and
+    one of the option's choices, if it has any."""
+    if action.nargs == 0:
+        return isinstance(val, bool)
+    if isinstance(action, argparse._AppendAction):
+        return isinstance(val, list) and all(isinstance(v, str) for v in val)
+    types = {int: (int,), float: (int, float)}.get(action.type, ())
+    typed = isinstance(val, str) or (not isinstance(val, bool) and isinstance(val, types))
+    return typed and (action.choices is None or val in action.choices)
+
+
 def _with_config(ap: argparse.ArgumentParser, argv, args: argparse.Namespace):
     """args, or with --config argv parsed again with the file's values as
     the defaults of the subcommand's own options, so explicit flags win
     (abbreviated ones too; an appending flag, verify --id, extends the
-    file's list).  A file that is not a JSON object, or that names an option
-    the subcommand does not declare, is a configuration error."""
+    file's list).  A file that is not a JSON object, or that gives an option
+    the subcommand lacks or a value of the wrong type, is a configuration error."""
     if not args.config:
         return args
     with open(args.config) as fh:
@@ -351,9 +365,13 @@ def _with_config(ap: argparse.ArgumentParser, argv, args: argparse.Namespace):
         raise ValueError(f"{args.config}: expected a JSON object of option defaults")
     doc = {key.replace("-", "_"): val for key, val in doc.items()}
     p = next(a for a in ap._actions if a.dest == "cmd").choices[args.cmd]
-    unknown = sorted(set(doc) - {a.dest for a in p._actions if a.dest != "help"})
+    actions = {a.dest: a for a in p._actions if a.dest != "help"}
+    unknown = sorted(set(doc) - set(actions))
     if unknown:
         raise ValueError(f"{args.config}: {args.cmd} has no option {', '.join(unknown)}")
+    for key, val in doc.items():
+        if not _config_value_ok(actions[key], val):
+            raise ValueError(f"{args.config}: {val!r} is not a value of --{key.replace('_', '-')}")
     p.set_defaults(**doc)
     return ap.parse_args(argv)
 

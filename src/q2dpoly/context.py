@@ -208,11 +208,10 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls every truncated infinite sum/product in the library.
-
-    max_terms bounds the number of retained terms, tail_tol the admissible
-    bound on the discarded tail.  A context's ``default_trunc`` is the one
-    policy every function reads; none takes a policy of its own.
+    """Controls the truncated products and series of the kernel: max_terms
+    bounds the retained terms, tail_tol the discarded tail.  A context's
+    ``default_trunc`` is the one policy they read.  ``sum2d``,
+    ``paired_diagonal_sum`` and BES-WALL's k-sums have fixed budgets (README).
     """
 
     max_terms: int = 200
@@ -279,7 +278,7 @@ class QContext:
                     self.s = mp.mpf(sfrac.numerator) / sfrac.denominator
         self._qq_cache = [self.one()]  # (q;q)_n prefix products
         self._qpow_cache = {}  # n (exact) or (n, mp.prec) (float) -> q**n
-        # exact family members built by polyfamilies.coeffs, shared by its callers
+        # family members built by polyfamilies.coeffs (float: per mp.prec), shared
         self.coeffs_memo = {}
 
     # -- basic scalars -----------------------------------------------------

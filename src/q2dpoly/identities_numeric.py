@@ -19,7 +19,7 @@ import mpmath
 from mpmath import mp
 
 from .context import QContext
-from .polyfamilies import FamilyTable, coeffs, eval_poly, radial_reduce, wall_poly
+from .polyfamilies import FamilyTable, coeffs, eval_poly, little_q_jacobi_coeff_list, radial_reduce
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
                       qbinom, qbinom_base, qpoch, qpoch_inf, qpoch_inf_ratio,
                       schur_a, schur_b)
@@ -560,21 +560,20 @@ def num_bes_wall(ctx, pt):
     x2 = x * x
     qalpha = ctx.qpow(nidx)
 
-    # LHS: [t^n] of the closed product, by roots-of-unity extraction
-    M = 96
-    acc = mp.mpc(0)
+    # LHS: [t^n] of the closed product, by roots-of-unity extraction on M nodes
     num, num_tail = qpoch_inf(ctx, x2)
-    node_tail = 0.0
-    for r in range(M):
-        zr = mpmath.exp(2j * mpmath.pi * r / M)
-        inv, inv_tail = qpoch_inf_ratio(ctx, (), [x * zr, x / zr])
-        acc += num * inv * zr ** (-nidx)
-        node_tail += ctx.mag(num) * inv_tail + num_tail * ctx.mag(inv)
-    lhs = acc / M
 
+    def node(zr):
+        inv, inv_tail = qpoch_inf_ratio(ctx, (), [x * zr, x / zr])
+        return num * inv, ctx.mag(num) * inv_tail + num_tail * ctx.mag(inv)
+
+    M = 97
+    lhs, node_tail = unity_filter_sum([{-nidx: 1}], weight=node, caps_range=M // 2)
+
+    # the Wall polynomials p_k(x; q^n|q): little q-Jacobi at b = 0
     tot_corr = ctx.zero()
     for k in range(140):
-        pk1 = wall_poly(ctx, qalpha, k, ctx.one())
+        pk1 = sum(little_q_jacobi_coeff_list(ctx, qalpha, 0, k))
         t_corr = (-1) ** k * ctx.qpow(k * (k - 1) // 2) * x2**k * pk1 / ctx.qq(k)
         tot_corr = tot_corr + t_corr
         if k > 10 and ctx.mag(t_corr) < 1e-32:
@@ -585,7 +584,7 @@ def num_bes_wall(ctx, pt):
     tot_printed = ctx.zero()
     prev = None
     for k in range(40):
-        pk = wall_poly(ctx, qalpha, k, x2)
+        pk = sum(c * x2**r for r, c in enumerate(little_q_jacobi_coeff_list(ctx, qalpha, 0, k)))
         t_pr = pk / (ctx.qq(k) * qpoch(ctx, qalpha * q, k))
         if prev is not None and ctx.mag(t_pr) > prev:
             break
@@ -600,7 +599,7 @@ def num_bes_wall(ctx, pt):
     info = {"printed_residual": float(r_printed), "printed_form_matches": False,
             "note": "printed bilateral GF premise refuted; certified Wall-sum "
                     "coefficient identity instead"}
-    return resid, 1e-24 + node_tail / M + float((ctx.mag(x)) ** (M - 3 * nidx - 2)), info
+    return resid, 1e-24 + node_tail + float((ctx.mag(x)) ** (M - 3 * nidx - 2)), info
 
 
 # ---------------------------------------------------------------------------

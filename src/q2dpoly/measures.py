@@ -225,19 +225,23 @@ def _angular_pairs(P: BivarPoly, Q: BivarPoly):
 
 
 def _closed_norm(ctx, family, m, n, b):
+    """The (m, n) norm as (value, tail of its cut (a;q)_inf products).  Hq
+    divides by (q;q)_inf = v(1 + d), |d| <= e: relative error <= e/(1-e)."""
     if family == "Hq":
-        inf_val = qpoch_inf(ctx, ctx.q)[0]
-        return ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n) / inf_val
+        inf_val, inf_tail = qpoch_inf_ratio(ctx, [ctx.q])
+        closed = ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n) / inf_val
+        e = inf_tail / ctx.mag(inf_val)
+        return closed, ctx.mag(closed) * e / (1 - e)
     if family == "pq":
         bb = ctx.scalar(b)
-        num = qpoch_inf(ctx, bb * ctx.q)[0]
-        den = qpoch_inf(ctx, ctx.q)[0]
-        return (num / den * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
-                * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
-                / (1 - bb * ctx.qpow(m + n + 1)))
+        ratio, ratio_tail = qpoch_inf_ratio(ctx, [bb * ctx.q], [ctx.q])
+        closed = (ratio * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
+                  * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
+                  / (1 - bb * ctx.qpow(m + n + 1)))
+        return closed, ctx.mag(closed) * ratio_tail / ctx.mag(ratio)
     # hq: pi log(1/q) (q;q)_m (q;q)_n / q^{((m-n)^2 + m + n)/2}, an integer power
     fac = ctx.qpow(-(((m - n) ** 2 + m + n) // 2))
-    return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * fac
+    return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * fac, 0.0
 
 
 def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
@@ -245,7 +249,9 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     """<P_{m,n}, P_{s,t}> for the family's orthogonality measure, with the
     known closed-form norm on the diagonal (0 off it).  The discrete
     measures are raw (not normalized), which matches the closed-form norms;
-    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments."""
+    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.  The
+    tail bounds the truncation error of value - closed_form (the moment sums'
+    cuts and the closed form's (a;q)_inf cuts), not its rounding."""
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")
@@ -266,8 +272,9 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
         if family == "hq":
             value = value * mp.pi
             tail = tail * float(mp.pi)
-        diagonal = (m == s and n == t)
-        closed = _closed_norm(ctx, family, m, n, b) if diagonal else ctx.zero()
+        closed, closed_tail = (_closed_norm(ctx, family, m, n, b) if (m, n) == (s, t)
+                               else (ctx.zero(), 0.0))
+        tail += closed_tail
         denom = max(1.0, ctx.mag(closed))
         rel = ctx.mag(value - closed) / denom
     return InnerProductResult(value=value, tail_bound=tail, closed_form=closed,
@@ -432,14 +439,6 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
             p_ = int(params.get("p", 2))
             s_ = int(params.get("s", 2))
             rpar = ctx.scalar(params.get("r", F(1, 2)))
-            Hcache = {}
-
-            def Hval(mm, nn, z1, z2):
-                key = (mm, nn)
-                if key not in Hcache:
-                    Hcache[key] = coeffs(ctx, "Hq", mm, nn)
-                return eval_poly(Hcache[key], z1, z2)
-
             qinf, qinf_tail = qpoch_inf(ctx, ctx.q)
 
             def integrand(th):
@@ -450,8 +449,8 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
                 tot = mp.mpc(0)
                 for j in range(p_ + 1):
                     for k in range(s_ + 1):
-                        tot += (Hval(j, k, rpar * e, rpar / e)
-                                * Hval(s_ - k, p_ - j, rpar * e, rpar / e)
+                        tot += (eval_poly(coeffs(ctx, "Hq", j, k), rpar * e, rpar / e)
+                                * eval_poly(coeffs(ctx, "Hq", s_ - k, p_ - j), rpar * e, rpar / e)
                                 / (ctx.qq(j) * ctx.qq(k) * ctx.qq(s_ - k) * ctx.qq(p_ - j)))
                 return w * tot, w_tail * ctx.mag(tot)
 

@@ -25,6 +25,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+import mpmath
+
 from .context import GaussianRational, QContext, conj, is_zero
 from .qkernel import QPochPrefix, qbinom, qpoch
 
@@ -35,7 +37,6 @@ __all__ = [
     "FamilyTable",
     "radial_reduce",
     "RadialForm",
-    "wall_poly",
     "q_laguerre_coeff_list",
     "little_q_jacobi_coeff_list",
     "poly_to_json",
@@ -186,10 +187,10 @@ class BivarPoly:
 def coeffs(ctx: QContext, family: str, m: int, n: int, b=None, nu=None) -> BivarPoly:
     """Exact coefficient map of the (m, n) member of a family.
 
-    On the exact backend each member is built once per context and the same
-    :class:`BivarPoly` is returned to every later caller, so the result is
-    shared and must be treated as immutable.  Float-backend members are
-    rebuilt on every call, since their values depend on ``mp.prec``.
+    Each member is built once per context, on the float backend once per
+    ``mp.prec`` (as ``QContext.qpow``'s table), and the same BivarPoly is
+    returned to every later caller, so the result is shared and must be
+    treated as immutable.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
@@ -197,11 +198,9 @@ def coeffs(ctx: QContext, family: str, m: int, n: int, b=None, nu=None) -> Bivar
         raise ValueError("pq needs the disk parameter b")
     if family == "C_disk" and nu is None:
         raise ValueError("C_disk needs the parameter nu")
-    if not ctx.is_exact:
-        return _build(ctx, family, m, n, b, nu)
     # the types are part of the key: Fraction(1, 4), GaussianRational(1/4)
     # and 0.25 hash alike but give different scalar types and meta
-    key = (family, m, n, type(b), b, type(nu), nu)
+    key = (family, m, n, type(b), b, type(nu), nu, None if ctx.is_exact else mpmath.mp.prec)
     P = ctx.coeffs_memo.get(key)
     if P is None:
         P = ctx.coeffs_memo[key] = _build(ctx, family, m, n, b, nu)
@@ -368,19 +367,6 @@ class FamilyTable:
 # terminating univariate families (radial factors)
 # ---------------------------------------------------------------------------
 
-def wall_poly(ctx: QContext, a, n: int, x):
-    """Little q-Laguerre / Wall polynomial p_n(x; a | q) = 2phi1(q^-n, 0; aq; q, qx)."""
-    a = ctx.scalar(a)
-    x = ctx.scalar(x)
-    total = ctx.one()
-    term = ctx.one()
-    for r in range(n):
-        den = (1 - ctx.qpow(r + 1)) * (1 - a * ctx.qpow(r + 1))
-        term = term * (1 - ctx.qpow(r - n)) * ctx.q * x / den
-        total = total + term
-    return total
-
-
 def q_laguerre_coeff_list(ctx: QContext, alpha: int, n: int) -> List[object]:
     top = QPochPrefix(ctx, ctx.qpow(-n))
     bot = QPochPrefix(ctx, ctx.qpow(alpha + 1))
@@ -474,8 +460,6 @@ def _scalar_strings(c) -> Tuple[str, str]:
     if isinstance(c, (int, Fraction)):
         return (str(Fraction(c)), "0")
     # float backend: decimal strings
-    import mpmath
-
     if isinstance(c, mpmath.mpc):
         return (mpmath.nstr(c.real, 17), mpmath.nstr(c.imag, 17))
     return (mpmath.nstr(c, 17), "0")

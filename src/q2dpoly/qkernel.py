@@ -12,10 +12,9 @@ majorant value is returned alongside the value.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .context import QContext, is_zero
+from .context import QContext, as_fraction, is_zero
 
 __all__ = [
     "DivergenceError",
@@ -190,25 +189,21 @@ def qbinom_base(ctx: QContext, base, m: int, k: int):
 # ---------------------------------------------------------------------------
 
 def _is_q_negative_power(ctx: QContext, a) -> Optional[int]:
-    """If a == q**-N exactly for some 0 <= N <= 4096, return N."""
+    """If a == q**-N exactly for some 0 <= N <= 4096, return N.  With q =
+    num/den, q**-N = den**N/num**N is in lowest terms, so a matches iff its
+    numerator and denominator are those powers; N comes from a logarithm."""
     if not ctx.is_exact:
         return None
     try:
-        from .context import as_fraction
-
         av = as_fraction(a)
     except (ValueError, TypeError):
         return None
     if av <= 0:
         return None
-    qf = ctx.q_fraction
-    x = Fraction(1)
-    for n in range(4097):
-        if x == av:
-            return n
-        x = x / qf
-        if x > av and n > 0 and x > av * (1 / qf):
-            break
+    num, den = ctx.q_fraction.numerator, ctx.q_fraction.denominator
+    N = round(math.log(av.numerator) / math.log(den))
+    if 0 <= N <= 4096 and av.numerator == den**N and av.denominator == num**N:
+        return N
     return None
 
 

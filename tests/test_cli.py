@@ -187,12 +187,18 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     ("asym", [{"precision_bits": 200}]),     # not an object
     ("asym", {"precison_bits": 200}),        # misspelt option
     ("zeros", {"precision_bits": 200}),      # option zeros does not declare
+    ("ortho", {"K": None}),                  # values of the wrong type
+    ("ortho", {"max_index": [2]}),
+    ("ortho", {"precision_bits": 200.5}),
+    ("gram", {"format": "xml"}),             # not one of the option's choices
 ])
 def test_config_file_bad_input_is_config_error(tmp_path, capsys, cmd, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     argv = {"asym": ["--target", "limH", "--sizes", "4,8", "--q", "1/4"],
-            "zeros": ["--family", "H", "--m", "2", "--n", "2", "--q", "1/4"]}[cmd]
+            "zeros": ["--family", "H", "--m", "2", "--n", "2", "--q", "1/4"],
+            "ortho": ["--family", "H", "--q", "1/4"],
+            "gram": ["--kind", "doH", "--N", "2", "--z", "1"]}[cmd]
     code = main([cmd, *argv, "--config", str(cfg)])
     got = capsys.readouterr()
     assert code == 2 and got.out == ""

@@ -12,9 +12,9 @@ from q2dpoly.measures import (RadialMeasure, _leading_minors_exact,
                               _minor_pivoted, angular_quadrature_check,
                               gram_matrix, gram_positivity,
                               h_radial_moments_batch, inner_product, moment,
-                              orthonormal_seq_check, qbeta_check)
+                              ortho_table, orthonormal_seq_check, qbeta_check)
 from q2dpoly.polyfamilies import BivarPoly, coeffs, eval_poly
-from q2dpoly.qkernel import qpoch_inf, qpoch_inf_ratio
+from q2dpoly.qkernel import qpoch, qpoch_inf, qpoch_inf_ratio
 
 TR = TruncationPolicy(max_terms=400, tail_tol=1e-36)
 
@@ -322,6 +322,46 @@ def test_discrete_moment_tables_match_closed_forms():
                           * mpmath.qp(bq, q) / mpmath.qp(q, q))
                 assert abs(val - closed) <= 1e-40 * abs(closed), (kind, b, h)
                 assert tail < 1e-40, (kind, b, h)
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(1, 2)])
+def test_discrete_moments_within_tail_of_closed_forms(q):
+    # H: (q;q)_h/(q;q)_inf, p: (q;q)_h (bq;q)_inf/((bq;q)_{h+1} (q;q)_inf),
+    # each within the moment's tail plus the closed form's; K = 30 keeps the
+    # cut above rounding at small h
+    ctx = QContext(q, backend="float", precision_bits=160,
+                   default_trunc=TruncationPolicy(400, 1e-40))
+    b = F(1, 4)
+    for kind in ("H_discrete", "p_discrete"):
+        table = measures._radial_moments(ctx, RadialMeasure(kind, b=b, K=30), 8)
+        with ctx.workprec():
+            bq = ctx.scalar(b) * ctx.q
+            if kind == "H_discrete":
+                inf, inf_tail = qpoch_inf_ratio(ctx, [], [ctx.q])
+            else:
+                inf, inf_tail = qpoch_inf_ratio(ctx, [bq], [ctx.q])
+            errs = []
+            for h, (val, tail) in enumerate(table):
+                fin = ctx.qq(h) / (1 if kind == "H_discrete" else qpoch(ctx, bq, h + 1))
+                errs.append(abs(val - fin * inf))
+                assert errs[h] <= tail + abs(fin) * inf_tail, (kind, h)
+        assert errs[0] >= table[0][1] / 10, kind  # at h = 0 the cut, not rounding, decides
+
+
+@pytest.mark.parametrize("tail_tol", [1e-36, 1e-40, 1e-46])
+def test_ortho_diagonal_error_within_tail(tail_tol):
+    # the closed form's (q;q)_inf cut enters the tail: at tail_tol 1e-36 the
+    # diagonal error is about 2.5e-37, where the moments' K-cut is near 1e-49.
+    # The tail bounds truncation, not rounding, and the diagonal values cancel
+    # by about 1e15 (4.8e-53 at (5, 5) and 160 bits), so the cuts are taken at
+    # 320 bits, where rounding is far below them
+    ctx = QContext(F(1, 4), backend="float", precision_bits=320,
+                   default_trunc=TruncationPolicy(500, tail_tol))
+    table, _, _ = ortho_table(ctx, "Hq", 5)
+    with ctx.workprec():
+        for (m, n, s, t), r in table.items():
+            if (m, n) == (s, t):
+                assert abs(r.value - r.closed_form) <= r.tail_bound, (m, n, tail_tol)
 
 
 @pytest.mark.parametrize("b", [-3, -10])

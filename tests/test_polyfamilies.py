@@ -6,14 +6,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext
 from q2dpoly.identities import check_identity
 from q2dpoly.polyfamilies import (BivarPoly, FamilyTable, coeffs, eval_poly,
                                   little_q_jacobi_coeff_list, poly_to_json,
-                                  q_laguerre_coeff_list, radial_reduce, wall_poly)
+                                  q_laguerre_coeff_list, radial_reduce)
 from q2dpoly.qkernel import qbinom, qpoch
 
 Z1 = GR(F(3, 2), F(1, 2))
@@ -120,9 +120,14 @@ def test_radial_prefactors_match_reductions(ctx):
     assert rf.prefactor == -(1 - q)
 
 
+def _wall(ctx, a, n, x):
+    """Wall p_n(x; a|q), summed from its little q-Jacobi list at b = 0."""
+    return sum(c * x**r for r, c in enumerate(little_q_jacobi_coeff_list(ctx, a, 0, n)))
+
+
 def test_univariate_values(ctx):
     x = F(3, 7)
-    assert wall_poly(ctx, ctx.qpow(2), 0, x) == 1
+    assert _wall(ctx, ctx.qpow(2), 0, x) == 1
 
 
 def test_wall_consistency_with_first_family(ctx):
@@ -131,7 +136,7 @@ def test_wall_consistency_with_first_family(ctx):
         for n in range(m + 1):
             v1 = eval_poly(coeffs(ctx, "Hq", m, n), 2, F(3, 2))
             v2 = ((-1) ** n * ctx.qq(m) * ctx.qpow(n * (n - 1) // 2) / ctx.qq(m - n)
-                  * 2 ** (m - n) * wall_poly(ctx, ctx.qpow(m - n), n, 3))
+                  * 2 ** (m - n) * _wall(ctx, ctx.qpow(m - n), n, 3))
             assert v1 == v2
 
 
@@ -222,11 +227,22 @@ def test_coeffs_memo_is_per_context():
     assert all(P.ctx is c2 for P in c2.coeffs_memo.values())
 
 
-def test_float_coeffs_not_memoized():
+def test_float_coeffs_memoized_per_precision():
+    # float members depend on mp.prec: one member per working precision,
+    # each equal to a fresh context's at that precision
+    def fresh():
+        return coeffs(QContext(F(2, 5), backend="float", precision_bits=160), "pq", 3, 2, b=B)
+
     fctx = QContext(F(2, 5), backend="float", precision_bits=160)
-    P = coeffs(fctx, "pq", 3, 2, b=B)
-    assert coeffs(fctx, "pq", 3, 2, b=B) is not P
-    assert not fctx.coeffs_memo
+    with mp.workprec(176):
+        P = coeffs(fctx, "pq", 3, 2, b=B)
+        assert coeffs(fctx, "pq", 3, 2, b=B) is P
+        assert P.coeffs == fresh().coeffs
+    with mp.workprec(80):
+        P80 = coeffs(fctx, "pq", 3, 2, b=B)
+        assert P80 is not P and P80.coeffs != P.coeffs
+        assert P80.coeffs == fresh().coeffs
+    assert len(fctx.coeffs_memo) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q2dpoly.context import GaussianRational as GR
-from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly.context import QContext, TruncationPolicy, as_fraction
 from q2dpoly import qkernel
 from q2dpoly.polyfamilies import BivarPoly
 from q2dpoly.qkernel import (DivergenceError, PoleError, aq_function,
@@ -163,6 +163,41 @@ def test_qpoch_inf_tails_past_double_range(q):
         ratio, ratio_tail = qpoch_inf_ratio(c, [-x], [-x * c.q])
         assert mpmath.isfinite(ratio_tail) and ratio_tail > 0
         assert abs(ratio - (1 + x)) <= ratio_tail
+
+
+def _q_negative_power_scan(ctx, a):
+    """The reference: walk q**0, q**-1, ... up to q**-4096 until a is met
+    or passed (exact contexts only)."""
+    if not ctx.is_exact:
+        return None
+    try:
+        av = as_fraction(a)
+    except (ValueError, TypeError):
+        return None
+    if av <= 0:
+        return None
+    x = F(1)
+    for n in range(4097):
+        if x == av:
+            return n
+        x = x / ctx.q_fraction
+        if x > av and n > 0 and x > av / ctx.q_fraction:
+            return None
+    return None
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 5), F(9, 25)])
+def test_q_negative_power_test_matches_scan(q):
+    ectx = QContext(q)
+    cands = [ectx.qpow(-N) * f for N in range(61) for f in (1, 1 + F(1, 7), 1 - F(1, 7))]
+    cands += [1, F(1), 0, F(-1), -ectx.qpow(-3), GR(ectx.qpow(-2)), GR(ectx.qpow(-2), 1),
+              GR(0, 1), ectx.q, 1 / (1 - ectx.q)]
+    for a in cands:
+        assert qkernel._is_q_negative_power(ectx, a) == _q_negative_power_scan(ectx, a), a
+    assert [qkernel._is_q_negative_power(ectx, ectx.qpow(-N)) for N in range(61)] == list(range(61))
+    fctx_ = QContext(q, backend="float")
+    for a in (1, fctx_.qpow(-3), fctx_.q):
+        assert qkernel._is_q_negative_power(fctx_, a) is None
 
 
 def test_phi_series_trivial(fctx):
