@@ -80,7 +80,8 @@ def _build_registry() -> Dict[str, IdentityEntry]:
     E: List[IdentityEntry] = []
     # --- first family -----------------------------------------------------
     E += [
-        _entry_series("H-GF", "eqGFHq: 'satisfy the relations'", se.gf_H, grid_kind="single"),
+        _entry_series("H-GF", "eqGFHq: 'satisfy the relations'",
+                      lambda c, p: se.gf_shift_H(c, dict(p, j=0, k=0)), grid_kind="single"),
         _entry_poly("H-SHIFT-1", "eq:Hp18", lambda c, p: ex.h_shift(c, p, 1)),
         _entry_poly("H-SHIFT-2", "eq:Hp19", lambda c, p: ex.h_shift(c, p, 2)),
         _entry_poly("H-SHIFT-3", "eq:Hp20", lambda c, p: ex.h_shift_diag(c, p, 1)),
@@ -99,11 +100,13 @@ def _build_registry() -> Dict[str, IdentityEntry]:
         _entry_poly("H-OPREP", "eqoprepH: 'the operational representation'", ex.h_oprep),
         _entry_num("H-GF-AB", "eqHmnu+v: 'have the generating function'", nm.num_gf_H_ab,
                    needs_sqrt=False, note="statement's (a/u;q)_n index typo read as m"),
-        _entry_poly("H-WALL", "eq:H2w: 'little q-Laguerre or Wall's'", ex.h_wall),
+        _entry_poly("H-WALL", "eq:H2w: 'little q-Laguerre or Wall's'",
+                    lambda c, p: ex.radial_expansion(c, p, "Hq")),
     ]
     # --- second family ----------------------------------------------------
     E += [
-        _entry_series("h-GF", "eq:hp3 (thm9)", se.gf_h, needs_sqrt=True, grid_kind="single"),
+        _entry_series("h-GF", "eq:hp3 (thm9)", lambda c, p: se.gf_shift_h(c, dict(p, j=0, k=0)),
+                      needs_sqrt=True, grid_kind="single"),
         _entry_poly("h-SHIFT-1", "eq:hp4", lambda c, p: ex.hh_shift(c, p, 1), note=_T_SHIFT),
         _entry_poly("h-SHIFT-2", "eq:hp5", lambda c, p: ex.hh_shift(c, p, 2), note=_T_SHIFT),
         _entry_poly("h-SHIFT-3", "eq:hp6", lambda c, p: ex.hh_shift_diag(c, p, 1), note=_T_SHIFT),
@@ -122,7 +125,8 @@ def _build_registry() -> Dict[str, IdentityEntry]:
                     lambda c, p: ex.hh_sl(c, p, 1), note=_T_SL),
         _entry_poly("h-SL-2", "eqqSLz2", lambda c, p: ex.hh_sl(c, p, 2), note=_T_SL),
         _entry_poly("h-QINV", "eqhvsH: 'transform to each other'", ex.hh_qinv),
-        _entry_poly("h-LAG", "eq:h2l: 'We note the relation'", ex.hh_lag),
+        _entry_poly("h-LAG", "eq:h2l: 'We note the relation'",
+                    lambda c, p: ex.radial_expansion(c, p, "hq")),
     ]
     # --- monomial expansions and connections -------------------------------
     E += [
@@ -133,7 +137,8 @@ def _build_registry() -> Dict[str, IdentityEntry]:
     ]
     # --- q-disk family ------------------------------------------------------
     E += [
-        _entry_num("p-GF", "eq:jp generating function", nm.num_gf_p, needs_sqrt=False),
+        _entry_num("p-GF", "eq:jp generating function",
+                   lambda c, p: nm.num_gf_shift_p(c, dict(p, j=0, k=0)), needs_sqrt=False),
         _entry_poly("p-CONN-BC", "'connection relation between the q-2D ultraspherical'",
                     ex.p_conn_bc,
                     note="verified per coefficient after exact Euler resummation; "

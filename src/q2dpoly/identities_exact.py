@@ -157,9 +157,11 @@ def h_oprep(ctx, pt):
     return coeffs(ctx, "Hq", m, n) - total
 
 
-def h_wall(ctx, pt):
+def radial_expansion(ctx, pt, family):
+    """eq:H2w (Hq, Wall) and eq:h2l (hq, q-Laguerre): the member equals its
+    radial reduction, expanded back into monomials."""
     m, n = pt["m"], pt["n"]
-    return coeffs(ctx, "Hq", m, n) - radial_reduce(ctx, "Hq", m, n).expand()
+    return coeffs(ctx, family, m, n) - radial_reduce(ctx, family, m, n).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +291,6 @@ def hh_qinv(ctx, pt):
     i = ctx.i_unit()
     rhs = ctx.qpow(-m * n) * i ** (-(m + n)) * coeffs(ctx, "Hq", m, n).dilate(i, i)
     return lhs - rhs
-
-
-def hh_lag(ctx, pt):
-    m, n = pt["m"], pt["n"]
-    return coeffs(ctx, "hq", m, n) - radial_reduce(ctx, "hq", m, n).expand()
 
 
 # ---------------------------------------------------------------------------

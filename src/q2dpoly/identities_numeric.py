@@ -22,7 +22,7 @@ from .context import QContext
 from .polyfamilies import FamilyTable, coeffs, eval_poly, little_q_jacobi_coeff_list, radial_reduce
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
                       qbinom, qbinom_base, qpoch, qpoch_inf, qpoch_inf_ratio,
-                      schur_a, schur_b)
+                      schur_a, schur_b, times)
 
 F = Fraction
 
@@ -195,25 +195,9 @@ def num_gf_H_ab(ctx, pt):
     lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
     # the closed form's k-sum is (a z1, b z2;q)inf 2phi2(a/u, b/v; a z1, b z2; q, uv)
-    pref, pref_tail = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
-    phi, phi_tail = phi_series(ctx, [a / u, b / v], [a * z1, b * z2], u * v)
-    tail = tail1 + ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(phi)
-    return ctx.mag(lhs - pref * phi), tail, {}
-
-
-def num_gf_p(ctx, pt):
-    """eq:jp generating function at scalars (2phi1 form)."""
-    z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
-    b = ctx.scalar(pt.get("b", F(1, 4)))
-    u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
-    cap = 48
-    Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
-    lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_, n_] * u**m_ * v**n_
-                      / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
-    pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v], [u * z1, v * z2])
-    phi, phi_tail = phi_series(ctx, [u * z1, v * z2], [u * v], b * ctx.q)
-    tail += ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(phi)
-    return ctx.mag(lhs - pref * phi), tail, {}
+    pref = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
+    rhs, rhs_tail = times(ctx, pref, phi_series(ctx, [a / u, b / v], [a * z1, b * z2], u * v))
+    return ctx.mag(lhs - rhs), tail1 + rhs_tail, {}
 
 
 def num_p_conn_H_inv(ctx, pt):
@@ -223,7 +207,7 @@ def num_p_conn_H_inv(ctx, pt):
     b = ctx.scalar(pt.get("b", F(1, 4)))
     s = ctx.q_half_pow(1)
     lhs = eval_poly(coeffs(ctx, "Hq", m_, n_), z1, z2)
-    inv, inv_tail = qpoch_inf_ratio(ctx, (), [b * ctx.q])
+    inv = qpoch_inf_ratio(ctx, (), [b * ctx.q])
     P = coeffs(ctx, "pq", m_, n_, b=b)
     beta = b * s ** (m_ + n_ + 2)
     # |p(s^k z)| <= A for every k, since s^k <= 1
@@ -242,22 +226,24 @@ def num_p_conn_H_inv(ctx, pt):
         cut = A * t_next / (1 - rho) if rho < 1 else math.inf
         if cut <= tr.tail_tol:
             break
-    return ctx.mag(lhs - inv * total), inv_tail * ctx.mag(total) + ctx.mag(inv) * cut, {}
+    rhs, rhs_tail = times(ctx, inv, (total, cut))
+    return ctx.mag(lhs - rhs), rhs_tail, {}
 
 
 def num_gf_shift_p(ctx, pt):
-    """eq:eqGFpplus (first printed variant) at scalars."""
+    """eq:eqGFpplus (first printed variant) at scalars.  At (j, k) = (0, 0)
+    the l-sum is one 2phi1 with coefficient 1 and this is eq:jp's generating
+    function, the registry's p-GF."""
     j, k = pt.get("j", 1), pt.get("k", 1)
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     b = ctx.scalar(pt.get("b", F(1, 4)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
-    cap = 44
+    cap = 48
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
 
-    pref, pref_tail = qpoch_inf_ratio(ctx, [b * ctx.q, u * v * ctx.qpow(j + k)],
-                                      [u * z1, v * z2])
+    pref = qpoch_inf_ratio(ctx, [b * ctx.q, u * v * ctx.qpow(j + k)], [u * z1, v * z2])
     # the l-sum of the closed form, with (v z2;q)_l (v z2 q^l;q)_i = (v z2;q)_i (v z2 q^i;q)_l,
     # is sum_i c_i (v z2;q)_i 2phi1(u z1, v z2 q^i; uv q^{j+k}; q, b q^{1+j+k-i})
     total, phi_tail = ctx.zero(), 0.0
@@ -271,8 +257,8 @@ def num_gf_shift_p(ctx, pt):
                             b * ctx.qpow(1 + j + k - i))
         total = total + c * phi
         phi_tail += ctx.mag(c) * t
-    tail += ctx.mag(pref) * phi_tail + pref_tail * ctx.mag(total)
-    return ctx.mag(lhs - pref * total), tail, {}
+    rhs, rhs_tail = times(ctx, pref, (total, phi_tail))
+    return ctx.mag(lhs - rhs), tail + rhs_tail, {}
 
 
 def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap):
@@ -301,18 +287,16 @@ def num_cor19_2phi1(ctx, pt):
         QPochPrefix(ctx, c), QPochPrefix(ctx, d),
         lambda m_, n_: pa(m_) * pb(n_) * s ** ((m_ - n_) ** 2),
         cap=44)
-    pr, pr_tail = qpoch_inf_ratio(ctx, [c / a, d / b], [c, d])
+    pr = qpoch_inf_ratio(ctx, [c / a, d / b], [c, d])
     arg = -c * d / (q * a * b * z1 * z2)
-    phi, phi_tail = phi_series(ctx, [a, b], [ctx.zero()], arg)
+    rhs, rhs_tail = times(ctx, pr, phi_series(ctx, [a, b], [ctx.zero()], arg))
     # 1phi1 form; the printed version drops two minus signs (ledger):
     # the correct bottom parameter and argument are -cd/(q b z1 z2), -cd/(q a z1 z2)
     beta = -c * d / (q * b * z1 * z2)
-    pr2, pr2_tail = qpoch_inf_ratio(ctx, [c / a, d / b, beta], [c, d, arg])
-    phi2, phi2_tail = phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2))
-    r = max(ctx.mag(lhs - pr * phi), ctx.mag(lhs - pr2 * phi2))
-    closed_tail = max(ctx.mag(pr) * phi_tail + pr_tail * ctx.mag(phi),
-                      ctx.mag(pr2) * phi2_tail + pr2_tail * ctx.mag(phi2))
-    return r, tail + closed_tail, {
+    pr2 = qpoch_inf_ratio(ctx, [c / a, d / b, beta], [c, d, arg])
+    rhs2, rhs2_tail = times(ctx, pr2, phi_series(ctx, [a], [beta], -c * d / (q * a * z1 * z2)))
+    r = max(ctx.mag(lhs - rhs), ctx.mag(lhs - rhs2))
+    return r, tail + max(rhs_tail, rhs2_tail), {
         "extension_claim": "untested outside |cdq/(ab z1 z2)|<1"}
 
 
@@ -324,9 +308,9 @@ def num_cor19_aq(ctx, pt):
         ctx, z1, z2, c / z1, d / z2,
         QPochPrefix(ctx, c * q), QPochPrefix(ctx, d * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
-    aqv, t1 = aq_function(ctx, c * d / (z1 * z2))
-    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * q, d * q])
-    return ctx.mag(lhs - aqv * inv), tail + ctx.mag(inv) * t1 + inv_tail * ctx.mag(aqv), {}
+    rhs, rhs_tail = times(ctx, aq_function(ctx, c * d / (z1 * z2)),
+                          qpoch_inf_ratio(ctx, (), [c * q, d * q]))
+    return ctx.mag(lhs - rhs), tail + rhs_tail, {}
 
 
 def num_cor19_aq2(ctx, pt):
@@ -337,9 +321,9 @@ def num_cor19_aq2(ctx, pt):
         ctx, z1, z2, c, d,
         QPochPrefix(ctx, c * z1 * q), QPochPrefix(ctx, d * z2 * q),
         lambda m_, n_: ctx.qpow(m_ * m_ - m_ * n_ + n_ * n_), cap=40)
-    aqv, t1 = aq_function(ctx, c * d)
-    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q])
-    return ctx.mag(lhs - aqv * inv), tail + ctx.mag(inv) * t1 + inv_tail * ctx.mag(aqv), {}
+    rhs, rhs_tail = times(ctx, aq_function(ctx, c * d),
+                          qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q]))
+    return ctx.mag(lhs - rhs), tail + rhs_tail, {}
 
 
 def num_gis_pgf(ctx, pt):
@@ -367,9 +351,8 @@ def num_gis_pgf(ctx, pt):
     sign = (-1) ** sidx * ctx.qpow(-(sidx * (sidx - 1) // 2))
     gis = sign * (am * r14 - bm * r23)
     gis_tail = ctx.mag(sign) * (ctx.mag(am) * t14 + ctx.mag(bm) * t23)
-    inv, inv_tail = qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q])
-    tail += inv_tail * ctx.mag(gis) + ctx.mag(inv) * gis_tail
-    return ctx.mag(lhs - gis * inv), tail, {"schur_convention": "a0=1 pinned by RR1"}
+    rhs, rhs_tail = times(ctx, (gis, gis_tail), qpoch_inf_ratio(ctx, (), [c * z1 * q, d * z2 * q]))
+    return ctx.mag(lhs - rhs), tail + rhs_tail, {"schur_convention": "a0=1 pinned by RR1"}
 
 
 def num_cor20_i2(ctx, pt):
@@ -387,10 +370,9 @@ def num_cor20_i2(ctx, pt):
     # printed q^nu = c d q^{-2}/b; the a -> infinity limit of the corrected
     # 1phi1 form yields q^nu = -c d q^{-2}/b (ledger)
     qnu = -c * d / (q * q * b)
-    bes, t1 = bessel_i2_series(ctx, qnu, b)
-    pref, pref_tail = qpoch_inf_ratio(ctx, [d * z2 / b, q], [c * z1, d * z2])
-    return (ctx.mag(lhs - pref * bes),
-            tail + ctx.mag(pref) * t1 + pref_tail * ctx.mag(bes), {})
+    bes = bessel_i2_series(ctx, qnu, b)
+    rhs, rhs_tail = times(ctx, qpoch_inf_ratio(ctx, [d * z2 / b, q], [c * z1, d * z2]), bes)
+    return ctx.mag(lhs - rhs), tail + rhs_tail, {}
 
 
 # --- Ramanujan-type generating functions -----------------------------------
@@ -561,11 +543,10 @@ def num_bes_wall(ctx, pt):
     qalpha = ctx.qpow(nidx)
 
     # LHS: [t^n] of the closed product, by roots-of-unity extraction on M nodes
-    num, num_tail = qpoch_inf(ctx, x2)
+    num = qpoch_inf(ctx, x2)
 
     def node(zr):
-        inv, inv_tail = qpoch_inf_ratio(ctx, (), [x * zr, x / zr])
-        return num * inv, ctx.mag(num) * inv_tail + num_tail * ctx.mag(inv)
+        return times(ctx, num, qpoch_inf_ratio(ctx, (), [x * zr, x / zr]))
 
     M = 97
     lhs, node_tail = unity_filter_sum([{-nidx: 1}], weight=node, caps_range=M // 2)
@@ -698,11 +679,10 @@ def num_circle(ctx, pt, radial=False):
                     * (-1) ** (m_ + n_) * x02**m_ * x13**n_)
     S2 = _box_block(ctx, J, lambda m_, n_: H1[m_, n_] * x[0] ** m_ * x[1] ** n_)
     S3 = _box_block(ctx, J, lambda m_, n_: H2[m_, n_] * x[2] ** m_ * x[3] ** n_)
-    qinf, qinf_tail = qpoch_inf(ctx, q)
+    qinf = qpoch_inf(ctx, q)
 
     def weight(z):  # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
-        w, w_tail = qpoch_inf_ratio(ctx, [s * z, s / z])
-        return qinf * w, ctx.mag(qinf) * w_tail + qinf_tail * ctx.mag(w)
+        return times(ctx, qinf, qpoch_inf_ratio(ctx, [s * z, s / z]))
 
     rhs, rhs_tail = unity_filter_sum([S1, S2, S3], weight=weight, caps_range=3 * J + 24)
     lhs, lhs_tail = qpoch_inf_ratio(

@@ -4,6 +4,8 @@ Both sides of each generating function are built as
 :class:`~q2dpoly.series.TruncatedBiSeries` in (u, v) up to a total order N,
 with the polynomial variables frozen at exact sample points.  Each checker
 returns the difference series, and the check passes iff it is exactly zero.
+The plain generating functions (eqGFHq, eq:hp3) are the shifted ones at
+(j, k) = (0, 0), so the registry runs the shifted checkers there.
 """
 
 from __future__ import annotations
@@ -35,52 +37,22 @@ def _zpoints(ctx, pt):
     return z1, z2
 
 
-def gf_H(ctx, pt):
-    """eqGFHq-type: sum H u^m v^n / ((q;q)_m (q;q)_n) == (uv;q)inf/((uz1,vz2;q)inf)."""
-    N = pt.get("order", 8)
-    z1, z2 = _zpoints(ctx, pt)
-    cs = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            cs[(m, n)] = eval_poly(coeffs(ctx, "Hq", m, n), z1, z2) / (ctx.qq(m) * ctx.qq(n))
-    lhs = TBS(ctx, N, cs)
-    rhs = (TBS.poch_factor(ctx, N, 1, 1, 1)
-           * TBS.poch_factor(ctx, N, z1, 1, 0, inverse=True)
-           * TBS.poch_factor(ctx, N, z2, 0, 1, inverse=True))
-    return lhs - rhs
-
-
-def gf_h(ctx, pt):
-    """The second family's GF (needs s):
-
-    sum h q^{(m-n)^2/2} u^m v^n / ((q;q)_m (q;q)_n)
-        == (-q^{1/2} u z1, -q^{1/2} v z2;q)inf / (-uv;q)inf.
-    """
-    N = pt.get("order", 8)
-    z1, z2 = _zpoints(ctx, pt)
-    s = ctx.q_half_pow(1)
-    cs = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            cs[(m, n)] = (eval_poly(coeffs(ctx, "hq", m, n), z1, z2)
-                          * s ** ((m - n) ** 2) / (ctx.qq(m) * ctx.qq(n)))
-    lhs = TBS(ctx, N, cs)
-    rhs = (TBS.poch_factor(ctx, N, -s * z1, 1, 0)
-           * TBS.poch_factor(ctx, N, -s * z2, 0, 1)
-           * TBS.poch_factor(ctx, N, -1, 1, 1, inverse=True))
-    return lhs - rhs
+def _lhs(ctx, N, value):
+    """The left side sum_{m+n <= N} value(m, n) u^m v^n as a series of order N."""
+    return TBS(ctx, N, {(m, n): value(m, n) for m in range(N + 1) for n in range(N + 1 - m)})
 
 
 def gf_shift_H(ctx, pt):
-    """Shifted-index GF for the first family (first printed variant)."""
+    """Shifted-index GF for the first family (first printed variant).  At
+    (j, k) = (0, 0) the l-sum is its l = 0 term, 1, and this is eqGFHq:
+
+    sum H u^m v^n / ((q;q)_m (q;q)_n) == (uv;q)inf/((uz1,vz2;q)inf).
+    """
     N = pt.get("order", 8)
     j, k = pt.get("j", 1), pt.get("k", 1)
     z1, z2 = _zpoints(ctx, pt)
-    cs = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            cs[(m, n)] = eval_poly(coeffs(ctx, "Hq", m + j, n + k), z1, z2) / (ctx.qq(m) * ctx.qq(n))
-    lhs = TBS(ctx, N, cs)
+    lhs = _lhs(ctx, N, lambda m, n: (eval_poly(coeffs(ctx, "Hq", m + j, n + k), z1, z2)
+                                     / (ctx.qq(m) * ctx.qq(n))))
     pref = (TBS.poch_factor(ctx, N, ctx.qpow(j + k), 1, 1)
             * TBS.poch_factor(ctx, N, z1, 1, 0, inverse=True)
             * TBS.poch_factor(ctx, N, z2, 0, 1, inverse=True))
@@ -108,17 +80,18 @@ def gf_shift_h(ctx, pt):
       = (-1)^{j+k} (-u z1 q^{j+1/2}, -v z2 q^{k+1/2};q)inf / (-uv;q)inf
         * sum_l [j l][k l] (-1)^l (q;q)_l
           prod_{i<j-l}(v - z1 q^{i+1/2}) prod_{i<k-l}(u - z2 q^{i+1/2}) (-uv;q)_l.
+
+    At (j, k) = (0, 0) the l-sum is its l = 0 term, 1, and this is eq:hp3:
+
+    sum h q^{(m-n)^2/2} u^m v^n / ((q;q)_m (q;q)_n)
+        == (-q^{1/2} u z1, -q^{1/2} v z2;q)inf / (-uv;q)inf.
     """
     N = pt.get("order", 8)
     j, k = pt.get("j", 1), pt.get("k", 1)
     z1, z2 = _zpoints(ctx, pt)
     s = ctx.q_half_pow(1)
-    cs = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            cs[(m, n)] = (eval_poly(coeffs(ctx, "hq", m + j, n + k), z1, z2)
-                          * s ** ((m + j - n - k) ** 2) / (ctx.qq(m) * ctx.qq(n)))
-    lhs = TBS(ctx, N, cs)
+    lhs = _lhs(ctx, N, lambda m, n: (eval_poly(coeffs(ctx, "hq", m + j, n + k), z1, z2)
+                                     * s ** ((m + j - n - k) ** 2) / (ctx.qq(m) * ctx.qq(n))))
     pref = (TBS.poch_factor(ctx, N, -z1 * s * ctx.qpow(j), 1, 0)
             * TBS.poch_factor(ctx, N, -z2 * s * ctx.qpow(k), 0, 1)
             * TBS.poch_factor(ctx, N, -1, 1, 1, inverse=True))
@@ -140,12 +113,8 @@ def gf_disk(ctx, pt):
     N = pt.get("order", 8)
     nu = Fraction(pt.get("nu", F(3, 2)))
     z1, z2 = _zpoints(ctx, pt)
-    cs = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            cs[(m, n)] = (eval_poly(coeffs(ctx, "C_disk", m, n, nu=nu), z1, z2)
-                          / (math.factorial(m) * math.factorial(n)))
-    lhs = TBS(ctx, N, cs)
+    lhs = _lhs(ctx, N, lambda m, n: (eval_poly(coeffs(ctx, "C_disk", m, n, nu=nu), z1, z2)
+                                     / (math.factorial(m) * math.factorial(n))))
     # the binomial series (1 - w)^-nu = sum_k (nu)_k w^k / k! in
     # w = u z1 + v z2 - uv, which has no constant term, so w^k starts at order k
     w = (TBS.monomial(ctx, N, z1, 1, 0) + TBS.monomial(ctx, N, z2, 0, 1)

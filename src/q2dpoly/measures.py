@@ -27,7 +27,7 @@ from mpmath import mp
 from .context import GaussianRational, QContext, conj, is_zero
 from .polyfamilies import BivarPoly, FamilyTable, coeffs, eval_poly
 from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
-                      qpoch_inf_ratio)
+                      qpoch_inf_ratio, times)
 from .reports import VerificationReport, numeric_verdict, scalar_str
 
 F = Fraction
@@ -77,7 +77,8 @@ def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object
     most S r^{K+1}/((q;q)_inf (1 - r)), r = q^{h+1}, reported doubled.
     S = 1 for H and when |1 - bq| <= 1 (0 <= b <= 2/q for real b), as every
     |1 - b q^{j+1}| is then <= 1; otherwise S <= (-|b|q;q)_inf.  (q;q)_inf
-    enters as its value less its tail."""
+    enters as its value less its tail; a tail tolerance so loose that this
+    is not positive raises ValueError."""
     if measure.kind == "h_continuous":
         return h_radial_moments_batch(ctx, nmax)
     p = measure.kind == "p_discrete"
@@ -101,6 +102,9 @@ def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object
                    for k in range(K + 1)]
         val, tail = qpoch_inf(ctx, ctx.q)
         qqinf = ctx.mag(val) - tail
+        if qqinf <= 0:
+            raise ValueError(f"tail tolerance {ctx.default_trunc.tail_tol:g} leaves no positive "
+                             "lower bound on |(q;q)_inf|; use a smaller one")
         qf = float(ctx.q_fraction)
         out = []
         for h in range(nmax + 1):
@@ -192,18 +196,16 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[objec
     H_discrete / p_discrete: normalized so H gives (q;q)_n delta_{mn}
     (Cor.-19 convention).  h_continuous: the dx dy/(pi (-z zbar;q)_inf)
     convention, so the (j, j) moment is (q;q)_j log(1/q) q^{-C(j+1,2)}.
-    Returns (value, tail).  The discrete tail bounds the error of the
-    product: the raw moment's tail times |(q;q)_inf| plus the tail of
-    (q;q)_inf times |raw moment|.
+    Returns (value, tail).  The discrete moment is the :func:`times` of the
+    raw moment and (q;q)_inf, whose tail bounds the error of the product.
     """
     if m != n:
         return ctx.zero(), 0.0
-    val, tail = _radial_moments(ctx, measure, n)[n]
+    raw = _radial_moments(ctx, measure, n)[n]
     if measure.kind == "h_continuous":
-        return val, tail
+        return raw
     with ctx.workprec():
-        inf_val, t2 = qpoch_inf(ctx, ctx.q)
-        return val * inf_val, tail * ctx.mag(inf_val) + t2 * ctx.mag(val)
+        return times(ctx, raw, qpoch_inf(ctx, ctx.q))
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +441,11 @@ def angular_quadrature_check(ctx: QContext, kind: str, params: Dict,
             p_ = int(params.get("p", 2))
             s_ = int(params.get("s", 2))
             rpar = ctx.scalar(params.get("r", F(1, 2)))
-            qinf, qinf_tail = qpoch_inf(ctx, ctx.q)
+            qinf = qpoch_inf(ctx, ctx.q)
 
             def integrand(th):
                 e = mpmath.exp(1j * th)
-                w, w_tail = qpoch_inf_ratio(ctx, [e * e, 1 / (e * e)])
-                w_tail = ctx.mag(qinf) * w_tail + qinf_tail * ctx.mag(w)
-                w = qinf * w
+                w, w_tail = times(ctx, qinf, qpoch_inf_ratio(ctx, [e * e, 1 / (e * e)]))
                 tot = mp.mpc(0)
                 for j in range(p_ + 1):
                     for k in range(s_ + 1):

@@ -22,6 +22,7 @@ __all__ = [
     "qpoch",
     "qpoch_inf",
     "qpoch_inf_ratio",
+    "times",
     "QPochPrefix",
     "qbinom",
     "qbinom_base",
@@ -47,24 +48,17 @@ class PoleError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def qpoch(ctx: QContext, a, n):
-    """(a; q)_n.
-
-    n may be a nonnegative integer (finite product) or a negative integer
-    (via (a;q)_{-n} = (-q/a)^n q^C(n,2) / (q/a;q)_n); the infinite product
-    is :func:`qpoch_inf`.
+    """(a; q)_n for a nonnegative integer n (a negative n raises ValueError);
+    the infinite product is :func:`qpoch_inf`.
     """
     n = int(n)
+    if n < 0:
+        raise ValueError(f"(a;q)_n needs n >= 0, got {n}")
     a = ctx.scalar(a)
-    if n >= 0:
-        out = ctx.one()
-        for k in range(n):
-            out = out * (1 - a * ctx.qpow(k))
-        return out
-    m = -n
-    inv = qpoch(ctx, ctx.q / a, m)
-    if is_zero(inv):
-        raise ZeroDivisionError(f"(a;q)_{{{n}}} undefined: (q/a;q)_{m} vanishes")
-    return (-ctx.q / a) ** m * ctx.qpow(m * (m - 1) // 2) / inv
+    out = ctx.one()
+    for k in range(n):
+        out = out * (1 - a * ctx.qpow(k))
+    return out
 
 
 def qpoch_inf(ctx: QContext, a):
@@ -106,6 +100,21 @@ def _rel_tail(ctx: QContext, v, t) -> float:
     if math.isinf(m):
         return float(t / abs(v))
     return t / m if m else math.inf
+
+
+def times(ctx: QContext, x, y):
+    """The product of two truncated values x = (v, t) and y = (w, s), each a
+    value and a bound on its error, as (v w, |v| s + t |w| + t s).
+
+    With |x' - v| <= t and |y' - w| <= s,
+    x' y' - v w = v (y' - w) + (x' - v) w + (x' - v)(y' - w), so the bound
+    holds for every x', y' within the tails.  The first-order rule without
+    t s does not: at t = |v|/2, s = |w|/2 it gives |v w|, and factors off by
+    their full tails in phase are off by 5/4 |v w|.
+    """
+    v, t = x
+    w, s = y
+    return v * w, ctx.mag(v) * s + t * ctx.mag(w) + t * s
 
 
 def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
@@ -328,15 +337,13 @@ def bessel_i2_series(ctx: QContext, qnu, y):
         ((qnu*q;q)_inf / (q;q)_inf) * sum_n q^{n^2} qnu^n y^n / ((q;q)_n (qnu*q;q)_n),
     which equals b^{-nu/2} I^{(2)}_nu(2 sqrt(b); q) at y = b.  The sum is
     0phi1(-; qnu q; q, q qnu y).  Keeping qnu as a scalar sidesteps z^{nu}
-    branch choices entirely.  Returns (value, tail_bound): the
-    :func:`phi_series` tail times the prefactor plus the prefactor's
-    :func:`qpoch_inf_ratio` tail times the sum.
+    branch choices entirely.  Returns (value, tail_bound): the :func:`times`
+    of the prefactor's :func:`qpoch_inf_ratio` and the :func:`phi_series` sum.
     """
     with ctx.workprec():
         qnu = ctx.scalar(qnu)
-        pref, pref_tail = qpoch_inf_ratio(ctx, [qnu * ctx.q], [ctx.q])
-        total, tail = phi_series(ctx, [], [qnu * ctx.q], ctx.q * qnu * ctx.scalar(y))
-        return pref * total, ctx.mag(pref) * tail + pref_tail * ctx.mag(total)
+        pref = qpoch_inf_ratio(ctx, [qnu * ctx.q], [ctx.q])
+        return times(ctx, pref, phi_series(ctx, [], [qnu * ctx.q], ctx.q * qnu * ctx.scalar(y)))
 
 
 def schur_a(ctx: QContext, m: int):

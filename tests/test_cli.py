@@ -316,6 +316,18 @@ def test_ortho_h_exact_backend_is_config_error(capsys):
     assert got.err.startswith("config error:")
 
 
+@pytest.mark.parametrize("tail_tol", ["0.5", "0.9"])
+def test_ortho_loose_tail_tol_is_config_error(capsys, tail_tol):
+    # (q;q)_inf cut at eps = 1/2 has a tail as large as its value, so the
+    # moment tails have no positive lower bound to divide by
+    code = main(["ortho", "--family", "H", "--max-index", "1", "--q", "1/2",
+                 "--tail-tol", tail_tol])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.out == ""
+    assert got.err.startswith("config error:") and "tail tolerance" in got.err
+
+
 # Every option a subcommand declares is read.  Each command below is parsed
 # into a namespace that records the attributes read from it; after parsing,
 # the config step and the handler must between them read every option the

@@ -84,7 +84,8 @@ def test_rambeta_tail_bounds_residual(id_):
 
 
 @pytest.mark.parametrize("tail_tol", [1e-34, 1e-32])
-@pytest.mark.parametrize("id_", ["COR19-AQ", "COR19-AQ2", "COR20-I2", "p-GF", "H-GF-AB"])
+@pytest.mark.parametrize("id_", ["COR19-AQ", "COR19-AQ2", "COR20-I2", "p-GF", "H-GF-AB",
+                                 "GF-SHIFT-p"])
 def test_closed_form_tail_bounds_residual(id_, tail_tol):
     # the closed forms' (a;q)_inf products are cut at tail_tol, and their
     # tails enter the reported bound: the residual stays below it at the
@@ -93,6 +94,15 @@ def test_closed_form_tail_bounds_residual(id_, tail_tol):
                  default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
     rep = check_identity(c, id_, {}, tol=1e-9)
     assert float(rep.residual) <= rep.tail_bound, (rep.residual, rep.tail_bound)
+
+
+def test_p_gf_is_shifted_gf_at_origin():
+    # eq:jp's generating function is eq:eqGFpplus at (j, k) = (0, 0): the
+    # same residual and tail, bit for bit
+    c = _fctx(F(1, 2))
+    a = check_identity(c, "p-GF", {}, tol=1e-9)
+    b = check_identity(c, "GF-SHIFT-p", {"j": 0, "k": 0}, tol=1e-9)
+    assert a.passed and (a.residual, a.tail_bound) == (b.residual, b.tail_bound)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 5)])

@@ -38,11 +38,39 @@ def test_qpoch_vanishing_factor(ctx):
     assert qpoch(ctx, 2, 3) == 0
 
 
-def test_qpoch_negative_index(ctx):
-    # (a;q)_{-n} == 1 / (a q^{-n};q)_n
-    a = F(3, 5)
-    for n in range(1, 6):
-        assert qpoch(ctx, a, -n) == 1 / qpoch(ctx, a * ctx.qpow(-n), n)
+@pytest.mark.parametrize("n", [-1, -5])
+def test_qpoch_negative_index_raises(ctx, n):
+    # a negative order is refused, not read as the empty product
+    with pytest.raises(ValueError):
+        qpoch(ctx, F(3, 5), n)
+
+
+@pytest.mark.parametrize("v, t, w, s", [
+    (mpmath.mpc(3, -1), 1e-3, mpmath.mpf(-2), 1e-2),
+    (mpmath.mpc("0.5", "0.25"), 1e-20, mpmath.mpc(-7, 2), 3e-18),
+    (mpmath.mpf(2), 1.0, mpmath.mpc(0, 3), 1.5),  # t = |v|/2, s = |w|/2
+])
+def test_times_bounds_every_product_within_the_tails(fctx, v, t, w, s):
+    # x' = v + r t e^{ia} v/|v| and y' = w + r' s e^{ib} w/|w|: a = b = 0 is
+    # in phase, a = pi or b = pi out of phase, r, r' <= 1
+    value, tail = qkernel.times(fctx, (v, t), (w, s))
+    assert value == v * w
+    with mpmath.workprec(180):
+        uv, uw = v / abs(v), w / abs(w)
+        worst = 0
+        for r in (F(1, 2), 1):
+            for a in range(8):
+                for b in range(8):
+                    x = v + r * t * mpmath.expjpi(F(a, 4)) * uv
+                    y = w + r * s * mpmath.expjpi(F(b, 4)) * uw
+                    worst = max(worst, abs(x * y - v * w))
+        assert worst <= tail * (1 + 1e-12), (worst, tail)
+        # the bound is reached: both factors at their full tails, in phase
+        assert worst >= tail * (1 - 1e-12)
+        if t == abs(v) / 2 and s == abs(w) / 2:
+            # the first-order rule |v| s + t |w| = |v w| misses 1/4 |v w|
+            first_order = abs(v) * s + t * abs(w)
+            assert abs(worst - F(5, 4) * abs(v * w)) <= 1e-40 and worst > first_order
 
 
 @settings(max_examples=40, deadline=None)

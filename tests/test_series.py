@@ -87,3 +87,17 @@ def test_h_gf_uv_coefficient_with_sqrt():
            * TBS.poch_factor(ctx, 2, -1, 1, 1, inverse=True))
     h11 = eval_poly(coeffs(ctx, "hq", 1, 1), z1, z2)
     assert rhs.coeff(1, 1) == h11 / (ctx.qq(1) * ctx.qq(1))
+
+
+@pytest.mark.parametrize("order", [6, 10])
+@pytest.mark.parametrize("z", [{}, {"z1": GR(F(1, 2), F(2, 3)), "z2": F(-3, 4)}])
+@pytest.mark.parametrize("plain, shifted", [("H-GF", "GF-SHIFT-H"), ("h-GF", "GF-SHIFT-h")])
+def test_plain_gf_reports_equal_shifted_gf_at_origin(order, z, plain, shifted):
+    # eqGFHq and eq:hp3 are eqGFHplus and eqGFhplus at (j, k) = (0, 0)
+    ctx = QContext(F(9, 25), sqrt_q=F(3, 5))
+    pt = dict(z, order=order)
+    a = check_identity(ctx, plain, pt)
+    b = check_identity(ctx, shifted, dict(pt, j=0, k=0))
+    assert a.passed and a.residual == "0"
+    assert (a.mode, a.residual, a.tail_bound, a.passed) == (b.mode, b.residual, b.tail_bound,
+                                                            b.passed)
