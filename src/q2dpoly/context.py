@@ -58,8 +58,10 @@ class GaussianRational:
     protocol, so generic polynomial code can mix them freely.  A product
     with a real operand (an ``int``, a ``Fraction``, or either factor with
     ``im == 0``) takes two ``Fraction`` products instead of four products
-    and two sums; the values are exact either way, and the result is always
-    a ``GaussianRational``.
+    and two sums, and a sum or difference with a real operand (an ``int``,
+    a ``Fraction``, or an operand with ``im == 0``) one ``Fraction`` sum
+    instead of two; the values are exact either way, and the result is
+    always a ``GaussianRational``.
     """
 
     __slots__ = ("re", "im")
@@ -85,24 +87,29 @@ class GaussianRational:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            if other.im:
+                return GaussianRational(self.re + other.re, self.im + other.im)
+            other = other.re
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational(self.re + other, self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            if other.im:
+                return GaussianRational(self.re - other.re, self.im - other.im)
+            other = other.re
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational(self.re - other, self.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return GaussianRational(other - self.re, -self.im)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):

@@ -56,6 +56,8 @@ def gf_shift_H(ctx, pt):
     pref = (TBS.poch_factor(ctx, N, ctx.qpow(j + k), 1, 1)
             * TBS.poch_factor(ctx, N, z1, 1, 0, inverse=True)
             * TBS.poch_factor(ctx, N, z2, 0, 1, inverse=True))
+    if j == k == 0:  # the l-sum is 1
+        return lhs - pref
     # z1^{j-l} (q^l v / z1;q)_{j-l} = prod_{i<j-l} (z1 - q^{l+i} v), and so for
     # z2^{k-l} (q^j u / z2;q)_{k-l}: the sum needs no powers of z1, z2
     total = TBS(ctx, N)
@@ -95,6 +97,8 @@ def gf_shift_h(ctx, pt):
     pref = (TBS.poch_factor(ctx, N, -z1 * s * ctx.qpow(j), 1, 0)
             * TBS.poch_factor(ctx, N, -z2 * s * ctx.qpow(k), 0, 1)
             * TBS.poch_factor(ctx, N, -1, 1, 1, inverse=True))
+    if j == k == 0:  # the l-sum is 1
+        return lhs - pref
     total = TBS(ctx, N)
     for l in range(min(j, k) + 1):
         c = qbinom(ctx, j, l) * qbinom(ctx, k, l) * (-1) ** l * ctx.qq(l)

@@ -303,10 +303,19 @@ class FamilyTable:
       p_{m,n} = z1 (1-b q^{m+n}) p_{m-1,n}
                 - q^{m-1} (1-q^n) (1-b q^n) p_{m-1,n-1},
 
-    seeded by the row m = 0 (z2^n, times (bq;q)_n for pq).  Reading
-    ``tab[m, n]`` fills rows 0..m up to column n, row by row, so a deep read
-    never recurses.  Entries are computed at the ``mp.prec`` of the read
-    that fills them.  Read by the numeric checkers of
+    seeded by the row m = 0 (z2^n, times (bq;q)_n for pq; on the exact
+    backend z2^n by successive products).  Entry (m, n) needs row r only
+    from column max(0, n - m + r) up to n, and a read fills just that band
+    of rows 0..m, row by row, so a deep read never recurses.  Each row is
+    one run of columns from its recorded first column.  Later reads extend
+    it to the right, or, once, to the left down to column 0, so a read
+    fills no entry outside the rectangle of rows 0..m and columns 0..n: a
+    diagonal read (M, M) fills the n >= m half of the square, and reads in
+    order from (0, 0) start every row at column 0.  An entry is the same
+    products in the same order whatever the read order.  Entries are
+    computed at the ``mp.prec`` of the read that fills them, with 1 - q^n
+    from one list per table and ``mp.prec`` (exact values do not depend on
+    it).  Read by the numeric checkers of
     :mod:`q2dpoly.identities_numeric`, by the asymptotic reports of
     :mod:`q2dpoly.zeros` and, at (iz, i zbar) on the exact backend, by
     :func:`q2dpoly.measures.gram_matrix`.
@@ -324,43 +333,79 @@ class FamilyTable:
         if family == "pq":
             self.b = ctx.scalar(b)
             self.bq = QPochPrefix(ctx, self.b * ctx.q)  # (bq;q)_n of the seed row
-        # rows[m][n]; a row reaching column n implies every row above it
-        # does too, so row lengths never increase with m
+        # rows[m][n - starts[m]]; whenever row m holds columns a..c, row m - 1
+        # holds at least max(0, a - 1)..c
         self.rows: List[List[object]] = []
+        self.starts: List[int] = []
+        self.z2pow = [self.z2**0]  # exact backend: z2^n by successive products
+        self.one_minus_qpow: Dict[int, List[object]] = {}  # mp.prec -> [1 - q^n]
 
     def __getitem__(self, key: Key):
         m, n = key
         if m < 0 or n < 0:
             raise KeyError(key)
+        rows, starts = self.rows, self.starts
         try:
-            return self.rows[m][n]
+            if n >= starts[m]:
+                return rows[m][n - starts[m]]
         except IndexError:
             pass
-        rows = self.rows
         while len(rows) <= m:
             rows.append([])
-        r0 = m
-        while r0 > 0 and len(rows[r0 - 1]) <= n:
-            r0 -= 1
-        for r in range(r0, m + 1):
-            row = rows[r]
-            for j in range(len(row), n + 1):
-                row.append(self._entry(r, j))
-        return rows[m][n]
+            starts.append(0)
+        # walk up from row m while a row lacks a column of what its successor
+        # needs (row r of the band: max(0, n - m + r)..n); a row that must
+        # grow to the left goes to column 0, and so must every row above it,
+        # so each row is extended to the left at most once
+        top, zero_to, lo = m, -1, n
+        while True:
+            row, start = rows[top], starts[top]
+            if row:
+                if lo < start:
+                    zero_to, lo = max(zero_to, top), 0
+                elif start + len(row) > n:
+                    top += 1
+                    break
+            if top == 0:
+                break
+            top, lo = top - 1, max(0, lo - 1)
+        omq = self.one_minus_qpow.get(mpmath.mp.prec)
+        if omq is None:
+            omq = self.one_minus_qpow[mpmath.mp.prec] = []
+        if len(omq) <= n:
+            omq.extend(1 - self.ctx.qpow(j) for j in range(len(omq), n + 1))
+        for r in range(top, m + 1):
+            row, start = rows[r], starts[r]
+            lo = 0 if r <= zero_to else max(0, n - m + r)
+            if not row:
+                starts[r] = start = lo
+            elif lo < start:
+                rows[r] = row = [self._entry(r, j, omq) for j in range(lo, start)] + row
+                starts[r] = start = lo
+            for j in range(start + len(row), n + 1):
+                row.append(self._entry(r, j, omq))
+        return rows[m][n - starts[m]]
 
-    def _entry(self, r: int, j: int):
-        ctx, z1, z2 = self.ctx, self.z1, self.z2
+    def _entry(self, r: int, j: int, omq):
+        ctx, z1 = self.ctx, self.z1
         if r == 0:
-            return z2**j if self.family != "pq" else self.bq(j) * z2**j
-        up = self.rows[r - 1]
-        low = up[j - 1] if j else ctx.zero()
+            if ctx.is_exact:
+                pw = self.z2pow
+                while len(pw) <= j:
+                    pw.append(pw[-1] * self.z2)
+                zj = pw[j]
+            else:
+                zj = self.z2**j
+            return zj if self.family != "pq" else self.bq(j) * zj
+        up, s = self.rows[r - 1], self.starts[r - 1]
+        low = up[j - 1 - s] if j else ctx.zero()
         if self.family == "Hq":
-            return z1 * up[j] - ctx.qpow(r - 1) * (1 - ctx.qpow(j)) * low
+            return z1 * up[j - s] - ctx.qpow(r - 1) * omq[j] * low
         if self.family == "hq":
-            return ctx.qpow(j) * z1 * up[j] - (1 - ctx.qpow(j)) * low
+            return ctx.qpow(j) * z1 * up[j - s] - omq[j] * low
         bb = self.b
-        return (z1 * (1 - bb * ctx.qpow(r + j)) * up[j]
-                - ctx.qpow(r - 1) * (1 - ctx.qpow(j)) * (1 - bb * ctx.qpow(j)) * low)
+        return (z1 * (1 - bb * ctx.qpow(r + j)) * up[j - s]
+                - ctx.qpow(r - 1) * omq[j] * (1 - bb * ctx.qpow(j)) * low)
 
 
 # ---------------------------------------------------------------------------

@@ -339,53 +339,59 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     pt = dict(point or {})
     z1 = ctx.scalar(pt.get("z1", 2))
     z2 = ctx.scalar(pt.get("z2", 2))
-    errors = []
-    for M in sizes:
+    # the limits do not depend on the size, and where the point does not
+    # move either, one table serves every size: each read fills only the
+    # band its entry needs (see FamilyTable)
+    if target in ("Hmn_inf", "Hm_inf", "Hn_inf"):
+        tab = FamilyTable(ctx, "Hq", z1, z2)
         if target == "Hmn_inf":
-            val = FamilyTable(ctx, "Hq", z1, z2)[M, M]
             lim = qpoch_inf(ctx, 1 / (z1 * z2))[0]
-            ratio = val / (z1**M * z2**M) / lim
         elif target == "Hm_inf":
             n = int(pt.get("n", 0))
-            val = FamilyTable(ctx, "Hq", z1, z2)[M, n]
             lim = z2**n * qpoch(ctx, 1 / (z1 * z2), n)
-            ratio = val / z1**M / lim
-        elif target == "Hn_inf":
+        else:
             m = int(pt.get("m", 0))
-            val = FamilyTable(ctx, "Hq", z1, z2)[m, M]
             lim = z1**m * qpoch(ctx, 1 / (z1 * z2), m)
-            ratio = val / z2**M / lim
-        elif target == "p_inf":
-            b = pt.get("b", F(1, 4))
-            val = FamilyTable(ctx, "pq", z1, z2, b=b)[M, M]
-            lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q)[0]
-                   * qpoch_inf(ctx, 1 / (z1 * z2))[0])
-            ratio = val / (z1**M * z2**M) / lim
+    elif target == "p_inf":
+        b = pt.get("b", F(1, 4))
+        tab = FamilyTable(ctx, "pq", z1, z2, b=b)
+        lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q)[0]
+               * qpoch_inf(ctx, 1 / (z1 * z2))[0])
+    elif target == "PR_h":
+        # Plancherel-Rotach scaling a = b = 1/2; the printed (q;q)_inf^2
+        # factor is spurious (it belongs inside the sum as (q;q)_m (q;q)_n,
+        # which the proof display drops; ledger)
+        w1 = ctx.scalar(pt.get("w1", 1))
+        w2 = ctx.scalar(pt.get("w2", 1))
+        aqv, _ = aq_function(ctx, 1 / (w1 * w2))
+    elif target == "theta4_scaled":
+        if any(M % 4 != 1 for M in sizes):
+            raise ValueError("theta4_scaled sizes must be 1 mod 4")
+        s = ctx.q_half_pow(1)
+        qqinf = qpoch_inf(ctx, ctx.q)[0]
+        th, _ = theta4(ctx, z1 * z2 * s, s)
+    else:
+        raise ValueError(target)
+    errors = []
+    for M in sizes:
+        if target in ("Hmn_inf", "p_inf"):
+            ratio = tab[M, M] / (z1**M * z2**M) / lim
+        elif target == "Hm_inf":
+            ratio = tab[M, n] / z1**M / lim
+        elif target == "Hn_inf":
+            ratio = tab[m, M] / z2**M / lim
         elif target == "PR_h":
-            # Plancherel-Rotach scaling a = b = 1/2; the printed (q;q)_inf^2
-            # factor is spurious (it belongs inside the sum as (q;q)_m (q;q)_n,
-            # which the proof display drops; ledger)
-            w1 = ctx.scalar(pt.get("w1", 1))
-            w2 = ctx.scalar(pt.get("w2", 1))
             sc = ctx.qpow(-M)
             val = FamilyTable(ctx, "hq", w1 * sc, w2 * sc)[M, M]
-            aqv, _ = aq_function(ctx, 1 / (w1 * w2))
             ratio = val / (w1**M * w2**M * ctx.qpow(-M * M)) / aqv
-        elif target == "theta4_scaled":
-            if M % 4 != 1:
-                raise ValueError("theta4_scaled sizes must be 1 mod 4")
+        else:
             tau = (M - 1) // 2
-            s = ctx.q_half_pow(1)
             scale = ctx.qpow((M - 1) // 4)
             val = FamilyTable(ctx, "Hq", z1 * scale, z2 * scale)[M, M]
-            qqinf = qpoch_inf(ctx, ctx.q)[0]
             # exponent M^2/2 - M/2 - tau^2/2 - tau*chi, all integral here
             E = (M * M - M) // 2 - (tau * tau + tau) // 2
-            th, _ = theta4(ctx, z1 * z2 * s, s)
             ratio = (qqinf * val * (-z1 * z2) ** tau
                      / (z1**M * z2**M * ctx.qpow(E)) / th)
-        else:
-            raise ValueError(target)
         errors.append(float(abs(ratio - 1)))
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     return LimitReport(target=target, sizes=list(sizes), errors=errors,

@@ -14,7 +14,8 @@ from q2dpoly.identities import check_identity
 from q2dpoly.polyfamilies import (BivarPoly, FamilyTable, coeffs, eval_poly,
                                   little_q_jacobi_coeff_list, poly_to_json,
                                   q_laguerre_coeff_list, radial_reduce)
-from q2dpoly.qkernel import qbinom, qpoch
+from q2dpoly.qkernel import aq_function, qbinom, qpoch, qpoch_inf, theta4
+from q2dpoly.zeros import asymptotic_report
 
 Z1 = GR(F(3, 2), F(1, 2))
 Z2 = GR(F(3, 2), F(-1, 2))
@@ -278,15 +279,19 @@ def _table_contexts():
 
 @pytest.mark.parametrize("family", ["Hq", "hq", "pq"])
 def test_family_table_equals_eager_table(family):
-    # every entry bitwise equal to the eager table's, whatever the read order
+    # every entry bitwise equal to the eager table's, whatever the read order:
+    # a shuffled quadrant, and the same after (24, 24), which fills the band
+    # of rows starting at column r, then (24, 0) and (0, 24), which need
+    # columns left of those starts
     for c, z1, z2 in _table_contexts():
         with c.workprec():
-            ref = _eager_table(c, family, 14, z1, z2, b=B)
+            ref = _eager_table(c, family, 30, z1, z2, b=B)
             keys = sorted(ref)
             random.Random(7).shuffle(keys)
-            tab = FamilyTable(c, family, z1, z2, b=B)
-            for key in keys:
-                assert tab[key] == ref[key], (c.backend, family, key)
+            for first in ([], [(24, 24), (24, 0), (0, 24)]):
+                tab = FamilyTable(c, family, z1, z2, b=B)
+                for key in first + keys:
+                    assert tab[key] == ref[key], (c.backend, family, key)
 
 
 @pytest.mark.parametrize("family", ["Hq", "hq", "pq"])
@@ -298,6 +303,74 @@ def test_family_table_single_deep_read(family):
         with c.workprec():
             ref = _eager_table(c, family, 63, z1, z2, b=B)
             assert FamilyTable(c, family, z1, z2, b=B)[64, 64] == ref[(64, 64)]
+
+
+@pytest.mark.parametrize("target, pt", [
+    ("Hmn_inf", {"z1": 2, "z2": 2}), ("p_inf", {"z1": 2, "z2": 2, "b": F(1, 4)})])
+def test_asymptotic_report_fills_one_band(monkeypatch, target, pt):
+    # sizes 8, 16, 32 read one table: at most the band n >= m of its 33 rows,
+    # 33 * 34 / 2 entries, plus one row (one table per size and the whole
+    # square each time filled 1 459)
+    made, entry = [], FamilyTable._entry
+
+    def counted(self, r, j, omq):
+        made.append((r, j))
+        return entry(self, r, j, omq)
+
+    monkeypatch.setattr(FamilyTable, "_entry", counted)
+    c = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=200)
+    asymptotic_report(c, target, [8, 16, 32], pt)
+    assert len(made) <= 33 * 34 // 2 + 33
+
+
+def _per_size_errors(c, target, sizes, pt):
+    """The reported errors with one eager table and one set of limits per size."""
+    z1, z2 = c.scalar(pt.get("z1", 2)), c.scalar(pt.get("z2", 2))
+    errors = []
+    for M in sizes:
+        if target == "Hmn_inf":
+            val = _eager_table(c, "Hq", M, z1, z2)[(M, M)]
+            ratio = val / (z1**M * z2**M) / qpoch_inf(c, 1 / (z1 * z2))[0]
+        elif target == "Hm_inf":
+            n = pt["n"]
+            val = _eager_table(c, "Hq", M, z1, z2)[(M, n)]
+            ratio = val / z1**M / (z2**n * qpoch(c, 1 / (z1 * z2), n))
+        elif target == "Hn_inf":
+            m = pt["m"]
+            val = _eager_table(c, "Hq", M, z1, z2)[(m, M)]
+            ratio = val / z2**M / (z1**m * qpoch(c, 1 / (z1 * z2), m))
+        elif target == "p_inf":
+            b = pt["b"]
+            val = _eager_table(c, "pq", M, z1, z2, b=b)[(M, M)]
+            lim = qpoch_inf(c, c.scalar(b) * c.q)[0] * qpoch_inf(c, 1 / (z1 * z2))[0]
+            ratio = val / (z1**M * z2**M) / lim
+        elif target == "PR_h":
+            sc = c.qpow(-M)
+            val = _eager_table(c, "hq", M, sc, sc)[(M, M)]
+            ratio = val / c.qpow(-M * M) / aq_function(c, c.one())[0]
+        else:
+            tau, s, scale = (M - 1) // 2, c.q_half_pow(1), c.qpow((M - 1) // 4)
+            val = _eager_table(c, "Hq", M, z1 * scale, z2 * scale)[(M, M)]
+            E = (M * M - M) // 2 - (tau * tau + tau) // 2
+            ratio = (qpoch_inf(c, c.q)[0] * val * (-z1 * z2) ** tau
+                     / (z1**M * z2**M * c.qpow(E)) / theta4(c, z1 * z2 * s, s)[0])
+        errors.append(float(abs(ratio - 1)))
+    return errors
+
+
+@pytest.mark.parametrize("target, sizes, pt", [
+    ("Hmn_inf", [8, 16, 32], {"z1": 2, "z2": 2}),
+    ("Hm_inf", [4, 8, 16], {"n": 3, "z1": 3, "z2": 2}),
+    ("Hn_inf", [4, 8, 16], {"m": 2, "z1": 2, "z2": 3}),
+    ("p_inf", [8, 16, 32], {"z1": 2, "z2": 2, "b": F(1, 4)}),
+    ("PR_h", [8, 16, 32], {}),
+    ("theta4_scaled", [5, 9, 17], {"z1": F(11, 10), "z2": F(9, 10)}),
+])
+def test_asymptotic_errors_equal_per_size_rebuild(target, sizes, pt):
+    # one table and one set of limits per report give bitwise the errors of
+    # a fresh eager table and fresh limits per size
+    c = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=200)
+    assert asymptotic_report(c, target, sizes, pt).errors == _per_size_errors(c, target, sizes, pt)
 
 
 def test_family_table_rejects_other_families_and_negative_keys(ctx):
@@ -418,8 +491,9 @@ def test_exact_paths_take_no_gaussian_powers(monkeypatch):
     ctx = QContext(F(2, 5))
     q = ctx.q
     bc = GR(F(1, 4), F(1, 3))
-    value = FamilyTable(ctx, "pq", Z1, Z2, b=bc)[4, 3]
     monkeypatch.setattr(GR, "__pow__", zeroth_only)
+    # the exact seed row takes z2^n by successive products
+    value = FamilyTable(ctx, "pq", Z1, Z2, b=bc)[4, 3]
     P = coeffs(ctx, "pq", 4, 3, b=bc)
     assert eval_poly(P, Z1, Z2) == value
     assert eval_poly(P.dilate(Z1, Z2), 1, 1) == value
