@@ -11,11 +11,15 @@ one trajectory point to the next), and keeps every run.  Per side and metric
 it reports the median and quartiles over the pairs, and the pairs the change
 won.  It also times the tier-1 suite once per side and tests/test_acceptance.py
 three times per side, keeping each criterion's time (setup + call + teardown,
-from pytest --durations=0) and its median, and records the host.  Standard
-library only; perfbench/ is only run, never read or changed.
+from pytest --durations=0) and its median, and records the host.  It refuses
+to run when the two checkouts' BENCHMARK.json or perfbench/ files differ, and
+records a SHA-256 of each side's src/ tree next to its git revision, which an
+archive checkout does not have.  Standard library only; perfbench/ is only
+run and compared, never changed.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -31,6 +35,7 @@ PAIRS = 10  # the fewest pairs a claimed gain may rest on
 SEEDS = range(41, 41 + PAIRS)
 ACCEPTANCE_REPEATS = 3
 DURATION = re.compile(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$")
+BENCH_FILES = ("BENCHMARK.json", "perfbench")  # must be the same on both sides
 
 
 def _env(checkout):
@@ -96,6 +101,41 @@ def host():
             "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
+def tree_files(checkout, rel):
+    """{path: bytes} of the files under checkout/rel (or of rel itself), by
+    path relative to the checkout; bytecode caches and egg-info, which runs
+    and installs leave behind, are skipped."""
+    top = os.path.join(checkout, rel)
+    paths = [top] if os.path.isfile(top) else []
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__" and not d.endswith(".egg-info")]
+        paths += [os.path.join(dirpath, f) for f in filenames]
+    out = {}
+    for path in sorted(paths):
+        with open(path, "rb") as fh:
+            out[os.path.relpath(path, checkout)] = fh.read()
+    return out
+
+
+def tree_sha256(checkout, rel):
+    """SHA-256 over the (path, length, bytes) of every file of tree_files."""
+    h = hashlib.sha256()
+    for path, data in tree_files(checkout, rel).items():
+        h.update(f"{path}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def differing_bench_files(parent, change):
+    """The BENCH_FILES paths whose bytes differ between the two checkouts
+    (or that only one of them has)."""
+    out = []
+    for rel in BENCH_FILES:
+        a, b = tree_files(parent, rel), tree_files(change, rel)
+        out += sorted(p for p in set(a) | set(b) if a.get(p) != b.get(p))
+    return out
+
+
 def revision(checkout):
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -110,8 +150,13 @@ def main():
     args = ap.parse_args()
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     seeds = list(SEEDS)
+    differ = differing_bench_files(sides["parent"], sides["change"])
+    if differ:
+        raise SystemExit("the two checkouts run different benchmarks; these files differ: "
+                         + ", ".join(differ))
 
     doc = {"host": host(), "revisions": {s: revision(d) for s, d in sides.items()},
+           "src_sha256": {s: tree_sha256(d, "src") for s, d in sides.items()},
            "settings": {"seconds": SECONDS, "pairs": PAIRS, "seeds": seeds,
                         "order": "parent first in even pairs (0, 2, ...)"},
            "workloads": {}}

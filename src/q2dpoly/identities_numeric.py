@@ -19,7 +19,8 @@ import mpmath
 from mpmath import mp
 
 from .context import QContext
-from .polyfamilies import FamilyTable, coeffs, eval_poly, little_q_jacobi_coeff_list, radial_reduce
+from .polyfamilies import (FamilyTable, _power_table, coeffs, eval_poly,
+                           little_q_jacobi_coeff_list, radial_reduce)
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
                       qbinom, qbinom_base, qpoch, qpoch_inf, qpoch_inf_ratio,
                       schur_a, schur_b, times)
@@ -185,14 +186,12 @@ def num_gf_H_ab(ctx, pt):
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
     cap = 40
     Ht = FamilyTable(ctx, "Hq", z1, z2)
-
-    def upoch(x, c, k):  # x^k (c/x;q)_k = prod (x - c q^i)
-        out = ctx.one()
-        for i in range(k):
-            out = out * (x - c * ctx.qpow(i))
-        return out
-
-    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * upoch(u, a, m_) * upoch(v, b, n_)
+    # x^k (c/x;q)_k = prod_{i<k} (x - c q^i) for k = 0..cap, as running products
+    pu, pv = [ctx.one()], [ctx.one()]
+    for i in range(cap):
+        pu.append(pu[-1] * (u - a * ctx.qpow(i)))
+        pv.append(pv[-1] * (v - b * ctx.qpow(i)))
+    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * pu[m_] * pv[n_]
                        / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
     # the closed form's k-sum is (a z1, b z2;q)inf 2phi2(a/u, b/v; a z1, b z2; q, uv)
     pref = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
@@ -391,9 +390,12 @@ def _ram_H(ctx, pt, radial=False):
     # that the Gaussian-integral derivation produces (ledger)
     lhs, lhs_tail = qpoch_inf_ratio(ctx, [q, -a * q * x, -b * q / x], [a * b * q])
     tab = _family_values(ctx, "Hq", a, b, radial)
-    rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * s ** ((s_ - t_) ** 2)
-                      * (s * x) ** s_ * (s / x) ** t_ / (ctx.qq(s_) * ctx.qq(t_)),
-                      cap=64)
+    cap = 64
+    sd = _power_table(ctx, s, [d * d for d in range(cap + 1)])
+    px = _power_table(ctx, s * x, range(cap + 1))
+    py = _power_table(ctx, s / x, range(cap + 1))
+    rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * sd[(s_ - t_) ** 2]
+                      * px[s_] * py[t_] / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
     return ctx.mag(lhs - rhs), tail + lhs_tail
 
 
@@ -413,7 +415,9 @@ def _ram_genh_rhs(ctx, pt, radial=False):
     x = mpmath.exp(mm * kpar)
     cap = 60 if radial else 170
     tab = _family_values(ctx, "hq", a, b, radial)
-    val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * (s * x) ** s_ * (s / x) ** t_
+    px = _power_table(ctx, s * x, range(cap + 1))
+    py = _power_table(ctx, s / x, range(cap + 1))
+    val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * px[s_] * py[t_]
                       / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
     return val, tail, a, b, x
 
@@ -461,13 +465,14 @@ def _ram_genC_rhs(ctx, pt, radial=False):
     """The h-series of eq:ramhgen2, summed along paired diagonals (Abel-type)."""
     apar, bpar, cpar = _ram_genC_params(pt)
     qa, qb = ctx.q ** apar, ctx.q ** bpar
-    cap = 140
+    cap, dmax = 140, 90
     hv = _family_values(ctx, "hq", qa, qb, radial)
+    qc = {d: ctx.q ** (cpar * d) for d in range(-dmax, dmax + 1)}  # one per diagonal
 
     def term(m_, n_):
-        return hv[m_, n_] * ctx.q ** (cpar * (m_ - n_)) / (ctx.qq(m_) * ctx.qq(n_))
+        return hv[m_, n_] * qc[m_ - n_] / (ctx.qq(m_) * ctx.qq(n_))
 
-    return paired_diagonal_sum(ctx, term, dmax=90, nmax=cap, tol=1e-27)
+    return paired_diagonal_sum(ctx, term, dmax=dmax, nmax=cap, tol=1e-27)
 
 
 def _ram_genC_closed(ctx, pt, printed=False):

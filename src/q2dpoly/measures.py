@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import mpmath
 from mpmath import mp
@@ -33,20 +33,11 @@ from .reports import VerificationReport, numeric_verdict, scalar_str
 F = Fraction
 
 __all__ = [
-    "RadialMeasure", "InnerProductResult", "moment", "inner_product",
+    "InnerProductResult", "moment", "inner_product",
     "ortho_table", "ortho_csv",
     "qbeta_check", "angular_quadrature_check", "gram_positivity",
     "orthonormal_seq_check", "gram_matrix",
 ]
-
-
-@dataclass
-class RadialMeasure:
-    """(angular uniform) x (radial rule).  kind in {H_discrete, p_discrete,
-    h_continuous}; K truncates the discrete radial sums."""
-    kind: str
-    b: Optional[Fraction] = None
-    K: int = 80
 
 
 @dataclass
@@ -66,58 +57,61 @@ class InnerProductResult:
 _H_MOMENT_CACHE: Dict = {}
 
 
-def _radial_moments(ctx, measure: RadialMeasure, nmax: int) -> List[Tuple[object, float]]:
-    """(value, tail) of the raw radial moments for the powers h = 0..nmax.
+def _radial_moments(ctx, family: str, nmax: int, b=None,
+                    K: int = 80) -> List[Tuple[object, float]]:
+    """(value, tail) of the raw radial moments of the family's measure for
+    the powers h = 0..nmax.
 
-    h_continuous: int_0^inf x^h/(-x;q)_inf dx (h_radial_moments_batch).
-    H_discrete / p_discrete: sum_{k <= K} w_k (q^{k/2})^{2h}, w_k =
-    q^k/(q;q)_k times (bq;q)_k for p, summed in k order; the exponent is kept
-    integral, so no square root of q is ever taken.  Tail: |w_k| <= S
-    q^k/(q;q)_inf with S = sup_k |(bq;q)_k|, so the terms past K sum to at
-    most S r^{K+1}/((q;q)_inf (1 - r)), r = q^{h+1}, reported doubled.
-    S = 1 for H and when |1 - bq| <= 1 (0 <= b <= 2/q for real b), as every
+    hq: int_0^inf x^h/(-x;q)_inf dx (h_radial_moments_batch).
+    Hq / pq: sum_{k <= K} w_k (q^{k/2})^{2h}, w_k = q^k/(q;q)_k times
+    (bq;q)_k for pq, summed in k order; the exponent is kept integral, so no
+    square root of q is ever taken.  Tail: |w_k| <= S q^k/(q;q)_inf with
+    S = sup_k |(bq;q)_k|, so the terms past K sum to at most
+    S r^{K+1}/((q;q)_inf (1 - r)), r = q^{h+1}, reported doubled.  S = 1 for
+    Hq and when |1 - bq| <= 1 (0 <= b <= 2/q for real b), as every
     |1 - b q^{j+1}| is then <= 1; otherwise S <= (-|b|q;q)_inf.  (q;q)_inf
     enters as its value less its tail; a tail tolerance so loose that this
-    is not positive raises ValueError."""
-    if measure.kind == "h_continuous":
-        return h_radial_moments_batch(ctx, nmax)
-    p = measure.kind == "p_discrete"
-    key = (measure.kind, ctx.backend, ctx.q_fraction, ctx.precision_bits,
-           ctx.default_trunc, measure.b if p else None, measure.K)
+    is not positive raises ValueError.  One memo serves the three families,
+    keyed by family, context settings, and b and K where they enter."""
+    if family not in ("Hq", "pq", "hq"):
+        raise ValueError(f"unknown family {family!r}")
+    p = family == "pq"
+    key = (family, ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc,
+           b if p else None, None if family == "hq" else K)
     table = _H_MOMENT_CACHE.get(key)
     if table is not None and len(table) > nmax:
         return table[: nmax + 1]
-    if not p and measure.kind != "H_discrete":
-        raise ValueError(f"unknown measure kind {measure.kind!r}")
-    K = measure.K
-    with ctx.workprec():
-        sup = 1.0
-        if p:
-            bq = ctx.scalar(measure.b) * ctx.q
-            pre = QPochPrefix(ctx, bq)
-            if ctx.mag(1 - bq) > 1:
-                val, tail = qpoch_inf(ctx, -abs(bq))
-                sup = ctx.mag(val) + tail
-        weights = [(pre(k) * ctx.qpow(k) if p else ctx.qpow(k)) / ctx.qq(k)
-                   for k in range(K + 1)]
-        val, tail = qpoch_inf(ctx, ctx.q)
-        qqinf = ctx.mag(val) - tail
-        if qqinf <= 0:
-            raise ValueError(f"tail tolerance {ctx.default_trunc.tail_tol:g} leaves no positive "
-                             "lower bound on |(q;q)_inf|; use a smaller one")
-        qf = float(ctx.q_fraction)
-        out = []
-        for h in range(nmax + 1):
-            total = ctx.zero()
-            for k, w in enumerate(weights):
-                total = total + w * ctx.qpow(k * h)
-            r = qf ** (h + 1)
-            out.append((total, (r ** (K + 1)) / (qqinf * (1 - r)) * 2.0 * sup))
+    if family == "hq":
+        out = h_radial_moments_batch(ctx, nmax)
+    else:
+        with ctx.workprec():
+            sup = 1.0
+            if p:
+                bq = ctx.scalar(b) * ctx.q
+                pre = QPochPrefix(ctx, bq)
+                if ctx.mag(1 - bq) > 1:
+                    val, tail = qpoch_inf(ctx, -abs(bq))
+                    sup = ctx.mag(val) + tail
+            weights = [(pre(k) * ctx.qpow(k) if p else ctx.qpow(k)) / ctx.qq(k)
+                       for k in range(K + 1)]
+            val, tail = qpoch_inf(ctx, ctx.q)
+            qqinf = ctx.mag(val) - tail
+            if qqinf <= 0:
+                raise ValueError(f"tail tolerance {ctx.default_trunc.tail_tol:g} leaves no "
+                                 "positive lower bound on |(q;q)_inf|; use a smaller one")
+            qf = float(ctx.q_fraction)
+            out = []
+            for h in range(nmax + 1):
+                total = ctx.zero()
+                for k, w in enumerate(weights):
+                    total = total + w * ctx.qpow(k * h)
+                r = qf ** (h + 1)
+                out.append((total, (r ** (K + 1)) / (qqinf * (1 - r)) * 2.0 * sup))
     _H_MOMENT_CACHE[key] = out
     return out
 
 
-_H_NODES_PER_POWER = 16  # h_continuous nodes x = q^{-i/16}: h = log(1/q)/8 in u = log x
+_H_NODES_PER_POWER = 16  # hq nodes x = q^{-i/16}: h = log(1/q)/8 in u = log x
 _H_HALFWIDTH = 56  # and q^56 <= x <= q^-56
 
 
@@ -141,13 +135,7 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
         part above the top node X = q^{-L}, as (-x;q)_inf >= x^L q^{L(L-1)/2}
         (inf when L <= j+1);
       - 2 eps |value|, eps the largest relative tail of the base products.
-    Cached per (q, precision, truncation policy).
     """
-    key = ("h_continuous", ctx.backend, ctx.q_fraction, ctx.precision_bits,
-           ctx.default_trunc)
-    table = _H_MOMENT_CACHE.get(key)
-    if table is not None and len(table) > nmax:
-        return table[: nmax + 1]
     d = _H_NODES_PER_POWER
     n = d * _H_HALFWIDTH
     with ctx.workprec(40):
@@ -182,7 +170,6 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
                      if L > j + 1 else mpmath.inf)
             err = abs(v2 - v1) + x_min ** (j + 1) / (j + 1) + upper + 2 * eps * abs(v2)
             out.append((v2, float(err)))
-    _H_MOMENT_CACHE[key] = out
     return out
 
 
@@ -190,19 +177,20 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
 # moments of the (suitably normalized) measures
 # ---------------------------------------------------------------------------
 
-def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[object, float]:
-    """int zeta^m conj(zeta)^n dmu.
+def moment(ctx: QContext, family: str, m: int, n: int, b=None,
+           K: int = 80) -> Tuple[object, float]:
+    """int zeta^m conj(zeta)^n dmu for the family's measure.
 
-    H_discrete / p_discrete: normalized so H gives (q;q)_n delta_{mn}
-    (Cor.-19 convention).  h_continuous: the dx dy/(pi (-z zbar;q)_inf)
+    Hq / pq: normalized so Hq gives (q;q)_n delta_{mn} (Cor.-19
+    convention), the radial sums cut at K.  hq: the dx dy/(pi (-z zbar;q)_inf)
     convention, so the (j, j) moment is (q;q)_j log(1/q) q^{-C(j+1,2)}.
     Returns (value, tail).  The discrete moment is the :func:`times` of the
     raw moment and (q;q)_inf, whose tail bounds the error of the product.
     """
     if m != n:
         return ctx.zero(), 0.0
-    raw = _radial_moments(ctx, measure, n)[n]
-    if measure.kind == "h_continuous":
+    raw = _radial_moments(ctx, family, n, b=b, K=K)[n]
+    if family == "hq":
         return raw
     with ctx.workprec():
         return times(ctx, raw, qpoch_inf(ctx, ctx.q))
@@ -211,9 +199,6 @@ def moment(ctx: QContext, measure: RadialMeasure, m: int, n: int) -> Tuple[objec
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
-
-_FAMILY_MEASURE = {"Hq": "H_discrete", "pq": "p_discrete", "hq": "h_continuous"}
-
 
 def _angular_pairs(P: BivarPoly, Q: BivarPoly):
     """Pairs of coefficients surviving the angular Kronecker delta
@@ -263,8 +248,8 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
         P = coeffs(ctx, family, m, n, b=b)
         Q = coeffs(ctx, family, s, t, b=b)
         pairs = _angular_pairs(P, Q.conj_coeffs())
-        moms = _radial_moments(ctx, RadialMeasure(_FAMILY_MEASURE[family], b=b, K=K),
-                               max((hp for hp, _, _ in pairs), default=0))
+        moms = _radial_moments(ctx, family, max((hp for hp, _, _ in pairs), default=0),
+                               b=b, K=K)
         value = ctx.zero()
         tail = 0.0
         for hp, cp, cq in pairs:
@@ -338,10 +323,14 @@ def _euler_4fold(ctx, cap, weight, moms, u1, v1, v2, u2):
 
 
 def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
-    """H_beta: int dmu / ((u1 z, v1 zbar, v2 z, u2 zbar;q)inf) against its
-    closed product form; h_beta: the second family's q-beta integral
-    (eqqbqta-type).  Both sides via 4-fold Euler expansions with the angular
-    delta resolved symbolically, at the context's precision."""
+    """H_beta: int dmu / ((u1 z, v1 zbar, v2 z, u2 zbar;q)inf) over the Hq
+    measure against its closed product form; h_beta: the hq family's q-beta
+    integral (eqqbqta-type) against dx dy/(-z zbar;q)_inf.  The left side is
+    a 4-fold Euler expansion with the angular delta resolved symbolically,
+    at the context's precision.  H_beta reads the K-cut Hq moment sums;
+    h_beta reads the hq moments from their closed form pi log(1/q) (q;q)_j
+    q^{-j(j+1)/2} (the integer-alpha Ramanujan integral; Askey, Amer. Math.
+    Monthly 87 (1980)), which carry no truncation tail."""
     with ctx.workprec():
         u1 = ctx.scalar(params.get("u1", F(1, 8)))
         u2 = ctx.scalar(params.get("u2", F(1, 8)))
@@ -352,33 +341,29 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
         tol = float(params.get("tol", 1e-12))
 
         if kind == "H_beta":
-            meas = RadialMeasure("H_discrete", K=K)
-
             def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
                 return x**r / ctx.qq(r)
 
+            moms = _radial_moments(ctx, "Hq", 2 * cap, K=K)
             rhs, rhs_tail = qpoch_inf_ratio(
                 ctx, [u1 * u2 * v1 * v2], [ctx.q, u1 * u2, v1 * v2, u1 * v1, u2 * v2])
         elif kind == "h_beta":
-            meas = RadialMeasure("h_continuous")
             s = ctx.q_half_pow(1)
 
             def coefw(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
                 return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
 
+            scale = mp.pi * mpmath.log(1 / ctx.q)
+            moms = [(scale * ctx.qq(j) * ctx.qpow(-(j * (j + 1) // 2)), 0.0)
+                    for j in range(2 * cap + 1)]
             # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
             # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
             pr, pr_tail = qpoch_inf_ratio(ctx, [-u1 * v1, -u2 * v2, -u1 * u2, -v1 * v2],
                                           [u1 * u2 * v1 * v2 / ctx.q])
-            scale = mp.pi * mpmath.log(1 / ctx.q)
             rhs, rhs_tail = scale * pr, float(scale) * pr_tail
         else:
             raise ValueError(kind)
-        lhs, tail = _euler_4fold(ctx, cap, coefw, _radial_moments(ctx, meas, 2 * cap),
-                                 u1, v1, v2, u2)
-        if kind == "h_beta":
-            lhs = lhs * mp.pi
-            tail *= float(mp.pi)
+        lhs, tail = _euler_4fold(ctx, cap, coefw, moms, u1, v1, v2, u2)
         rho = max(ctx.mag(u1), ctx.mag(u2), ctx.mag(v1), ctx.mag(v2))
         tail += 20.0 * float(rho) ** cap / (1 - float(rho)) + rhs_tail
         passed, residual = numeric_verdict(ctx.mag(lhs - rhs), tol, tail)
@@ -625,6 +610,31 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
     imply (ledger).  Both the consistent and printed closed forms are
     reported.
     """
+    if kind == "do7":
+        seq = _e_seq
+
+        def weight(l):  # q^C(l,2) (q;q)_l, also the closed form's factor
+            return ctx.qpow(l * (l - 1) // 2) * ctx.qq(l)
+
+        norm = weight
+
+        def printed_form(qf, az2f):  # log(1/q) (q;q)_j / (q^C(j+1,2) |z|^{2j})
+            return math.log(1 / qf) * float(ctx.qq(j)) / (qf ** ((j + 1) * j // 2) * az2f ** j)
+    elif kind == "do8":
+        seq = _f_seq
+
+        def weight(l):  # q^{l^2} (q;q)_l
+            return ctx.qpow(l * l) * ctx.qq(l)
+
+        norm = ctx.qq
+
+        def printed_form(qf, az2f):  # 1/((q^{j+1};q)_inf |z|^{2j})
+            qq_inf_j = 1.0
+            for i in range(200):
+                qq_inf_j *= 1 - qf ** (j + 1 + i)
+            return 1 / (qq_inf_j * az2f ** j)
+    else:
+        raise ValueError(kind)
     z = ctx.scalar(z)
     az2 = ctx.abs2(z)
     if az2 == 0:
@@ -632,42 +642,22 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
     total = ctx.zero()
     # e_j(l), f_j(l) vanish for l > j, so the sum terminates at min(j, k)
     for l in range(min(j, k) + 1):
-        if kind == "do7":
-            w = ctx.qpow(l * (l - 1) // 2) * ctx.qq(l) / az2**l
-            total = total + w * _e_seq(ctx, j, l) * _e_seq(ctx, k, l)
-        elif kind == "do8":
-            w = ctx.qpow(l * l) * ctx.qq(l) / az2**l
-            total = total + w * _f_seq(ctx, j, l) * _f_seq(ctx, k, l)
-        else:
-            raise ValueError(kind)
-    if kind == "do7":
-        closed = (ctx.qpow(j * (j - 1) // 2) * ctx.qq(j) / az2**j) if j == k else ctx.zero()
-    else:
-        closed = (ctx.qq(j) / az2**j) if j == k else ctx.zero()
+        total = total + weight(l) / az2**l * seq(ctx, j, l) * seq(ctx, k, l)
+    closed = norm(j) / az2**j if j == k else ctx.zero()
     diff = total - closed
-    # the printed closed forms, for the report (float value)
-    qf = float(ctx.q_fraction)
-    if j != k:
-        printed = 0.0
-    elif kind == "do7":
-        printed = (math.log(1 / qf) * float(ctx.qq(j))
-                   / (qf ** ((j + 1) * j // 2) * float(az2) ** j))
-    else:
-        qq_inf_j = 1.0
-        for i in range(200):
-            qq_inf_j *= 1 - qf ** (j + 1 + i)
-        printed = 1 / (qq_inf_j * float(az2) ** j)
-    resid_printed = abs(complex(float(mpmath.re(total)) if not ctx.is_exact else float(total.re if hasattr(total, "re") else total),
-                                0) - printed)
+    # the printed closed form, for the report (float value)
+    printed = printed_form(float(ctx.q_fraction), float(az2)) if j == k else 0.0
     if ctx.is_exact:
+        total_re = float(total.re if isinstance(total, GaussianRational) else total)
         # decided exactly: a residual below a double's range must still fail
         passed = is_zero(diff)
         residual = "0" if passed else scalar_str(diff)
     else:
+        total_re = float(mpmath.re(total))
         passed, residual = numeric_verdict(ctx.mag(diff), 1e-8, 0.0)
     return VerificationReport(
         id=f"ORTHOSEQ-{kind}", mode="EXACT-POLY" if ctx.is_exact else "NUMERIC-SERIES",
         grid={"j": j, "k": k, "z": scalar_str(z)},
         residual=residual, tail_bound=0.0, passed=bool(passed),
         note="consistent closed form (printed forms mix normalizations; ledger)",
-        extra={"printed_form_residual": float(resid_printed)})
+        extra={"printed_form_residual": abs(total_re - printed)})

@@ -22,7 +22,7 @@ isolated the same way on its truncation, whose tail is bounded exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,11 +65,19 @@ class ZeroSet:
 
 @dataclass
 class LimitReport:
+    """Errors of a limit per size; monotone (each error below the one
+    before) and final_error (the last) are derived from them."""
+
     target: str
     sizes: List[int]
     errors: List[float]
-    monotone: bool
-    final_error: float
+    monotone: bool = field(init=False)
+    final_error: float = field(init=False)
+
+    def __post_init__(self):
+        e = self.errors
+        self.monotone = all(e[i + 1] < e[i] for i in range(len(e) - 1))
+        self.final_error = e[-1]
 
     def to_csv(self) -> str:
         lines = ["size,error"]
@@ -235,16 +243,13 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     N = 2 * count + 12
     while qf ** (N * N) * x_hi**N > 10.0 ** -(precision + 40):
         N += 4
-    cs, qq = [], Fraction(1)
-    for n in range(N + 1):
-        if n:
-            qq *= 1 - q**n
-        cs.append((-1) ** n * q ** (n * n) / qq)
+    ectx = ctx if ctx.is_exact else QContext(q)
+    cs = [(-1) ** n * ectx.qpow(n * n) / ectx.qq(n) for n in range(N + 1)]
     desc, den = _integer_poly(cs)
     # for x <= x_hi the terms past N shrink by a ratio r << 1/2, so
     # |A_q - A_N| <= t_{N+1} / (1 - r), t_{N+1} = q^{(N+1)^2} x^{N+1} /
     # ((q;q)_N (1 - q^{N+1})), and (1 - r)(1 - q^{N+1}) >= 1/2
-    tail_c = 2 * q ** ((N + 1) ** 2) / qq
+    tail_c = 2 * ectx.qpow((N + 1) ** 2) / ectx.qq(N)
     tail_n, tail_d = tail_c.numerator * den, tail_c.denominator
 
     def clears_tail(x):
@@ -272,6 +277,19 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     return zeros
 
 
+def _ladder_error(ctx: QContext, family: str, b, j: int, M: int, precision: int) -> float:
+    """|r_j(M, M) - q^{(j-1)/2}|, at least the certified width of r_j.  The
+    convergence is q^{O(M^2)}-fast, so the error sits at the certification
+    floor; the certified precision grows with M so that this bound decreases."""
+    prec_M = max(precision, 6 + 3 * M)
+    zs = radial_zeros(ctx, family, M, M, b=b, precision=prec_M, refine_top=j)
+    q = ctx.q_fraction
+    with mp.workprec(_poly_prec_bits(prec_M)):
+        target_r = (mp.mpf(q.numerator) / q.denominator) ** (mp.mpf(j - 1) / 2)
+        err = float(abs(zs.radii[j - 1] - target_r))
+    return max(err, zs.certified_width * float(zs.radii[j - 1]))
+
+
 def zero_limit_report(ctx: QContext, target: str, j: int,
                       sizes: Sequence[int], b=None,
                       precision: int = 20) -> LimitReport:
@@ -285,41 +303,28 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
     limit q^{j/2} indexes the same ladder shifted by one (the computed radii
     at (40,40) are 1, q^{1/2}, q, ... to ten digits; ledger).
     """
-    errors = []
-    q = ctx.q_fraction
-    if target == "limh":
+    if any(j > M for M in sizes):
+        raise ValueError("j exceeds the zero count at this size")
+    if target == "limH":
+        error = lambda M: _ladder_error(ctx, "Hq", None, j, M, precision)
+    elif target == "limp":
+        pb = F(1, 4) if b is None else b
+        error = lambda M: _ladder_error(ctx, "pq", pb, j, M, precision)
+    elif target == "limh":
+        q = ctx.q_fraction
         aq_prec = max(precision, 25)
         ivals = aq_zeros(ctx, j, precision=aq_prec)
         with mp.workprec(_poly_prec_bits(aq_prec)):
             tgt = 1 / mpmath.sqrt(ivals[j - 1])
-    for M in sizes:
-        if j > M:
-            raise ValueError("j exceeds the zero count at this size")
-        if target in ("limH", "limp"):
-            # convergence here is q^{O(M^2)}-fast, so the measured error sits at
-            # the certification floor; scale the certified precision with the
-            # size so the reported (certified) error bound itself decreases
-            prec_M = max(precision, 6 + 3 * M)
-            if target == "limH":
-                zs = radial_zeros(ctx, "Hq", M, M, precision=prec_M, refine_top=j)
-            else:
-                zs = radial_zeros(ctx, "pq", M, M, b=b if b is not None else F(1, 4),
-                                  precision=prec_M, refine_top=j)
-            with mp.workprec(_poly_prec_bits(prec_M)):
-                target_r = (mp.mpf(q.numerator) / q.denominator) ** (mp.mpf(j - 1) / 2)
-                err = float(abs(zs.radii[j - 1] - target_r))
-            err = max(err, zs.certified_width * float(zs.radii[j - 1]))
-        elif target == "limh":
+
+        def error(M):
             zs = radial_zeros(ctx, "hq", M, M, precision=precision)
             with mp.workprec(200):
-                err = float(abs(mp.mpf(q.numerator ** M) / q.denominator ** M
-                                * zs.radii[j - 1] - tgt))
-        else:
-            raise ValueError(target)
-        errors.append(err)
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return LimitReport(target=target, sizes=list(sizes), errors=errors,
-                       monotone=monotone, final_error=errors[-1])
+                return float(abs(mp.mpf(q.numerator ** M) / q.denominator ** M
+                                 * zs.radii[j - 1] - tgt))
+    else:
+        raise ValueError(target)
+    return LimitReport(target=target, sizes=list(sizes), errors=[error(M) for M in sizes])
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +347,26 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     # the limits do not depend on the size, and where the point does not
     # move either, one table serves every size: each read fills only the
     # band its entry needs (see FamilyTable)
-    if target in ("Hmn_inf", "Hm_inf", "Hn_inf"):
+    if target == "Hmn_inf":
         tab = FamilyTable(ctx, "Hq", z1, z2)
-        if target == "Hmn_inf":
-            lim = qpoch_inf(ctx, 1 / (z1 * z2))[0]
-        elif target == "Hm_inf":
-            n = int(pt.get("n", 0))
-            lim = z2**n * qpoch(ctx, 1 / (z1 * z2), n)
-        else:
-            m = int(pt.get("m", 0))
-            lim = z1**m * qpoch(ctx, 1 / (z1 * z2), m)
+        lim = qpoch_inf(ctx, 1 / (z1 * z2))[0]
+        ratio = lambda M: tab[M, M] / (z1**M * z2**M) / lim
+    elif target == "Hm_inf":
+        tab = FamilyTable(ctx, "Hq", z1, z2)
+        n = int(pt.get("n", 0))
+        lim = z2**n * qpoch(ctx, 1 / (z1 * z2), n)
+        ratio = lambda M: tab[M, n] / z1**M / lim
+    elif target == "Hn_inf":
+        tab = FamilyTable(ctx, "Hq", z1, z2)
+        m = int(pt.get("m", 0))
+        lim = z1**m * qpoch(ctx, 1 / (z1 * z2), m)
+        ratio = lambda M: tab[m, M] / z2**M / lim
     elif target == "p_inf":
         b = pt.get("b", F(1, 4))
         tab = FamilyTable(ctx, "pq", z1, z2, b=b)
         lim = (qpoch_inf(ctx, ctx.scalar(b) * ctx.q)[0]
                * qpoch_inf(ctx, 1 / (z1 * z2))[0])
+        ratio = lambda M: tab[M, M] / (z1**M * z2**M) / lim
     elif target == "PR_h":
         # Plancherel-Rotach scaling a = b = 1/2; the printed (q;q)_inf^2
         # factor is spurious (it belongs inside the sum as (q;q)_m (q;q)_n,
@@ -364,35 +374,27 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
         w1 = ctx.scalar(pt.get("w1", 1))
         w2 = ctx.scalar(pt.get("w2", 1))
         aqv, _ = aq_function(ctx, 1 / (w1 * w2))
+
+        def ratio(M):
+            sc = ctx.qpow(-M)
+            val = FamilyTable(ctx, "hq", w1 * sc, w2 * sc)[M, M]
+            return val / (w1**M * w2**M * ctx.qpow(-M * M)) / aqv
     elif target == "theta4_scaled":
         if any(M % 4 != 1 for M in sizes):
             raise ValueError("theta4_scaled sizes must be 1 mod 4")
         s = ctx.q_half_pow(1)
         qqinf = qpoch_inf(ctx, ctx.q)[0]
         th, _ = theta4(ctx, z1 * z2 * s, s)
-    else:
-        raise ValueError(target)
-    errors = []
-    for M in sizes:
-        if target in ("Hmn_inf", "p_inf"):
-            ratio = tab[M, M] / (z1**M * z2**M) / lim
-        elif target == "Hm_inf":
-            ratio = tab[M, n] / z1**M / lim
-        elif target == "Hn_inf":
-            ratio = tab[m, M] / z2**M / lim
-        elif target == "PR_h":
-            sc = ctx.qpow(-M)
-            val = FamilyTable(ctx, "hq", w1 * sc, w2 * sc)[M, M]
-            ratio = val / (w1**M * w2**M * ctx.qpow(-M * M)) / aqv
-        else:
+
+        def ratio(M):
             tau = (M - 1) // 2
             scale = ctx.qpow((M - 1) // 4)
             val = FamilyTable(ctx, "Hq", z1 * scale, z2 * scale)[M, M]
             # exponent M^2/2 - M/2 - tau^2/2 - tau*chi, all integral here
             E = (M * M - M) // 2 - (tau * tau + tau) // 2
-            ratio = (qqinf * val * (-z1 * z2) ** tau
-                     / (z1**M * z2**M * ctx.qpow(E)) / th)
-        errors.append(float(abs(ratio - 1)))
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return LimitReport(target=target, sizes=list(sizes), errors=errors,
-                       monotone=monotone, final_error=errors[-1])
+            return (qqinf * val * (-z1 * z2) ** tau
+                    / (z1**M * z2**M * ctx.qpow(E)) / th)
+    else:
+        raise ValueError(target)
+    return LimitReport(target=target, sizes=list(sizes),
+                       errors=[float(abs(ratio(M) - 1)) for M in sizes])

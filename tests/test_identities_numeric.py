@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.ctx_mp_python import _mpc, _mpf
 
 import q2dpoly.identities_numeric as nm
 from q2dpoly.context import QContext, TruncationPolicy
@@ -94,6 +95,20 @@ def test_closed_form_tail_bounds_residual(id_, tail_tol):
                  default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
     rep = check_identity(c, id_, {}, tol=1e-9)
     assert float(rep.residual) <= rep.tail_bound, (rep.residual, rep.tail_bound)
+
+
+def test_ram_gen_h_takes_its_powers_from_tables(monkeypatch):
+    # the h-series has cap + 1 = 171 distinct exponents per factor; taking
+    # (s x)^s and (s/x)^t afresh in every sum2d term cost about 30 000 powers
+    calls = []
+    for cls in (_mpf, _mpc):
+        def counted(self, other, pw=cls.__pow__):
+            calls.append(other)
+            return pw(self, other)
+
+        monkeypatch.setattr(cls, "__pow__", counted)
+    check_identity(_fctx(F(1, 2)), "RAM-GEN-h", {}, tol=1e-9)
+    assert 0 < len(calls) <= 6 * (170 + 1), len(calls)
 
 
 def test_p_gf_is_shifted_gf_at_origin():

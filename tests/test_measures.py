@@ -8,7 +8,7 @@ from mpmath import mp
 from q2dpoly import measures
 from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.measures import (RadialMeasure, _leading_minors_exact,
+from q2dpoly.measures import (_leading_minors_exact,
                               _minor_pivoted, angular_quadrature_check,
                               gram_matrix, gram_positivity,
                               h_radial_moments_batch, inner_product, moment,
@@ -32,13 +32,13 @@ def fctx2():
 
 
 def test_discrete_moments(fctx):
-    val, tail = moment(fctx, RadialMeasure("H_discrete", K=80), 1, 1)
+    val, tail = moment(fctx, "Hq", 1, 1, K=80)
     assert abs(val - fctx.qq(1)) < 1e-20 + tail
-    off, _ = moment(fctx, RadialMeasure("H_discrete", K=80), 2, 1)
+    off, _ = moment(fctx, "Hq", 2, 1, K=80)
     assert off == 0
     # indices up to 6: (q;q)_n
     for n in range(7):
-        v, t = moment(fctx, RadialMeasure("H_discrete", K=80), n, n)
+        v, t = moment(fctx, "Hq", n, n, K=80)
         assert abs(v - fctx.qq(n)) / abs(fctx.qq(n)) < 1e-10
 
 
@@ -49,7 +49,7 @@ def test_h_moments_match_closed_form(fctx2):
             val, err = h_radial_moments_batch(fctx2, j)[j]
             closed = fctx2.qq(j) * mpmath.log(2) / fctx2.qpow(j * (j + 1) // 2)
             assert abs(val - closed) / abs(closed) < 1e-10, j
-    v0, _ = moment(fctx2, RadialMeasure("h_continuous"), 0, 0)
+    v0, _ = moment(fctx2, "hq", 0, 0)
     with fctx2.workprec():
         assert abs(v0 - mpmath.log(2)) < 1e-12
 
@@ -99,10 +99,10 @@ def test_h_moment_cache_keyed_by_truncation_policy(monkeypatch):
     loose = QContext(F(1, 2), backend="float", precision_bits=160,
                      default_trunc=TruncationPolicy(400, 1e-8))
     tight = QContext(F(1, 2), backend="float", precision_bits=160, default_trunc=TR)
-    h_radial_moments_batch(loose, 0)[0]
-    got = h_radial_moments_batch(tight, 0)[0]
+    measures._radial_moments(loose, "hq", 0)
+    got = measures._radial_moments(tight, "hq", 0)[0]
     measures._H_MOMENT_CACHE.clear()
-    assert got == h_radial_moments_batch(tight, 0)[0]
+    assert got == measures._radial_moments(tight, "hq", 0)[0]
     with tight.workprec():
         assert abs(got[0] - mpmath.log(2)) <= got[1]
 
@@ -148,6 +148,14 @@ def test_qbeta_trivial_and_generic(fctx2):
     assert rep.passed, rep.residual
     rep = qbeta_check(fctx2, "h_beta", {"cap": 16, "tol": 1e-10})
     assert rep.passed, rep.residual
+
+
+def test_qbeta_h_beta_default_parameters(fctx2):
+    # the default cap 26 reads moments up to j = 52, past where the
+    # quadrature's error bound is finite; the closed-form moments carry no tail
+    rep = qbeta_check(fctx2, "h_beta", {})
+    assert rep.passed and math.isfinite(rep.tail_bound), (rep.residual, rep.tail_bound)
+    assert float(rep.residual) <= 1e-30, rep.residual
 
 
 def test_qbeta_H_beta_summed_at_context_precision(fctx2):
@@ -311,9 +319,9 @@ def test_discrete_moment_tables_match_closed_forms():
     # H: (q;q)_h/(q;q)_inf; p: (q;q)_h/(bq;q)_{h+1} (bq;q)_inf/(q;q)_inf
     ctx = QContext(F(1, 4), backend="float", precision_bits=160,
                    default_trunc=TruncationPolicy(400, 1e-40))
-    cases = [("H_discrete", None)] + [("p_discrete", b) for b in (F(1, 4), 0, F(-1, 2))]
+    cases = [("Hq", None)] + [("pq", b) for b in (F(1, 4), 0, F(-1, 2))]
     for kind, b in cases:
-        table = measures._radial_moments(ctx, RadialMeasure(kind, b=b, K=120), 8)
+        table = measures._radial_moments(ctx, kind, 8, b=b, K=120)
         with ctx.workprec():
             q = ctx.q
             bq = 0 if b is None else ctx.scalar(b) * q
@@ -332,17 +340,17 @@ def test_discrete_moments_within_tail_of_closed_forms(q):
     ctx = QContext(q, backend="float", precision_bits=160,
                    default_trunc=TruncationPolicy(400, 1e-40))
     b = F(1, 4)
-    for kind in ("H_discrete", "p_discrete"):
-        table = measures._radial_moments(ctx, RadialMeasure(kind, b=b, K=30), 8)
+    for kind in ("Hq", "pq"):
+        table = measures._radial_moments(ctx, kind, 8, b=b, K=30)
         with ctx.workprec():
             bq = ctx.scalar(b) * ctx.q
-            if kind == "H_discrete":
+            if kind == "Hq":
                 inf, inf_tail = qpoch_inf_ratio(ctx, [], [ctx.q])
             else:
                 inf, inf_tail = qpoch_inf_ratio(ctx, [bq], [ctx.q])
             errs = []
             for h, (val, tail) in enumerate(table):
-                fin = ctx.qq(h) / (1 if kind == "H_discrete" else qpoch(ctx, bq, h + 1))
+                fin = ctx.qq(h) / (1 if kind == "Hq" else qpoch(ctx, bq, h + 1))
                 errs.append(abs(val - fin * inf))
                 assert errs[h] <= tail + abs(fin) * inf_tail, (kind, h)
         assert errs[0] >= table[0][1] / 10, kind  # at h = 0 the cut, not rounding, decides
@@ -369,8 +377,8 @@ def test_p_moment_tail_bounds_truncation_error_for_negative_b(fctx, b):
     # outside 0 <= b <= 2/q the factors |1 - b q^{j+1}| exceed 1, so the
     # tail must carry sup_k |(bq;q)_k|, not 1
     for h in range(3):
-        val, tail = moment(fctx, RadialMeasure("p_discrete", b=F(b), K=10), h, h)
-        ref, _ = moment(fctx, RadialMeasure("p_discrete", b=F(b), K=400), h, h)
+        val, tail = moment(fctx, "pq", h, h, b=F(b), K=10)
+        ref, _ = moment(fctx, "pq", h, h, b=F(b), K=400)
         with fctx.workprec():
             assert tail >= abs(val - ref), (b, h)
 
@@ -383,7 +391,7 @@ def test_h_discrete_moment_tail_bounds_error(q):
         ctx = QContext(q, backend="float", precision_bits=160,
                        default_trunc=TruncationPolicy(500, tail_tol))
         for n in range(8):
-            val, tail = moment(ctx, RadialMeasure("H_discrete", K=400), n, n)
+            val, tail = moment(ctx, "Hq", n, n, K=400)
             with ctx.workprec():
                 assert abs(val - ctx.qq(n)) <= tail, (tail_tol, n)
 
@@ -391,9 +399,8 @@ def test_h_discrete_moment_tail_bounds_error(q):
 def test_moment_tables_shared_across_callers(monkeypatch, fctx):
     # one memo for every table: a longer table serves a shorter request
     monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
-    meas = RadialMeasure("H_discrete", K=80)
-    long = measures._radial_moments(fctx, meas, 6)
+    long = measures._radial_moments(fctx, "Hq", 6, K=80)
     assert len(measures._H_MOMENT_CACHE) == 1
-    assert measures._radial_moments(fctx, meas, 3) == long[:4]
+    assert measures._radial_moments(fctx, "Hq", 3, K=80) == long[:4]
     inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
     assert len(measures._H_MOMENT_CACHE) == 1

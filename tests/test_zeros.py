@@ -242,6 +242,15 @@ def test_limh_errors_match_200_bit_reference():
     assert rep.monotone
 
 
+def test_limit_report_derives_monotone_and_final_error():
+    rep = zeros.LimitReport("Hmn_inf", [8, 16, 32], [0.5, 0.25, 0.125])
+    assert rep.monotone and rep.final_error == 0.125
+    rep = zeros.LimitReport("PR_h", [8, 16, 32], [0.5, 0.5, 0.1])
+    assert not rep.monotone and rep.final_error == 0.1
+    assert repr(rep) == ("LimitReport(target='PR_h', sizes=[8, 16, 32], errors=[0.5, 0.5, 0.1], "
+                         "monotone=False, final_error=0.1)")
+
+
 def test_limit_report_csv(ctx):
     rep = zero_limit_report(ctx, "limH", 1, [6, 10], precision=10)
     csv = rep.to_csv()
