@@ -13,7 +13,7 @@ Modes:
 ``check_identity`` runs one entry over its (defaulted) grid and aggregates a
 single report; ``sweep`` emits one report per grid point in deterministic
 order.  Entries whose printed source is corrected or refuted carry a ``note``
--- the decisions ledger has the derivations.
+-- the derivations are in their checkers' docstrings.
 """
 
 from __future__ import annotations
@@ -265,8 +265,17 @@ def get_entry(id_: str) -> IdentityEntry:
     return REGISTRY[id_]
 
 
+def _check_bounds(params: Dict):
+    """A negative grid bound or series order selects nothing to check, and a
+    check over nothing must not pass: it is a ValueError."""
+    for key in ("max_m", "max_n", "max_j", "max_k", "max_s", "order"):
+        if int(params.get(key, 0)) < 0:
+            raise ValueError(f"{key} must be >= 0, got {params[key]}")
+
+
 def _default_grid(entry: IdentityEntry, params: Dict) -> List[Dict]:
     params = dict(params or {})
+    _check_bounds(params)
     if "m" in params and entry.grid_kind == "mn" and "n" in params:
         return [params]
     if entry.grid_kind == "mn":
@@ -349,7 +358,9 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
 def sweep(ctx: QContext, ids: Sequence[str], grid: Optional[Dict] = None,
           tol: float = 1e-10) -> List[VerificationReport]:
     """One report per (id, grid point); failures are isolated per entry and
-    never abort the sweep.  Reports are ordered by (id, grid point)."""
+    never abort the sweep, but a negative bound in grid raises ValueError
+    before any entry runs.  Reports are ordered by (id, grid point)."""
+    _check_bounds(grid or {})
     out: List[VerificationReport] = []
     for id_ in sorted(ids):
         entry = get_entry(id_)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyfamilies import BivarPoly, coeffs, radial_reduce
-from .qkernel import qbinom, qbinom_base, qpoch
+from .polyfamilies import BivarPoly, _rising, coeffs, radial_reduce
+from .qkernel import qbinom, qbinom_inv, qpoch
 
 F = Fraction
 
@@ -272,15 +272,12 @@ def hh_sl(ctx, pt, var):
 
 
 def _hq_inverted_base(ctx, m: int, n: int) -> BivarPoly:
-    """h_{m,n}(z1, z2 | 1/q) through exact finite products in the base 1/q."""
-    qi = 1 / ctx.q
+    """h_{m,n}(z1, z2 | 1/q) from its defining sum in the base 1/q, whose
+    (1/q;1/q)_j is read in base q as (q^-j;q)_j."""
     out = {}
     for j in range(min(m, n) + 1):
-        poch = ctx.one()
-        for i in range(1, j + 1):
-            poch = poch * (1 - qi**i)
-        c = (qbinom_base(ctx, qi, m, j) * qbinom_base(ctx, qi, n, j)
-             * qi ** ((m - j) * (n - j)) * (-1) ** j * poch)
+        c = (qbinom_inv(ctx, m, j) * qbinom_inv(ctx, n, j) * ctx.qpow(-(m - j) * (n - j))
+             * (-1) ** j * qpoch(ctx, ctx.qpow(-j), j))
         out[(m - j, n - j)] = c
     return BivarPoly(ctx, out)
 
@@ -513,23 +510,19 @@ def p_prop_22(ctx, pt):
 
 
 def p_qinv(ctx, pt):
-    """Base-inversion symmetry at integer alpha in {0, 1}; the q**-1 shifted
-    factorials are evaluated as exact finite products."""
+    """Base-inversion symmetry at integer alpha in {0, 1}; the base-1/q
+    shifted factorials (1/q;1/q)_k and (b/q;1/q)_N are read in base q as
+    (q^-k;q)_k and (b q^-N;q)_N."""
     m, n = pt["m"], pt["n"]
     alpha = pt.get("alpha", 0)
     b = Fraction(pt.get("b", F(1, 3)))
-    qi = 1 / ctx.q
     # p_{m,n}(z1,z2;b|1/q) from the defining sum in base 1/q
     out = {}
     for k in range(min(m, n) + 1):
-        poch_k = ctx.one()
-        for i in range(1, k + 1):
-            poch_k = poch_k * (1 - qi**i)
-        poch_b = ctx.one()
-        for i in range(m + n - k):
-            poch_b = poch_b * (1 - ctx.scalar(b) * qi ** (i + 1))
-        c = (qbinom_base(ctx, qi, m, k) * qbinom_base(ctx, qi, n, k) * (-1) ** k
-             * qi ** (k * (k - 1) // 2) * poch_k * poch_b)
+        N = m + n - k
+        c = (qbinom_inv(ctx, m, k) * qbinom_inv(ctx, n, k) * (-1) ** k
+             * ctx.qpow(-(k * (k - 1) // 2)) * qpoch(ctx, ctx.qpow(-k), k)
+             * qpoch(ctx, ctx.scalar(b) * ctx.qpow(-N), N))
         out[(m - k, n - k)] = c
     lhs = BivarPoly(ctx, out)
     bq = ctx.scalar(b) / ctx.q
@@ -556,10 +549,7 @@ def disk_conn(ctx, pt):
     for p in range(min(m, n) + 1):
         inner = ctx.zero()
         for k in range(p + 1):
-            ris = ctx.one()
-            for i in range(m + n - k):
-                ris = ris * (ctx.scalar(nu) + i)
-            inner = inner + math.comb(p, k) * (-1) ** k * ris
+            inner = inner + math.comb(p, k) * (-1) ** k * _rising(ctx.scalar(nu), m + n - k, ctx)
         c = Fraction(math.factorial(m) * math.factorial(n),
                      math.factorial(p) * math.factorial(m - p) * math.factorial(n - p))
         rhs = rhs + ctx.scalar(c) * inner * coeffs(ctx, "H_classical", m - p, n - p)

@@ -22,7 +22,7 @@ from .context import QContext
 from .polyfamilies import (FamilyTable, _power_table, coeffs, eval_poly,
                            little_q_jacobi_coeff_list, radial_reduce)
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
-                      qbinom, qbinom_base, qpoch, qpoch_inf, qpoch_inf_ratio,
+                      qbinom, qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ratio,
                       schur_a, schur_b, times)
 
 F = Fraction
@@ -569,9 +569,10 @@ def num_bes_wall(ctx, pt):
     # printed variant, truncated where its terms are still decreasing
     tot_printed = ctx.zero()
     prev = None
+    poch = QPochPrefix(ctx, qalpha * q)  # (q^{n+1};q)_k
     for k in range(40):
         pk = sum(c * x2**r for r, c in enumerate(little_q_jacobi_coeff_list(ctx, qalpha, 0, k)))
-        t_pr = pk / (ctx.qq(k) * qpoch(ctx, qalpha * q, k))
+        t_pr = pk / (ctx.qq(k) * poch(k))
         if prev is not None and ctx.mag(t_pr) > prev:
             break
         tot_printed = tot_printed + t_pr
@@ -766,20 +767,19 @@ def num_qks1(ctx, pt):
     psi = ctx.scalar(pt.get("psi", F(1, 5)))
     q = ctx.q
     s = ctx.q_half_pow(1)
-    qi = 1 / q
 
-    def cont_qH(nn, xarg, base):
-        # continuous q-Hermite H_n(cos theta | base) with cos theta = xarg
+    def cont_qH(nn, xarg, binom):
+        # continuous q-Hermite H_n(cos theta | base), cos theta = xarg; binom: [n k] in base
         th = mpmath.acos(xarg)
-        return sum((qbinom_base(ctx, base, nn, k) * mpmath.exp(1j * (nn - 2 * k) * th)
+        return sum((binom(ctx, nn, k) * mpmath.exp(1j * (nn - 2 * k) * th)
                     for k in range(nn + 1)), mp.mpc(0))
 
     sinpsi = mpmath.sin(psi)
     cosphi = mpmath.cos(phi)
     cospsi = mpmath.cos(psi)
-    Hm1 = [cont_qH(n_, sinpsi, qi) for n_ in range(J + 1)]
-    Hm3 = [cont_qH(n_, cosphi, q) for n_ in range(J + 1)]
-    Hm4 = [cont_qH(n_, cospsi, q) for n_ in range(J + 1)]
+    Hm1 = [cont_qH(n_, sinpsi, qbinom_inv) for n_ in range(J + 1)]
+    Hm3 = [cont_qH(n_, cosphi, qbinom) for n_ in range(J + 1)]
+    Hm4 = [cont_qH(n_, cospsi, qbinom) for n_ in range(J + 1)]
 
     def block(sign, vals, coef):
         return laurent_block((sign * m_, vals[m_] * coef(m_) / ctx.qq(m_)) for m_ in range(J + 1))

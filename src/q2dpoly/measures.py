@@ -272,6 +272,8 @@ def ortho_table(ctx: QContext, family: str, N: int, b=None, K: int = 80):
     """Every <P_{m,n}, P_{s,t}> with m, n, s, t <= N, as (table, worst
     diagonal rel_error, worst off-diagonal |value|); the table maps
     (m, n, s, t) to its InnerProductResult, in lexicographic order."""
+    if N < 0:
+        raise ValueError(f"ortho_table needs N >= 0, got {N}")
     table = {}
     worst_diag = worst_off = 0.0
     for m, n, s, t in itertools.product(range(N + 1), repeat=4):
@@ -563,8 +565,8 @@ def gram_positivity(ctx: QContext, kind: str, N: int, z) -> VerificationReport:
         raise ValueError("gram_positivity needs the exact backend")
     if is_zero(ctx.scalar(z)):
         raise ValueError("z must be nonzero")
-    if N > 12:
-        raise ValueError("N <= 12 at desk scale")
+    if not 0 <= N <= 12:
+        raise ValueError(f"gram_positivity needs 0 <= N <= 12 (desk scale), got {N}")
     G = gram_matrix(ctx, kind, N, z)
     minors = _leading_minors_exact(G)
     passed = all(mi > 0 for mi in minors)
@@ -596,6 +598,11 @@ def _f_seq(ctx, j, l):
     return tot
 
 
+def _mpf(x):
+    """x (an mpf, or a Fraction of the exact backend) as an mpf."""
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
 def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> VerificationReport:
     """The orthonormal-sequence sums of the positivity section.
 
@@ -607,8 +614,8 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
     The printed closed forms carry a log(1/q) (do7) resp. 1/(q^{j+1};q)_inf
     (do8) factor inherited from mixing the normalized and unnormalized moment
     conventions; the consistent forms above are what the basis expansions
-    imply (ledger).  Both the consistent and printed closed forms are
-    reported.
+    imply (ledger).  Both closed forms are reported, the printed one at the
+    context's precision (its residual an mpf where it overflows a double).
     """
     if kind == "do7":
         seq = _e_seq
@@ -618,8 +625,8 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
 
         norm = weight
 
-        def printed_form(qf, az2f):  # log(1/q) (q;q)_j / (q^C(j+1,2) |z|^{2j})
-            return math.log(1 / qf) * float(ctx.qq(j)) / (qf ** ((j + 1) * j // 2) * az2f ** j)
+        def printed_factor():  # log(1/q) q^{-j^2}, over the consistent form
+            return -mpmath.log(_mpf(ctx.q_fraction)) * _mpf(ctx.qpow(-j * j))
     elif kind == "do8":
         seq = _f_seq
 
@@ -628,11 +635,8 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
 
         norm = ctx.qq
 
-        def printed_form(qf, az2f):  # 1/((q^{j+1};q)_inf |z|^{2j})
-            qq_inf_j = 1.0
-            for i in range(200):
-                qq_inf_j *= 1 - qf ** (j + 1 + i)
-            return 1 / (qq_inf_j * az2f ** j)
+        def printed_factor():  # 1/(q;q)_inf, over the consistent form
+            return _mpf(qpoch_inf_ratio(ctx, (), [ctx.q])[0])
     else:
         raise ValueError(kind)
     z = ctx.scalar(z)
@@ -645,19 +649,19 @@ def orthonormal_seq_check(ctx: QContext, kind: str, j: int, k: int, z) -> Verifi
         total = total + weight(l) / az2**l * seq(ctx, j, l) * seq(ctx, k, l)
     closed = norm(j) / az2**j if j == k else ctx.zero()
     diff = total - closed
-    # the printed closed form, for the report (float value)
-    printed = printed_form(float(ctx.q_fraction), float(az2)) if j == k else 0.0
     if ctx.is_exact:
-        total_re = float(total.re if isinstance(total, GaussianRational) else total)
         # decided exactly: a residual below a double's range must still fail
         passed = is_zero(diff)
         residual = "0" if passed else scalar_str(diff)
     else:
-        total_re = float(mpmath.re(total))
         passed, residual = numeric_verdict(ctx.mag(diff), 1e-8, 0.0)
+    with ctx.workprec():
+        printed = _mpf(closed) * printed_factor() if j == k else 0
+        printed_res = abs(_mpf(total) - printed)  # real: z enters as |z|^2
+    as_float = float(printed_res)
     return VerificationReport(
         id=f"ORTHOSEQ-{kind}", mode="EXACT-POLY" if ctx.is_exact else "NUMERIC-SERIES",
         grid={"j": j, "k": k, "z": scalar_str(z)},
         residual=residual, tail_bound=0.0, passed=bool(passed),
         note="consistent closed form (printed forms mix normalizations; ledger)",
-        extra={"printed_form_residual": abs(total_re - printed)})
+        extra={"printed_form_residual": as_float if math.isfinite(as_float) else printed_res})

@@ -25,7 +25,7 @@ __all__ = [
     "times",
     "QPochPrefix",
     "qbinom",
-    "qbinom_base",
+    "qbinom_inv",
     "phi_series",
     "aq_function",
     "theta4",
@@ -48,17 +48,13 @@ class PoleError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def qpoch(ctx: QContext, a, n):
-    """(a; q)_n for a nonnegative integer n (a negative n raises ValueError);
-    the infinite product is :func:`qpoch_inf`.
+    """(a; q)_n for a nonnegative integer n (a negative n raises ValueError),
+    read off a :class:`QPochPrefix`; the infinite product is :func:`qpoch_inf`.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"(a;q)_n needs n >= 0, got {n}")
-    a = ctx.scalar(a)
-    out = ctx.one()
-    for k in range(n):
-        out = out * (1 - a * ctx.qpow(k))
-    return out
+    return QPochPrefix(ctx, a)(n)
 
 
 def qpoch_inf(ctx: QContext, a):
@@ -154,12 +150,12 @@ def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
 
 
 class QPochPrefix:
-    """n -> (a; q)_n read off one running product that is extended on read.
+    """n -> (a; q)_n read off one running product that is extended on read:
+    the kernel's one loop over the factors (1 - a q^k), k = 0, 1, ...
 
-    The factors are :func:`qpoch`'s, multiplied in its order, so entry n is
-    bitwise ``qpoch(ctx, a, n)``; a sum over n costs one factor per term
-    instead of n.  Entries are computed at the ``mp.prec`` of the read that
-    extends the product.
+    :func:`qpoch` reads one, so entry n is bitwise ``qpoch(ctx, a, n)``; a
+    sum over n costs one factor per term instead of n.  Entries are computed
+    at the ``mp.prec`` of the read that extends the product.
     """
 
     def __init__(self, ctx: QContext, a):
@@ -181,16 +177,13 @@ def qbinom(ctx: QContext, m: int, k: int):
     return ctx.qq(m) / (ctx.qq(k) * ctx.qq(m - k))
 
 
-def qbinom_base(ctx: QContext, base, m: int, k: int):
-    """Gaussian binomial in an arbitrary base (used for inverted-base q**-1 checks)."""
+def qbinom_inv(ctx: QContext, m: int, k: int):
+    """Gaussian binomial [m k] in the base 1/q, zero outside 0 <= k <= m: its
+    base-1/q factors read in base q, (q^-m;q)_k / (q^-k;q)_k, so that no
+    inversion identity is assumed."""
     if k < 0 or m < 0 or k > m:
         return ctx.zero()
-    num = ctx.one()
-    den = ctx.one()
-    for i in range(k):
-        num = num * (1 - base ** (m - i))
-        den = den * (1 - base ** (i + 1))
-    return num / den
+    return qpoch(ctx, ctx.qpow(-m), k) / qpoch(ctx, ctx.qpow(-k), k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ fails, since ``qpoch_inf_ratio`` carries the tails of a quotient of such
 products.  Nor does one drop the tail of a basic hypergeometric series: a
 ``phi_series(...)[0]``, ``aq_function(...)[0]`` or
 ``bessel_i2_series(...)[0]`` in those modules fails.
+
+No module but the kernel and the context multiplies a running product by
+(1 +- x) factors: a finite q-shifted factorial is a ``qpoch`` or
+``QPochPrefix`` read, and a base-1/q Gaussian binomial a ``qbinom_inv``.
 """
 
 import ast
@@ -96,6 +100,44 @@ def test_no_dropped_qpoch_inf_tails():
             tree = ast.parse(fh.read())
         dropped += [f"{fname}:{ln}" for ln in _dropped_tails(tree, ("qpoch_inf",) + SERIES)]
     assert dropped == []
+
+
+def _one_plus_minus(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+
+def _running_products(tree):
+    """Lines of `p = p * (1 - x)`, `p = (1 + x) * p` and `p *= 1 - x`."""
+    out = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
+                and isinstance(n.target, ast.Name) and _one_plus_minus(n.value)):
+            out.append(n.lineno)
+        elif (isinstance(n, ast.Assign) and len(n.targets) == 1
+              and isinstance(n.targets[0], ast.Name)
+              and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, ast.Mult)):
+            name, left, right = n.targets[0].id, n.value.left, n.value.right
+            if ((getattr(left, "id", None) == name and _one_plus_minus(right))
+                    or (getattr(right, "id", None) == name and _one_plus_minus(left))):
+                out.append(n.lineno)
+    return out
+
+
+def test_running_product_finder_flags_a_factor_loop():
+    tree = ast.parse("p = p * (1 - x)\np *= 1 - a * q**k\np = (1 + x) * p\n"
+                     "r = p * (1 - x)\np = p * (x - 1)\np = p * (nu + i)\ns += 1 - x\n")
+    assert _running_products(tree) == [1, 2, 3]
+
+
+def test_no_running_products_outside_the_kernel():
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py") and fname not in ("qkernel.py", "context.py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{fname}:{ln}" for ln in _running_products(tree)]
+    assert found == []
 
 
 # Every public name has a caller.  A name in a module's ``__all__``, or a

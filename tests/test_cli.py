@@ -88,6 +88,17 @@ def test_verify_runs_each_entry_on_the_backend_of_its_mode(capsys):
     assert main(["verify", "--id", "H-TTR-a", "--backend", "exact"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--id", "H-TTR-a", "--max-m", "-1", "--q", "1/2"),
+    ("verify", "--id", "H-TTR-a", "--max-n", "-1", "--q", "1/2"),
+    ("gram", "--kind", "doH", "--N", "-1", "--z", "1"),
+    ("ortho", "--family", "H", "--max-index", "-1"),
+])
+def test_a_negative_size_is_config_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_verify_without_selector_is_config_error(capsys):
     code = main(["verify", "--q", "1/2"])
     assert code == 2

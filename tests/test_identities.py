@@ -27,6 +27,25 @@ def test_registry_membership_and_anchors():
         assert required in ids
 
 
+@pytest.mark.parametrize("id_, params", [
+    ("H-TTR-a", {"max_m": -1}),
+    ("H-TTR-a", {"max_n": -1}),
+    ("GF-SHIFT-H", {"max_j": -1}),
+    ("GF-SHIFT-H", {"max_k": -1}),
+    ("GIS-PGF", {"max_s": -1}),
+    ("H-GF", {"order": -1}),
+])
+def test_a_negative_bound_is_refused(id_, params):
+    # a grid over nothing must not pass as residual "0", points 0
+    with pytest.raises(ValueError):
+        check_identity(QContext(F(1, 2)), id_, params)
+
+
+def test_sweep_refuses_a_negative_bound():
+    with pytest.raises(ValueError):
+        sweep(QContext(F(1, 2)), ["H-TTR-a", "QKS1"], {"max_m": -1})
+
+
 def test_unknown_id_raises():
     with pytest.raises(KeyError):
         get_entry("no-such-identity")

@@ -314,6 +314,40 @@ def test_orthonormal_seq_tiny_exact_residual_fails(monkeypatch):
     assert rep.residual != "0" and F(rep.residual) != 0
 
 
+@pytest.mark.parametrize("kind", ["do7", "do8"])
+@pytest.mark.parametrize("j", [46, 60])
+def test_orthonormal_seq_printed_form_at_large_j(fctx2, kind, j):
+    # the printed form is taken at the context's precision: at j = 46 the
+    # double q**(j(j+1)/2) it once divided by is 0.0.  do8 needs q**(1/2),
+    # which is rational at q = 1/4, not at 1/2
+    exact = QContext(F(1, 2)) if kind == "do7" else QContext(F(1, 4), sqrt_q=F(1, 2))
+    for ctx in (fctx2, exact):
+        rep = orthonormal_seq_check(ctx, kind, j, j, F(3, 2))
+        printed = rep.extra["printed_form_residual"]
+        assert rep.passed, (ctx, rep.residual)
+        assert mpmath.isfinite(printed) and printed > 0, (ctx, printed)
+
+
+@pytest.mark.parametrize("kind, j, backend, value", [
+    ("do7", 2, "float", 0.3737168477392268),
+    ("do7", 2, "exact", 0.3737168477392268),
+    ("do8", 4, "float", 0.029559715939961335),
+])
+def test_orthonormal_seq_printed_form_residual_pinned(fctx2, kind, j, backend, value):
+    # the values of the double-precision printed forms these replace
+    ctx = fctx2 if backend == "float" else QContext(F(1, 2))
+    rep = orthonormal_seq_check(ctx, kind, j, j, F(3, 2))
+    assert rep.passed
+    assert abs(rep.extra["printed_form_residual"] - value) <= 1e-12 * value
+
+
+def test_gram_and_ortho_table_refuse_a_negative_size(fctx):
+    with pytest.raises(ValueError):
+        gram_positivity(QContext(F(1, 2)), "doH", -1, 1)
+    with pytest.raises(ValueError):
+        ortho_table(fctx, "Hq", -1)
+
+
 def test_discrete_moment_tables_match_closed_forms():
     # sum_k w_k q^{kh} against the q-binomial theorem, h <= 8 at q = 1/4:
     # H: (q;q)_h/(q;q)_inf; p: (q;q)_h/(bq;q)_{h+1} (bq;q)_inf/(q;q)_inf

@@ -9,10 +9,10 @@ from q2dpoly.context import GaussianRational as GR
 from q2dpoly.context import QContext, TruncationPolicy, as_fraction
 from q2dpoly import qkernel
 from q2dpoly.polyfamilies import BivarPoly
-from q2dpoly.qkernel import (DivergenceError, PoleError, aq_function,
-                             bessel_i2_series, phi_series, qbinom, qpoch,
-                             qpoch_inf, qpoch_inf_ratio, schur_a, schur_b,
-                             theta4)
+from q2dpoly.qkernel import (DivergenceError, PoleError, QPochPrefix,
+                             aq_function, bessel_i2_series, phi_series, qbinom,
+                             qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ratio,
+                             schur_a, schur_b, theta4)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,51 @@ def test_qpoch_negative_index_raises(ctx, n):
     # a negative order is refused, not read as the empty product
     with pytest.raises(ValueError):
         qpoch(ctx, F(3, 5), n)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_qpoch_is_a_prefix_read_bitwise(backend):
+    c = QContext(F(2, 5), backend=backend, precision_bits=160)
+    for a in (c.q, c.scalar(F(3, 7)), c.scalar(complex(0.5, -1.25)), c.qpow(-3)):
+        pre = QPochPrefix(c, a)
+        pre(12)  # filled in one pass, then read back
+        for n in range(13):
+            v = qpoch(c, a, n)
+            assert v == pre(n) and type(v) is type(pre(n)), (a, n)
+
+
+def _qbinom_base(ctx, base, m, k):
+    """The Gaussian binomial in the base `base` as its direct product, the
+    form that qbinom_inv reindexes into base q."""
+    if k < 0 or m < 0 or k > m:
+        return ctx.zero()
+    num = den = ctx.one()
+    for i in range(k):
+        num = num * (1 - base ** (m - i))
+        den = den * (1 - base ** (i + 1))
+    return num / den
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 5), F(9, 25)])
+def test_qbinom_inv_is_the_base_inverse_product(q):
+    c = QContext(q)
+    for m in range(13):
+        for k in range(m + 1):
+            assert qbinom_inv(c, m, k) == _qbinom_base(c, 1 / c.q, m, k), (m, k)
+
+
+def test_qbinom_inv_vanishes_outside_its_range(ctx):
+    for m, k in ((3, -1), (3, 4), (-1, 0), (-2, -1), (0, 1)):
+        assert qbinom_inv(ctx, m, k) == 0 and _qbinom_base(ctx, 1 / ctx.q, m, k) == 0
+
+
+def test_qbinom_inv_float_agrees_with_the_base_inverse_product():
+    c = QContext(F(2, 5), backend="float", precision_bits=160)
+    with c.workprec():
+        for m in range(13):
+            for k in range(m + 1):
+                ref = _qbinom_base(c, 1 / c.q, m, k)
+                assert abs(qbinom_inv(c, m, k) - ref) <= 1e-40 * abs(ref), (m, k)
 
 
 @pytest.mark.parametrize("v, t, w, s", [
