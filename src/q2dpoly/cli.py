@@ -202,10 +202,12 @@ def cmd_ortho(args) -> int:
 def cmd_zeros(args) -> int:
     from .zeros import radial_zeros
 
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     zs = radial_zeros(QContext(str(args.q)), FAMILY_MAP[args.family], args.m, args.n,
                       b=_rational(args.b), precision=args.root_precision)
     doc = zs.to_dict()
-    if args.count:
+    if args.count is not None:
         doc["radii"] = doc["radii"][: args.count]
     _emit(args, json.dumps(doc, sort_keys=True))
     return 0
@@ -304,13 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=None,
+                   help="print the first N radii (0: none; default: all)")
     p.add_argument("--root-precision", type=int, default=20)
     _add_options(p)
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("aqzeros", help="certified zeros of the Ramanujan function")
-    p.add_argument("--count", type=int, default=3)
+    p.add_argument("--count", type=int, default=3, help="print the first N zeros (0: none)")
     p.add_argument("--root-precision", type=int, default=20)
     _add_options(p)
     p.set_defaults(fn=cmd_aqzeros)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    choices=("limH", "limh", "limp", "Hm_inf", "Hn_inf", "Hmn_inf",
                             "p_inf", "PR_h", "theta4_scaled"))
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", required=True, help="two or more comma-separated sizes")
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--b", default=None)
     p.add_argument("--z1", default=None)

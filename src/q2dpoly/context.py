@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 
+GUARD_BITS = 16  # the bits a float context works with beyond precision_bits
+
+
 class MissingSqrtError(ValueError):
     """An identity needs q**(1/2) but the context has no square root."""
 
@@ -294,7 +297,7 @@ class QContext:
         return self.backend == "exact"
 
     @contextmanager
-    def workprec(self, extra: int = 16):
+    def workprec(self, extra: int = GUARD_BITS):
         with mp.workprec(self.precision_bits + extra):
             yield
 

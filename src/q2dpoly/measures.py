@@ -238,7 +238,8 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     measures are raw (not normalized), which matches the closed-form norms;
     hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.  The
     tail bounds the truncation error of value - closed_form (the moment sums'
-    cuts and the closed form's (a;q)_inf cuts), not its rounding."""
+    cuts and the closed form's (a;q)_inf tails, which bound their own
+    rounding too), not the rounding of the sums here."""
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")

@@ -3,10 +3,15 @@ and the special functions used by the polynomial families (Ramanujan's
 entire function, theta_4, the second Jackson q-Bessel functions, and the
 Schur polynomials of the generalized Rogers--Ramanujan identity).
 
-Truncated infinite objects carry an explicit tail bound: the sum/product is
-cut once the next term times a geometric majorant drops below the tolerance
-of the context's one truncation policy, ``ctx.default_trunc``, and the
-majorant value is returned alongside the value.
+Truncated infinite objects carry an explicit tail bound: the sum is cut
+once the next term times a geometric majorant drops below the tolerance of
+the context's one truncation policy, ``ctx.default_trunc``, and the
+majorant value is returned alongside the value.  The kernel has one
+convergent-sum engine, the loop of :func:`phi_series`; (a;q)_inf is Euler's
+series 0phi0(-; -; q, a) summed by it, and its tail bounds the truncation
+plus the rounding of the sum (the product of the factors (1 - a q^k), the
+kernel's one such loop, is ``QPochPrefix``'s and serves only where the
+series would cancel).
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .context import QContext, as_fraction, is_zero
+import mpmath
+from mpmath import mp
+
+from .context import GUARD_BITS, QContext, as_fraction, is_zero
 
 __all__ = [
     "DivergenceError",
@@ -58,36 +66,96 @@ def qpoch(ctx: QContext, a, n):
 
 
 def qpoch_inf(ctx: QContext, a):
-    """(a; q)_infty as (value, tail_bound).
+    """(a; q)_infty as (value, tail_bound), by Euler's series
 
-    The product is cut at K with |a| q^K / (1-q) <= min(1/2, tail_tol); the
-    remaining factors multiply the partial product by exp(+-eps) with
-    eps = |a| q^K / (1-q), so |true - partial| <= 2 eps |partial| once
-    eps <= 1/2.  On the exact backend the value is the truncated product and
-    the bound is reported the same way.  The cut follows ctx.default_trunc.
+        (a;q)_inf = sum_k (-1)^k q^C(k,2) a^k / (q;q)_k = 0phi0(-; -; q, a)
+
+    (Gasper--Rahman (1.3.16)), summed by the loop of :func:`phi_series`,
+    whose terms fall like q^{k^2/2}: about 13 terms at q = 1/2 and tail_tol
+    1e-34, where the product needs about 112 factors.  The sum stops on the
+    engine's proven truncation bound taken relative to the sum, so the
+    relative tail stays within tail_tol (ctx.default_trunc) however small
+    the value.
+
+    The tail adds a rounding bound c n u S, S = sum |t_k| over the n + 1
+    terms (accumulated in doubles), u = 2^(1-p) at the working precision p
+    of ctx.workprec() (twice the unit roundoff e = 2^-p), r = q/(1-q) and
+    c = 1.01 (n + 8)(1 + r)/2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sections 3.1 and 4.2).  Step k -> k+1 multiplies
+    the term by (a / (1 - q^{k+1})) (-q^k) with four roundings (the
+    complex product of the term with the ratio at most one per part), and
+    the table values q^k carry at most (k + 2) e (q itself rounded once,
+    its power once more), which the subtraction 1 - q^{k+1} scales by
+    q^{k+1}/(1 - q^{k+1}) <= r.  So step k costs at most
+    (k + 8 + (k + 3) r) e <= (n + 7)(1 + r) e for k < n, term t_k is off by
+    at most n (n + 7)(1 + r) e relative, and the running sum adds
+    gamma_n S <= n e S (each part of a complex sum is rounded once).  The
+    total, n (n + 8)(1 + r) e S = c n u S / 1.01, is first order; 1.01
+    covers the second-order terms and the double sums.  On the exact
+    backend u = 0.
+
+    The series cancels where a sits at or near q^-k: where S exceeds
+    2^16 |value|, which would spend the 16 guard bits of ctx.workprec(), the
+    value and its tail come from the product instead (:func:`_qpoch_inf_product`).
+    For a <= 0 every term has one sign, so S = |value|; for |a| < 1,
+    S / |value| <= (-|a|;q)_inf / (|a|;q)_inf, which passes 2^16 only as |a|
+    nears 1 (a = 0.999 does at q = 29/39, not at q = 1/2).
     """
     with ctx.workprec():
-        tr = ctx.default_trunc
         a = ctx.scalar(a)
-        qf = float(ctx.q_fraction)
-        amag = ctx.mag(a)
-        out = ctx.one()
-        k = 0
-        while True:
-            eps = amag * qf**k / (1 - qf)
-            if eps <= min(0.5, tr.tail_tol) or k >= tr.max_terms:
-                break
-            out = out * (1 - a * ctx.qpow(k))
-            k += 1
-        eps = amag * qf**k / (1 - qf)
-        if eps > 0.5:
-            raise DivergenceError(
-                f"(a;q)_inf truncation budget exhausted at {tr.max_terms} factors"
-            )
-        tail = 2 * eps * (ctx.mag(out) + 1e-300)
+        value, tail, n, S = _phi_sum(ctx, [], [], a, True)
+        m = _dmag(ctx, value)
+        if math.isinf(m):
+            m = abs(value)
+        if S > 2**GUARD_BITS * m:
+            return _qpoch_inf_product(ctx, a)
+        u = 0.0 if ctx.is_exact else 2.0 ** (1 - mp.prec)
+        r = float(ctx.q_fraction) / (1 - float(ctx.q_fraction))
+        return value, tail + 1.01 * (n + 8) * (1 + r) / 2 * n * u * S
+
+
+def _qpoch_inf_product(ctx: QContext, a):
+    """(a; q)_infty as (value, tail_bound) from the product of its first K
+    factors, read off a :class:`QPochPrefix`: :func:`qpoch_inf`'s route
+    where Euler's series would cancel past its guard bits.
+
+    K is the first index with eps = |a| q^K / (1 - q) <= min(1/2, tail_tol);
+    the remaining factors multiply the partial product by exp(+-eps), so it
+    is off by at most 2 eps of itself once eps <= 1/2.  Rounding: with
+    u = 2^(1-p) (twice the unit roundoff e = 2^-p), the computed factor
+    f_k' = 1 - a q^k is off by at most ((k + 3) |a| q^k + |f_k'|) e (q^k
+    carries (k + 2) e, the product with a one more, the subtraction one), so
+    by e_k = ((k + 3) |a| q^k + |f_k'|) u with room for the doubles, and the
+    K products add K e each.  The product of the f_k' is then off by at most
+    prod (|f_k'| + e_k) - prod |f_k'|, that is expm1(sum log1p(e_k/|f_k'|))
+    of it; where a computed factor is 0, the value is 0 and the bound is
+    prod (|f_k'| + e_k) itself.  A near-zero factor, a close to q^-k, is
+    where this bound is large: it is then the factor's own rounding over
+    its size.
+    """
+    tr = ctx.default_trunc
+    qf = float(ctx.q_fraction)
+    amag = ctx.mag(a)
+    K = 0
+    while amag * qf**K / (1 - qf) > min(0.5, tr.tail_tol) and K < tr.max_terms:
+        K += 1
+    eps = amag * qf**K / (1 - qf)
+    if eps > 0.5:
+        raise DivergenceError(f"(a;q)_inf truncation budget exhausted at {tr.max_terms} factors")
+    out = QPochPrefix(ctx, a)(K)
+    u = 0.0 if ctx.is_exact else 2.0 ** (1 - mp.prec)
+    mags = [_dmag(ctx, 1 - a * ctx.qpow(k)) for k in range(K)]
+    errs = [((k + 3) * amag * qf**k + mk) * u for k, mk in enumerate(mags)]
+    if all(mags):
+        rel = 2 * eps + math.expm1(math.fsum(map(math.log1p, (e / mk for e, mk in zip(errs, mags)))))
+        tail = (rel + 1.01 * K * u) * (ctx.mag(out) + 1e-300)
         if math.isinf(tail):  # |out| overflows a double
-            tail = 2 * eps * abs(out)
+            tail = (rel + 1.01 * K * u) * abs(out)
         return out, tail
+    if not u:  # an exact zero factor: (a;q)_inf is 0
+        return out, 0.0
+    bound = (1 + 2 * eps) * 1.01 * mpmath.exp(math.fsum(math.log(mk + e) for mk, e in zip(mags, errs)))
+    return out, float(bound) if bound < 1e300 else bound
 
 
 def _rel_tail(ctx: QContext, v, t) -> float:
@@ -224,16 +292,41 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
     |t_n| R_n / (1 - R_n) when R_n < 1 (R_n is evaluated in doubles and
     rounded up).  The sum stops at the first n where that bound is at most
     tail_tol * max(1, |sum|) and reports it; no such n within max_terms
-    raises DivergenceError.  Where a magnitude overflows a double, both
-    sides of that test would be inf, so it is made on mpf magnitudes, and
-    the bound is reported as an mpf.
+    raises DivergenceError.  The magnitudes of the test are doubles taken
+    from the real and imaginary parts.  Where a magnitude overflows a
+    double, both sides of that test would be inf, so it is made on mpf
+    magnitudes, and the bound is reported as an mpf.
     """
+    value, tail, _, _ = _phi_sum(ctx, numerators, denominators, z, False)
+    return value, tail
+
+
+def _dmag(ctx: QContext, x) -> float:
+    """ctx.mag(x) without its mpmath.fabs: an mpf's is abs(float(x)), the
+    same double; an mpc's comes from the doubles of its parts, within an
+    ulp or two of float(|x|) (inf past the double range), without the
+    full-precision hypot and square root of |x|."""
+    if isinstance(x, mpmath.mpf):
+        return abs(float(x))
+    if isinstance(x, mpmath.mpc):
+        return math.hypot(float(x.real), float(x.imag))
+    return ctx.mag(x)
+
+
+def _phi_sum(ctx: QContext, numerators, denominators, z, relative: bool):
+    """:func:`phi_series`'s loop, as (value, tail_bound, n, S): n steps
+    taken and S = sum |t_k| over the n + 1 terms summed, in doubles (an mpf
+    once a term passes the double range).  With ``relative`` the stop scale
+    is max(|sum|, 2^-16 S) in place of max(1, |sum|), so that the tail is
+    relative to the value wherever |value| >= 2^-16 S (:func:`qpoch_inf`
+    keeps the series only there)."""
     with ctx.workprec():
         tr = ctx.default_trunc
         nums = [ctx.scalar(a) for a in numerators]
         dens = [ctx.scalar(b) for b in denominators]
         z = ctx.scalar(z)
         extra = 1 + len(dens) - len(nums)
+        dens = [b for b in dens if not is_zero(b)]  # a factor 1 - 0 q^n is 1
 
         ns = [_is_q_negative_power(ctx, a) for a in nums]
         nmax = min((N for N in ns if N is not None), default=None)
@@ -241,47 +334,60 @@ def phi_series(ctx: QContext, numerators: Sequence, denominators: Sequence, z):
         zmag = ctx.mag(z)
         amags = [ctx.mag(a) for a in nums]
         bmags = [ctx.mag(b) for b in dens]
+        floor = 2.0**-GUARD_BITS
 
         term = ctx.one()
         total = ctx.one()
+        S = 0.0
+        qn = ctx.qpow(0)
         n = 0
         while n != nmax and not is_zero(term):
+            tm = _dmag(ctx, term)
+            S = S + (tm if math.isfinite(tm) else abs(term))
             if nmax is None and extra >= 0:
-                qn = qf**n
-                den_bound = 1 - qn * qf
+                qfn = qf**n
+                den_bound = 1 - qfn * qf
                 for bm in bmags:
-                    den_bound *= 1 - bm * qn
+                    den_bound *= 1 - bm * qfn
                 if den_bound > 0:
-                    ratio_bound = (1 + 1e-12) * zmag * qn**extra / den_bound
+                    ratio_bound = (1 + 1e-12) * zmag * qfn**extra / den_bound
                     for am in amags:
-                        ratio_bound *= 1 + am * qn
+                        ratio_bound *= 1 + am * qfn
                     if ratio_bound < 1:
-                        tail = ctx.mag(term) * ratio_bound / (1 - ratio_bound)
-                        scale = max(1.0, ctx.mag(total))
+                        tail = tm * ratio_bound / (1 - ratio_bound)
+                        tot = _dmag(ctx, total)
+                        scale = max(tot, floor * S) if relative else max(1.0, tot)
                         if not (math.isfinite(tail) and math.isfinite(scale)):
                             tail = abs(term) * ratio_bound / (1 - ratio_bound)
-                            scale = max(1, abs(total))
+                            scale = max(abs(total), floor * S) if relative else max(1, abs(total))
                         if tail <= tr.tail_tol * scale:
-                            return total, tail
+                            return total, tail, n, S
             if nmax is None and n >= tr.max_terms:
                 raise DivergenceError("phi series did not converge in budget")
-            # ratio from term n to n+1
-            num_fac = ctx.one()
-            for a in nums:
-                num_fac = num_fac * (1 - a * ctx.qpow(n))
-            den_fac = 1 - ctx.qpow(n + 1)
+            # ratio from term n to n+1; products with 1 and a power 1 are skipped
+            qn1 = ctx.qpow(n + 1)
+            ratio = z
+            if nums:
+                num_fac = 1 - nums[0] * qn
+                for a in nums[1:]:
+                    num_fac = num_fac * (1 - a * qn)
+                ratio = num_fac * z
+            den_fac = 1 - qn1
             for b in dens:
-                f = 1 - b * ctx.qpow(n)
+                f = 1 - b * qn
                 if is_zero(f):
                     raise PoleError(f"denominator parameter {b!r} hits q**-{n}")
                 den_fac = den_fac * f
-            ratio = num_fac * z / den_fac
-            if extra:
-                ratio = ratio * ((-1) * ctx.qpow(n)) ** extra
+            ratio = ratio / den_fac
+            if extra == 1:
+                ratio = ratio * -qn
+            elif extra:
+                ratio = ratio * (-qn) ** extra
             term = term * ratio
             total = total + term
+            qn = qn1
             n += 1
-        return total, 0.0
+        return total, 0.0, n, S
 
 
 # ---------------------------------------------------------------------------

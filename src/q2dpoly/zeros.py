@@ -86,6 +86,15 @@ class LimitReport:
         return "\n".join(lines) + "\n"
 
 
+def _limit_sizes(sizes: Sequence[int]) -> List[int]:
+    """sizes as a list, refused (ValueError) below two: a report over one
+    size compares nothing, so it would read monotone by default."""
+    sizes = list(sizes)
+    if len(sizes) < 2:
+        raise ValueError(f"a limit report needs two or more sizes, got {sizes}")
+    return sizes
+
+
 def _integer_poly(coeffs):
     """(desc, den): the rational polynomial (low-to-high `Fraction`
     coefficients) times the common denominator den, as integers high-to-low."""
@@ -236,7 +245,10 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     exact signs of the truncation A_N(x) = sum_{n <= N} c_n (-x)^n,
     c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip
     the signs at the ends of the scan brackets or of the final brackets.
-    N grows with `precision`, so the tail stays 40 digits below it."""
+    N grows with `precision`, so the tail stays 40 digits below it.  A
+    count of 0 gives no zeros; a negative one raises ValueError."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     q = ctx.q_fraction
     qf = float(q)
     x_hi = qf ** (-(2 * count + 2))
@@ -303,6 +315,7 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
     limit q^{j/2} indexes the same ladder shifted by one (the computed radii
     at (40,40) are 1, q^{1/2}, q, ... to ten digits; ledger).
     """
+    sizes = _limit_sizes(sizes)
     if any(j > M for M in sizes):
         raise ValueError("j exceeds the zero count at this size")
     if target == "limH":
@@ -324,7 +337,7 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
                                  * zs.radii[j - 1] - tgt))
     else:
         raise ValueError(target)
-    return LimitReport(target=target, sizes=list(sizes), errors=[error(M) for M in sizes])
+    return LimitReport(target=target, sizes=sizes, errors=[error(M) for M in sizes])
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +354,7 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     tau = (M-1)/2 and chi = 1/2 (the stated constraint 0 < tau < min(m,n)
     then holds, unlike the boundary choice tau = m).
     """
+    sizes = _limit_sizes(sizes)
     pt = dict(point or {})
     z1 = ctx.scalar(pt.get("z1", 2))
     z2 = ctx.scalar(pt.get("z2", 2))
@@ -396,5 +410,5 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
                     / (z1**M * z2**M * ctx.qpow(E)) / th)
     else:
         raise ValueError(target)
-    return LimitReport(target=target, sizes=list(sizes),
+    return LimitReport(target=target, sizes=sizes,
                        errors=[float(abs(ratio(M) - 1)) for M in sizes])

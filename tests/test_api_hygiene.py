@@ -16,6 +16,9 @@ products.  Nor does one drop the tail of a basic hypergeometric series: a
 No module but the kernel and the context multiplies a running product by
 (1 +- x) factors: a finite q-shifted factorial is a ``qpoch`` or
 ``QPochPrefix`` read, and a base-1/q Gaussian binomial a ``qbinom_inv``.
+In the kernel the one loop over the factors (1 - a q^k) is
+``QPochPrefix``'s: (a;q)_inf is Euler's series, and its product route
+reads a ``QPochPrefix``.
 """
 
 import ast
@@ -107,10 +110,31 @@ def _one_plus_minus(node):
             and isinstance(node.left, ast.Constant) and node.left.value == 1)
 
 
-def _running_products(tree):
-    """Lines of `p = p * (1 - x)`, `p = (1 + x) * p` and `p *= 1 - x`."""
+def _extends_by_factor(node):
+    """Whether node is `v.append(v[-1] * (1 +- x))` (either factor order)."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+            and isinstance(node.func.value, ast.Name) and len(node.args) == 1):
+        return False
+    name, arg = node.func.value.id, node.args[0]
+    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)):
+        return False
+
+    def last(x):
+        return (isinstance(x, ast.Subscript) and getattr(x.value, "id", None) == name
+                and isinstance(x.slice, ast.UnaryOp) and isinstance(x.slice.op, ast.USub)
+                and getattr(x.slice.operand, "value", None) == 1)
+
+    return ((last(arg.left) and _one_plus_minus(arg.right))
+            or (last(arg.right) and _one_plus_minus(arg.left)))
+
+
+def _running_products(tree, appends=False):
+    """Lines of `p = p * (1 - x)`, `p = (1 + x) * p` and `p *= 1 - x`, and
+    with appends of `v.append(v[-1] * (1 - x))`."""
     out = []
     for n in ast.walk(tree):
+        if appends and _extends_by_factor(n):
+            out.append(n.lineno)
         if (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
                 and isinstance(n.target, ast.Name) and _one_plus_minus(n.value)):
             out.append(n.lineno)
@@ -126,8 +150,11 @@ def _running_products(tree):
 
 def test_running_product_finder_flags_a_factor_loop():
     tree = ast.parse("p = p * (1 - x)\np *= 1 - a * q**k\np = (1 + x) * p\n"
-                     "r = p * (1 - x)\np = p * (x - 1)\np = p * (nu + i)\ns += 1 - x\n")
+                     "r = p * (1 - x)\np = p * (x - 1)\np = p * (nu + i)\ns += 1 - x\n"
+                     "v.append(v[-1] * (1 - x))\nv.append((1 + x) * v[-1])\n"
+                     "v.append(w[-1] * (1 - x))\nv.append(v[0] * (1 - x))\n")
     assert _running_products(tree) == [1, 2, 3]
+    assert sorted(_running_products(tree, appends=True)) == [1, 2, 3, 8, 9]
 
 
 def test_no_running_products_outside_the_kernel():
@@ -138,6 +165,46 @@ def test_no_running_products_outside_the_kernel():
                 tree = ast.parse(fh.read())
             found += [f"{fname}:{ln}" for ln in _running_products(tree)]
     assert found == []
+
+
+def _product_owners(tree):
+    """{dotted name of the innermost function: running products in it}."""
+    defs = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    defs.append((child.lineno, child.end_lineno, ".".join(scope + [child.name])))
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    out = {}
+    for ln in _running_products(tree, appends=True):
+        owner = max((d for d in defs if d[0] <= ln <= d[1]), default=(0, 0, "<module>"))[2]
+        out[owner] = out.get(owner, 0) + 1
+    return out
+
+
+def test_product_owner_finder_names_the_innermost_function():
+    tree = ast.parse("class K:\n    def f(self):\n        p = p * (1 - x)\n"
+                     "        def g():\n            v.append(v[-1] * (1 - y))\n"
+                     "        return g\n"
+                     "p = p * (1 + z)\n")
+    assert _product_owners(tree) == {"K.f": 1, "K.f.g": 1, "<module>": 1}
+
+
+def test_one_qpoch_loop_in_the_kernel():
+    # QPochPrefix holds the kernel's one loop over the factors (1 - a q^k).
+    # The phi_series loop's three products run over the parameters of one
+    # term n (its ratio's numerator factors 1 - a q^n, and the double bounds
+    # of that ratio), so none is an (a;q) loop.  A second (a;q)_n or
+    # (a;q)_inf loop fails here
+    with open(os.path.join(SRC, "qkernel.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert _product_owners(tree) == {"QPochPrefix.__call__": 1, "_phi_sum": 3}
 
 
 # Every public name has a caller.  A name in a module's ``__all__``, or a

@@ -93,10 +93,36 @@ def test_verify_runs_each_entry_on_the_backend_of_its_mode(capsys):
     ("verify", "--id", "H-TTR-a", "--max-n", "-1", "--q", "1/2"),
     ("gram", "--kind", "doH", "--N", "-1", "--z", "1"),
     ("ortho", "--family", "H", "--max-index", "-1"),
+    ("zeros", "--family", "h", "--m", "6", "--n", "4", "--q", "1/4", "--count", "-1"),
+    ("aqzeros", "--count", "-2", "--q", "1/4"),
 ])
 def test_a_negative_size_is_config_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+def test_count_zero_prints_none(capsys):
+    # --count N prints the first N radii or zeros, so 0 prints none; zeros
+    # without --count prints every radius
+    argv = ("zeros", "--family", "h", "--m", "6", "--n", "4", "--q", "1/4")
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["radii"]) == 4
+    code, out = run(capsys, *argv, "--count", "0")
+    assert code == 0 and json.loads(out)["radii"] == []
+    code, out = run(capsys, "aqzeros", "--count", "0", "--q", "1/4")
+    assert code == 0 and json.loads(out)["zeros"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--target", "theta4_scaled", "--sizes", "5", "--z1", "1.1", "--z2", "0.9"),
+    ("--target", "limH", "--sizes", "10", "--q", "1/4"),
+])
+def test_asym_over_one_size_is_config_error(capsys, argv):
+    # one error compares nothing, so "monotone" would be true by default
+    code = main(["asym", *argv])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:") and "two or more sizes" in got.err
 
 
 def test_verify_without_selector_is_config_error(capsys):
@@ -250,61 +276,61 @@ def test_verify_cli_matches_library_sweep(capsys):
 ORTHO_GOLDEN = [
     (('--family', 'H', '--max-index', '1', '--q', '1/4'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,1.45235364245,0.0,1.45235364245,0.0,4.108650548026102e-33\n'
+     '0,0,0,0,1.45235364245,0.0,1.45235364245,0.0,1.6249686693683502e-33\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,1,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,1.08926523184,0.0,1.08926523184,0.0,4.108650548026103e-33\n'
+     '0,1,0,1,1.08926523184,0.0,1.08926523184,0.0,1.6249686693683502e-33\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,1.08926523184,0.0,1.08926523184,0.0,4.108650548026103e-33\n'
+     '1,0,1,0,1.08926523184,0.0,1.08926523184,0.0,1.6249686693683502e-33\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,0,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,0.204237230969,0.0,0.204237230969,0.0,8.391394109500654e-34\n',
-     '# worst diagonal rel_error 4.108650548026103e-33; worst off-diagonal |value| 2.4837918926989584e-49; PASS\n'),
+     '1,1,1,1,0.204237230969,0.0,0.204237230969,0.0,3.318791014439437e-34\n',
+     '# worst diagonal rel_error 1.6249686693683502e-33; worst off-diagonal |value| 2.4837918926989584e-49; PASS\n'),
     (('--family', 'p', '--max-index', '1', '--q', '1/4', '--b', '1/4'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,1.42222222222,0.0,1.42222222222,0.0,2.136221550211017e-49\n'
+     '0,0,0,0,1.42222222222,0.0,1.42222222222,0.0,6.499870028399915e-33\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,1,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,0.952380952381,0.0,0.952380952381,0.0,1.1484535863677403e-52\n'
+     '0,1,0,1,0.952380952381,0.0,0.952380952381,0.0,6.190352407999918e-33\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,0.952380952381,0.0,0.952380952381,0.0,1.1484535863677403e-52\n'
+     '1,0,1,0,0.952380952381,0.0,0.952380952381,0.0,6.190352407999918e-33\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,0,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,0.165441176471,0.0,0.165441176471,0.0,1.5031952384660121e-49\n',
-     '# worst diagonal rel_error 2.136221550211017e-49; worst off-diagonal |value| 2.1375853388448287e-49; PASS\n'),
+     '1,1,1,1,0.165441176471,0.0,0.165441176471,0.0,1.0753461444043978e-33\n',
+     '# worst diagonal rel_error 6.499870028399915e-33; worst off-diagonal |value| 2.1375853388448287e-49; PASS\n'),
     (('--family', 'h', '--max-index', '1', '--q', '1/2'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,1.9590865980570532e-17\n'
+     '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,1.9590865980570535e-17\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,1,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,2.1775860903,0.0,2.1775860903,0.0,7.182881489924932e-33\n'
+     '0,1,0,1,2.1775860903,0.0,2.1775860903,0.0,3.989845441252815e-34\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,2.1775860903,0.0,2.1775860903,0.0,7.182881489924932e-33\n'
+     '1,0,1,0,2.1775860903,0.0,2.1775860903,0.0,3.989845441252815e-34\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,0,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,1.08879304515,0.0,1.08879304515,0.0,9.795432990285261e-18\n',
-     '# worst diagonal rel_error 1.9590865980570532e-17; worst off-diagonal |value| 2.1330398628146223e-17; PASS\n'),
+     '1,1,1,1,1.08879304515,0.0,1.08879304515,0.0,9.795432990285268e-18\n',
+     '# worst diagonal rel_error 1.9590865980570535e-17; worst off-diagonal |value| 2.1330398628146223e-17; PASS\n'),
 ]
 
 
@@ -327,16 +353,34 @@ def test_ortho_h_exact_backend_is_config_error(capsys):
     assert got.err.startswith("config error:")
 
 
-@pytest.mark.parametrize("tail_tol", ["0.5", "0.9"])
+@pytest.mark.parametrize("tail_tol", ["16385", "1e6"])
 def test_ortho_loose_tail_tol_is_config_error(capsys, tail_tol):
-    # (q;q)_inf cut at eps = 1/2 has a tail as large as its value, so the
-    # moment tails have no positive lower bound to divide by
+    # Euler's series for (q;q)_inf at q = 1/2 reaches the partial sum 0 with
+    # tail 1/2 after two terms; only a tail_tol above 2^14 stops it there
+    # (its stop scale is at least 2^-16 of the sum of |terms|, which is 2).
+    # That sum is refused as cancelled, and the product cut at eps = 1/2 has
+    # a tail as large as its value, so the moment tails have no positive
+    # lower bound to divide by
     code = main(["ortho", "--family", "H", "--max-index", "1", "--q", "1/2",
                  "--tail-tol", tail_tol])
     got = capsys.readouterr()
     assert code == 2
     assert got.out == ""
     assert got.err.startswith("config error:") and "tail tolerance" in got.err
+
+
+@pytest.mark.parametrize("tail_tol", ["0.5", "0.9"])
+def test_ortho_loose_tail_tol_fails_honestly(capsys, tail_tol):
+    # at these tolerances (q;q)_inf at q = 1/2 is 1/3 with tail 1/18, a true
+    # bound (the value is 0.2888), so the audit runs and its closed forms are
+    # off by their cut: a FAIL, not a config error
+    code = main(["ortho", "--family", "H", "--max-index", "1", "--q", "1/2",
+                 "--tail-tol", tail_tol])
+    got = capsys.readouterr()
+    assert code == 1
+    assert got.out.startswith("m,n,s,t,")
+    worst = float(got.err.split("worst diagonal rel_error ")[1].split(";")[0])
+    assert 0.1 < worst < 0.2 and got.err.rstrip().endswith("FAIL")
 
 
 # Every option a subcommand declares is read.  Each command below is parsed

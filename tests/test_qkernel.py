@@ -141,6 +141,109 @@ def test_qpoch_inf_budget_exhausted_raises():
         qpoch_inf(QContext(F(1, 2), default_trunc=TruncationPolicy(max_terms=1)), 1)
 
 
+# (a;q)_inf against an independent reference: argument classes of Euler's
+# series (small complex a, a = -x up to 2^56, the cancelling a = 1.6 and
+# 15.07+6.37i, a = 0.999 near 1) and of the product route (a = q^-3 (1 + 1e-20),
+# where the series would cancel past its guard bits)
+QPOCH_INF_CASES = [
+    (F(1, 2), complex(0.12, 0.16)), (F(1, 2), complex(-0.5, 0.7)),
+    (F(1, 5), complex(0.12, 0.16)), (F(1, 5), complex(-0.5, 0.7)),
+    (F(1, 2), -F(1, 3)), (F(1, 2), -3), (F(1, 2), -2**20), (F(1, 2), -2**56),
+    (F(1, 5), -2**56),
+    (F(1, 5), F(8, 5)),
+    (F(1, 2), complex(15.07, 6.37)),
+    (F(1, 2), F(999, 1000)), (F(1, 5), F(999, 1000)),
+    (F(1, 2), "q^-3"), (F(1, 5), "q^-3"),
+]
+
+
+def _qpoch_inf_case(q, a, tail_tol=1e-34):
+    """The numeric-sweep context at q (160 bits) and the argument a as it is
+    passed."""
+    c = QContext(q, backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=tail_tol))
+    with c.workprec():
+        return c, c.qpow(-3) * (1 + mpmath.mpf(10) ** -20) if a == "q^-3" else c.scalar(a)
+
+
+def _product_400(q, a):
+    """prod (1 - a q^k) at 400 bits, cut where |a| q^k < 1e-125."""
+    with mpmath.workprec(400):
+        qv = mpmath.mpf(q.numerator) / q.denominator
+        out, k = mpmath.mpf(1), 0
+        while abs(a) * qv**k >= mpmath.mpf(10) ** -125:
+            out *= 1 - a * qv**k
+            k += 1
+        return out
+
+
+@pytest.mark.parametrize("tail_tol", [1e-34, 1e-60])
+@pytest.mark.parametrize("q, a", QPOCH_INF_CASES)
+def test_qpoch_inf_tail_bounds_error(q, a, tail_tol):
+    # at tail_tol 1e-60 the cut is below the rounding of 176 bits, so the
+    # tail must bound the rounding too
+    c, a = _qpoch_inf_case(q, a, tail_tol)
+    val, tail = qpoch_inf(c, a)
+    with mpmath.workprec(400):
+        assert abs(val - _product_400(q, a)) <= tail
+    if tail_tol == 1e-34 and (abs(a) < 1 or (a.imag == 0 and a.real <= 0)):
+        # the product's level: 2 tail_tol plus a rounding term far below it
+        assert tail <= 2.01e-34 * abs(val)
+
+
+def test_qpoch_inf_loose_tolerance_stays_a_bound():
+    # at tail_tol 1/2, Euler's series stops at (q;q)_inf = 1/3 with tail
+    # 1/18, which holds the true 0.2888
+    c = QContext(F(1, 2), backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=400, tail_tol=0.5))
+    val, tail = qpoch_inf(c, c.q)
+    with c.workprec():
+        assert abs(val - mpmath.mpf(1) / 3) < 1e-40 and 0.05 < tail < 0.06
+    assert abs(val - _product_400(F(1, 2), c.q)) <= tail
+
+
+def test_qpoch_inf_at_a_negative_power_of_q_is_zero(ctx, fctx):
+    # a = q^-2 makes the factor k = 2 vanish: Euler's series cancels to its
+    # rounding there, and the product route gives the zero
+    assert qpoch_inf(ctx, 4) == (0, 0.0)
+    val, tail = qpoch_inf(fctx, 4)
+    assert val == 0 and 0 < tail < 1e-45
+
+
+@pytest.mark.parametrize("q, a", [(F(1, 2), complex(0.12, 0.16)), (F(1, 2), -2**56),
+                                  (F(1, 5), F(8, 5))])
+def test_qpoch_inf_inside_interval_enclosure(q, a):
+    # an independent check in interval arithmetic: the product of the first
+    # K factors, times the rest, which lies within 2 eps of 1 for
+    # eps = |a| q^K / (1 - q) <= 1/2, encloses (a;q)_inf; value +- tail must
+    # hold every corner of that box
+    c, a = _qpoch_inf_case(q, a)
+    val, tail = qpoch_inf(c, a)
+    iv = mpmath.iv
+    prec, iv.prec = iv.prec, 400
+    try:
+        ai = iv.mpc(iv.mpf(a.real), iv.mpf(a.imag)) if isinstance(a, mpmath.mpc) else iv.mpf(a)
+        qi = iv.mpf(q.numerator) / q.denominator
+        prod, k = iv.mpf(1), 0
+        while float(abs(a)) * float(q) ** k > 1e-60:
+            prod = prod * (1 - ai * qi**k)
+            k += 1
+        eps = abs(ai) * qi**k / (1 - qi)
+        assert eps.b <= 0.5
+        unit = iv.mpf([-1, 1])
+        if isinstance(a, mpmath.mpc):
+            box = prod + iv.mpc(unit, unit) * 2 * eps * abs(prod)
+            ends = [(x, y) for x in (box.real.a, box.real.b) for y in (box.imag.a, box.imag.b)]
+        else:
+            box = prod * (1 + 2 * eps * unit)
+            ends = [(box.a, 0), (box.b, 0)]
+    finally:
+        iv.prec = prec
+    with mpmath.workprec(400):
+        corners = [mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y)) for x, y in ends]
+        assert all(abs(x - val) <= tail for x in corners), (corners, val, tail)
+
+
 def test_float_qpow_matches_pow_at_each_precision():
     c = QContext(F(1, 3), backend="float", precision_bits=160)
     seen = {}
