@@ -259,29 +259,28 @@ def cmd_gram(args) -> int:
     return _emit_reports(args, [rep])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="q2dpoly",
-                                 description="2D q-orthogonal polynomials: evaluation and verification")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _add_member(p: argparse.ArgumentParser):
+    """The flags of _member, which eval and coeffs read."""
+    p.add_argument("--family", choices=FAMILY_MAP, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--b", default=None)
+    p.add_argument("--nu", default=None)
 
-    member = argparse.ArgumentParser(add_help=False)  # the flags of _member
-    member.add_argument("--family", choices=FAMILY_MAP, required=True)
-    member.add_argument("--m", type=int, required=True)
-    member.add_argument("--n", type=int, required=True)
-    member.add_argument("--b", default=None)
-    member.add_argument("--nu", default=None)
 
-    p = sub.add_parser("eval", parents=[member], help="evaluate a family member at a point")
+def _declare_eval(p):
+    _add_member(p)
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
     _add_options(p, "backend", "precision-bits")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("coeffs", parents=[member], help="print the exact coefficient map")
+
+def _declare_coeffs(p):
+    _add_member(p)
     _add_options(p, "backend", "precision-bits", formats=("json", "csv"))
-    p.set_defaults(fn=cmd_coeffs)
 
-    p = sub.add_parser("verify", help="run identity checks")
+
+def _declare_verify(p):
     p.add_argument("--id", action="append", default=None)
     p.add_argument("--all-exact", action="store_true")
     p.add_argument("--all-numeric", action="store_true")
@@ -291,17 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default=None)
     _add_options(p, "sqrt-q", "precision-bits", "max-terms", "tail-tol", "tolerance", "seed",
                  formats=("pretty", "json", "csv"))
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("ortho", help="orthogonality audit (CSV table)")
+
+def _declare_ortho(p):
     p.add_argument("--family", choices=("H", "h", "p"), required=True)
     p.add_argument("--max-index", type=int, default=3)
     p.add_argument("--b", default=None)
     p.add_argument("--K", type=int, default=80)
     _add_options(p, "backend", "precision-bits", "max-terms", "tail-tol", "tolerance")
-    p.set_defaults(fn=cmd_ortho)
 
-    p = sub.add_parser("zeros", help="certified radial zeros")
+
+def _declare_zeros(p):
     p.add_argument("--family", choices=("H", "h", "p"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -310,15 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the first N radii (0: none; default: all)")
     p.add_argument("--root-precision", type=int, default=20)
     _add_options(p)
-    p.set_defaults(fn=cmd_zeros)
 
-    p = sub.add_parser("aqzeros", help="certified zeros of the Ramanujan function")
+
+def _declare_aqzeros(p):
     p.add_argument("--count", type=int, default=3, help="print the first N zeros (0: none)")
     p.add_argument("--root-precision", type=int, default=20)
     _add_options(p)
-    p.set_defaults(fn=cmd_aqzeros)
 
-    p = sub.add_parser("asym", help="limit / asymptotic convergence reports")
+
+def _declare_asym(p):
     p.add_argument("--target", required=True,
                    choices=("limH", "limh", "limp", "Hm_inf", "Hn_inf", "Hmn_inf",
                             "p_inf", "PR_h", "theta4_scaled"))
@@ -329,14 +328,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2", default=None)
     _add_options(p, "sqrt-q", "precision-bits", "max-terms", "tail-tol",
                  formats=("json", "csv"))
-    p.set_defaults(fn=cmd_asym)
 
-    p = sub.add_parser("gram", help="exact positivity of the section-9 Gram matrices")
+
+def _declare_gram(p):
     p.add_argument("--kind", choices=("doH", "doh"), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--z", required=True)
     _add_options(p, formats=("pretty", "json", "csv"))
-    p.set_defaults(fn=cmd_gram)
+
+
+# name -> (help, handler, declaration of its options), in the order of the
+# full parser's help
+SUBCOMMANDS = {
+    "eval": ("evaluate a family member at a point", cmd_eval, _declare_eval),
+    "coeffs": ("print the exact coefficient map", cmd_coeffs, _declare_coeffs),
+    "verify": ("run identity checks", cmd_verify, _declare_verify),
+    "ortho": ("orthogonality audit (CSV table)", cmd_ortho, _declare_ortho),
+    "zeros": ("certified radial zeros", cmd_zeros, _declare_zeros),
+    "aqzeros": ("certified zeros of the Ramanujan function", cmd_aqzeros, _declare_aqzeros),
+    "asym": ("limit / asymptotic convergence reports", cmd_asym, _declare_asym),
+    "gram": ("exact positivity of the section-9 Gram matrices", cmd_gram, _declare_gram),
+}
+
+
+def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when `cmd` names one, of that one
+    alone: it parses that subcommand's command lines as the full parser does
+    (errors included), and its usage line names all eight."""
+    ap = argparse.ArgumentParser(prog="q2dpoly",
+                                 description="2D q-orthogonal polynomials: evaluation and verification")
+    names = [cmd] if cmd in SUBCOMMANDS else list(SUBCOMMANDS)
+    # with all eight declared, argparse spells this metavar from the choices
+    # (and names the argument "cmd" in its errors); one alone needs it given
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name in names:
+        help_, fn, declare = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        declare(p)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -380,7 +410,11 @@ def _with_config(ap: argparse.ArgumentParser, argv, args: argparse.Namespace):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
+    """Runs one command line (`sys.argv[1:]` when argv is None), building the
+    parser of its subcommand only."""
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = _with_config(ap, argv, ap.parse_args(argv))
         return args.fn(args)
@@ -389,6 +423,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError, MissingSqrtError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a certification failure, DivergenceError, PoleError
+        print(f"verification error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

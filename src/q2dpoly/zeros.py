@@ -253,7 +253,10 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     qf = float(q)
     x_hi = qf ** (-(2 * count + 2))
     N = 2 * count + 12
-    while qf ** (N * N) * x_hi**N > 10.0 ** -(precision + 40):
+    # q^{N^2} x_hi^N > 10^-(precision + 40), in logarithms: x_hi^N overflows
+    # a double from about ten zeros on at q = 1/4
+    log_qf, log_x_hi = math.log(qf), math.log(x_hi)
+    while N * (N * log_qf + log_x_hi) > -(precision + 40) * math.log(10):
         N += 4
     ectx = ctx if ctx.is_exact else QContext(q)
     cs = [(-1) ** n * ectx.qpow(n * n) / ectx.qq(n) for n in range(N + 1)]
@@ -352,12 +355,15 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
     (Plancherel-Rotach scaling a = b = 1/2) and theta4_scaled, which uses
     (a, b, c, d) = (1/4, 0, 1/4, 0) with sizes m = n = M == 1 (mod 4), so
     tau = (M-1)/2 and chi = 1/2 (the stated constraint 0 < tau < min(m,n)
-    then holds, unlike the boundary choice tau = m).
+    then holds, unlike the boundary choice tau = m).  Every limit divides by
+    z1 z2 (PR_h by w1 w2), so a point where that product is 0 raises ValueError.
     """
     sizes = _limit_sizes(sizes)
     pt = dict(point or {})
     z1 = ctx.scalar(pt.get("z1", 2))
     z2 = ctx.scalar(pt.get("z2", 2))
+    if target != "PR_h" and z1 * z2 == 0:
+        raise ValueError(f"{target} has no limit at z1 z2 = 0")
     # the limits do not depend on the size, and where the point does not
     # move either, one table serves every size: each read fills only the
     # band its entry needs (see FamilyTable)
@@ -387,6 +393,8 @@ def asymptotic_report(ctx: QContext, target: str, sizes: Sequence[int],
         # which the proof display drops; ledger)
         w1 = ctx.scalar(pt.get("w1", 1))
         w2 = ctx.scalar(pt.get("w2", 1))
+        if w1 * w2 == 0:
+            raise ValueError("PR_h has no limit at w1 w2 = 0")
         aqv, _ = aq_function(ctx, 1 / (w1 * w2))
 
         def ratio(M):

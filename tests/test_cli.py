@@ -437,10 +437,14 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "README.md")
 
 
-def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
+def _readme_study_argvs():
     with open(README) as fh:
         block = fh.read().split("## Studies", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("q2dpoly ")]
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("q2dpoly ")]
+
+
+def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
+    lines = _readme_study_argvs()
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert main(argv) == 0, argv
@@ -460,3 +464,99 @@ def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
     for name in ("exact_sweep.json", "exact_series.json"):
         docs = json.loads((tmp_path / name).read_text())
         assert docs and all(d["pass"] for d in docs), name
+
+
+# A call builds the parser of its own subcommand only (build_parser(cmd));
+# what that parser makes of a command line, errors and help included, must
+# be what the parser of all eight makes of it.
+def test_one_subcommand_parser_parses_as_the_full_one():
+    argvs = [[cmd, *argv] for cmd, group in GUARD_COMMANDS.items() for argv in group]
+    argvs += _readme_study_argvs()
+    assert {argv[0] for argv in argvs} == set(cli.SUBCOMMANDS)
+    for argv in argvs:
+        one = build_parser(argv[0])
+        assert list(next(a for a in one._actions if a.dest == "cmd").choices) == [argv[0]]
+        assert vars(one.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+def _full_parser_result(capsys, argv):
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    got = capsys.readouterr()
+    return code, got.out, got.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["asym", "-h"],
+    ["-h"],
+    [],
+    ["foo"],
+    ["eval", "--family", "H", "--m", "1", "--n", "1", "--z1", "1"],
+    ["gram", "--kind", "doX", "--N", "2", "--z", "1"],
+    ["asym", "--target", "PR_h", "--sizes", "8,16", "--w1", "1"],
+], ids=["sub-help", "help", "none", "unknown", "missing", "choice", "unrecognized"])
+def test_parser_errors_and_help_match_the_full_parser(capsys, argv):
+    code, out, err = _full_parser_result(capsys, argv)
+    assert code in (0, 2)
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (out, err)
+    if argv[:1] == ["asym"] and code == 2:
+        # the usage line names all eight subcommands, not just the one parsed
+        assert err.startswith("usage: q2dpoly [-h] {eval,coeffs,verify,ortho,zeros,"
+                              "aqzeros,asym,gram} ...\n")
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["q2dpoly", "eval", "--family", "H", "--m", "1",
+                                     "--n", "1", "--z1", "1", "--z2", "1"])
+    assert main() == 0 and capsys.readouterr().out == "1/2\n"
+
+
+def test_main_adds_one_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["aqzeros", "--count", "1", "--q", "1/4"]) == 0
+    assert added == ["aqzeros"]
+    added.clear()
+    assert main(["foo"]) == 2
+    assert added == list(cli.SUBCOMMANDS)
+
+
+def test_aqzeros_past_eight_zeros(capsys):
+    # the truncation order N is chosen in logarithms: q^{N^2} x_hi^N in
+    # doubles overflowed from ten zeros on at q = 1/4
+    code, out = run(capsys, "aqzeros", "--count", "10", "--q", "1/4")
+    zs = [float(z) for z in json.loads(out)["zeros"]]
+    assert code == 0 and len(zs) == 10 and zs == sorted(zs)
+    # past the first, each zero is about 1/q^2 = 16 times the one before
+    assert all(14 < b / a < 18 for a, b in zip(zs[1:], zs[2:]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "Hmn_inf", "--sizes", "4,8", "--q", "1/2", "--z1", "0", "--z2", "1"],
+    ["--target", "theta4_scaled", "--sizes", "5,9", "--q", "1/2", "--z1", "0", "--z2", "1"],
+])
+def test_asym_at_a_zero_point_is_config_error(capsys, argv):
+    # the limits divide by z1 z2, so there is none to report at z1 z2 = 0
+    code = main(["asym", *argv])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err == f"config error: {argv[1]} has no limit at z1 z2 = 0\n"
+
+
+def test_certification_failure_is_one_stderr_line(capsys):
+    # at q = 39/40 the sign scan does not isolate three zeros of A_q
+    code = main(["aqzeros", "--count", "3", "--q", "39/40"])
+    got = capsys.readouterr()
+    assert code == 1 and got.out == ""
+    assert got.err == "verification error: A_q bracketing failed\n"

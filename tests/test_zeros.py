@@ -138,6 +138,14 @@ def test_aq_zeros_final_bracket_must_clear_tail(monkeypatch):
         aq_zeros(QContext(F(5, 7)), 3, precision=20)
 
 
+@pytest.mark.parametrize("q, count", [(F(1, 4), 20), (F(3, 4), 20), (F(1, 10), 30)])
+def test_aq_zeros_many(q, count):
+    # N is chosen in logarithms, since x_hi^N overflows a double from ten
+    # zeros on at q = 1/4
+    zs = aq_zeros(QContext(q), count)
+    assert len(zs) == count and all(a < b for a, b in zip(zs, zs[1:]))
+
+
 def test_aq_zeros_truncation_follows_precision():
     # N is chosen for a tail 40 digits below the requested precision, so
     # q = 5/7 certifies 80 digits (a tail fixed near 1e-60 could not)
@@ -272,6 +280,23 @@ def test_asymptotics_boundary_exact(ctx2):
     # z1^{-m} H_{m,0} == 1 exactly for every m
     rep = asymptotic_report(ctx2, "Hm_inf", [4, 8, 16], {"n": 0, "z1": 2, "z2": 2})
     assert all(e == 0.0 for e in rep.errors)
+
+
+@pytest.mark.parametrize("target, point", [
+    ("Hm_inf", {"z1": 2, "z2": 0}), ("Hmn_inf", {"z1": 0, "z2": 2}),
+    ("p_inf", {"z1": 0, "z2": 0}), ("theta4_scaled", {"z1": 0, "z2": 1}),
+    ("PR_h", {"w1": 0}), ("PR_h", {"w1": 1, "w2": 0}),
+])
+def test_asymptotics_refuse_a_zero_point(ctx2, target, point):
+    # every limit divides by z1 z2 (PR_h by w1 w2): there is none at 0
+    with pytest.raises(ValueError, match="no limit"):
+        asymptotic_report(ctx2, target, [5, 9], point)
+
+
+def test_asymptotics_pr_h_ignores_z(ctx2):
+    # PR_h reads w1 w2, so z1 = 0 does not concern it
+    assert (asymptotic_report(ctx2, "PR_h", [6, 12], {"z1": 0})
+            == asymptotic_report(ctx2, "PR_h", [6, 12]))
 
 
 def test_theta4_scaled_rejects_bad_sizes(ctx2):
