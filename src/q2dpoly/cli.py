@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .context import GaussianRational, MissingSqrtError, QContext, TruncationPolicy
+from .context import (GaussianRational, MissingSqrtError, QContext, TruncationPolicy,
+                      parse_rational)
 from .polyfamilies import coeffs, eval_poly, poly_to_json
 from .reports import VerificationReport, reports_to_json, scalar_str
 
@@ -25,15 +26,15 @@ FAMILY_MAP = {"H": "Hq", "h": "hq", "p": "pq", "Hc": "H_classical", "C": "C_disk
 
 def _rational(text) -> Optional[Fraction]:
     """An optional rational flag: None when absent."""
-    return Fraction(text) if text else None
+    return parse_rational(text) if text else None
 
 
 def _parse_point(text: str):
     """Scalar point: 're' or 're,im' with rational components."""
     if "," in text:
         re_, im_ = text.split(",", 1)
-        return GaussianRational(Fraction(re_), Fraction(im_))
-    return Fraction(text)
+        return GaussianRational(parse_rational(re_), parse_rational(im_))
+    return parse_rational(text)
 
 
 # the options a subcommand may declare besides --q, --format, --output and
@@ -72,7 +73,7 @@ def _ctx_from(args, backend: str, sqrt_q=None, trunc=None) -> QContext:
     """The run's context at --q and --precision-bits; a float context
     without a rational sqrt_q takes s = sqrt(q)."""
     if sqrt_q not in (None, "auto"):
-        sqrt_q = Fraction(sqrt_q)
+        sqrt_q = parse_rational(sqrt_q)
     elif backend == "float":
         sqrt_q = "auto"
     return QContext(str(args.q), sqrt_q=sqrt_q, backend=backend,
@@ -168,9 +169,9 @@ def cmd_verify(args) -> int:
     if args.max_n is not None:
         grid["max_n"] = args.max_n
     if args.b:
-        grid["b"] = Fraction(args.b)
+        grid["b"] = parse_rational(args.b)
     if args.c:
-        grid["c"] = Fraction(args.c)
+        grid["c"] = parse_rational(args.c)
     if args.seed is not None:
         rng = random.Random(args.seed)
         grid["mult_a"] = Fraction(rng.randint(1, 9), rng.randint(10, 19))
@@ -240,7 +241,7 @@ def cmd_asym(args) -> int:
         if args.z2:
             pt["z2"] = _parse_point(args.z2)
         if args.b:
-            pt["b"] = Fraction(args.b)
+            pt["b"] = parse_rational(args.b)
         rep = asymptotic_report(ctx, args.target, sizes, pt)
     if args.format == "csv":
         _emit(args, rep.to_csv())

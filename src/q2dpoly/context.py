@@ -205,6 +205,15 @@ def is_zero(x) -> bool:
     return x == 0
 
 
+def parse_rational(x) -> Fraction:
+    """Fraction(x), with a zero denominator ("1/0") a ValueError, not a
+    ZeroDivisionError."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
 def as_fraction(x) -> Fraction:
     """Extract the rational value of a real exact scalar."""
     if isinstance(x, GaussianRational):
@@ -262,7 +271,7 @@ class QContext:
         self.precision_bits = int(precision_bits)
         self.default_trunc = default_trunc or TruncationPolicy()
 
-        qfrac = Fraction(q)
+        qfrac = parse_rational(q)
         if not 0 < qfrac < 1:
             raise ValueError(f"q must satisfy 0 < q < 1, got {qfrac}")
         self.q_fraction = qfrac
@@ -272,7 +281,7 @@ class QContext:
             if sqrt_q in (None, "auto"):
                 self.s = _exact_sqrt(qfrac)  # may be None
             else:
-                sfrac = Fraction(sqrt_q)
+                sfrac = parse_rational(sqrt_q)
                 if sfrac * sfrac != qfrac:
                     raise ValueError(f"sqrt_q**2 = {sfrac * sfrac} != q = {qfrac}")
                 self.s = sfrac
@@ -284,7 +293,7 @@ class QContext:
                 elif sqrt_q == "auto":
                     self.s = mp.sqrt(self.q)
                 else:
-                    sfrac = Fraction(sqrt_q)
+                    sfrac = parse_rational(sqrt_q)
                     self.s = mp.mpf(sfrac.numerator) / sfrac.denominator
         self._qq_cache = [self.one()]  # (q;q)_n prefix products
         self._qpow_cache = {}  # n (exact) or (n, mp.prec) (float) -> q**n

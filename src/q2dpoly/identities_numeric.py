@@ -22,8 +22,8 @@ from .context import QContext
 from .polyfamilies import (FamilyTable, _power_table, coeffs, eval_poly,
                            little_q_jacobi_coeff_list, radial_reduce)
 from .qkernel import (QPochPrefix, aq_function, bessel_i2_series, phi_series,
-                      qbinom, qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ratio,
-                      schur_a, schur_b, times)
+                      qbinom, qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ladder,
+                      qpoch_inf_ratio, schur_a, schur_b, times)
 
 F = Fraction
 
@@ -593,31 +593,15 @@ def num_bes_wall(ctx, pt):
 # NUMERIC-QSUM entries (Ramanujan q-beta integrals)
 # ---------------------------------------------------------------------------
 
-def qshift_ladder(ctx, c, K: int):
-    """[(-c q^k;q)_inf for k = 0..K-1] and their relative truncation tail.
-
-    Only the smallest argument k = K-1 calls :func:`qpoch_inf`; the rest
-    walk down by (-c q^k;q)_inf = (1 + c q^k)(-c q^{k+1};q)_inf (Gasper--Rahman
-    ch. 1), so every entry carries the base's relative tail, which is
-    returned (c > 0, so no factor vanishes).
-    """
-    base, tail = qpoch_inf(ctx, -c * ctx.qpow(K - 1))
-    out = [base]
-    for k in range(K - 2, -1, -1):
-        out.append((1 + c * ctx.qpow(k)) * out[-1])
-    out.reverse()
-    return out, tail / ctx.mag(base)
-
-
 def num_rambeta(ctx, pt, with_ab: bool):
     """eq:rambeta1 (with_ab) / eq:rambeta3: the bilateral q-sum against the
     closed product form.
 
     The nodes t = q^n, n = -120..159, read their products (-t, -q/t;q)inf
-    (and (-t q^b, -q^{a+1}/t;q)inf) off q-shift ladders.  The tail adds to
-    the edge terms each side's truncated products: the ladders' relative
-    tails times |lhs| (the terms are positive) and the closed form's
-    :func:`qpoch_inf_ratio` tail.
+    (and (-t q^b, -q^{a+1}/t;q)inf) off :func:`qpoch_inf_ladder`.  The tail
+    adds to the edge terms each side's truncated products: the ladders'
+    relative tails times |lhs| (the terms are positive) and the closed
+    form's :func:`qpoch_inf_ratio` tail.
     """
     apar = ctx.scalar(pt.get("apar", F(1, 3)))
     bpar = ctx.scalar(pt.get("bpar", 1))
@@ -625,15 +609,18 @@ def num_rambeta(ctx, pt, with_ab: bool):
     q = ctx.q
     n0, K = -120, 280
 
+    def ladder(c):  # [(-c q^k;q)inf for k < K] and its relative tail
+        return qpoch_inf_ladder(ctx, [-c * ctx.qpow(k) for k in range(K)])
+
     # node k sits at t = q^(n0 + k): A = (-t;q)inf and C = (-t q^b;q)inf are
     # read at k, B = (-q/t;q)inf and D = (-q^{a+1}/t;q)inf at K-1-k
-    A, lad_rel = qshift_ladder(ctx, ctx.qpow(n0), K)
-    B, rel = qshift_ladder(ctx, ctx.qpow(2 - n0 - K), K)
+    A, lad_rel = ladder(ctx.qpow(n0))
+    B, rel = ladder(ctx.qpow(2 - n0 - K))
     lad_rel += rel
     if with_ab:
-        C, rel = qshift_ladder(ctx, ctx.qpow(n0) * q ** bpar, K)
+        C, rel = ladder(ctx.qpow(n0) * q ** bpar)
         lad_rel += rel
-        D, rel = qshift_ladder(ctx, q ** (apar + 1) * ctx.qpow(1 - n0 - K), K)
+        D, rel = ladder(q ** (apar + 1) * ctx.qpow(1 - n0 - K))
         lad_rel += rel
 
     total = ctx.zero()

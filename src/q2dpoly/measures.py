@@ -27,7 +27,7 @@ from mpmath import mp
 from .context import GaussianRational, QContext, conj, is_zero
 from .polyfamilies import BivarPoly, FamilyTable, coeffs, eval_poly
 from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
-                      qpoch_inf_ratio, times)
+                      qpoch_inf_ladder, qpoch_inf_ratio, times)
 from .reports import VerificationReport, numeric_verdict, scalar_str
 
 F = Fraction
@@ -120,11 +120,10 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
 
     Trapezoid in u with x = e^u on the nodes x_i = q^{-i/d}, |i| <= n,
     d = _H_NODES_PER_POWER, n = d _H_HALFWIDTH; the even nodes give the
-    step-h rule.  Nodes d apart differ by a factor 1/q, so only the d
-    smallest weights take a truncated product (-x;q)_inf; every later one
-    follows from (-x/q;q)_inf = (1 + x/q) (-x;q)_inf.  The discarded tail
-    prod_{k>=K}(1 + x q^k) of a chain's base node is the tail of every node
-    on the chain, so each weight has the base's relative truncation error.
+    step-h rule.  Nodes d apart differ by a factor 1/q, so each of the d
+    residue classes of nodes is one :func:`qpoch_inf_ladder` of (-x;q)_inf:
+    only its smallest node takes a truncated (-x;q)_inf, and every weight has
+    that base's relative truncation error.
 
     The error is the sum of
       - |v_h - v_{h/2}|, the step-doubling estimate of the quadrature error
@@ -143,15 +142,13 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
         # the nodes of the step-h rule
         hu = -mpmath.log(ctx.q) / d
         xs = [mpmath.exp(i * hu) for i in range(-n, n + 1)]
-        pinf = []
+        # residue class r, the nodes xs[r::d], is one ladder read downwards
+        pinf = [None] * len(xs)
         eps = 0.0
-        for i, xv in enumerate(xs):
-            if i < d:
-                val, tail = qpoch_inf(ctx, -xv)
-                eps = max(eps, tail / ctx.mag(val))
-            else:
-                val = pinf[i - d] * (1 + xv)
-            pinf.append(val)
+        for r in range(d):
+            vals, rel = qpoch_inf_ladder(ctx, [-xv for xv in reversed(xs[r::d])])
+            pinf[r::d] = vals[::-1]
+            eps = max(eps, rel)
         even = [mp.mpf(0)] * (nmax + 1)
         odd = [mp.mpf(0)] * (nmax + 1)
         for i, (xv, pv) in enumerate(zip(xs, pinf)):

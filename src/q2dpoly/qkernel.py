@@ -11,7 +11,8 @@ convergent-sum engine, the loop of :func:`phi_series`; (a;q)_inf is Euler's
 series 0phi0(-; -; q, a) summed by it, and its tail bounds the truncation
 plus the rounding of the sum (the product of the factors (1 - a q^k), the
 kernel's one such loop, is ``QPochPrefix``'s and serves only where the
-series would cancel).
+series would cancel); (a;q)_inf at a, aq, aq^2, ... is one
+:func:`qpoch_inf_ladder`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "PoleError",
     "qpoch",
     "qpoch_inf",
+    "qpoch_inf_ladder",
     "qpoch_inf_ratio",
     "times",
     "QPochPrefix",
@@ -112,6 +114,20 @@ def qpoch_inf(ctx: QContext, a):
         u = 0.0 if ctx.is_exact else 2.0 ** (1 - mp.prec)
         r = float(ctx.q_fraction) / (1 - float(ctx.q_fraction))
         return value, tail + 1.01 * (n + 8) * (1 + r) / 2 * n * u * S
+
+
+def qpoch_inf_ladder(ctx: QContext, args):
+    """[(a;q)_inf for a in args], each arg q times the one before, and the
+    relative tail of the base: only the last, smallest arg calls
+    :func:`qpoch_inf`, and every other rung is (1 - a) times the one after
+    it, (a;q)_inf = (1 - a)(aq;q)_inf (Gasper--Rahman, ch. 1), so it carries
+    the base's cut.  The ladder's own rounding is not in that tail."""
+    base, tail = qpoch_inf(ctx, args[-1])
+    out = [base]
+    for a in reversed(args[:-1]):
+        out.append((1 - a) * out[-1])
+    out.reverse()
+    return out, tail / ctx.mag(base)
 
 
 def _qpoch_inf_product(ctx: QContext, a):

@@ -251,11 +251,12 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
         raise ValueError(f"count must be >= 0, got {count}")
     q = ctx.q_fraction
     qf = float(q)
-    x_hi = qf ** (-(2 * count + 2))
+    # the scan runs up to x_hi = q^-(2 count + 2), taken in logarithms, as is
+    # q^{N^2} x_hi^N > 10^-(precision + 40): x_hi overflows a double from
+    # count 255 on at q = 1/4, and x_hi^N from about ten zeros on
     N = 2 * count + 12
-    # q^{N^2} x_hi^N > 10^-(precision + 40), in logarithms: x_hi^N overflows
-    # a double from about ten zeros on at q = 1/4
-    log_qf, log_x_hi = math.log(qf), math.log(x_hi)
+    log_qf = math.log(qf)
+    log_x_hi = -(2 * count + 2) * log_qf
     while N * (N * log_qf + log_x_hi) > -(precision + 40) * math.log(10):
         N += 4
     ectx = ctx if ctx.is_exact else QContext(q)
@@ -273,7 +274,7 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
         num, k = x
         return abs(_horner(desc, num, k)) * tail_d << k > tail_n * num ** (N + 1)
 
-    hi = math.log2(x_hi)
+    hi = -(2 * count + 2) * math.log2(qf)
     subdiv = 16
     while True:
         brackets = _scan(desc, 0.0, hi, int(subdiv * (2 * count + 3)))

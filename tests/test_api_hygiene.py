@@ -14,11 +14,15 @@ products.  Nor does one drop the tail of a basic hypergeometric series: a
 ``bessel_i2_series(...)[0]`` in those modules fails.
 
 No module but the kernel and the context multiplies a running product by
-(1 +- x) factors: a finite q-shifted factorial is a ``qpoch`` or
-``QPochPrefix`` read, and a base-1/q Gaussian binomial a ``qbinom_inv``.
-In the kernel the one loop over the factors (1 - a q^k) is
-``QPochPrefix``'s: (a;q)_inf is Euler's series, and its product route
-reads a ``QPochPrefix``.
+(1 +- x) factors, whether the product is a name (``p = p * (1 - x)``,
+``p *= 1 + x``) or a list element read at a walking index
+(``v.append(v[-1] * (1 - x))``, ``v[i - d] * (1 + x)``): a finite
+q-shifted factorial is a ``qpoch`` or ``QPochPrefix`` read, (a;q)_inf on
+arguments a, aq, aq^2, ... a ``qpoch_inf_ladder`` read, and a base-1/q
+Gaussian binomial a ``qbinom_inv``.  In the kernel the one loop over the
+factors (1 - a q^k) is ``QPochPrefix``'s, and the one (a;q)_inf chain is
+``qpoch_inf_ladder``'s: (a;q)_inf is Euler's series, and its product
+route reads a ``QPochPrefix``.
 """
 
 import ast
@@ -106,36 +110,38 @@ def test_no_dropped_qpoch_inf_tails():
 
 
 def _one_plus_minus(node):
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
-            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+    """Whether node is 1 + x, 1 - x or x + 1."""
+    def one(x):
+        return isinstance(x, ast.Constant) and x.value == 1
+
+    return isinstance(node, ast.BinOp) and (
+        (isinstance(node.op, (ast.Add, ast.Sub)) and one(node.left))
+        or (isinstance(node.op, ast.Add) and one(node.right)))
 
 
-def _extends_by_factor(node):
-    """Whether node is `v.append(v[-1] * (1 +- x))` (either factor order)."""
-    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
-            and isinstance(node.func.value, ast.Name) and len(node.args) == 1):
+def _element_times_factor(node):
+    """Whether node is `v[i] * (1 +- x)` (either factor order) for a list
+    element read at a walking index: `v[-1]`, `v[i - d]`, `v[k]`.  An
+    element at a constant index, `v[0]`, starts no chain."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
         return False
-    name, arg = node.func.value.id, node.args[0]
-    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)):
-        return False
 
-    def last(x):
-        return (isinstance(x, ast.Subscript) and getattr(x.value, "id", None) == name
-                and isinstance(x.slice, ast.UnaryOp) and isinstance(x.slice.op, ast.USub)
-                and getattr(x.slice.operand, "value", None) == 1)
+    def element(x):
+        return isinstance(x, ast.Subscript) and not isinstance(x.slice, ast.Constant)
 
-    return ((last(arg.left) and _one_plus_minus(arg.right))
-            or (last(arg.right) and _one_plus_minus(arg.left)))
+    return ((element(node.left) and _one_plus_minus(node.right))
+            or (element(node.right) and _one_plus_minus(node.left)))
 
 
-def _running_products(tree, appends=False):
+def _running_products(tree):
     """Lines of `p = p * (1 - x)`, `p = (1 + x) * p` and `p *= 1 - x`, and
-    with appends of `v.append(v[-1] * (1 - x))`."""
+    of a list element times (1 +- x), as in `v.append(v[-1] * (1 - x))` or
+    `v[i - d] * (1 + x)`."""
     out = []
     for n in ast.walk(tree):
-        if appends and _extends_by_factor(n):
+        if _element_times_factor(n):
             out.append(n.lineno)
-        if (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
+        elif (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
                 and isinstance(n.target, ast.Name) and _one_plus_minus(n.value)):
             out.append(n.lineno)
         elif (isinstance(n, ast.Assign) and len(n.targets) == 1
@@ -152,9 +158,9 @@ def test_running_product_finder_flags_a_factor_loop():
     tree = ast.parse("p = p * (1 - x)\np *= 1 - a * q**k\np = (1 + x) * p\n"
                      "r = p * (1 - x)\np = p * (x - 1)\np = p * (nu + i)\ns += 1 - x\n"
                      "v.append(v[-1] * (1 - x))\nv.append((1 + x) * v[-1])\n"
-                     "v.append(w[-1] * (1 - x))\nv.append(v[0] * (1 - x))\n")
-    assert _running_products(tree) == [1, 2, 3]
-    assert sorted(_running_products(tree, appends=True)) == [1, 2, 3, 8, 9]
+                     "val = pinf[i - d] * (1 + xv)\nu = (1 - x) * w[k]\n"
+                     "v.append(w[0] * (1 - x))\nr = v[0] * (1 + x)\nv.append(v[-1] * (x + 1))\n")
+    assert sorted(_running_products(tree)) == [1, 2, 3, 8, 9, 10, 11, 14]
 
 
 def test_no_running_products_outside_the_kernel():
@@ -163,7 +169,7 @@ def test_no_running_products_outside_the_kernel():
         if fname.endswith(".py") and fname not in ("qkernel.py", "context.py"):
             with open(os.path.join(SRC, fname)) as fh:
                 tree = ast.parse(fh.read())
-            found += [f"{fname}:{ln}" for ln in _running_products(tree)]
+            found += [f"{fname[:-3]}.{owner}" for owner in _product_owners(tree)]
     assert found == []
 
 
@@ -182,7 +188,7 @@ def _product_owners(tree):
 
     visit(tree, [])
     out = {}
-    for ln in _running_products(tree, appends=True):
+    for ln in _running_products(tree):
         owner = max((d for d in defs if d[0] <= ln <= d[1]), default=(0, 0, "<module>"))[2]
         out[owner] = out.get(owner, 0) + 1
     return out
@@ -197,14 +203,16 @@ def test_product_owner_finder_names_the_innermost_function():
 
 
 def test_one_qpoch_loop_in_the_kernel():
-    # QPochPrefix holds the kernel's one loop over the factors (1 - a q^k).
-    # The phi_series loop's three products run over the parameters of one
-    # term n (its ratio's numerator factors 1 - a q^n, and the double bounds
-    # of that ratio), so none is an (a;q) loop.  A second (a;q)_n or
-    # (a;q)_inf loop fails here
+    # QPochPrefix holds the kernel's one loop over the factors (1 - a q^k),
+    # and qpoch_inf_ladder its one (a;q)_inf chain, (a;q)_inf =
+    # (1 - a)(aq;q)_inf.  The phi_series loop's three products run over the
+    # parameters of one term n (its ratio's numerator factors 1 - a q^n, and
+    # the double bounds of that ratio), so none is an (a;q) loop.  A second
+    # (a;q)_n or (a;q)_inf loop fails here
     with open(os.path.join(SRC, "qkernel.py")) as fh:
         tree = ast.parse(fh.read())
-    assert _product_owners(tree) == {"QPochPrefix.__call__": 1, "_phi_sum": 3}
+    assert _product_owners(tree) == {"QPochPrefix.__call__": 1, "_phi_sum": 3,
+                                     "qpoch_inf_ladder": 1}
 
 
 # Every public name has a caller.  A name in a module's ``__all__``, or a

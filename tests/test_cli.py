@@ -542,6 +542,30 @@ def test_aqzeros_past_eight_zeros(capsys):
     assert all(14 < b / a < 18 for a, b in zip(zs[1:], zs[2:]))
 
 
+def test_aqzeros_scan_end_past_the_double_range(capsys):
+    # x_hi = q^-28 = 2^1120 at q = 2^-40 overflows a double
+    code, out = run(capsys, "aqzeros", "--count", "13", "--q", "1/1099511627776")
+    assert code == 0 and len(json.loads(out)["zeros"]) == 13
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "H", "--m", "0", "--n", "0", "--z1", "1", "--z2", "1", "--q", "1/0"),
+    ("eval", "--family", "H", "--m", "0", "--n", "0", "--z1", "1/0", "--z2", "1"),
+    ("eval", "--family", "p", "--m", "0", "--n", "0", "--z1", "1", "--z2", "1", "--b", "1/0"),
+    ("zeros", "--family", "h", "--m", "2", "--n", "2", "--q", "1/0"),
+    ("gram", "--kind", "doH", "--N", "2", "--z", "1,1/0"),
+    ("verify", "--id", "H-TTR-a", "--q", "1/2", "--c", "1/0"),
+    ("verify", "--id", "H-TTR-a", "--q", "1/4", "--sqrt-q", "1/0"),
+])
+def test_zero_denominator_is_config_error(capsys, argv):
+    # Fraction raises ZeroDivisionError, an ArithmeticError, which would
+    # read as a verification failure (exit 1)
+    code = main(list(argv))
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err == "config error: zero denominator in '1/0'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--target", "Hmn_inf", "--sizes", "4,8", "--q", "1/2", "--z1", "0", "--z2", "1"],
     ["--target", "theta4_scaled", "--sizes", "5,9", "--q", "1/2", "--z1", "0", "--z2", "1"],

@@ -8,7 +8,6 @@ from mpmath.ctx_mp_python import _mpc, _mpf
 import q2dpoly.identities_numeric as nm
 from q2dpoly.context import QContext, TruncationPolicy
 from q2dpoly.identities import check_identity
-from q2dpoly.qkernel import qpoch_inf
 
 
 def _fctx(q):
@@ -60,21 +59,6 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
             total += prod
         direct = total / M
         assert c.mag(val - direct) <= 1e-40 * c.mag(direct)
-
-
-@pytest.mark.parametrize("q", [F(1, 2), F(1, 5)])
-def test_qshift_ladder_matches_per_node_products(q):
-    # the four RAMBETA ladders (a = 1/3, b = 1) against one qpoch_inf per node
-    c = _fctx(q)
-    tr = c.default_trunc
-    with c.workprec():
-        K = 280
-        for base in (c.qpow(-120), c.qpow(-158), c.qpow(-120) * c.q, c.q ** F(4, 3) * c.qpow(-159)):
-            vals, rel = nm.qshift_ladder(c, base, K)
-            assert 0 < rel <= 2 * tr.tail_tol
-            for k in range(K):
-                ref = qpoch_inf(c, -base * c.qpow(k))[0]
-                assert c.mag(vals[k] - ref) <= 4 * tr.tail_tol * c.mag(ref), (k, base)
 
 
 @pytest.mark.parametrize("id_", ["RAMBETA-Q1", "RAMBETA-Q3"])

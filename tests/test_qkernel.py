@@ -11,8 +11,8 @@ from q2dpoly import qkernel
 from q2dpoly.polyfamilies import BivarPoly
 from q2dpoly.qkernel import (DivergenceError, PoleError, QPochPrefix,
                              aq_function, bessel_i2_series, phi_series, qbinom,
-                             qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ratio,
-                             schur_a, schur_b, theta4)
+                             qbinom_inv, qpoch, qpoch_inf, qpoch_inf_ladder,
+                             qpoch_inf_ratio, schur_a, schur_b, theta4)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +242,23 @@ def test_qpoch_inf_inside_interval_enclosure(q, a):
     with mpmath.workprec(400):
         corners = [mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y)) for x, y in ends]
         assert all(abs(x - val) <= tail for x in corners), (corners, val, tail)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 5)])
+def test_qpoch_inf_ladder_matches_per_node_products(q):
+    # the four RAMBETA ladders (-c q^k;q)_inf, k < 280 (a = 1/3, b = 1),
+    # against one qpoch_inf per node
+    tail_tol, terms = (1e-34, 400) if q == F(1, 2) else (1e-36, 500)
+    c = QContext(q, sqrt_q="auto", backend="float", precision_bits=160,
+                 default_trunc=TruncationPolicy(max_terms=terms, tail_tol=tail_tol))
+    with c.workprec():
+        K = 280
+        for base in (c.qpow(-120), c.qpow(-158), c.qpow(-120) * c.q, c.q ** F(4, 3) * c.qpow(-159)):
+            vals, rel = qpoch_inf_ladder(c, [-base * c.qpow(k) for k in range(K)])
+            assert 0 < rel <= 2 * tail_tol
+            for k in range(K):
+                ref = qpoch_inf(c, -base * c.qpow(k))[0]
+                assert c.mag(vals[k] - ref) <= 4 * tail_tol * c.mag(ref), (k, base)
 
 
 def test_float_qpow_matches_pow_at_each_precision():

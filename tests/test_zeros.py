@@ -138,10 +138,12 @@ def test_aq_zeros_final_bracket_must_clear_tail(monkeypatch):
         aq_zeros(QContext(F(5, 7)), 3, precision=20)
 
 
-@pytest.mark.parametrize("q, count", [(F(1, 4), 20), (F(3, 4), 20), (F(1, 10), 30)])
+@pytest.mark.parametrize("q, count", [(F(1, 4), 20), (F(3, 4), 20), (F(1, 10), 30),
+                                      (F(1, 2**40), 13)])
 def test_aq_zeros_many(q, count):
-    # N is chosen in logarithms, since x_hi^N overflows a double from ten
-    # zeros on at q = 1/4
+    # N and the scan end are chosen in logarithms, since x_hi^N overflows a
+    # double from ten zeros on at q = 1/4, and x_hi = q^-28 = 2^1120 itself
+    # at q = 2^-40
     zs = aq_zeros(QContext(q), count)
     assert len(zs) == count and all(a < b for a, b in zip(zs, zs[1:]))
 
