@@ -13,9 +13,10 @@ won.  It also times the tier-1 suite once per side and tests/test_acceptance.py
 three times per side, keeping each criterion's time (setup + call + teardown,
 from pytest --durations=0) and its median, and records the host.  It refuses
 to run when the two checkouts' BENCHMARK.json or perfbench/ files differ, and
-records a SHA-256 of each side's src/ tree next to its git revision, which an
-archive checkout does not have.  Standard library only; perfbench/ is only
-run and compared, never changed.
+records a SHA-256 of each side's src/ tree next to its git revision (marked
+"-dirty" when tracked files differ from it), which an archive checkout does
+not have.  Standard library only; perfbench/ is only run and compared, never
+changed.
 """
 
 import argparse
@@ -137,8 +138,10 @@ def differing_bench_files(parent, change):
 
 
 def revision(checkout):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
+    """The checkout's commit, with "-dirty" appended when its tracked files
+    differ from it; None outside a git repository (an archive checkout)."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() or None
 
 

@@ -329,7 +329,9 @@ def _verdict(entry: IdentityEntry, worst, tail: float, tol: float):
 
 def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
                    tol: float = 1e-10) -> VerificationReport:
-    """Run one registry entry over its grid and aggregate a single report."""
+    """Run one registry entry over its grid and aggregate a single report:
+    it passes iff every grid point passes, and reports the worst residual
+    and the largest tail, which may come from different points."""
     entry = get_entry(id_)
     if entry.needs_sqrt and ctx.s is None:
         raise MissingSqrtError(f"{id_} needs q**(1/2); set sqrt_q on the context")
@@ -337,16 +339,18 @@ def check_identity(ctx: QContext, id_: str, params: Optional[Dict] = None,
     exact = entry.mode.startswith("EXACT")
     worst = None if exact else 0.0
     tails = 0.0
+    passed = True
     info_all: Dict = {}
     for pt in grid:
         r, tail, info = _run_point(ctx, entry, pt)
+        passed = _verdict(entry, r, tail, tol)[0] and passed
         if not exact:
             worst = max(worst, r)
         elif r is not None and (worst is None or ctx.abs2(r) > ctx.abs2(worst)):
             worst = r
         tails = max(tails, tail)
         info_all.update(info)
-    passed, residual = _verdict(entry, worst, tails, tol)
+    residual = _verdict(entry, worst, tails, tol)[1]
     gridrep = dict(params or {})
     gridrep["points"] = len(grid)
     gridrep["q"] = scalar_str(ctx.q_fraction)

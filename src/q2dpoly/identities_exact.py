@@ -8,7 +8,9 @@ the check passes iff the residual is the zero polynomial.
 Identities stated through the weights (q z1 z2; q)_inf, 1/(-z1 z2; q)_inf or
 (q z1 z2;q)_inf/(b q z1 z2;q)_inf are verified after dividing out the common
 infinite factor with the telescoping (x z;q)_inf = (1-x z)(x q z;q)_inf, which
-turns them into polynomial identities.
+turns them into polynomial identities: the q-derivative of a weighted
+polynomial is :meth:`~q2dpoly.polyfamilies.BivarPoly.qdiff` with the weight's
+factors (1 + alpha z1 z2) and (1 + beta z1 z2) given as alpha and beta.
 
 A relation stated once in z1 and once in z2 has one checker whose ``var``
 argument (1 or 2) picks the variable; the registry binds each form as
@@ -53,13 +55,14 @@ def _unit(pt, var: int):
     return (m, n, own, other) + _UNIT[var]
 
 
-def _rodrigues(ctx, step, m: int, n: int) -> BivarPoly:
-    """``step`` applied to 1 n times in z1, then m times in z2."""
+def _rodrigues(ctx, e: int, beta, m: int, n: int) -> BivarPoly:
+    """The Rodrigues step ``qdiff(var, e, beta=beta)`` applied to 1 n times
+    in z1, then m times in z2."""
     P = _mono(ctx, 0, 0)
     for _ in range(n):
-        P = step(ctx, P, 1)
+        P = P.qdiff(1, e, beta=beta)
     for _ in range(m):
-        P = step(ctx, P, 2)
+        P = P.qdiff(2, e, beta=beta)
     return P
 
 
@@ -99,25 +102,14 @@ def h_ttr(ctx, pt, var):
 
 def h_lower(ctx, pt, var):
     m, n, own, _, i, j = _unit(pt, var)
-    return (_member(ctx, "Hq", m, n).dq(var)
+    return (_member(ctx, "Hq", m, n).qdiff(var)
             - (1 - ctx.qpow(own)) / (1 - ctx.q) * _member(ctx, "Hq", m - i, n - j))
-
-
-def _rod_step_H(ctx, P: BivarPoly, var: int) -> BivarPoly:
-    """D_{1/q,z} acting on (q z1 z2;q)_inf * P, with the weight divided out.
-
-    Uses (z1 z2;q)_inf = (1 - z1 z2)(q z1 z2;q)_inf, so the result is the
-    polynomial [P - (1 - z1 z2) P(z/q)] / (z (1 - 1/q)).
-    """
-    i, j = _UNIT[var]
-    one_minus = 1 - _mono(ctx, 1, 1)
-    num = P - one_minus * P.dilate_q(-i, -j)
-    return num.div_monomial(i, j) * (1 / (1 - 1 / ctx.q))
 
 
 def h_rod(ctx, pt):
     m, n = pt["m"], pt["n"]
-    P = _rodrigues(ctx, _rod_step_H, m, n)
+    # each step is D_{1/q,z} of (q z1 z2;q)_inf P with the weight divided out
+    P = _rodrigues(ctx, -1, -1, m, n)
     rhs = ctx.qpow(m * n) * (1 - 1 / ctx.q) ** (m + n) * P
     return coeffs(ctx, "Hq", m, n) - rhs
 
@@ -126,7 +118,7 @@ def h_raise(ctx, pt, var):
     # the z_var index is raised by the 1/q-derivative in the other variable
     m, n, _, other, i, j = _unit(pt, var)
     H = coeffs(ctx, "Hq", m, n)
-    rhs = ctx.qpow(other) * (1 - 1 / ctx.q) * _rod_step_H(ctx, H, 3 - var)
+    rhs = ctx.qpow(other) * (1 - 1 / ctx.q) * H.qdiff(3 - var, -1, beta=-1)
     return coeffs(ctx, "Hq", m + i, n + j) - rhs
 
 
@@ -153,7 +145,7 @@ def h_oprep(ctx, pt):
     for k in range(min(m, n) + 1):
         c = (-(1 - ctx.q) ** 2) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
         total = total + c * term
-        term = term.dq(1).dq(2)
+        term = term.qdiff(1).qdiff(2)
     return coeffs(ctx, "Hq", m, n) - total
 
 
@@ -195,18 +187,10 @@ def hh_ttr(ctx, pt, var):
     return lhs - rhs
 
 
-def _rod_step_h(ctx, P: BivarPoly, var: int) -> BivarPoly:
-    """D_{q,z} on P / (-z1 z2;q)_inf with the weight divided out:
-    [P - (1 + z1 z2) P(qz)] / ((1 - q) z)."""
-    i, j = _UNIT[var]
-    one_plus = 1 + _mono(ctx, 1, 1)
-    num = P - one_plus * P.dilate_q(i, j)
-    return num.div_monomial(i, j) * (1 / (1 - ctx.q))
-
-
 def hh_rod(ctx, pt):
     m, n = pt["m"], pt["n"]
-    P = _rodrigues(ctx, _rod_step_h, m, n)
+    # each step is D_{q,z} of P / (-z1 z2;q)_inf with the weight divided out
+    P = _rodrigues(ctx, 1, 1, m, n)
     rhs = (ctx.q - 1) ** (m + n) * P
     return coeffs(ctx, "hq", m, n) - rhs
 
@@ -218,7 +202,7 @@ def hh_oprep(ctx, pt):
     factor = -(1 / ctx.q) * (1 - ctx.q) ** 2
     for k in range(min(m, n) + 1):
         total = total + factor**k / ctx.qq(k) * term
-        term = term.dq_inv(1).dq_inv(2)
+        term = term.qdiff(1, -1).qdiff(2, -1)
     return coeffs(ctx, "hq", m, n) - ctx.qpow(m * n) * total
 
 
@@ -227,7 +211,7 @@ def hh_lower(ctx, pt, var):
     # printed eigencoefficient corrected: lowering in z1 carries q^{n-m+1},
     # lowering in z2 q^{m-n+1}
     fac = (1 - ctx.qpow(own)) / (1 - ctx.q) * ctx.qpow(other - own + 1)
-    return _member(ctx, "hq", m, n).dq_inv(var) - fac * _member(ctx, "hq", m - i, n - j)
+    return _member(ctx, "hq", m, n).qdiff(var, -1) - fac * _member(ctx, "hq", m - i, n - j)
 
 
 def hh_raise(ctx, pt, var):
@@ -237,7 +221,7 @@ def hh_raise(ctx, pt, var):
     # z1-derivative raises n.
     m, n, _, _, i, j = _unit(pt, var)
     h = coeffs(ctx, "hq", m, n)
-    rhs = (ctx.q - 1) * _rod_step_h(ctx, h, 3 - var)
+    rhs = (ctx.q - 1) * h.qdiff(3 - var, 1, beta=1)
     return coeffs(ctx, "hq", m + i, n + j) - rhs
 
 
@@ -265,8 +249,7 @@ def hh_sl(ctx, pt, var):
     q^{1-m}(1-q^m)/(1-q)^2 maps h_{m,n} to h_{m-1,n+1} instead (ledger)."""
     m, n, own, other, _, _ = _unit(pt, var)
     h = coeffs(ctx, "hq", m, n)
-    g = h.dq_inv(var)
-    lhs = -1 * _rod_step_h(ctx, g, 3 - var)
+    lhs = -1 * h.qdiff(var, -1).qdiff(3 - var, 1, beta=1)
     rhs = (1 - ctx.qpow(own)) / (1 - ctx.q) ** 2 * ctx.qpow(other - own + 1) * h
     return lhs - rhs
 
@@ -377,7 +360,7 @@ def p_conn_H(ctx, pt):
 def p_fwd(ctx, pt, var):
     m, n, own, _, i, j = _unit(pt, var)
     b = pt.get("b", F(1, 3))
-    lhs = _p(ctx, pt, m, n).dq(var)
+    lhs = _p(ctx, pt, m, n).qdiff(var)
     rhs = ((1 - ctx.scalar(b) * ctx.q) / (1 - ctx.q) * (1 - ctx.qpow(own))
            * _p(ctx, pt, m - i, n - j, b=Fraction(b) * ctx.q_fraction))
     return lhs - rhs
@@ -396,10 +379,7 @@ def p_bwd(ctx, pt, var: int):
     m, n, own, _, i, j = _unit(pt, var)
     b = Fraction(pt.get("b", F(1, 3)))
     bs = ctx.scalar(b)
-    P = _p(ctx, pt, m, n)
-    zz = _mono(ctx, 1, 1)
-    num = (1 - bs * zz) * P - (1 - zz) * P.dilate_q(-i, -j)
-    lhs = num.div_monomial(i, j) * (1 / (1 - 1 / ctx.q))
+    lhs = _p(ctx, pt, m, n).qdiff(var, -1, alpha=-bs, beta=-1)
     fac = (1 - bs * ctx.qpow(own)) / ((1 - bs) * ctx.qpow(own - 1) * (ctx.q - 1))
     rhs = _p(ctx, pt, m + j, n + i, b=b / ctx.q_fraction) * fac
     return lhs - rhs

@@ -141,33 +141,31 @@ class BivarPoly:
             {(i, j): c * qpow(e1 * i) * qpow(e2 * j) for (i, j), c in self.coeffs.items()},
         )
 
-    def div_monomial(self, i0: int, j0: int) -> "BivarPoly":
-        """Exact division by z1^i0 z2^j0; raises if not divisible."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i < i0 or j < j0:
-                raise ArithmeticError("polynomial not divisible by the monomial")
-            out[(i - i0, j - j0)] = c
-        return BivarPoly(self.ctx, out)
+    def qdiff(self, var: int, e: int = 1, alpha=0, beta=0) -> "BivarPoly":
+        """The weighted q-difference in z_var (var 1 or 2), exact on coefficients:
 
-    def dq(self, var: int) -> "BivarPoly":
-        """Forward q-derivative D_q in variable var (1 or 2), exact on coefficients."""
-        return self._dq_base(var, self.ctx.q)
+            ((1 + alpha z1 z2) P - (1 + beta z1 z2) P(q^e z_var)) / ((1 - q^e) z_var).
 
-    def dq_inv(self, var: int) -> "BivarPoly":
-        """Inverse-base q-derivative D_{1/q}."""
-        return self._dq_base(var, 1 / self.ctx.q)
-
-    def _dq_base(self, var: int, q) -> "BivarPoly":
-        """D_q in variable var in the base q."""
+        With alpha = beta = 0 it is the q-derivative D_{q^e}.  The weights
+        divide (x z1 z2;q)_inf = (1 - x z1 z2)(x q z1 z2;q)_inf out of a
+        q-derivative of a weighted polynomial (the Rodrigues steps, the
+        raising operators, the q-disk backward shift).  One pass: for var 1
+        a coefficient c at (i, j) adds c (1 - q^(e i))/(1 - q^e) at (i-1, j)
+        and c (alpha - beta q^(e i))/(1 - q^e) at (i, j+1); var 2 mirrors it.
+        """
+        qpow, zero = self.ctx.qpow, self.ctx.zero()
+        inv = 1 / (1 - qpow(e))
+        weighted = bool(alpha or beta)
         out: Dict[Key, object] = {}
         for (i, j), c in self.coeffs.items():
             d = i if var == 1 else j
-            if d == 0:
-                continue
-            fac = (1 - q**d) / (1 - q)
-            k = (i - 1, j) if var == 1 else (i, j - 1)
-            out[k] = out.get(k, self.ctx.zero()) + c * fac
+            qd = qpow(e * d)
+            if d:
+                k = (i - 1, j) if var == 1 else (i, j - 1)
+                out[k] = out.get(k, zero) + c * (1 - qd) * inv
+            if weighted:
+                k = (i, j + 1) if var == 1 else (i + 1, j)
+                out[k] = out.get(k, zero) + c * (alpha - beta * qd) * inv
         return BivarPoly(self.ctx, out)
 
     def conj_coeffs(self) -> "BivarPoly":

@@ -2,6 +2,7 @@
 benchmark, and fingerprints each side's src/ tree."""
 
 import os
+import subprocess
 
 import pytest
 
@@ -44,3 +45,17 @@ def test_src_digest_follows_source_bytes_only(bench_point, tmp_path):
     c = _tree(tmp_path / "c", {"src/pkg/m.py": "b\n"})
     assert bench_point.tree_sha256(a, "src") == bench_point.tree_sha256(b, "src")
     assert bench_point.tree_sha256(a, "src") != bench_point.tree_sha256(c, "src")
+
+
+def test_revision_marks_a_dirty_checkout(bench_point, tmp_path):
+    repo = _tree(tmp_path / "repo", {"src/m.py": "a\n"})
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_point.revision(repo) == head
+    _tree(tmp_path / "repo", {"src/m.py": "b\n"})
+    assert bench_point.revision(repo) == head + "-dirty"
+    assert bench_point.revision(_tree(tmp_path / "archive", {"src/m.py": "a\n"})) is None

@@ -443,6 +443,26 @@ def _readme_study_argvs():
     return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("q2dpoly ")]
 
 
+# SHA-256 of each README study output, the aqzeros line's stdout included:
+# the study CLI output stays byte-identical, and a change that moves it
+# re-pins the digest and says so.
+STUDY_SHA256 = {
+    "aqzeros stdout": "4655e93aafa2a6c762d98710ada880602a612045ebde918304b38621634d5a36",
+    "asym_Hmn_inf.csv": "96b2d8ac044cf913d9dbcb7d42cdcb4397acb2709d5f7810b0199df2ef6261a9",
+    "asym_PR_h.csv": "46ee96870427b539182d673998cf087c6f82c9726efadde629a72018fa48b2df",
+    "asym_p_inf.csv": "643c8f4dcc2aff9aed8c56f9d2b67b0d768b7175644fdf4de63415f7d289df91",
+    "asym_theta4_scaled.csv": "107a436e9f10febc0e8c5dc5ca9a26115e7c96e7b090f68b4fa0d613f6b96605",
+    "exact_series.json": "64a09c8a854363c74197f203f98dc0d628930df2c672fd40b501e2bf3d0f9e2d",
+    "exact_sweep.json": "ba4fb90ed603af16f93314cbfd439b8b7174497bf48d95f4fef7529df54bba19",
+    "ortho_H.csv": "2fbe9740f19f48c7ca44ce54feb6050e60266e41aea3c39705f50911c729b233",
+    "ortho_h.csv": "cfc5fbc346e95584f1ca8846f0ff3aeabae36dbccad1b30437d99e8a20d377ca",
+    "ortho_p.csv": "2b3357b7ea184d25e85176e8dd0ce252230abcd9cea6c1465f3d0289a6dae8c7",
+    "zerolimit_limH.csv": "3fe91ee7016535a28f713a4bfef1937ce57ab6bf1fb721b0b2a15b24d102eb76",
+    "zerolimit_limh.csv": "b2d8822725c3b8328e4759beb8838635d1f9c14073c126eac66784fd94c72426",
+    "zerolimit_limp.csv": "18ade55fc3fac5a3dc0a044c5ab1fdf0dac5831053b83c09f84943ec8e08cd8c",
+}
+
+
 def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
     lines = _readme_study_argvs()
     monkeypatch.chdir(tmp_path)
@@ -452,7 +472,12 @@ def test_readme_study_lines_run(tmp_path, monkeypatch, capsys):
     assert len(lines) == 13
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
     # the one line without --output, aqzeros, prints its JSON
-    assert len(json.loads(capsys.readouterr().out)["zeros"]) == 3
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["zeros"]) == 3
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in outputs}
+    digests["aqzeros stdout"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == STUDY_SHA256
     header = "m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"
     for name, rows in (("ortho_H.csv", 6**4), ("ortho_p.csv", 6**4), ("ortho_h.csv", 5**4)):
         text = (tmp_path / name).read_text().splitlines()

@@ -162,6 +162,25 @@ def test_non_finite_numeric_tail_fails(monkeypatch, tail):
     assert check_identity(fctx, "COR19-AQ", {}, tol=1e-9).passed
 
 
+def test_numeric_entry_passes_only_if_every_point_passes(monkeypatch):
+    # point j=0 has residual 5e-9 and tail 0, so it fails at tol 1e-9; point
+    # j=1 has residual 0 and tail 1e-8.  The worst residual is below tol plus
+    # the largest tail, but that tail belongs to the other point.
+    import q2dpoly.identities as ident
+
+    fctx = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=64)
+    entry = ident.get_entry("COR19-AQ")
+    monkeypatch.setattr(entry, "grid_kind", "jk")
+    monkeypatch.setattr(entry, "checker", lambda c, pt: (5e-9, 0.0, {}) if pt["j"] == 0
+                        else (0.0, 1e-8, {}))
+    grid = {"max_j": 1, "max_k": 0}
+    assert [r.passed for r in sweep(fctx, ["COR19-AQ"], grid, tol=1e-9)] == [False, True]
+    rep = check_identity(fctx, "COR19-AQ", grid, tol=1e-9)
+    assert rep.grid["points"] == 2
+    assert not rep.passed
+    assert rep.residual == repr(5e-9) and rep.tail_bound == 1e-8
+
+
 def test_sweep_empty_id_list(ctx):
     assert sweep(ctx, []) == []
 

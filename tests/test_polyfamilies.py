@@ -190,6 +190,41 @@ def test_poly_to_json_writes_exact_parts(ctx):
                              for i, j in sorted(P.coeffs)]
 
 
+def _qdiff_by_ring_ops(P, var, e, alpha, beta):
+    """The weighted q-difference spelled with ring operations:
+    (1 + alpha z1 z2) P - (1 + beta z1 z2) P(q^e z_var), with its monomial
+    z_var divided out, times 1/(1 - q^e)."""
+    ctx = P.ctx
+    i0, j0 = (1, 0) if var == 1 else (0, 1)
+    zz = BivarPoly(ctx, {(1, 1): ctx.one()})
+    num = (1 + alpha * zz) * P - (1 + beta * zz) * P.dilate_q(e * i0, e * j0)
+    assert all(i >= i0 and j >= j0 for i, j in num.coeffs)
+    out = BivarPoly(ctx, {(i - i0, j - j0): c for (i, j), c in num.coeffs.items()})
+    return out * (1 / (1 - ctx.qpow(e)))
+
+
+def _random_poly(ctx, rng, gaussian):
+    def frac():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    return BivarPoly(ctx, {(rng.randint(0, 5), rng.randint(0, 5)):
+                           GR(frac(), frac()) if gaussian else frac() for _ in range(8)})
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (0, -1), (F(-1, 3), -1)])
+@pytest.mark.parametrize("e", [1, -1])
+@pytest.mark.parametrize("var", [1, 2])
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+def test_qdiff_equals_ring_operation_formula(ctx, gaussian, var, e, alpha, beta):
+    rng = random.Random(f"{gaussian}{var}{e}{alpha}{beta}")
+    for _ in range(6):
+        P = _random_poly(ctx, rng, gaussian)
+        got = P.qdiff(var, e, alpha=alpha, beta=beta)
+        ref = _qdiff_by_ring_ops(P, var, e, alpha, beta)
+        assert got.coeffs.keys() == ref.coeffs.keys()
+        assert all(got.coeffs[k] == ref.coeffs[k] for k in ref.coeffs)
+
+
 MEMO_CASES = [("Hq", {}), ("hq", {}), ("H_classical", {}),
               ("pq", {"b": 1}), ("pq", {"b": F(1, 3)}), ("pq", {"b": GR(F(1, 3), F(1, 2))}),
               ("C_disk", {"nu": F(3, 2)})]

@@ -308,7 +308,7 @@ def test_terminating_qbt(ctx):
 
 def _dq_power(P, n):
     for _ in range(n):
-        P = P.dq(1)
+        P = P.qdiff(1)
     return P
 
 
