@@ -111,10 +111,19 @@ def _emit_reports(args, reports: List[VerificationReport]) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_MEMBER_PARAMS = {"b": "p", "nu": "C"}
+
+
 def _member(args):
+    """The --family member; --b is p's parameter and --nu C's, and another
+    family given one is a configuration error."""
+    params = {name: _rational(getattr(args, name)) for name in _MEMBER_PARAMS}
+    for name, family in _MEMBER_PARAMS.items():
+        if params[name] is not None and args.family != family:
+            raise ValueError(f"--{name} is a parameter of --family {family} only, "
+                             f"not of --family {args.family}")
     ctx = _ctx_from(args, args.backend or "exact")
-    return coeffs(ctx, FAMILY_MAP[args.family], args.m, args.n,
-                  b=_rational(args.b), nu=_rational(args.nu))
+    return coeffs(ctx, FAMILY_MAP[args.family], args.m, args.n, **params)
 
 
 def cmd_eval(args) -> int:

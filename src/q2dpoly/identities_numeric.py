@@ -391,9 +391,9 @@ def _ram_H(ctx, pt, radial=False):
     lhs, lhs_tail = qpoch_inf_ratio(ctx, [q, -a * q * x, -b * q / x], [a * b * q])
     tab = _family_values(ctx, "Hq", a, b, radial)
     cap = 64
-    sd = _power_table(ctx, s, [d * d for d in range(cap + 1)])
-    px = _power_table(ctx, s * x, range(cap + 1))
-    py = _power_table(ctx, s / x, range(cap + 1))
+    sd = _power_table(s, [d * d for d in range(cap + 1)])
+    px = _power_table(s * x, range(cap + 1))
+    py = _power_table(s / x, range(cap + 1))
     rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * sd[(s_ - t_) ** 2]
                       * px[s_] * py[t_] / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
     return ctx.mag(lhs - rhs), tail + lhs_tail
@@ -415,8 +415,8 @@ def _ram_genh_rhs(ctx, pt, radial=False):
     x = mpmath.exp(mm * kpar)
     cap = 60 if radial else 170
     tab = _family_values(ctx, "hq", a, b, radial)
-    px = _power_table(ctx, s * x, range(cap + 1))
-    py = _power_table(ctx, s / x, range(cap + 1))
+    px = _power_table(s * x, range(cap + 1))
+    py = _power_table(s / x, range(cap + 1))
     val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * px[s_] * py[t_]
                       / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
     return val, tail, a, b, x

@@ -12,10 +12,13 @@ Five families share one container (:class:`BivarPoly`):
 * ``H_classical`` -- the Ito 2D Hermite polynomials (q = 1 comparator)
 * ``C_disk``      -- classical disk (Zernike) polynomials with parameter nu.
 
-Coefficients are built from the explicit finite sums; values at a fixed
-point are also available from the three-term recurrences
-(:class:`FamilyTable`, filled on read), which is what the numeric checkers,
-the asymptotic reports and :func:`q2dpoly.measures.gram_matrix` read.
+Coefficients are built from the explicit finite sums and, on the exact
+backend, held as integer numerators over one common denominator per
+polynomial, normalized to Fractions and GaussianRationals only where read
+(see :class:`BivarPoly`).  Values at a fixed point are also available from
+the three-term recurrences (:class:`FamilyTable`, filled on read), which is
+what the numeric checkers, the asymptotic reports and
+:func:`q2dpoly.measures.gram_matrix` read.
 """
 
 from __future__ import annotations
@@ -45,68 +48,250 @@ __all__ = [
 Key = Tuple[int, int]
 
 
-class BivarPoly:
-    """Sparse bivariate polynomial sum c[i,j] z1^i z2^j with backend scalars."""
+# ---------------------------------------------------------------------------
+# the exact integer form: coefficients (a + b i)/D over one denominator D
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("ctx", "coeffs", "meta")
+def _exact_parts(c):
+    """(a, b, d) with c = (a + b i)/d and d > 0 for an exact scalar c; b is
+    None when c is real (an int or a Fraction), an int for a
+    GaussianRational (0 at a real value)."""
+    if isinstance(c, GaussianRational):
+        re, im = c.re, c.im
+        dr, di = re.denominator, im.denominator
+        d = dr // math.gcd(dr, di) * di
+        return re.numerator * (d // dr), im.numerator * (d // di), d
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, None, c.denominator
+    raise TypeError(f"not an exact scalar: {type(c)}")
+
+
+def _exact_scalar(a, b, d):
+    """The Fraction a/d, or the GaussianRational (a + b i)/d when b is not None."""
+    if b is None:
+        return Fraction(a, d)
+    return GaussianRational(Fraction(a, d), Fraction(b, d))
+
+
+def _integer_form(coeffs: Dict[Key, object]):
+    """(re, im, D) of an exact coefficient map, zeros dropped, over the least
+    common denominator D of its coefficients."""
+    split = []
+    for k, c in coeffs.items():
+        a, b, d = _exact_parts(c)
+        if a or b:
+            split.append((k, a, b, d))
+    den = math.lcm(*(d for _, _, _, d in split))
+    return ({k: a * (den // d) for k, a, _, d in split},
+            {k: b * (den // d) for k, _, b, d in split if b is not None}, den)
+
+
+def _scaled_powers(z, top: int):
+    """(re, im, E, gaussian) with z^t = (re[t] + im[t] i)/E for t <= top,
+    over the one denominator E = d^top of z = (x + y i)/d: re[t] + im[t] i is
+    (x + y i)^t d^(top - t)."""
+    x, y, d = _exact_parts(z)
+    re, im = [1], [0]
+    for _ in range(top):
+        r, s = re[-1], im[-1]
+        re.append(r * x - s * y if y else r * x)
+        im.append(r * y + s * x if y else 0)
+    scale = 1
+    for t in range(top, -1, -1):
+        re[t], im[t] = re[t] * scale, im[t] * scale
+        scale = scale * d
+    return re, im, scale // d, y is not None
+
+
+def _combine(p1: Dict[Key, int], f1: int, p2: Dict[Key, int], f2: int) -> Dict[Key, int]:
+    """{k: p1[k] f1 + p2[k] f2}, keys in p1's order, then p2's new ones."""
+    out = {k: a * f1 for k, a in p1.items()}
+    get = out.get
+    for k, a in p2.items():
+        out[k] = get(k, 0) + a * f2
+    return out
+
+
+def _convolve(re1, im1, re2, im2, top: Optional[int]):
+    """The numerators (re, im) of the product of two integer forms, without
+    the terms of total degree above top (None: all terms).  Keys come in the
+    order of their first pair, the left factor's keys outer; a key is Gaussian when
+    one of its pairs has a Gaussian factor."""
+    if top is None:
+        top = (max((i + j for i, j in re1), default=0)
+               + max((i + j for i, j in re2), default=0))
+    re, im = {}, {}
+    get, iget = re.get, im.get
+    if not im1 and not im2:
+        right = [(i, j, i + j, a) for (i, j), a in re2.items()]
+        for (i1, j1), a1 in re1.items():
+            room = top - i1 - j1
+            for i2, j2, s2, a2 in right:
+                if s2 <= room:
+                    k = (i1 + i2, j1 + j2)
+                    re[k] = get(k, 0) + a1 * a2
+        return re, im
+    right = [(i, j, i + j, a, im2.get((i, j), 0), (i, j) in im2) for (i, j), a in re2.items()]
+    for (i1, j1), a1 in re1.items():
+        room = top - i1 - j1
+        g1 = (i1, j1) in im1
+        b1 = im1.get((i1, j1), 0)
+        for i2, j2, s2, a2, b2, g2 in right:
+            if s2 <= room:
+                k = (i1 + i2, j1 + j2)
+                re[k] = get(k, 0) + a1 * a2 - b1 * b2
+                if g1 or g2:
+                    im[k] = iget(k, 0) + a1 * b2 + b1 * a2
+    return re, im
+
+
+class BivarPoly:
+    """Sparse bivariate polynomial sum c[i,j] z1^i z2^j with backend scalars.
+
+    On the exact backend the coefficients are integers over one common
+    denominator D > 0: c[k] = (re[k] + im[k] i)/D, where a key is in ``im``
+    exactly when its coefficient is a GaussianRational (at a real value
+    too) and only in ``re`` when it is real.  The ring operations,
+    :meth:`dilate`, :meth:`dilate_q`, :meth:`qdiff` and :func:`eval_poly`
+    run on these integers, and each result is reduced by one gcd of D with
+    all its numerators, so D is the least common denominator.  Exact scalars
+    are normalized where they are read: :meth:`coeff` gives one, and
+    ``coeffs`` is built on first read as the map of Fractions (real
+    coefficients) and GaussianRationals, then cached.  On the float backend
+    ``coeffs`` is the map of mpf/mpc coefficients itself.  Either way keys
+    keep the order in which an operation first produced them.
+    """
+
+    __slots__ = ("ctx", "meta", "_re", "_im", "_den", "_coeffs")
 
     def __init__(self, ctx: QContext, coeffs: Optional[Dict[Key, object]] = None,
                  meta: Optional[dict] = None):
         self.ctx = ctx
-        self.coeffs: Dict[Key, object] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not is_zero(c):
-                    self.coeffs[k] = c
         self.meta = meta or {}
+        coeffs = self._trim(coeffs) if coeffs else {}
+        if ctx.is_exact:
+            self._re, self._im, self._den = _integer_form(coeffs) if coeffs else ({}, {}, 1)
+            self._coeffs = None
+        else:
+            self._den = None
+            self._coeffs = {k: c for k, c in coeffs.items() if not is_zero(c)}
+
+    @property
+    def coeffs(self) -> Dict[Key, object]:
+        """The coefficient map {(i, j): c}; shared, to be treated as immutable."""
+        if self._coeffs is None:
+            im, den = self._im, self._den
+            self._coeffs = {k: _exact_scalar(a, im.get(k), den) for k, a in self._re.items()}
+        return self._coeffs
+
+    def _trim(self, coeffs: dict) -> dict:
+        """The part of a coefficient (or numerator) map this kind keeps: all of it."""
+        return coeffs
+
+    def _blank(self, other) -> "BivarPoly":
+        """An empty result of a ring operation of self with other (a scalar,
+        or self for a negation).  A subclass keeps its kind and fields (a
+        truncated series keeps the lower order); a polynomial with a series
+        gives a series."""
+        if isinstance(other, BivarPoly) and not isinstance(self, type(other)):
+            return other._blank(self)
+        return BivarPoly(self.ctx)
+
+    def _set(self, re: Dict[Key, int], im: Dict[Key, int], den: int) -> "BivarPoly":
+        """Store the exact coefficients (re + im i)/den, after :meth:`_trim`,
+        with zero coefficients dropped and one gcd taken out; returns self."""
+        re, im = self._trim(re), self._trim(im)
+        if 0 in re.values():
+            re = {k: a for k, a in re.items() if a or im.get(k)}
+            im = {k: b for k, b in im.items() if k in re}
+        g = math.gcd(den, *re.values(), *im.values())
+        if g != 1:
+            re = {k: a // g for k, a in re.items()}
+            im = {k: b // g for k, b in im.items()}
+            den //= g
+        self._re, self._im, self._den = re, im, den
+        return self
+
+    def _set_float(self, coeffs: Dict[Key, object]) -> "BivarPoly":
+        """Store the float coefficients, after :meth:`_trim`, without zeros; returns self."""
+        self._coeffs = {k: c for k, c in self._trim(coeffs).items() if not is_zero(c)}
+        return self
 
     # -- ring operations ----------------------------------------------------
-    def _like(self, coeffs: Dict[Key, object], other) -> "BivarPoly":
-        """The result of a ring operation of self with other (a scalar, or
-        self for a negation), built from its coefficients.  The ring
-        operations build through this hook, so a subclass keeps its kind and
-        fields (a truncated series keeps the lower order); a polynomial with
-        a series gives a series."""
-        if isinstance(other, BivarPoly) and not isinstance(self, type(other)):
-            return other._like(coeffs, self)
-        return BivarPoly(self.ctx, coeffs)
+    def _sum(self, other, sign: int):
+        """self + sign * other for a polynomial or scalar other."""
+        out = self._blank(other)
+        if self._den is None:
+            zero, d = self.ctx.zero(), dict(self._coeffs)
+            if isinstance(other, BivarPoly):
+                for k, c in other._coeffs.items():
+                    d[k] = d.get(k, zero) + (c if sign > 0 else -c)
+            else:
+                d[(0, 0)] = d.get((0, 0), zero) + (other if sign > 0 else -1 * other)
+            return out._set_float(d)
+        if isinstance(other, BivarPoly):
+            re2, im2, d2 = other._re, other._im, other._den
+        else:
+            a, b, d2 = _exact_parts(other)
+            re2, im2 = {(0, 0): a}, ({} if b is None else {(0, 0): b})
+        d1 = self._den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g * sign
+        return out._set(_combine(self._re, f1, re2, f2), _combine(self._im, f1, im2, f2),
+                        d1 * f1)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        if isinstance(other, BivarPoly):
-            for k, c in other.coeffs.items():
-                out[k] = out.get(k, self.ctx.zero()) + c
-        else:
-            out[(0, 0)] = out.get((0, 0), self.ctx.zero()) + other
-        return self._like(out, other)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()}, self)
+        out = self._blank(self)
+        if self._den is None:
+            return out._set_float({k: -c for k, c in self._coeffs.items()})
+        return out._set({k: -a for k, a in self._re.items()},
+                        {k: -b for k, b in self._im.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, BivarPoly):
-            return self + (-other)
-        return self + (-1 * other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def _product(self, other, top: Optional[int]):
+        """self * other for a polynomial or scalar other, without the terms
+        of total degree above top (None: all terms).  The one product of
+        BivarPoly.__mul__ and TruncatedBiSeries.__mul__."""
+        out = self._blank(other)
+        if self._den is None:
+            if not isinstance(other, BivarPoly):
+                return out._set_float({k: c * other for k, c in self._coeffs.items()})
+            zero, d = self.ctx.zero(), {}
+            for (i1, j1), c1 in self._coeffs.items():
+                for (i2, j2), c2 in other._coeffs.items():
+                    k = (i1 + i2, j1 + j2)
+                    if top is None or k[0] + k[1] <= top:
+                        d[k] = d.get(k, zero) + c1 * c2
+            return out._set_float(d)
+        re1, im1 = self._re, self._im
         if not isinstance(other, BivarPoly):
-            return self._like({k: c * other for k, c in self.coeffs.items()}, other)
-        out: Dict[Key, object] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, self.ctx.zero()) + c1 * c2
-        return self._like(out, other)
+            sa, sb, sd = _exact_parts(other)
+            if sb is None:
+                return out._set({k: a * sa for k, a in re1.items()},
+                                {k: b * sa for k, b in im1.items()}, self._den * sd)
+            return out._set({k: a * sa - im1.get(k, 0) * sb for k, a in re1.items()},
+                            {k: a * sb + im1.get(k, 0) * sa for k, a in re1.items()},
+                            self._den * sd)
+        re, im = _convolve(re1, im1, other._re, other._im, top)
+        return out._set(re, im, self._den * other._den)
+
+    def __mul__(self, other):
+        return self._product(other, None)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._coeffs if self._den is None else self._re)
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
@@ -114,31 +299,58 @@ class BivarPoly:
         return (self - other).is_zero()
 
     def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), self.ctx.zero())
+        if self._den is None:
+            return self._coeffs.get((i, j), self.ctx.zero())
+        a = self._re.get((i, j))
+        if a is None:
+            return self.ctx.zero()
+        return _exact_scalar(a, self._im.get((i, j)), self._den)
 
     # -- substitutions ------------------------------------------------------
     def dilate(self, c1=1, c2=1) -> "BivarPoly":
         """Substitute z1 -> c1 z1, z2 -> c2 z2.
 
-        The powers of c1 and c2 come from one table per variable (see
-        :func:`_power_table`), so each coefficient is the per-term
-        ``c * c1**i * c2**j`` in value and type, bit for bit on the float
-        backend.
+        Exact backend: c1^i and c2^j are integer tables over one denominator
+        each (see :func:`_scaled_powers`), and a coefficient is a
+        GaussianRational when it was one or c1 or c2 is one.  Float backend:
+        the powers come from one table per variable (see
+        :func:`_power_table`), so each coefficient has the bits of the
+        per-term ``c * c1**i * c2**j``.
         """
-        p1 = _power_table(self.ctx, c1, (i for i, _ in self.coeffs))
-        p2 = _power_table(self.ctx, c2, (j for _, j in self.coeffs))
-        return BivarPoly(
-            self.ctx, {(i, j): c * p1[i] * p2[j] for (i, j), c in self.coeffs.items()}
-        )
+        if self._den is None:
+            p1 = _power_table(c1, (i for i, _ in self._coeffs))
+            p2 = _power_table(c2, (j for _, j in self._coeffs))
+            return BivarPoly(self.ctx, {(i, j): c * p1[i] * p2[j]
+                                        for (i, j), c in self._coeffs.items()})
+        re, im = self._re, self._im
+        r1, s1, e1, g1 = _scaled_powers(c1, max((i for i, _ in re), default=0))
+        r2, s2, e2, g2 = _scaled_powers(c2, max((j for _, j in re), default=0))
+        out = BivarPoly(self.ctx)
+        if not (im or g1 or g2):
+            return out._set({(i, j): a * r1[i] * r2[j] for (i, j), a in re.items()}, {},
+                            self._den * e1 * e2)
+        ore, oim = {}, {}
+        for (i, j), a in re.items():
+            b = im.get((i, j), 0)
+            wr = r1[i] * r2[j] - s1[i] * s2[j]
+            wi = r1[i] * s2[j] + s1[i] * r2[j]
+            ore[(i, j)] = a * wr - b * wi
+            oim[(i, j)] = a * wi + b * wr
+        if not (g1 or g2):
+            oim = {k: b for k, b in oim.items() if k in im}
+        return out._set(ore, oim, self._den * e1 * e2)
 
     def dilate_q(self, e1: int = 0, e2: int = 0) -> "BivarPoly":
-        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents); the
-        factors q^(e1 i) and q^(e2 j) are read from the context's q-power
+        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents).  Exact
+        backend: :meth:`dilate` by the rationals q^e1 and q^e2.  Float backend:
+        the factors q^(e1 i) and q^(e2 j) are read from the context's q-power
         table."""
         qpow = self.ctx.qpow
+        if self._den is not None:
+            return self.dilate(qpow(e1), qpow(e2))
         return BivarPoly(
             self.ctx,
-            {(i, j): c * qpow(e1 * i) * qpow(e2 * j) for (i, j), c in self.coeffs.items()},
+            {(i, j): c * qpow(e1 * i) * qpow(e2 * j) for (i, j), c in self._coeffs.items()},
         )
 
     def qdiff(self, var: int, e: int = 1, alpha=0, beta=0) -> "BivarPoly":
@@ -152,12 +364,58 @@ class BivarPoly:
         raising operators, the q-disk backward shift).  One pass: for var 1
         a coefficient c at (i, j) adds c (1 - q^(e i))/(1 - q^e) at (i-1, j)
         and c (alpha - beta q^(e i))/(1 - q^e) at (i, j+1); var 2 mirrors it.
+        On the exact backend, with q^e = n/d, both factors are integers over
+        d^(t-1) (d - n) (times the denominator of alpha and beta), t the top
+        degree in z_var, so the pass is integer arithmetic.
         """
+        weighted = bool(alpha or beta)
+        if self._den is None:
+            return self._qdiff_float(var, e, alpha, beta, weighted)
+        r = self.ctx.qpow(e)
+        n, d = r.numerator, r.denominator
+        if n == d:
+            raise ZeroDivisionError("qdiff needs q^e != 1")
+        re, im = self._re, self._im
+        top = max((k[var - 1] for k in re), default=0) or 1
+        aa, ab, ad = _exact_parts(alpha)
+        ba, bb, bd = _exact_parts(beta)
+        den = ad // math.gcd(ad, bd) * bd
+        fa, fb = den // ad, den // bd
+        wg = ab is not None or bb is not None
+        ab, bb = (ab or 0) * fa, (bb or 0) * fb
+        aa, ba = aa * fa, ba * fb
+        # (1 - r^t)/(1 - r) = m1[t]/M, (alpha - beta r^t)/(1 - r) = (w1[t] + w2[t] i)/M
+        sign = 1 if d > n else -1
+        m1, w1, w2 = [], [], []
+        for t in range(top + 1):
+            dt, nt, rest = d**t, n**t, sign * d ** (top - t)
+            m1.append((dt - nt) * rest * den)
+            w1.append((aa * dt - ba * nt) * rest)
+            w2.append((ab * dt - bb * nt) * rest)
+        M = d ** (top - 1) * (d - n) * sign * den
+        ore, oim = {}, {}
+        get, iget = ore.get, oim.get
+        for (i, j), a in re.items():
+            b = im.get((i, j))
+            t = i if var == 1 else j
+            if t:
+                k = (i - 1, j) if var == 1 else (i, j - 1)
+                ore[k] = get(k, 0) + a * m1[t]
+                if b is not None:
+                    oim[k] = iget(k, 0) + b * m1[t]
+            if weighted:
+                k = (i, j + 1) if var == 1 else (i + 1, j)
+                b = b or 0
+                ore[k] = get(k, 0) + a * w1[t] - b * w2[t]
+                if wg or (i, j) in im:
+                    oim[k] = iget(k, 0) + a * w2[t] + b * w1[t]
+        return BivarPoly(self.ctx)._set(ore, oim, self._den * M)
+
+    def _qdiff_float(self, var, e, alpha, beta, weighted):
         qpow, zero = self.ctx.qpow, self.ctx.zero()
         inv = 1 / (1 - qpow(e))
-        weighted = bool(alpha or beta)
         out: Dict[Key, object] = {}
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in self._coeffs.items():
             d = i if var == 1 else j
             qd = qpow(e * d)
             if d:
@@ -169,7 +427,10 @@ class BivarPoly:
         return BivarPoly(self.ctx, out)
 
     def conj_coeffs(self) -> "BivarPoly":
-        return BivarPoly(self.ctx, {k: conj(c) for k, c in self.coeffs.items()})
+        if self._den is None:
+            return BivarPoly(self.ctx, {k: conj(c) for k, c in self._coeffs.items()})
+        return BivarPoly(self.ctx)._set(dict(self._re), {k: -b for k, b in self._im.items()},
+                                        self._den)
 
     def __repr__(self):
         items = sorted(self.coeffs)[:8]
@@ -250,42 +511,50 @@ def _rising(a, n: int, ctx: QContext):
     return out
 
 
-def _power_table(ctx: QContext, z, exps):
-    """The powers z**e for the exponents e >= 0 in exps, indexed by e.
-
-    Exact backend: the list z**0, z**0 * z, ... up to the largest exponent,
-    by successive products.  Starting from z**0 keeps z's type (a
-    GaussianRational stays one even at a real value), and exact products
-    give the values of the powers.  Float backend: z**e for each distinct
-    exponent only, so every entry has the bits of the per-term power.
-    """
-    if not ctx.is_exact:
-        return {e: z**e for e in set(exps)}
-    table = [z**0]
-    for _ in range(max(exps, default=0)):
-        table.append(table[-1] * z)
-    return table
+def _power_table(z, exps):
+    """The float powers z**e for each distinct exponent e in exps, indexed by
+    e, so every entry has the bits of the per-term power."""
+    return {e: z**e for e in set(exps)}
 
 
 def eval_poly(P: BivarPoly, z1, z2):
-    """Evaluate at scalars; float backend sums terms largest magnitude first.
+    """Evaluate at scalars.
 
-    Each term is ``c * z1**i * z2**j`` with the powers read from one table
-    per variable (see :func:`_power_table`): on the exact backend every term
-    has the value and type of the per-term powers, and on the float backend
-    the same bits, summed in the same order.
+    Exact backend: one integer sum of the numerators times the scaled power
+    tables of z1 and z2 (see :func:`_scaled_powers`), over D d1^I d2^J,
+    normalized once at the end; the value is a GaussianRational when a
+    coefficient, z1 or z2 is one, a Fraction otherwise.  Float backend: each
+    term is ``c * z1**i * z2**j`` with the powers read from one table per
+    variable (see :func:`_power_table`), so it has the bits of the per-term
+    powers, and the terms are summed largest magnitude first.
     """
     ctx = P.ctx
     z1 = ctx.scalar(z1)
     z2 = ctx.scalar(z2)
+    if P._den is not None:
+        re, im = P._re, P._im
+        if not re:
+            return ctx.zero()
+        r1, s1, e1, g1 = _scaled_powers(z1, max(i for i, _ in re))
+        r2, s2, e2, g2 = _scaled_powers(z2, max(j for _, j in re))
+        den = P._den * e1 * e2
+        if not (im or g1 or g2):
+            return Fraction(sum(a * r1[i] * r2[j] for (i, j), a in re.items()), den)
+        tr = ti = 0
+        for (i, j), a in re.items():
+            b = im.get((i, j), 0)
+            wr = r1[i] * r2[j] - s1[i] * s2[j]
+            wi = r1[i] * s2[j] + s1[i] * r2[j]
+            tr += a * wr - b * wi
+            ti += a * wi + b * wr
+        return GaussianRational(Fraction(tr, den), Fraction(ti, den))
     items = sorted(P.coeffs.items())
-    p1 = _power_table(ctx, z1, (i for (i, _), _ in items))
-    p2 = _power_table(ctx, z2, (j for (_, j), _ in items))
+    p1 = _power_table(z1, (i for (i, _), _ in items))
+    p2 = _power_table(z2, (j for (_, j), _ in items))
     terms = [c * p1[i] * p2[j] for (i, j), c in items]
     if not terms:
         return ctx.zero()
-    if not ctx.is_exact:
-        terms.sort(key=ctx.mag, reverse=True)
+    terms.sort(key=ctx.mag, reverse=True)
     total = terms[0]
     for t in terms[1:]:
         total = total + t

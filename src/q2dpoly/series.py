@@ -4,8 +4,9 @@ The carrier for both sides of every generating-function identity: a
 :class:`~q2dpoly.polyfamilies.BivarPoly` in (u, v) known exactly for total
 degree i + j <= order, so two series agree up to order N iff their
 coefficient maps are identical.  The ring operations are the polynomial
-ones; a result keeps the lower order of its operands, and the product drops
-the terms above it.
+ones, on the exact backend on BivarPoly's integer numerators over one common
+denominator; a result keeps the lower order of its operands, and the product
+drops the terms above it.
 """
 
 from __future__ import annotations
@@ -19,18 +20,28 @@ __all__ = ["TruncatedBiSeries"]
 
 
 class TruncatedBiSeries(BivarPoly):
-    """A power series sum c[i,j] u^i v^j known exactly for i + j <= order."""
+    """A power series sum c[i,j] u^i v^j known exactly for i + j <= order.
+
+    Stored as a :class:`~q2dpoly.polyfamilies.BivarPoly` (exact: integer
+    numerators over one denominator, ``coeffs`` built as Fractions and
+    GaussianRationals on first read) that keeps only the terms up to the
+    order.  The truncating product is BivarPoly's one product, which skips
+    the pairs above the order instead of forming them.
+    """
 
     __slots__ = ("order",)
 
     def __init__(self, ctx: QContext, order: int, coeffs: Optional[Dict[Key, object]] = None):
         self.order = order
-        super().__init__(ctx, coeffs and {k: c for k, c in coeffs.items()
-                                          if k[0] + k[1] <= order})
+        super().__init__(ctx, coeffs)
 
-    def _like(self, coeffs, other) -> "TruncatedBiSeries":
-        return TruncatedBiSeries(self.ctx, min(self.order, getattr(other, "order", self.order)),
-                                 coeffs)
+    def _trim(self, coeffs: dict) -> dict:
+        """The terms of total degree at most the order."""
+        N = self.order
+        return {k: c for k, c in coeffs.items() if k[0] + k[1] <= N}
+
+    def _blank(self, other) -> "TruncatedBiSeries":
+        return TruncatedBiSeries(self.ctx, min(self.order, getattr(other, "order", self.order)))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -70,16 +81,6 @@ class TruncatedBiSeries(BivarPoly):
 
     # -- the truncating product ----------------------------------------------
     def __mul__(self, other):
-        if not isinstance(other, BivarPoly):
-            return self._like({k: c * other for k, c in self.coeffs.items()}, other)
-        N = min(self.order, getattr(other, "order", self.order))
-        out: Dict[Key, object] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j <= N:
-                    k = (i, j)
-                    out[k] = out.get(k, self.ctx.zero()) + c1 * c2
-        return TruncatedBiSeries(self.ctx, N, out)
+        return self._product(other, min(self.order, getattr(other, "order", self.order)))
 
     __rmul__ = __mul__

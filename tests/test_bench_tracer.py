@@ -52,3 +52,27 @@ def test_tracer_counts_sum2d_terms_and_budget_hits(tracer_module):
     assert metrics["identities.sum2d.calls"] == 2
     assert metrics["identities.sum2d.terms"] == 15 + 10
     assert metrics["identities.sum2d.budget_hits"] == 1
+
+
+def test_tracer_counts_each_product_in_its_own_layer(tracer_module):
+    # a series product counts as series.TruncatedBiSeries.mul alone, and a
+    # polynomial product as polyfamilies.BivarPoly.mul, whatever helper the
+    # two share, so the per-layer counts stay comparable between runs
+    from q2dpoly.polyfamilies import BivarPoly
+    from q2dpoly.series import TruncatedBiSeries
+
+    ctx = QContext(F(2, 5))
+    S = TruncatedBiSeries(ctx, 4, {(0, 0): F(1), (1, 0): F(1, 3), (0, 2): F(2)})
+    P = BivarPoly(ctx, {(1, 1): F(2, 7), (0, 0): F(-1)})
+    tr = tracer_module.Tracer().install()
+    try:
+        S * S
+        series_only = tr.metrics()
+        P * P
+        both = tr.metrics()
+    finally:
+        tr.uninstall()
+    assert series_only["series.TruncatedBiSeries.mul.calls"] == 1
+    assert series_only["polyfamilies.BivarPoly.mul.calls"] == 0
+    assert both["series.TruncatedBiSeries.mul.calls"] == 1
+    assert both["polyfamilies.BivarPoly.mul.calls"] == 1

@@ -101,6 +101,21 @@ def test_a_negative_size_is_config_error(capsys, argv):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("cmd", [("coeffs",), ("eval", "--z1", "1", "--z2", "1")])
+@pytest.mark.parametrize("flag, family", [("--b", "H"), ("--b", "h"), ("--b", "Hc"),
+                                          ("--b", "C"), ("--nu", "H"), ("--nu", "p")])
+def test_member_parameter_of_another_family_is_config_error(capsys, cmd, flag, family):
+    # --b belongs to --family p and --nu to --family C; given to another
+    # family it was ignored (and printed among coeffs' params)
+    argv = (*cmd, "--family", family, "--m", "3", "--n", "2", "--q", "1/2", flag, "1/3")
+    if family in ("p", "C"):
+        argv += ("--b" if family == "p" else "--nu", "3/2")
+    code = main(list(argv))
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:") and flag in got.err
+
+
 def test_count_zero_prints_none(capsys):
     # --count N prints the first N radii or zeros, so 0 prints none; zeros
     # without --count prints every radius

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -55,6 +56,27 @@ def test_exact_poly_suite_small(ctx):
     # every EXACT-POLY entry, m,n <= 4: residual exactly zero
     for id_ in exact_ids():
         rep = check_identity(ctx, id_, {"max_m": 4, "max_n": 4, "b": F(1, 3), "c": F(1, 5)})
+        assert rep.passed and rep.residual == "0", (id_, rep.residual)
+
+
+@pytest.mark.parametrize("q", [F(1, 13), F(3, 7), F(2, 5), F(5, 11), F(7, 9), F(13, 17),
+                               F(11, 12)], ids=str)
+def test_exact_poly_suite_across_q(q):
+    # every EXACT-POLY entry, m,n <= 3, over denominators that the q = 2/5
+    # and 9/25 sweeps never reach, at seeded points: z1 and z2 Gaussian
+    # rationals, and b, c and the multiplication parameters rationals in
+    # (0, 1) (the q-disk checkers take b and c as Fractions)
+    rng = random.Random(str(q))
+
+    def frac():
+        return F(rng.randint(1, 9), rng.randint(10, 19))
+
+    pt = {"max_m": 3, "max_n": 3, "b": frac(), "c": frac(), "mult_a": frac(),
+          "mult_b": frac(), "z1": GR(F(rng.randint(1, 12), 8), F(rng.randint(1, 8), 8)),
+          "z2": GR(F(rng.randint(1, 12), 8), F(-rng.randint(1, 8), 8))}
+    ctx = QContext(q)
+    for id_ in exact_ids():
+        rep = check_identity(ctx, id_, dict(pt))
         assert rep.passed and rep.residual == "0", (id_, rep.residual)
 
 

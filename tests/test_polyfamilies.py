@@ -225,6 +225,160 @@ def test_qdiff_equals_ring_operation_formula(ctx, gaussian, var, e, alpha, beta)
         assert all(got.coeffs[k] == ref.coeffs[k] for k in ref.coeffs)
 
 
+# ---------------------------------------------------------------------------
+# the exact integer kernel against per-coefficient Fraction loops
+# ---------------------------------------------------------------------------
+
+def _kept(d):
+    return {k: c for k, c in d.items() if c != 0}
+
+
+def _loop_sum(P, other, sign):
+    """P + sign * other for a coefficient map P and a map or scalar other."""
+    out = dict(P)
+    if isinstance(other, dict):
+        for k, c in other.items():
+            out[k] = out.get(k, F(0)) + (c if sign > 0 else -c)
+    else:
+        out[(0, 0)] = out.get((0, 0), F(0)) + (other if sign > 0 else -1 * other)
+    return _kept(out)
+
+
+def _loop_mul(P, Q, top=None):
+    out = {}
+    for (i1, j1), c1 in P.items():
+        for (i2, j2), c2 in Q.items():
+            k = (i1 + i2, j1 + j2)
+            if top is None or k[0] + k[1] <= top:
+                out[k] = out.get(k, F(0)) + c1 * c2
+    return _kept(out)
+
+
+def _loop_powers(z, top):
+    table = [z**0]
+    for _ in range(top):
+        table.append(table[-1] * z)
+    return table
+
+
+def _loop_dilate(P, c1, c2):
+    p1 = _loop_powers(c1, max((i for i, _ in P), default=0))
+    p2 = _loop_powers(c2, max((j for _, j in P), default=0))
+    return _kept({(i, j): c * p1[i] * p2[j] for (i, j), c in P.items()})
+
+
+def _loop_qdiff(ctx, P, var, e, alpha, beta):
+    inv = 1 / (1 - ctx.qpow(e))
+    out = {}
+    for (i, j), c in P.items():
+        d = i if var == 1 else j
+        qd = ctx.qpow(e * d)
+        if d:
+            k = (i - 1, j) if var == 1 else (i, j - 1)
+            out[k] = out.get(k, F(0)) + c * (1 - qd) * inv
+        if alpha or beta:
+            k = (i, j + 1) if var == 1 else (i + 1, j)
+            out[k] = out.get(k, F(0)) + c * (alpha - beta * qd) * inv
+    return _kept(out)
+
+
+def _loop_eval(P, z1, z2):
+    items = sorted(P.items())
+    p1 = _loop_powers(z1, max((i for (i, _), _ in items), default=0))
+    p2 = _loop_powers(z2, max((j for (_, j), _ in items), default=0))
+    terms = [c * p1[i] * p2[j] for (i, j), c in items]
+    total = terms[0] if terms else F(0)
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _same_exact(a, b):
+    """Equal values, both GaussianRational or both real (an int or a Fraction)."""
+    return isinstance(a, GR) == isinstance(b, GR) and a == b
+
+
+def _agrees(P, ref):
+    """P's coefficients are ref's, key for key in ref's order; a map that
+    cancels to nothing stores no coefficient."""
+    got = P.coeffs
+    return (list(got) == list(ref) and all(_same_exact(got[k], ref[k]) for k in ref)
+            and P.is_zero() == (not ref)
+            and all(_same_exact(P.coeff(*k), ref[k]) for k in ref))
+
+
+def _random_exact(rng, size=6, deg=4, real=False):
+    """A coefficient map mixing int, Fraction and GaussianRational (some at
+    im = 0) coefficients, or ints and Fractions only when real, with
+    repeated keys and zeros among them."""
+    def scalar():
+        kind = rng.randrange(2 if real else 5)
+        frac = F(rng.randint(-9, 9), rng.randint(1, 12))
+        if kind == 0:
+            return rng.randint(-5, 5)
+        if kind == 1:
+            return frac
+        if kind == 2:
+            return GR(frac, 0)
+        return GR(frac, F(rng.randint(-9, 9), rng.randint(1, 12)))
+
+    return {(rng.randint(0, deg), rng.randint(0, deg)): scalar() for _ in range(size)}
+
+
+EXACT_SCALARS = [0, 1, -3, F(2, 7), GR(F(1, 2)), GR(F(-3, 4), F(5, 6)), GR(0, 1)]
+
+
+@pytest.mark.parametrize("q", [F(2, 5), F(9, 25), F(7, 9)])
+def test_integer_kernel_equals_fraction_loops(q):
+    ctx = QContext(q)
+    rng = random.Random(str(q))
+    for n in range(40):
+        a, b = _random_exact(rng, real=n % 2), _random_exact(rng, real=n % 4 == 1)
+        P, Q = BivarPoly(ctx, a), BivarPoly(ctx, b)
+        a, b = P.coeffs, Q.coeffs  # zeros dropped, real coefficients as Fractions
+        assert _agrees(P, _kept(a))
+        assert _agrees(P + Q, _loop_sum(a, b, 1)) and _agrees(P - Q, _loop_sum(a, b, -1))
+        assert _agrees(-P, {k: -c for k, c in a.items()}) and _agrees(P * Q, _loop_mul(a, b))
+        # cancellation leaves no coefficient: the residual "0" of an exact check
+        assert not (P - P).coeffs and (P + (-P)).is_zero() and not (P * 0).coeffs
+        assert _agrees(P - (P - Q), _loop_sum(a, _loop_sum(a, b, -1), -1))
+        for s in EXACT_SCALARS:
+            assert _agrees(P * s, _kept({k: c * s for k, c in a.items()}))
+            assert _agrees(s * P, _kept({k: s * c for k, c in a.items()}))
+            assert _agrees(P + s, _loop_sum(a, s, 1)) and _agrees(P - s, _loop_sum(a, s, -1))
+            assert _agrees(s - P, _loop_sum({k: -c for k, c in a.items()}, s, 1))
+        for c1, c2 in zip(EXACT_SCALARS, EXACT_SCALARS[1:] + EXACT_SCALARS[:1]):
+            assert _agrees(P.dilate(c1, c2), _loop_dilate(a, c1, c2))
+            assert _same_exact(eval_poly(P, c1, c2), _loop_eval(a, c1, c2))
+        for e1, e2 in Q_SHIFTS:
+            assert _agrees(P.dilate_q(e1, e2), _kept({
+                (i, j): c * ctx.qpow(e1 * i) * ctx.qpow(e2 * j) for (i, j), c in a.items()}))
+        for var, e in ((1, 1), (2, -1), (1, 2)):
+            for alpha, beta in ((0, 0), (0, -1), (F(-1, 3), 1), (GR(F(1, 2), F(1, 3)), 0)):
+                assert _agrees(P.qdiff(var, e, alpha=alpha, beta=beta),
+                               _loop_qdiff(ctx, a, var, e, alpha, beta))
+        assert _agrees(P.conj_coeffs(), {k: c.conjugate() if isinstance(c, GR) else c
+                                         for k, c in a.items()})
+
+
+def test_truncated_product_equals_fraction_loop():
+    from q2dpoly.series import TruncatedBiSeries as TBS
+
+    ctx = QContext(F(9, 25), sqrt_q=F(3, 5))
+    rng = random.Random(7)
+    for n in range(40):
+        S = TBS(ctx, 4, _random_exact(rng, size=10, deg=4, real=n % 2))
+        T = TBS(ctx, 6, _random_exact(rng, size=12, deg=6, real=n % 4 == 1))
+        s, t = S.coeffs, T.coeffs
+        for r, ref in ((S * T, _loop_mul(s, t, 4)), (T * S, _loop_mul(t, s, 4)),
+                       (S + T, _kept({k: c for k, c in _loop_sum(s, t, 1).items()
+                                      if sum(k) <= 4})),
+                       (T * GR(1, 2), _kept({k: c * GR(1, 2) for k, c in t.items()}))):
+            assert type(r) is TBS and _agrees(r, ref)
+        assert (S * T).order == (T * S).order == (S - T).order == 4 and (T * 3).order == 6
+        assert not (S * T - T * S).coeffs
+
+
 MEMO_CASES = [("Hq", {}), ("hq", {}), ("H_classical", {}),
               ("pq", {"b": 1}), ("pq", {"b": F(1, 3)}), ("pq", {"b": GR(F(1, 3), F(1, 2))}),
               ("C_disk", {"nu": F(3, 2)})]
