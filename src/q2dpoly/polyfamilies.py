@@ -103,6 +103,27 @@ def _scaled_powers(z, top: int):
     return re, im, scale // d, y is not None
 
 
+def _dilated(re, im, c1, c2):
+    """(re', im', E, every) for the substitution z1 -> c1 z1, z2 -> c2 z2 of
+    the integer form (re, im): c1^i c2^j times the numerators at (i, j), over
+    E times its denominator.  every is True when c1 or c2 is a
+    GaussianRational, so every coefficient becomes one; im' is empty when
+    neither is and im is empty, and holds every key otherwise."""
+    r1, s1, e1, g1 = _scaled_powers(c1, max((i for i, _ in re), default=0))
+    r2, s2, e2, g2 = _scaled_powers(c2, max((j for _, j in re), default=0))
+    every = g1 or g2
+    if not (im or every):
+        return {(i, j): a * r1[i] * r2[j] for (i, j), a in re.items()}, {}, e1 * e2, False
+    ore, oim = {}, {}
+    for (i, j), a in re.items():
+        b = im.get((i, j), 0)
+        wr = r1[i] * r2[j] - s1[i] * s2[j]
+        wi = r1[i] * s2[j] + s1[i] * r2[j]
+        ore[(i, j)] = a * wr - b * wi
+        oim[(i, j)] = a * wi + b * wr
+    return ore, oim, e1 * e2, every
+
+
 def _combine(p1: Dict[Key, int], f1: int, p2: Dict[Key, int], f2: int) -> Dict[Key, int]:
     """{k: p1[k] f1 + p2[k] f2}, keys in p1's order, then p2's new ones."""
     out = {k: a * f1 for k, a in p1.items()}
@@ -311,8 +332,8 @@ class BivarPoly:
         """Substitute z1 -> c1 z1, z2 -> c2 z2.
 
         Exact backend: c1^i and c2^j are integer tables over one denominator
-        each (see :func:`_scaled_powers`), and a coefficient is a
-        GaussianRational when it was one or c1 or c2 is one.  Float backend:
+        each (see :func:`_dilated`), and a coefficient is a GaussianRational
+        when it was one or c1 or c2 is one.  Float backend:
         the powers come from one table per variable (see
         :func:`_power_table`), so each coefficient has the bits of the
         per-term ``c * c1**i * c2**j``.
@@ -322,23 +343,10 @@ class BivarPoly:
             p2 = _power_table(c2, (j for _, j in self._coeffs))
             return BivarPoly(self.ctx, {(i, j): c * p1[i] * p2[j]
                                         for (i, j), c in self._coeffs.items()})
-        re, im = self._re, self._im
-        r1, s1, e1, g1 = _scaled_powers(c1, max((i for i, _ in re), default=0))
-        r2, s2, e2, g2 = _scaled_powers(c2, max((j for _, j in re), default=0))
-        out = BivarPoly(self.ctx)
-        if not (im or g1 or g2):
-            return out._set({(i, j): a * r1[i] * r2[j] for (i, j), a in re.items()}, {},
-                            self._den * e1 * e2)
-        ore, oim = {}, {}
-        for (i, j), a in re.items():
-            b = im.get((i, j), 0)
-            wr = r1[i] * r2[j] - s1[i] * s2[j]
-            wi = r1[i] * s2[j] + s1[i] * r2[j]
-            ore[(i, j)] = a * wr - b * wi
-            oim[(i, j)] = a * wi + b * wr
-        if not (g1 or g2):
-            oim = {k: b for k, b in oim.items() if k in im}
-        return out._set(ore, oim, self._den * e1 * e2)
+        ore, oim, e, every = _dilated(self._re, self._im, c1, c2)
+        if not every:
+            oim = {k: b for k, b in oim.items() if k in self._im}
+        return BivarPoly(self.ctx)._set(ore, oim, self._den * e)
 
     def dilate_q(self, e1: int = 0, e2: int = 0) -> "BivarPoly":
         """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents).  Exact
@@ -520,10 +528,10 @@ def _power_table(z, exps):
 def eval_poly(P: BivarPoly, z1, z2):
     """Evaluate at scalars.
 
-    Exact backend: one integer sum of the numerators times the scaled power
-    tables of z1 and z2 (see :func:`_scaled_powers`), over D d1^I d2^J,
-    normalized once at the end; the value is a GaussianRational when a
-    coefficient, z1 or z2 is one, a Fraction otherwise.  Float backend: each
+    Exact backend: the numerators of the dilation by z1 and z2 (see
+    :func:`_dilated`), summed as integers over D d1^I d2^J and normalized
+    once at the end; the value is a GaussianRational when a coefficient, z1
+    or z2 is one, a Fraction otherwise.  Float backend: each
     term is ``c * z1**i * z2**j`` with the powers read from one table per
     variable (see :func:`_power_table`), so it has the bits of the per-term
     powers, and the terms are summed largest magnitude first.
@@ -535,19 +543,12 @@ def eval_poly(P: BivarPoly, z1, z2):
         re, im = P._re, P._im
         if not re:
             return ctx.zero()
-        r1, s1, e1, g1 = _scaled_powers(z1, max(i for i, _ in re))
-        r2, s2, e2, g2 = _scaled_powers(z2, max(j for _, j in re))
-        den = P._den * e1 * e2
-        if not (im or g1 or g2):
-            return Fraction(sum(a * r1[i] * r2[j] for (i, j), a in re.items()), den)
-        tr = ti = 0
-        for (i, j), a in re.items():
-            b = im.get((i, j), 0)
-            wr = r1[i] * r2[j] - s1[i] * s2[j]
-            wi = r1[i] * s2[j] + s1[i] * r2[j]
-            tr += a * wr - b * wi
-            ti += a * wi + b * wr
-        return GaussianRational(Fraction(tr, den), Fraction(ti, den))
+        ore, oim, e, every = _dilated(re, im, z1, z2)
+        den = P._den * e
+        if not (im or every):
+            return Fraction(sum(ore.values()), den)
+        return GaussianRational(Fraction(sum(ore.values()), den),
+                                Fraction(sum(oim.values()), den))
     items = sorted(P.coeffs.items())
     p1 = _power_table(z1, (i for (i, _), _ in items))
     p2 = _power_table(z2, (j for (_, j), _ in items))
