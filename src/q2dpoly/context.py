@@ -61,10 +61,11 @@ class GaussianRational:
     protocol, so generic polynomial code can mix them freely.  A product
     with a real operand (an ``int``, a ``Fraction``, or either factor with
     ``im == 0``) takes two ``Fraction`` products instead of four products
-    and two sums, and a sum or difference with a real operand (an ``int``,
-    a ``Fraction``, or an operand with ``im == 0``) one ``Fraction`` sum
-    instead of two; the values are exact either way, and the result is
-    always a ``GaussianRational``.
+    and two sums, a quotient by a real divisor two ``Fraction`` divisions
+    instead of the full Gaussian quotient, and a sum or difference with a
+    real operand (an ``int``, a ``Fraction``, or an operand with
+    ``im == 0``) one ``Fraction`` sum instead of two; the values are exact
+    either way, and the result is always a ``GaussianRational``.
     """
 
     __slots__ = ("re", "im")
@@ -131,16 +132,17 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            if other.im:
+                d = other.re * other.re + other.im * other.im
+                return GaussianRational((self.re * other.re + self.im * other.im) / d,
+                                        (self.im * other.re - self.re * other.im) / d)
+            other = other.re
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if not other:
             raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        return GaussianRational(self.re / other, self.im / other)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

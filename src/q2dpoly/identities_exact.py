@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyfamilies import BivarPoly, _rising, coeffs, radial_reduce
-from .qkernel import qbinom, qbinom_inv, qpoch
+from .polyfamilies import BivarPoly, _rising_prefix, coeffs, radial_reduce
+from .qkernel import QPochPrefix, qbinom, qbinom_inv, qpoch
 
 F = Fraction
 
@@ -335,11 +335,11 @@ def p_conn_bc(ctx, pt):
     c = ctx.scalar(pt.get("c", F(1, 5)))
     Pb = coeffs(ctx, "pq", m, n, b=b)
     Pc = coeffs(ctx, "pq", m, n, b=c)
+    bq, cq = QPochPrefix(ctx, b * ctx.q), QPochPrefix(ctx, c * ctx.q)
     out = BivarPoly(ctx, {})
     for k in range(min(m, n) + 1):
         N = m + n - k
-        d = (Pb.coeff(m - k, n - k) * qpoch(ctx, c * ctx.q, N)
-             - Pc.coeff(m - k, n - k) * qpoch(ctx, b * ctx.q, N))
+        d = Pb.coeff(m - k, n - k) * cq(N) - Pc.coeff(m - k, n - k) * bq(N)
         out = out + _mono(ctx, m - k, n - k, d)
     return out
 
@@ -350,9 +350,10 @@ def p_conn_H(ctx, pt):
     b = ctx.scalar(pt.get("b", F(1, 3)))
     Pb = coeffs(ctx, "pq", m, n, b=b)
     H = coeffs(ctx, "Hq", m, n)
+    bq = QPochPrefix(ctx, b * ctx.q)
     out = BivarPoly(ctx, {})
     for k in range(min(m, n) + 1):
-        d = Pb.coeff(m - k, n - k) - H.coeff(m - k, n - k) * qpoch(ctx, b * ctx.q, m + n - k)
+        d = Pb.coeff(m - k, n - k) - H.coeff(m - k, n - k) * bq(m + n - k)
         out = out + _mono(ctx, m - k, n - k, d)
     return out
 
@@ -525,11 +526,12 @@ def disk_conn(ctx, pt):
     m, n = pt["m"], pt["n"]
     nu = Fraction(pt.get("nu", F(3, 2)))
     lhs = coeffs(ctx, "C_disk", m, n, nu=nu)
+    ris = _rising_prefix(ctx, ctx.scalar(nu), m + n)
     rhs = BivarPoly(ctx, {})
     for p in range(min(m, n) + 1):
         inner = ctx.zero()
         for k in range(p + 1):
-            inner = inner + math.comb(p, k) * (-1) ** k * _rising(ctx.scalar(nu), m + n - k, ctx)
+            inner = inner + math.comb(p, k) * (-1) ** k * ris[m + n - k]
         c = Fraction(math.factorial(m) * math.factorial(n),
                      math.factorial(p) * math.factorial(m - p) * math.factorial(n - p))
         rhs = rhs + ctx.scalar(c) * inner * coeffs(ctx, "H_classical", m - p, n - p)

@@ -216,7 +216,7 @@ def num_p_conn_H_inv(ctx, pt):
     total = ctx.zero()
     for k in range(tr.max_terms):
         coef = (-beta) ** k * ctx.qpow(k * (k - 1) // 2) / ctx.qq(k)
-        total = total + coef * eval_poly(P.dilate(s**k, s**k), z1, z2)
+        total = total + coef * eval_poly(P, s**k * z1, s**k * z2)
         # the terms after k: |coef_{k+1}| = t_next, every later coefficient
         # ratio |beta| q^k' / (1 - q^{k'+1}) is at most rho, and each
         # |p(s^k' z)| <= A, so they sum to at most A t_next / (1 - rho)

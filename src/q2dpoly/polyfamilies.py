@@ -179,8 +179,12 @@ class BivarPoly:
     are normalized where they are read: :meth:`coeff` gives one, and
     ``coeffs`` is built on first read as the map of Fractions (real
     coefficients) and GaussianRationals, then cached.  On the float backend
-    ``coeffs`` is the map of mpf/mpc coefficients itself.  Either way keys
-    keep the order in which an operation first produced them.
+    ``coeffs`` is the map of mpf/mpc coefficients itself, and the member is
+    read-only: it is built by :func:`coeffs` and read through ``coeffs``,
+    :meth:`coeff`, :meth:`conj_coeffs`, :func:`eval_poly` and
+    :func:`poly_to_json`, while a ring operation, dilation or :meth:`qdiff`
+    raises TypeError.  Either way keys keep the order in which an operation
+    first produced them.
     """
 
     __slots__ = ("ctx", "meta", "_re", "_im", "_den", "_coeffs")
@@ -233,23 +237,18 @@ class BivarPoly:
         self._re, self._im, self._den = re, im, den
         return self
 
-    def _set_float(self, coeffs: Dict[Key, object]) -> "BivarPoly":
-        """Store the float coefficients, after :meth:`_trim`, without zeros; returns self."""
-        self._coeffs = {k: c for k, c in self._trim(coeffs).items() if not is_zero(c)}
-        return self
+    def _exact(self, other=None) -> None:
+        """Raise TypeError unless self, and other when it is a polynomial,
+        are exact: a float member only holds and reads its coefficients."""
+        if self._den is None or (isinstance(other, BivarPoly) and other._den is None):
+            raise TypeError("BivarPoly ring operations, dilations and qdiff "
+                            "need the exact backend")
 
     # -- ring operations ----------------------------------------------------
     def _sum(self, other, sign: int):
         """self + sign * other for a polynomial or scalar other."""
+        self._exact(other)
         out = self._blank(other)
-        if self._den is None:
-            zero, d = self.ctx.zero(), dict(self._coeffs)
-            if isinstance(other, BivarPoly):
-                for k, c in other._coeffs.items():
-                    d[k] = d.get(k, zero) + (c if sign > 0 else -c)
-            else:
-                d[(0, 0)] = d.get((0, 0), zero) + (other if sign > 0 else -1 * other)
-            return out._set_float(d)
         if isinstance(other, BivarPoly):
             re2, im2, d2 = other._re, other._im, other._den
         else:
@@ -267,11 +266,9 @@ class BivarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        out = self._blank(self)
-        if self._den is None:
-            return out._set_float({k: -c for k, c in self._coeffs.items()})
-        return out._set({k: -a for k, a in self._re.items()},
-                        {k: -b for k, b in self._im.items()}, self._den)
+        self._exact()
+        return self._blank(self)._set({k: -a for k, a in self._re.items()},
+                                      {k: -b for k, b in self._im.items()}, self._den)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -283,17 +280,8 @@ class BivarPoly:
         """self * other for a polynomial or scalar other, without the terms
         of total degree above top (None: all terms).  The one product of
         BivarPoly.__mul__ and TruncatedBiSeries.__mul__."""
+        self._exact(other)
         out = self._blank(other)
-        if self._den is None:
-            if not isinstance(other, BivarPoly):
-                return out._set_float({k: c * other for k, c in self._coeffs.items()})
-            zero, d = self.ctx.zero(), {}
-            for (i1, j1), c1 in self._coeffs.items():
-                for (i2, j2), c2 in other._coeffs.items():
-                    k = (i1 + i2, j1 + j2)
-                    if top is None or k[0] + k[1] <= top:
-                        d[k] = d.get(k, zero) + c1 * c2
-            return out._set_float(d)
         re1, im1 = self._re, self._im
         if not isinstance(other, BivarPoly):
             sa, sb, sd = _exact_parts(other)
@@ -329,37 +317,22 @@ class BivarPoly:
 
     # -- substitutions ------------------------------------------------------
     def dilate(self, c1=1, c2=1) -> "BivarPoly":
-        """Substitute z1 -> c1 z1, z2 -> c2 z2.
-
-        Exact backend: c1^i and c2^j are integer tables over one denominator
-        each (see :func:`_dilated`), and a coefficient is a GaussianRational
-        when it was one or c1 or c2 is one.  Float backend:
-        the powers come from one table per variable (see
-        :func:`_power_table`), so each coefficient has the bits of the
-        per-term ``c * c1**i * c2**j``.
+        """Substitute z1 -> c1 z1, z2 -> c2 z2 on an exact member: c1^i and
+        c2^j are integer tables over one denominator each (see
+        :func:`_dilated`), and a coefficient is a GaussianRational when it
+        was one or c1 or c2 is one.  A float member raises TypeError; its
+        values at scaled points come from :func:`eval_poly`.
         """
-        if self._den is None:
-            p1 = _power_table(c1, (i for i, _ in self._coeffs))
-            p2 = _power_table(c2, (j for _, j in self._coeffs))
-            return BivarPoly(self.ctx, {(i, j): c * p1[i] * p2[j]
-                                        for (i, j), c in self._coeffs.items()})
+        self._exact()
         ore, oim, e, every = _dilated(self._re, self._im, c1, c2)
         if not every:
             oim = {k: b for k, b in oim.items() if k in self._im}
         return BivarPoly(self.ctx)._set(ore, oim, self._den * e)
 
     def dilate_q(self, e1: int = 0, e2: int = 0) -> "BivarPoly":
-        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents).  Exact
-        backend: :meth:`dilate` by the rationals q^e1 and q^e2.  Float backend:
-        the factors q^(e1 i) and q^(e2 j) are read from the context's q-power
-        table."""
-        qpow = self.ctx.qpow
-        if self._den is not None:
-            return self.dilate(qpow(e1), qpow(e2))
-        return BivarPoly(
-            self.ctx,
-            {(i, j): c * qpow(e1 * i) * qpow(e2 * j) for (i, j), c in self._coeffs.items()},
-        )
+        """Substitute z1 -> q^e1 z1, z2 -> q^e2 z2 (integer exponents): the
+        :meth:`dilate` by the rationals q^e1 and q^e2, so exact only."""
+        return self.dilate(self.ctx.qpow(e1), self.ctx.qpow(e2))
 
     def qdiff(self, var: int, e: int = 1, alpha=0, beta=0) -> "BivarPoly":
         """The weighted q-difference in z_var (var 1 or 2), exact on coefficients:
@@ -372,13 +345,12 @@ class BivarPoly:
         raising operators, the q-disk backward shift).  One pass: for var 1
         a coefficient c at (i, j) adds c (1 - q^(e i))/(1 - q^e) at (i-1, j)
         and c (alpha - beta q^(e i))/(1 - q^e) at (i, j+1); var 2 mirrors it.
-        On the exact backend, with q^e = n/d, both factors are integers over
-        d^(t-1) (d - n) (times the denominator of alpha and beta), t the top
-        degree in z_var, so the pass is integer arithmetic.
+        With q^e = n/d both factors are integers over d^(t-1) (d - n) (times
+        the denominator of alpha and beta), t the top degree in z_var, so the
+        pass is integer arithmetic; a float member raises TypeError.
         """
+        self._exact()
         weighted = bool(alpha or beta)
-        if self._den is None:
-            return self._qdiff_float(var, e, alpha, beta, weighted)
         r = self.ctx.qpow(e)
         n, d = r.numerator, r.denominator
         if n == d:
@@ -418,21 +390,6 @@ class BivarPoly:
                 if wg or (i, j) in im:
                     oim[k] = iget(k, 0) + a * w2[t] + b * w1[t]
         return BivarPoly(self.ctx)._set(ore, oim, self._den * M)
-
-    def _qdiff_float(self, var, e, alpha, beta, weighted):
-        qpow, zero = self.ctx.qpow, self.ctx.zero()
-        inv = 1 / (1 - qpow(e))
-        out: Dict[Key, object] = {}
-        for (i, j), c in self._coeffs.items():
-            d = i if var == 1 else j
-            qd = qpow(e * d)
-            if d:
-                k = (i - 1, j) if var == 1 else (i, j - 1)
-                out[k] = out.get(k, zero) + c * (1 - qd) * inv
-            if weighted:
-                k = (i, j + 1) if var == 1 else (i + 1, j)
-                out[k] = out.get(k, zero) + c * (alpha - beta * qd) * inv
-        return BivarPoly(self.ctx, out)
 
     def conj_coeffs(self) -> "BivarPoly":
         if self._den is None:
@@ -497,11 +454,10 @@ def _build(ctx: QContext, family: str, m: int, n: int, b, nu) -> BivarPoly:
             c = ((-1) ** k * math.factorial(k) * math.comb(m, k) * math.comb(n, k))
             out[(m - k, n - k)] = ctx.scalar(c)
     elif family == "C_disk":
-        nuv = Fraction(nu) if ctx.is_exact else ctx.scalar(nu)
+        ris = _rising_prefix(ctx, Fraction(nu) if ctx.is_exact else ctx.scalar(nu), m + n)
         for k in range(min(m, n) + 1):
-            ris = _rising(nuv, m + n - k, ctx)
             c = ((-1) ** k * math.factorial(k) * math.comb(m, k) * math.comb(n, k))
-            out[(m - k, n - k)] = ctx.scalar(c) * ris
+            out[(m - k, n - k)] = ctx.scalar(c) * ris[m + n - k]
     else:
         raise ValueError(f"unknown family {family!r}")
     meta = {"family": family, "m": m, "n": n}
@@ -512,10 +468,12 @@ def _build(ctx: QContext, family: str, m: int, n: int, b, nu) -> BivarPoly:
     return BivarPoly(ctx, out, meta)
 
 
-def _rising(a, n: int, ctx: QContext):
-    out = ctx.one() if not isinstance(a, Fraction) else Fraction(1)
-    for k in range(n):
-        out = out * (a + k)
+def _rising_prefix(ctx: QContext, a, top: int) -> List[object]:
+    """The rising factorials (a)_0, ..., (a)_top, each one factor (a + k)
+    past the last."""
+    out = [ctx.one()]
+    for k in range(top):
+        out.append(out[-1] * (a + k))
     return out
 
 

@@ -4,9 +4,9 @@ The carrier for both sides of every generating-function identity: a
 :class:`~q2dpoly.polyfamilies.BivarPoly` in (u, v) known exactly for total
 degree i + j <= order, so two series agree up to order N iff their
 coefficient maps are identical.  The ring operations are the polynomial
-ones, on the exact backend on BivarPoly's integer numerators over one common
-denominator; a result keeps the lower order of its operands, and the product
-drops the terms above it.
+ones, on BivarPoly's exact integer numerators over one common denominator
+(exact backend only); a result keeps the lower order of its operands, and
+the product drops the terms above it.
 """
 
 from __future__ import annotations

@@ -274,10 +274,13 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
         num, k = x
         return abs(_horner(desc, num, k)) * tail_d << k > tail_n * num ** (N + 1)
 
+    # below x = (1-q)/q the terms fall (ratio q^{2n+1} x/(1 - q^{n+1}) < 1),
+    # so A_q(x) >= 1 - qx/(1-q) > 0: the scan starts at min(1, (1-q)/q)
+    lo = min(0.0, math.log2((1 - qf) / qf))
     hi = -(2 * count + 2) * math.log2(qf)
     subdiv = 16
     while True:
-        brackets = _scan(desc, 0.0, hi, int(subdiv * (2 * count + 3)))
+        brackets = _scan(desc, lo, hi, int(subdiv * (2 * count + 3)))
         if len(brackets) >= count:
             break
         subdiv *= 2

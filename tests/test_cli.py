@@ -619,8 +619,18 @@ def test_asym_at_a_zero_point_is_config_error(capsys, argv):
 
 
 def test_certification_failure_is_one_stderr_line(capsys):
-    # at q = 39/40 the sign scan does not isolate three zeros of A_q
-    code = main(["aqzeros", "--count", "3", "--q", "39/40"])
+    # a one-term budget cannot sum the phi series of the Hmn_inf limit
+    code = main(["asym", "--target", "Hmn_inf", "--sizes", "8,16", "--q", "1/2",
+                 "--z1", "2", "--z2", "2", "--max-terms", "1"])
     got = capsys.readouterr()
     assert code == 1 and got.out == ""
-    assert got.err == "verification error: A_q bracketing failed\n"
+    assert got.err == "verification error: phi series did not converge in budget\n"
+
+
+def test_aqzeros_near_one_certifies_the_zeros_below_one(capsys):
+    # at q = 39/40 all three zeros lie below x = 1; the scan starts at (1-q)/q = 1/39
+    code = main(["aqzeros", "--count", "3", "--q", "39/40"])
+    got = capsys.readouterr()
+    assert code == 0 and got.err == ""
+    assert got.out == ('{"q": "39/40", "zeros": ["0.3024056491965659", "0.35265798524703189", '
+                       '"0.4004366483517651"]}\n')

@@ -659,6 +659,9 @@ def test_power_tables_equal_per_term_powers(backend):
         for P in polys:
             for z1, z2 in pairs:
                 assert _same(eval_poly(P, z1, z2), _per_term_eval(P, z1, z2))
+            if backend == "float":
+                continue  # a float member has no dilations
+            for z1, z2 in pairs:
                 assert _same_coeffs(P.dilate(z1, z2), {
                     (i, j): a * z1**i * z2**j for (i, j), a in P.coeffs.items()})
             for e1, e2 in Q_SHIFTS:
@@ -667,6 +670,22 @@ def test_power_tables_equal_per_term_powers(backend):
                 assert _same_coeffs(P.dilate_q(e1, e2), {
                     (i, j): a * c.q ** (e1 * i) * c.q ** (e2 * j)
                     for (i, j), a in P.coeffs.items()})
+
+
+def test_float_member_has_no_ring_operations():
+    c = QContext(F(2, 5), backend="float")
+    P = coeffs(c, "pq", 2, 1, b=B)
+    exact = coeffs(QContext(F(2, 5)), "Hq", 1, 1)
+    ops = [lambda: P + P, lambda: P + 1, lambda: exact + P, lambda: P * P, lambda: 2 * P,
+           lambda: exact * P, lambda: P - P, lambda: 1 - P, lambda: -P,
+           lambda: P.dilate(2, 3), lambda: P.dilate_q(1, 0), lambda: P.qdiff(1),
+           lambda: P.qdiff(2, -1, 1, 1)]
+    for op in ops:
+        with pytest.raises(TypeError, match="need the exact backend"):
+            op()
+    # the reads still work
+    assert P.coeff(2, 1) == P.coeffs[(2, 1)] and P.conj_coeffs().coeffs == P.coeffs
+    assert json.loads(poly_to_json(P))["family"] == "pq"
 
 
 def test_exact_paths_take_no_gaussian_powers(monkeypatch):
@@ -710,3 +729,30 @@ def test_gaussian_products_equal_four_product_formula(x, y):
 
 def test_gaussian_product_with_a_float_is_not_implemented():
     assert GR(1, 1).__mul__(mpf(2)) is NotImplemented
+
+
+@pytest.mark.parametrize("y", [3, -1, F(-2, 7), GR(F(5, 3)), GR(F(-2, 3), F(7, 5)), GR(0, 1)])
+@pytest.mark.parametrize("x", [A, GR(F(5, 3)), GR(0, 1), GR(0)])
+def test_gaussian_quotients_equal_four_product_formula(x, y):
+    # x / y = x conj(y) / |y|^2, whatever the divisor's kind; and a real over
+    # x (through __rtruediv__) the same way
+    def quotient(u, v):
+        u, v = (w if isinstance(w, GR) else GR(w) for w in (u, v))
+        d = v.re * v.re + v.im * v.im
+        return GR((u.re * v.re + u.im * v.im) / d, (u.im * v.re - u.re * v.im) / d)
+
+    cases = [(x / y, quotient(x, y))]
+    if not isinstance(y, GR) and x:
+        cases.append((y / x, quotient(y, x)))
+    for got, ref in cases:
+        assert type(got) is GR and got == ref
+        assert type(got.re) is F and type(got.im) is F
+
+
+@pytest.mark.parametrize("zero", [0, F(0), GR(0), GR(0, 0)])
+def test_gaussian_quotient_by_exact_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        A / zero
+    if not isinstance(zero, GR):
+        with pytest.raises(ZeroDivisionError):
+            F(3) / GR(zero)

@@ -196,13 +196,25 @@ def test_aq_zeros_certified(ctx):
 @pytest.mark.parametrize("q, expected", [
     (F(5, 38), "6.7041641294472423, 432.16887145600552, 25303.519727344509"),
     (F(1, 2), "1.2482191639119089, 6.5120409474191493, 29.029830377830667"),
-    (F(20, 31), "2.6223942154094901, 7.2484653334332023, 18.867023897948642"),
+    # i_1 < 1 here: 0.8261234461535359229 from a 400-bit term-by-term sum of
+    # A_q, bisected on its signs from A_q(0.82) > 0 > A_q(0.84)
+    (F(20, 31), "0.82612344615353592, 2.6223942154094901, 7.2484653334332023"),
 ])
 def test_aq_zeros_pinned(q, expected):
     # strings of the term-by-term evaluation of A_q; the Horner form must
     # bracket and bisect to the same digits
     zs = aq_zeros(QContext(q, backend="float"), 3)
     assert ", ".join(mpmath.nstr(z, 17) for z in zs) == expected
+
+
+def test_aq_first_zero_below_one():
+    # above q* ~ 0.576 the first zero lies below x = 1; the scan starts at
+    # (1-q)/q, where A_q is still positive
+    c = QContext(F(3, 4), backend="float", precision_bits=200, default_trunc=TR)
+    with c.workprec():
+        assert aq_function(c, mpmath.mpf("0.62"))[0] > 0 > aq_function(c, mpmath.mpf("0.63"))[0]
+    zs = aq_zeros(c, 2)
+    assert 0.62 < zs[0] < 0.63 < 1 < zs[1]
 
 
 def test_aq_sign_alternation(ctx):
