@@ -236,7 +236,10 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.  The
     tail bounds the truncation error of value - closed_form (the moment sums'
     cuts and the closed form's (a;q)_inf tails, which bound their own
-    rounding too), not the rounding of the sums here."""
+    rounding too), not the rounding of the sums here.  A negative K, the
+    moment sums' cut, raises ValueError."""
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")

@@ -53,29 +53,29 @@ Key = Tuple[int, int]
 # ---------------------------------------------------------------------------
 
 def _exact_parts(c):
-    """(a, b, d) with c = (a + b i)/d and d > 0 for an exact scalar c; b is
-    None when c is real (an int or a Fraction), an int for a
-    GaussianRational (0 at a real value)."""
+    """(a, b, d) with c = (a + b i)/d and d > 0 for an exact scalar c; b is 0
+    when c is real."""
     if isinstance(c, GaussianRational):
         re, im = c.re, c.im
         dr, di = re.denominator, im.denominator
         d = dr // math.gcd(dr, di) * di
         return re.numerator * (d // dr), im.numerator * (d // di), d
     if isinstance(c, (int, Fraction)):
-        return c.numerator, None, c.denominator
+        return c.numerator, 0, c.denominator
     raise TypeError(f"not an exact scalar: {type(c)}")
 
 
 def _exact_scalar(a, b, d):
-    """The Fraction a/d, or the GaussianRational (a + b i)/d when b is not None."""
-    if b is None:
+    """The Fraction a/d when b is 0, else the GaussianRational (a + b i)/d."""
+    if not b:
         return Fraction(a, d)
     return GaussianRational(Fraction(a, d), Fraction(b, d))
 
 
 def _integer_form(coeffs: Dict[Key, object]):
-    """(re, im, D) of an exact coefficient map, zeros dropped, over the least
-    common denominator D of its coefficients."""
+    """(re, im, D) of an exact coefficient map over the least common
+    denominator D of its coefficients: re holds every nonzero coefficient,
+    im the nonzero imaginary numerators."""
     split = []
     for k, c in coeffs.items():
         a, b, d = _exact_parts(c)
@@ -83,13 +83,13 @@ def _integer_form(coeffs: Dict[Key, object]):
             split.append((k, a, b, d))
     den = math.lcm(*(d for _, _, _, d in split))
     return ({k: a * (den // d) for k, a, _, d in split},
-            {k: b * (den // d) for k, _, b, d in split if b is not None}, den)
+            {k: b * (den // d) for k, _, b, d in split if b}, den)
 
 
 def _scaled_powers(z, top: int):
-    """(re, im, E, gaussian) with z^t = (re[t] + im[t] i)/E for t <= top,
-    over the one denominator E = d^top of z = (x + y i)/d: re[t] + im[t] i is
-    (x + y i)^t d^(top - t)."""
+    """(re, im, E) with z^t = (re[t] + im[t] i)/E for t <= top, over the one
+    denominator E = d^top of z = (x + y i)/d: re[t] + im[t] i is
+    (x + y i)^t d^(top - t), and im is all 0 when z is real."""
     x, y, d = _exact_parts(z)
     re, im = [1], [0]
     for _ in range(top):
@@ -100,20 +100,18 @@ def _scaled_powers(z, top: int):
     for t in range(top, -1, -1):
         re[t], im[t] = re[t] * scale, im[t] * scale
         scale = scale * d
-    return re, im, scale // d, y is not None
+    return re, im, scale // d
 
 
 def _dilated(re, im, c1, c2):
-    """(re', im', E, every) for the substitution z1 -> c1 z1, z2 -> c2 z2 of
-    the integer form (re, im): c1^i c2^j times the numerators at (i, j), over
-    E times its denominator.  every is True when c1 or c2 is a
-    GaussianRational, so every coefficient becomes one; im' is empty when
-    neither is and im is empty, and holds every key otherwise."""
-    r1, s1, e1, g1 = _scaled_powers(c1, max((i for i, _ in re), default=0))
-    r2, s2, e2, g2 = _scaled_powers(c2, max((j for _, j in re), default=0))
-    every = g1 or g2
-    if not (im or every):
-        return {(i, j): a * r1[i] * r2[j] for (i, j), a in re.items()}, {}, e1 * e2, False
+    """(re', im', E) for the substitution z1 -> c1 z1, z2 -> c2 z2 of the
+    integer form (re, im): c1^i c2^j times the numerators at (i, j), over E
+    times its denominator.  im' is empty when im is and c1 and c2 are real,
+    and may hold zeros otherwise."""
+    r1, s1, e1 = _scaled_powers(c1, max((i for i, _ in re), default=0))
+    r2, s2, e2 = _scaled_powers(c2, max((j for _, j in re), default=0))
+    if not (im or any(s1) or any(s2)):
+        return {(i, j): a * r1[i] * r2[j] for (i, j), a in re.items()}, {}, e1 * e2
     ore, oim = {}, {}
     for (i, j), a in re.items():
         b = im.get((i, j), 0)
@@ -121,7 +119,7 @@ def _dilated(re, im, c1, c2):
         wi = r1[i] * s2[j] + s1[i] * r2[j]
         ore[(i, j)] = a * wr - b * wi
         oim[(i, j)] = a * wi + b * wr
-    return ore, oim, e1 * e2, every
+    return ore, oim, e1 * e2
 
 
 def _combine(p1: Dict[Key, int], f1: int, p2: Dict[Key, int], f2: int) -> Dict[Key, int]:
@@ -136,8 +134,8 @@ def _combine(p1: Dict[Key, int], f1: int, p2: Dict[Key, int], f2: int) -> Dict[K
 def _convolve(re1, im1, re2, im2, top: Optional[int]):
     """The numerators (re, im) of the product of two integer forms, without
     the terms of total degree above top (None: all terms).  Keys come in the
-    order of their first pair, the left factor's keys outer; a key is Gaussian when
-    one of its pairs has a Gaussian factor."""
+    order of their first pair, the left factor's keys outer; im is empty when
+    both factors are real, and may hold zeros otherwise."""
     if top is None:
         top = (max((i + j for i, j in re1), default=0)
                + max((i + j for i, j in re2), default=0))
@@ -152,17 +150,15 @@ def _convolve(re1, im1, re2, im2, top: Optional[int]):
                     k = (i1 + i2, j1 + j2)
                     re[k] = get(k, 0) + a1 * a2
         return re, im
-    right = [(i, j, i + j, a, im2.get((i, j), 0), (i, j) in im2) for (i, j), a in re2.items()]
+    right = [(i, j, i + j, a, im2.get((i, j), 0)) for (i, j), a in re2.items()]
     for (i1, j1), a1 in re1.items():
         room = top - i1 - j1
-        g1 = (i1, j1) in im1
         b1 = im1.get((i1, j1), 0)
-        for i2, j2, s2, a2, b2, g2 in right:
+        for i2, j2, s2, a2, b2 in right:
             if s2 <= room:
                 k = (i1 + i2, j1 + j2)
                 re[k] = get(k, 0) + a1 * a2 - b1 * b2
-                if g1 or g2:
-                    im[k] = iget(k, 0) + a1 * b2 + b1 * a2
+                im[k] = iget(k, 0) + a1 * b2 + b1 * a2
     return re, im
 
 
@@ -170,21 +166,21 @@ class BivarPoly:
     """Sparse bivariate polynomial sum c[i,j] z1^i z2^j with backend scalars.
 
     On the exact backend the coefficients are integers over one common
-    denominator D > 0: c[k] = (re[k] + im[k] i)/D, where a key is in ``im``
-    exactly when its coefficient is a GaussianRational (at a real value
-    too) and only in ``re`` when it is real.  The ring operations,
+    denominator D > 0: c[k] = (re[k] + im[k] i)/D, where ``re`` holds every
+    nonzero coefficient (its real numerator may be 0) and ``im`` exactly the
+    keys whose imaginary numerator is nonzero.  The ring operations,
     :meth:`dilate`, :meth:`dilate_q`, :meth:`qdiff` and :func:`eval_poly`
     run on these integers, and each result is reduced by one gcd of D with
     all its numerators, so D is the least common denominator.  Exact scalars
     are normalized where they are read: :meth:`coeff` gives one, and
-    ``coeffs`` is built on first read as the map of Fractions (real
-    coefficients) and GaussianRationals, then cached.  On the float backend
-    ``coeffs`` is the map of mpf/mpc coefficients itself, and the member is
-    read-only: it is built by :func:`coeffs` and read through ``coeffs``,
-    :meth:`coeff`, :meth:`conj_coeffs`, :func:`eval_poly` and
-    :func:`poly_to_json`, while a ring operation, dilation or :meth:`qdiff`
-    raises TypeError.  Either way keys keep the order in which an operation
-    first produced them.
+    ``coeffs`` is built on first read and cached; either reads a coefficient
+    as a GaussianRational when its imaginary part is nonzero and as a
+    Fraction otherwise.  On the float backend ``coeffs`` is the map of
+    mpf/mpc coefficients itself, and the member is read-only: it is built by
+    :func:`coeffs` and read through ``coeffs``, :meth:`coeff`,
+    :meth:`conj_coeffs`, :func:`eval_poly` and :func:`poly_to_json`, while a
+    ring operation, dilation or :meth:`qdiff` raises TypeError.  Either way
+    keys keep the order in which an operation first produced them.
     """
 
     __slots__ = ("ctx", "meta", "_re", "_im", "_den", "_coeffs")
@@ -206,7 +202,7 @@ class BivarPoly:
         """The coefficient map {(i, j): c}; shared, to be treated as immutable."""
         if self._coeffs is None:
             im, den = self._im, self._den
-            self._coeffs = {k: _exact_scalar(a, im.get(k), den) for k, a in self._re.items()}
+            self._coeffs = {k: _exact_scalar(a, im.get(k, 0), den) for k, a in self._re.items()}
         return self._coeffs
 
     def _trim(self, coeffs: dict) -> dict:
@@ -224,11 +220,13 @@ class BivarPoly:
 
     def _set(self, re: Dict[Key, int], im: Dict[Key, int], den: int) -> "BivarPoly":
         """Store the exact coefficients (re + im i)/den, after :meth:`_trim`,
-        with zero coefficients dropped and one gcd taken out; returns self."""
+        with zero numerators and zero coefficients dropped and one gcd taken
+        out; im's keys are among re's.  Returns self."""
         re, im = self._trim(re), self._trim(im)
+        if 0 in im.values():
+            im = {k: b for k, b in im.items() if b}
         if 0 in re.values():
-            re = {k: a for k, a in re.items() if a or im.get(k)}
-            im = {k: b for k, b in im.items() if k in re}
+            re = {k: a for k, a in re.items() if a or k in im}
         g = math.gcd(den, *re.values(), *im.values())
         if g != 1:
             re = {k: a // g for k, a in re.items()}
@@ -253,7 +251,7 @@ class BivarPoly:
             re2, im2, d2 = other._re, other._im, other._den
         else:
             a, b, d2 = _exact_parts(other)
-            re2, im2 = {(0, 0): a}, ({} if b is None else {(0, 0): b})
+            re2, im2 = {(0, 0): a}, {(0, 0): b}
         d1 = self._den
         g = math.gcd(d1, d2)
         f1, f2 = d2 // g, d1 // g * sign
@@ -285,7 +283,7 @@ class BivarPoly:
         re1, im1 = self._re, self._im
         if not isinstance(other, BivarPoly):
             sa, sb, sd = _exact_parts(other)
-            if sb is None:
+            if not sb:
                 return out._set({k: a * sa for k, a in re1.items()},
                                 {k: b * sa for k, b in im1.items()}, self._den * sd)
             return out._set({k: a * sa - im1.get(k, 0) * sb for k, a in re1.items()},
@@ -313,20 +311,17 @@ class BivarPoly:
         a = self._re.get((i, j))
         if a is None:
             return self.ctx.zero()
-        return _exact_scalar(a, self._im.get((i, j)), self._den)
+        return _exact_scalar(a, self._im.get((i, j), 0), self._den)
 
     # -- substitutions ------------------------------------------------------
     def dilate(self, c1=1, c2=1) -> "BivarPoly":
         """Substitute z1 -> c1 z1, z2 -> c2 z2 on an exact member: c1^i and
         c2^j are integer tables over one denominator each (see
-        :func:`_dilated`), and a coefficient is a GaussianRational when it
-        was one or c1 or c2 is one.  A float member raises TypeError; its
-        values at scaled points come from :func:`eval_poly`.
+        :func:`_dilated`).  A float member raises TypeError; its values at
+        scaled points come from :func:`eval_poly`.
         """
         self._exact()
-        ore, oim, e, every = _dilated(self._re, self._im, c1, c2)
-        if not every:
-            oim = {k: b for k, b in oim.items() if k in self._im}
+        ore, oim, e = _dilated(self._re, self._im, c1, c2)
         return BivarPoly(self.ctx)._set(ore, oim, self._den * e)
 
     def dilate_q(self, e1: int = 0, e2: int = 0) -> "BivarPoly":
@@ -361,9 +356,7 @@ class BivarPoly:
         ba, bb, bd = _exact_parts(beta)
         den = ad // math.gcd(ad, bd) * bd
         fa, fb = den // ad, den // bd
-        wg = ab is not None or bb is not None
-        ab, bb = (ab or 0) * fa, (bb or 0) * fb
-        aa, ba = aa * fa, ba * fb
+        aa, ab, ba, bb = aa * fa, ab * fa, ba * fb, bb * fb
         # (1 - r^t)/(1 - r) = m1[t]/M, (alpha - beta r^t)/(1 - r) = (w1[t] + w2[t] i)/M
         sign = 1 if d > n else -1
         m1, w1, w2 = [], [], []
@@ -376,18 +369,17 @@ class BivarPoly:
         ore, oim = {}, {}
         get, iget = ore.get, oim.get
         for (i, j), a in re.items():
-            b = im.get((i, j))
+            b = im.get((i, j), 0)
             t = i if var == 1 else j
             if t:
                 k = (i - 1, j) if var == 1 else (i, j - 1)
                 ore[k] = get(k, 0) + a * m1[t]
-                if b is not None:
+                if b:
                     oim[k] = iget(k, 0) + b * m1[t]
             if weighted:
                 k = (i, j + 1) if var == 1 else (i + 1, j)
-                b = b or 0
                 ore[k] = get(k, 0) + a * w1[t] - b * w2[t]
-                if wg or (i, j) in im:
+                if b or w2[t]:
                     oim[k] = iget(k, 0) + a * w2[t] + b * w1[t]
         return BivarPoly(self.ctx)._set(ore, oim, self._den * M)
 
@@ -414,7 +406,9 @@ def coeffs(ctx: QContext, family: str, m: int, n: int, b=None, nu=None) -> Bivar
     Each member is built once per context, on the float backend once per
     ``mp.prec`` (as ``QContext.qpow``'s table), and the same BivarPoly is
     returned to every later caller, so the result is shared and must be
-    treated as immutable.
+    treated as immutable.  An exact coefficient reads as a GaussianRational
+    when its imaginary part is nonzero and as a Fraction otherwise, whatever
+    the type of b (a GaussianRational b at im = 0 gives Fractions).
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
@@ -488,8 +482,8 @@ def eval_poly(P: BivarPoly, z1, z2):
 
     Exact backend: the numerators of the dilation by z1 and z2 (see
     :func:`_dilated`), summed as integers over D d1^I d2^J and normalized
-    once at the end; the value is a GaussianRational when a coefficient, z1
-    or z2 is one, a Fraction otherwise.  Float backend: each
+    once at the end; the value is a GaussianRational when its imaginary part
+    is nonzero, a Fraction otherwise.  Float backend: each
     term is ``c * z1**i * z2**j`` with the powers read from one table per
     variable (see :func:`_power_table`), so it has the bits of the per-term
     powers, and the terms are summed largest magnitude first.
@@ -498,15 +492,8 @@ def eval_poly(P: BivarPoly, z1, z2):
     z1 = ctx.scalar(z1)
     z2 = ctx.scalar(z2)
     if P._den is not None:
-        re, im = P._re, P._im
-        if not re:
-            return ctx.zero()
-        ore, oim, e, every = _dilated(re, im, z1, z2)
-        den = P._den * e
-        if not (im or every):
-            return Fraction(sum(ore.values()), den)
-        return GaussianRational(Fraction(sum(ore.values()), den),
-                                Fraction(sum(oim.values()), den))
+        ore, oim, e = _dilated(P._re, P._im, z1, z2)
+        return _exact_scalar(sum(ore.values()), sum(oim.values()), P._den * e)
     items = sorted(P.coeffs.items())
     p1 = _power_table(z1, (i for (i, _), _ in items))
     p2 = _power_table(z2, (j for (_, j), _ in items))

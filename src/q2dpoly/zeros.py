@@ -30,7 +30,7 @@ import mpmath
 from mpmath import mp
 
 from .context import QContext, as_fraction
-from .polyfamilies import FamilyTable, radial_reduce
+from .polyfamilies import FamilyTable, _integer_form, radial_reduce
 from .qkernel import aq_function, qpoch, qpoch_inf, theta4
 
 F = Fraction
@@ -97,11 +97,10 @@ def _limit_sizes(sizes: Sequence[int]) -> List[int]:
 
 def _integer_poly(coeffs):
     """(desc, den): the rational polynomial (low-to-high `Fraction`
-    coefficients) times the common denominator den, as integers high-to-low."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in reversed(coeffs)], den
+    coefficients) times their least common denominator den, as integers
+    high-to-low; the numerators are those of the exact `BivarPoly` form."""
+    num, _, den = _integer_form(dict(enumerate(coeffs)))
+    return [num.get(r, 0) for r in reversed(range(len(coeffs)))], den
 
 
 def _horner(desc, num, k):
@@ -228,7 +227,9 @@ def radial_zeros(ctx: QContext, family: str, m: int, n: int, b=None,
     the radial factor in x = |z|^2, sorted decreasing, isolated on exact
     signs; certified_width is the largest relative width of the exact
     brackets of x.  A radial factor with a non-real coefficient (a complex
-    b, say) raises ValueError."""
+    b, say) or a precision below 1 raises ValueError."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     if min(m, n) < 1:
         return ZeroSet(family, m, n, {"b": b}, [], 0.0)
     rf = radial_reduce(ctx if ctx.is_exact else QContext(ctx.q_fraction), family, m, n, b=b)
@@ -246,9 +247,12 @@ def aq_zeros(ctx: QContext, count: int, precision: int = 20) -> List[mpmath.mpf]
     c_n = q^{n^2}/(q;q)_n, and certified so the truncation tail cannot flip
     the signs at the ends of the scan brackets or of the final brackets.
     N grows with `precision`, so the tail stays 40 digits below it.  A
-    count of 0 gives no zeros; a negative one raises ValueError."""
+    count of 0 gives no zeros; a negative one, or a precision below 1,
+    raises ValueError."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     q = ctx.q_fraction
     qf = float(q)
     # the scan runs up to x_hi = q^-(2 count + 2), taken in logarithms, as is
@@ -320,9 +324,12 @@ def zero_limit_report(ctx: QContext, target: str, j: int,
     The measure of the first (and disk) family puts mass on every radius
     q^{k/2} with k >= 0, so the largest zero tends to q^0 = 1; the printed
     limit q^{j/2} indexes the same ladder shifted by one (the computed radii
-    at (40,40) are 1, q^{1/2}, q, ... to ten digits; ledger).
+    at (40,40) are 1, q^{1/2}, q, ... to ten digits; ledger).  j counts
+    from 1: a j below 1 raises ValueError.
     """
     sizes = _limit_sizes(sizes)
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
     if any(j > M for M in sizes):
         raise ValueError("j exceeds the zero count at this size")
     if target == "limH":

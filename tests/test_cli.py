@@ -93,6 +93,7 @@ def test_verify_runs_each_entry_on_the_backend_of_its_mode(capsys):
     ("verify", "--id", "H-TTR-a", "--max-n", "-1", "--q", "1/2"),
     ("gram", "--kind", "doH", "--N", "-1", "--z", "1"),
     ("ortho", "--family", "H", "--max-index", "-1"),
+    ("ortho", "--family", "H", "--max-index", "1", "--K", "-1"),
     ("zeros", "--family", "h", "--m", "6", "--n", "4", "--q", "1/4", "--count", "-1"),
     ("aqzeros", "--count", "-2", "--q", "1/4"),
 ])
@@ -138,6 +139,23 @@ def test_asym_over_one_size_is_config_error(capsys, argv):
     got = capsys.readouterr()
     assert code == 2 and got.out == ""
     assert got.err.startswith("config error:") and "two or more sizes" in got.err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("asym", "--target", "limH", "--j", "0", "--sizes", "4,8", "--q", "1/4"), "j must be >= 1"),
+    (("asym", "--target", "limh", "--j", "0", "--sizes", "5,10", "--q", "1/4"), "j must be >= 1"),
+    (("zeros", "--family", "h", "--m", "3", "--n", "2", "--q", "1/4", "--root-precision", "0"),
+     "precision must be >= 1"),
+    (("aqzeros", "--count", "2", "--q", "1/2", "--root-precision", "0"), "precision must be >= 1"),
+])
+def test_out_of_range_parameter_is_config_error(capsys, argv, err):
+    # each was read as given: asym --j 0 compared the smallest radius (limH)
+    # or raised IndexError (limh), and --root-precision 0 printed an
+    # unbisected scan point to 17 digits
+    code = main(list(argv))
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:") and err in got.err
 
 
 def test_verify_without_selector_is_config_error(capsys):

@@ -346,6 +346,10 @@ def test_gram_and_ortho_table_refuse_a_negative_size(fctx):
         gram_positivity(QContext(F(1, 2)), "doH", -1, 1)
     with pytest.raises(ValueError):
         ortho_table(fctx, "Hq", -1)
+    # K = -1 summed no circle, so the diagonal read rel_error 1.0 and failed
+    # as if the family were not orthogonal
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        inner_product(fctx, "Hq", (1, 0), (1, 0), K=-1)
 
 
 def test_discrete_moment_tables_match_closed_forms():

@@ -183,11 +183,27 @@ def test_poly_to_json_writes_exact_parts(ctx):
     doc = json.loads(poly_to_json(P))
     assert (doc["family"], doc["m"], doc["n"], doc["params"]) == ("pq", 3, 2, {"b": "1/3"})
     assert doc["coeffs"] == [[i, j, str(P.coeff(i, j)), "0"] for i, j in sorted(P.coeffs)]
-    # complex coefficients keep both parts
+    # complex coefficients keep both parts; a real one (here at (0, 0)) reads
+    # as a Fraction and writes "0" for its imaginary part
     P = coeffs(ctx, "Hq", 2, 2).dilate(GR(0, 1), 1)
+    parts = {k: (c.re, c.im) if isinstance(c, GR) else (c, 0) for k, c in P.coeffs.items()}
+    assert not isinstance(P.coeff(0, 0), GR) and isinstance(P.coeff(1, 1), GR)
     doc = json.loads(poly_to_json(P))
-    assert doc["coeffs"] == [[i, j, str(P.coeff(i, j).re), str(P.coeff(i, j).im)]
+    assert doc["coeffs"] == [[i, j, str(F(parts[i, j][0])), str(parts[i, j][1])]
                              for i, j in sorted(P.coeffs)]
+
+
+def test_real_values_read_as_fractions():
+    # i^k i^k = (-1)^k is real, so every coefficient of Hq(2,2)(i z1, i z2)
+    # is real: it reads as a Fraction, and no imaginary numerator is stored
+    ctx = QContext(F(2, 5))
+    P = coeffs(ctx, "Hq", 2, 2).dilate(GR(0, 1), GR(0, 1))
+    assert [(k, type(c), c) for k, c in P.coeffs.items()] == [
+        ((2, 2), F, 1), ((1, 1), F, F(147, 125)), ((0, 0), F, F(126, 625))]
+    assert not P._im and all(type(P.coeff(*k)) is F for k in P.coeffs)
+    # likewise a value: Hq(1,1) at (i, i) is -1 - (1 - q)
+    v = eval_poly(coeffs(QContext(F(1, 2)), "Hq", 1, 1), GR(0, 1), GR(0, 1))
+    assert type(v) is F and v == F(-3, 2)
 
 
 def _qdiff_by_ring_ops(P, var, e, alpha, beta):
@@ -294,8 +310,9 @@ def _loop_eval(P, z1, z2):
 
 
 def _same_exact(a, b):
-    """Equal values, both GaussianRational or both real (an int or a Fraction)."""
-    return isinstance(a, GR) == isinstance(b, GR) and a == b
+    """Equal values, and a is a GaussianRational exactly when its imaginary
+    part is nonzero (b, the reference, may be of either kind)."""
+    return a == b and isinstance(a, GR) == (isinstance(b, GR) and b.im != 0)
 
 
 def _agrees(P, ref):
@@ -405,7 +422,8 @@ def test_coeffs_memo_keys_on_parameter_type():
     for b in (1, F(1), GR(1), 1, F(1), GR(1)):
         P = coeffs(ctx, "pq", 2, 2, b=b)
         assert type(P.meta["b"]) is type(b)
-        assert all(isinstance(c, GR) == isinstance(b, GR) for c in P.coeffs.values())
+        # a real b reads real coefficients, whatever its type
+        assert all(type(c) is F for c in P.coeffs.values())
     assert len(ctx.coeffs_memo) == 3
 
 
@@ -637,7 +655,11 @@ def _per_term_eval(P, z1, z2):
 
 
 def _same(a, b):
-    # on the float backend == compares the exact binary values, so the bits
+    # on the float backend == compares the exact binary values, so the bits;
+    # an exact value is a GaussianRational exactly when its imaginary part is
+    # nonzero, whatever the kind of the reference b
+    if isinstance(b, GR) and b.im == 0:
+        b = b.re
     return type(a) is type(b) and a == b
 
 

@@ -316,3 +316,44 @@ def test_asymptotics_pr_h_ignores_z(ctx2):
 def test_theta4_scaled_rejects_bad_sizes(ctx2):
     with pytest.raises(ValueError):
         asymptotic_report(ctx2, "theta4_scaled", [6], {})
+
+
+@pytest.mark.parametrize("target", ["limH", "limh"])
+def test_zero_limit_report_refuses_j_below_one(ctx, target):
+    # j = 0 read the smallest radius (limH) or indexed past the zeros of A_q (limh)
+    with pytest.raises(ValueError, match="j must be >= 1"):
+        zero_limit_report(ctx, target, 0, [4, 8])
+
+
+def test_root_precision_below_one_refused(ctx):
+    # at precision 0 no bisection ran, yet the scan point printed to 17 digits
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        aq_zeros(ctx, 2, precision=0)
+    for m, n in ((3, 2), (0, 0)):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            radial_zeros(ctx, "hq", m, n, precision=0)
+
+
+def _gcd_loop_poly(coeffs):
+    """The integer polynomial as the zero finder cleared denominators on its
+    own: one running lcm of the denominators, then the numerators over it."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in reversed(coeffs)], den
+
+
+def test_integer_poly_equals_gcd_loop():
+    # the radial factors of the audit's zero checks, the A_q truncations
+    # aq_zeros reads, and polynomials with zero coefficients
+    grid = (1, 2, 3, 5, 8)
+    polys = [[F(0)], [F(0), F(3, 4), F(0)], [F(-2, 3), F(0), F(5, 6), F(0)]]
+    for q in (F(1, 4), F(1, 2)):
+        c = QContext(q)
+        for fam, b in (("Hq", None), ("hq", None), ("pq", F(1, 4)), ("pq", 0)):
+            polys += [[F(x) for x in radial_reduce(c, fam, m, n, b=b).radial_coeffs]
+                      for m in grid for n in grid]
+        polys += [[(-1) ** n * c.qpow(n * n) / c.qq(n) for n in range(N + 1)]
+                  for N in (0, 14, 18, 30)]
+    for cs in polys:
+        assert _integer_poly(cs) == _gcd_loop_poly(cs)
