@@ -114,17 +114,27 @@ def unity_filter_sum(blocks, weight=None, caps_range: int = 0):
     large enough that the filter is exact for the capped index boxes (the
     theta weight's aliasing error is left to the caller).  Each block S_i is
     given by its Laurent coefficients (:func:`laurent_block`) and evaluated
-    at each root by Horner.  ``weight(z)`` returns (value, tail); the tail
-    is the node mean of each weight tail times its node's block product,
-    i.e. of |node term| times the weight's relative tail."""
+    at each root by Horner.  ``weight(z)`` returns (value, tail) and must
+    satisfy w(conj z) = conj(w(z)) with the same tail; the tail is the node
+    mean of each weight tail times its node's block product, i.e. of
+    |node term| times the weight's relative tail.
+
+    When every block coefficient is real, node M - r is the conjugate of
+    node r, and so is its term: only nodes r = 0..(M-1)/2 are evaluated,
+    node 0 counts once, and every other node adds 2 Re(w prod) and twice
+    its tail.  Blocks with a complex coefficient are evaluated at all M
+    nodes."""
     M = 2 * caps_range + 1
     horner = []  # (lowest power, coefficients from the highest power down)
+    real = True
     for blk in blocks:
         lo, hi = min(blk), max(blk)
-        horner.append((lo, [blk.get(d, 0) for d in range(hi, lo - 1, -1)]))
-    total = mp.mpc(0)
+        cs = [blk.get(d, 0) for d in range(hi, lo - 1, -1)]
+        real = real and all(mpmath.im(c) == 0 for c in cs)
+        horner.append((lo, cs))
+    total = mp.mpf(0) if real else mp.mpc(0)
     tail = 0.0
-    for r in range(M):
+    for r in range(caps_range + 1 if real else M):
         zr = mpmath.exp(2j * mpmath.pi * r / M)
         w, w_tail = (mp.mpc(1), 0.0) if weight is None else weight(zr)
         prod = mp.mpc(1)
@@ -133,8 +143,12 @@ def unity_filter_sum(blocks, weight=None, caps_range: int = 0):
             for c in cs[1:]:
                 acc = acc * zr + c
             prod = prod * (acc * zr**lo)
-        total += w * prod
-        tail += w_tail * float(abs(prod))
+        term, node_tail = w * prod, w_tail * float(abs(prod))
+        if real:  # node r > 0 stands for itself and its conjugate, node M - r
+            k = 2 if r else 1
+            term, node_tail = k * term.real, k * node_tail
+        total += term
+        tail += node_tail
     return total / M, tail / M
 
 
@@ -150,28 +164,35 @@ def _box_block(ctx, J, coef):
 
 class _RadialTable(dict):
     """Family values through the radial reductions (the eq:circle2 /
-    eq:askeyroy2 / q-Laguerre routes), read as tab[m, n], built on first read."""
+    eq:askeyroy2 / q-Laguerre routes), read as tab[m, n], built on first
+    read; with weights (u, v) each value is scaled by
+    u^m v^n / ((q;q)_m (q;q)_n), as in :class:`FamilyTable`."""
 
-    def __init__(self, ctx, family, z1, z2):
+    def __init__(self, ctx, family, z1, z2, weights=None):
         super().__init__()
-        self.args = (ctx, family, z1, z2)
+        self.args = (ctx, family, z1, z2, weights)
 
     def __missing__(self, key):
-        ctx, family, z1, z2 = self.args
+        ctx, family, z1, z2, weights = self.args
         rf = radial_reduce(ctx, family, *key)
         a = abs(rf.angular_index)
         mono = z1**a if not rf.swapped else z2**a
-        val = self[key] = rf.prefactor * mono * rf.radial_value(z1 * z2)
+        val = rf.prefactor * mono * rf.radial_value(z1 * z2)
+        if weights is not None:
+            (m_, n_), (u, v) = key, weights
+            val = val * u**m_ * v**n_ / (ctx.qq(m_) * ctx.qq(n_))
+        self[key] = val
         return val
 
 
-def _family_values(ctx, family, z1, z2, radial=False):
+def _family_values(ctx, family, z1, z2, radial=False, weights=None):
     """Values of the (m, n) members at (z1, z2), read as tab[m, n] and
     filled on read: by the three-term recurrences, or through the radial
-    reductions when radial is set."""
+    reductions when radial is set; with weights (u, v), both routes hold
+    the values times u^m v^n / ((q;q)_m (q;q)_n)."""
     if radial:
-        return _RadialTable(ctx, family, z1, z2)
-    return FamilyTable(ctx, family, z1, z2)
+        return _RadialTable(ctx, family, z1, z2, weights)
+    return FamilyTable(ctx, family, z1, z2, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +410,10 @@ def _ram_H(ctx, pt, radial=False):
     # the printed statement omits the (q;q)_inf/(abq;q)_inf normalization
     # that the Gaussian-integral derivation produces (ledger)
     lhs, lhs_tail = qpoch_inf_ratio(ctx, [q, -a * q * x, -b * q / x], [a * b * q])
-    tab = _family_values(ctx, "Hq", a, b, radial)
+    tab = _family_values(ctx, "Hq", a, b, radial, weights=(s * x, s / x))
     cap = 64
     sd = _power_table(s, [d * d for d in range(cap + 1)])
-    px = _power_table(s * x, range(cap + 1))
-    py = _power_table(s / x, range(cap + 1))
-    rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * sd[(s_ - t_) ** 2]
-                      * px[s_] * py[t_] / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
+    rhs, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * sd[(s_ - t_) ** 2], cap=cap)
     return ctx.mag(lhs - rhs), tail + lhs_tail
 
 
@@ -414,11 +432,8 @@ def _ram_genh_rhs(ctx, pt, radial=False):
     a, b = ctx.scalar(pt.get("a", F(1, 4))), ctx.scalar(pt.get("b", F(1, 5)))
     x = mpmath.exp(mm * kpar)
     cap = 60 if radial else 170
-    tab = _family_values(ctx, "hq", a, b, radial)
-    px = _power_table(s * x, range(cap + 1))
-    py = _power_table(s / x, range(cap + 1))
-    val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_] * px[s_] * py[t_]
-                      / (ctx.qq(s_) * ctx.qq(t_)), cap=cap)
+    tab = _family_values(ctx, "hq", a, b, radial, weights=(s * x, s / x))
+    val, tail = sum2d(ctx, lambda s_, t_: tab[s_, t_], cap=cap)
     return val, tail, a, b, x
 
 
@@ -550,8 +565,8 @@ def num_bes_wall(ctx, pt):
     # LHS: [t^n] of the closed product, by roots-of-unity extraction on M nodes
     num = qpoch_inf(ctx, x2)
 
-    def node(zr):
-        return times(ctx, num, qpoch_inf_ratio(ctx, (), [x * zr, x / zr]))
+    def node(zr):  # 1/zr = conj zr on the unit circle: one Euler series for the pair
+        return times(ctx, num, qpoch_inf_ratio(ctx, (), [x * zr, x * mpmath.conj(zr)]))
 
     M = 97
     lhs, node_tail = unity_filter_sum([{-nidx: 1}], weight=node, caps_range=M // 2)
@@ -675,7 +690,8 @@ def num_circle(ctx, pt, radial=False):
     qinf = qpoch_inf(ctx, q)
 
     def weight(z):  # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
-        return times(ctx, qinf, qpoch_inf_ratio(ctx, [s * z, s / z]))
+        # 1/z = conj z on the unit circle: one Euler series for the pair
+        return times(ctx, qinf, qpoch_inf_ratio(ctx, [s * z, s * mpmath.conj(z)]))
 
     rhs, rhs_tail = unity_filter_sum([S1, S2, S3], weight=weight, caps_range=3 * J + 24)
     lhs, lhs_tail = qpoch_inf_ratio(

@@ -516,25 +516,34 @@ class FamilyTable:
       p_{m,n} = z1 (1-b q^{m+n}) p_{m-1,n}
                 - q^{m-1} (1-q^n) (1-b q^n) p_{m-1,n-1},
 
-    seeded by the row m = 0 (z2^n, times (bq;q)_n for pq; on the exact
-    backend z2^n by successive products).  Entry (m, n) needs row r only
-    from column max(0, n - m + r) up to n, and a read fills just that band
-    of rows 0..m, row by row, so a deep read never recurses.  Each row is
-    one run of columns from its recorded first column.  Later reads extend
-    it to the right, or, once, to the left down to column 0, so a read
-    fills no entry outside the rectangle of rows 0..m and columns 0..n: a
-    diagonal read (M, M) fills the n >= m half of the square, and reads in
-    order from (0, 0) start every row at column 0.  An entry is the same
-    products in the same order whatever the read order.  Entries are
-    computed at the ``mp.prec`` of the read that fills them, with 1 - q^n
-    from one list per table and ``mp.prec`` (exact values do not depend on
-    it).  Read by the numeric checkers of
-    :mod:`q2dpoly.identities_numeric`, by the asymptotic reports of
+    that is P_{m,n} = alpha P_{m-1,n} - beta (1-q^n) P_{m-1,n-1}, seeded by
+    the row m = 0 (z2^n, times (bq;q)_n for pq; on the exact backend z2^n by
+    successive products).  With ``weights=(u, v)`` the table holds
+    G_{m,n} = P_{m,n} u^m v^n / ((q;q)_m (q;q)_n) instead, the terms of a
+    generating-function sum, filled by the same recurrence scaled,
+
+      G_{m,n} = u/(1-q^m) [alpha G_{m-1,n} - beta v G_{m-1,n-1}],
+
+    from the row (z2 v)^n/(q;q)_n (times (bq;q)_n for pq).
+
+    Entry (m, n) needs row r only from column max(0, n - m + r) up to n,
+    and a read fills just that band of rows 0..m, row by row, so a deep
+    read never recurses.  Each row is one run of columns from its recorded
+    first column.  Later reads extend it to the right, or, once, to the
+    left down to column 0, so a read fills no entry outside the rectangle
+    of rows 0..m and columns 0..n: a diagonal read (M, M) fills the n >= m
+    half of the square, and reads in order from (0, 0) start every row at
+    column 0.  An entry is the same products in the same order whatever
+    the read order.  Entries are computed at the ``mp.prec`` of the read
+    that fills them, with 1 - q^n (or, weighted, u/(1 - q^m)) from one list
+    per table and ``mp.prec`` (exact values do not depend on it).  Read by
+    the numeric checkers of :mod:`q2dpoly.identities_numeric` (weighted by
+    the Ramanujan-type sums), by the asymptotic reports of
     :mod:`q2dpoly.zeros` and, at (iz, i zbar) on the exact backend, by
     :func:`q2dpoly.measures.gram_matrix`.
     """
 
-    def __init__(self, ctx: QContext, family: str, z1, z2, b=None):
+    def __init__(self, ctx: QContext, family: str, z1, z2, b=None, weights=None):
         if family not in ("Hq", "hq", "pq"):
             raise ValueError(f"no recurrence table for family {family!r}")
         if family == "pq" and b is None:
@@ -546,12 +555,15 @@ class FamilyTable:
         if family == "pq":
             self.b = ctx.scalar(b)
             self.bq = QPochPrefix(ctx, self.b * ctx.q)  # (bq;q)_n of the seed row
+        self.weights = None if weights is None else tuple(map(ctx.scalar, weights))
         # rows[m][n - starts[m]]; whenever row m holds columns a..c, row m - 1
         # holds at least max(0, a - 1)..c
         self.rows: List[List[object]] = []
         self.starts: List[int] = []
-        self.z2pow = [self.z2**0]  # exact backend: z2^n by successive products
-        self.one_minus_qpow: Dict[int, List[object]] = {}  # mp.prec -> [1 - q^n]
+        seed = self.z2 if weights is None else self.z2 * self.weights[1]
+        self.seed_pow = [seed**0, seed]  # exact backend: (z2 v)^n by successive products
+        # mp.prec -> [1 - q^n] by column n, or, weighted, [u/(1 - q^m)] by row m
+        self.factors: Dict[int, List[object]] = {}
 
     def __getitem__(self, key: Key):
         m, n = key
@@ -582,43 +594,53 @@ class FamilyTable:
             if top == 0:
                 break
             top, lo = top - 1, max(0, lo - 1)
-        omq = self.one_minus_qpow.get(mpmath.mp.prec)
-        if omq is None:
-            omq = self.one_minus_qpow[mpmath.mp.prec] = []
-        if len(omq) <= n:
-            omq.extend(1 - self.ctx.qpow(j) for j in range(len(omq), n + 1))
+        fac = self.factors.get(mpmath.mp.prec)
+        if fac is None:
+            fac = self.factors[mpmath.mp.prec] = []
+        if self.weights is None:
+            if len(fac) <= n:
+                fac.extend(1 - self.ctx.qpow(j) for j in range(len(fac), n + 1))
+        elif len(fac) <= m:  # row 0 is the seed and needs no factor
+            u = self.weights[0]
+            fac.extend(u / (1 - self.ctx.qpow(r)) if r else None for r in range(len(fac), m + 1))
         for r in range(top, m + 1):
             row, start = rows[r], starts[r]
             lo = 0 if r <= zero_to else max(0, n - m + r)
             if not row:
                 starts[r] = start = lo
             elif lo < start:
-                rows[r] = row = [self._entry(r, j, omq) for j in range(lo, start)] + row
+                rows[r] = row = [self._entry(r, j, fac) for j in range(lo, start)] + row
                 starts[r] = start = lo
             for j in range(start + len(row), n + 1):
-                row.append(self._entry(r, j, omq))
+                row.append(self._entry(r, j, fac))
         return rows[m][n - starts[m]]
 
-    def _entry(self, r: int, j: int, omq):
-        ctx, z1 = self.ctx, self.z1
+    def _entry(self, r: int, j: int, fac):
+        ctx, z1, w = self.ctx, self.z1, self.weights
         if r == 0:
             if ctx.is_exact:
-                pw = self.z2pow
+                pw = self.seed_pow
                 while len(pw) <= j:
-                    pw.append(pw[-1] * self.z2)
+                    pw.append(pw[-1] * pw[1])
                 zj = pw[j]
             else:
-                zj = self.z2**j
-            return zj if self.family != "pq" else self.bq(j) * zj
+                zj = self.seed_pow[1] ** j
+            if self.family == "pq":
+                zj = self.bq(j) * zj
+            return zj if w is None else zj / ctx.qq(j)
         up, s = self.rows[r - 1], self.starts[r - 1]
         low = up[j - 1 - s] if j else ctx.zero()
+        # the low term's factor beyond beta: 1 - q^j, or v once weighted
+        lowc = fac[j] if w is None else w[1]
         if self.family == "Hq":
-            return z1 * up[j - s] - ctx.qpow(r - 1) * omq[j] * low
-        if self.family == "hq":
-            return ctx.qpow(j) * z1 * up[j - s] - omq[j] * low
-        bb = self.b
-        return (z1 * (1 - bb * ctx.qpow(r + j)) * up[j - s]
-                - ctx.qpow(r - 1) * omq[j] * (1 - bb * ctx.qpow(j)) * low)
+            val = z1 * up[j - s] - ctx.qpow(r - 1) * lowc * low
+        elif self.family == "hq":
+            val = ctx.qpow(j) * z1 * up[j - s] - lowc * low
+        else:
+            bb = self.b
+            val = (z1 * (1 - bb * ctx.qpow(r + j)) * up[j - s]
+                   - ctx.qpow(r - 1) * lowc * (1 - bb * ctx.qpow(j)) * low)
+        return val if w is None else fac[r] * val
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mp
 
-from .context import GUARD_BITS, QContext, as_fraction, is_zero
+from .context import GUARD_BITS, QContext, as_fraction, conj, is_zero
 
 __all__ = [
     "DivergenceError",
@@ -200,7 +200,10 @@ def times(ctx: QContext, x, y):
 def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
     """prod_a (a;q)_inf / prod_b (b;q)_inf over a in nums, b in dens, as
     (value, tail_bound), with one :func:`qpoch_inf` call per distinct factor
-    (a squared factor is listed twice and computed once).
+    (a squared factor is listed twice and computed once).  A factor whose
+    argument is the conjugate of one already computed is read as that value
+    conjugated, with the same tail: q is real, so (conj a;q)_inf is
+    conj((a;q)_inf) term by term in Euler's series.
 
     Each factor is its truncated value v times (1 + d), |d| <= e = tail/|v|,
     so the quotient is off by at most
@@ -213,7 +216,13 @@ def qpoch_inf_ratio(ctx: QContext, nums, dens=()):
     with ctx.workprec():
         facs = {}
         for a in (*nums, *dens):
-            if a not in facs:
+            if a in facs:
+                continue
+            ac = conj(a)
+            if ac in facs:
+                v, t = facs[ac]
+                facs[a] = conj(v), t
+            else:
                 facs[a] = qpoch_inf(ctx, a)
         num, den, log_err = ctx.one(), ctx.one(), 0.0
         for a in nums:

@@ -22,21 +22,25 @@ def _fctx(q):
     pytest.param(lambda c: nm.num_askey_roy_exp(c, {"J": 4}, radial=True), F(1, 5),
                  id="AR-EXP2"),
     pytest.param(lambda c: nm.num_qks1(c, {}), F(1, 2), id="QKS1"),
+    pytest.param(lambda c: nm.num_bes_wall(c, {}), F(1, 2), id="BES-WALL"),
 ])
 def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
     # the checker's own block terms, summed directly at every root as the
-    # (J+1)^2-term loops did, against the Laurent-coefficient/Horner filter
-    blocks, calls = [], []
+    # (J+1)^2-term loops did, against the Laurent-coefficient/Horner filter;
+    # a block not built by laurent_block (BES-WALL's {-n: 1}) is read from
+    # the filter call itself
+    built, calls = [], []
     laurent_block, unity_filter_sum = nm.laurent_block, nm.unity_filter_sum
 
     def keep_terms(terms):
         terms = list(terms)
-        blocks.append(terms)
-        return laurent_block(terms)
+        blk = laurent_block(terms)
+        built.append((blk, terms))
+        return blk
 
     def keep_call(blks, weight=None, caps_range=0):
         val, tail = unity_filter_sum(blks, weight=weight, caps_range=caps_range)
-        calls.append((len(blks), weight, caps_range, val))
+        calls.append((blks, weight, caps_range, val))
         return val, tail
 
     monkeypatch.setattr(nm, "laurent_block", keep_terms)
@@ -44,8 +48,9 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
     c = _fctx(q)
     with c.workprec():
         checker(c)
-        [(nblk, weight, caps_range, val)] = calls
-        assert len(blocks) == nblk
+        [(blks, weight, caps_range, val)] = calls
+        blocks = [next((terms for b, terms in built if b is blk), list(blk.items()))
+                  for blk in blks]
         M = 2 * caps_range + 1
         total = mp.mpc(0)
         for r in range(M):
@@ -59,6 +64,74 @@ def test_laurent_filter_matches_direct_double_loop(monkeypatch, checker, q):
             total += prod
         direct = total / M
         assert c.mag(val - direct) <= 1e-40 * c.mag(direct)
+
+
+@pytest.mark.parametrize("checker, q", [
+    pytest.param(lambda c: nm.num_circle(c, {"J": 8}), F(1, 5), id="CIRCLE"),
+    pytest.param(lambda c: nm.num_bes_wall(c, {}), F(1, 2), id="BES-WALL"),
+])
+def test_filter_weights_respect_conjugation(monkeypatch, checker, q):
+    # unity_filter_sum folds node M - r onto node r, which needs
+    # w(conj z) = conj(w(z)) with the same tail
+    weights = []
+    unity_filter_sum = nm.unity_filter_sum
+
+    def keep_weight(blks, weight=None, caps_range=0):
+        weights.append(weight)
+        return unity_filter_sum(blks, weight=weight, caps_range=caps_range)
+
+    monkeypatch.setattr(nm, "unity_filter_sum", keep_weight)
+    c = _fctx(q)
+    with c.workprec():
+        checker(c)
+        [weight] = weights
+        for r in (1, 5, 17, 40):
+            z = mpmath.exp(2j * mpmath.pi * r / 97)
+            (w, t), (wc, tc) = weight(z), weight(mpmath.conj(z))
+            assert c.mag(wc - mpmath.conj(w)) <= 2.0**-150 * c.mag(w)
+            assert tc == t
+
+
+@pytest.mark.parametrize("block, nodes", [
+    ({-2: mp.mpf(1) / 3, 0: 1, 1: mp.mpf(-2) / 7}, 6),
+    ({-2: mp.mpf(1) / 3, 0: 1, 1: mp.mpc(0, 2) / 7}, 11),
+])
+def test_unity_filter_folds_conjugate_nodes_of_real_blocks(block, nodes):
+    # real blocks are evaluated at nodes 0..(M-1)/2 only, complex blocks at
+    # all M nodes; both give the M-node filter sum
+    seen = []
+
+    def weight(z):  # w(conj z) = conj(w(z))
+        seen.append(z)
+        return 1 / (1 - z / 2), 0.0
+
+    M = 11
+    with mp.workprec(160):
+        val, tail = nm.unity_filter_sum([block, {0: 1, 3: 1}], weight=weight, caps_range=5)
+        assert len(seen) == nodes and tail == 0.0
+        direct = mp.mpc(0)
+        for r in range(M):
+            z = mpmath.exp(2j * mpmath.pi * r / M)
+            direct += weight(z)[0] * sum(c * z**d for d, c in block.items()) * (1 + z**3)
+        assert abs(val - direct / M) <= 1e-45
+
+
+def test_weighted_radial_route_matches_recurrence():
+    # _family_values hands the weights to both routes: the radial route
+    # scales each value, the recurrence fills the weighted table
+    c = _fctx(F(1, 2))
+    with c.workprec():
+        s = c.q_half_pow(1)
+        x = mpmath.exp(2j * mp.mpf(1) / 3)
+        weights = (s * x, s / x)
+        for family in ("Hq", "hq"):
+            rec = nm._family_values(c, family, c.scalar(F(1, 4)), c.scalar(F(1, 5)),
+                                    weights=weights)
+            rad = nm._family_values(c, family, c.scalar(F(1, 4)), c.scalar(F(1, 5)),
+                                    radial=True, weights=weights)
+            for m in range(14):
+                for n in range(14):
+                    assert c.mag(rec[m, n] - rad[m, n]) <= 1e-40 * c.mag(rec[m, n]), (family, m, n)
 
 
 @pytest.mark.parametrize("id_", ["RAMBETA-Q1", "RAMBETA-Q3"])

@@ -512,6 +512,29 @@ def test_family_table_single_deep_read(family):
             assert FamilyTable(c, family, z1, z2, b=B)[64, 64] == ref[(64, 64)]
 
 
+@pytest.mark.parametrize("family", ["Hq", "hq", "pq"])
+def test_weighted_table_equals_scaled_plain_table(family):
+    # weights (u, v) give P_{m,n} u^m v^n / ((q;q)_m (q;q)_n), read in shell
+    # order (as sum2d reads) and diagonal-first (which extends rows to the
+    # left): exactly on the exact backend, within 2^-150 relative at 160 bits
+    N = 24
+    shells = [(m, s - m) for s in range(N + 1) for m in range(s + 1)]
+    rest = list(shells)
+    random.Random(3).shuffle(rest)
+    for c, z1, z2 in _table_contexts():
+        u, v = c.scalar(GR(F(1, 3), F(1, 4))), c.scalar(F(-3, 5))
+        with c.workprec():
+            plain = FamilyTable(c, family, z1, z2, b=B)
+            for order in (shells, [(N, N)] + rest):
+                tab = FamilyTable(c, family, z1, z2, b=B, weights=(u, v))
+                for m, n in order:
+                    want = plain[m, n] * u**m * v**n / (c.qq(m) * c.qq(n))
+                    if c.is_exact:
+                        assert tab[m, n] == want, (family, m, n)
+                    else:
+                        assert c.mag(tab[m, n] - want) <= 2.0**-150 * c.mag(want), (family, m, n)
+
+
 @pytest.mark.parametrize("target, pt", [
     ("Hmn_inf", {"z1": 2, "z2": 2}), ("p_inf", {"z1": 2, "z2": 2, "b": F(1, 4)})])
 def test_asymptotic_report_fills_one_band(monkeypatch, target, pt):

@@ -571,6 +571,23 @@ def test_qpoch_inf_ratio_carries_factor_tails(fctx, monkeypatch):
             qpoch_inf_ratio(fctx, [b], [fctx.one()])
 
 
+@pytest.mark.parametrize("as_den", [False, True], ids=["nums", "dens"])
+def test_qpoch_inf_ratio_reads_a_conjugate_pair_off_one_series(fctx, monkeypatch, as_den):
+    # q is real, so (conj a;q)_inf = conj((a;q)_inf): the pair takes one
+    # Euler series, and matches the two-series value within its tail
+    with fctx.workprec():
+        a = fctx.scalar(GR(F(3, 10), F(2, 5)))
+        (va, ta), (vc, tc) = qpoch_inf(fctx, a), qpoch_inf(fctx, mpmath.conj(a))
+        calls = []
+        monkeypatch.setattr(qkernel, "qpoch_inf",
+                            lambda ctx, x: calls.append(x) or qpoch_inf(ctx, x))
+        pair = [a, mpmath.conj(a)]
+        val, tail = qpoch_inf_ratio(fctx, (), pair) if as_den else qpoch_inf_ratio(fctx, pair)
+        assert calls == [a]
+        two = 1 / (va * vc) if as_den else va * vc
+        assert 0 < tail and fctx.mag(val - two) <= tail
+
+
 def test_euler_identities_truncated(fctx):
     # sum z^n/(q;q)_n == 1/(z;q)inf and sum (-z)^n q^C(n,2)/(q;q)_n == (z;q)inf
     with fctx.workprec():
