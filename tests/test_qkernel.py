@@ -577,7 +577,7 @@ def test_qpoch_inf_ratio_reads_a_conjugate_pair_off_one_series(fctx, monkeypatch
     # Euler series, and matches the two-series value within its tail
     with fctx.workprec():
         a = fctx.scalar(GR(F(3, 10), F(2, 5)))
-        (va, ta), (vc, tc) = qpoch_inf(fctx, a), qpoch_inf(fctx, mpmath.conj(a))
+        va, vc = qpoch_inf(fctx, a)[0], qpoch_inf(fctx, mpmath.conj(a))[0]
         calls = []
         monkeypatch.setattr(qkernel, "qpoch_inf",
                             lambda ctx, x: calls.append(x) or qpoch_inf(ctx, x))
