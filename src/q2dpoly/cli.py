@@ -111,17 +111,25 @@ def _emit_reports(args, reports: List[VerificationReport]) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_MEMBER_PARAMS = {"b": "p", "nu": "C"}
+# a family parameter and the --family or asym --target choices that read it
+_MEMBER_PARAMS = {"b": ("p", "limp", "p_inf"), "nu": ("C",)}
+
+
+def _check_member_params(args):
+    """--b is the disk family's parameter, read by --family p and by asym's
+    targets limp and p_inf, and --nu is C's; given with a family or target
+    that does not read it, it is a configuration error.  verify has neither
+    selector: its --b is a grid parameter of every entry."""
+    kind = "family" if hasattr(args, "family") else "target"
+    choice = getattr(args, kind, None)
+    for name, readers in _MEMBER_PARAMS.items():
+        if choice is not None and getattr(args, name, None) and choice not in readers:
+            raise ValueError(f"--{name} is not a parameter of --{kind} {choice}")
 
 
 def _member(args):
-    """The --family member; --b is p's parameter and --nu C's, and another
-    family given one is a configuration error."""
+    """The --family member, with its --b or --nu."""
     params = {name: _rational(getattr(args, name)) for name in _MEMBER_PARAMS}
-    for name, family in _MEMBER_PARAMS.items():
-        if params[name] is not None and args.family != family:
-            raise ValueError(f"--{name} is a parameter of --family {family} only, "
-                             f"not of --family {args.family}")
     ctx = _ctx_from(args, args.backend or "exact")
     return coeffs(ctx, FAMILY_MAP[args.family], args.m, args.n, **params)
 
@@ -151,15 +159,11 @@ def cmd_verify(args) -> int:
     is given); the reports come in (id, grid point) order."""
     from .identities import exact_ids, exact_series_ids, get_entry, numeric_ids, sweep
 
-    if args.all_exact:
-        ids = exact_ids() + exact_series_ids()
-    elif args.all_numeric:
-        ids = numeric_ids()
-    elif args.id:
-        ids = args.id
-    else:
-        print("verify: need --id, --all-exact or --all-numeric", file=sys.stderr)
-        return 2
+    selected = [ids for ids in (args.id, args.all_exact and exact_ids() + exact_series_ids(),
+                                args.all_numeric and numeric_ids()) if ids]
+    if len(selected) != 1:
+        raise ValueError("verify takes one of --id, --all-exact and --all-numeric")
+    [ids] = selected
     groups = {}  # backend -> ids
     for i in ids:
         groups.setdefault("exact" if get_entry(i).mode.startswith("EXACT") else "float",
@@ -427,6 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser(argv[0] if argv else None)
     try:
         args = _with_config(ap, argv, ap.parse_args(argv))
+        _check_member_params(args)
         return args.fn(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -152,10 +152,9 @@ def unity_filter_sum(blocks, weight=None, caps_range: int = 0):
     return total / M, tail / M
 
 
-def _box_block(ctx, J, coef):
-    """laurent_block of sum_{0 <= m, n <= J} coef(m, n) z^{m-n} / ((q;q)_m (q;q)_n)."""
-    return laurent_block((m_ - n_, coef(m_, n_) / (ctx.qq(m_) * ctx.qq(n_)))
-                         for m_ in range(J + 1) for n_ in range(J + 1))
+def _box_block(J, term):
+    """laurent_block of sum_{0 <= m, n <= J} term(m, n) z^{m-n}."""
+    return laurent_block((m_ - n_, term(m_, n_)) for m_ in range(J + 1) for n_ in range(J + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +204,10 @@ def num_gf_H_ab(ctx, pt):
     z1, z2 = ctx.scalar(pt.get("z1", DEFAULT_Z1)), ctx.scalar(pt.get("z2", DEFAULT_Z2))
     a, b = ctx.scalar(pt.get("a", F(1, 5))), ctx.scalar(pt.get("b", F(1, 6)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
-    cap = 40
-    Ht = FamilyTable(ctx, "Hq", z1, z2)
-    # x^k (c/x;q)_k = prod_{i<k} (x - c q^i) for k = 0..cap, as running products
-    pu, pv = [ctx.one()], [ctx.one()]
-    for i in range(cap):
-        pu.append(pu[-1] * (u - a * ctx.qpow(i)))
-        pv.append(pv[-1] * (v - b * ctx.qpow(i)))
-    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * pu[m_] * pv[n_]
-                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
+    # the terms H_{m,n} u^m (a/u;q)_m v^n (b/v;q)_n / ((q;q)_m (q;q)_n)
+    Ht = FamilyTable(ctx, "Hq", z1, z2, weights=(u, v))
+    pa, pb = QPochPrefix(ctx, a / u), QPochPrefix(ctx, b / v)
+    lhs, tail1 = sum2d(ctx, lambda m_, n_: Ht[m_, n_] * pa(m_) * pb(n_), cap=40)
     # the closed form's k-sum is (a z1, b z2;q)inf 2phi2(a/u, b/v; a z1, b z2; q, uv)
     pref = qpoch_inf_ratio(ctx, [a * z1, b * z2], [u * z1, v * z2])
     rhs, rhs_tail = times(ctx, pref, phi_series(ctx, [a / u, b / v], [a * z1, b * z2], u * v))
@@ -259,6 +253,9 @@ def num_gf_shift_p(ctx, pt):
     b = ctx.scalar(pt.get("b", F(1, 4)))
     u, v = ctx.scalar(pt.get("u", F(1, 7))), ctx.scalar(pt.get("v", F(1, 8)))
     cap = 48
+    # the only Euler-weighted sum not read from a weighted table: its terms
+    # take the weight of (m, n) but the value of (m + j, n + k), and a
+    # weighted table holds each value with its own index's weight
     Pt = FamilyTable(ctx, "pq", z1, z2, b=b)
     lhs, tail = sum2d(ctx, lambda m_, n_: Pt[m_ + j, n_ + k] * u**m_ * v**n_
                       / (ctx.qq(m_) * ctx.qq(n_)), cap=cap)
@@ -284,13 +281,9 @@ def num_gf_shift_p(ctx, pt):
 def _h_weighted_sum(ctx, z1, z2, cm, cn, denm, denn, extra_exp, cap):
     """sum over m,n of extra_exp(m,n) h_{m,n}(z1,z2) cm^m cn^n /
     ((q;q)_m denm(m) (q;q)_n denn(n))."""
-    ht = FamilyTable(ctx, "hq", z1, z2)
-
-    def term(m_, n_):
-        return (extra_exp(m_, n_) * ht[m_, n_] * cm**m_ * cn**n_
-                / (ctx.qq(m_) * denm(m_) * ctx.qq(n_) * denn(n_)))
-
-    return sum2d(ctx, term, cap=cap)
+    ht = FamilyTable(ctx, "hq", z1, z2, weights=(cm, cn))
+    return sum2d(ctx, lambda m_, n_: extra_exp(m_, n_) * ht[m_, n_] / (denm(m_) * denn(n_)),
+                 cap=cap)
 
 
 def num_cor19_2phi1(ctx, pt):
@@ -481,13 +474,10 @@ def _ram_genC_rhs(ctx, pt, radial=False):
     apar, bpar, cpar = _ram_genC_params(pt)
     qa, qb = ctx.q ** apar, ctx.q ** bpar
     cap, dmax = 140, 90
-    hv = _family_values(ctx, "hq", qa, qb, radial)
+    hv = _family_values(ctx, "hq", qa, qb, radial, weights=(1, 1))
     qc = {d: ctx.q ** (cpar * d) for d in range(-dmax, dmax + 1)}  # one per diagonal
-
-    def term(m_, n_):
-        return hv[m_, n_] * qc[m_ - n_] / (ctx.qq(m_) * ctx.qq(n_))
-
-    return paired_diagonal_sum(ctx, term, dmax=dmax, nmax=cap, tol=1e-27)
+    return paired_diagonal_sum(ctx, lambda m_, n_: hv[m_, n_] * qc[m_ - n_],
+                               dmax=dmax, nmax=cap, tol=1e-27)
 
 
 def _ram_genC_closed(ctx, pt, printed=False):
@@ -679,14 +669,13 @@ def num_circle(ctx, pt, radial=False):
     s = ctx.q_half_pow(1)
     q = ctx.q
 
-    ht = _family_values(ctx, "hq", t[0] * t[2], t[1] * t[3], radial)
-    H1 = _family_values(ctx, "Hq", t[0], t[1], radial)
-    H2 = _family_values(ctx, "Hq", t[2], t[3], radial)
-    x02, x13 = x[0] * x[2], x[1] * x[3]
-    S1 = _box_block(ctx, J, lambda m_, n_: ht[m_, n_] * s ** ((m_ - n_) ** 2)
-                    * (-1) ** (m_ + n_) * x02**m_ * x13**n_)
-    S2 = _box_block(ctx, J, lambda m_, n_: H1[m_, n_] * x[0] ** m_ * x[1] ** n_)
-    S3 = _box_block(ctx, J, lambda m_, n_: H2[m_, n_] * x[2] ** m_ * x[3] ** n_)
+    ht = _family_values(ctx, "hq", t[0] * t[2], t[1] * t[3], radial,
+                        weights=(-x[0] * x[2], -x[1] * x[3]))
+    H1 = _family_values(ctx, "Hq", t[0], t[1], radial, weights=(x[0], x[1]))
+    H2 = _family_values(ctx, "Hq", t[2], t[3], radial, weights=(x[2], x[3]))
+    S1 = _box_block(J, lambda m_, n_: ht[m_, n_] * s ** ((m_ - n_) ** 2))
+    S2 = _box_block(J, lambda m_, n_: H1[m_, n_])
+    S3 = _box_block(J, lambda m_, n_: H2[m_, n_])
     qinf = qpoch_inf(ctx, q)
 
     def weight(z):  # theta weight (q, q^{1/2} z, q^{1/2}/z; q)_inf
@@ -737,18 +726,15 @@ def num_askey_roy_exp(ctx, pt, radial=False):
     z21 = -q / (c * al * s * lam)
     z22 = -q * be / (c * s * lam)
 
-    h1 = _family_values(ctx, "hq", z11, z12, radial)
-    h2 = _family_values(ctx, "hq", z21, z22, radial)
-    H11 = _family_values(ctx, "Hq", ctx.one(), ctx.one(), radial)
-
-    def hblock(tab):
-        return _box_block(ctx, J, lambda m_, n_: tab[m_, n_] * s ** ((m_ - n_) ** 2)
-                          * lam ** (m_ + n_))
+    def hblock(z1, z2):
+        tab = _family_values(ctx, "hq", z1, z2, radial, weights=(lam, lam))
+        return _box_block(J, lambda m_, n_: tab[m_, n_] * s ** ((m_ - n_) ** 2))
 
     def Hblock(p1, p2):
-        return _box_block(ctx, J, lambda m_, n_: H11[m_, n_] * p1**m_ * p2**n_)
+        tab = _family_values(ctx, "Hq", ctx.one(), ctx.one(), radial, weights=(p1, p2))
+        return _box_block(J, lambda m_, n_: tab[m_, n_])
 
-    rhs, _ = unity_filter_sum([hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)],
+    rhs, _ = unity_filter_sum([hblock(z11, z12), hblock(z21, z22), Hblock(a, al), Hblock(b, be)],
                               caps_range=4 * J)
     lam2 = -lam * lam
     lhs, lhs_tail = qpoch_inf_ratio(

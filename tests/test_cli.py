@@ -102,15 +102,30 @@ def test_a_negative_size_is_config_error(capsys, argv):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("cmd", [("coeffs",), ("eval", "--z1", "1", "--z2", "1")])
-@pytest.mark.parametrize("flag, family", [("--b", "H"), ("--b", "h"), ("--b", "Hc"),
-                                          ("--b", "C"), ("--nu", "H"), ("--nu", "p")])
-def test_member_parameter_of_another_family_is_config_error(capsys, cmd, flag, family):
-    # --b belongs to --family p and --nu to --family C; given to another
-    # family it was ignored (and printed among coeffs' params)
-    argv = (*cmd, "--family", family, "--m", "3", "--n", "2", "--q", "1/2", flag, "1/3")
-    if family in ("p", "C"):
-        argv += ("--b" if family == "p" else "--nu", "3/2")
+def _foreign_member_params():
+    # eval and coeffs: --b belongs to --family p and --nu to --family C
+    for flag, family in (("--b", "H"), ("--b", "h"), ("--b", "Hc"), ("--b", "C"),
+                         ("--nu", "H"), ("--nu", "p")):
+        for i, cmd in enumerate([("coeffs",), ("eval", "--z1", "1", "--z2", "1")]):
+            argv = (*cmd, "--family", family, "--m", "3", "--n", "2", "--q", "1/2", flag, "1/3")
+            if family in ("p", "C"):
+                argv += ("--b" if family == "p" else "--nu", "3/2")
+            yield pytest.param(argv, flag, id=f"{flag}-{family}-cmd{i}")
+    # zeros and ortho read --b for --family p only, asym for limp and p_inf only
+    for family in ("H", "h"):
+        yield pytest.param(("zeros", "--family", family, "--m", "3", "--n", "2", "--q", "1/4",
+                            "--b", "1/3"), "--b", id=f"--b-{family}-zeros")
+        yield pytest.param(("ortho", "--family", family, "--max-index", "1", "--b", "1/3"),
+                           "--b", id=f"--b-{family}-ortho")
+    for target in ("limH", "limh", "Hm_inf", "Hmn_inf", "PR_h"):
+        yield pytest.param(("asym", "--target", target, "--sizes", "4,8", "--q", "1/4",
+                            "--b", "1/3"), "--b", id=f"--b-{target}-asym")
+
+
+@pytest.mark.parametrize("argv, flag", _foreign_member_params())
+def test_member_parameter_of_another_family_is_config_error(capsys, argv, flag):
+    # a family parameter given where no family or target reads it was
+    # ignored (and printed among coeffs' params)
     code = main(list(argv))
     got = capsys.readouterr()
     assert code == 2 and got.out == ""
@@ -161,6 +176,20 @@ def test_out_of_range_parameter_is_config_error(capsys, argv, err):
 def test_verify_without_selector_is_config_error(capsys):
     code = main(["verify", "--q", "1/2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("selectors", [
+    ("--all-exact", "--id", "CIRCLE"),
+    ("--all-exact", "--all-numeric"),
+    ("--id", "H-TTR-a", "--all-numeric"),
+])
+def test_verify_with_two_selectors_is_config_error(capsys, selectors):
+    # --all-exact won over --id and over --all-numeric, silently dropping
+    # the other selection
+    code = main(["verify", *selectors, "--q", "2/5"])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:") and "one of --id" in got.err
 
 
 def test_zeros_json_schema(capsys):

@@ -200,3 +200,131 @@ def test_gis_pgf_tail_bounds_residual(tail_tol):
         rep = check_identity(c, "GIS-PGF", {"s": s}, tol=1e-9)
         assert rep.passed
         assert float(rep.residual) <= rep.tail_bound < 1e-28, (s, rep.residual, rep.tail_bound)
+
+
+# --- the weighted tables against the per-term Euler weight they replace ------
+
+def _old_box_block(c, J, coef):
+    # each term divided by (q;q)_m (q;q)_n, as the blocks were built before
+    # they read Euler-weighted tables
+    return nm.laurent_block((m - n, coef(m, n) / (c.qq(m) * c.qq(n)))
+                            for m in range(J + 1) for n in range(J + 1))
+
+
+def _assert_close(c, new, old):
+    assert c.mag(new - old) <= 2.0**-150 * c.mag(old), (new, old)
+
+
+def _blocks_of(monkeypatch, checker):
+    # the blocks a filter checker hands to unity_filter_sum (the filter
+    # itself is skipped)
+    seen = []
+
+    def keep(blks, weight=None, caps_range=0):
+        seen.append(blks)
+        return mp.mpf(0), 0.0
+
+    monkeypatch.setattr(nm, "unity_filter_sum", keep)
+    checker()
+    [blks] = seen
+    return blks
+
+
+def _old_circle_blocks(c, J, radial):
+    t = [c.scalar(v) for v in (F(1, 8), F(1, 9), F(1, 10), F(1, 11))]
+    x = [c.scalar(v) for v in (F(1, 8), F(1, 8), F(1, 9), F(1, 9))]
+    s = c.q_half_pow(1)
+    ht = nm._family_values(c, "hq", t[0] * t[2], t[1] * t[3], radial)
+    H1 = nm._family_values(c, "Hq", t[0], t[1], radial)
+    H2 = nm._family_values(c, "Hq", t[2], t[3], radial)
+    x02, x13 = x[0] * x[2], x[1] * x[3]
+    return [_old_box_block(c, J, lambda m, n: ht[m, n] * s ** ((m - n) ** 2)
+                           * (-1) ** (m + n) * x02**m * x13**n),
+            _old_box_block(c, J, lambda m, n: H1[m, n] * x[0] ** m * x[1] ** n),
+            _old_box_block(c, J, lambda m, n: H2[m, n] * x[2] ** m * x[3] ** n)]
+
+
+def _old_askey_roy_blocks(c, J, radial):
+    lam, a, b = c.scalar(F(1, 2)), c.scalar(F(1, 8)), c.scalar(F(1, 9))
+    al, be, cp = c.scalar(F(1, 10)), c.scalar(F(1, 11)), c.scalar(F(1, 8))
+    q, s = c.q, c.q_half_pow(1)
+    h1 = nm._family_values(c, "hq", -cp / (be * s * lam), -cp * al / (s * lam), radial)
+    h2 = nm._family_values(c, "hq", -q / (cp * al * s * lam), -q * be / (cp * s * lam), radial)
+    H11 = nm._family_values(c, "Hq", c.one(), c.one(), radial)
+
+    def hblock(tab):
+        return _old_box_block(c, J, lambda m, n: tab[m, n] * s ** ((m - n) ** 2) * lam ** (m + n))
+
+    def Hblock(p1, p2):
+        return _old_box_block(c, J, lambda m, n: H11[m, n] * p1**m * p2**n)
+
+    return [hblock(h1), hblock(h2), Hblock(a, al), Hblock(b, be)]
+
+
+@pytest.mark.parametrize("radial", [False, True], ids=["recurrence", "radial"])
+@pytest.mark.parametrize("checker, old_blocks", [
+    pytest.param(nm.num_circle, _old_circle_blocks, id="CIRCLE"),
+    pytest.param(nm.num_askey_roy_exp, _old_askey_roy_blocks, id="AR-EXP"),
+])
+def test_filter_blocks_match_per_term_euler_weight(monkeypatch, checker, old_blocks, radial):
+    # the blocks of CIRCLE/CIRCLE2 and AR-EXP/AR-EXP2 read Euler-weighted
+    # values; each Laurent coefficient equals the per-term weighted one
+    J = 8
+    c = _fctx(F(1, 5))
+    with c.workprec():
+        new = _blocks_of(monkeypatch, lambda: checker(c, {"J": J}, radial=radial))
+        old = old_blocks(c, J, radial)
+        assert len(new) == len(old)
+        for blk, ref in zip(new, old):
+            assert sorted(blk) == sorted(ref)
+            for d in ref:
+                _assert_close(c, blk[d], ref[d])
+
+
+def test_h_weighted_sum_matches_per_term_euler_weight():
+    # COR19-2PHI1's arguments
+    c = _fctx(F(1, 2))
+    with c.workprec():
+        s = c.q_half_pow(1)
+        a, b, cc, d = (c.scalar(v) for v in (F(1, 3), F(1, 4), F(1, 8), F(1, 9)))
+        z1, z2 = c.scalar(2), c.scalar(3)
+        cm, cn = -cc / (s * a * z1), -d / (s * b * z2)
+        pa, pb = nm.QPochPrefix(c, a), nm.QPochPrefix(c, b)
+        denm, denn = nm.QPochPrefix(c, cc), nm.QPochPrefix(c, d)
+
+        def extra(m, n):
+            return pa(m) * pb(n) * s ** ((m - n) ** 2)
+
+        new, new_tail = nm._h_weighted_sum(c, z1, z2, cm, cn, denm, denn, extra, cap=44)
+        ht = nm.FamilyTable(c, "hq", z1, z2)
+        old, old_tail = nm.sum2d(c, lambda m, n: (extra(m, n) * ht[m, n] * cm**m * cn**n
+                                                  / (c.qq(m) * denm(m) * c.qq(n) * denn(n))),
+                                 cap=44)
+        _assert_close(c, new, old)
+        assert abs(new_tail - old_tail) <= 1e-6 * old_tail
+
+
+def test_h_gf_ab_left_side_matches_per_term_euler_weight(monkeypatch):
+    # H-GF-AB's double sum with u^m (a/u;q)_m read off QPochPrefix and the
+    # weighted table, against the running products prod_{i<k} (x - c q^i)
+    sums = []
+    sum2d = nm.sum2d
+
+    def keep(ctx, term, cap):
+        sums.append(sum2d(ctx, term, cap))
+        return sums[-1]
+
+    monkeypatch.setattr(nm, "sum2d", keep)
+    c = _fctx(F(1, 2))
+    with c.workprec():
+        nm.num_gf_H_ab(c, {})
+        new = sums[0][0]
+        z1, z2 = c.scalar(nm.DEFAULT_Z1), c.scalar(nm.DEFAULT_Z2)
+        a, b, u, v = (c.scalar(x) for x in (F(1, 5), F(1, 6), F(1, 7), F(1, 8)))
+        Ht = nm.FamilyTable(c, "Hq", z1, z2)
+        pu, pv = [c.one()], [c.one()]
+        for i in range(40):
+            pu.append(pu[-1] * (u - a * c.qpow(i)))
+            pv.append(pv[-1] * (v - b * c.qpow(i)))
+        old, _ = sum2d(c, lambda m, n: Ht[m, n] * pu[m] * pv[n] / (c.qq(m) * c.qq(n)), cap=40)
+        _assert_close(c, new, old)
