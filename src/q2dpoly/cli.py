@@ -205,7 +205,7 @@ def cmd_ortho(args) -> int:
 
     ctx = _ctx_from(args, args.backend or "float", trunc=_trunc(args))
     table, worst_diag, worst_off = ortho_table(
-        ctx, FAMILY_MAP[args.family], args.max_index, b=_rational(args.b), K=args.K)
+        ctx, FAMILY_MAP[args.family], args.max_index, b=_rational(args.b))
     _emit(args, ortho_csv(table))
     ok = worst_diag <= args.tolerance and worst_off <= args.tolerance
     print(f"# worst diagonal rel_error {worst_diag!r}; worst off-diagonal |value| {worst_off!r}; "
@@ -310,7 +310,6 @@ def _declare_ortho(p):
     p.add_argument("--family", choices=("H", "h", "p"), required=True)
     p.add_argument("--max-index", type=int, default=3)
     p.add_argument("--b", default=None)
-    p.add_argument("--K", type=int, default=80)
     _add_options(p, "backend", "precision-bits", "max-terms", "tail-tol", "tolerance")
 
 

@@ -4,8 +4,10 @@ angular quadrature checks and the positivity results.
 The discrete measures (first family and the q-disk family) live on circles
 |z| = q^{k/2} with angular uniform measure; the angular integral is resolved
 symbolically as a Kronecker delta on Fourier indices, so an inner product is
-a finite sum of radial moments, each a truncated sum over k <= K with an
-explicit tail majorant.
+a finite sum of radial moments.  By the q-binomial theorem each moment is a
+rational part in q (and b) times one factor F of the measure, whose (a;q)_inf
+products carry the only truncation tail; the norms share F, so on the exact
+backend orthogonality is an exact zero test.
 
 The second family is orthogonal with respect to dx dy / (-z zbar;q)_inf on
 the plane; its radial moments are computed by trapezoidal quadrature on a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -26,7 +29,7 @@ from mpmath import mp
 
 from .context import GaussianRational, QContext, conj, is_zero
 from .polyfamilies import BivarPoly, FamilyTable, coeffs, eval_poly
-from .qkernel import (QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
+from .qkernel import (PoleError, QPochPrefix, phi_series, qbinom, qpoch, qpoch_inf,
                       qpoch_inf_ladder, qpoch_inf_ratio, times)
 from .reports import VerificationReport, numeric_verdict, scalar_str
 
@@ -52,63 +55,62 @@ class InnerProductResult:
 # radial moments
 # ---------------------------------------------------------------------------
 
-# every radial moment table, keyed by measure and context settings; a key's
-# table is only ever replaced by a longer one, so concurrent readers are safe
+# every radial moment table (with F for Hq / pq), keyed by measure, context
+# settings and b; a table is only ever extended, so a read prefix stays valid
 _H_MOMENT_CACHE: Dict = {}
 
 
-def _radial_moments(ctx, family: str, nmax: int, b=None,
-                    K: int = 80) -> List[Tuple[object, float]]:
+def _discrete_moments(ctx, family: str, b=None):
+    """The memo entry (F, moments read so far) of an Hq / pq measure; F, the
+    factor of all its moments and norms, is 1/(q;q)_inf times (bq;q)_inf for
+    pq, by one :func:`qpoch_inf_ratio`.  A relative tail of F >= 1 (a loose
+    tail_tol) or b = q^-j, j >= 1, where (bq;q)_j = 0, raises ValueError."""
+    b = b if family == "pq" else None
+    key = (family, ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc, b)
+    entry = _H_MOMENT_CACHE.get(key)
+    if entry is not None:
+        return entry
+    qf = ctx.q_fraction
+    j = (round((math.log(b.numerator) - math.log(b.denominator)) / -math.log(qf))
+         if isinstance(b, (int, Fraction)) and b > 1 else 0)
+    if j and b * qf ** j == 1:
+        raise ValueError(f"b = {b} is q^-{j}, where the pq measure degenerates: (bq;q)_{j} = 0")
+    try:
+        fac = qpoch_inf_ratio(ctx, [] if b is None else [ctx.scalar(b) * ctx.q], [ctx.q])
+    except PoleError:  # (q;q)_inf not bounded away from 0
+        fac = None
+    if fac is None or not fac[1] < ctx.mag(fac[0]):
+        raise ValueError(f"tail tolerance {ctx.default_trunc.tail_tol:g} leaves the moment "
+                         "factor with a relative tail >= 1; use a smaller one")
+    entry = _H_MOMENT_CACHE[key] = (fac, [])
+    return entry
+
+
+def _radial_moments(ctx, family: str, nmax: int, b=None) -> List[Tuple[object, float]]:
     """(value, tail) of the raw radial moments of the family's measure for
-    the powers h = 0..nmax.
+    the powers h = 0..nmax, memoized.
 
     hq: int_0^inf x^h/(-x;q)_inf dx (h_radial_moments_batch).
-    Hq / pq: sum_{k <= K} w_k (q^{k/2})^{2h}, w_k = q^k/(q;q)_k times
-    (bq;q)_k for pq, summed in k order; the exponent is kept integral, so no
-    square root of q is ever taken.  Tail: |w_k| <= S q^k/(q;q)_inf with
-    S = sup_k |(bq;q)_k|, so the terms past K sum to at most
-    S r^{K+1}/((q;q)_inf (1 - r)), r = q^{h+1}, reported doubled.  S = 1 for
-    Hq and when |1 - bq| <= 1 (0 <= b <= 2/q for real b), as every
-    |1 - b q^{j+1}| is then <= 1; otherwise S <= (-|b|q;q)_inf.  (q;q)_inf
-    enters as its value less its tail; a tail tolerance so loose that this
-    is not positive raises ValueError.  One memo serves the three families,
-    keyed by family, context settings, and b and K where they enter."""
-    if family not in ("Hq", "pq", "hq"):
-        raise ValueError(f"unknown family {family!r}")
-    p = family == "pq"
-    key = (family, ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc,
-           b if p else None, None if family == "hq" else K)
-    table = _H_MOMENT_CACHE.get(key)
-    if table is not None and len(table) > nmax:
-        return table[: nmax + 1]
+    Hq / pq: sum_k w_k (q^{k/2})^{2h}, w_k = q^k/(q;q)_k times (bq;q)_k for
+    pq, which the q-binomial theorem (Gasper-Rahman (1.3.2)) sums to r_h F:
+    r_h = (q;q)_h, over (bq;q)_{h+1} for pq, is rational in q and b, and F
+    is the factor of :func:`_discrete_moments`.  The tail is |r_h| times F's."""
     if family == "hq":
-        out = h_radial_moments_batch(ctx, nmax)
-    else:
+        key = ("hq", ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc)
+        table = _H_MOMENT_CACHE.get(key)
+        if table is None or len(table) <= nmax:
+            table = _H_MOMENT_CACHE[key] = h_radial_moments_batch(ctx, nmax)
+        return table[: nmax + 1]
+    if family not in ("Hq", "pq"):
+        raise ValueError(f"unknown family {family!r}")
+    (fac, fac_tail), table = _discrete_moments(ctx, family, b)
+    if len(table) <= nmax:
         with ctx.workprec():
-            sup = 1.0
-            if p:
-                bq = ctx.scalar(b) * ctx.q
-                pre = QPochPrefix(ctx, bq)
-                if ctx.mag(1 - bq) > 1:
-                    val, tail = qpoch_inf(ctx, -abs(bq))
-                    sup = ctx.mag(val) + tail
-            weights = [(pre(k) * ctx.qpow(k) if p else ctx.qpow(k)) / ctx.qq(k)
-                       for k in range(K + 1)]
-            val, tail = qpoch_inf(ctx, ctx.q)
-            qqinf = ctx.mag(val) - tail
-            if qqinf <= 0:
-                raise ValueError(f"tail tolerance {ctx.default_trunc.tail_tol:g} leaves no "
-                                 "positive lower bound on |(q;q)_inf|; use a smaller one")
-            qf = float(ctx.q_fraction)
-            out = []
-            for h in range(nmax + 1):
-                total = ctx.zero()
-                for k, w in enumerate(weights):
-                    total = total + w * ctx.qpow(k * h)
-                r = qf ** (h + 1)
-                out.append((total, (r ** (K + 1)) / (qqinf * (1 - r)) * 2.0 * sup))
-    _H_MOMENT_CACHE[key] = out
-    return out
+            pre = QPochPrefix(ctx, ctx.scalar(b) * ctx.q) if family == "pq" else None
+            for h in range(len(table), nmax + 1):
+                r = ctx.qq(h) / pre(h + 1) if pre else ctx.qq(h)
+                table.append((r * fac, ctx.mag(r) * fac_tail))
+    return table[: nmax + 1]
 
 
 _H_NODES_PER_POWER = 16  # hq nodes x = q^{-i/16}: h = log(1/q)/8 in u = log x
@@ -174,19 +176,19 @@ def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
 # moments of the (suitably normalized) measures
 # ---------------------------------------------------------------------------
 
-def moment(ctx: QContext, family: str, m: int, n: int, b=None,
-           K: int = 80) -> Tuple[object, float]:
+def moment(ctx: QContext, family: str, m: int, n: int, b=None) -> Tuple[object, float]:
     """int zeta^m conj(zeta)^n dmu for the family's measure.
 
     Hq / pq: normalized so Hq gives (q;q)_n delta_{mn} (Cor.-19
-    convention), the radial sums cut at K.  hq: the dx dy/(pi (-z zbar;q)_inf)
-    convention, so the (j, j) moment is (q;q)_j log(1/q) q^{-C(j+1,2)}.
+    convention), from the closed-form radial moments.  hq: the
+    dx dy/(pi (-z zbar;q)_inf) convention, so the (j, j) moment is
+    (q;q)_j log(1/q) q^{-C(j+1,2)}.
     Returns (value, tail).  The discrete moment is the :func:`times` of the
     raw moment and (q;q)_inf, whose tail bounds the error of the product.
     """
     if m != n:
         return ctx.zero(), 0.0
-    raw = _radial_moments(ctx, family, n, b=b, K=K)[n]
+    raw = _radial_moments(ctx, family, n, b=b)[n]
     if family == "hq":
         return raw
     with ctx.workprec():
@@ -209,37 +211,39 @@ def _angular_pairs(P: BivarPoly, Q: BivarPoly):
 
 
 def _closed_norm(ctx, family, m, n, b):
-    """The (m, n) norm as (value, tail of its cut (a;q)_inf products).  Hq
-    divides by (q;q)_inf = v(1 + d), |d| <= e: relative error <= e/(1-e)."""
-    if family == "Hq":
-        inf_val, inf_tail = qpoch_inf_ratio(ctx, [ctx.q])
-        closed = ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n) / inf_val
-        e = inf_tail / ctx.mag(inf_val)
-        return closed, ctx.mag(closed) * e / (1 - e)
+    """The (m, n) norm as (value, tail).  hq: pi log(1/q) (q;q)_m (q;q)_n /
+    q^{((m-n)^2 + m + n)/2}, an integer power.  Hq / pq: N F, N = q^{mn}
+    (q;q)_m (q;q)_n, times (bq;q)_m (bq;q)_n/(1 - b q^{m+n+1}) for pq, F the
+    factor of the moments (:func:`_discrete_moments`), and tail |N| t_F."""
+    if family == "hq":
+        power = ctx.qpow(-(((m - n) ** 2 + m + n) // 2))
+        return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * power, 0.0
+    (fac, fac_tail), _ = _discrete_moments(ctx, family, b)
+    N = ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
     if family == "pq":
-        bb = ctx.scalar(b)
-        ratio, ratio_tail = qpoch_inf_ratio(ctx, [bb * ctx.q], [ctx.q])
-        closed = (ratio * ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
-                  * qpoch(ctx, bb * ctx.q, m) * qpoch(ctx, bb * ctx.q, n)
-                  / (1 - bb * ctx.qpow(m + n + 1)))
-        return closed, ctx.mag(closed) * ratio_tail / ctx.mag(ratio)
-    # hq: pi log(1/q) (q;q)_m (q;q)_n / q^{((m-n)^2 + m + n)/2}, an integer power
-    fac = ctx.qpow(-(((m - n) ** 2 + m + n) // 2))
-    return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * fac, 0.0
+        bq = ctx.scalar(b) * ctx.q
+        N = N * qpoch(ctx, bq, m) * qpoch(ctx, bq, n) / (1 - bq * ctx.qpow(m + n))
+    return N * fac, ctx.mag(N) * fac_tail
 
 
 def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
-                  st: Tuple[int, int], b=None, K: int = 80) -> InnerProductResult:
+                  st: Tuple[int, int], b=None, K=None) -> InnerProductResult:
     """<P_{m,n}, P_{s,t}> for the family's orthogonality measure, with the
     known closed-form norm on the diagonal (0 off it).  The discrete
     measures are raw (not normalized), which matches the closed-form norms;
-    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.  The
-    tail bounds the truncation error of value - closed_form (the moment sums'
-    cuts and the closed form's (a;q)_inf tails, which bound their own
-    rounding too), not the rounding of the sums here.  A negative K, the
-    moment sums' cut, raises ValueError."""
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.
+
+    Hq / pq: each moment is r_h F and the norm N F, for rational r_h and N
+    and the one factor F of the measure, so value - closed_form is (S - N) F,
+    S = sum c_p conj(c_q) r_h: exactly 0 on the exact backend where S = N.
+    The tail bounds the truncation error of value and closed_form (F's
+    (a;q)_inf tail, which bounds its own rounding too, and the hq
+    quadrature's error), not the rounding of the sums here.  ``K``, the cut
+    of the moment sums the closed forms replaced, has no effect and warns
+    (perfbench's audit workload still passes it)."""
+    if K is not None:
+        warnings.warn("inner_product's K has no effect: the moments are closed forms",
+                      DeprecationWarning, stacklevel=2)
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")
@@ -249,27 +253,23 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
         P = coeffs(ctx, family, m, n, b=b)
         Q = coeffs(ctx, family, s, t, b=b)
         pairs = _angular_pairs(P, Q.conj_coeffs())
-        moms = _radial_moments(ctx, family, max((hp for hp, _, _ in pairs), default=0),
-                               b=b, K=K)
-        value = ctx.zero()
-        tail = 0.0
+        moms = _radial_moments(ctx, family, max((hp for hp, _, _ in pairs), default=0), b=b)
+        value, tail = ctx.zero(), 0.0
         for hp, cp, cq in pairs:
             mv, mt = moms[hp]
             value = value + cp * cq * mv
             tail += ctx.mag(cp * cq) * mt
         if family == "hq":
-            value = value * mp.pi
-            tail = tail * float(mp.pi)
+            value, tail = value * mp.pi, tail * float(mp.pi)
         closed, closed_tail = (_closed_norm(ctx, family, m, n, b) if (m, n) == (s, t)
                                else (ctx.zero(), 0.0))
         tail += closed_tail
-        denom = max(1.0, ctx.mag(closed))
-        rel = ctx.mag(value - closed) / denom
+        rel = ctx.mag(value - closed) / max(1.0, ctx.mag(closed))
     return InnerProductResult(value=value, tail_bound=tail, closed_form=closed,
                               rel_error=float(rel))
 
 
-def ortho_table(ctx: QContext, family: str, N: int, b=None, K: int = 80):
+def ortho_table(ctx: QContext, family: str, N: int, b=None):
     """Every <P_{m,n}, P_{s,t}> with m, n, s, t <= N, as (table, worst
     diagonal rel_error, worst off-diagonal |value|); the table maps
     (m, n, s, t) to its InnerProductResult, in lexicographic order."""
@@ -278,7 +278,7 @@ def ortho_table(ctx: QContext, family: str, N: int, b=None, K: int = 80):
     table = {}
     worst_diag = worst_off = 0.0
     for m, n, s, t in itertools.product(range(N + 1), repeat=4):
-        r = table[m, n, s, t] = inner_product(ctx, family, (m, n), (s, t), b=b, K=K)
+        r = table[m, n, s, t] = inner_product(ctx, family, (m, n), (s, t), b=b)
         if (m, n) == (s, t):
             worst_diag = max(worst_diag, r.rel_error)
         else:
@@ -330,16 +330,16 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
     measure against its closed product form; h_beta: the hq family's q-beta
     integral (eqqbqta-type) against dx dy/(-z zbar;q)_inf.  The left side is
     a 4-fold Euler expansion with the angular delta resolved symbolically,
-    at the context's precision.  H_beta reads the K-cut Hq moment sums;
-    h_beta reads the hq moments from their closed form pi log(1/q) (q;q)_j
-    q^{-j(j+1)/2} (the integer-alpha Ramanujan integral; Askey, Amer. Math.
-    Monthly 87 (1980)), which carry no truncation tail."""
+    at the context's precision.  H_beta reads the closed-form Hq moments
+    (q;q)_j/(q;q)_inf, whose tail is that of (q;q)_inf; h_beta reads the hq
+    moments from their closed form pi log(1/q) (q;q)_j q^{-j(j+1)/2} (the
+    integer-alpha Ramanujan integral; Askey, Amer. Math. Monthly 87 (1980)),
+    which carry no truncation tail."""
     with ctx.workprec():
         u1 = ctx.scalar(params.get("u1", F(1, 8)))
         u2 = ctx.scalar(params.get("u2", F(1, 8)))
         v1 = ctx.scalar(params.get("v1", F(1, 8)))
         v2 = ctx.scalar(params.get("v2", F(1, 8)))
-        K = int(params.get("K", 80))
         cap = int(params.get("cap", 26))
         tol = float(params.get("tol", 1e-12))
 
@@ -347,7 +347,7 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
             def coefw(x, r):  # Euler1 weights of 1/(x z;q)_inf
                 return x**r / ctx.qq(r)
 
-            moms = _radial_moments(ctx, "Hq", 2 * cap, K=K)
+            moms = _radial_moments(ctx, "Hq", 2 * cap)
             rhs, rhs_tail = qpoch_inf_ratio(
                 ctx, [u1 * u2 * v1 * v2], [ctx.q, u1 * u2, v1 * v2, u1 * v1, u2 * v2])
         elif kind == "h_beta":
@@ -372,7 +372,7 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
         passed, residual = numeric_verdict(ctx.mag(lhs - rhs), tol, tail)
     return VerificationReport(
         id=f"QBETA-{kind}", mode="NUMERIC-QSUM",
-        grid={"u1": u1, "u2": u2, "v1": v1, "v2": v2, "K": K, "cap": cap},
+        grid={"u1": u1, "u2": u2, "v1": v1, "v2": v2, "cap": cap},
         residual=residual, tail_bound=tail, passed=passed)
 
 

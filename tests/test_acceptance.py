@@ -63,7 +63,7 @@ def test_criterion_2_exact_series_suite():
             + (f"; failures: {failures}" if failures else ""))
 
 
-def _ortho_grid(ctx, family, N, b, diag_tol, off_tol, K=80):
+def _ortho_grid(ctx, family, N, b, diag_tol, off_tol):
     worst_diag = 0.0
     worst_off = 0.0
     values = {}
@@ -71,7 +71,7 @@ def _ortho_grid(ctx, family, N, b, diag_tol, off_tol, K=80):
         for n in range(N + 1):
             for s in range(N + 1):
                 for t in range(N + 1):
-                    r = inner_product(ctx, family, (m, n), (s, t), b=b, K=K)
+                    r = inner_product(ctx, family, (m, n), (s, t), b=b)
                     values[(m, n, s, t)] = r.value
                     if (m, n) == (s, t):
                         worst_diag = max(worst_diag, r.rel_error)
@@ -81,7 +81,7 @@ def _ortho_grid(ctx, family, N, b, diag_tol, off_tol, K=80):
 
 
 def test_criterion_3_and_4_H_and_p_orthogonality():
-    """(3) First family at q = 1/4, K = 80, >= 128 bits, m,n,s,t <= 5:
+    """(3) First family at q = 1/4, >= 128 bits, m,n,s,t <= 5:
     diagonal rel error <= 1e-10, off-diagonal <= 1e-10.
     (4) Disk family, same grid, b = 1/4, rel error <= 1e-10; and b = 0
     reproduces the first family's values to 1e-12."""

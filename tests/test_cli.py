@@ -5,11 +5,13 @@ import os
 import shlex
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from q2dpoly import cli
 from q2dpoly.cli import build_parser, main
 from q2dpoly.context import QContext, TruncationPolicy
+from q2dpoly.measures import ortho_table
 from q2dpoly.zeros import asymptotic_report
 
 
@@ -93,7 +95,7 @@ def test_verify_runs_each_entry_on_the_backend_of_its_mode(capsys):
     ("verify", "--id", "H-TTR-a", "--max-n", "-1", "--q", "1/2"),
     ("gram", "--kind", "doH", "--N", "-1", "--z", "1"),
     ("ortho", "--family", "H", "--max-index", "-1"),
-    ("ortho", "--family", "H", "--max-index", "1", "--K", "-1"),
+    ("ortho", "--family", "H", "--max-index", "1", "--max-terms", "-1"),
     ("zeros", "--family", "h", "--m", "6", "--n", "4", "--q", "1/4", "--count", "-1"),
     ("aqzeros", "--count", "-2", "--q", "1/4"),
 ])
@@ -286,7 +288,7 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     ("asym", [{"precision_bits": 200}]),     # not an object
     ("asym", {"precison_bits": 200}),        # misspelt option
     ("zeros", {"precision_bits": 200}),      # option zeros does not declare
-    ("ortho", {"K": None}),                  # values of the wrong type
+    ("ortho", {"max_terms": None}),          # values of the wrong type
     ("ortho", {"max_index": [2]}),
     ("ortho", {"precision_bits": 200.5}),
     ("gram", {"format": "xml"}),             # not one of the option's choices
@@ -338,42 +340,42 @@ def test_verify_cli_matches_library_sweep(capsys):
 ORTHO_GOLDEN = [
     (('--family', 'H', '--max-index', '1', '--q', '1/4'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,1.45235364245,0.0,1.45235364245,0.0,1.6249686693683502e-33\n'
+     '0,0,0,0,1.45235364245,0.0,1.45235364245,0.0,0.0\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,0,1,1,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
+     '0,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,1.08926523184,0.0,1.08926523184,0.0,1.6249686693683502e-33\n'
+     '0,1,0,1,1.08926523184,0.0,1.08926523184,0.0,0.0\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,1.08926523184,0.0,1.08926523184,0.0,1.6249686693683502e-33\n'
+     '1,0,1,0,1.08926523184,0.0,1.08926523184,0.0,0.0\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,0,0,2.4837918927e-49,0.0,0.0,0.0,2.4837918926989584e-49\n'
+     '1,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,0.204237230969,0.0,0.204237230969,0.0,3.318791014439437e-34\n',
-     '# worst diagonal rel_error 1.6249686693683502e-33; worst off-diagonal |value| 2.4837918926989584e-49; PASS\n'),
+     '1,1,1,1,0.204237230969,0.0,0.204237230969,0.0,1.044048714879764e-53\n',
+     '# worst diagonal rel_error 1.044048714879764e-53; worst off-diagonal |value| 0.0; PASS\n'),
     (('--family', 'p', '--max-index', '1', '--q', '1/4', '--b', '1/4'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,1.42222222222,0.0,1.42222222222,0.0,6.499870028399915e-33\n'
+     '0,0,0,0,1.42222222222,0.0,1.42222222222,0.0,0.0\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,0,1,1,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
+     '0,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,0.952380952381,0.0,0.952380952381,0.0,6.190352407999918e-33\n'
+     '0,1,0,1,0.952380952381,0.0,0.952380952381,0.0,0.0\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,0.952380952381,0.0,0.952380952381,0.0,6.190352407999918e-33\n'
+     '1,0,1,0,0.952380952381,0.0,0.952380952381,0.0,0.0\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,0,0,2.13758533884e-49,0.0,0.0,0.0,2.1375853388448287e-49\n'
+     '1,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,0.165441176471,0.0,0.165441176471,0.0,1.0753461444043978e-33\n',
-     '# worst diagonal rel_error 6.499870028399915e-33; worst off-diagonal |value| 2.1375853388448287e-49; PASS\n'),
+     '1,1,1,1,0.165441176471,0.0,0.165441176471,0.0,0.0\n',
+     '# worst diagonal rel_error 0.0; worst off-diagonal |value| 0.0; PASS\n'),
     (('--family', 'h', '--max-index', '1', '--q', '1/2'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
      '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,1.9590865980570535e-17\n'
@@ -432,17 +434,33 @@ def test_ortho_loose_tail_tol_is_config_error(capsys, tail_tol):
 
 
 @pytest.mark.parametrize("tail_tol", ["0.5", "0.9"])
-def test_ortho_loose_tail_tol_fails_honestly(capsys, tail_tol):
+def test_ortho_loose_tail_tol_reports_the_cut_in_the_tail(capsys, tail_tol):
     # at these tolerances (q;q)_inf at q = 1/2 is 1/3 with tail 1/18, a true
-    # bound (the value is 0.2888), so the audit runs and its closed forms are
-    # off by their cut: a FAIL, not a config error
+    # bound (the value is 0.2888).  Moments and norms share that one factor,
+    # so the audit passes at any cut; the cut shows in the tails, each of
+    # which covers the diagonal value's distance from its value at 1e-36
     code = main(["ortho", "--family", "H", "--max-index", "1", "--q", "1/2",
                  "--tail-tol", tail_tol])
     got = capsys.readouterr()
-    assert code == 1
-    assert got.out.startswith("m,n,s,t,")
-    worst = float(got.err.split("worst diagonal rel_error ")[1].split(";")[0])
-    assert 0.1 < worst < 0.2 and got.err.rstrip().endswith("FAIL")
+    assert code == 0 and got.err.rstrip().endswith("PASS")
+
+    def table(tol):
+        return ortho_table(QContext("1/2", sqrt_q="auto", backend="float",
+                                    default_trunc=TruncationPolicy(400, tol)), "Hq", 1)[0]
+    loose, tight = table(float(tail_tol)), table(1e-36)
+    for (m, n, s, t), r in loose.items():
+        if (m, n) == (s, t):
+            assert abs(r.value - tight[m, n, s, t].value) <= r.tail_bound, (m, n)
+
+
+@pytest.mark.parametrize("b, j", [("4", 1), ("16", 2)])
+def test_ortho_degenerate_b_is_config_error(capsys, b, j):
+    # at b = q^-j, j >= 1, (bq;q)_j = 0: the pq measure sits on j circles
+    # and its closed forms divide by 0
+    code = main(["ortho", "--family", "p", "--max-index", "1", "--q", "1/4", "--b", b])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err.startswith("config error:") and f"b = {b} is q^-{j}" in got.err
 
 
 # Every option a subcommand declares is read.  Each command below is parsed
@@ -516,9 +534,9 @@ STUDY_SHA256 = {
     "asym_theta4_scaled.csv": "107a436e9f10febc0e8c5dc5ca9a26115e7c96e7b090f68b4fa0d613f6b96605",
     "exact_series.json": "64a09c8a854363c74197f203f98dc0d628930df2c672fd40b501e2bf3d0f9e2d",
     "exact_sweep.json": "ba4fb90ed603af16f93314cbfd439b8b7174497bf48d95f4fef7529df54bba19",
-    "ortho_H.csv": "2fbe9740f19f48c7ca44ce54feb6050e60266e41aea3c39705f50911c729b233",
+    "ortho_H.csv": "226dc2188d320cb07000ada1eeaf7f2c3abacfe447826eb10ca34eb302cbf37a",
     "ortho_h.csv": "cfc5fbc346e95584f1ca8846f0ff3aeabae36dbccad1b30437d99e8a20d377ca",
-    "ortho_p.csv": "2b3357b7ea184d25e85176e8dd0ce252230abcd9cea6c1465f3d0289a6dae8c7",
+    "ortho_p.csv": "f3aab773407b0c6a909526a465027f7fb3bcdfa413e5df30f9ed082ecfbb698c",
     "zerolimit_limH.csv": "3fe91ee7016535a28f713a4bfef1937ce57ab6bf1fb721b0b2a15b24d102eb76",
     "zerolimit_limh.csv": "b2d8822725c3b8328e4759beb8838635d1f9c14073c126eac66784fd94c72426",
     "zerolimit_limp.csv": "18ade55fc3fac5a3dc0a044c5ab1fdf0dac5831053b83c09f84943ec8e08cd8c",
@@ -632,7 +650,8 @@ def test_aqzeros_past_eight_zeros(capsys):
 def test_aqzeros_scan_end_past_the_double_range(capsys):
     # x_hi = q^-28 = 2^1120 at q = 2^-40 overflows a double
     code, out = run(capsys, "aqzeros", "--count", "13", "--q", "1/1099511627776")
-    assert code == 0 and len(json.loads(out)["zeros"]) == 13
+    zs = [mpmath.mpf(z) for z in json.loads(out)["zeros"]]
+    assert code == 0 and len(zs) == 13 and all(a < b for a, b in zip(zs, zs[1:]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from q2dpoly.measures import (_leading_minors_exact,
                               h_radial_moments_batch, inner_product, moment,
                               ortho_table, orthonormal_seq_check, qbeta_check)
 from q2dpoly.polyfamilies import BivarPoly, coeffs, eval_poly
-from q2dpoly.qkernel import qpoch, qpoch_inf, qpoch_inf_ratio
+from q2dpoly.qkernel import QPochPrefix, qpoch_inf, qpoch_inf_ratio
 
 TR = TruncationPolicy(max_terms=400, tail_tol=1e-36)
 
@@ -32,13 +32,13 @@ def fctx2():
 
 
 def test_discrete_moments(fctx):
-    val, tail = moment(fctx, "Hq", 1, 1, K=80)
+    val, tail = moment(fctx, "Hq", 1, 1)
     assert abs(val - fctx.qq(1)) < 1e-20 + tail
-    off, _ = moment(fctx, "Hq", 2, 1, K=80)
+    off, _ = moment(fctx, "Hq", 2, 1)
     assert off == 0
     # indices up to 6: (q;q)_n
     for n in range(7):
-        v, t = moment(fctx, "Hq", n, n, K=80)
+        v, t = moment(fctx, "Hq", n, n)
         assert abs(v - fctx.qq(n)) / abs(fctx.qq(n)) < 1e-10
 
 
@@ -116,9 +116,9 @@ def test_inner_product_restores_precision_on_error(fctx):
 
 
 def test_H_inner_products(fctx):
-    r = inner_product(fctx, "Hq", (1, 0), (0, 1), K=80)
+    r = inner_product(fctx, "Hq", (1, 0), (0, 1))
     assert fctx.mag(r.value) < 1e-14  # angular selection
-    r = inner_product(fctx, "Hq", (1, 1), (1, 1), K=80)
+    r = inner_product(fctx, "Hq", (1, 1), (1, 1))
     assert r.rel_error < 1e-12
     # closed form q^{mn}(q;q)_m(q;q)_n/(q;q)inf at (1,1)
     with fctx.workprec():
@@ -127,10 +127,10 @@ def test_H_inner_products(fctx):
 
 
 def test_p_inner_products(fctx):
-    r = inner_product(fctx, "pq", (2, 1), (2, 1), b=F(1, 4), K=80)
+    r = inner_product(fctx, "pq", (2, 1), (2, 1), b=F(1, 4))
     assert r.rel_error < 1e-12
-    r0 = inner_product(fctx, "pq", (2, 1), (2, 1), b=0, K=80)
-    rH = inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
+    r0 = inner_product(fctx, "pq", (2, 1), (2, 1), b=0)
+    rH = inner_product(fctx, "Hq", (2, 1), (2, 1))
     assert fctx.mag(r0.value - rH.value) < 1e-13
 
 
@@ -346,52 +346,72 @@ def test_gram_and_ortho_table_refuse_a_negative_size(fctx):
         gram_positivity(QContext(F(1, 2)), "doH", -1, 1)
     with pytest.raises(ValueError):
         ortho_table(fctx, "Hq", -1)
-    # K = -1 summed no circle, so the diagonal read rel_error 1.0 and failed
-    # as if the family were not orthogonal
-    with pytest.raises(ValueError, match="K must be >= 0"):
-        inner_product(fctx, "Hq", (1, 0), (1, 0), K=-1)
 
 
-def test_discrete_moment_tables_match_closed_forms():
-    # sum_k w_k q^{kh} against the q-binomial theorem, h <= 8 at q = 1/4:
-    # H: (q;q)_h/(q;q)_inf; p: (q;q)_h/(bq;q)_{h+1} (bq;q)_inf/(q;q)_inf
-    ctx = QContext(F(1, 4), backend="float", precision_bits=160,
-                   default_trunc=TruncationPolicy(400, 1e-40))
-    cases = [("Hq", None)] + [("pq", b) for b in (F(1, 4), 0, F(-1, 2))]
-    for kind, b in cases:
-        table = measures._radial_moments(ctx, kind, 8, b=b, K=120)
-        with ctx.workprec():
-            q = ctx.q
-            bq = 0 if b is None else ctx.scalar(b) * q
-            for h, (val, tail) in enumerate(table):
-                closed = (mpmath.qp(q, q, h) / mpmath.qp(bq, q, h + 1)
-                          * mpmath.qp(bq, q) / mpmath.qp(q, q))
-                assert abs(val - closed) <= 1e-40 * abs(closed), (kind, b, h)
-                assert tail < 1e-40, (kind, b, h)
+DISCRETE_MEASURES = [("Hq", None)] + [("pq", F(b)) for b in ("1/4", "0", "-1/2", "-3", "-10")]
+
+
+@pytest.mark.parametrize("h", range(9))
+def test_discrete_moment_matches_cut_sum(h):
+    # the closed form (q;q)_h/(bq;q)_{h+1} (bq;q)_inf/(q;q)_inf (b = 0: Hq)
+    # against the q-binomial series it sums, sum_{k <= 400} w_k q^{kh} with
+    # w_k = q^k (bq;q)_k/(q;q)_k.  Past k = 400 the terms fall below
+    # q^{401} (-|b|q;q)_inf/(q;q)_inf, which is below 1e-100 here, so the
+    # slack 1e-44 |ref| covers the cut sum's rounding at 160 bits
+    for q in (F(1, 4), F(1, 2)):
+        ctx = QContext(q, backend="float", precision_bits=160,
+                       default_trunc=TruncationPolicy(400, 1e-40))
+        for kind, b in DISCRETE_MEASURES:
+            val, tail = measures._radial_moments(ctx, kind, h, b=b)[h]
+            with ctx.workprec():
+                pre = QPochPrefix(ctx, 0 if b is None else ctx.scalar(b) * ctx.q)
+                ref = mpmath.fsum(ctx.qpow(k) * pre(k) / ctx.qq(k) * ctx.qpow(k * h)
+                                  for k in range(401))
+                assert abs(val - ref) <= tail + 1e-44 * abs(ref), (q, kind, b)
+                assert tail <= 1e-39 * abs(ref), (q, kind, b)
 
 
 @pytest.mark.parametrize("q", [F(1, 4), F(1, 2)])
 def test_discrete_moments_within_tail_of_closed_forms(q):
-    # H: (q;q)_h/(q;q)_inf, p: (q;q)_h (bq;q)_inf/((bq;q)_{h+1} (q;q)_inf),
-    # each within the moment's tail plus the closed form's; K = 30 keeps the
-    # cut above rounding at small h
+    # each moment r_h F is within its tail |r_h| t_F of the closed form
+    # evaluated by mpmath's products at 320 bits; at tail_tol 1e-20 F's cut,
+    # not rounding, decides, and the tail must cover it
     ctx = QContext(q, backend="float", precision_bits=160,
-                   default_trunc=TruncationPolicy(400, 1e-40))
-    b = F(1, 4)
-    for kind in ("Hq", "pq"):
-        table = measures._radial_moments(ctx, kind, 8, b=b, K=30)
-        with ctx.workprec():
-            bq = ctx.scalar(b) * ctx.q
-            if kind == "Hq":
-                inf, inf_tail = qpoch_inf_ratio(ctx, [], [ctx.q])
-            else:
-                inf, inf_tail = qpoch_inf_ratio(ctx, [bq], [ctx.q])
+                   default_trunc=TruncationPolicy(400, 1e-20))
+    for kind, b in DISCRETE_MEASURES:
+        table = measures._radial_moments(ctx, kind, 8, b=b)
+        with mp.workprec(320):
+            qm = mp.mpf(q.numerator) / q.denominator
+            bq = 0 if b is None else b * qm
             errs = []
             for h, (val, tail) in enumerate(table):
-                fin = ctx.qq(h) / (1 if kind == "Hq" else qpoch(ctx, bq, h + 1))
-                errs.append(abs(val - fin * inf))
-                assert errs[h] <= tail + abs(fin) * inf_tail, (kind, h)
-        assert errs[0] >= table[0][1] / 10, kind  # at h = 0 the cut, not rounding, decides
+                closed = (mpmath.qp(qm, qm, h) / mpmath.qp(bq, qm, h + 1)
+                          * mpmath.qp(bq, qm) / mpmath.qp(qm, qm))
+                errs.append(abs(val - closed))
+                assert errs[h] <= tail, (kind, b, h)
+        assert errs[0] >= 1e-30 * abs(table[0][0]), (kind, b)  # the cut, not rounding
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(2, 5), F(3, 4)])
+def test_ortho_table_is_an_exact_zero_test(q):
+    # on the exact backend value - closed form is (S - N) F, S and N rational
+    # and F the one factor of the moments: exactly 0 at every index pair
+    ctx = QContext(q)
+    for kind, b in [("Hq", None), ("pq", F(1, 4)), ("pq", 0), ("pq", F(-1, 2))]:
+        table, worst_diag, worst_off = ortho_table(ctx, kind, 4, b)
+        assert worst_diag == worst_off == 0.0, (kind, b)
+        for (m, n, s, t), r in table.items():
+            if (m, n) == (s, t):
+                assert r.rel_error == 0.0 and r.value == r.closed_form, (kind, b, m, n)
+            else:
+                assert type(r.value) is F and r.value == 0, (kind, b, m, n, s, t)
+
+
+def test_inner_product_K_is_deprecated(fctx):
+    # the moment cut is gone; the keyword still parses, warns and changes nothing
+    with pytest.warns(DeprecationWarning, match="K has no effect"):
+        r = inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
+    assert r == inner_product(fctx, "Hq", (2, 1), (2, 1))
 
 
 @pytest.mark.parametrize("tail_tol", [1e-36, 1e-40, 1e-46])
@@ -412,13 +432,16 @@ def test_ortho_diagonal_error_within_tail(tail_tol):
 
 @pytest.mark.parametrize("b", [-3, -10])
 def test_p_moment_tail_bounds_truncation_error_for_negative_b(fctx, b):
-    # outside 0 <= b <= 2/q the factors |1 - b q^{j+1}| exceed 1, so the
-    # tail must carry sup_k |(bq;q)_k|, not 1
+    # outside 0 <= b <= 2/q the factors |1 - b q^{j+1}| exceed 1; the cut of
+    # (bq;q)_inf in F must still enter the tail: a moment at tail_tol 1e-12
+    # is within its tail of the one at 1e-36
+    loose = QContext(F(1, 4), sqrt_q="auto", backend="float", precision_bits=160,
+                     default_trunc=TruncationPolicy(400, 1e-12))
     for h in range(3):
-        val, tail = moment(fctx, "pq", h, h, b=F(b), K=10)
-        ref, _ = moment(fctx, "pq", h, h, b=F(b), K=400)
+        val, tail = moment(loose, "pq", h, h, b=F(b))
+        ref, _ = moment(fctx, "pq", h, h, b=F(b))
         with fctx.workprec():
-            assert tail >= abs(val - ref), (b, h)
+            assert abs(val - ref) <= tail, (b, h)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 4), F(3, 4), F(9, 10)])
@@ -429,16 +452,17 @@ def test_h_discrete_moment_tail_bounds_error(q):
         ctx = QContext(q, backend="float", precision_bits=160,
                        default_trunc=TruncationPolicy(500, tail_tol))
         for n in range(8):
-            val, tail = moment(ctx, "Hq", n, n, K=400)
+            val, tail = moment(ctx, "Hq", n, n)
             with ctx.workprec():
                 assert abs(val - ctx.qq(n)) <= tail, (tail_tol, n)
 
 
 def test_moment_tables_shared_across_callers(monkeypatch, fctx):
-    # one memo for every table: a longer table serves a shorter request
+    # one memo entry per measure: the Hq factor F, read by every moment
+    # table and by the norms
     monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
-    long = measures._radial_moments(fctx, "Hq", 6, K=80)
+    long = measures._radial_moments(fctx, "Hq", 6)
     assert len(measures._H_MOMENT_CACHE) == 1
-    assert measures._radial_moments(fctx, "Hq", 3, K=80) == long[:4]
-    inner_product(fctx, "Hq", (2, 1), (2, 1), K=80)
+    assert measures._radial_moments(fctx, "Hq", 3) == long[:4]
+    inner_product(fctx, "Hq", (2, 1), (2, 1))
     assert len(measures._H_MOMENT_CACHE) == 1
