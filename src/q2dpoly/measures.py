@@ -76,7 +76,8 @@ def _discrete_moments(ctx, family: str, b=None):
     if j and b * qf ** j == 1:
         raise ValueError(f"b = {b} is q^-{j}, where the pq measure degenerates: (bq;q)_{j} = 0")
     try:
-        fac = qpoch_inf_ratio(ctx, [] if b is None else [ctx.scalar(b) * ctx.q], [ctx.q])
+        with ctx.workprec():  # bq is rounded at the caller's mp.prec otherwise
+            fac = qpoch_inf_ratio(ctx, [] if b is None else [ctx.scalar(b) * ctx.q], [ctx.q])
     except PoleError:  # (q;q)_inf not bounded away from 0
         fac = None
     if fac is None or not fac[1] < ctx.mag(fac[0]):
@@ -242,8 +243,7 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
     of the moment sums the closed forms replaced, has no effect and warns
     (perfbench's audit workload still passes it)."""
     if K is not None:
-        warnings.warn("inner_product's K has no effect: the moments are closed forms",
-                      DeprecationWarning, stacklevel=2)
+        warnings.warn("inner_product's K has no effect", DeprecationWarning, stacklevel=2)
     if family == "hq" and ctx.is_exact:
         raise ValueError("hq inner products need the float backend "
                          "(its radial moments are quadratures)")

@@ -466,3 +466,25 @@ def test_moment_tables_shared_across_callers(monkeypatch, fctx):
     assert measures._radial_moments(fctx, "Hq", 3) == long[:4]
     inner_product(fctx, "Hq", (2, 1), (2, 1))
     assert len(measures._H_MOMENT_CACHE) == 1
+
+
+def test_pq_factor_formed_at_working_precision(monkeypatch):
+    # b q = 2/15 is not dyadic: formed at the caller's 53 bits it would put a
+    # 1e-17 relative error into F, far past the 1e-36 tail, and into every
+    # inner product that later reads F from the memo.  The moment, from an
+    # empty memo and at the default mp.prec, is within its tail of mpmath's
+    # closed form at 320 bits, and an inner product after it is bitwise the
+    # one on a fresh memo
+    monkeypatch.setattr(measures, "_H_MOMENT_CACHE", {})
+    q, b = F(2, 5), F(1, 3)
+    ctx = QContext(q, backend="float", precision_bits=160, default_trunc=TR)
+    assert mp.prec == 53
+    val, tail = moment(ctx, "pq", 2, 2, b=b)
+    assert 0 < tail < 1e-30
+    with mp.workprec(320):
+        qm, bq = mp.mpf(2) / 5, mp.mpf(2) / 15
+        closed = mpmath.qp(qm, qm, 2) / mpmath.qp(bq, qm, 3) * mpmath.qp(bq, qm)
+        assert abs(val - closed) <= tail
+    after = inner_product(ctx, "pq", (2, 1), (2, 1), b=b)
+    measures._H_MOMENT_CACHE.clear()
+    assert inner_product(ctx, "pq", (2, 1), (2, 1), b=b) == after
