@@ -2,17 +2,16 @@
 angular quadrature checks and the positivity results.
 
 The discrete measures (first family and the q-disk family) live on circles
-|z| = q^{k/2} with angular uniform measure; the angular integral is resolved
+|z| = q^{k/2} with angular uniform measure; the second family's measure is
+dx dy / (-z zbar;q)_inf on the plane.  The angular integral is resolved
 symbolically as a Kronecker delta on Fourier indices, so an inner product is
-a finite sum of radial moments.  By the q-binomial theorem each moment is a
-rational part in q (and b) times one factor F of the measure, whose (a;q)_inf
-products carry the only truncation tail; the norms share F, so on the exact
-backend orthogonality is an exact zero test.
-
-The second family is orthogonal with respect to dx dy / (-z zbar;q)_inf on
-the plane; its radial moments are computed by trapezoidal quadrature on a
-geometric grid in log space (the integrand decays super-geometrically at both
-ends, so the quadrature converges spectrally in the step refinement).
+a finite sum of radial moments.  Each moment is a rational part in q (and b)
+times one factor F of the measure: by the q-binomial theorem for the
+discrete measures, whose (a;q)_inf products carry the only truncation tail,
+and by Ramanujan's integral for the second, F = pi log(1/q) with a rounding
+tail.  The norms share F, so on the exact backend orthogonality is an exact
+zero test.  :func:`h_radial_moments_batch`, a quadrature of the second
+family's moments, is only the tests' reference for that closed form.
 """
 
 from __future__ import annotations
@@ -55,16 +54,21 @@ class InnerProductResult:
 # radial moments
 # ---------------------------------------------------------------------------
 
-# every radial moment table (with F for Hq / pq), keyed by measure, context
+# every radial moment table with its factor F, keyed by measure, context
 # settings and b; a table is only ever extended, so a read prefix stays valid
 _H_MOMENT_CACHE: Dict = {}
 
 
-def _discrete_moments(ctx, family: str, b=None):
-    """The memo entry (F, moments read so far) of an Hq / pq measure; F, the
-    factor of all its moments and norms, is 1/(q;q)_inf times (bq;q)_inf for
-    pq, by one :func:`qpoch_inf_ratio`.  A relative tail of F >= 1 (a loose
-    tail_tol) or b = q^-j, j >= 1, where (bq;q)_j = 0, raises ValueError."""
+def _moment_factor(ctx, family: str, b=None):
+    """The memo entry (F, moments read so far) of the family's measure; F,
+    the factor of all its moments and norms, is (value, tail).  Hq / pq:
+    1/(q;q)_inf times (bq;q)_inf for pq, by one :func:`qpoch_inf_ratio`.
+    hq: pi log(1/q), log(1/q) as log1p(1/q - 1) so q near 1 does not cancel,
+    at p = ctx.workprec() bits with relative tail 2^(3-p); exact: a Fraction.
+    A relative tail of F >= 1 (a loose tail_tol) or b = q^-j, j >= 1, where
+    (bq;q)_j = 0, raises ValueError."""
+    if family not in ("Hq", "pq", "hq"):
+        raise ValueError(f"unknown family {family!r}")
     b = b if family == "pq" else None
     key = (family, ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc, b)
     entry = _H_MOMENT_CACHE.get(key)
@@ -77,7 +81,12 @@ def _discrete_moments(ctx, family: str, b=None):
         raise ValueError(f"b = {b} is q^-{j}, where the pq measure degenerates: (bq;q)_{j} = 0")
     try:
         with ctx.workprec():  # bq is rounded at the caller's mp.prec otherwise
-            fac = qpoch_inf_ratio(ctx, [] if b is None else [ctx.scalar(b) * ctx.q], [ctx.q])
+            if family == "hq":
+                v = mp.pi * mpmath.log1p(mp.mpf(qf.denominator - qf.numerator) / qf.numerator)
+                fac = (F(v.man) * F(2) ** v.exp if ctx.is_exact else v,
+                       float(v) * 2.0 ** (3 - mp.prec))
+            else:
+                fac = qpoch_inf_ratio(ctx, [] if b is None else [ctx.scalar(b) * ctx.q], [ctx.q])
     except PoleError:  # (q;q)_inf not bounded away from 0
         fac = None
     if fac is None or not fac[1] < ctx.mag(fac[0]):
@@ -89,28 +98,27 @@ def _discrete_moments(ctx, family: str, b=None):
 
 def _radial_moments(ctx, family: str, nmax: int, b=None) -> List[Tuple[object, float]]:
     """(value, tail) of the raw radial moments of the family's measure for
-    the powers h = 0..nmax, memoized.
+    the powers h = 0..nmax, memoized: r_h F, r_h rational in q (and b) and F
+    the factor of :func:`_moment_factor`, with tail |r_h| times F's.
 
-    hq: int_0^inf x^h/(-x;q)_inf dx (h_radial_moments_batch).
     Hq / pq: sum_k w_k (q^{k/2})^{2h}, w_k = q^k/(q;q)_k times (bq;q)_k for
-    pq, which the q-binomial theorem (Gasper-Rahman (1.3.2)) sums to r_h F:
-    r_h = (q;q)_h, over (bq;q)_{h+1} for pq, is rational in q and b, and F
-    is the factor of :func:`_discrete_moments`.  The tail is |r_h| times F's."""
-    if family == "hq":
-        key = ("hq", ctx.backend, ctx.q_fraction, ctx.precision_bits, ctx.default_trunc)
-        table = _H_MOMENT_CACHE.get(key)
-        if table is None or len(table) <= nmax:
-            table = _H_MOMENT_CACHE[key] = h_radial_moments_batch(ctx, nmax)
-        return table[: nmax + 1]
-    if family not in ("Hq", "pq"):
-        raise ValueError(f"unknown family {family!r}")
-    (fac, fac_tail), table = _discrete_moments(ctx, family, b)
+    pq, which the q-binomial theorem (Gasper-Rahman (1.3.2)) sums to r_h F,
+    r_h = (q;q)_h, over (bq;q)_{h+1} for pq.
+    hq: pi int_0^inf x^h/(-x;q)_inf dx, which Ramanujan's integral at
+    integer alpha (Askey, Amer. Math. Monthly 87 (1980); Gasper-Rahman,
+    ch. 6) gives as r_h F, r_h = (q;q)_h q^{-h(h+1)/2}."""
+    (fac, fac_tail), table = _moment_factor(ctx, family, b)
     if len(table) <= nmax:
         with ctx.workprec():
             pre = QPochPrefix(ctx, ctx.scalar(b) * ctx.q) if family == "pq" else None
             for h in range(len(table), nmax + 1):
-                r = ctx.qq(h) / pre(h + 1) if pre else ctx.qq(h)
-                table.append((r * fac, ctx.mag(r) * fac_tail))
+                r = ctx.qq(h)
+                if pre:
+                    r = r / pre(h + 1)
+                elif family == "hq":
+                    r = r / ctx.qpow(h * (h + 1) // 2)
+                t = _mpf(abs(r)) * fac_tail  # hq's r_h passes the double range
+                table.append((r * fac, float(t) if t < 1e300 else t))
     return table[: nmax + 1]
 
 
@@ -119,7 +127,9 @@ _H_HALFWIDTH = 56  # and q^56 <= x <= q^-56
 
 
 def h_radial_moments_batch(ctx, nmax: int) -> List[Tuple[object, float]]:
-    """(value, error) of int_0^inf x^j/(-x;q)_inf dx for j = 0..nmax.
+    """(value, error) of int_0^inf x^j/(-x;q)_inf dx for j = 0..nmax: the
+    tests' reference for :func:`_radial_moments`' hq table, which is pi times
+    it; no caller here, but the benchmark's tracer names it.
 
     Trapezoid in u with x = e^u on the nodes x_i = q^{-i/d}, |i| <= n,
     d = _H_NODES_PER_POWER, n = d _H_HALFWIDTH; the even nodes give the
@@ -190,9 +200,9 @@ def moment(ctx: QContext, family: str, m: int, n: int, b=None) -> Tuple[object, 
     if m != n:
         return ctx.zero(), 0.0
     raw = _radial_moments(ctx, family, n, b=b)[n]
-    if family == "hq":
-        return raw
     with ctx.workprec():
+        if family == "hq":  # the raw moment carries the pi that dx dy/pi divides out
+            return raw[0] * (1 / mp.pi), raw[1] / math.pi
         return times(ctx, raw, qpoch_inf(ctx, ctx.q))
 
 
@@ -212,15 +222,13 @@ def _angular_pairs(P: BivarPoly, Q: BivarPoly):
 
 
 def _closed_norm(ctx, family, m, n, b):
-    """The (m, n) norm as (value, tail).  hq: pi log(1/q) (q;q)_m (q;q)_n /
-    q^{((m-n)^2 + m + n)/2}, an integer power.  Hq / pq: N F, N = q^{mn}
-    (q;q)_m (q;q)_n, times (bq;q)_m (bq;q)_n/(1 - b q^{m+n+1}) for pq, F the
-    factor of the moments (:func:`_discrete_moments`), and tail |N| t_F."""
-    if family == "hq":
-        power = ctx.qpow(-(((m - n) ** 2 + m + n) // 2))
-        return mp.pi * mpmath.log(1 / ctx.q) * ctx.qq(m) * ctx.qq(n) * power, 0.0
-    (fac, fac_tail), _ = _discrete_moments(ctx, family, b)
-    N = ctx.qpow(m * n) * ctx.qq(m) * ctx.qq(n)
+    """The (m, n) norm as (value, tail): N F, F the factor of the moments
+    (:func:`_moment_factor`), and tail |N| t_F.  N = q^e (q;q)_m (q;q)_n,
+    e = mn for Hq / pq and -((m - n)^2 + m + n)/2, an integer, for hq, times
+    (bq;q)_m (bq;q)_n/(1 - b q^{m+n+1}) for pq."""
+    (fac, fac_tail), _ = _moment_factor(ctx, family, b)
+    e = -(((m - n) ** 2 + m + n) // 2) if family == "hq" else m * n
+    N = ctx.qpow(e) * ctx.qq(m) * ctx.qq(n)
     if family == "pq":
         bq = ctx.scalar(b) * ctx.q
         N = N * qpoch(ctx, bq, m) * qpoch(ctx, bq, n) / (1 - bq * ctx.qpow(m + n))
@@ -230,23 +238,20 @@ def _closed_norm(ctx, family, m, n, b):
 def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
                   st: Tuple[int, int], b=None, K=None) -> InnerProductResult:
     """<P_{m,n}, P_{s,t}> for the family's orthogonality measure, with the
-    known closed-form norm on the diagonal (0 off it).  The discrete
-    measures are raw (not normalized), which matches the closed-form norms;
-    hq is taken against dx dy/(-z zbar;q)_inf, pi times its moments.
+    known closed-form norm on the diagonal (0 off it).  The measures are
+    raw (not normalized), which matches the closed-form norms; hq is taken
+    against dx dy/(-z zbar;q)_inf.
 
-    Hq / pq: each moment is r_h F and the norm N F, for rational r_h and N
-    and the one factor F of the measure, so value - closed_form is (S - N) F,
+    Each moment is r_h F and the norm N F, for rational r_h and N and the
+    one factor F of the measure, so value - closed_form is (S - N) F,
     S = sum c_p conj(c_q) r_h: exactly 0 on the exact backend where S = N.
-    The tail bounds the truncation error of value and closed_form (F's
-    (a;q)_inf tail, which bounds its own rounding too, and the hq
-    quadrature's error), not the rounding of the sums here.  ``K``, the cut
+    The tail bounds the error of F in value and closed_form (the (a;q)_inf
+    cut of Hq / pq, which bounds its own rounding too, and the rounding of
+    hq's pi log(1/q)), not the rounding of the sums here.  ``K``, the cut
     of the moment sums the closed forms replaced, has no effect and warns
     (perfbench's audit workload still passes it)."""
     if K is not None:
         warnings.warn("inner_product's K has no effect", DeprecationWarning, stacklevel=2)
-    if family == "hq" and ctx.is_exact:
-        raise ValueError("hq inner products need the float backend "
-                         "(its radial moments are quadratures)")
     m, n = mn
     s, t = st
     with ctx.workprec():
@@ -259,8 +264,6 @@ def inner_product(ctx: QContext, family: str, mn: Tuple[int, int],
             mv, mt = moms[hp]
             value = value + cp * cq * mv
             tail += ctx.mag(cp * cq) * mt
-        if family == "hq":
-            value, tail = value * mp.pi, tail * float(mp.pi)
         closed, closed_tail = (_closed_norm(ctx, family, m, n, b) if (m, n) == (s, t)
                                else (ctx.zero(), 0.0))
         tail += closed_tail
@@ -288,13 +291,12 @@ def ortho_table(ctx: QContext, family: str, N: int, b=None):
 
 def ortho_csv(table) -> str:
     """An ortho_table table as CSV: values and closed forms to 12 digits,
-    rel_error as its repr; no trailing newline."""
+    each read as mpf parts (an exact Fraction by :func:`_mpf`: mpmath's own
+    conversion reduces it again), rel_error as its repr; no trailing newline."""
     rows = ["m,n,s,t,value_re,value_im,closed_re,closed_im,rel_error"]
     for (m, n, s, t), r in table.items():
-        v = r.value
-        exact = isinstance(v, (int, Fraction))
-        parts = (v if exact else mpmath.re(v), 0 if exact else mpmath.im(v),
-                 mpmath.re(r.closed_form), mpmath.im(r.closed_form))
+        vals = [_mpf(x) if isinstance(x, Fraction) else x for x in (r.value, r.closed_form)]
+        parts = [part(x) for x in vals for part in (mpmath.re, mpmath.im)]
         rows.append(f"{m},{n},{s},{t},{','.join(mpmath.nstr(x, 12) for x in parts)},"
                     f"{r.rel_error!r}")
     return "\n".join(rows)
@@ -322,7 +324,7 @@ def _euler_4fold(ctx, cap, weight, moms, u1, v1, v2, u2):
                 w = weight(u1, a_) * weight(v1, b_) * weight(v2, c_) * weight(u2, d_)
                 total = total + w * mv
                 tail += ctx.mag(w) * mt
-    return total, tail
+    return total, float(tail)
 
 
 def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
@@ -330,11 +332,10 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
     measure against its closed product form; h_beta: the hq family's q-beta
     integral (eqqbqta-type) against dx dy/(-z zbar;q)_inf.  The left side is
     a 4-fold Euler expansion with the angular delta resolved symbolically,
-    at the context's precision.  H_beta reads the closed-form Hq moments
-    (q;q)_j/(q;q)_inf, whose tail is that of (q;q)_inf; h_beta reads the hq
-    moments from their closed form pi log(1/q) (q;q)_j q^{-j(j+1)/2} (the
-    integer-alpha Ramanujan integral; Askey, Amer. Math. Monthly 87 (1980)),
-    which carry no truncation tail."""
+    at the context's precision.  Each reads its measure's closed-form radial
+    moments (:func:`_radial_moments`): H_beta (q;q)_j/(q;q)_inf, whose tail
+    is that of (q;q)_inf, and h_beta pi log(1/q) (q;q)_j q^{-j(j+1)/2}, whose
+    factor pi log(1/q) also scales the closed form."""
     with ctx.workprec():
         u1 = ctx.scalar(params.get("u1", F(1, 8)))
         u2 = ctx.scalar(params.get("u2", F(1, 8)))
@@ -356,14 +357,11 @@ def qbeta_check(ctx: QContext, kind: str, params: Dict) -> VerificationReport:
             def coefw(x, r):  # Euler2 weights of (-q^{1/2} x z;q)_inf
                 return ctx.qpow(r * (r - 1) // 2) * (s * x) ** r / ctx.qq(r)
 
-            scale = mp.pi * mpmath.log(1 / ctx.q)
-            moms = [(scale * ctx.qq(j) * ctx.qpow(-(j * (j + 1) // 2)), 0.0)
-                    for j in range(2 * cap + 1)]
+            moms = _radial_moments(ctx, "hq", 2 * cap)
             # derived closed form: the printed denominator (u1u2v1v2;q)_inf is
             # (u1u2v1v2/q;q)_inf (single-factor q-shift typo; ledger)
-            pr, pr_tail = qpoch_inf_ratio(ctx, [-u1 * v1, -u2 * v2, -u1 * u2, -v1 * v2],
-                                          [u1 * u2 * v1 * v2 / ctx.q])
-            rhs, rhs_tail = scale * pr, float(scale) * pr_tail
+            rhs, rhs_tail = times(ctx, _moment_factor(ctx, "hq")[0], qpoch_inf_ratio(
+                ctx, [-u1 * v1, -u2 * v2, -u1 * u2, -v1 * v2], [u1 * u2 * v1 * v2 / ctx.q]))
         else:
             raise ValueError(kind)
         lhs, tail = _euler_4fold(ctx, cap, coefw, moms, u1, v1, v2, u2)

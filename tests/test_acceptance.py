@@ -99,7 +99,7 @@ def test_criterion_3_and_4_H_and_p_orthogonality():
 
 
 def test_criterion_5_h_orthogonality():
-    """Second family, m,n <= 4 at q = 1/2, geometric-grid quadrature:
+    """Second family, m,n <= 4 at q = 1/2, closed-form radial moments:
     diagonal matches pi log(1/q) (q;q)_m (q;q)_n q^{-(m-n)^2/2-(m+n)/2} to
     rel error <= 1e-8."""
     ctx = QContext(F(1, 2), sqrt_q="auto", backend="float", precision_bits=160,

@@ -11,7 +11,7 @@ import pytest
 from q2dpoly import cli
 from q2dpoly.cli import build_parser, main
 from q2dpoly.context import QContext, TruncationPolicy
-from q2dpoly.measures import ortho_table
+from q2dpoly.measures import InnerProductResult, ortho_csv, ortho_table
 from q2dpoly.zeros import asymptotic_report
 
 
@@ -378,23 +378,23 @@ ORTHO_GOLDEN = [
      '# worst diagonal rel_error 0.0; worst off-diagonal |value| 0.0; PASS\n'),
     (('--family', 'h', '--max-index', '1', '--q', '1/2'),
      'm,n,s,t,value_re,value_im,closed_re,closed_im,rel_error\n'
-     '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,1.9590865980570535e-17\n'
+     '0,0,0,0,2.1775860903,0.0,2.1775860903,0.0,0.0\n'
      '0,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,0,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,0,1,1,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
+     '0,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
-     '0,1,0,1,2.1775860903,0.0,2.1775860903,0.0,3.989845441252815e-34\n'
+     '0,1,0,1,2.1775860903,0.0,2.1775860903,0.0,0.0\n'
      '0,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
      '0,1,1,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,0,0,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,0,1,0,2.1775860903,0.0,2.1775860903,0.0,3.989845441252815e-34\n'
+     '1,0,1,0,2.1775860903,0.0,2.1775860903,0.0,0.0\n'
      '1,0,1,1,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,0,0,2.13303986281e-17,0.0,0.0,0.0,2.1330398628146223e-17\n'
+     '1,1,0,0,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,0,1,0.0,0.0,0.0,0.0,0.0\n'
      '1,1,1,0,0.0,0.0,0.0,0.0,0.0\n'
-     '1,1,1,1,1.08879304515,0.0,1.08879304515,0.0,9.795432990285268e-18\n',
-     '# worst diagonal rel_error 1.9590865980570535e-17; worst off-diagonal |value| 2.1330398628146223e-17; PASS\n'),
+     '1,1,1,1,1.08879304515,0.0,1.08879304515,0.0,1.9178093018296257e-53\n',
+     '# worst diagonal rel_error 1.9178093018296257e-53; worst off-diagonal |value| 0.0; PASS\n'),
 ]
 
 
@@ -407,14 +407,28 @@ def test_ortho_output_pinned(capsys, argv, out, err):
     assert got.err == err
 
 
-def test_ortho_h_exact_backend_is_config_error(capsys):
-    # the hq moments are quadratures, so the exact backend has none
-    code = main(["ortho", "--family", "h", "--max-index", "1", "--q", "1/2",
+@pytest.mark.parametrize("family", ["H", "h"])
+def test_ortho_exact_backend_prints_values_to_12_digits(capsys, family):
+    # an exact value prints as its closed form does, through an mpf to 12
+    # digits, not as the whole rational; both families pass exactly
+    code = main(["ortho", "--family", family, "--max-index", "1", "--q", "1/4",
                  "--backend", "exact"])
     got = capsys.readouterr()
-    assert code == 2
-    assert got.out == ""
-    assert got.err.startswith("config error:")
+    assert code == 0
+    assert got.err == "# worst diagonal rel_error 0.0; worst off-diagonal |value| 0.0; PASS\n"
+    rows = [row.split(",") for row in got.out.splitlines()[1:]]
+    assert len(rows) == 16
+    for row in rows:
+        assert row[4:6] == row[6:8] and row[8] == "0.0", row
+
+
+def test_ortho_csv_prints_a_value_past_the_int_string_limit():
+    # a numerator of over 4300 digits (ortho --backend exact at q = 9/10) is
+    # printed to 12 digits, not through str, which refuses it
+    big = F(10**5000 + 1, 3 * 10**4999)
+    table = {(0, 0, 0, 0): InnerProductResult(value=big, tail_bound=0.0, closed_form=big,
+                                              rel_error=0.0)}
+    assert ortho_csv(table).splitlines()[1] == "0,0,0,0,3.33333333333,0.0,3.33333333333,0.0,0.0"
 
 
 @pytest.mark.parametrize("tail_tol", ["16385", "1e6"])
@@ -535,7 +549,7 @@ STUDY_SHA256 = {
     "exact_series.json": "64a09c8a854363c74197f203f98dc0d628930df2c672fd40b501e2bf3d0f9e2d",
     "exact_sweep.json": "ba4fb90ed603af16f93314cbfd439b8b7174497bf48d95f4fef7529df54bba19",
     "ortho_H.csv": "226dc2188d320cb07000ada1eeaf7f2c3abacfe447826eb10ca34eb302cbf37a",
-    "ortho_h.csv": "cfc5fbc346e95584f1ca8846f0ff3aeabae36dbccad1b30437d99e8a20d377ca",
+    "ortho_h.csv": "5eff8cbf58df98134f29abb5db6d74f645b420e7780ec7600cfc93ce4056d997",
     "ortho_p.csv": "f3aab773407b0c6a909526a465027f7fb3bcdfa413e5df30f9ed082ecfbb698c",
     "zerolimit_limH.csv": "3fe91ee7016535a28f713a4bfef1937ce57ab6bf1fb721b0b2a15b24d102eb76",
     "zerolimit_limh.csv": "b2d8822725c3b8328e4759beb8838635d1f9c14073c126eac66784fd94c72426",

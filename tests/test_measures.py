@@ -85,13 +85,30 @@ def test_h_moment_chain_matches_per_node_products(q):
     (F(1, 4), list(range(7))),
 ])
 def test_h_moment_error_bounds_true_error(q, js):
+    # the quadrature against the library's closed-form table, which carries
+    # the angular pi: pi times the quadrature is within pi err plus the
+    # table's tail of it
     ctx = QContext(q, backend="float", precision_bits=160, default_trunc=TR)
     moms = h_radial_moments_batch(ctx, max(js))
+    table = measures._radial_moments(ctx, "hq", max(js))
     with ctx.workprec(40):
         for j in js:
-            closed = ctx.qq(j) * mpmath.log(1 / ctx.q) / ctx.qpow(j * (j + 1) // 2)
+            closed, closed_tail = table[j]
             val, err = moms[j]
-            assert abs(val - closed) <= err, j
+            assert abs(mp.pi * val - closed) <= mp.pi * err + closed_tail, j
+
+
+def test_h_moments_match_adaptive_quadrature():
+    # at q = 9/10 the trapezoid reference is off (its fixed window cuts the
+    # integrand), so mpmath's adaptive quadrature checks the closed form
+    q = F(9, 10)
+    ctx = QContext(q, backend="float", precision_bits=128)
+    table = measures._radial_moments(ctx, "hq", 2)
+    qm = mp.mpf(q.numerator) / q.denominator
+    for h, (val, _) in enumerate(table):
+        ref = mp.pi * mpmath.quad(lambda x: x**h / mpmath.qp(-x, qm),
+                                  [0, 1, 10, 100, 1000, mpmath.inf])
+        assert abs(val - ref) <= 1e-13 * ref, h
 
 
 def test_h_moment_cache_keyed_by_truncation_policy(monkeypatch):
@@ -104,7 +121,7 @@ def test_h_moment_cache_keyed_by_truncation_policy(monkeypatch):
     measures._H_MOMENT_CACHE.clear()
     assert got == measures._radial_moments(tight, "hq", 0)[0]
     with tight.workprec():
-        assert abs(got[0] - mpmath.log(2)) <= got[1]
+        assert abs(got[0] - mp.pi * mpmath.log(2)) <= got[1]
 
 
 def test_inner_product_restores_precision_on_error(fctx):
@@ -395,9 +412,10 @@ def test_discrete_moments_within_tail_of_closed_forms(q):
 @pytest.mark.parametrize("q", [F(1, 4), F(2, 5), F(3, 4)])
 def test_ortho_table_is_an_exact_zero_test(q):
     # on the exact backend value - closed form is (S - N) F, S and N rational
-    # and F the one factor of the moments: exactly 0 at every index pair
+    # and F the one factor of the moments (pi log(1/q) as a Fraction for hq):
+    # exactly 0 at every index pair
     ctx = QContext(q)
-    for kind, b in [("Hq", None), ("pq", F(1, 4)), ("pq", 0), ("pq", F(-1, 2))]:
+    for kind, b in [("Hq", None), ("pq", F(1, 4)), ("pq", 0), ("pq", F(-1, 2)), ("hq", None)]:
         table, worst_diag, worst_off = ortho_table(ctx, kind, 4, b)
         assert worst_diag == worst_off == 0.0, (kind, b)
         for (m, n, s, t), r in table.items():
@@ -405,6 +423,17 @@ def test_ortho_table_is_an_exact_zero_test(q):
                 assert r.rel_error == 0.0 and r.value == r.closed_form, (kind, b, m, n)
             else:
                 assert type(r.value) is F and r.value == 0, (kind, b, m, n, s, t)
+
+
+@pytest.mark.parametrize("q", [F(2, 3), F(3, 4), F(9, 10)])
+def test_h_ortho_float_audit_as_q_rises(q):
+    # the hq audit on the float backend at the CLI's defaults: the closed-form
+    # moments share pi log(1/q) with the norms, so only the sums' rounding
+    # (near 1e-44 at 144 bits) is left; a moment quadrature on a fixed window
+    # is off by 3e-10 at q = 2/3 and by 8e-3 at q = 9/10
+    ctx = QContext(q, backend="float", precision_bits=128)
+    _, worst_diag, worst_off = ortho_table(ctx, "hq", 2)
+    assert worst_diag <= 1e-38 and worst_off <= 1e-38, (worst_diag, worst_off)
 
 
 def test_inner_product_K_is_deprecated(fctx):
